@@ -114,9 +114,11 @@ def _load_k_matrix(spec: str, e: int, d: int):
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-        K = tuple(tuple(Fraction(str(v)) for v in row) for row in rows)
     except (OSError, ValueError) as exc:
         _fail("cannot read K matrix from %r: %s" % (spec, exc), EXIT_BADINPUT)
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+        _fail("K matrix in %r must be a JSON list of lists of rationals" % spec, EXIT_BADINPUT)
+    K = tuple(tuple(_parse_rat(str(v), "K matrix entry") for v in row) for row in rows)
     n = e + d
     if len(K) != n or any(len(r) != n for r in K):
         _fail("K matrix must be %d x %d" % (n, n), EXIT_BADINPUT)
@@ -203,7 +205,11 @@ def verify_cmd(suite, n_max, fmt, inject_sign_flip):
     """Run a verification suite; exit 0 iff every check passes."""
     if n_max < 2:
         _fail("--n-max must be at least 2", EXIT_BADINPUT)
-    report = verify.run_suite(suite, n_max=n_max, inject_sign_flip=inject_sign_flip)
+    try:
+        threads = verify.forge_threads()
+    except ValueError as exc:
+        _fail(str(exc), EXIT_BADINPUT)
+    report = verify.run_suite(suite, n_max=n_max, inject_sign_flip=inject_sign_flip, threads=threads)
     if fmt == "json":
         click.echo(verify.report_json(report))
     else:

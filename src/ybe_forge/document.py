@@ -66,6 +66,8 @@ def document_to_json(doc: TensorDocument) -> dict:
 
 
 def document_from_json(payload: dict) -> TensorDocument:
+    if not isinstance(payload, dict):
+        raise DocumentError("document must be a JSON object, got %s" % type(payload).__name__)
     if payload.get("schema") != SCHEMA:
         raise DocumentError("unsupported schema %r" % payload.get("schema"))
     scalar = payload.get("scalar")

@@ -36,6 +36,8 @@ class ThetaContext:
     def __post_init__(self):
         if self.tau.imag <= 0:
             raise ValueError("need Im(tau) > 0, got %r" % (self.tau,))
+        if self.terms < 1:
+            raise ValueError("need at least 1 theta series term, got %d" % self.terms)
         q = abs(cmath.exp(1j * math.pi * self.tau))
         # dropped-term bound for the odd theta series at moderate |Im z|
         drop = q ** (self.terms * (self.terms + 1))

@@ -3,6 +3,11 @@ polynomials in the loop variable z, interpolation, and cyclotomic scalars.
 
 All arithmetic in this module is exact.  Scalars are `fractions.Fraction`;
 matrices are immutable nested tuples so they can be hashed and cached.
+
+The solvers work in integers: one Bareiss elimination on the
+denominator-cleared rows, back-substitution to numerators over one common
+denominator per solution, and an integer re-check of every solution against
+the cleared rows.  Fractions are built only for the returned values.
 """
 
 from __future__ import annotations
@@ -56,10 +61,6 @@ def mat_zero(nrows: int, ncols: int | None = None, zero=ZERO) -> tuple:
     return tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows))
 
 
-def mat_identity(n: int) -> tuple:
-    return tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-
-
 def mat_unit(n: int, i: int, j: int) -> tuple:
     """Matrix unit e_{i,j} with 1-based indices, as in the usual basis."""
     if not (1 <= i <= n and 1 <= j <= n):
@@ -98,10 +99,6 @@ def mat_bracket(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
 
 
-def mat_trace(a):
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def mat_transpose(a):
     return tuple(zip(*a))
 
@@ -119,23 +116,26 @@ def mat_from_entries(n: int, entries: dict, zero=ZERO) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination (Bareiss)
+# fraction-free elimination (Bareiss) and integer back-substitution
 # ---------------------------------------------------------------------------
+
+def _row_lcm(row) -> int:
+    return math.lcm(*(x.denominator for x in row))
+
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     """Clear denominators row by row; row scaling preserves kernels and
     solution sets of homogeneous/augmented systems."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        out.append([int(x * den) for x in row])
+        den = _row_lcm(row)
+        out.append([x.numerator * (den // x.denominator) for x in row])
     return out
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination.  Returns (echelon rows, pivot cols).
+def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free forward elimination.  Returns (echelon rows, pivot cols,
+    sign of the row permutation).
 
     Pivots are chosen per column by smallest nonzero magnitude, which keeps
     the exact integer entries small in practice.  Divisions are checked so a
@@ -144,6 +144,7 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     piv_cols: list[int] = []
+    sign = 1
     prev = 1
     r = 0
     for c in range(ncols):
@@ -155,6 +156,7 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             continue
         if best != r:
             m[r], m[best] = m[best], m[r]
+            sign = -sign
         piv = m[r][c]
         row_r = m[r]
         for i in range(r + 1, nrows):
@@ -170,37 +172,67 @@ def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == nrows:
             break
-    return m, piv_cols
+    return m, piv_cols, sign
+
+
+def _back_substitute(m, piv_cols, free_cols, n: int) -> list[list[int]]:
+    """Integer back-substitution through the echelon rows of `m`.
+
+    For each free column f, returns den times the null vector that is 1 at f
+    and 0 at the other free columns, den being the last pivot.  Bareiss
+    pivots are leading minors, so by Cramer's rule every division here is
+    exact; it is checked anyway.
+    """
+    rank = len(piv_cols)
+    den = m[rank - 1][piv_cols[rank - 1]] if rank else 1
+    tails = [[(c, m[r][c]) for c in piv_cols[r + 1:] if m[r][c]] for r in range(rank)]
+    out = []
+    for f in free_cols:
+        v = [0] * n
+        v[f] = den
+        for r in range(rank - 1, -1, -1):
+            acc = -den * m[r][f]
+            for c, a in tails[r]:
+                acc -= a * v[c]
+            q, rem = divmod(acc, m[r][piv_cols[r]])
+            if rem:
+                raise LinearAlgebraError("fraction-free division failed")
+            v[piv_cols[r]] = q
+        out.append(v)
+    return out
+
+
+def _null_vectors(ints, m, piv_cols, free_cols, what: str) -> list[tuple[list[int], int]]:
+    """`_back_substitute` in lowest terms, as (numerators, positive
+    denominator), each vector re-checked in integers against `ints`, the
+    rows that `m` is the echelon form of."""
+    n = len(m[0]) if m else len(free_cols)
+    sparse_rows = [[(c, a) for c, a in enumerate(row) if a] for row in ints]
+    out = []
+    for f, v in zip(free_cols, _back_substitute(m, piv_cols, free_cols, n)):
+        g = math.gcd(*v) * (1 if v[f] > 0 else -1)
+        v = [a // g for a in v]
+        if any(sum(a * v[c] for c, a in row) for row in sparse_rows):
+            raise LinearAlgebraError("%s verification failed" % what)
+        out.append((v, v[f]))
+    return out
 
 
 def kernel(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the null space of the matrix given by `rows`.
+    """Exact basis of the null space of the matrix given by `rows`: one vector
+    per non-pivot column f, 1 at f and 0 at the other non-pivot columns.
 
-    Every returned vector is re-checked against the original rows.
+    Every vector is re-checked as A.num == 0 against the denominator-cleared
+    rows before it is turned into Fractions.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        if ncols is None:
-            raise ValueError("kernel of an empty matrix needs an explicit ncols")
-        return [tuple(ONE if i == j else ZERO for j in range(ncols)) for i in range(ncols)]
-    n = len(rows[0])
-    m, piv_cols = _bareiss_echelon(_integer_rows(rows))
-    pivset = set(piv_cols)
-    free_cols = [c for c in range(n) if c not in pivset]
-    basis = []
-    for f in free_cols:
-        v = [ZERO] * n
-        v[f] = ONE
-        for r in range(len(piv_cols) - 1, -1, -1):
-            c = piv_cols[r]
-            s = sum((Fraction(m[r][j]) * v[j] for j in range(c + 1, n)), ZERO)
-            v[c] = -s / m[r][c]
-        basis.append(tuple(v))
-    for v in basis:
-        for row in rows:
-            if sum(a * b for a, b in zip(row, v)) != 0:
-                raise LinearAlgebraError("kernel verification failed")
-    return basis
+    if not rows and ncols is None:
+        raise ValueError("kernel of an empty matrix needs an explicit ncols")
+    n = len(rows[0]) if rows else ncols
+    ints = _integer_rows(rows)
+    m, piv_cols, _ = _bareiss_echelon([list(r) for r in ints])
+    free_cols = sorted(set(range(n)).difference(piv_cols))
+    vecs = _null_vectors(ints, m, piv_cols, free_cols, "kernel")
+    return [tuple(Fraction(a, den) if a else ZERO for a in v) for v, den in vecs]
 
 
 def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
@@ -208,40 +240,25 @@ def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[
 
     Accepts square or overdetermined-consistent systems.  Raises
     SingularSystemError if A has deficient column rank and
-    InconsistentSystemError if elimination yields 0 = nonzero.
+    InconsistentSystemError if elimination yields 0 = nonzero.  One
+    elimination serves every right-hand side.  x is the null vector
+    (x, -1) of [A | b], so it is re-checked as A.num == b.den against the
+    denominator-cleared rows.
     """
     nrows = len(rows)
     ncols = len(rows[0])
-    nrhs = len(rhs_cols)
     if any(len(b) != nrows for b in rhs_cols):
         raise ValueError("right-hand side length mismatch")
     aug = [list(rows[i]) + [b[i] for b in rhs_cols] for i in range(nrows)]
-    m, piv_cols = _bareiss_echelon(_integer_rows(aug))
-    piv_in_A = [c for c in piv_cols if c < ncols]
-    if len(piv_in_A) < ncols:
-        # a pivot landed in the rhs block, or the rank is deficient
-        if len(piv_in_A) < len(piv_cols):
-            raise InconsistentSystemError("no solution: 0 = nonzero after elimination")
+    ints = _integer_rows(aug)
+    m, piv_cols, _ = _bareiss_echelon([list(r) for r in ints])
+    if piv_cols and piv_cols[-1] >= ncols:
+        # a pivot in the rhs block is a row 0 = nonzero
+        raise InconsistentSystemError("no solution: 0 = nonzero after elimination")
+    if len(piv_cols) < ncols:
         raise SingularSystemError("coefficient matrix is rank-deficient")
-    rank = len(piv_in_A)
-    for r in range(rank, nrows):
-        if any(m[r][ncols + k] != 0 for k in range(nrhs)):
-            raise InconsistentSystemError("no solution: 0 = nonzero after elimination")
-    sols = []
-    for k in range(nrhs):
-        x = [ZERO] * ncols
-        for r in range(rank - 1, -1, -1):
-            c = piv_in_A[r]
-            s = Fraction(m[r][ncols + k]) - sum(
-                (Fraction(m[r][j]) * x[j] for j in range(c + 1, ncols)), ZERO
-            )
-            x[c] = s / m[r][c]
-        sols.append(tuple(x))
-    for k, x in enumerate(sols):
-        for i in range(nrows):
-            if sum(a * b for a, b in zip(rows[i], x)) != rhs_cols[k][i]:
-                raise LinearAlgebraError("solve verification failed")
-    return sols
+    vecs = _null_vectors(ints, m, piv_cols, range(ncols, ncols + len(rhs_cols)), "solve")
+    return [tuple(Fraction(-a, den) if a else ZERO for a in v[:ncols]) for v, den in vecs]
 
 
 @dataclass(frozen=True)
@@ -264,50 +281,21 @@ def solve(system: LinSystem) -> tuple[Fraction, ...]:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    if not rows:
-        return 0
-    _, piv = _bareiss_echelon(_integer_rows(rows))
-    return len(piv)
+    return len(_bareiss_echelon(_integer_rows(rows))[1])
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant (Bareiss; row scalings tracked explicitly)."""
+    """Exact determinant: Bareiss on the denominator-cleared rows, whose last
+    pivot is their determinant up to the sign of the row swaps."""
     n = len(rows)
     if n == 0:
         return ONE
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    scale = ONE
-    m = []
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        scale /= den
-        m.append([int(x * den) for x in row])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        best = -1
-        for i in range(c, n):
-            if m[i][c] != 0 and (best < 0 or abs(m[i][c]) < abs(m[best][c])):
-                best = i
-        if best < 0:
-            return ZERO
-        if best != c:
-            m[c], m[best] = m[best], m[c]
-            sign = -sign
-        piv = m[c][c]
-        for i in range(c + 1, n):
-            fi = m[i][c]
-            for j in range(c, n):
-                q, rem = divmod(piv * m[i][j] - fi * m[c][j], prev)
-                if rem:
-                    raise LinearAlgebraError("fraction-free division failed")
-                m[i][j] = q
-        prev = piv
-    return sign * scale * Fraction(m[n - 1][n - 1])
+    m, piv, sign = _bareiss_echelon(_integer_rows(rows))
+    if len(piv) < n:
+        return ZERO
+    return Fraction(sign * m[n - 1][n - 1], math.prod(_row_lcm(r) for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +312,6 @@ def poly_trim(coeffs: Iterable[Fraction]) -> tuple:
     return tuple(c)
 
 
-def poly_const(v) -> tuple:
-    v = rat(v)
-    return (v,) if v != 0 else POLY_ZERO
-
-
 def poly_deg(p) -> int:
     """Degree; the zero polynomial gets -1."""
     return len(p) - 1
@@ -341,10 +324,6 @@ def poly_add(p, q):
     for i, c in enumerate(q):
         out[i] += c
     return poly_trim(out)
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_scale(-ONE, q))
 
 
 def poly_scale(c, p):
@@ -364,13 +343,6 @@ def poly_mul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return poly_trim(out)
-
-
-def poly_shift(p, k: int):
-    """Multiply by z**k."""
-    if not p:
-        return POLY_ZERO
-    return (ZERO,) * k + tuple(p)
 
 
 def poly_eval(p, x: Fraction) -> Fraction:

@@ -50,10 +50,6 @@ class DegenerateFormError(RuntimeError):
     """The cocycle matrix does not define a Frobenius pairing on the parabolic."""
 
 
-class DecSolveError(RuntimeError):
-    """A block decomposition equation failed to have a unique solution."""
-
-
 class TruncationError(RuntimeError):
     """A truncated Laurent window is too small to certify the requested value."""
 
@@ -140,6 +136,15 @@ class FrobeniusForm:
         return self.determinant != 0
 
 
+def _label_units(lbl) -> tuple:
+    """basis_matrix(lbl) as (i, j, sign) terms sign * e_{i,j}: a unit, or
+    h_l = e_{l,l} - e_{l+1,l+1}."""
+    if lbl[0] == "unit":
+        return ((lbl[1], lbl[2], ONE),)
+    l = lbl[1]
+    return ((l, l, ONE), (l + 1, l + 1, -ONE))
+
+
 def _bracket_kt_label(K, lbl, n):
     """[K^t, B] for a basis label B, exploiting the sparsity of both: the
     result is returned as a dense row-list built from O(n) updates."""
@@ -156,12 +161,8 @@ def _bracket_kt_label(K, lbl, n):
             if v:
                 out[i - 1][c] -= scale * v
 
-    if lbl[0] == "unit":
-        add_unit_bracket(lbl[1], lbl[2], ONE)
-    else:
-        l = lbl[1]
-        add_unit_bracket(l, l, ONE)
-        add_unit_bracket(l + 1, l + 1, -ONE)
+    for i, j, sign in _label_units(lbl):
+        add_unit_bracket(i, j, sign)
     return out
 
 
@@ -205,10 +206,7 @@ def _split_solver(K: tuple, e: int, n: int):
     """Coordinates for G = [K^t, P] + N with P in p_e, N in the upper-right
     nilpotent block: returns (labels, nilpotent positions, matrix rows)."""
     labels = parabolic_labels(e, n)
-    Kt = tuple(zip(*K))
-    cols = []
-    for lbl in labels:
-        cols.append(mat_bracket(Kt, basis_matrix(lbl, n)))
+    cols = [_bracket_kt_label(K, lbl, n) for lbl in labels]
     nil_pos = [
         (i, j)
         for i in range(1, n + 1)
@@ -227,25 +225,33 @@ def frobenius_split(G, K, e: int) -> tuple[tuple, tuple]:
     """The unique (P, N) with G = [K^t, P] + N, P in p_e and N in the
     upper-right block.  Exists and is unique exactly when omega_K is
     non-degenerate on p_e."""
-    n = len(G)
+    return frobenius_splits([G], K, e)[0]
+
+
+def frobenius_splits(Gs, K, e: int) -> list[tuple[tuple, tuple]]:
+    """`frobenius_split` of every G in `Gs`, from one elimination."""
+    n = len(Gs[0])
     K = freeze(K)
     labels, nil_pos, rows = _split_solver(K, e, n)
-    rhs = [[G[i][j] for i in range(n) for j in range(n)]]
+    rhs = [[G[i][j] for i in range(n) for j in range(n)] for G in Gs]
     try:
-        (coeffs,) = solve_multi(rows, rhs)
+        sols = solve_multi(rows, rhs)
     except Exception as exc:
         raise DegenerateFormError(
             "Frobenius splitting failed; omega_K degenerate on p_%d?" % e
         ) from exc
-    P = mat_zero(n)
-    for c, lbl in zip(coeffs, labels):
-        if c != 0:
-            P = mat_add(P, mat_scale(c, basis_matrix(lbl, n)))
-    N = mat_zero(n)
-    for c, (i, j) in zip(coeffs[len(labels):], nil_pos):
-        if c != 0:
-            N = mat_add(N, mat_scale(c, mat_unit(n, i, j)))
-    return P, N
+    out = []
+    for coeffs in sols:
+        P = [[ZERO] * n for _ in range(n)]
+        for c, lbl in zip(coeffs, labels):
+            if c != 0:
+                for i, j, sign in _label_units(lbl):
+                    P[i - 1][j - 1] += sign * c
+        N = [[ZERO] * n for _ in range(n)]
+        for c, (i, j) in zip(coeffs[len(labels):], nil_pos):
+            N[i - 1][j - 1] = c
+        out.append((freeze(P), freeze(N)))
+    return out
 
 
 def _blocks(M, e: int):
@@ -296,8 +302,8 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
 
     Region III labels get zero; region II/IV and Cartan labels get a single
     order-0 element; region I labels get order-0 and order-1 elements.  Each
-    solve is the unique Frobenius splitting against K^t (the splitting solver
-    verifies its solution by exact re-substitution).
+    is the unique Frobenius splitting against K^t; all of them come from one
+    batched solve, which verifies every solution by exact re-substitution.
     """
     if gcd(e, d) != 1:
         raise NonCoprimeError("need coprime (e, d), got (%d, %d)" % (e, d))
@@ -306,33 +312,29 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     form = frobenius_gram(K, e, n)
     if not form.nondegenerate:
         raise DegenerateFormError("omega_K is degenerate on p_%d" % e)
-    Kt = tuple(zip(*K))
     zero_poly = matrix_poly_from_coeffs([mat_zero(n)])
-    elements: dict = {}
+    plan: dict = {}  # (label, order) -> splitting target, None for zero
     for label in sl_basis(n):
-        if label[0] == "unit":
-            _, i, j = label
-            reg = region(i, j, e, n)
-            target = mat_unit(n, j, i)  # the trace dual of e_{i,j}
-            if reg == "III":
-                elements[(label, 0)] = zero_poly
-                elements[(label, 1)] = zero_poly
-                continue
-            if reg in ("II", "IV"):
-                P, N = frobenius_split(target, K, e)
-                elements[(label, 0)] = _dec_assemble(P, N, e, n)
-                elements[(label, 1)] = zero_poly
-                continue
-            # region I: order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
-            P0, N0 = frobenius_split(mat_neg(mat_bracket(Kt, target)), K, e)
-            elements[(label, 0)] = _dec_assemble(P0, N0, e, n)
-            P1, N1 = frobenius_split(target, K, e)
-            elements[(label, 1)] = _dec_assemble(P1, N1, e, n)
+        if label[0] != "unit":
+            # the trace dual of the dual-Cartan
+            plan[(label, 0)], plan[(label, 1)] = basis_matrix(label, n), None
+            continue
+        _, i, j = label
+        reg = region(i, j, e, n)
+        target = mat_unit(n, j, i)  # the trace dual of e_{i,j}
+        if reg == "III":
+            plan[(label, 0)], plan[(label, 1)] = None, None
+        elif reg in ("II", "IV"):
+            plan[(label, 0)], plan[(label, 1)] = target, None
         else:
-            target = basis_matrix(label, n)  # the trace dual of the dual-Cartan
-            P, N = frobenius_split(target, K, e)
-            elements[(label, 0)] = _dec_assemble(P, N, e, n)
-            elements[(label, 1)] = zero_poly
+            # region I: order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
+            plan[(label, 0)] = mat_neg(_bracket_kt_label(K, ("unit", j, i), n))
+            plan[(label, 1)] = target
+    splits = iter(frobenius_splits([G for G in plan.values() if G is not None], K, e))
+    elements = {
+        key: zero_poly if G is None else _dec_assemble(*next(splits), e, n)
+        for key, G in plan.items()
+    }
     return WElementSet(e, d, K, elements)
 
 

@@ -4,7 +4,8 @@ numerics, and the classical fixtures.
 Every check returns a pass/fail verdict with the measured residual (or the
 relevant determinant/dimension) and its tolerance; a report is the
 conjunction.  Suites fan out over independent checks through a process pool
-when the FORGE_THREADS environment variable asks for more than one worker.
+when the FORGE_THREADS environment variable asks for more than one worker
+(at most one per CPU).
 """
 
 from __future__ import annotations
@@ -381,6 +382,14 @@ def _tasks_for(suite: str, n_max: int, seed: int):
     return tasks
 
 
+def forge_threads() -> int:
+    """FORGE_THREADS as a worker count: 1 by default, at most the CPU count."""
+    text = os.environ.get("FORGE_THREADS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError("FORGE_THREADS must be a positive integer, got %r" % text)
+    return min(int(text), os.cpu_count() or 1)
+
+
 def run_suite(
     suite: str,
     n_max: int = 4,
@@ -395,7 +404,7 @@ def run_suite(
         tasks.append(
             ("injected-sign-flip-control", "expected FAIL", check_injected_sign_flip, ()))
     if threads is None:
-        threads = int(os.environ.get("FORGE_THREADS", "1"))
+        threads = forge_threads()
     if threads > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             checks = tuple(pool.map(_run, tasks))

@@ -2,6 +2,7 @@
 0/2/3 exit-code contract."""
 
 import json
+import os
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 
 from ybe_forge.cli import main
 from ybe_forge.document import document_from_json
+from ybe_forge.verify import forge_threads
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -98,6 +100,16 @@ class TestStolin:
         assert res.exit_code == 2
         assert "degenerate" in res.stderr
 
+    @pytest.mark.parametrize("payload", ["[1, 2]", '{"a": 1}', '"12"', '[["1/0", "1"], [0, 0]]',
+                                         '[[[1]], [2]]', "[1,"])
+    def test_malformed_k_file_exit_3(self, runner, tmp_path, payload):
+        bad = tmp_path / "k.json"
+        bad.write_text(payload)
+        res = run(runner, "stolin", "3", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
+        assert res.exit_code == 3
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert len(res.stderr.strip().splitlines()) == 1
+
     def test_file_k_matrix(self, runner, tmp_path):
         good = tmp_path / "k.json"
         good.write_text(json.dumps([["0", "1"], ["0", "0"]]))
@@ -128,6 +140,12 @@ class TestElliptic:
         t120 = document_from_json(json.loads(r120.stdout)).to_tensor()
         assert t60.sub(t120).norm() < 1e-12
 
+    def test_nonpositive_terms_exit_3(self, runner):
+        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.3",
+                  "--terms", "-5")
+        assert res.exit_code == 3
+        assert "pole" not in res.stderr
+
     def test_bad_tau_exit_3(self, runner):
         res = run(runner, "elliptic", "2", "1", "--tau", "0.3-1i", "--x", "0.1", "--y", "0.2")
         assert res.exit_code == 3
@@ -157,3 +175,31 @@ class TestVerify:
         monkeypatch.setenv("FORGE_THREADS", "2")
         res = run(runner, "verify", "--suite", "zoo")
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
+    def test_bad_forge_threads_exit_3(self, runner, monkeypatch, value):
+        monkeypatch.setenv("FORGE_THREADS", value)
+        res = run(runner, "verify", "--suite", "zoo")
+        assert res.exit_code == 3
+        assert "FORGE_THREADS" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+
+class TestForgeThreads:
+    """The FORGE_THREADS parser alone; no pool is started here."""
+
+    def test_default_is_one(self, monkeypatch):
+        monkeypatch.delenv("FORGE_THREADS", raising=False)
+        assert forge_threads() == 1
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        for value, expected in (("1", 1), ("2", 2), ("100000", 2)):
+            monkeypatch.setenv("FORGE_THREADS", value)
+            assert forge_threads() == expected
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "", "99999999999999999999x"])
+    def test_invalid_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("FORGE_THREADS", value)
+        with pytest.raises(ValueError, match="positive integer"):
+            forge_threads()

@@ -44,6 +44,11 @@ class TestRoundTrip:
         with pytest.raises(DocumentError):
             document_from_json({"schema": "nope", "n": 2, "scalar": "rational", "terms": []})
 
+    @pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+    def test_non_object_rejected(self, text):
+        with pytest.raises(DocumentError, match="JSON object"):
+            loads(text)
+
     def test_float_coefficient_rejected_for_rational(self):
         payload = {
             "schema": "tensor-document/1",

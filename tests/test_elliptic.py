@@ -65,6 +65,11 @@ class TestTheta:
         with pytest.raises(ValueError):
             ThetaContext(tau=0.5 - 0.1j)
 
+    @pytest.mark.parametrize("terms", [0, -5])
+    def test_nonpositive_terms_rejected(self, terms):
+        with pytest.raises(ValueError, match="at least 1"):
+            ThetaContext(tau=1j, terms=terms)
+
 
 class TestKernel:
     def test_simple_pole_normalization(self):

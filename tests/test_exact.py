@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ybe_forge import exact
 from ybe_forge.exact import (
     Cyclo,
     InconsistentSystemError,
     InterpolationError,
+    LinearAlgebraError,
     LinSystem,
     MatrixPoly,
     SingularSystemError,
@@ -107,6 +109,149 @@ class TestDet:
 
     def test_scaled_rows(self):
         assert det(((F(1, 2), F(0)), (F(0), F(1, 3)))) == F(1, 6)
+
+
+def _gauss_jordan(rows, ncols):
+    """Reference: plain Fraction Gauss-Jordan to reduced row echelon form.
+    Returns (reduced rows, pivot columns, determinant factor of the steps)."""
+    m = [list(r) for r in rows]
+    piv, factor, r = [], F(1), 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            factor = -factor
+        lead = m[r][c]
+        factor *= lead
+        m[r] = [v / lead for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        piv.append(c)
+        r += 1
+    return m, piv, factor
+
+
+def _ref_kernel(rows):
+    n = len(rows[0])
+    m, piv, _ = _gauss_jordan(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in piv):
+        v = [F(0)] * n
+        v[f] = F(1)
+        for r, c in enumerate(piv):
+            v[c] = -m[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_solve_multi(rows, rhs_cols):
+    ncols = len(rows[0])
+    aug = [list(row) + [b[i] for b in rhs_cols] for i, row in enumerate(rows)]
+    m, piv, _ = _gauss_jordan(aug, len(aug[0]))
+    if any(c >= ncols for c in piv):
+        raise InconsistentSystemError
+    if len(piv) < ncols:
+        raise SingularSystemError
+    return [tuple(m[r][ncols + k] for r in range(ncols)) for k in range(len(rhs_cols))]
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except LinearAlgebraError as exc:
+        return type(exc)
+
+
+small_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def rational_matrices(draw, min_rows=1):
+    """Small matrices; about half are products B C with a short inner size,
+    so rank deficiency is common."""
+    ncols = draw(st.integers(1, 5))
+    nrows = draw(st.integers(max(min_rows, 1), 5))
+    if draw(st.booleans()):
+        return [draw(st.lists(small_rats, min_size=ncols, max_size=ncols))
+                for _ in range(nrows)]
+    k = draw(st.integers(0, min(nrows, ncols)))
+    B = [draw(st.lists(small_rats, min_size=k, max_size=k)) for _ in range(nrows)]
+    C = [draw(st.lists(small_rats, min_size=ncols, max_size=ncols)) for _ in range(k)]
+    return [[sum((B[i][t] * C[t][j] for t in range(k)), F(0)) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+class TestIntegerCore:
+    """kernel, solve_multi, rank and det against a plain Fraction reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_kernel_rank_det_match_reference(self, rows):
+        assert kernel(rows) == _ref_kernel(rows)
+        _, piv, factor = _gauss_jordan(rows, len(rows[0]))
+        assert rank(rows) == len(piv)
+        if len(rows) == len(rows[0]):
+            expected = factor if len(piv) == len(rows) else F(0)
+            got = det(rows)
+            assert got == expected and isinstance(got, F)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_solve_multi_matches_reference(self, data):
+        rows = data.draw(rational_matrices())
+        nrows, ncols = len(rows), len(rows[0])
+        if nrows < ncols:
+            rows = rows + [[F(0)] * ncols for _ in range(ncols - nrows)]
+            nrows = ncols
+        rhs_cols = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            if data.draw(st.booleans()):  # consistent: b = A x
+                x = data.draw(st.lists(small_rats, min_size=ncols, max_size=ncols))
+                rhs_cols.append([sum((a * v for a, v in zip(row, x)), F(0)) for row in rows])
+            else:
+                rhs_cols.append(data.draw(st.lists(small_rats, min_size=nrows, max_size=nrows)))
+        expected = _outcome(_ref_solve_multi, rows, rhs_cols)
+        got = _outcome(solve_multi, rows, rhs_cols)
+        assert got == expected
+        if isinstance(got, list):
+            assert all(isinstance(v, F) for sol in got for v in sol)
+
+    def test_integer_recheck_is_live(self, monkeypatch):
+        real = exact._back_substitute
+
+        def off_by_one(*args):
+            vecs = real(*args)
+            vecs[0][0] += 1  # column 0 is a pivot column in both systems below
+            return vecs
+
+        monkeypatch.setattr(exact, "_back_substitute", off_by_one)
+        A = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(-1, 3)]]
+        with pytest.raises(LinearAlgebraError, match="kernel verification failed"):
+            kernel(A)
+        B = [[F(2), F(1)], [F(1), F(3)], [F(3), F(4)]]
+        with pytest.raises(LinearAlgebraError, match="solve verification failed"):
+            solve_multi(B, [[F(1), F(2), F(3)]])
+
+    def test_solve_dec_makes_one_batched_solve(self, monkeypatch):
+        from ybe_forge import stolin
+
+        calls = []
+
+        def counting(rows, rhs_cols):
+            calls.append(len(rhs_cols))
+            return exact.solve_multi(rows, rhs_cols)
+
+        monkeypatch.setattr(stolin, "solve_multi", counting)
+        stolin.solve_dec.cache_clear()
+        try:
+            stolin.solve_dec(1, 3, stolin.neg_j_matrix(1, 3))
+        finally:
+            stolin.solve_dec.cache_clear()
+        assert calls == [4 * 4 - 1]
 
 
 class TestPoly:
