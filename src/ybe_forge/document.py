@@ -52,6 +52,12 @@ def _coeff_from_json(v, scalar: str):
     return complex(v[0], v[1])
 
 
+def _int_from_json(v, what: str) -> int:
+    if type(v) is not int:
+        raise DocumentError("%s must be an integer, got %r" % (what, v))
+    return v
+
+
 def document_to_json(doc: TensorDocument) -> dict:
     return {
         "schema": SCHEMA,
@@ -73,14 +79,22 @@ def document_from_json(payload: dict) -> TensorDocument:
     scalar = payload.get("scalar")
     if scalar not in (RATIONAL, COMPLEX):
         raise DocumentError("unknown scalar kind %r" % scalar)
-    n = int(payload["n"])
-    terms = []
-    for item in payload["terms"]:
-        key = (int(item["i"]), int(item["j"]), int(item["k"]), int(item["l"]))
-        if not all(1 <= v <= n for v in key):
-            raise DocumentError("term index out of range: %r" % (key,))
-        terms.append((key, _coeff_from_json(item["coeff"], scalar)))
-    return TensorDocument(n, scalar, tuple(sorted(terms)), dict(payload.get("provenance", {})))
+    try:
+        n = _int_from_json(payload["n"], "n")
+        terms = []
+        for item in payload["terms"]:
+            key = tuple(_int_from_json(item[c], c) for c in "ijkl")
+            if not all(1 <= v <= n for v in key):
+                raise DocumentError("term index out of range: %r" % (key,))
+            terms.append((key, _coeff_from_json(item["coeff"], scalar)))
+        provenance = dict(payload.get("provenance", {}))
+    except DocumentError:
+        raise
+    except KeyError as exc:
+        raise DocumentError("missing key %s" % exc) from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DocumentError("malformed document: %s" % exc) from exc
+    return TensorDocument(n, scalar, tuple(sorted(terms)), provenance)
 
 
 def dumps(doc: TensorDocument) -> str:

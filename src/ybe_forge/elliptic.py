@@ -12,10 +12,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
-from .lie import COMPLEX, GlTensor2, casimir, heisenberg, tensor_from_pairs
+from .lie import (
+    COMPLEX,
+    GlTensor2,
+    casimir,
+    cybe_residual_two_variable,
+    heisenberg,
+    tensor_from_pairs,
+)
 
 TWO_PI_I = 2j * math.pi
 
@@ -132,45 +138,15 @@ def kronecker_sigma_series(u: complex, z: complex, ctx: ThetaContext) -> complex
 # the torus r-matrix
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def _resolve_v_sign() -> int:
-    """The difference variable enters the coefficients either as y - x or as
-    x - y; the source states both.  Resolve once empirically and fix for the
-    whole build.
-
-    The CYBE alone cannot decide: negating the difference composes the
-    solution with the flip of both slots, which is again a solution for any
-    n.  Both candidates are therefore tested against the CYBE *and* the pole
-    normalization: the residue of the fit in the variable y - x must be the
-    Casimir tensor with a plus sign, matching the rational pipelines.
-
-    Returns +1 for v = y - x, -1 for v = x - y.
-    """
-    ctx = ThetaContext(tau=0.3 + 1j)
-    pts = (0.11, 0.27, 0.40)
-    best = None
-    for sign in (+1, -1):
-        if _cybe_norm_at(3, 1, ctx, pts, sign) >= 1e-9:
-            continue
-        radius = 1e-4
-        rp = belavin_r(3, 1, ctx, 0.0, radius, _sign=sign)
-        rm = belavin_r(3, 1, ctx, 0.0, -radius, _sign=sign)
-        fitted = rp.scale(radius).add(rm.scale(-radius)).scale(0.5)
-        if fitted.sub(casimir(3).to_complex()).norm() >= 1e-5:
-            continue
-        if best is not None:
-            raise AssertionError("both difference signs pass; cannot resolve")
-        best = sign
-    if best is None:
-        raise AssertionError(
-            "no difference sign satisfies CYBE and pole normalization together"
-        )
-    return best
-
-
 def v_sign_convention() -> str:
-    """Human-readable record of the resolved difference convention."""
-    return "y-x" if _resolve_v_sign() > 0 else "x-y"
+    """The difference variable enters the coefficients as v = y - x.
+
+    The source states both y - x and x - y.  The CYBE alone cannot decide:
+    negating the difference composes the solution with the flip of both
+    slots, which is again a solution for any n.  Only y - x also gives the
+    Casimir tensor with a plus sign as the residue in y - x, matching the
+    rational pipelines; tests/test_elliptic.py re-derives this."""
+    return "y-x"
 
 
 def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
@@ -188,30 +164,19 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
     return pairs
 
 
-def belavin_r(n: int, d: int, ctx: ThetaContext, x, y, _sign=None) -> GlTensor2:
+def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
     """The elliptic solution on the torus: sum over the Heisenberg index set
-    of exp(-2 pi i d k v / n) sigma(d(l - k tau)/n, v) Zdual_{k,l} (x) Z_{k,l},
-    with the sign of v fixed by the build-time CYBE self-test."""
+    of exp(-2 pi i d k v / n) sigma(d(l - k tau)/n, v) Zdual_{k,l} (x) Z_{k,l}
+    with v = y - x."""
     if gcd(n, d) != 1 or not 0 < d < n:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
-    sign = _resolve_v_sign() if _sign is None else _sign
-    v = sign * (complex(y) - complex(x))
+    v = complex(y) - complex(x)
     return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
-
-
-def _cybe_norm_at(n, d, ctx, pts, sign) -> float:
-    from .lie import cybe_lhs
-
-    x1, x2, x3 = pts
-    r12 = belavin_r(n, d, ctx, x1, x2, _sign=sign)
-    r13 = belavin_r(n, d, ctx, x1, x3, _sign=sign)
-    r23 = belavin_r(n, d, ctx, x2, x3, _sign=sign)
-    return cybe_lhs(r12, r13, r23).norm()
 
 
 def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:
     """Max-norm of the CYBE left-hand side at a triple of spectral points."""
-    return _cybe_norm_at(n, d, ctx, pts, _resolve_v_sign())
+    return cybe_residual_two_variable(lambda x, y: belavin_r(n, d, ctx, x, y), pts).norm()
 
 
 def belavin_residue_fit(n: int, d: int, ctx: ThetaContext, radius: float = 1e-4) -> float:

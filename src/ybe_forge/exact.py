@@ -1,8 +1,10 @@
 """Exact rational linear algebra: matrices, fraction-free elimination,
-polynomials in the loop variable z, interpolation, and cyclotomic scalars.
+polynomials in the loop variable z, interpolation, and roots of unity
+in the power basis of Q(zeta_m).
 
-All arithmetic in this module is exact.  Scalars are `fractions.Fraction`;
-matrices are immutable nested tuples so they can be hashed and cached.
+All arithmetic in this module is exact, apart from the float evaluation
+`root_complex`.  Scalars are `fractions.Fraction`; matrices are immutable
+nested tuples so they can be hashed and cached.
 
 The solvers work in integers: one Bareiss elimination on the
 denominator-cleared rows, back-substitution to numerators over one common
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -467,7 +470,7 @@ def eval_matrix_poly(F: MatrixPoly, x: Fraction) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic rationals Q(zeta_m), used for exact root-of-unity arithmetic
+# roots of unity in the power basis of Q(zeta_m), in integers
 # ---------------------------------------------------------------------------
 
 def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
@@ -496,82 +499,42 @@ def cyclotomic_poly(m: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@dataclass(frozen=True)
-class Cyclo:
-    """Element of Q(zeta_m) reduced mod the m-th cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def root_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row e (0 <= e < m): the integer coefficients (ascending) of x**e mod
+    Phi_m, i.e. zeta_m**e in the power basis of Q(zeta_m).  Phi_m is monic,
+    so every reduction stays in the integers."""
+    phi = cyclotomic_poly(m)
+    row = [1] + [0] * (len(phi) - 2)
+    rows = []
+    for _ in range(m):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [c - top * p for c, p in zip(row, phi)]
+    return tuple(rows)
 
-    m: int
-    coeffs: tuple  # Fractions, length = deg(Phi_m)
 
-    @staticmethod
-    def zero(m: int) -> "Cyclo":
-        deg = len(cyclotomic_poly(m)) - 1
-        return Cyclo(m, (ZERO,) * deg)
+def cyclo_rational(counts: Sequence[int], m: int) -> int | None:
+    """The value of sum(counts[e] * zeta_m**e) if it is rational, else None.
 
-    @staticmethod
-    def from_rat(m: int, v) -> "Cyclo":
-        deg = len(cyclotomic_poly(m)) - 1
-        return Cyclo(m, (rat(v),) + (ZERO,) * (deg - 1))
+    The sum is reduced through `root_table`; it is rational exactly when the
+    reduction is constant, and then it is an integer."""
+    table = root_table(m)
+    acc = [0] * len(table[0])
+    for e, c in enumerate(counts):
+        if c:
+            for j, t in enumerate(table[e]):
+                acc[j] += c * t
+    return acc[0] if not any(acc[1:]) else None
 
-    @staticmethod
-    def zeta_pow(m: int, k: int) -> "Cyclo":
-        """zeta_m ** k, reduced."""
-        k %= m
-        phi = cyclotomic_poly(m)
-        deg = len(phi) - 1
-        work = [ZERO] * (k + 1)
-        work[k] = ONE
-        return Cyclo(m, Cyclo._reduce(work, phi, deg))
 
-    @staticmethod
-    def _reduce(work: list, phi: tuple, deg: int) -> tuple:
-        for i in range(len(work) - 1, deg - 1, -1):
-            c = work[i]
-            if c == 0:
-                continue
-            work[i] = ZERO
-            for j in range(deg):
-                work[i - deg + j] -= c * phi[j]
-        out = work[:deg]
-        out += [ZERO] * (deg - len(out))
-        return tuple(out)
-
-    def __add__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(self.m, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Cyclo") -> "Cyclo":
-        return Cyclo(self.m, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Cyclo":
-        return Cyclo(self.m, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclo(self.m, tuple(a * other for a in self.coeffs))
-        phi = cyclotomic_poly(self.m)
-        deg = len(phi) - 1
-        work = [ZERO] * (2 * deg - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                work[i + j] += a * b
-        return Cyclo(self.m, Cyclo._reduce(work, phi, deg))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def as_rational(self) -> Fraction | None:
-        """The value as a Fraction if it lies in Q, else None."""
-        if all(c == 0 for c in self.coeffs[1:]):
-            return self.coeffs[0]
-        return None
-
-    def to_complex(self) -> complex:
-        z = math.tau / self.m
-        return sum(
-            float(c) * complex(math.cos(z * k), math.sin(z * k))
-            for k, c in enumerate(self.coeffs)
-        )
+def root_complex(coeffs: Sequence[int], m: int, den: int = 1) -> complex:
+    """Float value of sum(coeffs[k] / den * zeta_m**k) for a power-basis
+    coefficient vector, summed in ascending power order."""
+    z = math.tau / m
+    return sum(
+        float(Fraction(c, den)) * complex(math.cos(z * k), math.sin(z * k))
+        for k, c in enumerate(coeffs)
+    )

@@ -18,11 +18,13 @@ import numpy as np
 from .exact import (
     ONE,
     ZERO,
-    Cyclo,
+    cyclo_rational,
     mat_from_entries,
     mat_unit,
     mat_zero,
     rank,
+    root_complex,
+    root_table,
     solve_multi,
 )
 
@@ -458,48 +460,103 @@ def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
 # the finite Heisenberg pair and its eigenbasis of sl(n)
 # ---------------------------------------------------------------------------
 
-def _cyclo_mat_mul(a, b, m: int):
-    n = len(a)
-    zero = Cyclo.zero(m)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+@dataclass(frozen=True)
+class Monomial:
+    """An n x n monomial matrix over Q(eps), eps a primitive n-th root of
+    unity: row i holds eps**exps[i] / den in column (i + shift) % n and zeros
+    elsewhere.  The shift and the exponents are kept mod n = len(exps)."""
+
+    shift: int
+    exps: tuple
+    den: int = 1
+
+    def __matmul__(self, other: "Monomial") -> "Monomial":
+        n = len(self.exps)
+        return Monomial(
+            (self.shift + other.shift) % n,
+            tuple((e + other.exps[(i + self.shift) % n]) % n for i, e in enumerate(self.exps)),
+            self.den * other.den,
+        )
+
+    def times_eps(self, p: int) -> "Monomial":
+        n = len(self.exps)
+        return Monomial(self.shift, tuple((e + p) % n for e in self.exps), self.den)
 
 
-def _cyclo_mat_eq(a, b) -> bool:
-    return all(
-        (x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb)
+def _eps_sum(counts, n: int, d: int) -> int | None:
+    """sum(counts[e] * eps**e) for eps = zeta_n**d if it is rational (then it
+    is an integer), else None."""
+    zeta = [0] * n
+    for e, c in enumerate(counts):
+        zeta[d * e % n] += c
+    return cyclo_rational(zeta, n)
+
+
+@lru_cache(maxsize=None)
+def _root_values(n: int, den: int) -> tuple:
+    """Float values of zeta_n**e / den for e < n, and of zero, each summed
+    over the power basis of Q(zeta_n)."""
+    table = root_table(n)
+    return (
+        tuple(root_complex(row, n, den) for row in table),
+        root_complex((0,) * len(table[0]), n, den),
     )
 
 
 @dataclass(frozen=True)
 class HeisenbergBasis:
     """The clock-and-shift pair (X, Y) for epsilon = exp(2 pi i d / n) with the
-    eigenfamilies Z_{k,l} = Y^k X^{-l} and their trace duals, exact over the
-    cyclotomic field Q(zeta_n)."""
+    eigenfamilies Z_{k,l} = Y^k X^{-l} and their trace duals
+    Z^dual_{k,l} = Z_{k,l}^{-1} / n, all stored as `Monomial`s in powers of
+    epsilon."""
 
     n: int
     d: int
-    X: tuple
-    Y: tuple
+    X: Monomial
+    Y: Monomial
     index_set: tuple
     Z: dict
     Z_dual: dict
 
+    def _complex_matrix(self, m: Monomial):
+        n = self.n
+        values, zero = _root_values(n, m.den)
+        rows = [[zero] * n for _ in range(n)]
+        for i, e in enumerate(m.exps):
+            rows[i][(i + m.shift) % n] = values[self.d * e % n]
+        return tuple(tuple(row) for row in rows)
+
     def z_complex(self, k: int, l: int):
-        return tuple(tuple(c.to_complex() for c in row) for row in self.Z[(k, l)])
+        return self._complex_matrix(self.Z[(k, l)])
 
     def z_dual_complex(self, k: int, l: int):
-        return tuple(
-            tuple(c.to_complex() for c in row) for row in self.Z_dual[(k, l)]
-        )
+        return self._complex_matrix(self.Z_dual[(k, l)])
+
+
+def _validate_heisenberg(hb: HeisenbergBasis) -> None:
+    """Check the conjugation-eigenvalue relations and the full trace-duality
+    table in integers mod n; raise AssertionError on the first failure."""
+    n, d = hb.n, hb.d
+    Xinv = Monomial(0, tuple(-i % n for i in range(n)))
+    Yinv = Monomial(n - 1, (0,) * n)
+    # conjugating Z_{k,l} through X scales by eps^k, through Y by eps^l
+    for (k, l) in hb.index_set:
+        zkl = hb.Z[(k, l)]
+        if Xinv @ zkl @ hb.X != zkl.times_eps(k):
+            raise AssertionError("clock conjugation relation failed at %r" % ((k, l),))
+        if Yinv @ zkl @ hb.Y != zkl.times_eps(l):
+            raise AssertionError("shift conjugation relation failed at %r" % ((k, l),))
+
+    # duality table: tr(Z^dual_{k,l} Z_{k',l'}) = delta delta
+    for a in hb.index_set:
+        for b in hb.index_set:
+            prod = hb.Z_dual[a] @ hb.Z[b]
+            counts = [0] * n
+            if prod.shift == 0:
+                for e in prod.exps:
+                    counts[e] += 1
+            if _eps_sum(counts, n, d) != (prod.den if a == b else 0):
+                raise AssertionError("duality table failed at %r, %r" % (a, b))
 
 
 @lru_cache(maxsize=None)
@@ -511,71 +568,22 @@ def heisenberg(n: int, d: int) -> HeisenbergBasis:
     """
     if gcd(n, d) != 1 or not 0 < d < n:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
-
-    def eps_pow(p: int) -> Cyclo:
-        return Cyclo.zeta_pow(n, d * p)
-
-    zero = Cyclo.zero(n)
-    X = tuple(
-        tuple(eps_pow(i) if i == j else zero for j in range(n)) for i in range(n)
-    )
-    Y = tuple(
-        tuple(Cyclo.from_rat(n, 1) if j == (i + 1) % n else zero for j in range(n))
-        for i in range(n)
-    )
+    X = Monomial(0, tuple(range(n)))
+    Y = Monomial(1, (0,) * n)
     index_set = tuple(
         (k, l) for k in range(n) for l in range(n) if (k, l) != (0, 0)
     )
-    Z = {}
-    Zd = {}
-    inv_n = Fraction(1, n)
-    for (k, l) in index_set:
-        Z[(k, l)] = tuple(
-            tuple(
-                eps_pow(-l * j) if j == (i + k) % n else zero for j in range(n)
-            )
-            for i in range(n)
-        )
-        Zd[(k, l)] = tuple(
-            tuple(
-                inv_n * eps_pow(l * i) if j == (i - k) % n else zero
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-
-    # eigenvalue relations: conjugating Z_{k,l} through X scales by eps^k,
-    # through Y by eps^l
-    Xinv = tuple(
-        tuple(eps_pow(-i) if i == j else zero for j in range(n)) for i in range(n)
-    )
-    Yinv = tuple(
-        tuple(Cyclo.from_rat(n, 1) if j == (i - 1) % n else zero for j in range(n))
-        for i in range(n)
-    )
-    for (k, l) in index_set:
-        zkl = Z[(k, l)]
-        lhs = _cyclo_mat_mul(_cyclo_mat_mul(Xinv, zkl, n), X, n)
-        rhs = tuple(tuple(eps_pow(k) * x for x in row) for row in zkl)
-        if not _cyclo_mat_eq(lhs, rhs):
-            raise AssertionError("clock conjugation relation failed at %r" % ((k, l),))
-        lhs = _cyclo_mat_mul(_cyclo_mat_mul(Yinv, zkl, n), Y, n)
-        rhs = tuple(tuple(eps_pow(l) * x for x in row) for row in zkl)
-        if not _cyclo_mat_eq(lhs, rhs):
-            raise AssertionError("shift conjugation relation failed at %r" % ((k, l),))
-
-    # duality table: tr(Z^dual_{k,l} Z_{k',l'}) = delta delta
-    for (k, l) in index_set:
-        for (k2, l2) in index_set:
-            prod = _cyclo_mat_mul(Zd[(k, l)], Z[(k2, l2)], n)
-            tr = zero
-            for i in range(n):
-                tr = tr + prod[i][i]
-            want = ONE if (k, l) == (k2, l2) else ZERO
-            if tr.as_rational() != want:
-                raise AssertionError("duality table failed at %r, %r" % ((k, l), (k2, l2)))
-
-    return HeisenbergBasis(n, d, X, Y, index_set, Z, Zd)
+    Z = {
+        (k, l): Monomial(k, tuple(-l * ((i + k) % n) % n for i in range(n)))
+        for (k, l) in index_set
+    }
+    Zd = {
+        (k, l): Monomial(-k % n, tuple(l * i % n for i in range(n)), n)
+        for (k, l) in index_set
+    }
+    hb = HeisenbergBasis(n, d, X, Y, index_set, Z, Zd)
+    _validate_heisenberg(hb)
+    return hb
 
 
 def heisenberg_casimir(n: int, d: int) -> GlTensor2:
@@ -584,30 +592,22 @@ def heisenberg_casimir(n: int, d: int) -> GlTensor2:
     Every unit-basis coefficient of the sum must be rational; this is the
     reproducing-kernel tensor and equals casimir(n)."""
     hb = heisenberg(n, d)
-    acc: dict = {}
-    for (k, l) in hb.index_set:
-        zd = hb.Z_dual[(k, l)]
-        z = hb.Z[(k, l)]
-        for i in range(n):
-            for j in range(n):
-                a = zd[i][j]
-                if a.is_zero():
-                    continue
-                for p in range(n):
-                    for q in range(n):
-                        b = z[p][q]
-                        if b.is_zero():
-                            continue
-                        key = (i + 1, j + 1, p + 1, q + 1)
-                        cur = acc.get(key)
-                        acc[key] = a * b if cur is None else cur + a * b
+    counts: dict = {}
+    for kl in hb.index_set:
+        zd = hb.Z_dual[kl]
+        z = hb.Z[kl]
+        for i, a in enumerate(zd.exps):
+            for p, b in enumerate(z.exps):
+                key = (i + 1, (i + zd.shift) % n + 1, p + 1, (p + z.shift) % n + 1)
+                counts.setdefault(key, [0] * n)[(a + b) % n] += 1
     terms = {}
-    for key, v in acc.items():
-        vr = v.as_rational()
-        if vr is None:
+    for key, c in counts.items():
+        v = _eps_sum(c, n, d)
+        if v is None:
             raise AssertionError("non-rational coefficient in Heisenberg Casimir")
-        if vr != 0:
-            terms[key] = vr
+        if v != 0:
+            # every Z^dual carries 1/n and every Z carries 1
+            terms[key] = Fraction(v, n)
     return GlTensor2(n, RATIONAL, terms)
 
 
@@ -618,6 +618,7 @@ __all__ = [
     "GlTensor3",
     "HeisenbergBasis",
     "LinearMapGl",
+    "Monomial",
     "RATIONAL",
     "apply_gauge",
     "basis_matrix",

@@ -28,7 +28,6 @@ from .lie import (
     cybe_residual_two_variable,
     heisenberg_casimir,
     is_unitary_pair,
-    swap_tensor,
     transpose_negate_map,
 )
 

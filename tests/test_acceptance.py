@@ -29,6 +29,7 @@ from ybe_forge.lie import (
     transpose_negate_map,
 )
 from ybe_forge.exact import mat_unit
+from ybe_forge.verify import _coprime_pairs
 
 SEED = 20080
 
@@ -41,12 +42,6 @@ def announce(capsys):
         assert ok, detail
 
     return _announce
-
-
-def _coprime_pairs(n_max):
-    return [
-        (n - d, d) for n in range(2, n_max + 1) for d in range(1, n) if gcd(n, d) == 1
-    ]
 
 
 def _rand_points(rng, count):

@@ -59,6 +59,33 @@ class TestRoundTrip:
         with pytest.raises(DocumentError):
             document_from_json(payload)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": None},
+            {"terms": None},
+            {"terms": [{"i": 1, "j": 1, "k": 1, "coeff": "1"}]},
+            {"terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": "1/0"}]},
+            {"terms": [[1, 1, 1, 1, "1"]]},
+            {"n": "x"},
+            {"n": 2.9},
+            {"terms": [{"i": 1.7, "j": True, "k": 1, "l": "2", "coeff": "1"}]},
+        ],
+        ids=["missing-n", "missing-terms", "missing-term-key", "zero-denominator",
+             "list-term", "non-integer-n", "float-n", "non-integer-index"],
+    )
+    def test_malformed_payload_rejected(self, change):
+        payload = {
+            "schema": "tensor-document/1",
+            "n": 2,
+            "scalar": "rational",
+            "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": "1"}],
+        }
+        payload.update(change)
+        payload = {key: v for key, v in payload.items() if v is not None}
+        with pytest.raises(DocumentError):
+            document_from_json(payload)
+
     def test_index_range_checked(self):
         payload = {
             "schema": "tensor-document/1",

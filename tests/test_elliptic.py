@@ -27,6 +27,7 @@ from ybe_forge.elliptic import (
 )
 from ybe_forge.lie import (
     casimir,
+    cybe_lhs,
     cybe_residual_difference,
     heisenberg_casimir,
     swap_tensor,
@@ -100,6 +101,26 @@ class TestKernel:
 class TestBelavin:
     def test_sign_convention_resolved(self):
         assert v_sign_convention() == "y-x"
+
+    def test_sign_convention_derivation(self):
+        """Of the candidates v = y - x and v = x - y, exactly one satisfies the
+        CYBE and the pole normalization (residue +Casimir in y - x), and it
+        is the fixed convention v = y - x."""
+        x1, x2, x3 = (0.11, 0.27, 0.40)
+        radius = 1e-4
+        passing = []
+        for sign in (+1, -1):
+            # belavin_r uses v = y - x; swapping its points gives v = x - y
+            def r(x, y):
+                return belavin_r(3, 1, CTX, x, y) if sign > 0 else belavin_r(3, 1, CTX, y, x)
+
+            if cybe_lhs(r(x1, x2), r(x1, x3), r(x2, x3)).norm() >= 1e-9:
+                continue
+            fitted = r(0.0, radius).scale(radius).add(r(0.0, -radius).scale(-radius)).scale(0.5)
+            if fitted.sub(casimir(3).to_complex()).norm() >= 1e-5:
+                continue
+            passing.append(sign)
+        assert passing == [+1]
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)])
     @pytest.mark.parametrize("tau", [1j, 0.3 + 1j])

@@ -1,4 +1,4 @@
-"""Exact solvers, polynomials, interpolation, cyclotomics."""
+"""Exact solvers, polynomials, interpolation, roots of unity."""
 
 from fractions import Fraction as F
 
@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from ybe_forge import exact
 from ybe_forge.exact import (
-    Cyclo,
     InconsistentSystemError,
     InterpolationError,
     LinearAlgebraError,
     LinSystem,
     MatrixPoly,
     SingularSystemError,
+    cyclo_rational,
     cyclotomic_poly,
     det,
     eval_matrix_poly,
@@ -26,6 +26,8 @@ from ybe_forge.exact import (
     poly_mul,
     rank,
     rat,
+    root_complex,
+    root_table,
     solve,
     solve_multi,
 )
@@ -321,27 +323,29 @@ class TestCyclo:
         assert cyclotomic_poly(6) == (1, -1, 1)
 
     def test_primitive_root_relations(self):
-        z = Cyclo.zeta_pow(5, 1)
-        acc = Cyclo.from_rat(5, 1)
-        for _ in range(5):
-            acc = acc * z
-        assert (acc - Cyclo.from_rat(5, 1)).is_zero()  # zeta^5 = 1
-        total = Cyclo.zero(5)
-        for k in range(5):
-            total = total + Cyclo.zeta_pow(5, k)
-        assert total.is_zero()  # full sum of 5th roots
+        phi = list(cyclotomic_poly(5))
+        table = root_table(5)
+        # row e is x**e mod Phi_5, so x**e - row is divisible by Phi_5; the
+        # row of x**0 also reduces x**5, i.e. zeta^5 = 1
+        for e, row in enumerate(table + (table[0],)):
+            num = [-c for c in row] + [0] * (e + 1 - len(row))
+            num[e] += 1
+            exact._int_poly_divexact(num, phi)  # raises unless exact
+        assert table[0] == (1, 0, 0, 0)
+        assert cyclo_rational([1] * 5, 5) == 0  # full sum of 5th roots
 
     def test_rationality_detection(self):
-        z = Cyclo.zeta_pow(3, 1)
-        s = z + Cyclo.zeta_pow(3, 2)
-        assert s.as_rational() == F(-1)
-        assert z.as_rational() is None
+        assert cyclo_rational([0, 1, 1], 3) == -1  # zeta_3 + zeta_3^2
+        assert cyclo_rational([0, 1, 0], 3) is None  # zeta_3
 
     def test_to_complex(self):
-        z = Cyclo.zeta_pow(8, 1)
         import cmath
 
-        assert abs(z.to_complex() - cmath.exp(2j * cmath.pi / 8)) < 1e-12
+        assert abs(root_complex(root_table(8)[1], 8) - cmath.exp(2j * cmath.pi / 8)) < 1e-12
+        for m in range(1, 13):
+            for e, row in enumerate(root_table(m)):
+                want = cmath.exp(2j * cmath.pi * e / m) / m
+                assert abs(root_complex(row, m, den=m) - want) < 1e-12
 
     def test_rat_guard(self):
         with pytest.raises(TypeError):

@@ -1,12 +1,16 @@
 """Tensor algebra on gl(n)/sl(n): trace pairing, Casimir, CYBE machinery,
 gauges, and the clock-and-shift eigenbasis."""
 
+import cmath
 import random
+from dataclasses import replace
 from fractions import Fraction as F
+from math import gcd
 
+import numpy as np
 import pytest
 
-from ybe_forge.exact import mat_transpose, mat_unit
+from ybe_forge.exact import mat_transpose, mat_unit, root_table
 from ybe_forge.lie import (
     COMPLEX,
     GlTensor2,
@@ -32,6 +36,7 @@ from ybe_forge.lie import (
     tensor_zero,
     trace_form,
     transpose_negate_map,
+    _validate_heisenberg,
 )
 
 
@@ -222,14 +227,25 @@ class TestNondegenerate:
 class TestHeisenberg:
     def test_n2_goldens(self):
         hb = heisenberg(2, 1)
-        assert [[c.as_rational() for c in row] for row in hb.X] == [[1, 0], [0, -1]]
-        assert [[c.as_rational() for c in row] for row in hb.Y] == [[0, 1], [1, 0]]
+        # Phi_2 has degree 1, so each root-table row is the rational value
+        table = root_table(2)
+
+        def dense(m):
+            rows = [[0, 0], [0, 0]]
+            for i, e in enumerate(m.exps):
+                rows[i][(i + m.shift) % 2] = table[hb.d * e % 2][0]
+            return rows
+
+        assert dense(hb.X) == [[1, 0], [0, -1]]
+        assert dense(hb.Y) == [[0, 1], [1, 0]]
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             heisenberg(4, 2)
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 2)])
+    @pytest.mark.parametrize(
+        "n,d", [(n, d) for n in range(2, 8) for d in range(1, n) if gcd(n, d) == 1]
+    )
     def test_dual_family_reproduces_casimir(self, n, d):
         assert heisenberg_casimir(n, d) == casimir(n)
 
@@ -237,3 +253,38 @@ class TestHeisenberg:
         # constructor raises on violation; reaching here means they hold
         heisenberg(3, 1)
         heisenberg(5, 3)
+
+    @pytest.mark.parametrize(
+        "family,what,check",
+        [
+            ("X", "exponent", "clock"),
+            ("Y", "shift", "shift conjugation"),
+            ("Z", "exponent", "shift conjugation"),
+            ("Z", "shift", "clock"),
+            ("Z_dual", "exponent", "duality"),
+        ],
+    )
+    def test_corrupted_basis_fails_validation(self, family, what, check):
+        hb = heisenberg(3, 1)
+        _validate_heisenberg(hb)
+
+        def corrupt(m):
+            if what == "shift":
+                return replace(m, shift=(m.shift + 1) % 3)
+            return replace(m, exps=((m.exps[0] + 1) % 3,) + m.exps[1:])
+
+        old = getattr(hb, family)
+        new = corrupt(old) if family in ("X", "Y") else {**old, (1, 2): corrupt(old[(1, 2)])}
+        with pytest.raises(AssertionError, match=check):
+            _validate_heisenberg(replace(hb, **{family: new}))
+
+    @pytest.mark.parametrize("n,d", [(3, 2), (4, 1), (5, 3)])
+    def test_complex_values_match_clock_and_shift(self, n, d):
+        hb = heisenberg(n, d)
+        eps = cmath.exp(2j * cmath.pi * d / n)
+        X = np.diag([eps**i for i in range(n)])
+        Y = np.roll(np.eye(n), 1, axis=1)
+        for (k, l) in hb.index_set:
+            z = np.linalg.matrix_power(Y, k) @ np.linalg.matrix_power(np.linalg.inv(X), l)
+            assert np.allclose(np.array(hb.z_complex(k, l)), z, atol=1e-12)
+            assert np.allclose(np.array(hb.z_dual_complex(k, l)), np.linalg.inv(z) / n, atol=1e-12)
