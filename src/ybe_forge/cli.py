@@ -7,6 +7,7 @@ diagnostics to stderr.
 
 from __future__ import annotations
 
+import cmath
 import json
 import sys
 from fractions import Fraction
@@ -24,6 +25,12 @@ from .document import (
 EXIT_FAIL = 2
 EXIT_BADINPUT = 3
 
+# Largest n (e + d for `jmatrix`, the largest n of `verify --n-max`) any
+# command accepts; larger requests exit 3 before any work.  The exact
+# pipelines cost about n^6: on a 2-core Intel Xeon, `rational 12 1` takes
+# 5.0 s and `elliptic 12 1` 0.7 s.
+N_MAX = 12
+
 
 def _fail(message: str, code: int):
     click.echo("error: %s" % message, err=True)
@@ -39,9 +46,18 @@ def _parse_rat(text: str, name: str) -> Fraction:
 
 def _parse_complex(text: str, name: str) -> complex:
     try:
-        return complex(text.replace("i", "j"))
+        value = complex(text.replace("i", "j"))
     except ValueError:
-        _fail("%s must be a complex number like 0.3+1i, got %r" % (name, text), EXIT_BADINPUT)
+        value = None
+    if value is None or not cmath.isfinite(value):
+        _fail("%s must be a finite complex number like 0.3+1i, got %r" % (name, text),
+              EXIT_BADINPUT)
+    return value
+
+
+def _check_size(n: int, name: str = "n"):
+    if n > N_MAX:
+        _fail("%s = %d exceeds the supported maximum %d" % (name, n, N_MAX), EXIT_BADINPUT)
 
 
 def _emit(tensor, provenance: dict, fmt: str):
@@ -66,6 +82,7 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "both"]), default="both")
 def jmatrix(e, d, fmt):
     """Print the recursive 0/1 matrix for the coprime pair (E, D)."""
+    _check_size(e + d, "e + d")
     try:
         j = cuspidal.build_j(e, d)
     except cuspidal.NonCoprimeError as exc:
@@ -85,6 +102,7 @@ def jmatrix(e, d, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 def rational(n, d, x, y, fmt):
     """Geometric-pipeline solution for (N, D) at exact points."""
+    _check_size(n)
     x_val = _parse_rat(x, "--x")
     y_val = _parse_rat(y, "--y")
     if not 0 < d < n:
@@ -135,6 +153,7 @@ def _load_k_matrix(spec: str, e: int, d: int):
 @click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 def stolin_cmd(n, e, kspec, x, y, fmt):
     """Parabolic-pipeline solution for the triple with parabolic index E."""
+    _check_size(n)
     x_val = _parse_rat(x, "--x")
     y_val = _parse_rat(y, "--y")
     if not 0 < e < n:
@@ -169,6 +188,7 @@ def stolin_cmd(n, e, kspec, x, y, fmt):
 @click.option("--terms", type=int, default=60, help="theta series truncation")
 def elliptic_cmd(n, d, tau, x, y, terms):
     """Torus solution for (N, D) at complex points; JSON document output."""
+    _check_size(n)
     tau_val = _parse_complex(tau, "--tau")
     x_val = _parse_complex(x, "--x")
     y_val = _parse_complex(y, "--y")
@@ -205,6 +225,7 @@ def verify_cmd(suite, n_max, fmt, inject_sign_flip):
     """Run a verification suite; exit 0 iff every check passes."""
     if n_max < 2:
         _fail("--n-max must be at least 2", EXIT_BADINPUT)
+    _check_size(n_max, "--n-max")
     try:
         threads = verify.forge_threads()
     except ValueError as exc:

@@ -20,14 +20,18 @@ from fractions import Fraction
 from math import gcd
 
 from . import cuspidal, elliptic, stolin
-from .exact import ONE
+from .exact import ONE, mat_unit
 from .lie import (
     apply_gauge,
+    basis_matrix,
     casimir,
     cybe_residual_difference,
     cybe_residual_two_variable,
+    flip_map,
     heisenberg_casimir,
     is_unitary_pair,
+    sl_basis,
+    tensor_from_pairs,
     transpose_negate_map,
 )
 
@@ -90,8 +94,9 @@ def _coprime_pairs(n_max: int):
     ]
 
 
-def _points(seed: int, count: int):
-    rng = random.Random(seed)
+def _points(rng: random.Random, count: int):
+    """`count` distinct rationals a/b with |a| <= 9 and 1 <= b <= 9, in draw
+    order; the one sampler of `verify` and the acceptance criteria."""
     out = []
     while len(out) < count:
         v = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -100,95 +105,100 @@ def _points(seed: int, count: int):
     return out
 
 
+def _pairs(pts):
+    return tuple(zip(pts[0::2], pts[1::2]))
+
+
+def _cybe_points(rng: random.Random):
+    """Three triples from nine distinct points, and their first two as the
+    unitarity pair."""
+    pts = _points(rng, 9)
+    return (pts[0:3], pts[3:6], pts[6:9]), pts[0:2]
+
+
 # --- individual checks (top level so a process pool can run them) ----------
+#
+# Each check takes the points it evaluates; `_tasks_for` and the acceptance
+# criteria draw them.  Point pairs must have distinct entries.
 
 def check_j_goldens() -> tuple[bool, str]:
     t0 = time.perf_counter()
-    ok = cuspidal.build_j(1, 1).matrix == ((0, 1), (0, 0))
-    ok &= cuspidal.build_j(1, 2).matrix == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
-    want32 = (
-        (0, 1, 0, 0, 0),
-        (0, 0, 1, 1, 0),
-        (0, 0, 0, 0, 1),
-        (0, 0, 0, 0, 0),
-        (0, 0, 0, 0, 0),
-    )
-    ok &= cuspidal.build_j(3, 2).matrix == want32
-    for n in range(2, 7):
-        m = cuspidal.build_j(n - 1, 1).matrix
-        ok &= all(
-            m[i][j] == (1 if j == i + 1 else 0) for i in range(n) for j in range(n)
-        )
-    per = (time.perf_counter() - t0) / 9
+    goldens = [
+        ((1, 1), ((0, 1), (0, 0))),
+        ((1, 2), ((0, 1, 0), (0, 0, 1), (0, 0, 0))),
+        ((3, 2), (
+            (0, 1, 0, 0, 0),
+            (0, 0, 1, 1, 0),
+            (0, 0, 0, 0, 1),
+            (0, 0, 0, 0, 0),
+            (0, 0, 0, 0, 0),
+        )),
+    ]
+    goldens += [
+        ((n - 1, 1), tuple(tuple(int(j == i + 1) for j in range(n)) for i in range(n)))
+        for n in range(2, 7)
+    ]
+    ok = True
+    for (e, d), want in goldens:
+        ok &= cuspidal.build_j(e, d).matrix == want
+    per = (time.perf_counter() - t0) / len(goldens)
     return ok and per < 1e-3, "exact goldens, %.2e s each" % per
 
 
-def check_cuspidal_cybe(e: int, d: int, seed: int) -> tuple[bool, str]:
-    pts_pool = _points(seed, 9)
+def _check_cybe_unitarity(r, triples, pair) -> bool:
     ok = True
-    for t in range(3):
-        tri = pts_pool[3 * t : 3 * t + 3]
-        res = cybe_residual_two_variable(
-            lambda a, b: cuspidal.assemble_r(e, d, a, b), tri
-        )
-        ok &= res.is_zero()
-    x, y = pts_pool[0], pts_pool[1]
-    ok &= is_unitary_pair(
-        cuspidal.assemble_r(e, d, x, y), cuspidal.assemble_r(e, d, y, x)
-    )
+    for tri in triples:
+        ok &= cybe_residual_two_variable(r, tri).is_zero()
+    x, y = pair
+    ok &= is_unitary_pair(r(x, y), r(y, x))
+    return ok
+
+
+def check_cuspidal_cybe(e: int, d: int, triples, pair) -> tuple[bool, str]:
+    ok = _check_cybe_unitarity(lambda a, b: cuspidal.assemble_r(e, d, a, b), triples, pair)
     return ok, "exact zero residual + unitarity"
 
 
-def check_stolin_cybe(e: int, d: int, seed: int) -> tuple[bool, str]:
+def check_stolin_cybe(e: int, d: int, triples, pair) -> tuple[bool, str]:
     K = stolin.j_matrix_rat(e, d)
-    pts_pool = _points(seed + 1, 9)
-    ok = True
-    for t in range(3):
-        tri = pts_pool[3 * t : 3 * t + 3]
-        res = cybe_residual_two_variable(
-            lambda a, b: stolin.assemble_stolin_r(e, d, K, a, b), tri
-        )
-        ok &= res.is_zero()
-    x, y = pts_pool[0], pts_pool[1]
-    ok &= is_unitary_pair(
-        stolin.assemble_stolin_r(e, d, K, x, y),
-        stolin.assemble_stolin_r(e, d, K, y, x),
+    ok = _check_cybe_unitarity(
+        lambda a, b: stolin.assemble_stolin_r(e, d, K, a, b), triples, pair
     )
     return ok, "exact zero residual + unitarity"
 
 
-def check_comparison(e: int, d: int, seed: int) -> tuple[bool, str]:
-    pts = _points(seed + 2, 10)
+def check_comparison(e: int, d: int, pairs) -> tuple[bool, str]:
     ok = True
-    for t in range(5):
-        x, y = pts[2 * t], pts[2 * t + 1]
-        if x == y:
-            continue
+    for x, y in pairs:
         ok &= stolin.compare_pipelines(e, d, x, y)
-    # negative control: the wrong cocycle sign must not match
-    x, y = pts[0], pts[1]
-    n = e + d
-    phi = transpose_negate_map(n)
-    lhs = apply_gauge(phi, phi, cuspidal.assemble_r(e, d, x, y))
-    bad = lhs == stolin.assemble_stolin_r(e, d, stolin.j_matrix_rat(e, d), x, y)
-    return ok and not bad, "exact match at 5 points; +J control differs"
+    # negative control: the wrong cocycle sign (+J) must not match, at the
+    # first pair and at (0, 1)
+    phi = transpose_negate_map(e + d)
+    K = stolin.j_matrix_rat(e, d)
+    for x, y in (pairs[0], (Fraction(0), Fraction(1))):
+        lhs = apply_gauge(phi, phi, cuspidal.assemble_r(e, d, x, y))
+        ok &= lhs != stolin.assemble_stolin_r(e, d, K, x, y)
+    return ok, "exact match at %d points; +J control differs" % len(pairs)
 
 
-def check_flip_symmetry(e: int, d: int, seed: int) -> tuple[bool, str]:
-    pts = _points(seed + 3, 4)
+def check_flip_symmetry(e: int, d: int, pairs) -> tuple[bool, str]:
     ok = cuspidal.flip_j(cuspidal.build_j(e, d)) == cuspidal.build_j(d, e).matrix
-    for t in range(2):
-        x, y = pts[2 * t], pts[2 * t + 1]
-        if x == y:
-            continue
+    ok &= cuspidal.flip_j(cuspidal.build_j(d, e)) == cuspidal.build_j(e, d).matrix
+    for x, y in pairs:
         ok &= cuspidal.psi_transport(e, d, x, y) == cuspidal.assemble_r(d, e, x, y)
+    # negative control: the bare two-sided index reversal, without the
+    # sign-twisted antitranspose, does not transport the solution
+    psi = flip_map(e + d)
+    x, y = Fraction(1, 3), Fraction(2)
+    ok &= apply_gauge(psi, psi, cuspidal.assemble_r(d, e, x, y)) != cuspidal.assemble_r(e, d, x, y)
     return ok, "J index-reversal + gauge transport exact"
 
 
 def check_ansatz(e: int, d: int) -> tuple[bool, str]:
     res = cuspidal.r_ansatz(e, d)
-    x, y = Fraction(5, 7), Fraction(-3, 2)
-    ok = res.eval(x, y) == cuspidal.assemble_r(e, d, x, y)
+    ok = True
+    for x, y in ((Fraction(5, 7), Fraction(-3, 2)), (Fraction(-7, 3), Fraction(9, 4))):
+        ok &= res.eval(x, y) == cuspidal.assemble_r(e, d, x, y)
     return ok, "polynomial tail at degree bound %d" % res.degree_bound
 
 
@@ -208,18 +218,24 @@ def check_frobenius_goldens() -> tuple[bool, str]:
     return ok, "n=2 Gram golden; %d determinants nonzero" % len(dets)
 
 
-def check_closed_form_d1(n: int, seed: int) -> tuple[bool, str]:
-    pts = _points(seed + 4, 10)
+def _closed_form_n2(x, y):
+    """The reference short formula for n = 2; its last factor must be e_{1,2}
+    (the e_{2,1} variant breaks unitarity and both construction routes)."""
+    h, e12 = basis_matrix(("cartan", 1), 2), mat_unit(2, 1, 2)
+    return casimir(2).scale(ONE / (y - x)).add(
+        tensor_from_pairs(2, [(e12, h, x / 2), (h, e12, -y / 2)])
+    )
+
+
+def check_closed_form_d1(n: int, pairs, gauge_pair) -> tuple[bool, str]:
     ok = True
-    for t in range(5):
-        x, y = pts[2 * t], pts[2 * t + 1]
-        if x == y:
-            continue
-        ok &= stolin.assemble_stolin_r(
-            1, n - 1, stolin.j_matrix_rat(1, n - 1), x, y
-        ) == stolin.closed_form_d1(n, x, y)
+    for x, y in pairs:
+        want = stolin.closed_form_d1(n, x, y)
+        ok &= stolin.assemble_stolin_r(1, n - 1, stolin.j_matrix_rat(1, n - 1), x, y) == want
+        if n == 2:
+            ok &= want == _closed_form_n2(x, y)
     # the (n-1,1)-split assembly is the flip-gauge image of the same solution
-    x, y = pts[0], pts[1]
+    x, y = gauge_pair
     g = cuspidal.flip_transpose_gauge(n - 1, 1)
     phi = transpose_negate_map(n)
     gamma = phi.compose(g).compose(phi)
@@ -238,8 +254,6 @@ def check_series(e: int, d: int, k_max: int = 6) -> tuple[bool, str]:
     sr = stolin.series_r(ob, k_max, x, y)
     ws = stolin.solve_dec(e, d, K)
     ok = True
-    from .lie import sl_basis
-
     for lbl in sl_basis(n):
         for k in range(k_max + 1):
             got = sr.poly_parts[(lbl, k)]
@@ -258,8 +272,8 @@ def check_series(e: int, d: int, k_max: int = 6) -> tuple[bool, str]:
     return ok, "dual-basis series == dec assembly; Yang pole pure"
 
 
-def check_theta_relation() -> tuple[bool, str]:
-    rng = random.Random(11)
+def check_theta_relation(seed: int) -> tuple[bool, str]:
+    rng = random.Random(seed)
     worst = 0.0
     for tau in (1j, 0.3 + 1j):
         ctx = elliptic.ThetaContext(tau=tau)
@@ -339,36 +353,42 @@ def _tasks_for(suite: str, n_max: int, seed: int):
     pairs = _coprime_pairs(n_max)
     if suite in ("rational", "all"):
         tasks.append(("j-matrix-goldens", "exact, <1ms each", check_j_goldens, ()))
+        cybe = _cybe_points(random.Random(seed))
         for (e, d) in pairs:
             tasks.append(
                 ("cuspidal-cybe-unitarity-(%d,%d)" % (e, d), "exact",
-                 check_cuspidal_cybe, (e, d, seed)))
+                 check_cuspidal_cybe, (e, d, *cybe)))
+        flips = _pairs(_points(random.Random(seed + 3), 4))
         for (e, d) in pairs:
             if e <= d:  # one orientation covers both sides of the transport
                 tasks.append(
                     ("flip-symmetry-(%d,%d)" % (e, d), "exact",
-                     check_flip_symmetry, (e, d, seed)))
+                     check_flip_symmetry, (e, d, flips)))
         for (e, d) in _coprime_pairs(min(n_max, 4)):
             tasks.append(("ansatz-(%d,%d)" % (e, d), "exact", check_ansatz, (e, d)))
     if suite in ("stolin", "all"):
         tasks.append(
             ("frobenius-goldens-e+d<=12", "det != 0", check_frobenius_goldens, ()))
+        closed = _pairs(_points(random.Random(seed + 4), 10))
         for n in range(2, min(n_max, 5) + 1):
             tasks.append(
-                ("closed-form-d1-n=%d" % n, "exact", check_closed_form_d1, (n, seed)))
+                ("closed-form-d1-n=%d" % n, "exact",
+                 check_closed_form_d1, (n, closed, closed[0])))
+        cybe = _cybe_points(random.Random(seed + 1))
         for (e, d) in pairs:
             tasks.append(
                 ("stolin-cybe-unitarity-(%d,%d)" % (e, d), "exact",
-                 check_stolin_cybe, (e, d, seed)))
+                 check_stolin_cybe, (e, d, *cybe)))
+        comparisons = _pairs(_points(random.Random(seed + 2), 10))
         for (e, d) in pairs:
             tasks.append(
                 ("pipeline-comparison-(%d,%d)" % (e, d), "exact",
-                 check_comparison, (e, d, seed)))
+                 check_comparison, (e, d, comparisons)))
         for (e, d) in _coprime_pairs(min(n_max, 3)):
             tasks.append(
                 ("order-series-(%d,%d)" % (e, d), "exact", check_series, (e, d)))
     if suite in ("elliptic", "all"):
-        tasks.append(("theta-half-shift-relation", "1e-12", check_theta_relation, ()))
+        tasks.append(("theta-half-shift-relation", "1e-12", check_theta_relation, (11,)))
         for (n, d) in ((2, 1), (3, 1), (3, 2)):
             tasks.append(
                 ("belavin-(%d,%d)" % (n, d), "1e-9/1e-5", check_belavin, (n, d)))

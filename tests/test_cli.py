@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ybe_forge.cli import main
+from ybe_forge.cli import N_MAX, main
 from ybe_forge.document import document_from_json
 from ybe_forge.verify import forge_threads
 
@@ -149,6 +149,33 @@ class TestElliptic:
     def test_bad_tau_exit_3(self, runner):
         res = run(runner, "elliptic", "2", "1", "--tau", "0.3-1i", "--x", "0.1", "--y", "0.2")
         assert res.exit_code == 3
+
+    @pytest.mark.parametrize("option, value", [("--x", "nan"), ("--x", "1e400"),
+                                               ("--tau", "nan+1i"), ("--tau", "0.3+1e400i")])
+    def test_non_finite_exit_3(self, runner, option, value):
+        args = {"--tau": "1i", "--x": "0.1", "--y": "0.2", option: value}
+        res = run(runner, "elliptic", "2", "1", *[t for item in args.items() for t in item])
+        assert res.exit_code == 3
+        assert "finite" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+
+class TestSizeCap:
+    @pytest.mark.parametrize("args", [
+        ["jmatrix", str(N_MAX), "1"],
+        ["rational", str(N_MAX + 1), "1", "--x", "0", "--y", "1"],
+        ["stolin", str(N_MAX + 1), "1", "--x", "0", "--y", "1"],
+        ["elliptic", str(N_MAX + 1), "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"],
+        ["verify", "--n-max", str(N_MAX + 1)],
+    ], ids=lambda args: args[0])
+    def test_above_cap_exit_3(self, runner, args):
+        res = run(runner, *args)
+        assert res.exit_code == 3
+        assert "exceeds the supported maximum" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    def test_cap_admitted(self, runner):
+        assert run(runner, "jmatrix", str(N_MAX - 1), "1").exit_code == 0
 
 
 class TestVerify:
