@@ -15,6 +15,7 @@ from fractions import Fraction
 import click
 
 from . import cuspidal, elliptic, stolin, verify
+from .exact import rat
 from .document import (
     document_from_tensor,
     dumps,
@@ -25,11 +26,14 @@ from .document import (
 EXIT_FAIL = 2
 EXIT_BADINPUT = 3
 
-# Largest n (e + d for `jmatrix`, the largest n of `verify --n-max`) any
-# command accepts; larger requests exit 3 before any work.  The exact
-# pipelines cost about n^6: on a 2-core Intel Xeon, `rational 12 1` takes
-# 5.0 s and `elliptic 12 1` 0.7 s.
+# Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
+# 3 before any work.  The exact pipelines cost about n^6: on a 2-core Intel
+# Xeon, `rational 12 1` takes 5.0 s and `elliptic 12 1` 0.7 s.
 N_MAX = 12
+# Largest `verify --n-max`.  The suite's cost roughly doubles per step of n:
+# serial on a 2-core Intel Xeon, --n-max 5 takes 8.5 s, 7 takes 43.7 s and
+# 8 takes 77.3 s.
+VERIFY_N_MAX = 8
 
 
 def _fail(message: str, code: int):
@@ -39,7 +43,7 @@ def _fail(message: str, code: int):
 
 def _parse_rat(text: str, name: str) -> Fraction:
     try:
-        return Fraction(text)
+        return rat(text)
     except (ValueError, ZeroDivisionError):
         _fail("%s must be an exact rational like 3/4, got %r" % (name, text), EXIT_BADINPUT)
 
@@ -55,9 +59,9 @@ def _parse_complex(text: str, name: str) -> complex:
     return value
 
 
-def _check_size(n: int, name: str = "n"):
-    if n > N_MAX:
-        _fail("%s = %d exceeds the supported maximum %d" % (name, n, N_MAX), EXIT_BADINPUT)
+def _check_size(n: int, name: str = "n", limit: int = N_MAX):
+    if n > limit:
+        _fail("%s = %d exceeds the supported maximum %d" % (name, n, limit), EXIT_BADINPUT)
 
 
 def _emit(tensor, provenance: dict, fmt: str):
@@ -161,8 +165,8 @@ def stolin_cmd(n, e, kspec, x, y, fmt):
     if x_val == y_val:
         _fail("need x != y", EXIT_BADINPUT)
     d = n - e
-    K, k_name = _load_k_matrix(kspec, e, d)
     try:
+        K, k_name = _load_k_matrix(kspec, e, d)
         tensor = stolin.assemble_stolin_r(e, d, K, x_val, y_val)
     except stolin.DegenerateFormError as exc:
         _fail("Frobenius form degenerate: %s" % exc, EXIT_FAIL)
@@ -225,7 +229,7 @@ def verify_cmd(suite, n_max, fmt, inject_sign_flip):
     """Run a verification suite; exit 0 iff every check passes."""
     if n_max < 2:
         _fail("--n-max must be at least 2", EXIT_BADINPUT)
-    _check_size(n_max, "--n-max")
+    _check_size(n_max, "--n-max", VERIFY_N_MAX)
     try:
         threads = verify.forge_threads()
     except ValueError as exc:

@@ -34,6 +34,7 @@ from .lie import (
     basis_matrix,
     casimir,
     dual_matrix,
+    signed_permutation_map,
     sl_basis,
     tensor_from_pairs,
 )
@@ -459,22 +460,12 @@ def flip_transpose_gauge(e: int, d: int):
     sign against J.  The bare index-reversal e_{i,j} -> e_{n+1-i,n+1-j} does
     NOT transport the solutions (it does not even preserve the shape space).
     """
-    from .lie import LinearMapGl
-
     n = e + d
     s = j_support_coloring(d, e)
-
-    images = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            # antitranspose sends e_{i,j} to e_{n+1-j, n+1-i}
-            a, b = n + 1 - j, n + 1 - i
-            coeff = -ONE * s[a - 1] * s[b - 1]
-            images[(i, j)] = tuple(
-                tuple(coeff if (r == a - 1 and c == b - 1) else ZERO for c in range(n))
-                for r in range(n)
-            )
-    return LinearMapGl(n, images)
+    # antitranspose sends e_{i,j} to e_{n+1-j, n+1-i}
+    return signed_permutation_map(
+        n, lambda i, j: (n + 1 - j, n + 1 - i, -s[n - j] * s[n - i])
+    )
 
 
 def psi_transport(e: int, d: int, x, y) -> GlTensor2:

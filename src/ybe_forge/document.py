@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 
+from .exact import rat
 from .lie import COMPLEX, GlTensor2, RATIONAL
 
 SCHEMA = "tensor-document/1"
@@ -46,7 +46,7 @@ def _coeff_from_json(v, scalar: str):
     if scalar == RATIONAL:
         if not isinstance(v, str):
             raise DocumentError("rational coefficients must be strings, got %r" % (v,))
-        return Fraction(v)
+        return rat(v)
     if not (isinstance(v, list) and len(v) == 2):
         raise DocumentError("complex coefficients must be [re, im], got %r" % (v,))
     return complex(v[0], v[1])
@@ -81,12 +81,14 @@ def document_from_json(payload: dict) -> TensorDocument:
         raise DocumentError("unknown scalar kind %r" % scalar)
     try:
         n = _int_from_json(payload["n"], "n")
-        terms = []
+        terms = {}
         for item in payload["terms"]:
             key = tuple(_int_from_json(item[c], c) for c in "ijkl")
             if not all(1 <= v <= n for v in key):
                 raise DocumentError("term index out of range: %r" % (key,))
-            terms.append((key, _coeff_from_json(item["coeff"], scalar)))
+            if key in terms:
+                raise DocumentError("duplicate term %r" % (key,))
+            terms[key] = _coeff_from_json(item["coeff"], scalar)
         provenance = dict(payload.get("provenance", {}))
     except DocumentError:
         raise
@@ -94,7 +96,7 @@ def document_from_json(payload: dict) -> TensorDocument:
         raise DocumentError("missing key %s" % exc) from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError("malformed document: %s" % exc) from exc
-    return TensorDocument(n, scalar, tuple(sorted(terms)), provenance)
+    return TensorDocument(n, scalar, tuple(sorted(terms.items())), provenance)
 
 
 def dumps(doc: TensorDocument) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -24,6 +25,8 @@ from .lie import (
 )
 
 TWO_PI_I = 2j * math.pi
+# |sin(x + iy)| reaches the largest float once |y| exceeds about this
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class PoleProximityError(ArithmeticError):
@@ -44,6 +47,11 @@ class ThetaContext:
             raise ValueError("need Im(tau) > 0, got %r" % (self.tau,))
         if self.terms < 1:
             raise ValueError("need at least 1 theta series term, got %d" % self.terms)
+        if (2 * self.terms - 1) * math.pi * self.tau.imag / 2 > _LOG_MAX:
+            raise ValueError(
+                "%d theta series terms overflow on the strip |Im z| <= Im(tau)/2 "
+                "for Im(tau) = %g; use fewer terms" % (self.terms, self.tau.imag)
+            )
         q = abs(cmath.exp(1j * math.pi * self.tau))
         # dropped-term bound for the odd theta series at moderate |Im z|
         drop = q ** (self.terms * (self.terms + 1))
@@ -58,13 +66,28 @@ class ThetaContext:
         return cmath.exp(1j * math.pi * self.tau)
 
 
-def theta1(z: complex, ctx: ThetaContext) -> complex:
-    """Odd Jacobi theta: 2 q^{1/4} sum (-1)^n q^{n(n+1)} sin((2n+1) pi z)."""
+def _theta1_series(z: complex, ctx: ThetaContext) -> complex:
     q = ctx.q
     acc = 0j
     for n in range(ctx.terms):
         acc += (-1) ** n * q ** (n * (n + 1)) * cmath.sin((2 * n + 1) * math.pi * z)
     return 2 * q ** Fraction(1, 4) * acc
+
+
+def theta1(z: complex, ctx: ThetaContext) -> complex:
+    """Odd Jacobi theta: 2 q^{1/4} sum (-1)^n q^{n(n+1)} sin((2n+1) pi z).
+
+    Where a term of the series overflows, the series is summed at z - m tau
+    in the strip |Im| <= Im(tau)/2 instead, by theta1(z + m tau) =
+    (-1)^m q^{-m^2} exp(-2 pi i m z) theta1(z) (DLMF 20.2.9); ThetaContext
+    guarantees that the series is finite on that strip."""
+    try:
+        return _theta1_series(z, ctx)
+    except OverflowError:
+        m = round(z.imag / ctx.tau.imag)
+        z = z - m * ctx.tau
+        scale = (-1) ** m * ctx.q ** (-m * m) * cmath.exp(-TWO_PI_I * m * z)
+        return scale * _theta1_series(z, ctx)
 
 
 def theta2(z: complex, ctx: ThetaContext) -> complex:
@@ -151,6 +174,15 @@ def v_sign_convention() -> str:
 
 def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
     hb = heisenberg(n, d)
+    # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau and
+    # |Im v0| <= Im tau / 2, every coefficient is exp(-2 pi i m s / n) times
+    # its value at v0, because the tau terms of the prefactor and the kernel
+    # cancel.
+    m = round(v.imag / ctx.tau.imag)
+    if m:
+        v = v - m * ctx.tau
+        if abs(v.imag) > ctx.tau.imag:
+            raise ValueError("y - x is too large to reduce by the periods")
     tv = theta1(v, ctx)
     if abs(tv) < ctx.pole_guard:
         raise PoleProximityError(
@@ -158,8 +190,13 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
         )
     pairs = []
     for (k, l) in hb.index_set:
-        u = (d / n) * (l - k * ctx.tau)
-        coeff = cmath.exp(-TWO_PI_I * d * k * v / n) * kronecker_sigma(u, v, ctx)
+        # the coefficient depends on d k and d l only mod n: shifting u by 1
+        # leaves sigma unchanged, and the prefactor undoes a shift by tau
+        r, s = d * k % n, d * l % n
+        u = (1 / n) * (s - r * ctx.tau)
+        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx)
+        if m:
+            coeff *= cmath.exp(-TWO_PI_I * m * s / n)
         pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
     return pairs
 
@@ -171,6 +208,10 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
     if gcd(n, d) != 1 or not 0 < d < n:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
     v = complex(y) - complex(x)
+    if not cmath.isfinite(v / ctx.tau.imag):
+        raise ValueError(
+            "y - x = %r is not finite or too large for Im(tau) = %g" % (v, ctx.tau.imag)
+        )
     return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
 
 

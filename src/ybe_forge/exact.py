@@ -15,15 +15,18 @@ the cleared rows.  Fractions are built only for the returned values.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# Largest decimal exponent `rat` parses: Fraction("1e999999999") is legal
+# text whose value has a billion digits, and building it takes hours.
+RAT_EXPONENT_MAX = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
 
 
 class LinearAlgebraError(Exception):
@@ -48,6 +51,10 @@ def rat(v) -> Fraction:
         return v
     if isinstance(v, float):
         raise TypeError("refusing to coerce float to exact rational: %r" % (v,))
+    if isinstance(v, str):
+        exponent = _EXPONENT.search(v)
+        if exponent and abs(int(exponent.group(1))) > RAT_EXPONENT_MAX:
+            raise ValueError("decimal exponent beyond %d: %r" % (RAT_EXPONENT_MAX, v))
     return Fraction(v)
 
 
@@ -315,11 +322,6 @@ def poly_trim(coeffs: Iterable[Fraction]) -> tuple:
     return tuple(c)
 
 
-def poly_deg(p) -> int:
-    """Degree; the zero polynomial gets -1."""
-    return len(p) - 1
-
-
 def poly_add(p, q):
     if len(p) < len(q):
         p, q = q, p
@@ -416,9 +418,6 @@ class MatrixPoly:
         return tuple(
             tuple(p[k] if k < len(p) else ZERO for p in row) for row in self.entries
         )
-
-    def degree(self) -> int:
-        return max((poly_deg(p) for row in self.entries for p in row), default=-1)
 
     def add(self, other: "MatrixPoly") -> "MatrixPoly":
         if self.n != other.n:

@@ -21,11 +21,9 @@ from .exact import (
     cyclo_rational,
     mat_from_entries,
     mat_unit,
-    mat_zero,
     rank,
     root_complex,
     root_table,
-    solve_multi,
 )
 
 RATIONAL = "rational"
@@ -61,27 +59,15 @@ def trace_form(a, b) -> Fraction:
     return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
 
 
-@lru_cache(maxsize=None)
-def _cartan_duals(n: int) -> tuple:
-    """All dual Cartan elements at once, from the Gram system of the h_l."""
-    hs = [basis_matrix(("cartan", l), n) for l in range(1, n)]
-    gram = [[trace_form(a, b) for b in hs] for a in hs]
-    rhs = [[ONE if k == l else ZERO for k in range(n - 1)] for l in range(n - 1)]
-    sols = solve_multi(gram, rhs)
-    duals = []
-    for coeffs in sols:
-        m = mat_zero(n)
-        for c, h in zip(coeffs, hs):
-            m = tuple(tuple(x + c * y for x, y in zip(r1, r2)) for r1, r2 in zip(m, h))
-        duals.append(m)
-    return tuple(duals)
-
-
 def cartan_dual(l: int, n: int):
-    """The unique Cartan element with tr(dual * h_m) = delta_{l m}."""
+    """The unique Cartan element with tr(dual * h_m) = delta_{l m}: the
+    fundamental coweight, diagonal with (n-l)/n in its first l entries and
+    -l/n in the rest."""
     if not 1 <= l <= n - 1:
         raise ValueError("cartan index out of range: %d for n=%d" % (l, n))
-    return _cartan_duals(n)[l - 1]
+    return mat_from_entries(
+        n, {(a, a): Fraction(n - l if a <= l else -l, n) for a in range(1, n + 1)}
+    )
 
 
 def dual_matrix(label: BasisIndex, n: int):
@@ -207,23 +193,14 @@ def swap_tensor(r: GlTensor2) -> GlTensor2:
 
 @lru_cache(maxsize=None)
 def casimir(n: int) -> GlTensor2:
-    """Casimir element of sl(n) for the trace form:
-    sum of e_{i,j} (x) e_{j,i} over i != j plus the dual-Cartan part."""
+    """Casimir element of sl(n) for the trace form: sum over i != j of
+    e_{i,j} (x) e_{j,i}, plus sum over all a, b of
+    (delta_{a,b} - 1/n) e_{a,a} (x) e_{b,b}."""
     if n < 2:
         raise ValueError("need n >= 2")
-    terms: dict = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                terms[(i, j, j, i)] = ONE
-    for l in range(1, n):
-        dual = cartan_dual(l, n)
-        for a in range(1, n + 1):
-            v = dual[a - 1][a - 1]
-            if v == 0:
-                continue
-            _accumulate(terms, (a, a, l, l), v)
-            _accumulate(terms, (a, a, l + 1, l + 1), -v)
+    idx = range(1, n + 1)
+    terms = {(i, j, j, i): ONE for i in idx for j in idx if i != j}
+    terms.update({(a, a, b, b): (a == b) - Fraction(1, n) for a in idx for b in idx})
     return GlTensor2(n, RATIONAL, terms)
 
 
@@ -363,96 +340,57 @@ def is_unitary_pair(r_xy: GlTensor2, r_yx: GlTensor2) -> bool:
 
 @dataclass(frozen=True)
 class LinearMapGl:
-    """Linear endomorphism of gl(n), stored by its images of the unit basis:
-    images[(i,j)] = matrix of the image of e_{i,j}."""
+    """A signed permutation of the unit basis of gl(n): images[(i, j)] =
+    (a, b, s) means e_{i,j} |-> s e_{a,b} with s = +1 or -1.  Every gauge
+    relating the pipelines has this form."""
 
     n: int
     images: dict
-
-    def apply(self, m):
-        n = self.n
-        acc = [[ZERO] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                v = m[i][j]
-                if v == 0:
-                    continue
-                img = self.images[(i + 1, j + 1)]
-                for a in range(n):
-                    row = img[a]
-                    for b in range(n):
-                        if row[b]:
-                            acc[a][b] += v * row[b]
-        return tuple(tuple(row) for row in acc)
 
     def compose(self, other: "LinearMapGl") -> "LinearMapGl":
         """self after other."""
         if self.n != other.n:
             raise ValueError("size mismatch")
-        images = {
-            key: self.apply(img) for key, img in other.images.items()
-        }
+        images = {}
+        for key, (a, b, s) in other.images.items():
+            p, q, t = self.images[(a, b)]
+            images[key] = (p, q, s * t)
         return LinearMapGl(self.n, images)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinearMapGl)
-            and self.n == other.n
-            and self.images == other.images
-        )
+
+def signed_permutation_map(n: int, image) -> LinearMapGl:
+    """The gauge e_{i,j} |-> s e_{a,b} for image(i, j) = (a, b, s), 1-based."""
+    idx = range(1, n + 1)
+    return LinearMapGl(n, {(i, j): image(i, j) for i in idx for j in idx})
 
 
 def identity_map(n: int) -> LinearMapGl:
-    return LinearMapGl(
-        n, {(i, j): mat_unit(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
-    )
+    return signed_permutation_map(n, lambda i, j: (i, j, 1))
 
 
 def transpose_negate_map(n: int) -> LinearMapGl:
     """A |-> -A^t, the involutive automorphism relating the two rational
     pipelines."""
-    return LinearMapGl(
-        n,
-        {
-            (i, j): mat_from_entries(n, {(j, i): -ONE})
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        },
-    )
+    return signed_permutation_map(n, lambda i, j: (j, i, -1))
 
 
 def flip_map(n: int) -> LinearMapGl:
     """e_{i,j} |-> e_{n+1-i, n+1-j}, conjugation by the antidiagonal."""
-    return LinearMapGl(
-        n,
-        {
-            (i, j): mat_unit(n, n + 1 - i, n + 1 - j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-        },
-    )
+    return signed_permutation_map(n, lambda i, j: (n + 1 - i, n + 1 - j, 1))
 
 
 def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
-    """(phi (x) psi) applied coefficient-wise."""
+    """(phi (x) psi) applied coefficient-wise.  Distinct unit pairs have
+    distinct images, so no two terms combine."""
     if phi.n != r.n or psi.n != r.n:
         raise ValueError("gauge size mismatch")
     out: dict = {}
     for (i, j, k, l), c in r.terms.items():
-        img1 = phi.images[(i, j)]
-        img2 = psi.images[(k, l)]
-        for a in range(r.n):
-            for b in range(r.n):
-                v1 = img1[a][b]
-                if v1 == 0:
-                    continue
-                cv = c * v1
-                for p in range(r.n):
-                    for q in range(r.n):
-                        v2 = img2[p][q]
-                        if v2 == 0:
-                            continue
-                        _accumulate(out, (a + 1, b + 1, p + 1, q + 1), cv * v2)
+        if c == 0:
+            continue
+        a, b, s = phi.images[(i, j)]
+        p, q, t = psi.images[(k, l)]
+        out[(a, b, p, q)] = c * (s * t)
     return GlTensor2(r.n, r.ring, out)
 
 
@@ -636,6 +574,7 @@ __all__ = [
     "is_unitary_pair",
     "nondegenerate",
     "partial_traces_vanish",
+    "signed_permutation_map",
     "sl_basis",
     "swap_tensor",
     "tensor_from_pairs",

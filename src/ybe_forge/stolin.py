@@ -465,9 +465,6 @@ class LaurentMatrixSeries:
         m = self.coeffs.get(k)
         return m if m is not None else mat_zero(self.n)
 
-    def support(self):
-        return sorted(k for k, m in self.coeffs.items() if not mat_is_zero(m))
-
 
 def laurent_from_coeffs(n, entries: dict, lo: int, hi: int, exact_below=True) -> LaurentMatrixSeries:
     clean = {k: freeze(m) for k, m in entries.items() if not mat_is_zero(m)}

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ybe_forge.cli import N_MAX, main
+from ybe_forge.cli import N_MAX, VERIFY_N_MAX, main
 from ybe_forge.document import document_from_json
 from ybe_forge.verify import forge_threads
 
@@ -75,6 +75,12 @@ class TestRational:
         assert run(runner, "rational", "2", "1", "--x", "a", "--y", "1").exit_code == 3
         assert run(runner, "rational", "2", "2", "--x", "0", "--y", "1").exit_code == 3
 
+    def test_huge_exponent_exit_3(self, runner):
+        res = run(runner, "rational", "3", "1", "--x", "1e999999999", "--y", "2")
+        assert res.exit_code == 3
+        assert len(res.stderr.strip().splitlines()) == 1
+        assert run(runner, "rational", "3", "1", "--x", "2.5e3", "--y", "2").exit_code == 0
+
 
 class TestStolin:
     def test_default_matches_reference_n2(self, runner):
@@ -108,6 +114,12 @@ class TestStolin:
         res = run(runner, "stolin", "3", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
         assert res.exit_code == 3
         assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    def test_non_coprime_default_k_exit_3(self, runner):
+        res = run(runner, "stolin", "4", "2", "--x", "0", "--y", "1")
+        assert res.exit_code == 3
+        assert "coprime" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
     def test_file_k_matrix(self, runner, tmp_path):
@@ -159,6 +171,29 @@ class TestElliptic:
         assert "finite" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
+    def test_non_finite_difference_exit_3(self, runner):
+        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "1e308", "--y", "-1e308")
+        assert res.exit_code == 3
+        assert "finite" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("args", [
+        ("4", "3", "--tau", "1i", "--x", "0.1", "--y", "0.2"),
+        ("3", "1", "--tau", "0.3+1i", "--x", "0", "--y", "3i"),
+        ("6", "5", "--tau", "2i", "--x", "0", "--y", "-0.9i"),
+    ], ids=["large-u", "large-difference", "large-sum"])
+    def test_former_overflow_exit_0(self, runner, args):
+        res = run(runner, "elliptic", *args)
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["terms"]
+
+    def test_overflowing_series_exit_3(self, runner):
+        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
+                  "--terms", "1000")
+        assert res.exit_code == 3
+        assert "overflow" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
 
 class TestSizeCap:
     @pytest.mark.parametrize("args", [
@@ -172,6 +207,12 @@ class TestSizeCap:
         res = run(runner, *args)
         assert res.exit_code == 3
         assert "exceeds the supported maximum" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    def test_verify_above_cap_exit_3(self, runner):
+        res = run(runner, "verify", "--n-max", str(VERIFY_N_MAX + 1))
+        assert res.exit_code == 3
+        assert "exceeds the supported maximum %d" % VERIFY_N_MAX in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
     def test_cap_admitted(self, runner):

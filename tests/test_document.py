@@ -70,9 +70,10 @@ class TestRoundTrip:
             {"n": "x"},
             {"n": 2.9},
             {"terms": [{"i": 1.7, "j": True, "k": 1, "l": "2", "coeff": "1"}]},
+            {"terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": "1e999999999"}]},
         ],
         ids=["missing-n", "missing-terms", "missing-term-key", "zero-denominator",
-             "list-term", "non-integer-n", "float-n", "non-integer-index"],
+             "list-term", "non-integer-n", "float-n", "non-integer-index", "huge-exponent"],
     )
     def test_malformed_payload_rejected(self, change):
         payload = {
@@ -84,6 +85,16 @@ class TestRoundTrip:
         payload.update(change)
         payload = {key: v for key, v in payload.items() if v is not None}
         with pytest.raises(DocumentError):
+            document_from_json(payload)
+
+    def test_repeated_term_rejected(self):
+        payload = {
+            "schema": "tensor-document/1",
+            "n": 2,
+            "scalar": "complex",
+            "terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": [c, 0.0]} for c in (1.0, 2.0)],
+        }
+        with pytest.raises(DocumentError, match="duplicate term"):
             document_from_json(payload)
 
     def test_index_range_checked(self):

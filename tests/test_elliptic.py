@@ -3,6 +3,7 @@
 import cmath
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -26,11 +27,14 @@ from ybe_forge.elliptic import (
     zoo_stolin_rat,
 )
 from ybe_forge.lie import (
+    COMPLEX,
     casimir,
     cybe_lhs,
     cybe_residual_difference,
+    heisenberg,
     heisenberg_casimir,
     swap_tensor,
+    tensor_from_pairs,
 )
 
 CTX = ThetaContext(tau=0.3 + 1j)
@@ -70,6 +74,21 @@ class TestTheta:
     def test_nonpositive_terms_rejected(self, terms):
         with pytest.raises(ValueError, match="at least 1"):
             ThetaContext(tau=1j, terms=terms)
+
+    @pytest.mark.parametrize("tau,terms", [(5j, 60), (1j, 1000)])
+    def test_overflowing_series_rejected(self, tau, terms):
+        with pytest.raises(ValueError, match="overflow"):
+            ThetaContext(tau=tau, terms=terms)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_quasi_periodic_beyond_overflow(self, m):
+        """Where the series overflows, theta1 sums it at z - m tau instead:
+        theta1(z + m tau) = (-1)^m q^(-m^2) exp(-2 pi i m z) theta1(z)
+        (DLMF 20.2.9)."""
+        ctx = ThetaContext(tau=0.1 + 2j)
+        z = 0.3 + 0.2j
+        want = (-1) ** m * ctx.q ** (-m * m) * cmath.exp(-2j * cmath.pi * m * z) * theta1(z, ctx)
+        assert abs(theta1(z + m * ctx.tau, ctx) - want) < 1e-12 * abs(want)
 
 
 class TestKernel:
@@ -122,8 +141,10 @@ class TestBelavin:
             passing.append(sign)
         assert passing == [+1]
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)])
-    @pytest.mark.parametrize("tau", [1j, 0.3 + 1j])
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)] + [
+        (n, d) for n in range(4, 7) for d in range(1, n) if gcd(n, d) == 1
+    ])
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1j, 2j])
     def test_cybe_unitarity_residue(self, n, d, tau):
         ctx = ThetaContext(tau=tau)
         assert belavin_cybe_residual(n, d, ctx, (0.11, 0.27, 0.40)) < 1e-9
@@ -137,6 +158,25 @@ class TestBelavin:
     def test_lattice_point_rejected(self):
         with pytest.raises(PoleProximityError):
             belavin_r(2, 1, CTX, 0.1, 0.1)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("v", [0.2 + 0.7j, 0.1 - 0.8j, 0.3 + 1.2j])
+    def test_reduction_matches_direct_sum(self, n, d, v):
+        """The reduced (k, l) and v give the unreduced Belavin sum, evaluated
+        here term by term."""
+        hb = heisenberg(n, d)
+        direct = tensor_from_pairs(n, [
+            (hb.z_dual_complex(k, l), hb.z_complex(k, l),
+             cmath.exp(-2j * cmath.pi * d * k * v / n)
+             * kronecker_sigma((d / n) * (l - k * CTX.tau), v, CTX))
+            for (k, l) in hb.index_set
+        ], ring=COMPLEX)
+        got = belavin_r(n, d, CTX, 0.05, 0.05 + v)
+        assert got.sub(direct).norm() < 1e-12 * direct.norm()
+
+    def test_non_finite_difference_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            belavin_r(2, 1, CTX_I, 1e308, -1e308)
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):

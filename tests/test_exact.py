@@ -350,3 +350,10 @@ class TestCyclo:
     def test_rat_guard(self):
         with pytest.raises(TypeError):
             rat(0.5)
+
+    def test_rat_exponent_bounded(self):
+        assert rat("2.5e3") == 2500
+        assert rat("1e-1000") == F(1, 10**1000)
+        for text in ("1e1001", "1e999999999", "3/4e-999999999"):
+            with pytest.raises(ValueError, match="exponent"):
+                rat(text)

@@ -1,0 +1,129 @@
+"""Static hygiene of the package: no dead definitions, no unused imports.
+
+A definition counts as used when its name occurs anywhere in src/, tests/ or
+perfbench/ as an identifier, an attribute, an imported name or a string
+constant (perfbench traces functions by their string names).  The names
+listed in `__all__` do not count: an export alone is not a use.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ybe_forge"
+TREES = ("src", "tests", "perfbench")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _is_export_list(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+    )
+
+
+def _uses(tree: ast.Module) -> Counter:
+    exported = {
+        id(c) for node in tree.body if _is_export_list(node) for c in ast.walk(node.value)
+    }
+    out: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in exported:
+                out.update(node.value.split("."))
+    return out
+
+
+def _is_click_command(fn) -> bool:
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
+            return True
+    return False
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions, classes and aliases (`Name = Other`), and the
+    non-dunder methods of the classes, as (qualified name, bare name)."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, target.id
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not (isinstance(node, ast.FunctionDef) and _is_click_command(node)):
+                yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield "%s.%s" % (node.name, item.name), item.name
+
+
+def dead_definitions(root: Path = ROOT) -> list[str]:
+    uses: Counter = Counter()
+    for tree_name in TREES:
+        for path in sorted((root / tree_name).rglob("*.py")):
+            uses += _uses(_parse(path))
+    dead = []
+    for path in sorted((root / "src" / "ybe_forge").glob("*.py")):
+        for qualname, name in _definitions(_parse(path)):
+            if not uses[name]:
+                dead.append("%s:%s" % (path.stem, qualname))
+    return dead
+
+
+def unused_imports(package: Path = PACKAGE) -> list[str]:
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = _parse(path)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += ["%s:%d %s" % (path.stem, line, name)
+                   for name, line in imported.items() if name not in used]
+    return unused
+
+
+def test_no_dead_definitions():
+    assert dead_definitions() == []
+
+
+def test_no_unused_imports():
+    assert unused_imports() == []
+
+
+def test_scan_sees_a_dead_helper(tmp_path):
+    """The scan itself must flag an unused alias, function, method and
+    import."""
+    for tree_name in TREES:
+        (tmp_path / tree_name).mkdir()
+    pkg = tmp_path / "src" / "ybe_forge"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "import json\n"
+        "from math import gcd\n\n"
+        "Alias = int\n\n"
+        "def used(a):\n    return gcd(a, 2)\n\n"
+        "def orphan():\n    return 1\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = used(4)\n\n"
+        "    def spare(self):\n        return self.v\n\n"
+        "__all__ = ['orphan', 'Box']\n"
+    )
+    (tmp_path / "tests" / "test_mod.py").write_text("from ybe_forge.mod import Box\nBox()\n")
+    assert dead_definitions(tmp_path) == ["mod:Alias", "mod:orphan", "mod:Box.spare"]
+    assert unused_imports(pkg) == ["mod:1 json"]

@@ -30,6 +30,7 @@ from ybe_forge.lie import (
     is_unitary_pair,
     nondegenerate,
     partial_traces_vanish,
+    signed_permutation_map,
     sl_basis,
     swap_tensor,
     tensor_from_pairs,
@@ -92,6 +93,14 @@ class TestCartanDual:
             )
             assert swap_tensor(kernel) == transposed == kernel
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_biorthogonal_and_traceless(self, n):
+        for l in range(1, n):
+            dual = cartan_dual(l, n)
+            assert sum(dual[a][a] for a in range(n)) == 0
+            for m in range(1, n):
+                assert trace_form(dual, basis_matrix(("cartan", m), n)) == (l == m)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             cartan_dual(3, 3)
@@ -114,7 +123,7 @@ class TestCasimir:
         for n in (2, 3, 4):
             assert swap_tensor(casimir(n)) == casimir(n)
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 12])
     def test_reproducing_kernel(self, n, rng):
         for label in sl_basis(n):
             a = basis_matrix(label, n)
@@ -193,6 +202,55 @@ class TestGauges:
             q = flip_map(n)
             assert p.compose(p) == identity_map(n)
             assert q.compose(q) == identity_map(n)
+
+    def test_gauges_are_signed_unit_permutations(self):
+        from ybe_forge.cuspidal import flip_transpose_gauge
+
+        for n in range(2, 8):
+            units = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
+            gauges = [identity_map(n), transpose_negate_map(n), flip_map(n)]
+            gauges += [flip_transpose_gauge(e, n - e) for e in range(1, n) if gcd(e, n) == 1]
+            for g in gauges:
+                assert set(g.images) == units
+                assert {(a, b) for a, b, _ in g.images.values()} == units
+                assert {s for _, _, s in g.images.values()} <= {1, -1}
+
+    def test_gauges_are_automorphisms(self):
+        """g([A, B]) = [g(A), g(B)] on all pairs of matrix units."""
+        from ybe_forge.cuspidal import flip_transpose_gauge
+
+        def bracket(a, b):
+            # [e_ij, e_kl] = delta_jk e_il - delta_li e_kj, as {unit: coeff}
+            (i, j), (k, l) = a, b
+            out = {}
+            if j == k:
+                out[(i, l)] = out.get((i, l), 0) + 1
+            if l == i:
+                out[(k, j)] = out.get((k, j), 0) - 1
+            return {u: c for u, c in out.items() if c}
+
+        for n in range(2, 6):
+            gauges = [transpose_negate_map(n), flip_map(n)]
+            gauges += [flip_transpose_gauge(e, n - e) for e in range(1, n) if gcd(e, n) == 1]
+            for g in gauges:
+                for a in g.images:
+                    for b in g.images:
+                        (pa, qa, sa), (pb, qb, sb) = g.images[a], g.images[b]
+                        lhs = {g.images[u][:2]: c * g.images[u][2]
+                               for u, c in bracket(a, b).items()}
+                        rhs = {u: c * sa * sb for u, c in bracket((pa, qa), (pb, qb)).items()}
+                        assert lhs == rhs
+
+    def test_compose_applies_right_factor_first(self, rng):
+        # a row shift does not commute with the transpose
+        p = transpose_negate_map(3)
+        g = signed_permutation_map(3, lambda i, j: (i % 3 + 1, j, 1 if i < 3 else -1))
+        t = GlTensor2(3, RATIONAL, {
+            tuple(rng.randint(1, 3) for _ in range(4)): F(rng.randint(1, 9)) for _ in range(12)
+        })
+        pg = p.compose(g)
+        assert apply_gauge(pg, pg, t) == apply_gauge(p, p, apply_gauge(g, g, t))
+        assert pg != g.compose(p)
 
     def test_gauge_preserves_solution_property(self):
         # constant invertible gauge keeps CYBE residual zero and unitarity
