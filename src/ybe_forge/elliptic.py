@@ -174,15 +174,18 @@ def v_sign_convention() -> str:
 
 def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
     hb = heisenberg(n, d)
-    # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau and
-    # |Im v0| <= Im tau / 2, every coefficient is exp(-2 pi i m s / n) times
-    # its value at v0, because the tau terms of the prefactor and the kernel
-    # cancel.
+    # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau + j,
+    # |Im v0| <= Im tau / 2 and |Re v0| <= 1/2, every coefficient is
+    # exp(-2 pi i (m s + j r) / n) times its value at v0: the tau terms of
+    # the prefactor and the kernel cancel, and sigma(u, v + 1) = sigma(u, v).
     m = round(v.imag / ctx.tau.imag)
     if m:
         v = v - m * ctx.tau
         if abs(v.imag) > ctx.tau.imag:
             raise ValueError("y - x is too large to reduce by the periods")
+    j = round(v.real)
+    if j:
+        v = v - j
     tv = theta1(v, ctx)
     if abs(tv) < ctx.pole_guard:
         raise PoleProximityError(
@@ -195,8 +198,11 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
         r, s = d * k % n, d * l % n
         u = (1 / n) * (s - r * ctx.tau)
         coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx)
-        if m:
-            coeff *= cmath.exp(-TWO_PI_I * m * s / n)
+        # the phase depends on m s + j r only mod n; reduce it in integers,
+        # since j r can be too large for the float phase to be accurate
+        phase = (m * s + j * r) % n
+        if phase:
+            coeff *= cmath.exp(-TWO_PI_I * phase / n)
         pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
     return pairs
 

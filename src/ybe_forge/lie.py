@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .exact import (
     ONE,
     ZERO,
@@ -224,6 +222,8 @@ def induced_endomorphism_rank(r: GlTensor2) -> int:
         # contributes to output coord (k,l) from input coord (j,i)
         rows[(k - 1) * n + (l - 1)][(j - 1) * n + (i - 1)] += c
     if r.ring == COMPLEX:
+        import numpy as np  # only here: loading numpy dominates CLI start-up
+
         return int(np.linalg.matrix_rank(np.array(rows, dtype=complex), tol=1e-9))
     return rank(rows)
 
@@ -250,28 +250,55 @@ def partial_traces_vanish(r: GlTensor2) -> bool:
 # the CYBE left-hand side
 # ---------------------------------------------------------------------------
 
-def _dense(r: GlTensor2, scale=None):
-    n = r.n
-    if r.ring == COMPLEX:
-        a = np.zeros((n, n, n, n), dtype=complex)
-        for (i, j, k, l), c in r.terms.items():
-            a[i - 1, j - 1, k - 1, l - 1] = c
-        return a
-    a = np.zeros((n, n, n, n), dtype=object)
-    for (i, j, k, l), c in r.terms.items():
-        v = c * scale
-        if v.denominator != 1:
-            raise AssertionError("scaling did not clear denominators")
-        a[i - 1, j - 1, k - 1, l - 1] = v.numerator
-    return a
-
-
-def _common_denominator(tensors) -> Fraction:
+def _common_denominator(tensors) -> int:
     den = 1
     for t in tensors:
         for v in t.terms.values():
             den = den * v.denominator // gcd(den, v.denominator)
-    return Fraction(den)
+    return den
+
+
+def _by_slot(terms: dict, slot: int, weights: tuple) -> dict:
+    """Terms (i, j, k, l) -> c grouped by the row (slot 0) or the column
+    (slot 1) of their first factor; each group lists (the dot product of
+    `weights` with (i, j, k, l), c)."""
+    wi, wj, wk, wl = weights
+    out: dict = {}
+    for key, c in terms.items():
+        i, j, k, l = key
+        out.setdefault(key[slot], []).append((wi * i + wj * j + wk * k + wl * l, c))
+    return out
+
+
+def _join(total: dict, xs: dict, ys: dict, sign: int) -> None:
+    """total[kx + ky] += sign c c' over the pairs of terms (kx, c) of xs and
+    (ky, c') of ys in groups of equal index."""
+    get = total.get
+    for idx, xgroup in xs.items():
+        ygroup = ys.get(idx)
+        if ygroup is None:
+            continue
+        for kx, c in xgroup:
+            if sign < 0:
+                c = -c
+            for ky, c2 in ygroup:
+                key = kx + ky
+                total[key] = get(key, 0) + c * c2
+
+
+def _bracket_into(total: dict, x: dict, y: dict, slots, powers) -> None:
+    """Add the bracket of x and y in their first factors to `total`: terms
+    c a (x) u of x and c' b (x) w of y give c c' [a, b], u and w in slots
+    slots[0], slots[1] and slots[2] of gl(n)^(x3).  A key of `total` is the
+    dot product of the six indices with `powers`, the powers of a base > n.
+    As [e_ab, e_pq] = delta_bp e_aq - delta_qa e_pb, x is joined with y once
+    on x's column = y's row, and once on x's row = y's column.
+    """
+    row, col, u_row, u_col, w_row, w_col = (powers[2 * s + i] for s in slots for i in (0, 1))
+    _join(total, _by_slot(x, 1, (row, 0, u_row, u_col)),
+          _by_slot(y, 0, (0, col, w_row, w_col)), 1)
+    _join(total, _by_slot(x, 0, (0, col, u_row, u_col)),
+          _by_slot(y, 1, (row, 0, w_row, w_col)), -1)
 
 
 def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
@@ -280,43 +307,41 @@ def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
     Inputs are the three pairwise evaluations of a candidate solution.  Each
     commutator acts in the shared slot and multiplies nothing in the others.
     Slot conventions are fixed here; no other module re-implements them.
+    One sparse pass per commutator; rational inputs are summed as integer
+    numerators over their common denominator D and divided by D^2 once.
     """
     r12._check_compatible(r13)
     r12._check_compatible(r23)
-    n = r12.n
-    ring = r12.ring
-    if ring == RATIONAL:
-        scale = _common_denominator((r12, r13, r23))
-        a12, a13, a23 = (_dense(t, scale) for t in (r12, r13, r23))
-    else:
-        a12, a13, a23 = (_dense(t) for t in (r12, r13, r23))
+    rational = r12.ring == RATIONAL
+    den = _common_denominator((r12, r13, r23)) if rational else 1
 
-    def td(x, y, axes):
-        return np.tensordot(x, y, axes=axes)
+    def coeffs(t: GlTensor2) -> dict:
+        if not rational:
+            return t.terms
+        return {k: v.numerator * (den // v.denominator) for k, v in t.terms.items()}
 
-    # [r12, r13]: bracket in slot 1
-    total = td(a12, a13, ([1], [0])).transpose(0, 3, 1, 2, 4, 5)
-    total = total - td(a12, a13, ([0], [1])).transpose(3, 0, 1, 2, 4, 5)
-    # [r13, r23]: bracket in slot 3
-    total = total + td(a13, a23, ([3], [2])).transpose(0, 1, 3, 4, 2, 5)
-    total = total - td(a13, a23, ([2], [3])).transpose(0, 1, 3, 4, 5, 2)
-    # [r12, r23]: bracket in slot 2
-    total = total + td(a12, a23, ([3], [0]))
-    total = total - td(a12, a23, ([2], [1])).transpose(0, 1, 3, 2, 4, 5)
-
+    base = r12.n + 1
+    powers = [base ** p for p in range(5, -1, -1)]
+    packed: dict = {}
+    # the bracket acts on each tensor's first factor; swap_tensor moves the
+    # shared slot there.  [r12, r13] lands in slot 1, [r13, r23] in slot 3
+    # and [r12, r23] in slot 2.
+    _bracket_into(packed, coeffs(r12), coeffs(r13), (0, 1, 2), powers)
+    _bracket_into(packed, coeffs(swap_tensor(r13)), coeffs(swap_tensor(r23)), (2, 0, 1), powers)
+    _bracket_into(packed, coeffs(swap_tensor(r12)), coeffs(r23), (1, 0, 2), powers)
+    sq = den * den
+    unit = [divmod(q, base) for q in range(base * base)]  # (row, col) of a packed slot
     terms: dict = {}
-    nz = np.nonzero(total)
-    if ring == RATIONAL:
-        s2 = scale * scale
-        for idx in zip(*nz):
-            terms[tuple(int(x) + 1 for x in idx)] = Fraction(int(total[idx])) / s2
-    else:
-        for idx in zip(*nz):
-            terms[tuple(int(x) + 1 for x in idx)] = complex(total[idx])
-    return GlTensor3(n, ring, terms)
+    for key in sorted(packed):  # lexicographic order of the six indices
+        v = packed[key]
+        if v:
+            first, rest = divmod(key, powers[1])
+            second, third = divmod(rest, powers[3])
+            terms[unit[first] + unit[second] + unit[third]] = Fraction(v, sq) if rational else v
+    return GlTensor3(r12.n, r12.ring, terms)
 
 
-def cybe_residual_two_variable(r_of, points, ring: str = RATIONAL) -> GlTensor3:
+def cybe_residual_two_variable(r_of, points) -> GlTensor3:
     """CYBE left-hand side for a two-variable solution r(x, y) at a triple of
     spectral points: r12 = r(x1,x2), r13 = r(x1,x3), r23 = r(x2,x3)."""
     x1, x2, x3 = points

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 from ybe_forge.elliptic import (
+    TWO_PI_I,
     PoleProximityError,
     ThetaContext,
     belavin_cybe_residual,
@@ -160,7 +161,7 @@ class TestBelavin:
             belavin_r(2, 1, CTX, 0.1, 0.1)
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (5, 2)])
-    @pytest.mark.parametrize("v", [0.2 + 0.7j, 0.1 - 0.8j, 0.3 + 1.2j])
+    @pytest.mark.parametrize("v", [0.2 + 0.7j, 0.1 - 0.8j, 0.3 + 1.2j, 1.7 + 0.2j, -2.6 + 1.2j])
     def test_reduction_matches_direct_sum(self, n, d, v):
         """The reduced (k, l) and v give the unreduced Belavin sum, evaluated
         here term by term."""
@@ -173,6 +174,33 @@ class TestBelavin:
         ], ring=COMPLEX)
         got = belavin_r(n, d, CTX, 0.05, 0.05 + v)
         assert got.sub(direct).norm() < 1e-12 * direct.norm()
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (5, 2)])
+    @pytest.mark.parametrize("ctx", [CTX, CTX_I], ids=["tau=0.3+i", "tau=i"])
+    @pytest.mark.parametrize("x,y", [
+        (0.1, 0.2), (0.0, 0.5 + 0.5j), (0.5, 0.0), (0.25, -0.2 - 0.45j), (-0.1, 0.3 - 0.5j),
+    ])
+    def test_fundamental_domain_unreduced(self, n, d, ctx, x, y):
+        """With |Re(y - x)| <= 1/2 and |Im(y - x)| <= Im tau / 2 neither
+        period is subtracted: the tensor is the bare formula bit for bit."""
+        hb = heisenberg(n, d)
+        v = complex(y) - complex(x)
+        pairs = []
+        for (k, l) in hb.index_set:
+            r, s = d * k % n, d * l % n
+            coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(
+                (1 / n) * (s - r * ctx.tau), v, ctx)
+            pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
+        assert belavin_r(n, d, ctx, x, y).terms == tensor_from_pairs(n, pairs, ring=COMPLEX).terms
+
+    @pytest.mark.parametrize("ctx", [CTX, CTX_I], ids=["tau=0.3+i", "tau=i"])
+    def test_large_real_difference(self, ctx):
+        """Re(y - x) is reduced by the real period 1 as well: far from the
+        fundamental domain the residuals stay at rounding level."""
+        assert belavin_unitarity_residual(2, 1, ctx, 1e12 + 0.1, 0.2) < 1e-9
+        pts = (-1e12 + 0.125, 0.25, 1e12 + 0.375)  # differences exact in binary
+        assert belavin_cybe_residual(3, 1, ctx, pts) < 1e-9
+        assert belavin_cybe_residual(5, 2, ctx, pts) < 1e-9
 
     def test_non_finite_difference_rejected(self):
         with pytest.raises(ValueError, match="not finite"):

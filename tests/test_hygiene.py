@@ -1,4 +1,5 @@
-"""Static hygiene of the package: no dead definitions, no unused imports.
+"""Static hygiene of the package: no dead definitions, no unused imports,
+and no numpy on the CLI's import path.
 
 A definition counts as used when its name occurs anywhere in src/, tests/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -7,6 +8,9 @@ listed in `__all__` do not count: an export alone is not a use.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -104,6 +108,17 @@ def test_no_dead_definitions():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """numpy takes about half of a CLI process's start-up; only the complex
+    rank in `lie.induced_endomorphism_rank` may load it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, ybe_forge.cli, ybe_forge.verify; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_scan_sees_a_dead_helper(tmp_path):

@@ -9,7 +9,10 @@ from math import gcd
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ybe_forge import stolin
 from ybe_forge.exact import mat_transpose, mat_unit, root_table
 from ybe_forge.lie import (
     COMPLEX,
@@ -140,7 +143,74 @@ class TestCasimir:
         assert not partial_traces_vanish(bad)
 
 
+def _naive_cybe(r12, r13, r23) -> dict:
+    """[r12, r13] + [r13, r23] + [r12, r23] formed from every pair of terms,
+    with [e_ij, e_kl] = delta_jk e_il - delta_li e_kj."""
+    out: dict = {}
+
+    def bracket(i, j, k, l):
+        return ([(i, l, 1)] if j == k else []) + ([(k, j, -1)] if l == i else [])
+
+    for (i, j, k, l), c in r12.terms.items():
+        for (p, q, r, s), c2 in r13.terms.items():
+            for a, b, sign in bracket(i, j, p, q):
+                key = (a, b, k, l, r, s)
+                out[key] = out.get(key, 0) + sign * c * c2
+    for (i, j, k, l), c in r13.terms.items():
+        for (p, q, r, s), c2 in r23.terms.items():
+            for a, b, sign in bracket(k, l, r, s):
+                key = (i, j, p, q, a, b)
+                out[key] = out.get(key, 0) + sign * c * c2
+    for (i, j, k, l), c in r12.terms.items():
+        for (p, q, r, s), c2 in r23.terms.items():
+            for a, b, sign in bracket(k, l, p, q):
+                key = (i, j, a, b, r, s)
+                out[key] = out.get(key, 0) + sign * c * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+COEFFS = {
+    RATIONAL: st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 9)),
+    COMPLEX: st.builds(complex, st.floats(-1, 1), st.floats(-1, 1)).filter(bool),
+}
+
+
+@st.composite
+def cybe_inputs(draw, ring):
+    """Three random sparse tensors of one size n <= 4 over `ring`."""
+    n = draw(st.integers(2, 4))
+    keys = st.tuples(*[st.integers(1, n)] * 4)
+    return [GlTensor2(n, ring, draw(st.dictionaries(keys, COEFFS[ring], max_size=12)))
+            for _ in range(3)]
+
+
 class TestCybe:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(cybe_inputs(RATIONAL))
+    def test_rational_matches_naive_brackets(self, tensors):
+        assert cybe_lhs(*tensors).terms == _naive_cybe(*tensors)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(cybe_inputs(COMPLEX))
+    def test_complex_matches_naive_brackets(self, tensors):
+        got = cybe_lhs(*tensors).terms
+        want = _naive_cybe(*tensors)
+        assert all(abs(got.get(k, 0) - want.get(k, 0)) < 1e-12 for k in set(got) | set(want))
+
+    def test_negated_r12_control(self):
+        """The Stolin (1,6) solution has a zero residual; negating r12 must
+        leave a nonzero one (7135 terms at (0, 1, 2))."""
+        K = stolin.j_matrix_rat(1, 6)
+
+        def r(a, b):
+            return stolin.assemble_stolin_r(1, 6, K, a, b)
+
+        r12, r13, r23 = r(F(0), F(1)), r(F(0), F(2)), r(F(1), F(2))
+        assert cybe_lhs(r12, r13, r23).is_zero()
+        wrong = cybe_lhs(r12.scale(-1), r13, r23)
+        assert len(wrong.terms) == 7135
+        assert wrong.terms == _naive_cybe(r12.scale(-1), r13, r23)
+
     def test_zero_inputs(self):
         z = tensor_zero(2)
         assert cybe_lhs(z, z, z).is_zero()
@@ -158,8 +228,17 @@ class TestCybe:
 
     def test_casimir_alone_fails(self):
         # the Casimir without the pole factor is not a solution: nonzero lhs
+        # [C12, C13] + [C13, C23] + [C12, C23] for the sl(2) Casimir C
+        want = {
+            (1, 1, 1, 2, 2, 1): -1, (1, 1, 2, 1, 1, 2): 1, (1, 2, 1, 1, 2, 1): 1,
+            (1, 2, 2, 1, 1, 1): -1, (1, 2, 2, 1, 2, 2): 1, (1, 2, 2, 2, 2, 1): -1,
+            (2, 1, 1, 1, 1, 2): -1, (2, 1, 1, 2, 1, 1): 1, (2, 1, 1, 2, 2, 2): -1,
+            (2, 1, 2, 2, 1, 2): 1, (2, 2, 1, 2, 2, 1): 1, (2, 2, 2, 1, 1, 2): -1,
+        }
         c = casimir(2)
-        assert not cybe_lhs(c, c, c).is_zero()
+        got = cybe_lhs(c, c, c)
+        assert got.ring == RATIONAL and got.terms == want
+        assert all(isinstance(v, F) for v in got.terms.values())
 
 
 class TestSwap:
