@@ -27,12 +27,12 @@ EXIT_FAIL = 2
 EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
-# 3 before any work.  The exact pipelines cost about n^6: on a 2-core Intel
-# Xeon, `rational 12 1` takes 5.0 s and `elliptic 12 1` 0.7 s.
+# 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
+# Intel Xeon, `rational 12 1` takes 0.6 s and `elliptic 12 1` 0.3 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost roughly doubles per step of n:
-# serial on a 2-core Intel Xeon, --n-max 5 takes 8.5 s, 7 takes 43.7 s and
-# 8 takes 77.3 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.6- to 2-fold per step
+# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 2.4 s, 7 takes
+# 8.7 s and 8 takes 13.9 s.
 VERIFY_N_MAX = 8
 
 

@@ -18,20 +18,17 @@ from .exact import (
     MatrixPoly,
     ONE,
     ZERO,
-    constant_matrix_poly,
     eval_matrix_poly,
     interpolate,
     kernel,
     mat_is_zero,
     matrix_poly_from_coeffs,
     rat,
-    solve_multi,
 )
 from .lie import (
     GlTensor2,
     RATIONAL,
     apply_gauge,
-    basis_matrix,
     casimir,
     dual_matrix,
     signed_permutation_map,
@@ -206,66 +203,72 @@ def validate_ved_shape(F: MatrixPoly, e: int, d: int):
             raise ShapeError("z^%d part has nonzero trace" % k)
 
 
+def _cells(n: int) -> list:
+    return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+
+
 def extract_f0_feps(F: MatrixPoly) -> tuple[tuple, tuple]:
-    """The two constant matrices read off the blocks of F in V_{e,d}:
-    F_0 collects the linear diagonal parts, the constant upper-right block and
-    the quadratic lower-left block; F_eps the constant diagonal parts and the
-    linear lower-left block.  The constant lower-left block enters neither."""
+    """The two constant matrices read off F in V_{e,d}: F_0 holds each
+    entry's z^cap coefficient and F_eps its z^(cap-1) coefficient, cap being
+    the entry's degree cap.  So the constant upper-right block enters F_0
+    only and the constant lower-left block enters neither."""
     if F.block_split is None:
         raise ShapeError("matrix polynomial carries no block split")
     e, d = F.block_split
     n = F.n
     validate_ved_shape(F, e, d)
-    f0 = [[ZERO] * n for _ in range(n)]
-    feps = [[ZERO] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+
+    def layer(shift: int) -> tuple:  # each entry's z^(cap - shift) coefficient
+        out = [[ZERO] * n for _ in range(n)]
+        for i, j in _cells(n):
             p = F.entries[i - 1][j - 1]
+            k = _degree_cap(i, j, e, n) - shift
+            if 0 <= k < len(p):
+                out[i - 1][j - 1] = p[k]
+        return tuple(map(tuple, out))
 
-            def coeff(k):
-                return p[k] if k < len(p) else ZERO
-
-            reg = region(i, j, e, n)
-            if reg in ("IV", "II"):
-                f0[i - 1][j - 1] = coeff(1)
-                feps[i - 1][j - 1] = coeff(0)
-            elif reg == "I":
-                f0[i - 1][j - 1] = coeff(0)
-            else:  # III
-                f0[i - 1][j - 1] = coeff(2)
-                feps[i - 1][j - 1] = coeff(1)
-    return tuple(map(tuple, f0)), tuple(map(tuple, feps))
+    return layer(0), layer(1)
 
 
-# coordinates of V_{e,d}: every (i, j, degree) allowed by the mask
+# Coordinates of V_{e,d}: (i, j, k) is the coefficient of (z - x)^k in entry
+# (i, j), for every k up to the entry's degree cap.  The n^2 residue
+# coordinates (k = 0) come last, in row-major order, so that the kernel of the
+# defining constraint comes out dual to the residues (see `sol_space`).
 @lru_cache(maxsize=None)
 def _ved_coords(e: int, d: int) -> tuple:
     n = e + d
+    cells = _cells(n)
     return tuple(
-        (i, j, k)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        for k in range(_degree_cap(i, j, e, n) + 1)
-    )
+        (i, j, k) for i, j in cells for k in range(1, _degree_cap(i, j, e, n) + 1)
+    ) + tuple((i, j, 0) for i, j in cells)
 
 
-def _coords_to_matrix_poly(e: int, d: int, vec) -> MatrixPoly:
+def _coords_to_matrix_poly(e: int, d: int, x: Fraction, vec) -> MatrixPoly:
+    """The member of V_{e,d} with (z - x)-coordinates `vec`, in powers of z.
+    The coordinates past the end of a shorter `vec` are zero."""
     n = e + d
+    # (z - x)^k in powers of z, for k = 0, 1, 2
+    expand = ((ONE,), (-x, ONE), (x * x, -2 * x, ONE))
     coeffs = [[[ZERO] * n for _ in range(n)] for _ in range(3)]
     for (i, j, k), v in zip(_ved_coords(e, d), vec):
-        coeffs[k][i - 1][j - 1] = v
+        if v:
+            for m, c in enumerate(expand[k]):
+                coeffs[m][i - 1][j - 1] += c * v
     mats = [tuple(map(tuple, c)) for c in coeffs]
     return matrix_poly_from_coeffs(mats, block_split=(e, d))
 
 
 @dataclass(frozen=True)
 class SolBasis:
-    """Exact basis of Sol((e,d), x) inside V_{e,d}; always n^2 - 1 members."""
+    """Exact basis of Sol((e,d), x) inside V_{e,d}, dual to the residues:
+    member m is the one with residue e_ij - delta_ij e_11, for the m-th
+    (i, j) != (1, 1) in row-major order."""
 
     e: int
     d: int
     x: Fraction
     basis: tuple  # of MatrixPoly
+    vectors: tuple  # the members' (z - x)-coordinates, as `kernel` returned them
 
     @property
     def n(self) -> int:
@@ -278,13 +281,13 @@ def sol_constraint_violation(F: MatrixPoly, x: Fraction) -> tuple:
     J = build_j(e, d).matrix
     f0, feps = extract_f0_feps(F)
     n = F.n
-    out = [[ZERO] * n for _ in range(n)]
-    for a in range(n):
+    out = [[x * a + b for a, b in zip(r0, reps)] for r0, reps in zip(f0, feps)]
+    for c in range(n):
         for b in range(n):
-            acc = x * f0[a][b] + feps[a][b]
-            for c in range(n):
-                acc += f0[a][c] * J[c][b] - J[a][c] * f0[c][b]
-            out[a][b] = acc
+            if J[c][b]:  # J is 0/1: add F_0 e_cb - e_cb F_0
+                for a in range(n):
+                    out[a][b] += f0[a][c]
+                    out[c][a] -= f0[b][a]
     return tuple(map(tuple, out))
 
 
@@ -292,72 +295,61 @@ def sol_constraint_violation(F: MatrixPoly, x: Fraction) -> tuple:
 def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
     """Kernel of the defining constraint inside V_{e,d}.
 
-    Aborts hard if the dimension differs from n^2 - 1: every downstream
-    formula assumes the residue map is an isomorphism onto sl(n).
+    In (z - x)-coordinates c_k, an entry with degree cap `cap` has
+    F_0 = c_cap and F_eps = c_(cap-1) - cap x c_cap, so row (a, b) of the
+    constraint is [c_cap, J] + (1 - cap) x c_cap + c_(cap-1), and the trace
+    rows are sum c1_aa = 0 and sum c0_aa = 0.  With the residue coordinates
+    last, the residue map Sol -> sl(n) is an isomorphism iff the kernel's
+    free columns are the residue coordinates other than (1, 1, 0); the
+    kernel vector of the free column (i, j, 0) then has residue
+    e_ij - delta_ij e_11.  Anything else aborts hard: every downstream
+    formula assumes that isomorphism.
     """
     _check_coprime(e, d)
     x = rat(x)
     n = e + d
     coords = _ved_coords(e, d)
+    col = {c: idx for idx, c in enumerate(coords)}
+    # (i, j) -> the column of its top coefficient c_cap
+    top = {(i, j): col[i, j, _degree_cap(i, j, e, n)] for i, j in _cells(n)}
     J = build_j(e, d).matrix
-
-    # index the F_0 / F_eps content of each coordinate
-    f0_of = {}
-    feps_of = {}
-    for idx, (i, j, k) in enumerate(coords):
-        reg = region(i, j, e, n)
-        if reg in ("IV", "II"):
-            if k == 1:
-                f0_of[idx] = (i, j)
-            else:
-                feps_of[idx] = (i, j)
-        elif reg == "I":
-            f0_of[idx] = (i, j)
-        else:
-            if k == 2:
-                f0_of[idx] = (i, j)
-            elif k == 1:
-                feps_of[idx] = (i, j)
 
     rows = []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
             row = [ZERO] * len(coords)
-            for idx in range(len(coords)):
-                pos = f0_of.get(idx)
-                if pos is not None:
-                    i, j = pos
-                    acc = ZERO
-                    if (i, j) == (a, b):
-                        acc += x
-                    if i == a:
-                        acc += J[j - 1][b - 1]
-                    if j == b:
-                        acc -= J[a - 1][i - 1]
-                    if acc != 0:
-                        row[idx] = acc
-                pos = feps_of.get(idx)
-                if pos == (a, b):
-                    row[idx] += ONE
+            cap = _degree_cap(a, b, e, n)
+            row[top[a, b]] += (1 - cap) * x
+            if cap:
+                row[col[a, b, cap - 1]] += ONE
+            for c in range(1, n + 1):
+                if J[c - 1][b - 1]:
+                    row[top[a, c]] += ONE
+                if J[a - 1][c - 1]:
+                    row[top[c, b]] -= ONE
             rows.append(row)
-    for k in (0, 1):
+    for k in (1, 0):
         row = [ZERO] * len(coords)
-        for idx, (i, j, kk) in enumerate(coords):
-            if i == j and kk == k:
-                row[idx] = ONE
+        for a in range(1, n + 1):
+            row[col[a, a, k]] = ONE
         rows.append(row)
 
     vecs = kernel(rows)
-    if len(vecs) != n * n - 1:
+    cells = _cells(n)
+    dual = [
+        tuple(int(c == (i, j)) - int(i == j and c == (1, 1)) for c in cells)
+        for i, j in cells[1:]
+    ]
+    if [v[-n * n:] for v in vecs] != dual:
         raise SolDimensionError(
-            "dim Sol((%d,%d), %s) = %d, expected %d"
-            % (e, d, x, len(vecs), n * n - 1)
+            "residue map Sol((%d,%d), %s) -> sl(%d) is not an isomorphism "
+            "(dim Sol = %d, expected %d)" % (e, d, x, n, len(vecs), n * n - 1)
         )
-    basis = tuple(_coords_to_matrix_poly(e, d, v) for v in vecs)
+    basis = tuple(_coords_to_matrix_poly(e, d, x, v) for v in vecs)
     for F in basis:
         if not mat_is_zero(sol_constraint_violation(F, x)):
             raise SolDimensionError("kernel member fails the defining constraint")
-    return SolBasis(e, d, x, basis)
+    return SolBasis(e, d, x, basis, tuple(vecs))
 
 
 def res_map(F: MatrixPoly, x) -> tuple:
@@ -392,37 +384,26 @@ class GElements:
 
 @lru_cache(maxsize=None)
 def g_elements(e: int, d: int, x: Fraction) -> GElements:
-    """Solve the residue system res_x(F) = B over Sol((e,d), x) for every
-    basis element B and return the corrections F - B."""
+    """The corrections, read off the residue-dual basis of `sol_space`.
+
+    B = sum over (i, j) != (1, 1) of B_ij (e_ij - delta_ij e_11), so
+    B + G_B is the same combination of the members (i, j), and G_B is that
+    combination with its residue coordinates dropped.
+    """
     x = rat(x)
     sol = sol_space(e, d, x)
     n = e + d
-    labels = sl_basis(n)
-    # residue matrix: columns are basis members evaluated at x, in gl coords
-    cols = []
-    for F in sol.basis:
-        v = eval_matrix_poly(F, x)
-        cols.append([v[i][j] for i in range(n) for j in range(n)])
-    rows = [[cols[c][r] for c in range(len(cols))] for r in range(n * n)]
-    rhs = []
-    for label in labels:
-        B = basis_matrix(label, n)
-        rhs.append([B[i][j] for i in range(n) for j in range(n)])
-    sols = solve_multi(rows, rhs)
+    head = len(sol.vectors[0]) - n * n  # coordinates before the residue ones
+    member = {c: v[:head] for c, v in zip(_cells(n)[1:], sol.vectors)}
+    member[1, 1] = (ZERO,) * head
     corrections = {}
-    for label, coeffs in zip(labels, sols):
-        F = None
-        for c, member in zip(coeffs, sol.basis):
-            if c == 0:
-                continue
-            piece = member.scale(c)
-            F = piece if F is None else F.add(piece)
-        if F is None:
-            F = constant_matrix_poly(
-                tuple(tuple(ZERO for _ in range(n)) for _ in range(n)), (e, d)
-            )
-        B = basis_matrix(label, n)
-        G = F.sub(constant_matrix_poly(B, (e, d)))
+    for label in sl_basis(n):
+        if label[0] == "unit":
+            vec = member[label[1:]]
+        else:  # h_l = e_ll - e_(l+1)(l+1)
+            l = label[1]
+            vec = tuple(a - b for a, b in zip(member[l, l], member[l + 1, l + 1]))
+        G = _coords_to_matrix_poly(e, d, x, vec)
         if not mat_is_zero(eval_matrix_poly(G, x)):
             raise SolDimensionError("correction fails G(x) = 0 at %r" % (label,))
         corrections[label] = G

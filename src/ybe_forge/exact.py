@@ -431,16 +431,6 @@ class MatrixPoly:
             self.block_split,
         )
 
-    def sub(self, other: "MatrixPoly") -> "MatrixPoly":
-        return self.add(other.scale(-ONE))
-
-    def scale(self, c) -> "MatrixPoly":
-        return MatrixPoly(
-            self.n,
-            tuple(tuple(poly_scale(c, p) for p in row) for row in self.entries),
-            self.block_split,
-        )
-
     def is_zero(self) -> bool:
         return all(not p for row in self.entries for p in row)
 

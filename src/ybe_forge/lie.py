@@ -169,18 +169,17 @@ def tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
     for a, b, c in pairs:
         if c == 0:
             continue
+        b_terms = [
+            (k + 1, l + 1, b[k][l]) for k in range(n) for l in range(n) if b[k][l] != 0
+        ]
         for i in range(n):
             for j in range(n):
                 aij = a[i][j]
                 if aij == 0:
                     continue
                 ca = c * aij
-                for k in range(n):
-                    for l in range(n):
-                        bkl = b[k][l]
-                        if bkl == 0:
-                            continue
-                        _accumulate(out, (i + 1, j + 1, k + 1, l + 1), ca * bkl)
+                for k, l, bkl in b_terms:
+                    _accumulate(out, (i + 1, j + 1, k, l), ca * bkl)
     return GlTensor2(n, ring, out)
 
 

@@ -1,10 +1,15 @@
 """Geometric pipeline: J recursion, shaped spaces, solution spaces,
 corrections, assembly, and the polynomial-tail certificate."""
 
+import hashlib
+import time
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ybe_forge import cuspidal, exact
 from ybe_forge.cuspidal import (
     AnsatzError,
     NonCoprimeError,
@@ -29,11 +34,14 @@ from ybe_forge.cuspidal import (
 from ybe_forge.exact import (
     ONE,
     ZERO,
+    MatrixPoly,
     constant_matrix_poly,
     eval_matrix_poly,
     mat_is_zero,
+    mat_sub,
     mat_unit,
     mat_zero,
+    matrix_poly_from_coeffs,
     rank,
 )
 from ybe_forge.lie import (
@@ -130,6 +138,75 @@ class TestShapedSpace:
         with pytest.raises(ShapeError):
             ved_matrix_poly(1, 1, [mat_unit(2, 1, 1)])
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_f0_feps_match_region_table(self, data):
+        e, d = data.draw(st.sampled_from(SHAPED_PAIRS))
+        Fm = data.draw(ved_members(e, d))
+        assert extract_f0_feps(Fm) == _region_table_f0_feps(Fm)
+
+
+# the pairs the shaped-space properties draw from; (3, 2) and (2, 3) have all
+# four regions with more than one entry
+SHAPED_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 4)]
+
+
+def _cap(i, j, e, n):
+    """Degree cap of entry (i, j): constant upper-right block, quadratic
+    lower-left block, linear diagonal blocks."""
+    return {"I": 0, "III": 2}.get(region(i, j, e, n), 1)
+
+
+def ved_members(e, d):
+    """Members of V_{e,d}: every coefficient under the degree cap drawn at
+    random, then the z^0 and z^1 parts of the (n, n) entry fixed so that both
+    are traceless."""
+    n = e + d
+    slots = [
+        (i, j, k)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        for k in range(_cap(i, j, e, n) + 1)
+    ]
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+    def build(values):
+        mats = [[[ZERO] * n for _ in range(n)] for _ in range(3)]
+        for (i, j, k), v in zip(slots, values):
+            mats[k][i - 1][j - 1] = v
+        for k in (0, 1):
+            mats[k][n - 1][n - 1] = -sum(mats[k][a][a] for a in range(n - 1))
+        return ved_matrix_poly(e, d, [tuple(map(tuple, m)) for m in mats])
+
+    return st.lists(coeff, min_size=len(slots), max_size=len(slots)).map(build)
+
+
+def _region_table_f0_feps(Fm):
+    """F_0 and F_eps by the per-region table of the construction: the
+    diagonal blocks give their linear part to F_0 and their constant part to
+    F_eps, the upper-right block its constant to F_0, and the lower-left block
+    its quadratic part to F_0 and its linear part to F_eps."""
+    e, d = Fm.block_split
+    n = e + d
+    table = {"IV": (1, 0), "II": (1, 0), "I": (0, None), "III": (2, 1)}
+    f0 = [[ZERO] * n for _ in range(n)]
+    feps = [[ZERO] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            p = Fm.entries[i - 1][j - 1]
+            k0, keps = table[region(i, j, e, n)]
+            f0[i - 1][j - 1] = p[k0] if k0 < len(p) else ZERO
+            if keps is not None:
+                feps[i - 1][j - 1] = p[keps] if keps < len(p) else ZERO
+    return tuple(map(tuple, f0)), tuple(map(tuple, feps))
+
+
+def _bump(Fm, i, j, k):
+    """Fm with one added to the z^k coefficient of entry (i, j)."""
+    mats = [[list(row) for row in Fm.coeff_matrix(m)] for m in range(3)]
+    mats[k][i - 1][j - 1] += ONE
+    return matrix_poly_from_coeffs([tuple(map(tuple, m)) for m in mats], Fm.block_split)
+
 
 class TestSolSpace:
     def test_dimension_small(self):
@@ -159,6 +236,48 @@ class TestSolSpace:
         sol = sol_space(2, 1, F(3, 7))
         for Fm in sol.basis:
             assert mat_is_zero(sol_constraint_violation(Fm, F(3, 7)))
+
+    @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(0)), (1, 2, F(-5, 3)),
+                                       (3, 2, F(3, 7)), (2, 5, F(-1, 2)), (4, 3, F(9))])
+    def test_basis_is_dual_to_residues(self, e, d, x):
+        n = e + d
+        sol = sol_space(e, d, x)
+        cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][1:]
+        assert len(sol.basis) == len(cells)
+        for Fm, (i, j) in zip(sol.basis, cells):
+            want = mat_unit(n, i, j)
+            if i == j:
+                want = mat_sub(want, mat_unit(n, 1, 1))
+            assert res_map(Fm, x) == want
+
+    @pytest.mark.parametrize("e,d,x", [(1, 1, F(2)), (2, 1, F(3, 7)), (3, 2, F(-1, 2))])
+    def test_one_changed_coefficient_violates(self, e, d, x):
+        """Negative control: one F_0 or F_eps coefficient of a Sol member
+        moved off its value breaks the constraint, at every off-diagonal
+        entry.  (x != 0, so that F_0 e_ab alone cannot commute with J.)"""
+        n = e + d
+        for Fm in sol_space(e, d, x).basis[:3]:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    cap = _cap(i, j, e, n)
+                    for k in {cap, cap - 1} - {-1}:
+                        assert not mat_is_zero(sol_constraint_violation(_bump(Fm, i, j, k), x))
+
+    @pytest.mark.parametrize("fake", [
+        lambda v: [v[1], v[0]] + v[2:],  # the same kernel, reordered
+        lambda v: [tuple(a + b for a, b in zip(v[0], v[1]))] + v[1:],  # recombined
+        lambda v: v[:-1],  # one member short
+    ], ids=["swapped", "recombined", "short"])
+    def test_kernel_not_dual_to_residues_refused(self, fake, monkeypatch):
+        monkeypatch.setattr(cuspidal, "kernel", lambda rows: fake(exact.kernel(rows)))
+        sol_space.cache_clear()
+        try:
+            with pytest.raises(SolDimensionError, match="not an isomorphism"):
+                sol_space(2, 1, F(5, 3))
+        finally:
+            sol_space.cache_clear()
 
     @pytest.mark.parametrize("e,d", [(2, 1), (1, 2)])
     def test_dimension_at_ten_random_points(self, e, d, rng):
@@ -197,14 +316,63 @@ class TestGElements:
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(-1, 2)), (1, 2, F(3))])
     def test_defining_conditions(self, e, d, x):
-        n = e + d
-        g = g_elements(e, d, x)
-        for label in sl_basis(n):
-            G = g.corrections[label]
-            assert mat_is_zero(eval_matrix_poly(G, x))
-            B = constant_matrix_poly(basis_matrix(label, n), (e, d))
-            member = B.add(G)
-            assert mat_is_zero(sol_constraint_violation(member, x))
+        _assert_defining_conditions(g_elements(e, d, x))
+
+    def test_large_residue_point(self):
+        """A 31-digit x: the corrections are read off the kernel, with no
+        second elimination over its values (about 30 s before)."""
+        x = F(1, 10**30)
+        t0 = time.perf_counter()
+        g = g_elements(1, 8, x)
+        elapsed = time.perf_counter() - t0
+        _assert_defining_conditions(g)
+        assert elapsed < 10.0
+
+    def test_cold_run_makes_one_elimination(self, monkeypatch):
+        calls = []
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapped
+
+        for name in ("kernel", "solve_multi"):
+            original = getattr(exact, name)
+            for module in (exact, cuspidal):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, original))
+        x = F(-2, 9)
+        sol_space.cache_clear()
+        g_elements.cache_clear()
+        try:
+            g_elements(2, 3, x)
+        finally:
+            sol_space.cache_clear()
+            g_elements.cache_clear()
+        assert calls == ["kernel"]
+
+    @pytest.mark.parametrize("e,d,x,digest", [
+        (2, 3, F(-1, 2), "75327648033832dcffa116e00e2297e91c8fb0919f82cd8ba61a590a8131f485"),
+        (1, 6, F(0), "1c23235e9acb084e836004b54fb17054f27757112a4c8e86a9e241992ce3382a"),
+    ])
+    def test_corrections_golden(self, e, d, x, digest):
+        """sha256 of the repr of every correction, taken before the
+        corrections were read off the residue-dual basis."""
+        text = repr(sorted(g_elements(e, d, x).corrections.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _assert_defining_conditions(g):
+    n = g.n
+    assert sorted(g.corrections) == sorted(sl_basis(n))
+    for label in sl_basis(n):
+        G = g.corrections[label]
+        assert isinstance(G, MatrixPoly) and G.block_split == (g.e, g.d)
+        assert mat_is_zero(eval_matrix_poly(G, g.x))
+        B = constant_matrix_poly(basis_matrix(label, n), (g.e, g.d))
+        member = B.add(G)
+        assert mat_is_zero(sol_constraint_violation(member, g.x))
 
 
 class TestAssemble:
