@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import click
 
-from . import cuspidal, elliptic, stolin, verify
+# A process runs one command, so each command imports the pipeline modules it
+# uses itself: `cuspidal`, `stolin`, `elliptic` and `verify` would otherwise
+# cost every request their import time.
 from .exact import rat
 from .document import (
     document_from_tensor,
@@ -28,12 +30,18 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.6 s and `elliptic 12 1` 0.3 s.
+# Intel Xeon, `rational 12 1` takes 0.5 s and `elliptic 12 1` 0.2 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.6- to 2-fold per step
-# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 2.4 s, 7 takes
-# 8.7 s and 8 takes 13.9 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.7- to 2-fold per step
+# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 2.6 s, 7 takes
+# 9.1 s and 8 takes 15.3 s.
 VERIFY_N_MAX = 8
+# Most decimal digits in the numerator or the denominator of an exact input
+# (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
+# exact solve slows as x grows: on one CPU of an Intel Xeon the slowest
+# `rational 12 d` (d = 7) takes 0.5 s at x = 1/3, 1.8 s at a 30-digit x and
+# 4.9 s at a 60-digit x; d = 1, 5 and 11 take at most 1.3 s at 30 digits.
+RAT_DIGITS_MAX = 30
 
 
 def _fail(message: str, code: int):
@@ -43,9 +51,13 @@ def _fail(message: str, code: int):
 
 def _parse_rat(text: str, name: str) -> Fraction:
     try:
-        return rat(text)
+        value = rat(text)
     except (ValueError, ZeroDivisionError):
         _fail("%s must be an exact rational like 3/4, got %r" % (name, text), EXIT_BADINPUT)
+    if max(abs(value.numerator), value.denominator) >= 10 ** RAT_DIGITS_MAX:
+        _fail("%s has more than %d digits in its numerator or denominator"
+              % (name, RAT_DIGITS_MAX), EXIT_BADINPUT)
+    return value
 
 
 def _parse_complex(text: str, name: str) -> complex:
@@ -86,6 +98,8 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["text", "json", "both"]), default="both")
 def jmatrix(e, d, fmt):
     """Print the recursive 0/1 matrix for the coprime pair (E, D)."""
+    from . import cuspidal
+
     _check_size(e + d, "e + d")
     try:
         j = cuspidal.build_j(e, d)
@@ -106,6 +120,8 @@ def jmatrix(e, d, fmt):
 @click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 def rational(n, d, x, y, fmt):
     """Geometric-pipeline solution for (N, D) at exact points."""
+    from . import cuspidal
+
     _check_size(n)
     x_val = _parse_rat(x, "--x")
     y_val = _parse_rat(y, "--y")
@@ -129,6 +145,8 @@ def rational(n, d, x, y, fmt):
 
 
 def _load_k_matrix(spec: str, e: int, d: int):
+    from . import stolin
+
     if spec == "default":
         return stolin.j_matrix_rat(e, d), "J(%d,%d)" % (e, d)
     if spec == "neg-j":
@@ -157,6 +175,8 @@ def _load_k_matrix(spec: str, e: int, d: int):
 @click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 def stolin_cmd(n, e, kspec, x, y, fmt):
     """Parabolic-pipeline solution for the triple with parabolic index E."""
+    from . import cuspidal, stolin
+
     _check_size(n)
     x_val = _parse_rat(x, "--x")
     y_val = _parse_rat(y, "--y")
@@ -192,6 +212,8 @@ def stolin_cmd(n, e, kspec, x, y, fmt):
 @click.option("--terms", type=int, default=60, help="theta series truncation")
 def elliptic_cmd(n, d, tau, x, y, terms):
     """Torus solution for (N, D) at complex points; JSON document output."""
+    from . import elliptic
+
     _check_size(n)
     tau_val = _parse_complex(tau, "--tau")
     x_val = _parse_complex(x, "--x")
@@ -221,12 +243,15 @@ def elliptic_cmd(n, d, tau, x, y, terms):
 
 
 @main.command("verify")
-@click.option("--suite", type=click.Choice(list(verify.SUITES)), default="all")
+@click.option("--suite", type=click.Choice(["rational", "stolin", "elliptic", "zoo", "all"]),
+              default="all")
 @click.option("--n-max", type=int, default=4)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 @click.option("--inject-sign-flip", is_flag=True, hidden=True)
 def verify_cmd(suite, n_max, fmt, inject_sign_flip):
     """Run a verification suite; exit 0 iff every check passes."""
+    from . import verify
+
     if n_max < 2:
         _fail("--n-max must be at least 2", EXIT_BADINPUT)
     _check_size(n_max, "--n-max", VERIFY_N_MAX)

@@ -52,9 +52,12 @@ class ThetaContext:
                 "%d theta series terms overflow on the strip |Im z| <= Im(tau)/2 "
                 "for Im(tau) = %g; use fewer terms" % (self.terms, self.tau.imag)
             )
-        q = abs(cmath.exp(1j * math.pi * self.tau))
-        # dropped-term bound for the odd theta series at moderate |Im z|
-        drop = q ** (self.terms * (self.terms + 1))
+        # first dropped term of the odd theta series, |q|^(N(N+1)) e^((2N+1) pi |Im z|),
+        # at the largest |Im z| theta1 is summed at: 1.5 Im(tau), where
+        # `belavin_r` evaluates theta1(u + v) with |Im u| < Im(tau) and
+        # |Im v| <= Im(tau)/2
+        n = self.terms
+        drop = math.exp(-math.pi * self.tau.imag * (n * (n + 1) - 1.5 * (2 * n + 1)))
         if drop >= self.tol / 10:
             raise ValueError(
                 "truncation at %d terms cannot reach tol=%g for this modulus"

@@ -3,15 +3,17 @@
 
 import json
 import os
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from ybe_forge.cli import N_MAX, VERIFY_N_MAX, main
+from ybe_forge import __version__
+from ybe_forge.cli import N_MAX, RAT_DIGITS_MAX, VERIFY_N_MAX, main, verify_cmd
 from ybe_forge.document import document_from_json
-from ybe_forge.verify import forge_threads
+from ybe_forge.verify import _tasks_for, forge_threads, run_suite
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -81,6 +83,26 @@ class TestRational:
         assert len(res.stderr.strip().splitlines()) == 1
         assert run(runner, "rational", "3", "1", "--x", "2.5e3", "--y", "2").exit_code == 0
 
+    @pytest.mark.parametrize("option", ["--x", "--y"])
+    def test_long_point_exit_3(self, runner, option):
+        """A 1000-digit point is refused before any work: it would cost
+        minutes in the exact solve."""
+        args = {"--x": "1/3", "--y": "2", option: "1/" + "7" * 1000}
+        t0 = time.perf_counter()
+        res = run(runner, "rational", "12", "7", *[t for item in args.items() for t in item])
+        assert time.perf_counter() - t0 < 1.0
+        assert res.exit_code == 3
+        assert "digits" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
+    def test_point_at_digit_cap(self, runner):
+        top = 10 ** RAT_DIGITS_MAX - 1
+        res = run(runner, "rational", "3", "1", "--x", "%d/%d" % (-top, top - 1), "--y", str(top))
+        assert res.exit_code == 0
+        assert json.loads(res.stdout)["provenance"]["y"] == str(top)
+        assert run(runner, "rational", "3", "1", "--x", "1e%d" % RAT_DIGITS_MAX,
+                   "--y", "2").exit_code == 3
+
 
 class TestStolin:
     def test_default_matches_reference_n2(self, runner):
@@ -107,7 +129,8 @@ class TestStolin:
         assert "degenerate" in res.stderr
 
     @pytest.mark.parametrize("payload", ["[1, 2]", '{"a": 1}', '"12"', '[["1/0", "1"], [0, 0]]',
-                                         '[[[1]], [2]]', "[1,"])
+                                         '[[[1]], [2]]', "[1,",
+                                         '[["1e30", 0, 0], [0, 0, 0], [0, 0, 0]]'])
     def test_malformed_k_file_exit_3(self, runner, tmp_path, payload):
         bad = tmp_path / "k.json"
         bad.write_text(payload)
@@ -187,6 +210,14 @@ class TestElliptic:
         assert res.exit_code == 0
         assert json.loads(res.stdout)["terms"]
 
+    def test_truncation_short_of_tolerance_exit_3(self, runner):
+        """Im(tau) = 0.0027: the dropped theta terms reach 1.5e-13 at
+        |Im z| = 1.5 Im(tau), above tol/10."""
+        res = run(runner, "elliptic", "2", "1", "--tau", "0.0027i", "--x", "0.1", "--y", "0.2")
+        assert res.exit_code == 3
+        assert "truncation" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
     def test_overflowing_series_exit_3(self, runner):
         res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
                   "--terms", "1000")
@@ -234,6 +265,16 @@ class TestVerify:
         res = run(runner, "verify", "--suite", "zoo", "--format", "json")
         payload = json.loads(res.stdout)
         assert payload["passed"] is True
+        assert payload["version"] == __version__
+
+    def test_suite_choices_have_checks(self):
+        """The CLI's --suite choices are the one list of suite names: each
+        has checks, and a name outside it is refused."""
+        suite = next(p for p in verify_cmd.params if p.name == "suite")
+        for name in suite.type.choices:
+            assert _tasks_for(name, 2, 0)
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("bogus", n_max=2, threads=1)
 
     def test_bad_suite_exit(self, runner):
         res = run(runner, "verify", "--suite", "bogus")

@@ -81,6 +81,14 @@ class TestTheta:
         with pytest.raises(ValueError, match="overflow"):
             ThetaContext(tau=tau, terms=terms)
 
+    def test_truncation_bound_covers_im_z(self):
+        """theta1 is summed at |Im z| up to 1.5 Im(tau), where the first
+        dropped term grows by e^((2N+1) pi 1.5 Im(tau)): at tau = 0.0027i it
+        is 1.5e-13, although q^(N(N+1)) alone reads 3.3e-14 < tol/10."""
+        with pytest.raises(ValueError, match="truncation"):
+            ThetaContext(tau=0.0027j)
+        ThetaContext(tau=0.003j)
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_quasi_periodic_beyond_overflow(self, m):
         """Where the series overflows, theta1 sums it at z - m tau instead:

@@ -1,5 +1,6 @@
 """Static hygiene of the package: no dead definitions, no unused imports,
-and no numpy on the CLI's import path.
+no numpy on the CLI's import path, and each CLI command loading only the
+modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/, tests/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -8,11 +9,14 @@ listed in `__all__` do not count: an export alone is not a use.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ybe_forge"
@@ -110,15 +114,54 @@ def test_no_unused_imports():
     assert unused_imports() == []
 
 
+def _python(code: str, *args: str, **env_extra: str) -> str:
+    """The last stdout line of `code` run in a new interpreter on ./src."""
+    env = dict(os.environ, **env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_leaves_numpy_unloaded():
     """numpy takes about half of a CLI process's start-up; only the complex
     rank in `lie.induced_endomorphism_rank` may load it."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = "import sys, ybe_forge.cli, ybe_forge.verify; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _python(code) == "False"
+
+
+# The command (if any) runs through the CLI's entry point, then the process
+# prints the package modules it loaded and whether the process pool is among
+# them.
+_LOADED = """import json, sys
+from ybe_forge import cli
+if sys.argv[1:]:
+    try:
+        cli.main(args=sys.argv[1:])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("ybe_forge.")),
+                  "concurrent.futures.process" in sys.modules]))
+"""
+_CLI_CORE = ["cli", "document", "exact", "lie"]
+
+
+@pytest.mark.parametrize("args, extra", [
+    ((), []),
+    (("jmatrix", "3", "1"), ["cuspidal"]),
+    (("rational", "3", "1", "--x", "1/3", "--y", "2"), ["cuspidal"]),
+    (("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2"),
+     ["cuspidal", "stolin"]),
+    (("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"), ["elliptic"]),
+    (("verify", "--suite", "rational", "--n-max", "2"),
+     ["cuspidal", "elliptic", "stolin", "verify"]),
+], ids=["import", "jmatrix", "rational", "stolin", "elliptic", "verify"])
+def test_command_loads_only_its_modules(args, extra):
+    """A CLI process imports the modules its command uses and no others; a
+    serial `verify` leaves multiprocessing unloaded."""
+    loaded, pool = json.loads(_python(_LOADED, *args, FORGE_THREADS="1"))
+    assert loaded == sorted(_CLI_CORE + extra)
+    assert not pool
 
 
 def test_scan_sees_a_dead_helper(tmp_path):
