@@ -42,6 +42,16 @@ VERIFY_N_MAX = 8
 # `rational 12 d` (d = 7) takes 0.5 s at x = 1/3, 1.8 s at a 30-digit x and
 # 4.9 s at a 60-digit x; d = 1, 5 and 11 take at most 1.3 s at 30 digits.
 RAT_DIGITS_MAX = 30
+# Most digits a K-matrix file may carry beyond one per numerator and one per
+# denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in
+# all.  Every entry enters 2n rows of the split elimination, and a new prime
+# denominator scales each of them, so two-digit prime denominators cost the
+# most per digit.  On one CPU of an Intel Xeon the slowest `stolin 12 e`
+# takes 1.3 s with one-digit integers, 3.7 s with one-digit fractions, 4.4 s
+# at this bound and 5.8 s at 6 extra digits; dense 30-digit entries took
+# 313 s.  Smaller n gain no slack: a bound on the plain total admitted n = 10
+# files that take 15 s.
+K_EXTRA_DIGITS_MAX = 4
 
 
 def _fail(message: str, code: int):
@@ -162,6 +172,11 @@ def _load_k_matrix(spec: str, e: int, d: int):
     n = e + d
     if len(K) != n or any(len(r) != n for r in K):
         _fail("K matrix must be %d x %d" % (n, n), EXIT_BADINPUT)
+    digits = sum(len(str(abs(v.numerator))) + len(str(v.denominator)) for r in K for v in r)
+    limit = 2 * n * n + K_EXTRA_DIGITS_MAX
+    if digits > limit:
+        _fail("K matrix has %d digits in its numerators and denominators; at most %d "
+              "are accepted for n = %d" % (digits, limit, n), EXIT_BADINPUT)
     return K, "file:%s" % spec
 
 

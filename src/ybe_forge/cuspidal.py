@@ -497,9 +497,13 @@ def _tail_tensor(e: int, d: int, x: Fraction, y: Fraction) -> GlTensor2:
     return assemble_r(e, d, x, y).sub(casimir(n).scale(ONE / (y - x)))
 
 
-def r_ansatz(e: int, d: int, max_bound: int = 8) -> AnsatzResult:
+# largest degree bound `r_ansatz` tries before it gives up
+ANSATZ_MAX_BOUND = 8
+
+
+def r_ansatz(e: int, d: int) -> AnsatzResult:
     """Reconstruct the polynomial tail by exact interpolation, doubling the
-    degree bound until the spare-point checks pass.
+    degree bound up to ANSATZ_MAX_BOUND until the spare-point checks pass.
 
     An interpolation inconsistency at the maximal bound aborts loudly: the
     tail of a geometric solution must be polynomial.
@@ -510,7 +514,7 @@ def r_ansatz(e: int, d: int, max_bound: int = 8) -> AnsatzResult:
         try:
             return _try_ansatz(e, d, bound)
         except AnsatzError:
-            if 2 * bound > max_bound:
+            if 2 * bound > ANSATZ_MAX_BOUND:
                 raise
             bound *= 2
 

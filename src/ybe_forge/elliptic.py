@@ -27,6 +27,11 @@ from .lie import (
 TWO_PI_I = 2j * math.pi
 # |sin(x + iy)| reaches the largest float once |y| exceeds about this
 _LOG_MAX = math.log(sys.float_info.max)
+# |theta| or |sin| below this counts as a zero: the point is refused as a pole
+POLE_GUARD = 1e-8
+# Laurent-fit offset of `belavin_residue_fit`; the regular part cancels to
+# second order in it
+RESIDUE_FIT_RADIUS = 1e-4
 
 
 class PoleProximityError(ArithmeticError):
@@ -40,7 +45,6 @@ class ThetaContext:
     tau: complex
     terms: int = 60
     tol: float = 1e-12
-    pole_guard: float = 1e-8
 
     def __post_init__(self):
         if self.tau.imag <= 0:
@@ -140,7 +144,7 @@ def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext) -> complex:
     theta1'(0) theta1(u+z) / (theta1(u) theta1(z))."""
     tu = theta1(u, ctx)
     tz = theta1(z, ctx)
-    if abs(tu) < ctx.pole_guard or abs(tz) < ctx.pole_guard:
+    if abs(tu) < POLE_GUARD or abs(tz) < POLE_GUARD:
         raise PoleProximityError("kernel argument too close to the zero lattice")
     return theta1_deriv0(ctx) * theta1(u + z, ctx) / (tu * tz)
 
@@ -190,7 +194,7 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
     if j:
         v = v - j
     tv = theta1(v, ctx)
-    if abs(tv) < ctx.pole_guard:
+    if abs(tv) < POLE_GUARD:
         raise PoleProximityError(
             "difference of spectral points is on the period lattice"
         )
@@ -229,12 +233,13 @@ def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:
     return cybe_residual_two_variable(lambda x, y: belavin_r(n, d, ctx, x, y), pts).norm()
 
 
-def belavin_residue_fit(n: int, d: int, ctx: ThetaContext, radius: float = 1e-4) -> float:
+def belavin_residue_fit(n: int, d: int, ctx: ThetaContext) -> float:
     """Max-norm distance of the Laurent-fit residue (in the variable y - x)
     from the Casimir tensor.
 
     Fits at two opposite radii so the regular part cancels to second order.
     """
+    radius = RESIDUE_FIT_RADIUS
     rp = belavin_r(n, d, ctx, 0.0, radius)
     rm = belavin_r(n, d, ctx, 0.0, -radius)
     fitted = rp.scale(radius).add(rm.scale(-radius)).scale(0.5)
@@ -280,7 +285,7 @@ def jacobi_sn_cn_dn(z: complex, ctx: ThetaContext) -> tuple[complex, complex, co
     t2z, t3z, t4z = theta2(z, ctx), theta3(z, ctx), theta4(z, ctx)
     t1z = theta1(z, ctx)
     t20, t30, t40 = theta2(0, ctx), theta3(0, ctx), theta4(0, ctx)
-    if abs(t4z) < ctx.pole_guard:
+    if abs(t4z) < POLE_GUARD:
         raise PoleProximityError("theta4 zero: sn/cn/dn pole")
     sn = t30 * t1z / (t20 * t4z)
     cn = t40 * t2z / (t20 * t4z)
@@ -292,7 +297,7 @@ def zoo_baxter(z: complex, ctx: ThetaContext) -> GlTensor2:
     """The elliptic (2,1) solution:
     (cn/sn) h(x)h + ((1+dn)/sn)(e(x)f + f(x)e) + ((1-dn)/sn)(e(x)e + f(x)f)."""
     sn, cn, dn = jacobi_sn_cn_dn(z, ctx)
-    if abs(sn) < ctx.pole_guard:
+    if abs(sn) < POLE_GUARD:
         raise PoleProximityError("sn zero: solution pole")
     h, e, f = _sl2_basis_c()
     pairs = [
@@ -305,11 +310,11 @@ def zoo_baxter(z: complex, ctx: ThetaContext) -> GlTensor2:
     return tensor_from_pairs(2, pairs, ring=COMPLEX)
 
 
-def zoo_cherednik(z: complex, pole_guard: float = 1e-8) -> GlTensor2:
+def zoo_cherednik(z: complex) -> GlTensor2:
     """The trigonometric (2,1) solution:
     (1/2) cot(z) h(x)h + (1/sin z)(e(x)f + f(x)e) + sin(z) e(x)e."""
     s = cmath.sin(z)
-    if abs(s) < pole_guard:
+    if abs(s) < POLE_GUARD:
         raise PoleProximityError("sin zero: solution pole")
     h, e, f = _sl2_basis_c()
     pairs = [

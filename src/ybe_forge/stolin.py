@@ -16,6 +16,7 @@ from math import gcd
 
 from .cuspidal import NonCoprimeError, build_j, region
 from .exact import (
+    LinearAlgebraError,
     MatrixPoly,
     ONE,
     ZERO,
@@ -39,6 +40,7 @@ from .lie import (
     basis_matrix,
     cartan_dual,
     casimir,
+    dual_matrix,
     sl_basis,
     tensor_from_pairs,
     trace_form,
@@ -229,17 +231,22 @@ def frobenius_split(G, K, e: int) -> tuple[tuple, tuple]:
 
 
 def frobenius_splits(Gs, K, e: int) -> list[tuple[tuple, tuple]]:
-    """`frobenius_split` of every G in `Gs`, from one elimination."""
+    """`frobenius_split` of every G in sl(n) in `Gs`, from one elimination.
+
+    The elimination decides degeneracy: (P, N) |-> [K^t, P] + N maps p_e plus
+    the upper-right block into sl(n), of the same dimension n^2 - 1.  Its
+    kernel is the radical of omega_K on p_e, since tr([K^t, P] b) = 0 for all
+    b in p_e iff [K^t, P] lies in p_e^perp in sl(n), the upper-right block.
+    So the solve fails, raising DegenerateFormError, exactly when omega_K is
+    degenerate."""
     n = len(Gs[0])
     K = freeze(K)
     labels, nil_pos, rows = _split_solver(K, e, n)
     rhs = [[G[i][j] for i in range(n) for j in range(n)] for G in Gs]
     try:
         sols = solve_multi(rows, rhs)
-    except Exception as exc:
-        raise DegenerateFormError(
-            "Frobenius splitting failed; omega_K degenerate on p_%d?" % e
-        ) from exc
+    except LinearAlgebraError as exc:
+        raise DegenerateFormError("omega_K is degenerate on p_%d" % e) from exc
     out = []
     for coeffs in sols:
         P = [[ZERO] * n for _ in range(n)]
@@ -252,20 +259,6 @@ def frobenius_splits(Gs, K, e: int) -> list[tuple[tuple, tuple]]:
             N[i - 1][j - 1] = c
         out.append((freeze(P), freeze(N)))
     return out
-
-
-def _blocks(M, e: int):
-    """(diag part within p, upper-right block part) of a parabolic element."""
-    n = len(M)
-    upper = [[ZERO] * n for _ in range(n)]
-    rest = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if region(i + 1, j + 1, e, n) == "I":
-                upper[i][j] = M[i][j]
-            else:
-                rest[i][j] = M[i][j]
-    return freeze(rest), freeze(upper)
 
 
 @dataclass(frozen=True)
@@ -287,13 +280,11 @@ class WElementSet:
         return self.elements[(label, k)]
 
 
-def _dec_assemble(P, N, e: int, n: int) -> MatrixPoly:
-    """w = (P with the nilpotent remainder replacing its upper block) + z *
-    (upper block of P): the constant part takes lower-order blocks A, B, D
-    and the z part carries the bracket's upper block."""
-    P_rest, P_upper = _blocks(P, e)
-    const = mat_add(P_rest, mat_neg(N))  # B = -N block
-    return matrix_poly_from_coeffs([const, P_upper])
+def _dual_pair(label, n: int) -> tuple:
+    """(first-slot element, its trace dual) for an sl(n) basis label:
+    (e_{i,j}, e_{j,i}), or (the dual-Cartan of h_l, h_l)."""
+    pair = (basis_matrix(label, n), dual_matrix(label, n))
+    return pair if label[0] == "unit" else pair[::-1]
 
 
 @lru_cache(maxsize=None)
@@ -302,39 +293,35 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
 
     Region III labels get zero; region II/IV and Cartan labels get a single
     order-0 element; region I labels get order-0 and order-1 elements.  Each
-    is the unique Frobenius splitting against K^t; all of them come from one
-    batched solve, which verifies every solution by exact re-substitution.
+    is the unique Frobenius splitting (P, N) of a target against K^t: w is P
+    with its upper-right block replaced by -N, plus z times that block of P.
+    All of them come from one batched solve, which raises DegenerateFormError
+    for a degenerate omega_K and verifies every solution by exact
+    re-substitution.
     """
     if gcd(e, d) != 1:
         raise NonCoprimeError("need coprime (e, d), got (%d, %d)" % (e, d))
     n = e + d
     K = freeze(K)
-    form = frobenius_gram(K, e, n)
-    if not form.nondegenerate:
-        raise DegenerateFormError("omega_K is degenerate on p_%d" % e)
-    zero_poly = matrix_poly_from_coeffs([mat_zero(n)])
-    plan: dict = {}  # (label, order) -> splitting target, None for zero
+    targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
-        if label[0] != "unit":
-            # the trace dual of the dual-Cartan
-            plan[(label, 0)], plan[(label, 1)] = basis_matrix(label, n), None
-            continue
-        _, i, j = label
-        reg = region(i, j, e, n)
-        target = mat_unit(n, j, i)  # the trace dual of e_{i,j}
-        if reg == "III":
-            plan[(label, 0)], plan[(label, 1)] = None, None
-        elif reg in ("II", "IV"):
-            plan[(label, 0)], plan[(label, 1)] = target, None
-        else:
-            # region I: order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
-            plan[(label, 0)] = mat_neg(_bracket_kt_label(K, ("unit", j, i), n))
-            plan[(label, 1)] = target
-    splits = iter(frobenius_splits([G for G in plan.values() if G is not None], K, e))
-    elements = {
-        key: zero_poly if G is None else _dec_assemble(*next(splits), e, n)
-        for key, G in plan.items()
-    }
+        reg = region(label[1], label[2], e, n) if label[0] == "unit" else "cartan"
+        dual = _dual_pair(label, n)[1]
+        if reg == "I":
+            # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
+            targets[(label, 0)] = mat_neg(_bracket_kt_label(K, ("unit", label[2], label[1]), n))
+            targets[(label, 1)] = dual
+        elif reg != "III":
+            targets[(label, 0)] = dual
+    zero_poly = matrix_poly_from_coeffs([mat_zero(n)])
+    elements = dict.fromkeys(((lbl, k) for lbl in sl_basis(n) for k in (0, 1)), zero_poly)
+    for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
+        const = [list(row) for row in P]
+        lin = [[ZERO] * n for _ in range(n)]
+        for i in range(e):
+            for j in range(e, n):
+                const[i][j], lin[i][j] = -N[i][j], P[i][j]
+        elements[key] = matrix_poly_from_coeffs([const, lin])
     return WElementSet(e, d, K, elements)
 
 
@@ -349,11 +336,7 @@ def assemble_stolin_r(e: int, d: int, K, x, y) -> GlTensor2:
     ws = solve_dec(e, d, K)
     pairs = []
     for label in sl_basis(n):
-        first = (
-            basis_matrix(label, n)
-            if label[0] == "unit"
-            else cartan_dual(label[1], n)
-        )
+        first = _dual_pair(label, n)[0]
         w0 = eval_matrix_poly(ws.w(label, 0), y)
         if not mat_is_zero(w0):
             pairs.append((first, w0, ONE))
@@ -633,7 +616,7 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
     wanted = []
     for k in range(k_max + 1):
         for lbl in labels:
-            dual = _dual_of(lbl, n)
+            dual = _dual_pair(lbl, n)[1]
             col = []
             for deg in neg_degs:
                 for i in range(n):
@@ -662,24 +645,12 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
         xk = x**k
         pole_coeff = xk * y ** (-k - 1)
         for lbl in labels:
-            first = (
-                basis_matrix(lbl, n) if lbl[0] == "unit" else cartan_dual(lbl[1], n)
-            )
-            dual = _dual_of(lbl, n)
+            first, dual = _dual_pair(lbl, n)
             terms.append((first, dual, pole_coeff))
             wpoly = eval_matrix_poly(poly_parts[(lbl, k)], y)
             if not mat_is_zero(wpoly):
                 terms.append((first, wpoly, xk))
     return SeriesResult(n, k_max, tensor_from_pairs(n, terms), poly_parts)
-
-
-def _dual_of(lbl, n):
-    """Trace dual of the series basis element: e_{i,j} -> e_{j,i}, and the
-    dual-Cartan first-slot element has plain h_l as its dual."""
-    if lbl[0] == "unit":
-        _, i, j = lbl
-        return mat_unit(n, j, i)
-    return basis_matrix(lbl, n)
 
 
 def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from ybe_forge import __version__
-from ybe_forge.cli import N_MAX, RAT_DIGITS_MAX, VERIFY_N_MAX, main, verify_cmd
+from ybe_forge.cli import K_EXTRA_DIGITS_MAX, N_MAX, RAT_DIGITS_MAX, VERIFY_N_MAX, main, verify_cmd
 from ybe_forge.document import document_from_json
 from ybe_forge.verify import _tasks_for, forge_threads, run_suite
 
@@ -126,7 +126,7 @@ class TestStolin:
         bad.write_text(json.dumps([[0, 0], [0, 0]]))
         res = run(runner, "stolin", "2", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
         assert res.exit_code == 2
-        assert "degenerate" in res.stderr
+        assert res.stderr == "error: Frobenius form degenerate: omega_K is degenerate on p_1\n"
 
     @pytest.mark.parametrize("payload", ["[1, 2]", '{"a": 1}', '"12"', '[["1/0", "1"], [0, 0]]',
                                          '[[[1]], [2]]', "[1,",
@@ -144,6 +144,28 @@ class TestStolin:
         assert res.exit_code == 3
         assert "coprime" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("n,e,extra", [(3, 1, 0), (3, 2, 0), (12, 1, 1), (12, 7, 1)])
+    def test_k_file_digit_bound(self, runner, tmp_path, n, e, extra):
+        """A K file with K_EXTRA_DIGITS_MAX digits beyond one per numerator and
+        denominator is solved (or found degenerate); one digit more is refused
+        before any work."""
+        cells = [["%d/%d" % ((i * n + j) % 9 + 1, (i + 2 * j) % 8 + 2) for j in range(n)]
+                 for i in range(n)]
+        for k in range(K_EXTRA_DIGITS_MAX + extra):  # 11, 13, 17, ... as denominators
+            cells[k % n][k // n] = "1/%d" % (11, 13, 17, 19, 23, 29, 31, 37)[k]
+        k_file = tmp_path / "k.json"
+        k_file.write_text(json.dumps(cells))
+        t0 = time.perf_counter()
+        res = run(runner, "stolin", str(n), str(e), "--k-matrix", str(k_file), "--x", "0",
+                  "--y", "1")
+        if extra:
+            assert time.perf_counter() - t0 < 1.0
+            assert res.exit_code == 3
+            assert "digits" in res.stderr
+            assert len(res.stderr.strip().splitlines()) == 1
+        else:
+            assert res.exit_code in (0, 2)
 
     def test_file_k_matrix(self, runner, tmp_path):
         good = tmp_path / "k.json"

@@ -239,21 +239,29 @@ class TestIntegerCore:
             solve_multi(B, [[F(1), F(2), F(3)]])
 
     def test_solve_dec_makes_one_batched_solve(self, monkeypatch):
+        """A cold solve_dec runs one batched split and no determinant: the
+        split itself decides degeneracy."""
         from ybe_forge import stolin
 
-        calls = []
+        calls, dets = [], []
 
         def counting(rows, rhs_cols):
             calls.append(len(rhs_cols))
             return exact.solve_multi(rows, rhs_cols)
 
+        def counting_det(rows):
+            dets.append(len(rows))
+            return exact.det(rows)
+
         monkeypatch.setattr(stolin, "solve_multi", counting)
+        monkeypatch.setattr(stolin, "det", counting_det)
         stolin.solve_dec.cache_clear()
         try:
             stolin.solve_dec(1, 3, stolin.neg_j_matrix(1, 3))
         finally:
             stolin.solve_dec.cache_clear()
         assert calls == [4 * 4 - 1]
+        assert dets == []
 
 
 class TestPoly:

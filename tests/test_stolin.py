@@ -1,10 +1,13 @@
 """Parabolic pipeline: Frobenius structure, dec solves, assembly, the closed
 d=1 formula, and the cross-pipeline comparison."""
 
+import hashlib
 from fractions import Fraction as F
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ybe_forge.cuspidal import assemble_r, build_j, flip_transpose_gauge, region
 from ybe_forge.exact import (
@@ -226,6 +229,37 @@ class TestSolveDec:
     def test_degenerate_k_rejected(self):
         with pytest.raises(DegenerateFormError):
             solve_dec(1, 1, freeze([[ZERO, ZERO], [ZERO, ZERO]]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]).flatmap(
+        lambda ed: st.tuples(st.just(ed), st.lists(
+            st.sampled_from((0, 1, -1)), min_size=sum(ed) ** 2, max_size=sum(ed) ** 2))))
+    @example(((1, 3), [0] * 16))
+    @example(((2, 1), [0] * 9))
+    def test_split_fails_exactly_when_gram_degenerate(self, case):
+        """solve_dec decides degeneracy by its split alone; the Bareiss
+        determinant of the Gram matrix must agree on every K."""
+        (e, d), cells = case
+        n = e + d
+        K = freeze([[F(v) for v in cells[r * n:(r + 1) * n]] for r in range(n)])
+        if frobenius_gram(K, e, n).nondegenerate:
+            solve_dec(e, d, K)
+        else:
+            with pytest.raises(DegenerateFormError, match=r"^omega_K is degenerate on p_%d$" % e):
+                solve_dec(e, d, K)
+
+    @pytest.mark.parametrize("e,d,sign,digest", [
+        (1, 3, 1, "bc6d4f6d8067720867040fba45adf559d618ced73d5bf81102e0c8395628d274"),
+        (1, 3, -1, "86e7343dc419f7e9d9dc09abc60941ec9e8083590a9d4de28851edafd5162dd4"),
+        (3, 2, 1, "b6e24ca9802ae0e83f6a0f5af7dcde5902f4022901573425ede737bd7cc306db"),
+        (3, 2, -1, "1d50bc701dd444725572c50aefe3d7ff812625ecc1025f09f467b10262c0183b"),
+    ])
+    def test_elements_golden(self, e, d, sign, digest):
+        """sha256 of the repr of every w at K = sign * J, taken while each w
+        was still assembled through intermediate block matrices."""
+        K = j_matrix_rat(e, d) if sign > 0 else neg_j_matrix(e, d)
+        text = repr(sorted(solve_dec(e, d, K).elements.items()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestAssembly:
