@@ -262,8 +262,7 @@ def elliptic_cmd(n, d, tau, x, y, terms):
               default="all")
 @click.option("--n-max", type=int, default=4)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
-@click.option("--inject-sign-flip", is_flag=True, hidden=True)
-def verify_cmd(suite, n_max, fmt, inject_sign_flip):
+def verify_cmd(suite, n_max, fmt):
     """Run a verification suite; exit 0 iff every check passes."""
     from . import verify
 
@@ -274,7 +273,7 @@ def verify_cmd(suite, n_max, fmt, inject_sign_flip):
         threads = verify.forge_threads()
     except ValueError as exc:
         _fail(str(exc), EXIT_BADINPUT)
-    report = verify.run_suite(suite, n_max=n_max, inject_sign_flip=inject_sign_flip, threads=threads)
+    report = verify.run_suite(suite, n_max=n_max, threads=threads)
     if fmt == "json":
         click.echo(verify.report_json(report))
     else:

@@ -291,7 +291,6 @@ def sol_constraint_violation(F: MatrixPoly, x: Fraction) -> tuple:
     return tuple(map(tuple, out))
 
 
-@lru_cache(maxsize=None)
 def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
     """Kernel of the defining constraint inside V_{e,d}.
 

@@ -13,6 +13,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .lie import (
@@ -122,8 +123,10 @@ def theta4(z: complex, ctx: ThetaContext) -> complex:
     return acc
 
 
+@lru_cache(maxsize=None)
 def theta1_deriv0(ctx: ThetaContext) -> complex:
-    """Term-wise derivative of the odd theta series at z = 0."""
+    """Term-wise derivative of the odd theta series at z = 0; it depends on
+    the context alone, so each context sums it once."""
     q = ctx.q
     acc = 0j
     for n in range(ctx.terms):

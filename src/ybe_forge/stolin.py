@@ -56,59 +56,15 @@ class TruncationError(RuntimeError):
     """A truncated Laurent window is too small to certify the requested value."""
 
 
-@dataclass(frozen=True)
-class StolinTriple:
-    """Rational-solution datum (subalgebra, parabolic index e, cocycle K).
-
-    Only triples whose subalgebra is the whole of sl(n) are implemented;
-    general subalgebras are rejected at construction (their classification
-    contains a representation-wild subproblem and has no canonical normal
-    form to compute with)."""
-
-    n: int
-    e: int
-    K: tuple
-    subalgebra: str = "full"
-
-    def __post_init__(self):
-        if self.subalgebra != "full":
-            raise NotImplementedError(
-                "only triples over the full algebra are supported; general "
-                "subalgebras are out of scope"
-            )
-        if not 0 < self.e < self.n:
-            raise ValueError("parabolic index out of range")
-        if gcd(self.n, self.e) != 1:
-            raise NonCoprimeError(
-                "the Frobenius route needs gcd(n, e) = 1, got (%d, %d)"
-                % (self.n, self.e)
-            )
-        object.__setattr__(self, "K", freeze(rational_k_matrix(self.K)))
-
-    @property
-    def d(self) -> int:
-        return self.n - self.e
-
-    def form(self) -> "FrobeniusForm":
-        return frobenius_gram(self.K, self.e, self.n)
-
-    def solution(self, x, y):
-        return assemble_stolin_r(self.e, self.d, self.K, x, y)
-
-
 def parabolic_labels(e: int, n: int) -> tuple:
     """Ordered basis labels of the parabolic p_e: Cartan elements first, then
     the units outside the lower-left block."""
     if not 1 <= e <= n - 1:
         raise ValueError("parabolic index out of range: e=%d for n=%d" % (e, n))
-    labels = [("cartan", l) for l in range(1, n)]
-    labels += [
-        ("unit", i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j and region(i, j, e, n) != "III"
-    ]
-    return tuple(labels)
+    return tuple(
+        lbl for lbl in sl_basis(n)
+        if lbl[0] == "cartan" or region(lbl[1], lbl[2], e, n) != "III"
+    )
 
 
 def parabolic_basis(e: int, n: int) -> tuple:
@@ -203,7 +159,6 @@ def j_matrix_rat(e: int, d: int) -> tuple:
     return tuple(tuple(rat(v) for v in row) for row in build_j(e, d).matrix)
 
 
-@lru_cache(maxsize=None)
 def _split_solver(K: tuple, e: int, n: int):
     """Coordinates for G = [K^t, P] + N with P in p_e, N in the upper-right
     nilpotent block: returns (labels, nilpotent positions, matrix rows)."""
@@ -514,7 +469,6 @@ class OrderBasis:
     window: tuple[int, int]
     elements: tuple
     clipped: tuple
-    provenance: str
 
 
 def _clip_entries(entries: dict, lo: int, hi: int):
@@ -560,7 +514,7 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
                 continue
             series = laurent_from_coeffs(n, kept, lo, hi, exact_below=not cut)
             (clipped if cut else elements).append(series)
-    return OrderBasis(n, window, tuple(elements), tuple(clipped), "parabolic e=%d" % e)
+    return OrderBasis(n, window, tuple(elements), tuple(clipped))
 
 
 def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
@@ -572,7 +526,7 @@ def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
         for lbl in sl_basis(n):
             alpha = basis_matrix(lbl, n)
             elements.append(laurent_from_coeffs(n, {-m_deg: alpha}, lo, hi))
-    return OrderBasis(n, window, tuple(elements), (), "yang")
+    return OrderBasis(n, window, tuple(elements), ())
 
 
 @dataclass(frozen=True)
@@ -581,7 +535,6 @@ class SeriesResult:
     the polynomial parts of the dual elements."""
 
     n: int
-    k_max: int
     tensor: GlTensor2
     poly_parts: dict  # (label, k) -> MatrixPoly
 
@@ -650,7 +603,7 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
             wpoly = eval_matrix_poly(poly_parts[(lbl, k)], y)
             if not mat_is_zero(wpoly):
                 terms.append((first, wpoly, xk))
-    return SeriesResult(n, k_max, tensor_from_pairs(n, terms), poly_parts)
+    return SeriesResult(n, tensor_from_pairs(n, terms), poly_parts)
 
 
 def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:

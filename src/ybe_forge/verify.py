@@ -125,7 +125,6 @@ def _cybe_points(rng: random.Random):
 # criteria draw them.  Point pairs must have distinct entries.
 
 def check_j_goldens() -> tuple[bool, str]:
-    t0 = time.perf_counter()
     goldens = [
         ((1, 1), ((0, 1), (0, 0))),
         ((1, 2), ((0, 1, 0), (0, 0, 1), (0, 0, 0))),
@@ -144,8 +143,7 @@ def check_j_goldens() -> tuple[bool, str]:
     ok = True
     for (e, d), want in goldens:
         ok &= cuspidal.build_j(e, d).matrix == want
-    per = (time.perf_counter() - t0) / len(goldens)
-    return ok and per < 1e-3, "exact goldens, %.2e s each" % per
+    return ok, "exact goldens"
 
 
 def _check_cybe_unitarity(r, triples, pair) -> bool:
@@ -211,8 +209,9 @@ def check_frobenius_goldens() -> tuple[bool, str]:
     ok &= form.gram == ((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)))
     pairs = _coprime_pairs(12)
     for (e, d) in pairs:
-        ok &= stolin.frobenius_gram(stolin.j_matrix_rat(e, d), e, e + d).nondegenerate
-    return ok, "n=2 Gram golden; %d determinants nonzero" % len(pairs)
+        form = stolin.frobenius_gram(stolin.j_matrix_rat(e, d), e, e + d)
+        ok &= form.determinant == (e + d) ** 2
+    return ok, "n=2 Gram golden; %d determinants equal (e+d)^2" % len(pairs)
 
 
 def _closed_form_n2(x, y):
@@ -329,12 +328,6 @@ def check_zoo_baxter() -> tuple[bool, str]:
     return res < 1e-8, "residual %.2e" % res
 
 
-def check_injected_sign_flip() -> tuple[bool, str]:
-    # deliberate failure hook proving the harness reports and exits nonzero
-    flipped = casimir(2).scale(-1)
-    return casimir(2) == flipped, "injected sign flip (expected FAIL)"
-
-
 def _run(task):
     name, tol, fn, args = task
     t0 = time.perf_counter()
@@ -349,7 +342,7 @@ def _tasks_for(suite: str, n_max: int, seed: int):
     tasks = []
     pairs = _coprime_pairs(n_max)
     if suite in ("rational", "all"):
-        tasks.append(("j-matrix-goldens", "exact, <1ms each", check_j_goldens, ()))
+        tasks.append(("j-matrix-goldens", "exact", check_j_goldens, ()))
         cybe = _cybe_points(random.Random(seed))
         for (e, d) in pairs:
             tasks.append(
@@ -365,7 +358,7 @@ def _tasks_for(suite: str, n_max: int, seed: int):
             tasks.append(("ansatz-(%d,%d)" % (e, d), "exact", check_ansatz, (e, d)))
     if suite in ("stolin", "all"):
         tasks.append(
-            ("frobenius-goldens-e+d<=12", "det != 0", check_frobenius_goldens, ()))
+            ("frobenius-goldens-e+d<=12", "exact", check_frobenius_goldens, ()))
         closed = _pairs(_points(random.Random(seed + 4), 10))
         for n in range(2, min(n_max, 5) + 1):
             tasks.append(
@@ -406,13 +399,10 @@ def forge_threads() -> int:
     return min(int(text), os.cpu_count() or 1)
 
 
-def run_suite(suite: str, n_max: int, threads: int, inject_sign_flip: bool = False) -> VerifyReport:
+def run_suite(suite: str, n_max: int, threads: int) -> VerifyReport:
     tasks = _tasks_for(suite, n_max, SUITE_SEED)
     if not tasks:
         raise ValueError("unknown suite %r" % suite)
-    if inject_sign_flip:
-        tasks.append(
-            ("injected-sign-flip-control", "expected FAIL", check_injected_sign_flip, ()))
     if threads > 1 and len(tasks) > 1:
         # imported here: it loads multiprocessing, which a serial run never uses
         from concurrent.futures import ProcessPoolExecutor

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ybe_forge import __version__
+from ybe_forge import __version__, verify
 from ybe_forge.cli import K_EXTRA_DIGITS_MAX, N_MAX, RAT_DIGITS_MAX, VERIFY_N_MAX, main, verify_cmd
 from ybe_forge.document import document_from_json
 from ybe_forge.verify import _tasks_for, forge_threads, run_suite
@@ -278,10 +278,24 @@ class TestVerify:
         assert res.exit_code == 0
         assert "all checks passed" in res.stdout
 
-    def test_injected_sign_flip_exit_2(self, runner):
-        res = run(runner, "verify", "--suite", "zoo", "--inject-sign-flip")
+    def test_failing_check_exit_2(self, runner, monkeypatch):
+        monkeypatch.setattr(verify, "check_zoo_rational", lambda: (False, "forced failure"))
+        res = run(runner, "verify", "--suite", "zoo")
         assert res.exit_code == 2
-        assert "FAIL" in res.stdout
+        assert "[FAIL] zoo-rational" in res.stdout
+
+    def test_json_report_is_reproducible(self, runner):
+        """Two runs of the same suite report the same checks, verdicts and
+        details; only the timings differ."""
+        reports = []
+        for _ in range(2):
+            res = run(runner, "verify", "--suite", "all", "--n-max", "4", "--format", "json")
+            assert res.exit_code == 0
+            payload = json.loads(res.stdout)
+            for check in payload["checks"]:
+                del check["elapsed"]
+            reports.append(payload)
+        assert reports[0] == reports[1]
 
     def test_json_format(self, runner):
         res = run(runner, "verify", "--suite", "zoo", "--format", "json")

@@ -272,12 +272,8 @@ class TestSolSpace:
     ], ids=["swapped", "recombined", "short"])
     def test_kernel_not_dual_to_residues_refused(self, fake, monkeypatch):
         monkeypatch.setattr(cuspidal, "kernel", lambda rows: fake(exact.kernel(rows)))
-        sol_space.cache_clear()
-        try:
-            with pytest.raises(SolDimensionError, match="not an isomorphism"):
-                sol_space(2, 1, F(5, 3))
-        finally:
-            sol_space.cache_clear()
+        with pytest.raises(SolDimensionError, match="not an isomorphism"):
+            sol_space(2, 1, F(5, 3))
 
     @pytest.mark.parametrize("e,d", [(2, 1), (1, 2)])
     def test_dimension_at_ten_random_points(self, e, d, rng):
@@ -343,12 +339,10 @@ class TestGElements:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, original))
         x = F(-2, 9)
-        sol_space.cache_clear()
         g_elements.cache_clear()
         try:
             g_elements(2, 3, x)
         finally:
-            sol_space.cache_clear()
             g_elements.cache_clear()
         assert calls == ["kernel"]
 

@@ -3,7 +3,6 @@ d=1 formula, and the cross-pipeline comparison."""
 
 import hashlib
 from fractions import Fraction as F
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -60,15 +59,6 @@ class TestFrobeniusGram:
     def test_zero_matrix_degenerate(self):
         form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1, 2)
         assert form.determinant == 0 and not form.nondegenerate
-
-    @pytest.mark.parametrize("n", range(2, 13))
-    def test_j_nondegenerate_all_pairs(self, n):
-        for e in range(1, n):
-            d = n - e
-            if gcd(e, d) != 1:
-                continue
-            form = frobenius_gram(j_matrix_rat(e, d), e, n)
-            assert form.nondegenerate, (e, d)
 
     def test_parabolic_dimension(self):
         for (e, n) in [(1, 2), (2, 3), (1, 3), (3, 5), (2, 5)]:
@@ -334,30 +324,6 @@ class TestAssembly:
             gamma, gamma, assemble_stolin_r(n - 1, 1, neg_j_matrix(n - 1, 1), x, y)
         )
         assert lhs == assemble_stolin_r(1, n - 1, neg_j_matrix(1, n - 1), x, y)
-
-
-class TestTriple:
-    def test_general_subalgebra_rejected(self):
-        from ybe_forge.stolin import StolinTriple
-
-        with pytest.raises(NotImplementedError):
-            StolinTriple(3, 2, j_matrix_rat(2, 1), subalgebra="abelian")
-
-    def test_non_coprime_rejected(self):
-        from ybe_forge.cuspidal import NonCoprimeError
-        from ybe_forge.stolin import StolinTriple
-
-        with pytest.raises(NonCoprimeError):
-            StolinTriple(4, 2, j_matrix_rat(2, 1))
-
-    def test_solution_delegates(self):
-        from ybe_forge.stolin import StolinTriple
-
-        t = StolinTriple(3, 2, j_matrix_rat(2, 1))
-        assert t.form().nondegenerate
-        assert t.solution(F(0), F(1)) == assemble_stolin_r(
-            2, 1, j_matrix_rat(2, 1), F(0), F(1)
-        )
 
 
 class TestComparison:
