@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 verification/computation failure (degenerate form,
-pole proximity, failed suite), 3 invalid input.  Documents go to stdout,
-diagnostics to stderr.
+pole proximity, failed suite), 3 invalid input, click's own usage errors
+included.  Documents go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -30,27 +30,28 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.5 s and `elliptic 12 1` 0.2 s.
+# Intel Xeon, `rational 12 1` takes 0.5 s and `elliptic 12 1` 0.4 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.7- to 2-fold per step
-# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 2.6 s, 7 takes
-# 9.1 s and 8 takes 15.3 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.6- to 2.3-fold per step
+# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 2.8 s, 7 takes
+# 13.9 s and 8 takes 22.3 s.
 VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
-# exact solve slows as x grows: on one CPU of an Intel Xeon the slowest
-# `rational 12 d` (d = 7) takes 0.5 s at x = 1/3, 1.8 s at a 30-digit x and
-# 4.9 s at a 60-digit x; d = 1, 5 and 11 take at most 1.3 s at 30 digits.
+# exact solve slows as x grows: on one CPU of an Intel Xeon, `rational 12 d`
+# for d = 1, 5, 7 and 11 takes 0.5-0.65 s at x = 1/3 and 0.65-0.85 s at a
+# 30-digit x, and the (5, 7) solve takes 1.1 s at a 60-digit x.
 RAT_DIGITS_MAX = 30
 # Most digits a K-matrix file may carry beyond one per numerator and one per
 # denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in
 # all.  Every entry enters 2n rows of the split elimination, and a new prime
 # denominator scales each of them, so two-digit prime denominators cost the
-# most per digit.  On one CPU of an Intel Xeon the slowest `stolin 12 e`
-# takes 1.3 s with one-digit integers, 3.7 s with one-digit fractions, 4.4 s
-# at this bound and 5.8 s at 6 extra digits; dense 30-digit entries took
-# 313 s.  Smaller n gain no slack: a bound on the plain total admitted n = 10
-# files that take 15 s.
+# most per digit.  On one CPU of an Intel Xeon, `stolin 12 e` for e = 1, 5,
+# 7 and 11 with a dense K takes 2.6-3.7 s with one-digit integers, 6.6-7.6 s
+# with one-digit fractions and 8.1-9.5 s at this bound (four two-digit prime
+# denominators); dense 30-digit entries, refused here, took 313 s.  Smaller
+# n gain no slack: a bound on the plain total admitted n = 10 files that
+# take 15 s.
 K_EXTRA_DIGITS_MAX = 4
 
 
@@ -96,7 +97,27 @@ def _emit(tensor, provenance: dict, fmt: str):
         click.echo(render_text(doc))
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group.  Click's own usage errors (a missing or unknown
+    option, a malformed value, an unknown or missing command) are invalid
+    input like any other, so they end in one `error:` line and exit 3.
+    Group options are parsed in `make_context`; a command's arguments, and
+    the command itself, in `invoke`.  `--help` is not an error and exits 0."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _fail(" ".join(exc.format_message().split()), EXIT_BADINPUT)
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail(" ".join(exc.format_message().split()), EXIT_BADINPUT)
+
+
+@click.group(cls=_Main, no_args_is_help=False)
 def main():
     """Exact and numeric classical r-matrices for sl(n): construction,
     serialization, and verification."""

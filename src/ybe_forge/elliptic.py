@@ -142,11 +142,14 @@ def theta_half_shift_identity_residual(z: complex, ctx: ThetaContext) -> float:
     return abs(lhs - rhs)
 
 
-def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext) -> complex:
+def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext, *,
+                    tz: complex | None = None) -> complex:
     """The elliptic kernel in its theta-quotient form:
-    theta1'(0) theta1(u+z) / (theta1(u) theta1(z))."""
+    theta1'(0) theta1(u+z) / (theta1(u) theta1(z)).  A caller that has
+    already summed theta1(z, ctx) passes it as `tz`."""
     tu = theta1(u, ctx)
-    tz = theta1(z, ctx)
+    if tz is None:
+        tz = theta1(z, ctx)
     if abs(tu) < POLE_GUARD or abs(tz) < POLE_GUARD:
         raise PoleProximityError("kernel argument too close to the zero lattice")
     return theta1_deriv0(ctx) * theta1(u + z, ctx) / (tu * tz)
@@ -207,7 +210,7 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
         # leaves sigma unchanged, and the prefactor undoes a shift by tau
         r, s = d * k % n, d * l % n
         u = (1 / n) * (s - r * ctx.tau)
-        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx)
+        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx, tz=tv)
         # the phase depends on m s + j r only mod n; reduce it in integers,
         # since j r can be too large for the float phase to be accurate
         phase = (m * s + j * r) % n

@@ -6,10 +6,14 @@ All arithmetic in this module is exact, apart from the float evaluation
 `root_complex`.  Scalars are `fractions.Fraction`; matrices are immutable
 nested tuples so they can be hashed and cached.
 
-The solvers work in integers: one Bareiss elimination on the
-denominator-cleared rows, back-substitution to numerators over one common
-denominator per solution, and an integer re-check of every solution against
-the cleared rows.  Fractions are built only for the returned values.
+The solvers work in integers: one sparse fraction-free (Bareiss)
+elimination on the denominator-cleared rows, back-substitution to numerators
+over one common denominator per solution, and an integer re-check of every
+solution against the cleared rows.  Fractions are built only for the
+returned values.  The rows are {column: nonzero entry} dicts: the systems
+here (Sol((e,d), x), the Frobenius Gram matrices and splits) have a few
+nonzeros per row, so each pivot step rewrites only the rows nonzero in its
+column and rescales the others lazily, when they are next touched.
 """
 
 from __future__ import annotations
@@ -126,67 +130,110 @@ def mat_from_entries(n: int, entries: dict, zero=ZERO) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# fraction-free elimination (Bareiss) and integer back-substitution
+# sparse fraction-free elimination (Bareiss) and integer back-substitution
 # ---------------------------------------------------------------------------
 
-def _row_lcm(row) -> int:
-    return math.lcm(*(x.denominator for x in row))
-
-
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Clear denominators row by row; row scaling preserves kernels and
-    solution sets of homogeneous/augmented systems."""
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[dict[int, int]], list[int]]:
+    """Clear denominators row by row, over the nonzero entries only; row
+    scaling preserves kernels and solution sets of homogeneous/augmented
+    systems.  Returns the rows as {column: nonzero integer} dicts and the
+    multiplier of each row."""
     out = []
+    dens = []
     for row in rows:
-        den = _row_lcm(row)
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
+        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        den = math.lcm(*(x.denominator for _, x in nonzero))
+        out.append({c: x.numerator * (den // x.denominator) for c, x in nonzero})
+        dens.append(den)
+    return out, dens
 
 
-def _bareiss_echelon(m: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
-    """Fraction-free forward elimination.  Returns (echelon rows, pivot cols,
-    sign of the row permutation).
+def _exact_div(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise LinearAlgebraError("fraction-free division failed")
+    return q
 
-    Pivots are chosen per column by smallest nonzero magnitude, which keeps
-    the exact integer entries small in practice.  Divisions are checked so a
-    broken divisibility invariant can never truncate silently.
+
+def _bareiss_echelon(m: list[dict[int, int]], ncols: int) -> tuple[list[dict[int, int]], list[int], list[int]]:
+    """Sparse fraction-free forward elimination of the {column: entry} rows
+    `m`, in place.  Returns (pivot rows, pivot columns, the index in `m` of
+    each pivot row), in pivot order.
+
+    Columns are taken left to right.  Among the rows nonzero in the column,
+    the pivot is the one with the smallest |entry|, then the fewest
+    nonzeros, then the lowest index, which keeps the integers small in
+    practice.  Step k with pivot p_k rewrites only those rows, as
+    (p_k row - f pivot row) / p_(k-1), found through an index from each
+    column to the rows nonzero in it.  Bareiss would also multiply every
+    other row by p_k / p_(k-1); here a row keeps the step s at which it was
+    last rewritten and is rescaled by p_(k-1) / p_s only when it is next
+    touched.  A pivot row is current when it is chosen and the rows left
+    over are zero, so the echelon needs no rescaling.  Every value is the
+    one dense Bareiss computes with the same pivot rows, a minor of the
+    matrix, so every division is exact; each is checked, so a broken
+    divisibility invariant can never truncate silently.
     """
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
+    in_col: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(m):
+        for c in row:
+            in_col[c].add(i)
+    stage = [0] * len(m)  # pivot steps each row is current to
+    pivots = [1]  # pivots[k] is the pivot of step k
+    echelon: list[dict[int, int]] = []
     piv_cols: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
+    order: list[int] = []
     for c in range(ncols):
-        best = -1
-        for i in range(r, nrows):
-            if m[i][c] != 0 and (best < 0 or abs(m[i][c]) < abs(m[best][c])):
-                best = i
-        if best < 0:
+        touched = in_col[c]
+        if not touched:
             continue
-        if best != r:
-            m[r], m[best] = m[best], m[r]
-            sign = -sign
-        piv = m[r][c]
-        row_r = m[r]
-        for i in range(r + 1, nrows):
-            fi = m[i][c]
-            row_i = m[i]
-            for j in range(c, ncols):
-                q, rem = divmod(piv * row_i[j] - fi * row_r[j], prev)
-                if rem:
-                    raise LinearAlgebraError("fraction-free division failed")
-                row_i[j] = q
-        prev = piv
+        in_col[c] = set()
+        k = len(echelon)
+        prev = pivots[k]
+        for i in touched:
+            if stage[i] != k:
+                num, den = prev, pivots[stage[i]]
+                m[i] = {j: _exact_div(a * num, den) for j, a in m[i].items()}
+                stage[i] = k
+        best = min(touched, key=lambda i: (abs(m[i][c]), len(m[i]), i))
+        touched.discard(best)
+        prow = m[best]
+        piv = prow[c]
+        tail = [(j, b) for j, b in prow.items() if j != c]
+        for j, _ in tail:
+            in_col[j].discard(best)
+        for i in touched:
+            row = m[i]
+            f = row.pop(c)
+            acc = {j: piv * a for j, a in row.items()}
+            for j, b in tail:
+                if j in acc:
+                    acc[j] -= f * b
+                else:  # -f b is nonzero: the row gains column j
+                    acc[j] = -f * b
+                    in_col[j].add(i)
+            out = {}
+            for j, v in acc.items():
+                if v:  # `_exact_div` inlined: this loop does nearly all divisions
+                    q, rem = divmod(v, prev)
+                    if rem:
+                        raise LinearAlgebraError("fraction-free division failed")
+                    out[j] = q
+                else:
+                    in_col[j].discard(i)
+            m[i] = out
+            stage[i] = k + 1
+        pivots.append(piv)
+        echelon.append(prow)
         piv_cols.append(c)
-        r += 1
-        if r == nrows:
+        order.append(best)
+        if len(echelon) == len(m):
             break
-    return m, piv_cols, sign
+    return echelon, piv_cols, order
 
 
 def _back_substitute(m, piv_cols, free_cols, n: int) -> list[list[int]]:
-    """Integer back-substitution through the echelon rows of `m`.
+    """Integer back-substitution through the sparse echelon rows `m`.
 
     For each free column f, returns den times the null vector that is 1 at f
     and 0 at the other free columns, den being the last pivot.  Bareiss
@@ -195,34 +242,32 @@ def _back_substitute(m, piv_cols, free_cols, n: int) -> list[list[int]]:
     """
     rank = len(piv_cols)
     den = m[rank - 1][piv_cols[rank - 1]] if rank else 1
-    tails = [[(c, m[r][c]) for c in piv_cols[r + 1:] if m[r][c]] for r in range(rank)]
+    pivot_set = set(piv_cols)
+    # row r is zero left of its pivot, so these are the later pivot columns
+    tails = [[(c, a) for c, a in row.items() if c in pivot_set and c != p]
+             for row, p in zip(m, piv_cols)]
     out = []
     for f in free_cols:
         v = [0] * n
         v[f] = den
         for r in range(rank - 1, -1, -1):
-            acc = -den * m[r][f]
+            acc = -den * m[r].get(f, 0)
             for c, a in tails[r]:
                 acc -= a * v[c]
-            q, rem = divmod(acc, m[r][piv_cols[r]])
-            if rem:
-                raise LinearAlgebraError("fraction-free division failed")
-            v[piv_cols[r]] = q
+            v[piv_cols[r]] = _exact_div(acc, m[r][piv_cols[r]])
         out.append(v)
     return out
 
 
-def _null_vectors(ints, m, piv_cols, free_cols, what: str) -> list[tuple[list[int], int]]:
+def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple[list[int], int]]:
     """`_back_substitute` in lowest terms, as (numerators, positive
     denominator), each vector re-checked in integers against `ints`, the
     rows that `m` is the echelon form of."""
-    n = len(m[0]) if m else len(free_cols)
-    sparse_rows = [[(c, a) for c, a in enumerate(row) if a] for row in ints]
     out = []
     for f, v in zip(free_cols, _back_substitute(m, piv_cols, free_cols, n)):
         g = math.gcd(*v) * (1 if v[f] > 0 else -1)
         v = [a // g for a in v]
-        if any(sum(a * v[c] for c, a in row) for row in sparse_rows):
+        if any(sum(a * v[c] for c, a in row.items()) for row in ints):
             raise LinearAlgebraError("%s verification failed" % what)
         out.append((v, v[f]))
     return out
@@ -238,10 +283,10 @@ def kernel(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list
     if not rows and ncols is None:
         raise ValueError("kernel of an empty matrix needs an explicit ncols")
     n = len(rows[0]) if rows else ncols
-    ints = _integer_rows(rows)
-    m, piv_cols, _ = _bareiss_echelon([list(r) for r in ints])
+    ints, _ = _integer_rows(rows)
+    m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], n)
     free_cols = sorted(set(range(n)).difference(piv_cols))
-    vecs = _null_vectors(ints, m, piv_cols, free_cols, "kernel")
+    vecs = _null_vectors(ints, m, piv_cols, free_cols, n, "kernel")
     return [tuple(Fraction(a, den) if a else ZERO for a in v) for v, den in vecs]
 
 
@@ -260,14 +305,15 @@ def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[
     if any(len(b) != nrows for b in rhs_cols):
         raise ValueError("right-hand side length mismatch")
     aug = [list(rows[i]) + [b[i] for b in rhs_cols] for i in range(nrows)]
-    ints = _integer_rows(aug)
-    m, piv_cols, _ = _bareiss_echelon([list(r) for r in ints])
+    width = ncols + len(rhs_cols)
+    ints, _ = _integer_rows(aug)
+    m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], width)
     if piv_cols and piv_cols[-1] >= ncols:
         # a pivot in the rhs block is a row 0 = nonzero
         raise InconsistentSystemError("no solution: 0 = nonzero after elimination")
     if len(piv_cols) < ncols:
         raise SingularSystemError("coefficient matrix is rank-deficient")
-    vecs = _null_vectors(ints, m, piv_cols, range(ncols, ncols + len(rhs_cols)), "solve")
+    vecs = _null_vectors(ints, m, piv_cols, range(ncols, width), width, "solve")
     return [tuple(Fraction(-a, den) if a else ZERO for a in v[:ncols]) for v, den in vecs]
 
 
@@ -291,21 +337,29 @@ def solve(system: LinSystem) -> tuple[Fraction, ...]:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(_bareiss_echelon(_integer_rows(rows))[1])
+    ncols = len(rows[0]) if rows else 0
+    return len(_bareiss_echelon(_integer_rows(rows)[0], ncols)[1])
 
 
 def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant: Bareiss on the denominator-cleared rows, whose last
-    pivot is their determinant up to the sign of the row swaps."""
+    pivot is their determinant up to the sign of the pivot-row order."""
     n = len(rows)
     if n == 0:
         return ONE
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    m, piv, sign = _bareiss_echelon(_integer_rows(rows))
+    ints, dens = _integer_rows(rows)
+    m, piv, order = _bareiss_echelon(ints, n)
     if len(piv) < n:
         return ZERO
-    return Fraction(sign * m[n - 1][n - 1], math.prod(_row_lcm(r) for r in rows))
+    sign = 1  # the parity of the pivot-row order, sorted by swaps
+    for i in range(n):
+        while order[i] != i:
+            j = order[i]
+            order[i], order[j] = order[j], j
+            sign = -sign
+    return Fraction(sign * m[n - 1][n - 1], math.prod(dens))
 
 
 # ---------------------------------------------------------------------------

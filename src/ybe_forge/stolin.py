@@ -103,47 +103,57 @@ def _label_units(lbl) -> tuple:
     return ((l, l, ONE), (l + 1, l + 1, -ONE))
 
 
-def _bracket_kt_label(K, lbl, n):
-    """[K^t, B] for a basis label B, exploiting the sparsity of both: the
-    result is returned as a dense row-list built from O(n) updates."""
-    out = [[ZERO] * n for _ in range(n)]
-
-    def add_unit_bracket(i, j, scale):
+def _bracket_kt_terms(K, lbl, n) -> dict:
+    """[K^t, B] for a basis label B as {(row, col): entry}, 0-based, from
+    O(n) updates that exploit the sparsity of both."""
+    out: dict = {}
+    for i, j, sign in _label_units(lbl):
         # [K^t, e_{i,j}]: column j receives K[i-1][:], row i loses K[:][j-1]
         for r in range(n):
             v = K[i - 1][r]
             if v:
-                out[r][j - 1] += scale * v
+                out[r, j - 1] = out.get((r, j - 1), ZERO) + sign * v
         for c in range(n):
             v = K[c][j - 1]
             if v:
-                out[i - 1][c] -= scale * v
+                out[i - 1, c] = out.get((i - 1, c), ZERO) - sign * v
+    return out
 
-    for i, j, sign in _label_units(lbl):
-        add_unit_bracket(i, j, sign)
+
+def _bracket_kt_label(K, lbl, n):
+    """[K^t, B] for a basis label B as a dense row-list."""
+    out = [[ZERO] * n for _ in range(n)]
+    for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
+        out[r][c] = v
     return out
 
 
 def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
     """Gram matrix of (a, b) |-> tr(K^t [a, b]) on the parabolic basis.
 
-    Uses tr(K^t [a, b]) = tr([K^t, a] b) with sparse basis elements.
+    Uses tr(K^t [a, b]) = tr([K^t, a] b): entry (r, c) of [K^t, a] pairs
+    with e_{c,r}, and a diagonal entry (l, l) with h_l (+) and h_(l-1) (-),
+    so each Gram row is filled from the nonzero entries of its bracket.
     A degenerate K is a valid query and is reported, not raised.
     """
     K = freeze(K)
     labels = parabolic_labels(e, n)
-    brackets = [_bracket_kt_label(K, lbl, n) for lbl in labels]
-
-    def pair(C, lbl):
-        if lbl[0] == "unit":
-            _, k, l = lbl
-            return C[l - 1][k - 1]
-        l = lbl[1]
-        return C[l - 1][l - 1] - C[l][l]
-
-    gram = tuple(
-        tuple(pair(C, lbl_b) for lbl_b in labels) for C in brackets
-    )
+    index = {lbl: p for p, lbl in enumerate(labels)}
+    gram = []
+    for lbl in labels:
+        row = [ZERO] * len(labels)
+        for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
+            if r != c:
+                p = index.get(("unit", c + 1, r + 1))
+                if p is not None:  # no Gram column for e_{c+1,r+1} outside p_e
+                    row[p] = v
+                continue
+            if r + 1 < n:
+                row[index["cartan", r + 1]] += v
+            if r > 0:
+                row[index["cartan", r]] -= v
+        gram.append(tuple(row))
+    gram = tuple(gram)
     return FrobeniusForm(K, e, n, labels, gram, det(gram))
 
 

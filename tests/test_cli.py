@@ -272,6 +272,64 @@ class TestSizeCap:
         assert run(runner, "jmatrix", str(N_MAX - 1), "1").exit_code == 0
 
 
+USAGE_ERRORS = {
+    "jmatrix": {
+        "missing": ["jmatrix", "3"],
+        "non-integer": ["jmatrix", "three", "2"],
+        "unknown": ["jmatrix", "3", "2", "--bogus"],
+    },
+    "rational": {
+        "missing": ["rational", "4", "1", "--x", "1"],
+        "non-integer": ["rational", "four", "1", "--x", "1", "--y", "2"],
+        "unknown": ["rational", "4", "1", "--x", "1", "--y", "2", "--bogus"],
+    },
+    "stolin": {
+        "missing": ["stolin", "3", "1", "--x", "1"],
+        "non-integer": ["stolin", "3", "one", "--x", "1", "--y", "2"],
+        "unknown": ["stolin", "3", "1", "--x", "1", "--y", "2", "--bogus", "1"],
+    },
+    "elliptic": {
+        "missing": ["elliptic", "2", "1", "--x", "0.1", "--y", "0.2"],
+        "non-integer": ["elliptic", "2", "1.5", "--tau", "1i", "--x", "0.1", "--y", "0.2"],
+        "unknown": ["elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2", "--bogus"],
+    },
+    "verify": {
+        "missing": ["verify", "--n-max"],
+        "non-integer": ["verify", "--n-max", "four"],
+        "unknown": ["verify", "--bogus"],
+    },
+}
+
+
+class TestUsageErrors:
+    """Click's own usage errors are invalid input: exit 3 and one line."""
+
+    @pytest.mark.parametrize("command", sorted(USAGE_ERRORS))
+    @pytest.mark.parametrize("case", ["missing", "non-integer", "unknown"])
+    def test_usage_error_exit_3(self, runner, command, case):
+        res = run(runner, *USAGE_ERRORS[command][case])
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [[], ["bogus"], ["--bogus", "verify"]])
+    def test_group_usage_error_exit_3(self, runner, args):
+        """No command, an unknown command, an unknown group option."""
+        res = run(runner, *args)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("args", [[], ["jmatrix"], ["rational"], ["stolin"],
+                                      ["elliptic"], ["verify"]])
+    def test_help_exit_0(self, runner, args):
+        res = run(runner, *args, "--help")
+        assert res.exit_code == 0
+        assert res.stdout.startswith("Usage:")
+
+
 class TestVerify:
     def test_zoo_suite_passes(self, runner):
         res = run(runner, "verify", "--suite", "zoo")

@@ -126,6 +126,31 @@ class TestKernel:
             kronecker_sigma(0.0, 0.3, CTX)
 
 
+    def test_theta1_of_v_summed_once(self, monkeypatch):
+        """belavin_r sums theta1(v) once, for the pole check, and hands it to
+        every kernel call: one theta1 of v plus theta1(u) and theta1(u + v)
+        for each of the n^2 - 1 coefficients."""
+        from ybe_forge import elliptic
+
+        calls = []
+
+        def counting(z, ctx):
+            calls.append(z)
+            return real(z, ctx)
+
+        real = elliptic.theta1
+        monkeypatch.setattr(elliptic, "theta1", counting)
+        n = 3
+        elliptic.belavin_r(n, 1, CTX, 0.1, 0.35 + 0.2j)
+        assert len(calls) == 1 + 2 * (n * n - 1)
+
+    def test_given_theta_of_z_is_used(self):
+        u, z = 0.37 + 0.21j, 0.3
+        from ybe_forge.elliptic import theta1
+
+        assert kronecker_sigma(u, z, CTX, tz=theta1(z, CTX)) == kronecker_sigma(u, z, CTX)
+
+
 class TestBelavin:
     def test_sign_convention_resolved(self):
         assert v_sign_convention() == "y-x"

@@ -1,5 +1,6 @@
 """Exact solvers, polynomials, interpolation, roots of unity."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -262,6 +263,114 @@ class TestIntegerCore:
             stolin.solve_dec.cache_clear()
         assert calls == [4 * 4 - 1]
         assert dets == []
+
+
+def _entry(rng):
+    return F(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+
+
+def _random_matrix(rng, nrows, ncols, density):
+    return [[_entry(rng) if rng.random() < density else F(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def _low_rank(rng, nrows, ncols, k, density):
+    B = _random_matrix(rng, nrows, k, density)
+    C = _random_matrix(rng, k, ncols, density)
+    return [[sum((B[i][t] * C[t][j] for t in range(k)), F(0)) for j in range(ncols)]
+            for i in range(nrows)]
+
+
+def _block_arrow(rng, sizes, coupling):
+    """Block-diagonal dense blocks plus `coupling` dense last columns and
+    last rows, rows shuffled.  The rows of a later block stay untouched
+    while the earlier blocks are eliminated, and every row is touched
+    again in the coupling columns, so rows are rescaled lazily across many
+    pivot steps."""
+    n = sum(sizes) + coupling
+    rows = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size):
+            for j in range(start, start + size):
+                rows[i][j] = _entry(rng)
+        start += size
+    for i in range(n):
+        for j in range(start, n):
+            rows[i][j] = _entry(rng)
+            rows[j][i] = _entry(rng)
+    rng.shuffle(rows)
+    return rows
+
+
+def _perm_sign(perm):
+    inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+    return -1 if inversions % 2 else 1
+
+
+def _check_against_oracle(rows):
+    assert kernel(rows) == _ref_kernel(rows)
+    _, piv, factor = _gauss_jordan(rows, len(rows[0]))
+    assert rank(rows) == len(piv)
+    if len(rows) == len(rows[0]):
+        assert det(rows) == (factor if len(piv) == len(rows) else F(0))
+
+
+class TestSeededOracle:
+    """det, rank, kernel and solve_multi against the Fraction Gauss-Jordan
+    oracle on seeded random rational matrices: dense and sparse; square,
+    wide and tall; full rank, rank-deficient, singular and inconsistent."""
+
+    SHAPES = [(6, 6), (9, 9), (4, 9), (3, 12), (9, 4), (12, 5)]
+
+    @pytest.mark.parametrize("density", [1.0, 0.35, 0.12])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random(self, shape, density):
+        rng = random.Random(1000 * shape[0] + 10 * shape[1] + int(100 * density))
+        for _ in range(6):
+            _check_against_oracle(_random_matrix(rng, *shape, density))
+
+    @pytest.mark.parametrize("density", [1.0, 0.4])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rank_deficient(self, shape, density):
+        rng = random.Random(sum(shape) * 31 + int(10 * density))
+        for k in range(min(shape)):
+            _check_against_oracle(_low_rank(rng, *shape, k, density))
+
+    def test_lazy_rescale_block_arrow(self):
+        rng = random.Random(7)
+        for sizes, coupling in [((3, 4, 2, 5), 2), ((1, 1, 1, 1, 1, 1), 1), ((4, 4, 4), 3),
+                                ((2, 6), 0), ((5, 1, 3), 4)]:
+            rows = _block_arrow(rng, sizes, coupling)
+            _check_against_oracle(rows)
+            _check_against_oracle(_low_rank(rng, len(rows), len(rows), len(rows) - 2, 0.3))
+            b = [_entry(rng) for _ in rows]
+            assert solve_multi(rows, [b]) == _ref_solve_multi(rows, [b])
+
+    def test_row_permutation_sign(self):
+        rng = random.Random(11)
+        for n in (2, 3, 5, 8, 11):
+            for density in (1.0, 0.3):
+                rows = _random_matrix(rng, n, n, density)
+                for _ in range(4):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    permuted = [rows[p] for p in perm]
+                    assert det(permuted) == _perm_sign(perm) * det(rows)
+                    _check_against_oracle(permuted)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (8, 8), (9, 5), (12, 6)])
+    def test_solve_multi(self, shape):
+        rng = random.Random(shape[0] * 100 + shape[1])
+        nrows, ncols = shape
+        for density in (1.0, 0.3):
+            for k in (ncols, ncols - 1, ncols - 3):  # full rank, singular
+                rows = _low_rank(rng, nrows, ncols, k, density)
+                x = [_entry(rng) for _ in range(ncols)]
+                consistent = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
+                arbitrary = [_entry(rng) for _ in range(nrows)]  # mostly inconsistent
+                for rhs in ([consistent], [arbitrary], [consistent, arbitrary], [consistent] * 3):
+                    assert _outcome(solve_multi, rows, rhs) == _outcome(_ref_solve_multi, rows, rhs)
 
 
 class TestPoly:

@@ -56,6 +56,16 @@ class TestFrobeniusGram:
         assert form.gram == ((F(0), F(2)), (F(-2), F(0)))
         assert form.determinant == 4
 
+    def test_gram_is_the_pairing(self, rng):
+        """Each Gram entry is omega_K of its two basis elements, for random
+        dense K, including zeros on the diagonal."""
+        for e, n in [(1, 2), (2, 3), (1, 4), (3, 5)]:
+            K = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+                      for _ in range(n))
+            basis = parabolic_basis(e, n)
+            want = tuple(tuple(omega_pairing(K, a, b) for b in basis) for a in basis)
+            assert frobenius_gram(K, e, n).gram == want
+
     def test_zero_matrix_degenerate(self):
         form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1, 2)
         assert form.determinant == 0 and not form.nondegenerate
