@@ -30,16 +30,16 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.5 s and `elliptic 12 1` 0.4 s.
+# Intel Xeon, `rational 12 1` takes 0.6 s and `elliptic 12 1` 0.3 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.6- to 2.3-fold per step
-# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 2.8 s, 7 takes
-# 13.9 s and 8 takes 22.3 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.8- to 1.9-fold per step
+# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 3.4 s, 7 takes
+# 12.1 s and 8 takes 21.7 s.
 VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
 # exact solve slows as x grows: on one CPU of an Intel Xeon, `rational 12 d`
-# for d = 1, 5, 7 and 11 takes 0.5-0.65 s at x = 1/3 and 0.65-0.85 s at a
+# for d = 1, 5, 7 and 11 takes 0.6-0.7 s at x = 1/3 and 0.7-0.85 s at a
 # 30-digit x, and the (5, 7) solve takes 1.1 s at a 60-digit x.
 RAT_DIGITS_MAX = 30
 # Most digits a K-matrix file may carry beyond one per numerator and one per
@@ -47,8 +47,8 @@ RAT_DIGITS_MAX = 30
 # all.  Every entry enters 2n rows of the split elimination, and a new prime
 # denominator scales each of them, so two-digit prime denominators cost the
 # most per digit.  On one CPU of an Intel Xeon, `stolin 12 e` for e = 1, 5,
-# 7 and 11 with a dense K takes 2.6-3.7 s with one-digit integers, 6.6-7.6 s
-# with one-digit fractions and 8.1-9.5 s at this bound (four two-digit prime
+# 7 and 11 with a dense K takes 2.8-3.3 s with one-digit integers, 8.1-9.2 s
+# with one-digit fractions and 7.9-9.6 s at this bound (four two-digit prime
 # denominators); dense 30-digit entries, refused here, took 313 s.  Smaller
 # n gain no slack: a bound on the plain total admitted n = 10 files that
 # take 15 s.
@@ -273,7 +273,7 @@ def elliptic_cmd(n, d, tau, x, y, terms):
         "y": [y_val.real, y_val.imag],
         "terms": terms,
         "difference_convention": elliptic.v_sign_convention(),
-        "tolerance": ctx.tol,
+        "tolerance": elliptic.THETA_TOL,
     }
     _emit(tensor, provenance, "json")
 

@@ -496,29 +496,16 @@ def _tail_tensor(e: int, d: int, x: Fraction, y: Fraction) -> GlTensor2:
     return assemble_r(e, d, x, y).sub(casimir(n).scale(ONE / (y - x)))
 
 
-# largest degree bound `r_ansatz` tries before it gives up
-ANSATZ_MAX_BOUND = 8
-
-
 def r_ansatz(e: int, d: int) -> AnsatzResult:
-    """Reconstruct the polynomial tail by exact interpolation, doubling the
-    degree bound up to ANSATZ_MAX_BOUND until the spare-point checks pass.
+    """Reconstruct the polynomial tail by exact interpolation at degree
+    bound 1 in each variable, with one spare sample per interpolation and a
+    spare point off the sampling grid.
 
-    An interpolation inconsistency at the maximal bound aborts loudly: the
-    tail of a geometric solution must be polynomial.
+    Every coprime pair with e + d <= 6 certifies at this bound; a tail that
+    does not aborts loudly with AnsatzError.
     """
     _check_coprime(e, d)
     bound = 1
-    while True:
-        try:
-            return _try_ansatz(e, d, bound)
-        except AnsatzError:
-            if 2 * bound > ANSATZ_MAX_BOUND:
-                raise
-            bound *= 2
-
-
-def _try_ansatz(e: int, d: int, bound: int) -> AnsatzResult:
     npts = bound + 2
     xs = [Fraction(p, 1) for p in range(npts)]
     ys = [Fraction(2 * npts + 3 * q, 2) for q in range(npts)]

@@ -33,6 +33,9 @@ POLE_GUARD = 1e-8
 # Laurent-fit offset of `belavin_residue_fit`; the regular part cancels to
 # second order in it
 RESIDUE_FIT_RADIUS = 1e-4
+# tolerance of every theta evaluation: a `ThetaContext` whose first dropped
+# series term is not below a tenth of it is refused
+THETA_TOL = 1e-12
 
 
 class PoleProximityError(ArithmeticError):
@@ -41,11 +44,10 @@ class PoleProximityError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ThetaContext:
-    """Modulus, series truncation and tolerance for all elliptic evaluation."""
+    """Modulus and series truncation for all elliptic evaluation."""
 
     tau: complex
     terms: int = 60
-    tol: float = 1e-12
 
     def __post_init__(self):
         if self.tau.imag <= 0:
@@ -63,10 +65,10 @@ class ThetaContext:
         # |Im v| <= Im(tau)/2
         n = self.terms
         drop = math.exp(-math.pi * self.tau.imag * (n * (n + 1) - 1.5 * (2 * n + 1)))
-        if drop >= self.tol / 10:
+        if drop >= THETA_TOL / 10:
             raise ValueError(
                 "truncation at %d terms cannot reach tol=%g for this modulus"
-                % (self.terms, self.tol)
+                % (self.terms, THETA_TOL)
             )
 
     @property

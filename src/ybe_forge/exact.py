@@ -70,9 +70,8 @@ def freeze(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def mat_zero(nrows: int, ncols: int | None = None, zero=ZERO) -> tuple:
-    ncols = nrows if ncols is None else ncols
-    return tuple(tuple(zero for _ in range(ncols)) for _ in range(nrows))
+def mat_zero(n: int) -> tuple:
+    return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
 
 
 def mat_unit(n: int, i: int, j: int) -> tuple:
@@ -121,9 +120,9 @@ def mat_is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
-def mat_from_entries(n: int, entries: dict, zero=ZERO) -> tuple:
+def mat_from_entries(n: int, entries: dict) -> tuple:
     """Build an n x n matrix from a {(i, j): value} dict with 1-based keys."""
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for (i, j), v in entries.items():
         rows[i - 1][j - 1] = v
     return freeze(rows)
@@ -132,6 +131,15 @@ def mat_from_entries(n: int, entries: dict, zero=ZERO) -> tuple:
 # ---------------------------------------------------------------------------
 # sparse fraction-free elimination (Bareiss) and integer back-substitution
 # ---------------------------------------------------------------------------
+
+def _width(rows: Sequence[Sequence[Fraction]]) -> int:
+    """The common length of the rows of a nonempty matrix; ValueError if
+    they differ."""
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix: rows of unequal length")
+    return ncols
+
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[dict[int, int]], list[int]]:
     """Clear denominators row by row, over the nonzero entries only; row
@@ -273,16 +281,16 @@ def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple
     return out
 
 
-def kernel(rows: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[tuple[Fraction, ...]]:
+def kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
     """Exact basis of the null space of the matrix given by `rows`: one vector
     per non-pivot column f, 1 at f and 0 at the other non-pivot columns.
 
     Every vector is re-checked as A.num == 0 against the denominator-cleared
     rows before it is turned into Fractions.
     """
-    if not rows and ncols is None:
-        raise ValueError("kernel of an empty matrix needs an explicit ncols")
-    n = len(rows[0]) if rows else ncols
+    if not rows:
+        raise ValueError("kernel of an empty matrix")
+    n = _width(rows)
     ints, _ = _integer_rows(rows)
     m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], n)
     free_cols = sorted(set(range(n)).difference(piv_cols))
@@ -301,7 +309,7 @@ def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[
     denominator-cleared rows.
     """
     nrows = len(rows)
-    ncols = len(rows[0])
+    ncols = _width(rows)
     if any(len(b) != nrows for b in rhs_cols):
         raise ValueError("right-hand side length mismatch")
     aug = [list(rows[i]) + [b[i] for b in rhs_cols] for i in range(nrows)]
@@ -317,27 +325,8 @@ def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[
     return [tuple(Fraction(-a, den) if a else ZERO for a in v[:ncols]) for v, den in vecs]
 
 
-@dataclass(frozen=True)
-class LinSystem:
-    """An exact linear system A x = b."""
-
-    matrix: tuple
-    rhs: tuple
-
-    def __post_init__(self):
-        if any(len(row) != len(self.matrix[0]) for row in self.matrix):
-            raise ValueError("ragged coefficient matrix")
-        if len(self.rhs) != len(self.matrix):
-            raise ValueError("rhs length does not match matrix")
-
-
-def solve(system: LinSystem) -> tuple[Fraction, ...]:
-    """Exact solution of A x = b, verified by re-substitution."""
-    return solve_multi(system.matrix, [system.rhs])[0]
-
-
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    ncols = len(rows[0]) if rows else 0
+    ncols = _width(rows) if rows else 0
     return len(_bareiss_echelon(_integer_rows(rows)[0], ncols)[1])
 
 

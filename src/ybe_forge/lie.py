@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .exact import (
     ONE,
@@ -495,10 +495,43 @@ class HeisenbergBasis:
         return self._complex_matrix(self.Z_dual[(k, l)])
 
 
+def _dual_sum(hb: HeisenbergBasis) -> GlTensor2:
+    """Sum of Z^dual (x) Z over the index set, as an exact rational tensor.
+
+    Every unit-basis coefficient of the sum must be rational; AssertionError
+    otherwise."""
+    n = hb.n
+    den = lcm(*(hb.Z_dual[kl].den * hb.Z[kl].den for kl in hb.index_set))
+    counts: dict = {}
+    for kl in hb.index_set:
+        zd = hb.Z_dual[kl]
+        z = hb.Z[kl]
+        weight = den // (zd.den * z.den)
+        for i, a in enumerate(zd.exps):
+            for p, b in enumerate(z.exps):
+                key = (i + 1, (i + zd.shift) % n + 1, p + 1, (p + z.shift) % n + 1)
+                counts.setdefault(key, [0] * n)[(a + b) % n] += weight
+    terms = {}
+    for key, c in counts.items():
+        v = _eps_sum(c, n, hb.d)
+        if v is None:
+            raise AssertionError("duality failed: non-rational coefficient in Heisenberg Casimir")
+        if v != 0:
+            terms[key] = Fraction(v, den)
+    return GlTensor2(n, RATIONAL, terms)
+
+
 def _validate_heisenberg(hb: HeisenbergBasis) -> None:
-    """Check the conjugation-eigenvalue relations and the full trace-duality
-    table in integers mod n; raise AssertionError on the first failure."""
-    n, d = hb.n, hb.d
+    """Check the conjugation-eigenvalue relations and the trace duality in
+    integers mod n; raise AssertionError on the first failure.
+
+    Duality is checked as sum Z^dual (x) Z = casimir(n).  Contracted with
+    a in gl(n) through the first slot, the left side is sum tr(Z^dual a) Z
+    and the right side is the projection of a to sl(n).  So the n^2 - 1
+    matrices Z span sl(n) and are a basis of it, and a = Z_{k',l'} gives
+    tr(Z^dual_{k,l} Z_{k',l'}) = delta delta: the full duality table.
+    """
+    n = hb.n
     Xinv = Monomial(0, tuple(-i % n for i in range(n)))
     Yinv = Monomial(n - 1, (0,) * n)
     # conjugating Z_{k,l} through X scales by eps^k, through Y by eps^l
@@ -508,25 +541,16 @@ def _validate_heisenberg(hb: HeisenbergBasis) -> None:
             raise AssertionError("clock conjugation relation failed at %r" % ((k, l),))
         if Yinv @ zkl @ hb.Y != zkl.times_eps(l):
             raise AssertionError("shift conjugation relation failed at %r" % ((k, l),))
-
-    # duality table: tr(Z^dual_{k,l} Z_{k',l'}) = delta delta
-    for a in hb.index_set:
-        for b in hb.index_set:
-            prod = hb.Z_dual[a] @ hb.Z[b]
-            counts = [0] * n
-            if prod.shift == 0:
-                for e in prod.exps:
-                    counts[e] += 1
-            if _eps_sum(counts, n, d) != (prod.den if a == b else 0):
-                raise AssertionError("duality table failed at %r, %r" % (a, b))
+    if _dual_sum(hb) != casimir(n):
+        raise AssertionError("duality failed: sum of Z^dual (x) Z is not the Casimir")
 
 
 @lru_cache(maxsize=None)
 def heisenberg(n: int, d: int) -> HeisenbergBasis:
     """Construct and validate the Heisenberg eigenbasis of sl(n).
 
-    Validates the conjugation-eigenvalue relations and the full trace-duality
-    table at construction; a failure means a non-coprime pair or a bug.
+    Validates the conjugation-eigenvalue relations and the trace duality at
+    construction; a failure means a non-coprime pair or a bug.
     """
     if gcd(n, d) != 1 or not 0 < d < n:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
@@ -549,28 +573,9 @@ def heisenberg(n: int, d: int) -> HeisenbergBasis:
 
 
 def heisenberg_casimir(n: int, d: int) -> GlTensor2:
-    """Sum of Z^dual (x) Z over the index set, as an exact rational tensor.
-
-    Every unit-basis coefficient of the sum must be rational; this is the
-    reproducing-kernel tensor and equals casimir(n)."""
-    hb = heisenberg(n, d)
-    counts: dict = {}
-    for kl in hb.index_set:
-        zd = hb.Z_dual[kl]
-        z = hb.Z[kl]
-        for i, a in enumerate(zd.exps):
-            for p, b in enumerate(z.exps):
-                key = (i + 1, (i + zd.shift) % n + 1, p + 1, (p + z.shift) % n + 1)
-                counts.setdefault(key, [0] * n)[(a + b) % n] += 1
-    terms = {}
-    for key, c in counts.items():
-        v = _eps_sum(c, n, d)
-        if v is None:
-            raise AssertionError("non-rational coefficient in Heisenberg Casimir")
-        if v != 0:
-            # every Z^dual carries 1/n and every Z carries 1
-            terms[key] = Fraction(v, n)
-    return GlTensor2(n, RATIONAL, terms)
+    """Sum of Z^dual (x) Z over the index set, as an exact rational tensor:
+    the reproducing-kernel tensor, equal to casimir(n)."""
+    return _dual_sum(heisenberg(n, d))
 
 
 __all__ = [

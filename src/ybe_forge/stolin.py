@@ -468,32 +468,20 @@ def _eta_shift(e: int, n: int, M, base_degree: int) -> dict:
 
 @dataclass(frozen=True)
 class OrderBasis:
-    """Truncated basis of a Lagrangian subalgebra complementary to g[z].
-
-    `elements` are exact Laurent polynomials supported inside the window;
-    `clipped` are the window projections of deeper tail members, marked as
-    truncated, and are used only for spanning checks.
-    """
+    """Truncated basis of a Lagrangian subalgebra complementary to g[z]:
+    `elements` are exact Laurent polynomials supported inside the window."""
 
     n: int
     window: tuple[int, int]
     elements: tuple
-    clipped: tuple
-
-
-def _clip_entries(entries: dict, lo: int, hi: int):
-    kept = {k: m for k, m in entries.items() if lo <= k <= hi}
-    clipped_away = any(k < lo for k in entries)
-    return kept, clipped_away
 
 
 def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
     """Basis of the eta-conjugated subalgebra W within a degree window.
 
     Spanning set: the twisted span of alpha + z^{-1}[K^t, alpha] over the
-    sl(n) basis, plus the twisted deep-tail z^{-m} monomials.  Tails whose
-    conjugates fit inside the window are exact; the two deepest layers that
-    still touch the window enter as truncated projections.
+    sl(n) basis, plus the twisted deep-tail z^{-m} monomials whose
+    conjugates fit inside the window.
     """
     lo, hi = window
     if lo > -3 or hi < 1:
@@ -514,17 +502,14 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
             cur = entries.get(k)
             entries[k] = mat_add(cur, m) if cur is not None else m
         elements.append(laurent_from_coeffs(n, entries, lo, hi))
-    clipped = []
     for m_deg in range(2, -lo + 2):
         for lbl in sl_basis(n):
-            alpha = basis_matrix(lbl, n)
-            entries = _eta_shift(e, n, alpha, -m_deg)
-            kept, cut = _clip_entries(entries, lo, hi)
-            if not kept:
-                continue
-            series = laurent_from_coeffs(n, kept, lo, hi, exact_below=not cut)
-            (clipped if cut else elements).append(series)
-    return OrderBasis(n, window, tuple(elements), tuple(clipped))
+            # a basis matrix lies in one block, so its conjugate has one
+            # degree: the window holds all of it or none
+            entries = _eta_shift(e, n, basis_matrix(lbl, n), -m_deg)
+            if min(entries) >= lo:
+                elements.append(laurent_from_coeffs(n, entries, lo, hi))
+    return OrderBasis(n, window, tuple(elements))
 
 
 def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
@@ -536,7 +521,7 @@ def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
         for lbl in sl_basis(n):
             alpha = basis_matrix(lbl, n)
             elements.append(laurent_from_coeffs(n, {-m_deg: alpha}, lo, hi))
-    return OrderBasis(n, window, tuple(elements), ())
+    return OrderBasis(n, window, tuple(elements))
 
 
 @dataclass(frozen=True)

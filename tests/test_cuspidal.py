@@ -4,6 +4,7 @@ corrections, assembly, and the polynomial-tail certificate."""
 import hashlib
 import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -431,10 +432,12 @@ class TestFlipTransport:
 
 
 class TestAnsatz:
-    @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2), (3, 1), (1, 3)])
+    @pytest.mark.parametrize(
+        "e,d", [(e, d) for e in range(1, 6) for d in range(1, 7 - e) if gcd(e, d) == 1]
+    )
     def test_certificate(self, e, d):
         res = r_ansatz(e, d)
-        # tail degree is at most one per slot for these pairs
+        # tail degree is at most one per slot for every pair with e + d <= 6
         assert res.degree_bound == 1
         x, y = F(5, 7), F(-3, 2)
         assert res.eval(x, y) == assemble_r(e, d, x, y)

@@ -12,7 +12,6 @@ from ybe_forge.exact import (
     InconsistentSystemError,
     InterpolationError,
     LinearAlgebraError,
-    LinSystem,
     MatrixPoly,
     SingularSystemError,
     cyclo_rational,
@@ -29,7 +28,6 @@ from ybe_forge.exact import (
     rat,
     root_complex,
     root_table,
-    solve,
     solve_multi,
 )
 
@@ -40,11 +38,11 @@ class TestSolve:
     def test_identity_system(self):
         b = (F(3), F(-1, 2), F(7))
         A = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
-        assert solve(LinSystem(A, b)) == b
+        assert solve_multi(A, [b])[0] == b
 
     def test_two_by_two(self):
         A = ((F(1), F(1)), (F(1), F(-1)))
-        assert solve(LinSystem(A, (F(2), F(0)))) == (F(1), F(1))
+        assert solve_multi(A, [(F(2), F(0))])[0] == (F(1), F(1))
 
     def test_cartan_gram_n4(self):
         # Gram system of the simple coroot pairing for n = 4, re-verified
@@ -54,7 +52,7 @@ class TestSolve:
         gram = [[trace_form(a, b) for b in hs] for a in hs]
         for l in range(3):
             rhs = [F(int(m == l)) for m in range(3)]
-            x = solve(LinSystem(tuple(map(tuple, gram)), tuple(rhs)))
+            x = solve_multi(gram, [rhs])[0]
             for m in range(3):
                 got = sum(x[k] * gram[m][k] for k in range(3))
                 assert got == rhs[m]
@@ -62,16 +60,16 @@ class TestSolve:
     def test_singular_reported(self):
         A = ((F(1), F(1)), (F(2), F(2)))
         with pytest.raises(SingularSystemError):
-            solve(LinSystem(A, (F(0), F(0))))
+            solve_multi(A, [(F(0), F(0))])
 
     def test_inconsistent_reported(self):
         A = ((F(1), F(1)), (F(1), F(1)))
         with pytest.raises(InconsistentSystemError):
-            solve(LinSystem(A, (F(0), F(1))))
+            solve_multi(A, [(F(0), F(1))])
 
     def test_overdetermined_consistent(self):
         A = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
-        assert solve(LinSystem(A, (F(2), F(3), F(5)))) == (F(2), F(3))
+        assert solve_multi(A, [(F(2), F(3), F(5))])[0] == (F(2), F(3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
@@ -79,11 +77,24 @@ class TestSolve:
     def test_random_systems_resubstitute(self, rows, b):
         A = tuple(tuple(r) for r in rows)
         try:
-            x = solve(LinSystem(A, tuple(b)))
+            x = solve_multi(A, [b])[0]
         except (SingularSystemError, InconsistentSystemError):
             return
         for row, bi in zip(A, b):
             assert sum(a * v for a, v in zip(row, x)) == bi
+
+    @pytest.mark.parametrize("rows", [
+        [[F(1), F(2)], [F(3)]],
+        [[F(1), F(2)], [F(3), F(0), F(1)]],
+    ], ids=["short-row", "long-row"])
+    @pytest.mark.parametrize("solver", [
+        kernel, rank, lambda rows: solve_multi(rows, [[F(1), F(1)]]),
+    ], ids=["kernel", "rank", "solve_multi"])
+    def test_ragged_rows_rejected(self, rows, solver):
+        """A short row would read the right-hand side as a coefficient, and
+        a long one would index past the columns of the first."""
+        with pytest.raises(ValueError, match="ragged"):
+            solver(rows)
 
 
 class TestKernel:

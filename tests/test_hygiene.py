@@ -1,6 +1,6 @@
 """Static hygiene of the package: no dead definitions, no unused imports,
-no numpy on the CLI's import path, and each CLI command loading only the
-modules it uses.
+no function that the benchmark traces by name missing, no numpy on the
+CLI's import path, and each CLI command loading only the modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/, tests/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -9,6 +9,7 @@ listed in `__all__` do not count: an export alone is not a use.
 """
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -112,6 +113,20 @@ def test_no_dead_definitions():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_traced_layers_resolve():
+    """Every (module, function) pair that perfbench/spans.py traces by name
+    is a function of ybe_forge: a layer renamed or deleted in src/ would
+    otherwise surface only when the benchmark runs."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        "%s.%s" % (mod, fn) for mod, fn, _, _ in spans.LAYERS
+        if not callable(getattr(importlib.import_module("ybe_forge." + mod), fn, None))
+    ]
+    assert missing == []
 
 
 def _python(code: str, *args: str, **env_extra: str) -> str:

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybe_forge import stolin
+from ybe_forge.cli import N_MAX
 from ybe_forge.exact import mat_transpose, mat_unit, root_table
 from ybe_forge.lie import (
     COMPLEX,
@@ -381,9 +382,10 @@ class TestHeisenberg:
             heisenberg(4, 2)
 
     @pytest.mark.parametrize(
-        "n,d", [(n, d) for n in range(2, 8) for d in range(1, n) if gcd(n, d) == 1]
+        "n,d", [(n, d) for n in range(2, N_MAX + 1) for d in range(1, n) if gcd(n, d) == 1]
     )
     def test_dual_family_reproduces_casimir(self, n, d):
+        # every basis a CLI command can ask for is built, and so validated
         assert heisenberg_casimir(n, d) == casimir(n)
 
     def test_eigenrelations_validated_at_construction(self):
@@ -399,6 +401,7 @@ class TestHeisenberg:
             ("Z", "exponent", "shift conjugation"),
             ("Z", "shift", "clock"),
             ("Z_dual", "exponent", "duality"),
+            ("Z_dual", "den", "duality"),
         ],
     )
     def test_corrupted_basis_fails_validation(self, family, what, check):
@@ -408,6 +411,8 @@ class TestHeisenberg:
         def corrupt(m):
             if what == "shift":
                 return replace(m, shift=(m.shift + 1) % 3)
+            if what == "den":
+                return replace(m, den=m.den + 1)
             return replace(m, exps=((m.exps[0] + 1) % 3,) + m.exps[1:])
 
         old = getattr(hb, family)

@@ -58,7 +58,7 @@ class TestKacPairing:
 def _window_span_rank(ob, n):
     lo, hi = ob.window
     rows = []
-    for w in list(ob.elements) + list(ob.clipped):
+    for w in ob.elements:
         rows.append(
             [w.coeff(k)[i][j] for k in range(lo, hi + 1) for i in range(n) for j in range(n)]
         )
@@ -81,7 +81,7 @@ class TestBuildOrder:
     def test_sandwich(self, e, d):
         n = e + d
         ob = build_order(j_matrix_rat(e, d), e, n, (-4, 1))
-        for w in list(ob.elements) + list(ob.clipped):
+        for w in ob.elements:
             for deg, m in w.coeffs.items():
                 for i in range(n):
                     for j in range(n):
