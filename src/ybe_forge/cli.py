@@ -30,7 +30,7 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.6 s and `elliptic 12 1` 0.3 s.
+# Intel Xeon, `rational 12 1` takes 0.35 s and `elliptic 12 1` 0.3 s.
 N_MAX = 12
 # Largest `verify --n-max`.  The suite's cost grows 1.8- to 1.9-fold per step
 # of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 3.4 s, 7 takes
@@ -39,8 +39,8 @@ VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
 # exact solve slows as x grows: on one CPU of an Intel Xeon, `rational 12 d`
-# for d = 1, 5, 7 and 11 takes 0.6-0.7 s at x = 1/3 and 0.7-0.85 s at a
-# 30-digit x, and the (5, 7) solve takes 1.1 s at a 60-digit x.
+# for d = 1, 5, 7 and 11 takes 0.35-0.4 s at x = 1/3 and 0.4-0.6 s at a
+# 30-digit x, and the (5, 7) solve takes 0.9 s at a 60-digit x.
 RAT_DIGITS_MAX = 30
 # Most digits a K-matrix file may carry beyond one per numerator and one per
 # denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in
@@ -53,6 +53,11 @@ RAT_DIGITS_MAX = 30
 # n gain no slack: a bound on the plain total admitted n = 10 files that
 # take 15 s.
 K_EXTRA_DIGITS_MAX = 4
+# Most bytes read from a K-matrix file; a longer file exits 3 before it is
+# parsed, so a huge or endless file (/dev/zero) cannot take memory before
+# the bounds above apply.  A K that passes them has at most 2 * 12^2 + 4
+# digits, a few kB of JSON even with one indented entry per line.
+K_FILE_BYTES_MAX = 1 << 16
 
 
 def _fail(message: str, code: int):
@@ -183,8 +188,12 @@ def _load_k_matrix(spec: str, e: int, d: int):
     if spec == "neg-j":
         return stolin.neg_j_matrix(e, d), "-J(%d,%d)" % (e, d)
     try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            rows = json.load(fh)
+        with open(spec, "rb") as fh:
+            data = fh.read(K_FILE_BYTES_MAX + 1)
+        if len(data) > K_FILE_BYTES_MAX:
+            _fail("K matrix file %r is longer than %d bytes" % (spec, K_FILE_BYTES_MAX),
+                  EXIT_BADINPUT)
+        rows = json.loads(data.decode("utf-8"))
     except (OSError, ValueError) as exc:
         _fail("cannot read K matrix from %r: %s" % (spec, exc), EXIT_BADINPUT)
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):

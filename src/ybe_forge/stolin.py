@@ -393,16 +393,13 @@ def compare_pipelines(e: int, d: int, x, y) -> bool:
 class LaurentMatrixSeries:
     """gl(n)-valued Laurent polynomial/series on an explicit degree window.
 
-    Coefficients above `hi` are zero by contract.  If `exact_below` is False
-    the element is a truncation: degrees below `lo` are unknown rather than
-    zero, and pairings must certify they cannot contribute.
+    Coefficients outside [`lo`, `hi`] are zero by contract.
     """
 
     n: int
     lo: int
     hi: int
     coeffs: dict  # degree -> matrix
-    exact_below: bool = True
 
     def __post_init__(self):
         for k in self.coeffs:
@@ -414,23 +411,15 @@ class LaurentMatrixSeries:
         return m if m is not None else mat_zero(self.n)
 
 
-def laurent_from_coeffs(n, entries: dict, lo: int, hi: int, exact_below=True) -> LaurentMatrixSeries:
+def laurent_from_coeffs(n, entries: dict, lo: int, hi: int) -> LaurentMatrixSeries:
     clean = {k: freeze(m) for k, m in entries.items() if not mat_is_zero(m)}
-    return LaurentMatrixSeries(n, lo, hi, clean, exact_below)
+    return LaurentMatrixSeries(n, lo, hi, clean)
 
 
 def kac_pairing(a: LaurentMatrixSeries, b: LaurentMatrixSeries) -> Fraction:
-    """Residue at z = 0 of tr(a b): the degree -1 coefficient of the product.
-
-    Raises TruncationError when an unknown (truncated) region of either
-    factor could pair against a potentially nonzero coefficient of the other.
-    """
+    """Residue at z = 0 of tr(a b): the degree -1 coefficient of the product."""
     if a.n != b.n:
         raise ValueError("size mismatch")
-    if not a.exact_below and -1 - a.lo >= b.lo:
-        raise TruncationError("left factor truncated below degree %d" % a.lo)
-    if not b.exact_below and -1 - b.lo >= a.lo:
-        raise TruncationError("right factor truncated below degree %d" % b.lo)
     total = ZERO
     for p, mp in a.coeffs.items():
         mq = b.coeffs.get(-1 - p)

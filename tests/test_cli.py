@@ -11,7 +11,15 @@ import pytest
 from click.testing import CliRunner
 
 from ybe_forge import __version__, verify
-from ybe_forge.cli import K_EXTRA_DIGITS_MAX, N_MAX, RAT_DIGITS_MAX, VERIFY_N_MAX, main, verify_cmd
+from ybe_forge.cli import (
+    K_EXTRA_DIGITS_MAX,
+    K_FILE_BYTES_MAX,
+    N_MAX,
+    RAT_DIGITS_MAX,
+    VERIFY_N_MAX,
+    main,
+    verify_cmd,
+)
 from ybe_forge.document import document_from_json
 from ybe_forge.verify import _tasks_for, forge_threads, run_suite
 
@@ -166,6 +174,20 @@ class TestStolin:
             assert len(res.stderr.strip().splitlines()) == 1
         else:
             assert res.exit_code in (0, 2)
+
+    def test_k_file_byte_bound(self, runner, tmp_path):
+        """A K file of K_FILE_BYTES_MAX bytes is read; a file of one byte more,
+        spaces only, is refused with one error line before it is parsed."""
+        k_file = tmp_path / "k.json"
+        text = json.dumps([["0", "1"], ["0", "0"]])
+        k_file.write_text(text.ljust(K_FILE_BYTES_MAX))
+        res = run(runner, "stolin", "2", "1", "--k-matrix", str(k_file), "--x", "1", "--y", "2")
+        assert res.exit_code == 0
+        k_file.write_text(" " * (K_FILE_BYTES_MAX + 1))
+        res = run(runner, "stolin", "2", "1", "--k-matrix", str(k_file), "--x", "1", "--y", "2")
+        assert res.exit_code == 3
+        assert res.stderr == "error: K matrix file %r is longer than %d bytes\n" % (
+            str(k_file), K_FILE_BYTES_MAX)
 
     def test_file_k_matrix(self, runner, tmp_path):
         good = tmp_path / "k.json"

@@ -2,6 +2,7 @@
 corrections, assembly, and the polynomial-tail certificate."""
 
 import hashlib
+import random
 import time
 from fractions import Fraction as F
 from math import gcd
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_bit_for_bit import POINTS
 from ybe_forge import cuspidal, exact
+from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
     AnsatzError,
     NonCoprimeError,
@@ -202,6 +205,11 @@ def _region_table_f0_feps(Fm):
     return tuple(map(tuple, f0)), tuple(map(tuple, feps))
 
 
+def _members(sol):
+    """The members of Sol((e,d), x) as matrix polynomials in z."""
+    return [cuspidal._coords_to_matrix_poly(sol.e, sol.d, sol.x, v) for v in sol.vectors]
+
+
 def _bump(Fm, i, j, k):
     """Fm with one added to the z^k coefficient of entry (i, j)."""
     mats = [[list(row) for row in Fm.coeff_matrix(m)] for m in range(3)]
@@ -211,8 +219,8 @@ def _bump(Fm, i, j, k):
 
 class TestSolSpace:
     def test_dimension_small(self):
-        assert len(sol_space(1, 1, F(1)).basis) == 3
-        assert len(sol_space(2, 1, F(0)).basis) == 8
+        assert len(_members(sol_space(1, 1, F(1)))) == 3
+        assert len(_members(sol_space(2, 1, F(0)))) == 8
 
     def test_lower_left_unit_always_solves(self):
         for x in (F(0), F(2), F(-7, 3)):
@@ -225,27 +233,26 @@ class TestSolSpace:
         n = e + d
         for _ in range(2):
             x = F(rng.randint(-9, 9), rng.randint(1, 9))
-            sol = sol_space(e, d, x)
-            assert len(sol.basis) == n * n - 1
+            members = _members(sol_space(e, d, x))
+            assert len(members) == n * n - 1
             rows = []
-            for Fm in sol.basis:
+            for Fm in members:
                 v = eval_matrix_poly(Fm, x)
                 rows.append([v[i][j] for i in range(n) for j in range(n)])
             assert rank(rows) == n * n - 1
 
     def test_members_verify_constraint(self):
-        sol = sol_space(2, 1, F(3, 7))
-        for Fm in sol.basis:
+        for Fm in _members(sol_space(2, 1, F(3, 7))):
             assert mat_is_zero(sol_constraint_violation(Fm, F(3, 7)))
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(0)), (1, 2, F(-5, 3)),
                                        (3, 2, F(3, 7)), (2, 5, F(-1, 2)), (4, 3, F(9))])
     def test_basis_is_dual_to_residues(self, e, d, x):
         n = e + d
-        sol = sol_space(e, d, x)
+        members = _members(sol_space(e, d, x))
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][1:]
-        assert len(sol.basis) == len(cells)
-        for Fm, (i, j) in zip(sol.basis, cells):
+        assert len(members) == len(cells)
+        for Fm, (i, j) in zip(members, cells):
             want = mat_unit(n, i, j)
             if i == j:
                 want = mat_sub(want, mat_unit(n, 1, 1))
@@ -257,7 +264,7 @@ class TestSolSpace:
         moved off its value breaks the constraint, at every off-diagonal
         entry.  (x != 0, so that F_0 e_ab alone cannot commute with J.)"""
         n = e + d
-        for Fm in sol_space(e, d, x).basis[:3]:
+        for Fm in _members(sol_space(e, d, x))[:3]:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
@@ -283,7 +290,116 @@ class TestSolSpace:
         while len(seen) < 10:
             seen.add(F(rng.randint(-20, 20), rng.randint(1, 12)))
         for x in seen:
-            assert len(sol_space(e, d, x).basis) == n * n - 1
+            assert len(_members(sol_space(e, d, x))) == n * n - 1
+
+
+class _RowsCaptured(Exception):
+    """Raised by the stand-in for `kernel`, carrying the rows it was given."""
+
+
+def _constraint_rows(e, d, x, monkeypatch):
+    """The rows that `sol_space(e, d, x)` hands to `kernel`, taken before
+    any elimination runs."""
+
+    def capture(rows):
+        raise _RowsCaptured(rows)
+
+    monkeypatch.setattr(cuspidal, "kernel", capture)
+    with pytest.raises(_RowsCaptured) as caught:
+        sol_space(e, d, x)
+    return caught.value.args[0]
+
+
+def _proof_vectors(e, d, rng):
+    """Traceless (z - x)-coordinates of V_{e,d} to check the rows on.  Up to
+    n = 7 a basis of that space: every off-diagonal unit coordinate, and
+    (a, a, k) - (1, 1, k) on the diagonal.  Above, two random combinations
+    of that basis with 20-digit integer coefficients."""
+    coords = cuspidal._ved_coords(e, d)
+    col = {c: m for m, c in enumerate(coords)}
+    basis = []
+    for i, j, k in coords:
+        if (i, j) == (1, 1):
+            continue
+        v = [ZERO] * len(coords)
+        v[col[i, j, k]] = ONE
+        if i == j:
+            v[col[1, 1, k]] = -ONE
+        basis.append(v)
+    if e + d <= 7:
+        return basis
+    combos = []
+    for _ in range(2):
+        # the weight of each basis vector sits at its own coordinate; the
+        # (1, 1, k) coordinate carries minus the rest of the diagonal
+        c = [rng.choice((-1, 1)) * rng.randrange(10**19, 10**20) for _ in coords]
+        for k in (0, 1):
+            c[col[1, 1, k]] = -sum(c[col[a, a, k]] for a in range(2, e + d + 1))
+        combos.append(c)
+    return combos
+
+
+def _encoding_mismatches(e, d, x, rows, vectors):
+    """The vectors c on which the rows disagree with the reference form of
+    the constraint: the first n^2 entries of rows . c must be the flattened
+    `sol_constraint_violation` of c's member, and both trace rows must
+    vanish on c."""
+    columns = [[(r, v) for r, v in enumerate(column) if v] for column in zip(*rows)]
+    bad = []
+    for c in vectors:
+        image = [ZERO] * len(rows)
+        for m, cm in enumerate(c):
+            if cm:
+                for r, v in columns[m]:
+                    image[r] += v * cm
+        member = cuspidal._coords_to_matrix_poly(e, d, x, c)
+        want = [v for row in sol_constraint_violation(member, x) for v in row]
+        if image != want + [ZERO, ZERO]:
+            bad.append(c)
+    return bad
+
+
+PROOF_PAIRS = [(e, n - e) for n in range(2, N_MAX + 1) for e in range(1, n) if gcd(e, n - e) == 1]
+
+
+class TestSolEncoding:
+    """The rows of `sol_space` encode [F_0, J] + x F_0 + F_eps = 0 exactly,
+    which is why `sol_space` does not re-check its members.
+
+    For fixed coordinates c, rows(x) . c and the constraint of c's member
+    are polynomials of degree <= 3 in x (the rows are linear in x, and the
+    member's z-power coefficients quadratic), so agreeing at the four points
+    of `test_bit_for_bit.POINTS` proves them equal at every x.  The trace
+    rows are checked to be exactly the two trace functionals, so the kernel
+    of the rows is Sol((e,d), x)."""
+
+    @pytest.mark.parametrize("e,d", PROOF_PAIRS)
+    def test_rows_encode_the_constraint(self, e, d, monkeypatch):
+        n = e + d
+        rng = random.Random(1000 * e + d)
+        coords = cuspidal._ved_coords(e, d)
+        traces = [coords.index((1, 1, k)) for k in (1, 0)]
+        for x in POINTS:
+            rows = _constraint_rows(e, d, x, monkeypatch)
+            assert len(rows) == n * n + 2
+            assert [[row[m] for m in traces] for row in rows[-2:]] == [[1, 0], [0, 1]]
+            assert not _encoding_mismatches(e, d, x, rows, _proof_vectors(e, d, rng))
+
+    @pytest.mark.parametrize("e,d,cell", [(3, 2, (1, 4)), (3, 2, (2, 2)), (3, 2, (4, 1)),
+                                          (5, 3, (7, 2))],
+                             ids=["cap0", "cap1", "cap2", "cap2-random"])
+    def test_changed_entry_is_caught(self, e, d, cell, monkeypatch):
+        """Negative control: the comparison rejects rows in which the
+        (1 - cap) x entry of one constraint row has been changed."""
+        n = e + d
+        a, b = cell
+        x = POINTS[2]
+        rows = _constraint_rows(e, d, x, monkeypatch)
+        m = cuspidal._ved_coords(e, d).index((a, b, _cap(a, b, e, n)))
+        row = rows[(a - 1) * n + b - 1]
+        assert row[m] == (1 - _cap(a, b, e, n)) * x
+        row[m] += ONE
+        assert _encoding_mismatches(e, d, x, rows, _proof_vectors(e, d, random.Random(7)))
 
 
 class TestResEv:

@@ -46,14 +46,6 @@ class TestKacPairing:
                         want = ONE if (k == kp and l1 == l2) else ZERO
                         assert kac_pairing(a, b) == want
 
-    def test_truncation_guard(self):
-        trunc = laurent_from_coeffs(
-            2, {-1: basis_matrix(("unit", 1, 2), 2)}, -1, 0, exact_below=False
-        )
-        deep = laurent_from_coeffs(2, {0: basis_matrix(("unit", 2, 1), 2)}, -3, 1)
-        with pytest.raises(TruncationError):
-            kac_pairing(trunc, deep)
-
 
 def _window_span_rank(ob, n):
     lo, hi = ob.window
