@@ -30,17 +30,17 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.35 s and `elliptic 12 1` 0.3 s.
+# Intel Xeon, `rational 12 1` takes 0.25-0.3 s and `elliptic 12 1` 0.3 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.8- to 1.9-fold per step
-# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 3.4 s, 7 takes
-# 12.1 s and 8 takes 21.7 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.5- to 2-fold per step
+# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 1.6 s, 7 takes
+# 6.1 s and 8 takes 9.4 s.
 VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
 # exact solve slows as x grows: on one CPU of an Intel Xeon, `rational 12 d`
-# for d = 1, 5, 7 and 11 takes 0.35-0.4 s at x = 1/3 and 0.4-0.6 s at a
-# 30-digit x, and the (5, 7) solve takes 0.9 s at a 60-digit x.
+# for d = 1, 5, 7 and 11 takes 0.25-0.3 s at x = 1/3 and 0.3-0.5 s at a
+# 30-digit x, and the (5, 7) solve takes 0.75 s at a 60-digit x.
 RAT_DIGITS_MAX = 30
 # Most digits a K-matrix file may carry beyond one per numerator and one per
 # denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in

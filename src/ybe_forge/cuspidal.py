@@ -17,12 +17,14 @@ from math import gcd
 from .exact import (
     MatrixPoly,
     ONE,
+    POLY_ZERO,
     ZERO,
     eval_matrix_poly,
     interpolate,
     kernel,
     mat_is_zero,
     matrix_poly_from_coeffs,
+    poly_trim,
     rat,
 )
 from .lie import (
@@ -247,15 +249,21 @@ def _coords_to_matrix_poly(e: int, d: int, x: Fraction, vec) -> MatrixPoly:
     """The member of V_{e,d} with (z - x)-coordinates `vec`, in powers of z.
     The coordinates past the end of a shorter `vec` are zero."""
     n = e + d
-    # (z - x)^k in powers of z, for k = 0, 1, 2
-    expand = ((ONE,), (-x, ONE), (x * x, -2 * x, ONE))
-    coeffs = [[[ZERO] * n for _ in range(n)] for _ in range(3)]
+    # (z - x)^k - z^k in powers of z, for k = 0, 1, 2
+    lower = ((), (-x,), (x * x, -2 * x))
+    coeffs: dict = {}  # (i, j) -> its z^0, z^1, z^2 coefficients
     for (i, j, k), v in zip(_ved_coords(e, d), vec):
         if v:
-            for m, c in enumerate(expand[k]):
-                coeffs[m][i - 1][j - 1] += c * v
-    mats = [tuple(map(tuple, c)) for c in coeffs]
-    return matrix_poly_from_coeffs(mats, block_split=(e, d))
+            p = coeffs.setdefault((i, j), [ZERO, ZERO, ZERO])
+            p[k] += v
+            for m, c in enumerate(lower[k]):
+                p[m] += c * v
+    entries = tuple(
+        tuple(poly_trim(coeffs[i, j]) if (i, j) in coeffs else POLY_ZERO
+              for j in range(1, n + 1))
+        for i in range(1, n + 1)
+    )
+    return MatrixPoly(n, entries, (e, d))
 
 
 @dataclass(frozen=True)
@@ -320,24 +328,24 @@ def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
     rows = []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            row = [ZERO] * len(coords)
             cap = _degree_cap(a, b, e, n)
-            row[top[a, b]] += (1 - cap) * x
+            row = {top[a, b]: (1 - cap) * x}
             if cap:
-                row[col[a, b, cap - 1]] += ONE
+                row[col[a, b, cap - 1]] = 1
+            # J is strictly upper triangular, so no column below is hit
+            # twice and none of them is top[a, b]
             for c in range(1, n + 1):
                 if J[c - 1][b - 1]:
-                    row[top[a, c]] += ONE
+                    row[top[a, c]] = 1
                 if J[a - 1][c - 1]:
-                    row[top[c, b]] -= ONE
+                    row[top[c, b]] = -1
+            if not row[top[a, b]]:
+                del row[top[a, b]]
             rows.append(row)
     for k in (1, 0):
-        row = [ZERO] * len(coords)
-        for a in range(1, n + 1):
-            row[col[a, a, k]] = ONE
-        rows.append(row)
+        rows.append({col[a, a, k]: 1 for a in range(1, n + 1)})
 
-    vecs = kernel(rows)
+    vecs = kernel(rows, len(coords))
     cells = _cells(n)
     dual = [
         tuple(int(c == (i, j)) - int(i == j and c == (1, 1)) for c in cells)
@@ -381,7 +389,15 @@ class GElements:
         return self.e + self.d
 
 
-@lru_cache(maxsize=None)
+# Most residue points whose corrections `g_elements` keeps.  One entry holds
+# about 0.5 MB at n = 12, so the cache stays under about 32 MB.  A process
+# re-uses few points at a time: `verify --n-max 8` (330 points) and
+# warm-eval (a pool of 8) lose no hit at this size; a size of 32 already
+# costs `verify --n-max 7` one.
+G_ELEMENTS_CACHE_MAX = 64
+
+
+@lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)
 def g_elements(e: int, d: int, x: Fraction) -> GElements:
     """The corrections, read off the residue-dual basis of `sol_space`.
 
@@ -402,7 +418,7 @@ def g_elements(e: int, d: int, x: Fraction) -> GElements:
             vec = member[label[1:]]
         else:  # h_l = e_ll - e_(l+1)(l+1)
             l = label[1]
-            vec = tuple(a - b for a, b in zip(member[l, l], member[l + 1, l + 1]))
+            vec = tuple(a - b if b else a for a, b in zip(member[l, l], member[l + 1, l + 1]))
         corrections[label] = _coords_to_matrix_poly(e, d, x, vec)
     return GElements(e, d, x, corrections)
 

@@ -6,14 +6,18 @@ All arithmetic in this module is exact, apart from the float evaluation
 `root_complex`.  Scalars are `fractions.Fraction`; matrices are immutable
 nested tuples so they can be hashed and cached.
 
-The solvers work in integers: one sparse fraction-free (Bareiss)
-elimination on the denominator-cleared rows, back-substitution to numerators
-over one common denominator per solution, and an integer re-check of every
-solution against the cleared rows.  Fractions are built only for the
-returned values.  The rows are {column: nonzero entry} dicts: the systems
-here (Sol((e,d), x), the Frobenius Gram matrices and splits) have a few
-nonzeros per row, so each pivot step rewrites only the rows nonzero in its
-column and rescales the others lazily, when they are next touched.
+The solvers `kernel`, `solve_multi`, `rank` and `det` take a matrix as
+its rows, each a {column: entry} dict with Fraction or int entries, and
+its column count `ncols`; `solve_multi` takes each right-hand side as a
+{row: entry} dict.  The systems here (Sol((e,d), x), the Frobenius Gram matrices and splits, the
+order series) have a few nonzeros per row, and their builders write only
+those.  The solvers work in integers: the stored entries of each row are
+cleared of denominators, one sparse fraction-free (Bareiss) elimination
+runs on them, back-substitution yields numerators over one common
+denominator per solution, and every solution is re-checked in integers
+against the cleared rows.  Fractions are built only for the returned
+values.  Each pivot step rewrites only the rows nonzero in its column and
+rescales the others lazily, when they are next touched.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ def mat_transpose(a):
 
 
 def mat_is_zero(a) -> bool:
-    return all(x == 0 for row in a for x in row)
+    return not any(any(row) for row in a)
 
 
 def mat_from_entries(n: int, entries: dict) -> tuple:
@@ -132,24 +136,24 @@ def mat_from_entries(n: int, entries: dict) -> tuple:
 # sparse fraction-free elimination (Bareiss) and integer back-substitution
 # ---------------------------------------------------------------------------
 
-def _width(rows: Sequence[Sequence[Fraction]]) -> int:
-    """The common length of the rows of a nonempty matrix; ValueError if
-    they differ."""
-    ncols = len(rows[0])
-    if any(len(row) != ncols for row in rows):
-        raise ValueError("ragged matrix: rows of unequal length")
-    return ncols
+def _check_columns(rows: Sequence[dict], ncols: int):
+    """ValueError unless every column of the {column: entry} rows lies in
+    0 .. ncols - 1."""
+    for row in rows:
+        if row and not (0 <= min(row) and max(row) < ncols):
+            raise ValueError("column index outside 0 .. %d" % (ncols - 1))
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[dict[int, int]], list[int]]:
-    """Clear denominators row by row, over the nonzero entries only; row
+def _integer_rows(rows: Sequence[dict], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Clear denominators row by row, over the stored entries only; row
     scaling preserves kernels and solution sets of homogeneous/augmented
-    systems.  Returns the rows as {column: nonzero integer} dicts and the
-    multiplier of each row."""
+    systems.  Returns the rows as {column: nonzero integer} dicts, stored
+    zeros dropped, and the multiplier of each row."""
+    _check_columns(rows, ncols)
     out = []
     dens = []
     for row in rows:
-        nonzero = [(c, x) for c, x in enumerate(row) if x]
+        nonzero = [(c, x) for c, x in row.items() if x]
         den = math.lcm(*(x.denominator for _, x in nonzero))
         out.append({c: x.numerator * (den // x.denominator) for c, x in nonzero})
         dens.append(den)
@@ -281,25 +285,25 @@ def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple
     return out
 
 
-def kernel(rows: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Exact basis of the null space of the matrix given by `rows`: one vector
-    per non-pivot column f, 1 at f and 0 at the other non-pivot columns.
+def kernel(rows: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Exact basis of the null space of the matrix with {column: entry} rows
+    `rows` and `ncols` columns: one vector per non-pivot column f, 1 at f and
+    0 at the other non-pivot columns.
 
     Every vector is re-checked as A.num == 0 against the denominator-cleared
     rows before it is turned into Fractions.
     """
-    if not rows:
-        raise ValueError("kernel of an empty matrix")
-    n = _width(rows)
-    ints, _ = _integer_rows(rows)
-    m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], n)
-    free_cols = sorted(set(range(n)).difference(piv_cols))
-    vecs = _null_vectors(ints, m, piv_cols, free_cols, n, "kernel")
+    ints, _ = _integer_rows(rows, ncols)
+    m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], ncols)
+    free_cols = sorted(set(range(ncols)).difference(piv_cols))
+    vecs = _null_vectors(ints, m, piv_cols, free_cols, ncols, "kernel")
     return [tuple(Fraction(a, den) if a else ZERO for a in v) for v, den in vecs]
 
 
-def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Solve A x = b for several right-hand sides at once.
+def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Solve A x = b for several right-hand sides at once: A has the
+    {column: entry} rows `rows` and `ncols` columns, and each b is a
+    {row: entry} dict.
 
     Accepts square or overdetermined-consistent systems.  Raises
     SingularSystemError if A has deficient column rank and
@@ -309,12 +313,15 @@ def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[
     denominator-cleared rows.
     """
     nrows = len(rows)
-    ncols = _width(rows)
-    if any(len(b) != nrows for b in rhs_cols):
-        raise ValueError("right-hand side length mismatch")
-    aug = [list(rows[i]) + [b[i] for b in rhs_cols] for i in range(nrows)]
+    _check_columns(rows, ncols)
+    aug = [dict(row) for row in rows]
+    for k, b in enumerate(rhs_cols):
+        for i, v in b.items():
+            if not 0 <= i < nrows:
+                raise ValueError("right-hand side row %r outside 0 .. %d" % (i, nrows - 1))
+            aug[i][ncols + k] = v
     width = ncols + len(rhs_cols)
-    ints, _ = _integer_rows(aug)
+    ints, _ = _integer_rows(aug, width)
     m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], width)
     if piv_cols and piv_cols[-1] >= ncols:
         # a pivot in the rhs block is a row 0 = nonzero
@@ -325,20 +332,21 @@ def solve_multi(rows: Sequence[Sequence[Fraction]], rhs_cols: Sequence[Sequence[
     return [tuple(Fraction(-a, den) if a else ZERO for a in v[:ncols]) for v, den in vecs]
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    ncols = _width(rows) if rows else 0
-    return len(_bareiss_echelon(_integer_rows(rows)[0], ncols)[1])
+def rank(rows: Sequence[dict], ncols: int) -> int:
+    """Rank of the matrix with {column: entry} rows `rows` and `ncols` columns."""
+    return len(_bareiss_echelon(_integer_rows(rows, ncols)[0], ncols)[1])
 
 
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: Bareiss on the denominator-cleared rows, whose last
-    pivot is their determinant up to the sign of the pivot-row order."""
+def det(rows: Sequence[dict], ncols: int) -> Fraction:
+    """Exact determinant of the square matrix with {column: entry} rows
+    `rows`: Bareiss on the denominator-cleared rows, whose last pivot is
+    their determinant up to the sign of the pivot-row order."""
     n = len(rows)
+    if ncols != n:
+        raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return ONE
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    ints, dens = _integer_rows(rows)
+    ints, dens = _integer_rows(rows, n)
     m, piv, order = _bareiss_echelon(ints, n)
     if len(piv) < n:
         return ZERO
@@ -394,8 +402,11 @@ def poly_mul(p, q):
 
 
 def poly_eval(p, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(p):
+    if not p:
+        return ZERO
+    coeffs = reversed(p)
+    acc = next(coeffs)
+    for c in coeffs:
         acc = acc * x + c
     return acc
 
@@ -498,7 +509,7 @@ def constant_matrix_poly(mat, block_split=None) -> MatrixPoly:
 def eval_matrix_poly(F: MatrixPoly, x: Fraction) -> tuple:
     """Entry-wise evaluation at z = x."""
     x = rat(x)
-    return tuple(tuple(poly_eval(p, x) for p in row) for row in F.entries)
+    return tuple(tuple(poly_eval(p, x) if p else ZERO for p in row) for row in F.entries)
 
 
 # ---------------------------------------------------------------------------

@@ -216,15 +216,16 @@ def contract_first(r: GlTensor2, a) -> tuple:
 def induced_endomorphism_rank(r: GlTensor2) -> int:
     """Rank of the induced map gl(n) -> gl(n) in unit-basis coordinates."""
     n = r.n
-    rows = [[ZERO] * (n * n) for _ in range(n * n)]
+    rows: list = [{} for _ in range(n * n)]
     for (i, j, k, l), c in r.terms.items():
-        # contributes to output coord (k,l) from input coord (j,i)
-        rows[(k - 1) * n + (l - 1)][(j - 1) * n + (i - 1)] += c
+        # output coord (k,l) from input coord (j,i); each pair has one term
+        rows[(k - 1) * n + (l - 1)][(j - 1) * n + (i - 1)] = c
     if r.ring == COMPLEX:
         import numpy as np  # only here: loading numpy dominates CLI start-up
 
-        return int(np.linalg.matrix_rank(np.array(rows, dtype=complex), tol=1e-9))
-    return rank(rows)
+        dense = [[row.get(q, 0) for q in range(n * n)] for row in rows]
+        return int(np.linalg.matrix_rank(np.array(dense, dtype=complex), tol=1e-9))
+    return rank(rows, n * n)
 
 
 def nondegenerate(r: GlTensor2) -> bool:

@@ -26,8 +26,6 @@ from .exact import (
     mat_add,
     mat_bracket,
     mat_is_zero,
-    mat_neg,
-    mat_scale,
     mat_unit,
     mat_zero,
     matrix_poly_from_coeffs,
@@ -86,8 +84,14 @@ class FrobeniusForm:
     e: int
     n: int
     labels: tuple
-    gram: tuple
+    rows: tuple  # the Gram rows as {column: nonzero entry} dicts
     determinant: Fraction
+
+    @property
+    def gram(self) -> tuple:
+        """The Gram matrix as a dense nested tuple."""
+        cols = range(len(self.labels))
+        return tuple(tuple(row.get(c, ZERO) for c in cols) for row in self.rows)
 
     @property
     def nondegenerate(self) -> bool:
@@ -98,34 +102,35 @@ def _label_units(lbl) -> tuple:
     """basis_matrix(lbl) as (i, j, sign) terms sign * e_{i,j}: a unit, or
     h_l = e_{l,l} - e_{l+1,l+1}."""
     if lbl[0] == "unit":
-        return ((lbl[1], lbl[2], ONE),)
+        return ((lbl[1], lbl[2], 1),)
     l = lbl[1]
-    return ((l, l, ONE), (l + 1, l + 1, -ONE))
+    return ((l, l, 1), (l + 1, l + 1, -1))
 
 
 def _bracket_kt_terms(K, lbl, n) -> dict:
-    """[K^t, B] for a basis label B as {(row, col): entry}, 0-based, from
-    O(n) updates that exploit the sparsity of both."""
+    """[K^t, B] for a basis label B as {(row, col): nonzero entry}, 0-based,
+    from O(n) updates that exploit the sparsity of both."""
     out: dict = {}
+
+    def add(key, v):
+        out[key] = out[key] + v if key in out else v
+
     for i, j, sign in _label_units(lbl):
         # [K^t, e_{i,j}]: column j receives K[i-1][:], row i loses K[:][j-1]
         for r in range(n):
             v = K[i - 1][r]
             if v:
-                out[r, j - 1] = out.get((r, j - 1), ZERO) + sign * v
+                add((r, j - 1), v if sign > 0 else -v)
         for c in range(n):
             v = K[c][j - 1]
             if v:
-                out[i - 1, c] = out.get((i - 1, c), ZERO) - sign * v
-    return out
+                add((i - 1, c), -v if sign > 0 else v)
+    return {key: v for key, v in out.items() if v}
 
 
-def _bracket_kt_label(K, lbl, n):
-    """[K^t, B] for a basis label B as a dense row-list."""
-    out = [[ZERO] * n for _ in range(n)]
-    for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
-        out[r][c] = v
-    return out
+def _matrix_terms(m) -> dict:
+    """A dense matrix as {(row, col): nonzero entry}, 0-based."""
+    return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
 
 
 def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
@@ -139,9 +144,9 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
     K = freeze(K)
     labels = parabolic_labels(e, n)
     index = {lbl: p for p, lbl in enumerate(labels)}
-    gram = []
+    rows = []
     for lbl in labels:
-        row = [ZERO] * len(labels)
+        row: dict = {}
         for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
             if r != c:
                 p = index.get(("unit", c + 1, r + 1))
@@ -149,12 +154,14 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
                     row[p] = v
                 continue
             if r + 1 < n:
-                row[index["cartan", r + 1]] += v
+                p = index["cartan", r + 1]
+                row[p] = row.get(p, ZERO) + v
             if r > 0:
-                row[index["cartan", r]] -= v
-        gram.append(tuple(row))
-    gram = tuple(gram)
-    return FrobeniusForm(K, e, n, labels, gram, det(gram))
+                p = index["cartan", r]
+                row[p] = row.get(p, ZERO) - v
+        rows.append({p: v for p, v in row.items() if v})
+    rows = tuple(rows)
+    return FrobeniusForm(K, e, n, labels, rows, det(rows, len(labels)))
 
 
 def rational_k_matrix(K) -> tuple:
@@ -171,20 +178,22 @@ def j_matrix_rat(e: int, d: int) -> tuple:
 
 def _split_solver(K: tuple, e: int, n: int):
     """Coordinates for G = [K^t, P] + N with P in p_e, N in the upper-right
-    nilpotent block: returns (labels, nilpotent positions, matrix rows)."""
+    nilpotent block: returns (labels, nilpotent positions, matrix rows).
+    Row i n + j holds entry (i, j) of the coordinate matrices, as a
+    {column: nonzero entry} dict."""
     labels = parabolic_labels(e, n)
-    cols = [_bracket_kt_label(K, lbl, n) for lbl in labels]
     nil_pos = [
         (i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
         if region(i, j, e, n) == "I"
     ]
-    for (i, j) in nil_pos:
-        cols.append(mat_unit(n, i, j))
-    rows = [
-        [c[i][j] for c in cols] for i in range(n) for j in range(n)
-    ]
+    rows: list = [{} for _ in range(n * n)]
+    for p, lbl in enumerate(labels):
+        for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
+            rows[r * n + c][p] = v
+    for q, (i, j) in enumerate(nil_pos, len(labels)):
+        rows[(i - 1) * n + j - 1][q] = 1
     return labels, tuple(nil_pos), rows
 
 
@@ -192,11 +201,12 @@ def frobenius_split(G, K, e: int) -> tuple[tuple, tuple]:
     """The unique (P, N) with G = [K^t, P] + N, P in p_e and N in the
     upper-right block.  Exists and is unique exactly when omega_K is
     non-degenerate on p_e."""
-    return frobenius_splits([G], K, e)[0]
+    return frobenius_splits([_matrix_terms(G)], K, e)[0]
 
 
-def frobenius_splits(Gs, K, e: int) -> list[tuple[tuple, tuple]]:
-    """`frobenius_split` of every G in sl(n) in `Gs`, from one elimination.
+def frobenius_splits(targets, K, e: int) -> list[tuple[tuple, tuple]]:
+    """`frobenius_split` of every G in sl(n) in `targets`, each given as
+    {(row, col): nonzero entry}, 0-based, from one elimination.
 
     The elimination decides degeneracy: (P, N) |-> [K^t, P] + N maps p_e plus
     the upper-right block into sl(n), of the same dimension n^2 - 1.  Its
@@ -204,12 +214,12 @@ def frobenius_splits(Gs, K, e: int) -> list[tuple[tuple, tuple]]:
     b in p_e iff [K^t, P] lies in p_e^perp in sl(n), the upper-right block.
     So the solve fails, raising DegenerateFormError, exactly when omega_K is
     degenerate."""
-    n = len(Gs[0])
     K = freeze(K)
+    n = len(K)
     labels, nil_pos, rows = _split_solver(K, e, n)
-    rhs = [[G[i][j] for i in range(n) for j in range(n)] for G in Gs]
+    rhs = [{r * n + c: v for (r, c), v in G.items()} for G in targets]
     try:
-        sols = solve_multi(rows, rhs)
+        sols = solve_multi(rows, rhs, len(labels) + len(nil_pos))
     except LinearAlgebraError as exc:
         raise DegenerateFormError("omega_K is degenerate on p_%d" % e) from exc
     out = []
@@ -271,10 +281,11 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
         reg = region(label[1], label[2], e, n) if label[0] == "unit" else "cartan"
-        dual = _dual_pair(label, n)[1]
+        dual = _matrix_terms(_dual_pair(label, n)[1])
         if reg == "I":
             # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
-            targets[(label, 0)] = mat_neg(_bracket_kt_label(K, ("unit", label[2], label[1]), n))
+            bracket = _bracket_kt_terms(K, ("unit", label[2], label[1]), n)
+            targets[(label, 0)] = {key: -v for key, v in bracket.items()}
             targets[(label, 1)] = dual
         elif reg != "III":
             targets[(label, 0)] = dual
@@ -542,47 +553,49 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
             "window %r too small for k_max=%d" % (order.window, k_max)
         )
     labels = sl_basis(n)
-    # rows: all (negative degree, matrix position) coordinates of the window
-    neg_degs = list(range(lo, 0))
-    rows = []
-    for deg in neg_degs:
-        for i in range(n):
-            for j in range(n):
-                rows.append([w.coeff(deg)[i][j] for w in order.elements])
+    pairs = {lbl: _dual_pair(lbl, n) for lbl in labels}
+    # rows: all (negative degree, matrix position) coordinates of the
+    # window, row (deg - lo) n^2 + i n + j; column p is element p
+    rows: list = [{} for _ in range(-lo * n * n)]
+    poly_terms = []  # per element, its (degree, i, j, entry) in degrees 0, 1
+    for p, w in enumerate(order.elements):
+        own = []
+        for deg, m in w.coeffs.items():
+            for i, mrow in enumerate(m):
+                for j, v in enumerate(mrow):
+                    if v:
+                        if lo <= deg < 0:
+                            rows[((deg - lo) * n + i) * n + j][p] = v
+                        elif deg <= 1:
+                            own.append((deg, i, j, v))
+        poly_terms.append(own)
     rhs_cols = []
     wanted = []
     for k in range(k_max + 1):
+        base = (-k - 1 - lo) * n * n
         for lbl in labels:
-            dual = _dual_pair(lbl, n)[1]
-            col = []
-            for deg in neg_degs:
-                for i in range(n):
-                    for j in range(n):
-                        col.append(dual[i][j] if deg == -k - 1 else ZERO)
-            rhs_cols.append(col)
+            dual = _matrix_terms(pairs[lbl][1])
+            rhs_cols.append({base + i * n + j: v for (i, j), v in dual.items()})
             wanted.append((lbl, k))
     try:
-        sols = solve_multi(rows, rhs_cols)
+        sols = solve_multi(rows, rhs_cols, len(order.elements))
     except Exception as exc:
         raise TruncationError("dual element not solvable in window") from exc
 
     poly_parts = {}
     terms = []
     for (lbl, k), coeffs in zip(wanted, sols):
-        poly_mats = [mat_zero(n), mat_zero(n)]
-        for c, w in zip(coeffs, order.elements):
-            if c == 0:
-                continue
-            for deg in (0, 1):
-                m = w.coeffs.get(deg)
-                if m is not None:
-                    poly_mats[deg] = mat_add(poly_mats[deg], mat_scale(c, m))
+        poly_mats = [[[ZERO] * n for _ in range(n)] for _ in (0, 1)]
+        for c, own in zip(coeffs, poly_terms):
+            if c:
+                for deg, i, j, v in own:
+                    poly_mats[deg][i][j] += c * v
         poly_parts[(lbl, k)] = matrix_poly_from_coeffs(poly_mats)
     for k in range(k_max + 1):
         xk = x**k
         pole_coeff = xk * y ** (-k - 1)
         for lbl in labels:
-            first, dual = _dual_pair(lbl, n)
+            first, dual = pairs[lbl]
             terms.append((first, dual, pole_coeff))
             wpoly = eval_matrix_poly(poly_parts[(lbl, k)], y)
             if not mat_is_zero(wpoly):

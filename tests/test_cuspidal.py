@@ -238,8 +238,8 @@ class TestSolSpace:
             rows = []
             for Fm in members:
                 v = eval_matrix_poly(Fm, x)
-                rows.append([v[i][j] for i in range(n) for j in range(n)])
-            assert rank(rows) == n * n - 1
+                rows.append({i * n + j: v[i][j] for i in range(n) for j in range(n) if v[i][j]})
+            assert rank(rows, n * n) == n * n - 1
 
     def test_members_verify_constraint(self):
         for Fm in _members(sol_space(2, 1, F(3, 7))):
@@ -279,7 +279,7 @@ class TestSolSpace:
         lambda v: v[:-1],  # one member short
     ], ids=["swapped", "recombined", "short"])
     def test_kernel_not_dual_to_residues_refused(self, fake, monkeypatch):
-        monkeypatch.setattr(cuspidal, "kernel", lambda rows: fake(exact.kernel(rows)))
+        monkeypatch.setattr(cuspidal, "kernel", lambda rows, ncols: fake(exact.kernel(rows, ncols)))
         with pytest.raises(SolDimensionError, match="not an isomorphism"):
             sol_space(2, 1, F(5, 3))
 
@@ -298,16 +298,19 @@ class _RowsCaptured(Exception):
 
 
 def _constraint_rows(e, d, x, monkeypatch):
-    """The rows that `sol_space(e, d, x)` hands to `kernel`, taken before
-    any elimination runs."""
+    """The {column: entry} rows that `sol_space(e, d, x)` hands to `kernel`,
+    taken before any elimination runs; `kernel` must be told one column per
+    coordinate of V_{e,d}."""
 
-    def capture(rows):
-        raise _RowsCaptured(rows)
+    def capture(rows, ncols):
+        raise _RowsCaptured(rows, ncols)
 
     monkeypatch.setattr(cuspidal, "kernel", capture)
     with pytest.raises(_RowsCaptured) as caught:
         sol_space(e, d, x)
-    return caught.value.args[0]
+    rows, ncols = caught.value.args
+    assert ncols == len(cuspidal._ved_coords(e, d))
+    return rows
 
 
 def _proof_vectors(e, d, rng):
@@ -344,7 +347,10 @@ def _encoding_mismatches(e, d, x, rows, vectors):
     the constraint: the first n^2 entries of rows . c must be the flattened
     `sol_constraint_violation` of c's member, and both trace rows must
     vanish on c."""
-    columns = [[(r, v) for r, v in enumerate(column) if v] for column in zip(*rows)]
+    columns = [[] for _ in cuspidal._ved_coords(e, d)]
+    for r, row in enumerate(rows):
+        for m, v in row.items():
+            columns[m].append((r, v))
     bad = []
     for c in vectors:
         image = [ZERO] * len(rows)
@@ -382,7 +388,7 @@ class TestSolEncoding:
         for x in POINTS:
             rows = _constraint_rows(e, d, x, monkeypatch)
             assert len(rows) == n * n + 2
-            assert [[row[m] for m in traces] for row in rows[-2:]] == [[1, 0], [0, 1]]
+            assert [[row.get(m, 0) for m in traces] for row in rows[-2:]] == [[1, 0], [0, 1]]
             assert not _encoding_mismatches(e, d, x, rows, _proof_vectors(e, d, rng))
 
     @pytest.mark.parametrize("e,d,cell", [(3, 2, (1, 4)), (3, 2, (2, 2)), (3, 2, (4, 1)),
@@ -397,8 +403,8 @@ class TestSolEncoding:
         rows = _constraint_rows(e, d, x, monkeypatch)
         m = cuspidal._ved_coords(e, d).index((a, b, _cap(a, b, e, n)))
         row = rows[(a - 1) * n + b - 1]
-        assert row[m] == (1 - _cap(a, b, e, n)) * x
-        row[m] += ONE
+        assert row.get(m, 0) == (1 - _cap(a, b, e, n)) * x
+        row[m] = row.get(m, 0) + ONE
         assert _encoding_mismatches(e, d, x, rows, _proof_vectors(e, d, random.Random(7)))
 
 
@@ -440,6 +446,19 @@ class TestGElements:
         elapsed = time.perf_counter() - t0
         _assert_defining_conditions(g)
         assert elapsed < 10.0
+
+    def test_cache_is_bounded(self):
+        """A process that sees more residue points than the cache holds
+        keeps only the most recent ones."""
+        g_elements.cache_clear()
+        try:
+            for k in range(cuspidal.G_ELEMENTS_CACHE_MAX + 1):
+                g_elements(1, 1, F(k, 7))
+            info = g_elements.cache_info()
+        finally:
+            g_elements.cache_clear()
+        assert info.misses == cuspidal.G_ELEMENTS_CACHE_MAX + 1
+        assert info.currsize <= info.maxsize == cuspidal.G_ELEMENTS_CACHE_MAX
 
     def test_cold_run_makes_one_elimination(self, monkeypatch):
         calls = []

@@ -34,15 +34,32 @@ from ybe_forge.exact import (
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
+def _sparse(rows):
+    """Dense rows as the {column: entry} rows the solvers take.  Every
+    other row keeps its zeros as stored entries, so the solvers see both
+    forms."""
+    return [{c: v for c, v in enumerate(row) if v or i % 2} for i, row in enumerate(rows)]
+
+
+def _rhs(b):
+    """A dense right-hand side as a {row: entry} dict."""
+    return {i: v for i, v in enumerate(b) if v}
+
+
+def _solve(rows, rhs_cols):
+    """solve_multi on dense rows and right-hand sides."""
+    return solve_multi(_sparse(rows), [_rhs(b) for b in rhs_cols], len(rows[0]))
+
+
 class TestSolve:
     def test_identity_system(self):
         b = (F(3), F(-1, 2), F(7))
         A = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
-        assert solve_multi(A, [b])[0] == b
+        assert _solve(A, [b])[0] == b
 
     def test_two_by_two(self):
         A = ((F(1), F(1)), (F(1), F(-1)))
-        assert solve_multi(A, [(F(2), F(0))])[0] == (F(1), F(1))
+        assert _solve(A, [(F(2), F(0))])[0] == (F(1), F(1))
 
     def test_cartan_gram_n4(self):
         # Gram system of the simple coroot pairing for n = 4, re-verified
@@ -52,7 +69,7 @@ class TestSolve:
         gram = [[trace_form(a, b) for b in hs] for a in hs]
         for l in range(3):
             rhs = [F(int(m == l)) for m in range(3)]
-            x = solve_multi(gram, [rhs])[0]
+            x = _solve(gram, [rhs])[0]
             for m in range(3):
                 got = sum(x[k] * gram[m][k] for k in range(3))
                 assert got == rhs[m]
@@ -60,16 +77,16 @@ class TestSolve:
     def test_singular_reported(self):
         A = ((F(1), F(1)), (F(2), F(2)))
         with pytest.raises(SingularSystemError):
-            solve_multi(A, [(F(0), F(0))])
+            _solve(A, [(F(0), F(0))])
 
     def test_inconsistent_reported(self):
         A = ((F(1), F(1)), (F(1), F(1)))
         with pytest.raises(InconsistentSystemError):
-            solve_multi(A, [(F(0), F(1))])
+            _solve(A, [(F(0), F(1))])
 
     def test_overdetermined_consistent(self):
         A = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
-        assert solve_multi(A, [(F(2), F(3), F(5))])[0] == (F(2), F(3))
+        assert _solve(A, [(F(2), F(3), F(5))])[0] == (F(2), F(3))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3),
@@ -77,40 +94,45 @@ class TestSolve:
     def test_random_systems_resubstitute(self, rows, b):
         A = tuple(tuple(r) for r in rows)
         try:
-            x = solve_multi(A, [b])[0]
+            x = _solve(A, [b])[0]
         except (SingularSystemError, InconsistentSystemError):
             return
         for row, bi in zip(A, b):
             assert sum(a * v for a, v in zip(row, x)) == bi
 
-    @pytest.mark.parametrize("rows", [
-        [[F(1), F(2)], [F(3)]],
-        [[F(1), F(2)], [F(3), F(0), F(1)]],
-    ], ids=["short-row", "long-row"])
+    @pytest.mark.parametrize("column", [2, -1], ids=["past-end", "negative"])
     @pytest.mark.parametrize("solver", [
-        kernel, rank, lambda rows: solve_multi(rows, [[F(1), F(1)]]),
-    ], ids=["kernel", "rank", "solve_multi"])
-    def test_ragged_rows_rejected(self, rows, solver):
-        """A short row would read the right-hand side as a coefficient, and
-        a long one would index past the columns of the first."""
-        with pytest.raises(ValueError, match="ragged"):
-            solver(rows)
+        kernel, rank, det, lambda rows, ncols: solve_multi(rows, [{0: F(1)}], ncols),
+    ], ids=["kernel", "rank", "det", "solve_multi"])
+    def test_column_outside_ncols_rejected(self, solver, column):
+        """A column at or past `ncols` would be read as a right-hand side
+        (or index past the column table), and a negative one would be read
+        from the end."""
+        rows = [{0: F(1), 1: F(2)}, {column: F(3)}]
+        with pytest.raises(ValueError, match="column index outside"):
+            solver(rows, 2)
+
+    def test_rhs_row_outside_rows_rejected(self):
+        rows = [{0: F(1)}, {1: F(1)}]
+        for i in (2, -1):
+            with pytest.raises(ValueError, match="right-hand side row"):
+                solve_multi(rows, [{i: F(1)}], 2)
 
 
 class TestKernel:
     def test_zero_matrix(self):
-        vecs = kernel([[F(0)] * 4 for _ in range(4)])
+        vecs = kernel([{} for _ in range(4)], 4)
         assert len(vecs) == 4
 
     def test_full_rank_square(self):
         A = ((F(2), F(1)), (F(1), F(1)))
-        assert kernel(A) == []
+        assert kernel(_sparse(A), 2) == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=2, max_size=3))
     def test_kernel_members_annihilate(self, rows):
-        vecs = kernel(rows)
-        assert len(vecs) == 4 - rank(rows)
+        vecs = kernel(_sparse(rows), 4)
+        assert len(vecs) == 4 - rank(_sparse(rows), 4)
         for v in vecs:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) == 0
@@ -118,11 +140,56 @@ class TestKernel:
 
 class TestDet:
     def test_known(self):
-        assert det(((F(0), F(2)), (F(-2), F(0)))) == 4
-        assert det(((F(1), F(2)), (F(2), F(4)))) == 0
+        assert det(_sparse(((F(0), F(2)), (F(-2), F(0)))), 2) == 4
+        assert det(_sparse(((F(1), F(2)), (F(2), F(4)))), 2) == 0
 
     def test_scaled_rows(self):
-        assert det(((F(1, 2), F(0)), (F(0), F(1, 3)))) == F(1, 6)
+        assert det(_sparse(((F(1, 2), F(0)), (F(0), F(1, 3)))), 2) == F(1, 6)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="non-square"):
+            det([{0: F(1)}], 2)
+
+
+class TestSparseRows:
+    """Edge cases of the {column: entry} row form, against the dense
+    reference."""
+
+    def test_empty_row(self):
+        dense = [[F(1), F(2), F(0)], [F(0)] * 3, [F(0), F(1), F(1)]]
+        rows = [{0: F(1), 1: F(2)}, {}, {1: F(1), 2: F(1)}]
+        assert kernel(rows, 3) == _ref_kernel(dense)
+        assert rank(rows, 3) == 2
+        assert det(rows, 3) == 0
+        b = [F(3), F(0), F(2)]
+        assert _outcome(solve_multi, rows, [_rhs(b)], 3) == _outcome(_ref_solve_multi, dense, [b])
+        assert _outcome(solve_multi, rows, [{1: F(1)}], 3) is InconsistentSystemError
+
+    def test_trailing_zero_columns(self):
+        """`ncols` past the largest stored column: the trailing columns are
+        zero and free."""
+        rows = [{0: F(2), 1: F(1)}, {1: F(3)}]
+        dense = [[F(2), F(1), F(0), F(0)], [F(0), F(3), F(0), F(0)]]
+        assert kernel(rows, 4) == _ref_kernel(dense)
+        assert len(kernel(rows, 4)) == 2
+        assert rank(rows, 4) == 2
+        assert _outcome(solve_multi, rows, [{0: F(1)}], 4) is SingularSystemError
+
+    def test_stored_zero(self):
+        """A stored zero is not a nonzero: it neither adds a pivot nor
+        changes the result."""
+        rows = [{0: F(1), 1: F(0)}, {0: F(0), 1: F(0), 2: F(5, 3)}]
+        dense = [[F(1), F(0), F(0)], [F(0), F(0), F(5, 3)]]
+        assert kernel(rows, 3) == _ref_kernel(dense) == [(F(0), F(1), F(0))]
+        assert rank(rows, 3) == 2
+        assert det([{0: F(0), 1: F(2)}, {0: F(-2), 1: F(0)}], 2) == 4
+        square = [{0: F(2), 1: F(0)}, {0: F(0), 1: F(4)}]
+        assert solve_multi(square, [{0: F(1), 1: F(0)}], 2) == [(F(1, 2), F(0))]
+
+    def test_empty_matrix(self):
+        assert kernel([], 2) == [(F(1), F(0)), (F(0), F(1))]
+        assert rank([], 3) == 0
+        assert det([], 0) == 1
 
 
 def _gauss_jordan(rows, ncols):
@@ -200,17 +267,19 @@ def rational_matrices(draw, min_rows=1):
 
 
 class TestIntegerCore:
-    """kernel, solve_multi, rank and det against a plain Fraction reference."""
+    """kernel, solve_multi, rank and det on {column: entry} rows against a
+    plain Fraction reference on the dense rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(rational_matrices())
     def test_kernel_rank_det_match_reference(self, rows):
-        assert kernel(rows) == _ref_kernel(rows)
-        _, piv, factor = _gauss_jordan(rows, len(rows[0]))
-        assert rank(rows) == len(piv)
-        if len(rows) == len(rows[0]):
+        ncols = len(rows[0])
+        assert kernel(_sparse(rows), ncols) == _ref_kernel(rows)
+        _, piv, factor = _gauss_jordan(rows, ncols)
+        assert rank(_sparse(rows), ncols) == len(piv)
+        if len(rows) == ncols:
             expected = factor if len(piv) == len(rows) else F(0)
-            got = det(rows)
+            got = det(_sparse(rows), ncols)
             assert got == expected and isinstance(got, F)
 
     @settings(max_examples=150, deadline=None)
@@ -229,7 +298,7 @@ class TestIntegerCore:
             else:
                 rhs_cols.append(data.draw(st.lists(small_rats, min_size=nrows, max_size=nrows)))
         expected = _outcome(_ref_solve_multi, rows, rhs_cols)
-        got = _outcome(solve_multi, rows, rhs_cols)
+        got = _outcome(_solve, rows, rhs_cols)
         assert got == expected
         if isinstance(got, list):
             assert all(isinstance(v, F) for sol in got for v in sol)
@@ -243,12 +312,12 @@ class TestIntegerCore:
             return vecs
 
         monkeypatch.setattr(exact, "_back_substitute", off_by_one)
-        A = [[F(1), F(1, 2), F(0)], [F(0), F(1), F(-1, 3)]]
+        A = [{0: F(1), 1: F(1, 2)}, {1: F(1), 2: F(-1, 3)}]
         with pytest.raises(LinearAlgebraError, match="kernel verification failed"):
-            kernel(A)
-        B = [[F(2), F(1)], [F(1), F(3)], [F(3), F(4)]]
+            kernel(A, 3)
+        B = [{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}, {0: F(3), 1: F(4)}]
         with pytest.raises(LinearAlgebraError, match="solve verification failed"):
-            solve_multi(B, [[F(1), F(2), F(3)]])
+            solve_multi(B, [{0: F(1), 1: F(2), 2: F(3)}], 2)
 
     def test_solve_dec_makes_one_batched_solve(self, monkeypatch):
         """A cold solve_dec runs one batched split and no determinant: the
@@ -257,13 +326,13 @@ class TestIntegerCore:
 
         calls, dets = [], []
 
-        def counting(rows, rhs_cols):
+        def counting(rows, rhs_cols, ncols):
             calls.append(len(rhs_cols))
-            return exact.solve_multi(rows, rhs_cols)
+            return exact.solve_multi(rows, rhs_cols, ncols)
 
-        def counting_det(rows):
+        def counting_det(rows, ncols):
             dets.append(len(rows))
-            return exact.det(rows)
+            return exact.det(rows, ncols)
 
         monkeypatch.setattr(stolin, "solve_multi", counting)
         monkeypatch.setattr(stolin, "det", counting_det)
@@ -274,6 +343,81 @@ class TestIntegerCore:
             stolin.solve_dec.cache_clear()
         assert calls == [4 * 4 - 1]
         assert dets == []
+
+
+def _sparse_and_clean(rows) -> bool:
+    """Every row a dict with no stored zero."""
+    return all(type(row) is dict and all(row.values()) for row in rows)
+
+
+class TestBuilderRows:
+    """The builders hand the solvers {column: entry} rows with no stored
+    zeros, and build them without dense grids."""
+
+    @staticmethod
+    def _recording(monkeypatch, module, name, seen):
+        original = getattr(exact, name)
+
+        def recording(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    @pytest.mark.parametrize("x", [F(0), F(1), F(-3, 7)])
+    def test_sol_space_rows(self, x, monkeypatch):
+        from ybe_forge import cuspidal
+
+        seen = []
+        self._recording(monkeypatch, cuspidal, "kernel", seen)
+        for e, d in ((1, 1), (3, 2), (2, 5)):
+            cuspidal.sol_space(e, d, x)
+        assert len(seen) == 3
+        assert all(_sparse_and_clean(rows) for rows, _ in seen)
+
+    def test_frobenius_rows(self, monkeypatch):
+        from ybe_forge import stolin
+
+        dets, solves = [], []
+        self._recording(monkeypatch, stolin, "det", dets)
+        self._recording(monkeypatch, stolin, "solve_multi", solves)
+        # diagonal entries make [K^t, h_l] cancel inside its bracket terms
+        K = ((F(1), F(1), F(0), F(0)), (F(0), F(2), F(1, 2), F(0)),
+             (F(-1), F(0), F(1), F(1)), (F(0), F(0), F(0), F(1)))
+        for e in (1, 2, 3):
+            form = stolin.frobenius_gram(K, e, 4)
+            assert form.nondegenerate == (e != 2)
+            if form.nondegenerate:
+                stolin.frobenius_splits([{(0, 1): F(1)}, {(0, 0): F(1), (3, 3): F(-1)}], K, e)
+        stolin.solve_dec.cache_clear()
+        try:
+            stolin.solve_dec(1, 3, stolin.neg_j_matrix(1, 3))
+        finally:
+            stolin.solve_dec.cache_clear()
+        assert len(dets) == 3 and len(solves) == 3
+        assert all(_sparse_and_clean(rows) for rows, _ in dets)
+        for rows, rhs_cols, _ in solves:
+            assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
+
+    def test_series_rows_without_dense_grids(self, monkeypatch):
+        """series_r reads each element's coefficient dict once: no
+        `mat_zero` and no `LaurentMatrixSeries.coeff` call."""
+        from ybe_forge import stolin
+
+        order = stolin.build_order(stolin.j_matrix_rat(2, 1), 2, 3, (-4, 1))
+        dense = []
+        coeff = stolin.LaurentMatrixSeries.coeff
+        mat_zero = stolin.mat_zero
+        monkeypatch.setattr(stolin.LaurentMatrixSeries, "coeff",
+                            lambda self, k: dense.append("coeff") or coeff(self, k))
+        monkeypatch.setattr(stolin, "mat_zero", lambda n: dense.append("mat_zero") or mat_zero(n))
+        solves = []
+        self._recording(monkeypatch, stolin, "solve_multi", solves)
+        stolin.series_r(order, 1, F(1, 3), F(2))
+        assert dense == []
+        [(rows, rhs_cols, ncols)] = solves
+        assert ncols == len(order.elements)
+        assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
 
 
 def _entry(rng):
@@ -320,17 +464,19 @@ def _perm_sign(perm):
 
 
 def _check_against_oracle(rows):
-    assert kernel(rows) == _ref_kernel(rows)
-    _, piv, factor = _gauss_jordan(rows, len(rows[0]))
-    assert rank(rows) == len(piv)
-    if len(rows) == len(rows[0]):
-        assert det(rows) == (factor if len(piv) == len(rows) else F(0))
+    ncols = len(rows[0])
+    assert kernel(_sparse(rows), ncols) == _ref_kernel(rows)
+    _, piv, factor = _gauss_jordan(rows, ncols)
+    assert rank(_sparse(rows), ncols) == len(piv)
+    if len(rows) == ncols:
+        assert det(_sparse(rows), ncols) == (factor if len(piv) == len(rows) else F(0))
 
 
 class TestSeededOracle:
-    """det, rank, kernel and solve_multi against the Fraction Gauss-Jordan
-    oracle on seeded random rational matrices: dense and sparse; square,
-    wide and tall; full rank, rank-deficient, singular and inconsistent."""
+    """det, rank, kernel and solve_multi on {column: entry} rows against the
+    Fraction Gauss-Jordan oracle on the dense rows of seeded random rational
+    matrices: dense and sparse; square, wide and tall; full rank,
+    rank-deficient, singular and inconsistent."""
 
     SHAPES = [(6, 6), (9, 9), (4, 9), (3, 12), (9, 4), (12, 5)]
 
@@ -356,7 +502,7 @@ class TestSeededOracle:
             _check_against_oracle(rows)
             _check_against_oracle(_low_rank(rng, len(rows), len(rows), len(rows) - 2, 0.3))
             b = [_entry(rng) for _ in rows]
-            assert solve_multi(rows, [b]) == _ref_solve_multi(rows, [b])
+            assert _solve(rows, [b]) == _ref_solve_multi(rows, [b])
 
     def test_row_permutation_sign(self):
         rng = random.Random(11)
@@ -367,7 +513,7 @@ class TestSeededOracle:
                     perm = list(range(n))
                     rng.shuffle(perm)
                     permuted = [rows[p] for p in perm]
-                    assert det(permuted) == _perm_sign(perm) * det(rows)
+                    assert det(_sparse(permuted), n) == _perm_sign(perm) * det(_sparse(rows), n)
                     _check_against_oracle(permuted)
 
     @pytest.mark.parametrize("shape", [(5, 5), (8, 8), (9, 5), (12, 6)])
@@ -381,7 +527,7 @@ class TestSeededOracle:
                 consistent = [sum((a * v for a, v in zip(row, x)), F(0)) for row in rows]
                 arbitrary = [_entry(rng) for _ in range(nrows)]  # mostly inconsistent
                 for rhs in ([consistent], [arbitrary], [consistent, arbitrary], [consistent] * 3):
-                    assert _outcome(solve_multi, rows, rhs) == _outcome(_ref_solve_multi, rows, rhs)
+                    assert _outcome(_solve, rows, rhs) == _outcome(_ref_solve_multi, rows, rhs)
 
 
 class TestPoly:

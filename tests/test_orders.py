@@ -61,7 +61,8 @@ def _window_span_rank(ob, n):
                 [(m[i][j] if kk == k else ZERO)
                  for kk in range(lo, hi + 1) for i in range(n) for j in range(n)]
             )
-    return rank(rows), (hi - lo + 1) * (n * n - 1)
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    return rank(sparse, len(rows[0])), (hi - lo + 1) * (n * n - 1)
 
 
 class TestBuildOrder:
