@@ -30,28 +30,29 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.25-0.3 s and `elliptic 12 1` 0.3 s.
+# Intel Xeon, `rational 12 1` takes 0.11 s and `elliptic 12 1` 0.10 s.
 N_MAX = 12
 # Largest `verify --n-max`.  The suite's cost grows 1.5- to 2-fold per step
-# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 1.6 s, 7 takes
-# 6.1 s and 8 takes 9.4 s.
+# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 0.5 s, 7 takes
+# 1.8 s and 8 takes 2.9 s.
 VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
 # exact solve slows as x grows: on one CPU of an Intel Xeon, `rational 12 d`
-# for d = 1, 5, 7 and 11 takes 0.25-0.3 s at x = 1/3 and 0.3-0.5 s at a
-# 30-digit x, and the (5, 7) solve takes 0.75 s at a 60-digit x.
+# for d = 1, 5, 7 and 11 takes 0.11 s at x = 1/3 and 0.12-0.22 s at a
+# 30-digit x, and the (5, 7) solve takes 0.39 s at a 60-digit x.
 RAT_DIGITS_MAX = 30
 # Most digits a K-matrix file may carry beyond one per numerator and one per
 # denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in
 # all.  Every entry enters 2n rows of the split elimination, and a new prime
 # denominator scales each of them, so two-digit prime denominators cost the
 # most per digit.  On one CPU of an Intel Xeon, `stolin 12 e` for e = 1, 5,
-# 7 and 11 with a dense K takes 2.8-3.3 s with one-digit integers, 8.1-9.2 s
-# with one-digit fractions and 7.9-9.6 s at this bound (four two-digit prime
-# denominators); dense 30-digit entries, refused here, took 313 s.  Smaller
-# n gain no slack: a bound on the plain total admitted n = 10 files that
-# take 15 s.
+# 7 and 11 with a dense K takes 1.1-1.2 s with one-digit integers, 3.4-4.0 s
+# with one-digit fractions and 4.4-4.8 s at this bound (four two-digit prime
+# denominators); measured earlier, when the same files took about 2.3 times
+# as long, dense 30-digit entries, refused here, took 313 s, and a bound on
+# the plain total admitted n = 10 files that took 15 s, so smaller n gain no
+# slack.
 K_EXTRA_DIGITS_MAX = 4
 # Most bytes read from a K-matrix file; a longer file exits 3 before it is
 # parsed, so a huge or endless file (/dev/zero) cannot take memory before

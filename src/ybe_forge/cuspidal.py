@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .exact import (
@@ -22,7 +22,6 @@ from .exact import (
     eval_matrix_poly,
     interpolate,
     kernel,
-    mat_is_zero,
     matrix_poly_from_coeffs,
     poly_trim,
     rat,
@@ -30,12 +29,13 @@ from .exact import (
 from .lie import (
     GlTensor2,
     RATIONAL,
+    TensorTable,
     apply_gauge,
     casimir,
-    dual_matrix,
+    dual_terms,
     signed_permutation_map,
     sl_basis,
-    tensor_from_pairs,
+    tensor_table,
 )
 
 
@@ -388,9 +388,23 @@ class GElements:
     def n(self) -> int:
         return self.e + self.d
 
+    @cached_property
+    def table(self) -> TensorTable:
+        """r(x, y) at this x for every y, built on first use.  Each G_B has
+        degree <= 2 in z, so r(x, y) = (c + T0 + y T1 + y^2 T2)/(y - x) with
+        T_k = sum dual(B) (x) [z^k] G_B."""
+        n = self.n
+        pairs = []
+        for label, G in self.corrections.items():
+            first = dual_terms(label, n)
+            pairs += [(first, second, (1, 0, k)) for k, second in G.coeff_terms().items()]
+        return tensor_table(n, pairs)
 
-# Most residue points whose corrections `g_elements` keeps.  One entry holds
-# about 0.5 MB at n = 12, so the cache stays under about 32 MB.  A process
+
+# Most residue points whose corrections `g_elements` keeps.  At n = 12 one
+# entry holds about 0.4 MB and, once `assemble_r` has built its table,
+# about 0.6 MB (measured with tracemalloc at (1, 11) and (5, 7)), so the
+# cache stays under about 40 MB.  A process
 # re-uses few points at a time: `verify --n-max 8` (330 points) and
 # warm-eval (a pool of 8) lose no hit at this size; a size of 32 already
 # costs `verify --n-max 7` one.
@@ -425,22 +439,13 @@ def g_elements(e: int, d: int, x: Fraction) -> GElements:
 
 def assemble_r(e: int, d: int, x, y) -> GlTensor2:
     """The rational solution of the geometric pipeline at exact points:
-    (1/(y-x)) [ c + sum dual(B) (x) G_B(y) ] over the sl(n) basis."""
+    (1/(y-x)) [ c + sum dual(B) (x) G_B(y) ] over the sl(n) basis, read off
+    the table of `g_elements(e, d, x)`."""
     x, y = rat(x), rat(y)
     if x == y:
         raise ValueError("need x != y")
     _check_coprime(e, d)
-    n = e + d
-    g = g_elements(e, d, x)
-    inv = ONE / (y - x)
-    pairs = []
-    for label, G in g.corrections.items():
-        val = eval_matrix_poly(G, y)
-        if mat_is_zero(val):
-            continue
-        pairs.append((dual_matrix(label, n), val, inv))
-    correction = tensor_from_pairs(n, pairs)
-    return casimir(n).scale(inv).add(correction)
+    return g_elements(e, d, x).table.at(x, y)
 
 
 def flip_transpose_gauge(e: int, d: int):

@@ -473,6 +473,17 @@ class MatrixPoly:
             tuple(p[k] if k < len(p) else ZERO for p in row) for row in self.entries
         )
 
+    def coeff_terms(self) -> dict:
+        """{k: {(i, j): nonzero z**k coefficient of entry (i, j)}}, 1-based,
+        read off the nonzero coefficients only."""
+        out: dict = {}
+        for i, row in enumerate(self.entries, 1):
+            for j, p in enumerate(row, 1):
+                for k, c in enumerate(p):
+                    if c:
+                        out.setdefault(k, {})[i, j] = c
+        return out
+
     def add(self, other: "MatrixPoly") -> "MatrixPoly":
         if self.n != other.n:
             raise ValueError("size mismatch")

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .exact import (
     ONE,
@@ -61,11 +62,7 @@ def cartan_dual(l: int, n: int):
     """The unique Cartan element with tr(dual * h_m) = delta_{l m}: the
     fundamental coweight, diagonal with (n-l)/n in its first l entries and
     -l/n in the rest."""
-    if not 1 <= l <= n - 1:
-        raise ValueError("cartan index out of range: %d for n=%d" % (l, n))
-    return mat_from_entries(
-        n, {(a, a): Fraction(n - l if a <= l else -l, n) for a in range(1, n + 1)}
-    )
+    return mat_from_entries(n, dual_terms(("cartan", l), n))
 
 
 def dual_matrix(label: BasisIndex, n: int):
@@ -74,6 +71,17 @@ def dual_matrix(label: BasisIndex, n: int):
         _, i, j = label
         return mat_unit(n, j, i)
     return cartan_dual(label[1], n)
+
+
+def dual_terms(label: BasisIndex, n: int) -> dict:
+    """`dual_matrix` as {(i, j): nonzero entry}, 1-based."""
+    if label[0] == "unit":
+        _, i, j = label
+        return {(j, i): ONE}
+    _, l = label
+    if not 1 <= l <= n - 1:
+        raise ValueError("cartan index out of range: %d for n=%d" % (l, n))
+    return {(a, a): Fraction(n - l if a <= l else -l, n) for a in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +191,13 @@ def tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
     return GlTensor2(n, ring, out)
 
 
+def _swapped(terms: dict) -> dict:
+    return {(k, l, i, j): c for (i, j, k, l), c in terms.items()}
+
+
 def swap_tensor(r: GlTensor2) -> GlTensor2:
     """The flip a (x) b -> b (x) a, extended linearly."""
-    return GlTensor2(r.n, r.ring, {(k, l, i, j): v for (i, j, k, l), v in r.terms.items()})
+    return GlTensor2(r.n, r.ring, _swapped(r.terms))
 
 
 @lru_cache(maxsize=None)
@@ -247,6 +259,80 @@ def partial_traces_vanish(r: GlTensor2) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# rational r-matrices as integer coefficient tables
+# ---------------------------------------------------------------------------
+
+# The monomial (p, a, b) of a table stands for x^a y^b / (y - x)^p.
+POLE = (1, 0, 0)
+
+
+@dataclass(frozen=True)
+class TensorTable:
+    """r(x, y) = sum over the monomials m of m(x, y) T_m in integers:
+    terms[(i, j, k, l)] holds the numerators of the coefficient of
+    e_{i,j} (x) e_{k,l} in each T_m, in the order of `monomials`, over the
+    common denominator `den`.  No key has only zero numerators."""
+
+    n: int
+    monomials: tuple
+    den: int
+    terms: dict
+
+    def at(self, x: Fraction, y: Fraction) -> GlTensor2:
+        """r(x, y) for y != x.  Every monomial is an integer over one common
+        denominator, so each term costs one integer combination and one
+        Fraction; terms that vanish at (x, y) are dropped."""
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        s = yn * xd - xn * yd  # (y - x) xd yd
+        p_max, a_max, b_max = (max(m[k] for m in self.monomials) for k in range(3))
+        values = [
+            xn**a * xd ** (a_max - a + p) * yn**b * yd ** (b_max - b + p) * s ** (p_max - p)
+            for p, a, b in self.monomials
+        ]
+        den = self.den * xd**a_max * yd**b_max * s**p_max
+        g = gcd(den, *values)
+        values = [v // g for v in values]
+        den //= g
+        terms = {}
+        for key, nums in self.terms.items():
+            v = sum(map(mul, nums, values))
+            if v:
+                terms[key] = Fraction(v, den)
+        return GlTensor2(self.n, RATIONAL, terms)
+
+
+def tensor_table(n: int, pairs) -> TensorTable:
+    """The table of c/(y - x) + sum of m(x, y) A (x) B over the list of
+    triples (A, B, m) `pairs`, c the Casimir.  A and B are {(i, j): entry}
+    dicts, 1-based, of rationals.  Built in integers: the entries of each
+    slot are scaled to the lcm of that slot's denominators, and keys whose
+    numerators all cancel are dropped."""
+    monomials = tuple(sorted({POLE}.union(m for _, _, m in pairs)))
+    col = {m: c for c, m in enumerate(monomials)}
+    den_a = lcm(*(v.denominator for a, _, _ in pairs for v in a.values()))
+    den_b = lcm(n, *(v.denominator for _, b, _ in pairs for v in b.values()))
+    den = den_a * den_b
+    acc: dict = {}
+    width = len(monomials)
+    for key, v in casimir(n).terms.items():
+        acc.setdefault(key, [0] * width)[col[POLE]] = v.numerator * (den // v.denominator)
+    for a, b, m in pairs:
+        c = col[m]
+        b_terms = [(k, l, v.numerator * (den_b // v.denominator)) for (k, l), v in b.items()]
+        for (i, j), v in a.items():
+            va = v.numerator * (den_a // v.denominator)
+            for k, l, vb in b_terms:
+                key = (i, j, k, l)
+                nums = acc.get(key)
+                if nums is None:
+                    nums = acc[key] = [0] * width
+                nums[c] += va * vb
+    g = gcd(den, *(v for nums in acc.values() for v in nums))
+    terms = {key: tuple(v // g for v in nums) for key, nums in acc.items() if any(nums)}
+    return TensorTable(n, monomials, den // g, terms)
+
+
+# ---------------------------------------------------------------------------
 # the CYBE left-hand side
 # ---------------------------------------------------------------------------
 
@@ -286,19 +372,27 @@ def _join(total: dict, xs: dict, ys: dict, sign: int) -> None:
                 total[key] = get(key, 0) + c * c2
 
 
-def _bracket_into(total: dict, x: dict, y: dict, slots, powers) -> None:
-    """Add the bracket of x and y in their first factors to `total`: terms
-    c a (x) u of x and c' b (x) w of y give c c' [a, b], u and w in slots
-    slots[0], slots[1] and slots[2] of gl(n)^(x3).  A key of `total` is the
-    dot product of the six indices with `powers`, the powers of a base > n.
-    As [e_ab, e_pq] = delta_bp e_aq - delta_qa e_pb, x is joined with y once
-    on x's column = y's row, and once on x's row = y's column.
-    """
+def _bracket_joins(slots, powers) -> tuple:
+    """The two joins that add the bracket of x and y in their first factors:
+    terms c a (x) u of x and c' b (x) w of y give c c' [a, b], u and w in
+    slots slots[0], slots[1] and slots[2] of gl(n)^(x3).  An output key is
+    the dot product of the six indices with `powers`, the powers of a base
+    > n.  As [e_ab, e_pq] = delta_bp e_aq - delta_qa e_pb, x is joined with
+    y once on x's column = y's row, and once on x's row = y's column.  Each
+    join is ((slot, weights) of x, (slot, weights) of y, sign) for
+    `_by_slot` and `_join`; a's row is the output row in the first join
+    and b's row in the second."""
     row, col, u_row, u_col, w_row, w_col = (powers[2 * s + i] for s in slots for i in (0, 1))
-    _join(total, _by_slot(x, 1, (row, 0, u_row, u_col)),
-          _by_slot(y, 0, (0, col, w_row, w_col)), 1)
-    _join(total, _by_slot(x, 0, (0, col, u_row, u_col)),
-          _by_slot(y, 1, (row, 0, w_row, w_col)), -1)
+    return (((1, (row, 0, u_row, u_col)), (0, (0, col, w_row, w_col)), 1),
+            ((0, (0, col, u_row, u_col)), (1, (row, 0, w_row, w_col)), -1))
+
+
+def _by_first_row(terms: dict) -> dict:
+    """Terms (i, j, k, l) -> c split by i."""
+    out: dict = {}
+    for key, c in terms.items():
+        out.setdefault(key[0], {})[key] = c
+    return out
 
 
 def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
@@ -309,6 +403,10 @@ def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
     Slot conventions are fixed here; no other module re-implements them.
     One sparse pass per commutator; rational inputs are summed as integer
     numerators over their common denominator D and divided by D^2 once.
+    The passes run once per row v of the first output slot, so only the
+    partial sums of that row are held at a time: that row is the row of
+    the first factor of an r12 or an r13 term, so each join restricts one
+    side to the terms of row v.
     """
     r12._check_compatible(r13)
     r12._check_compatible(r23)
@@ -322,22 +420,38 @@ def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
 
     base = r12.n + 1
     powers = [base ** p for p in range(5, -1, -1)]
-    packed: dict = {}
-    # the bracket acts on each tensor's first factor; swap_tensor moves the
+    c12, c13, c23 = coeffs(r12), coeffs(r13), coeffs(r23)
+    # the bracket acts on each tensor's first factor; swapping moves the
     # shared slot there.  [r12, r13] lands in slot 1, [r13, r23] in slot 3
-    # and [r12, r23] in slot 2.
-    _bracket_into(packed, coeffs(r12), coeffs(r13), (0, 1, 2), powers)
-    _bracket_into(packed, coeffs(swap_tensor(r13)), coeffs(swap_tensor(r23)), (2, 0, 1), powers)
-    _bracket_into(packed, coeffs(swap_tensor(r12)), coeffs(r23), (1, 0, 2), powers)
+    # and [r12, r23] in slot 2; the last two carry the first factor of r13
+    # and of r12 into slot 1.
+    (x1, y1, _), (x2, y2, _) = _bracket_joins((0, 1, 2), powers)
+    in_slot3 = _bracket_joins((2, 0, 1), powers)
+    in_slot2 = _bracket_joins((1, 0, 2), powers)
+    # the unrestricted side of each join, grouped once
+    r13_y1, r12_x2 = _by_slot(c13, *y1), _by_slot(c12, *x2)
+    r23_slot3 = [(x, _by_slot(_swapped(c23), *y), sign) for x, y, sign in in_slot3]
+    r23_slot2 = [(x, _by_slot(c23, *y), sign) for x, y, sign in in_slot2]
+    rows12, rows13 = _by_first_row(c12), _by_first_row(c13)
     sq = den * den
     unit = [divmod(q, base) for q in range(base * base)]  # (row, col) of a packed slot
     terms: dict = {}
-    for key in sorted(packed):  # lexicographic order of the six indices
-        v = packed[key]
-        if v:
-            first, rest = divmod(key, powers[1])
-            second, third = divmod(rest, powers[3])
-            terms[unit[first] + unit[second] + unit[third]] = Fraction(v, sq) if rational else v
+    for v in range(1, r12.n + 1):
+        v12, v13 = rows12.get(v, {}), rows13.get(v, {})
+        packed: dict = {}
+        _join(packed, _by_slot(v12, *x1), r13_y1, 1)
+        _join(packed, r12_x2, _by_slot(v13, *y2), -1)
+        s13, s12 = _swapped(v13), _swapped(v12)
+        for x, ys, sign in r23_slot3:
+            _join(packed, _by_slot(s13, *x), ys, sign)
+        for x, ys, sign in r23_slot2:
+            _join(packed, _by_slot(s12, *x), ys, sign)
+        for key in sorted(packed):  # lexicographic order of the six indices
+            c = packed[key]
+            if c:
+                first, rest = divmod(key, powers[1])
+                second, third = divmod(rest, powers[3])
+                terms[unit[first] + unit[second] + unit[third]] = Fraction(c, sq) if rational else c
     return GlTensor3(r12.n, r12.ring, terms)
 
 
@@ -587,7 +701,9 @@ __all__ = [
     "HeisenbergBasis",
     "LinearMapGl",
     "Monomial",
+    "POLE",
     "RATIONAL",
+    "TensorTable",
     "apply_gauge",
     "basis_matrix",
     "cartan_dual",
@@ -597,6 +713,7 @@ __all__ = [
     "cybe_residual_difference",
     "cybe_residual_two_variable",
     "dual_matrix",
+    "dual_terms",
     "flip_map",
     "heisenberg",
     "heisenberg_casimir",
@@ -608,6 +725,7 @@ __all__ = [
     "sl_basis",
     "swap_tensor",
     "tensor_from_pairs",
+    "tensor_table",
     "tensor_zero",
     "trace_form",
     "transpose_negate_map",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .cuspidal import NonCoprimeError, build_j, region
@@ -34,13 +34,16 @@ from .exact import (
 )
 from .lie import (
     GlTensor2,
+    TensorTable,
     apply_gauge,
     basis_matrix,
     cartan_dual,
     casimir,
     dual_matrix,
+    dual_terms,
     sl_basis,
     tensor_from_pairs,
+    tensor_table,
     trace_form,
     transpose_negate_map,
 )
@@ -254,6 +257,19 @@ class WElementSet:
     def w(self, label, k: int) -> MatrixPoly:
         return self.elements[(label, k)]
 
+    @cached_property
+    def table(self) -> TensorTable:
+        """r(x, y) for every x and y, built on first use.  Each w has degree
+        <= 1 in z, so r = c/(y-x) + A + y B + x C + x y D: A and B are the
+        z^0 and z^1 parts of sum first(b) (x) w_(b;0), C and D those of
+        sum first(b) (x) w_(b;1), first(b) the first slot of `_dual_pair`."""
+        n = self.n
+        pairs = []
+        for (label, k), w in self.elements.items():
+            first = {label[1:]: ONE} if label[0] == "unit" else dual_terms(label, n)
+            pairs += [(first, second, (0, k, m)) for m, second in w.coeff_terms().items()]
+        return tensor_table(n, pairs)
+
 
 def _dual_pair(label, n: int) -> tuple:
     """(first-slot element, its trace dual) for an sl(n) basis label:
@@ -303,24 +319,11 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
 
 def assemble_stolin_r(e: int, d: int, K, x, y) -> GlTensor2:
     """c/(y-x) + sum e_{i,j} (x) w_{(i,j;0)}(y) + sum dual-Cartan (x) w_{(l;0)}(y)
-    + x sum e_{i,j} (x) w_{(i,j;1)}(y)."""
+    + x sum e_{i,j} (x) w_{(i,j;1)}(y), read off the table of `solve_dec`."""
     x, y = rat(x), rat(y)
     if x == y:
         raise ValueError("need x != y")
-    n = e + d
-    K = freeze(rational_k_matrix(K))
-    ws = solve_dec(e, d, K)
-    pairs = []
-    for label in sl_basis(n):
-        first = _dual_pair(label, n)[0]
-        w0 = eval_matrix_poly(ws.w(label, 0), y)
-        if not mat_is_zero(w0):
-            pairs.append((first, w0, ONE))
-        w1 = eval_matrix_poly(ws.w(label, 1), y)
-        if not mat_is_zero(w1):
-            pairs.append((first, w1, x))
-    tail = tensor_from_pairs(n, pairs)
-    return casimir(n).scale(ONE / (y - x)).add(tail)
+    return solve_dec(e, d, freeze(rational_k_matrix(K))).table.at(x, y)
 
 
 def closed_form_d1(n: int, x, y) -> GlTensor2:
@@ -416,10 +419,6 @@ class LaurentMatrixSeries:
         for k in self.coeffs:
             if not self.lo <= k <= self.hi:
                 raise ValueError("coefficient degree %d outside window" % k)
-
-    def coeff(self, k: int):
-        m = self.coeffs.get(k)
-        return m if m is not None else mat_zero(self.n)
 
 
 def laurent_from_coeffs(n, entries: dict, lo: int, hi: int) -> LaurentMatrixSeries:

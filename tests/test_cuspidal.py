@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_bit_for_bit import POINTS
-from ybe_forge import cuspidal, exact
+from ybe_forge import cuspidal, exact, lie, stolin
 from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
     AnsatzError,
@@ -52,9 +52,11 @@ from ybe_forge.lie import (
     basis_matrix,
     casimir,
     cybe_residual_two_variable,
+    dual_matrix,
     is_unitary_pair,
     nondegenerate,
     sl_basis,
+    tensor_from_pairs,
 )
 
 
@@ -539,6 +541,110 @@ class TestAssemble:
         from ybe_forge.stolin import compare_pipelines
 
         assert compare_pipelines(1, 1, F(0), F(1))
+
+
+TABLE_PAIRS = [(e, n - e) for n in range(2, 8) for e in range(1, n) if gcd(e, n - e) == 1]
+
+
+def table_ys(x):
+    """Four distinct y != x: one below x, zero (unless x is), a 30-digit y
+    and one more."""
+    ys = []
+    for y in (x - 1, F(0), F(-314159265358979323846264338327, 271828182845904523536028747135),
+              F(7, 2), F(-9, 4)):
+        if y != x and y not in ys:
+            ys.append(y)
+    return ys[:4]
+
+
+def table_mismatches(table, reference, xs):
+    """The points (x, y), y in `table_ys(x)`, at which the table differs
+    from `reference(x, y)`."""
+    return [(x, y) for x in xs for y in table_ys(x) if table.at(x, y) != reference(x, y)]
+
+
+def bumped(table, rng):
+    """A copy of `table` with one numerator of one entry raised by 1."""
+    key = rng.choice(sorted(table.terms))
+    nums = list(table.terms[key])
+    nums[rng.randrange(len(nums))] += 1
+    return lie.TensorTable(table.n, table.monomials, table.den, {**table.terms, key: tuple(nums)})
+
+
+def spy_tensor_products(monkeypatch) -> list:
+    """Record every `eval_matrix_poly` and `tensor_from_pairs` call, under
+    any module's binding of either name."""
+    calls = []
+    for name in ("eval_matrix_poly", "tensor_from_pairs"):
+        for mod in (exact, lie, cuspidal, stolin):
+            original = getattr(mod, name, None)
+            if original is not None:
+                monkeypatch.setattr(mod, name, lambda *a, _f=original, _n=name, **k:
+                                    calls.append(_n) or _f(*a, **k))
+    return calls
+
+
+def _per_point_r(e, d, x, y):
+    """The per-point formula: Casimir/(y - x) plus the tensor products of
+    the duals with the corrections evaluated at y, over y - x."""
+    n = e + d
+    inv = ONE / (y - x)
+    pairs = [(dual_matrix(label, n), eval_matrix_poly(G, y), inv)
+             for label, G in g_elements(e, d, x).corrections.items()]
+    return casimir(n).scale(inv).add(tensor_from_pairs(n, pairs))
+
+
+class TestTable:
+    """`assemble_r` reads r(x, y) off the table of `g_elements(e, d, x)`.
+    On both sides (y - x) r(x, y) is a polynomial of degree <= 2 in y, so
+    agreeing at the four y of `table_ys(x)` proves the table right for every
+    y at that x."""
+
+    @pytest.mark.parametrize("e,d", TABLE_PAIRS)
+    def test_table_is_the_per_point_formula(self, e, d):
+        for x in POINTS:
+            table = g_elements(e, d, x).table
+            assert table_mismatches(table, lambda a, b: _per_point_r(e, d, a, b), [x]) == []
+            y = table_ys(x)[0]
+            assert assemble_r(e, d, x, y) == table.at(x, y)
+
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (3, 4)])
+    def test_bumped_entry_is_caught(self, e, d):
+        """Negative control: one numerator raised by 1 fails the comparison."""
+        rng = random.Random(100 * e + d)
+        for x in POINTS:
+            table = bumped(g_elements(e, d, x).table, rng)
+            assert table_mismatches(table, lambda a, b: _per_point_r(e, d, a, b), [x])
+
+    def test_table_integer_only(self):
+        table = g_elements(3, 4, POINTS[3]).table
+        # (c + T0 + y T1 + y^2 T2)/(y - x), with the parts that occur
+        assert lie.POLE in table.monomials
+        assert set(table.monomials) <= {lie.POLE, (1, 0, 1), (1, 0, 2)}
+        assert type(table.den) is int
+        assert all(type(v) is int for nums in table.terms.values() for v in nums)
+        assert all(any(nums) for nums in table.terms.values())
+
+    def test_warm_assembly_forms_no_tensor_product(self, monkeypatch):
+        """After the first assembly at x, another y evaluates the cached
+        table; a table goes with its `g_elements` entry."""
+        e, d, x = 2, 3, F(-3, 7)
+        g_elements.cache_clear()
+        try:
+            assemble_r(e, d, x, F(5, 2))
+            table = g_elements(e, d, x).table
+            calls = spy_tensor_products(monkeypatch)
+            builds = []
+            monkeypatch.setattr(cuspidal, "tensor_table",
+                                lambda *a, _f=cuspidal.tensor_table: builds.append(1) or _f(*a))
+            assemble_r(e, d, x, F(-11, 4))
+            assert calls == [] and builds == []
+            g_elements.cache_clear()
+            assemble_r(e, d, x, F(-11, 4))
+            assert calls == [] and builds == [1]
+            assert g_elements(e, d, x).table is not table
+        finally:
+            g_elements.cache_clear()
 
 
 class TestFlipTransport:

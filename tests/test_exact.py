@@ -401,15 +401,12 @@ class TestBuilderRows:
 
     def test_series_rows_without_dense_grids(self, monkeypatch):
         """series_r reads each element's coefficient dict once: no
-        `mat_zero` and no `LaurentMatrixSeries.coeff` call."""
+        `mat_zero` call."""
         from ybe_forge import stolin
 
         order = stolin.build_order(stolin.j_matrix_rat(2, 1), 2, 3, (-4, 1))
         dense = []
-        coeff = stolin.LaurentMatrixSeries.coeff
         mat_zero = stolin.mat_zero
-        monkeypatch.setattr(stolin.LaurentMatrixSeries, "coeff",
-                            lambda self, k: dense.append("coeff") or coeff(self, k))
         monkeypatch.setattr(stolin, "mat_zero", lambda n: dense.append("mat_zero") or mat_zero(n))
         solves = []
         self._recording(monkeypatch, stolin, "solve_multi", solves)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from ybe_forge.cuspidal import region
-from ybe_forge.exact import ONE, ZERO, rank
+from ybe_forge.exact import ONE, ZERO, mat_zero, rank
 from ybe_forge.lie import basis_matrix, casimir, dual_matrix, sl_basis
 from ybe_forge.stolin import (
     TruncationError,
@@ -50,9 +50,11 @@ class TestKacPairing:
 def _window_span_rank(ob, n):
     lo, hi = ob.window
     rows = []
+    zero = mat_zero(n)
     for w in ob.elements:
         rows.append(
-            [w.coeff(k)[i][j] for k in range(lo, hi + 1) for i in range(n) for j in range(n)]
+            [w.coeffs.get(k, zero)[i][j]
+             for k in range(lo, hi + 1) for i in range(n) for j in range(n)]
         )
     for k in range(0, hi + 1):
         for lbl in sl_basis(n):

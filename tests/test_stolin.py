@@ -2,12 +2,16 @@
 d=1 formula, and the cross-pipeline comparison."""
 
 import hashlib
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from test_bit_for_bit import POINTS
+from test_cuspidal import TABLE_PAIRS, bumped, spy_tensor_products, table_mismatches
+from ybe_forge import lie, stolin
 from ybe_forge.cuspidal import assemble_r, build_j, flip_transpose_gauge, region
 from ybe_forge.exact import (
     ONE,
@@ -26,6 +30,7 @@ from ybe_forge.exact import (
 from ybe_forge.lie import (
     apply_gauge,
     basis_matrix,
+    cartan_dual,
     casimir,
     cybe_residual_two_variable,
     is_unitary_pair,
@@ -334,6 +339,72 @@ class TestAssembly:
             gamma, gamma, assemble_stolin_r(n - 1, 1, neg_j_matrix(n - 1, 1), x, y)
         )
         assert lhs == assemble_stolin_r(1, n - 1, neg_j_matrix(1, n - 1), x, y)
+
+
+def _per_point_stolin_r(ws, x, y):
+    """The per-point formula: Casimir/(y - x) plus the tensor products of
+    the first slots with w_(b;0)(y) and with x w_(b;1)(y)."""
+    n = ws.n
+    pairs = []
+    for label in sl_basis(n):
+        first = basis_matrix(label, n) if label[0] == "unit" else cartan_dual(label[1], n)
+        pairs.append((first, eval_matrix_poly(ws.w(label, 0), y), ONE))
+        pairs.append((first, eval_matrix_poly(ws.w(label, 1), y), x))
+    return casimir(n).scale(ONE / (y - x)).add(tensor_from_pairs(n, pairs))
+
+
+class TestTable:
+    """`assemble_stolin_r` reads r(x, y) off the table of `solve_dec`.  On
+    both sides r - c/(y - x) has degree <= 1 in x and in y, so agreeing at
+    four y for each of the four x of `POINTS` proves the table right at
+    every (x, y)."""
+
+    @pytest.mark.parametrize("e,d", TABLE_PAIRS)
+    def test_table_is_the_per_point_formula(self, e, d):
+        K = neg_j_matrix(e, d)
+        ws = solve_dec(e, d, K)
+        assert table_mismatches(ws.table, lambda x, y: _per_point_stolin_r(ws, x, y), POINTS) == []
+        assert assemble_stolin_r(e, d, K, POINTS[2], F(5, 2)) == ws.table.at(POINTS[2], F(5, 2))
+
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (3, 4)])
+    def test_bumped_entry_is_caught(self, e, d):
+        """Negative control: one numerator raised by 1 fails the comparison."""
+        rng = random.Random(100 * e + d)
+        ws = solve_dec(e, d, neg_j_matrix(e, d))
+        for _ in range(4):
+            table = bumped(ws.table, rng)
+            assert table_mismatches(table, lambda x, y: _per_point_stolin_r(ws, x, y), POINTS)
+
+    def test_table_integer_only(self):
+        table = solve_dec(3, 4, neg_j_matrix(3, 4)).table
+        # c/(y - x) + A + y B + x C + x y D, with the parts that occur
+        assert lie.POLE in table.monomials
+        assert set(table.monomials) <= {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), lie.POLE}
+        assert type(table.den) is int
+        assert all(type(v) is int for nums in table.terms.values() for v in nums)
+        assert all(any(nums) for nums in table.terms.values())
+
+    def test_warm_assembly_forms_no_tensor_product(self, monkeypatch):
+        """After the first assembly, another (x, y) evaluates the cached
+        table; a table goes with its `solve_dec` entry."""
+        e, d = 2, 3
+        K = neg_j_matrix(e, d)
+        solve_dec.cache_clear()
+        try:
+            assemble_stolin_r(e, d, K, F(1, 3), F(5, 2))
+            table = solve_dec(e, d, K).table
+            calls = spy_tensor_products(monkeypatch)
+            builds = []
+            monkeypatch.setattr(stolin, "tensor_table",
+                                lambda *a, _f=stolin.tensor_table: builds.append(1) or _f(*a))
+            assemble_stolin_r(e, d, K, F(-3, 7), F(-11, 4))
+            assert calls == [] and builds == []
+            solve_dec.cache_clear()
+            assemble_stolin_r(e, d, K, F(-3, 7), F(-11, 4))
+            assert calls == [] and builds == [1]
+            assert solve_dec(e, d, K).table is not table
+        finally:
+            solve_dec.cache_clear()
 
 
 class TestComparison:
