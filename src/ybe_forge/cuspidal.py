@@ -3,8 +3,8 @@
 The construction is driven by a 0/1 matrix J built by a Euclidean recursion
 from the coprime pair (e, d), a shaped space V_{e,d} of matrix polynomials in
 z, and its subspace Sol((e, d), x) cut out by [F_0, J] + x F_0 + F_eps = 0.
-Evaluation maps res/ev through Sol produce the tensor, whose pole part is
-always the Casimir element.
+The members of Sol, taken at the residue point x and evaluated at y,
+produce the tensor, whose pole part is always the Casimir element.
 """
 
 from __future__ import annotations
@@ -15,14 +15,13 @@ from functools import cached_property, lru_cache
 from math import gcd
 
 from .exact import (
+    InterpolationError,
     MatrixPoly,
     ONE,
     POLY_ZERO,
     ZERO,
-    eval_matrix_poly,
     interpolate,
     kernel,
-    matrix_poly_from_coeffs,
     poly_trim,
     rat,
 )
@@ -41,10 +40,6 @@ from .lie import (
 
 class NonCoprimeError(ValueError):
     """The pair (e, d) must be coprime positive integers."""
-
-
-class ShapeError(ValueError):
-    """A matrix polynomial violates the V_{e,d} degree mask."""
 
 
 class SolDimensionError(RuntimeError):
@@ -171,65 +166,8 @@ def _degree_cap(i: int, j: int, e: int, n: int) -> int:
     return 1
 
 
-def ved_matrix_poly(e: int, d: int, coeff_mats) -> MatrixPoly:
-    """Member of V_{e,d} from constant/linear/quadratic coefficient matrices.
-
-    Raises ShapeError on a degree-mask violation or if the constant or linear
-    part fails to be traceless.
-    """
-    _check_coprime(e, d)
-    n = e + d
-    F = matrix_poly_from_coeffs(coeff_mats, block_split=(e, d))
-    validate_ved_shape(F, e, d)
-    return F
-
-
-def validate_ved_shape(F: MatrixPoly, e: int, d: int):
-    n = e + d
-    if F.n != n:
-        raise ShapeError("size mismatch: %d vs %d" % (F.n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            p = F.entries[i - 1][j - 1]
-            if len(p) - 1 > _degree_cap(i, j, e, n):
-                raise ShapeError(
-                    "degree %d exceeds cap at entry (%d, %d) in region %s"
-                    % (len(p) - 1, i, j, region(i, j, e, n))
-                )
-    for k in (0, 1):
-        tr = sum(
-            (F.entries[a][a][k] if k < len(F.entries[a][a]) else ZERO)
-            for a in range(n)
-        )
-        if tr != 0:
-            raise ShapeError("z^%d part has nonzero trace" % k)
-
-
 def _cells(n: int) -> list:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-
-
-def extract_f0_feps(F: MatrixPoly) -> tuple[tuple, tuple]:
-    """The two constant matrices read off F in V_{e,d}: F_0 holds each
-    entry's z^cap coefficient and F_eps its z^(cap-1) coefficient, cap being
-    the entry's degree cap.  So the constant upper-right block enters F_0
-    only and the constant lower-left block enters neither."""
-    if F.block_split is None:
-        raise ShapeError("matrix polynomial carries no block split")
-    e, d = F.block_split
-    n = F.n
-    validate_ved_shape(F, e, d)
-
-    def layer(shift: int) -> tuple:  # each entry's z^(cap - shift) coefficient
-        out = [[ZERO] * n for _ in range(n)]
-        for i, j in _cells(n):
-            p = F.entries[i - 1][j - 1]
-            k = _degree_cap(i, j, e, n) - shift
-            if 0 <= k < len(p):
-                out[i - 1][j - 1] = p[k]
-        return tuple(map(tuple, out))
-
-    return layer(0), layer(1)
 
 
 # Coordinates of V_{e,d}: (i, j, k) is the coefficient of (z - x)^k in entry
@@ -282,23 +220,6 @@ class SolBasis:
         return self.e + self.d
 
 
-def sol_constraint_violation(F: MatrixPoly, x: Fraction) -> tuple:
-    """[F_0, J] + x F_0 + F_eps as a matrix; zero iff F solves the constraint.
-    tests/test_cuspidal.py proves the rows of `sol_space` equal to it."""
-    e, d = F.block_split
-    J = build_j(e, d).matrix
-    f0, feps = extract_f0_feps(F)
-    n = F.n
-    out = [[x * a + b for a, b in zip(r0, reps)] for r0, reps in zip(f0, feps)]
-    for c in range(n):
-        for b in range(n):
-            if J[c][b]:  # J is 0/1: add F_0 e_cb - e_cb F_0
-                for a in range(n):
-                    out[a][b] += f0[a][c]
-                    out[c][a] -= f0[b][a]
-    return tuple(map(tuple, out))
-
-
 def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
     """Kernel of the defining constraint inside V_{e,d}.
 
@@ -312,9 +233,10 @@ def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
     e_ij - delta_ij e_11.  Anything else aborts hard: every downstream
     formula assumes that isomorphism.
 
-    tests/test_cuspidal.py proves these rows equal to
-    `sol_constraint_violation` at every x for n <= cli.N_MAX, so the
-    members are not re-checked here.
+    tests/test_cuspidal.py proves, at every x and for n <= cli.N_MAX, that
+    these rows equal its reference form of the constraint (F_0 and F_eps
+    read off each member in powers of z), so the members are not
+    re-checked here.
     """
     _check_coprime(e, d)
     x = rat(x)
@@ -359,21 +281,6 @@ def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
     return SolBasis(e, d, x, tuple(vecs))
 
 
-def res_map(F: MatrixPoly, x) -> tuple:
-    """F(x)."""
-    return eval_matrix_poly(F, rat(x))
-
-
-def ev_map(F: MatrixPoly, x, y) -> tuple:
-    """F(y) / (y - x)."""
-    x, y = rat(x), rat(y)
-    if x == y:
-        raise ValueError("evaluation point must differ from the residue point")
-    inv = ONE / (y - x)
-    val = eval_matrix_poly(F, y)
-    return tuple(tuple(inv * v for v in row) for row in val)
-
-
 @dataclass(frozen=True)
 class GElements:
     """For each sl(n) basis element B, the unique correction G in V_{e,d} with
@@ -407,7 +314,8 @@ class GElements:
 # cache stays under about 40 MB.  A process
 # re-uses few points at a time: `verify --n-max 8` (330 points) and
 # warm-eval (a pool of 8) lose no hit at this size; a size of 32 already
-# costs `verify --n-max 7` one.
+# costs `verify --n-max 7` one.  `stolin.solve_dec` keeps as many cocycle
+# matrices: `verify --n-max 8` asks it for 42 (370 hits), so it loses none.
 G_ELEMENTS_CACHE_MAX = 64
 
 
@@ -556,7 +464,7 @@ def r_ansatz(e: int, d: int) -> AnsatzResult:
                 tuple(grid[q][p] if p < len(grid[q]) else ZERO for q in range(ydeg))
                 for p in range(xdeg)
             )
-    except Exception as exc:
+    except InterpolationError as exc:
         raise AnsatzError(
             "tail of ((%d,%d)) not polynomial at degree bound %d" % (e, d, bound)
         ) from exc

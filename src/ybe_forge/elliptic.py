@@ -2,8 +2,8 @@
 classical (2,1) solution zoo.
 
 Everything here is floating-point; the exact modules never import it.  The
-theta-quotient form of the elliptic kernel is normative; the double-series
-form is kept only as a cross-check where it converges.
+theta-quotient form of the elliptic kernel is normative; tests/test_elliptic.py
+cross-checks it against the double-series form where that converges.
 """
 
 from __future__ import annotations
@@ -155,21 +155,6 @@ def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext, *,
     if abs(tu) < POLE_GUARD or abs(tz) < POLE_GUARD:
         raise PoleProximityError("kernel argument too close to the zero lattice")
     return theta1_deriv0(ctx) * theta1(u + z, ctx) / (tu * tz)
-
-
-def kronecker_sigma_series(u: complex, z: complex, ctx: ThetaContext) -> complex:
-    """Non-normative double-series form of the kernel, with the exponent read
-    as a - n tau (a commonly reproduced variant of the exponent is
-    dimensionally inconsistent).  Converges only for -Im(tau) < Im(z) < 0; used solely as a
-    cross-check of the quotient form inside that strip."""
-    if not -ctx.tau.imag < z.imag < 0:
-        raise ValueError("series form needs -Im(tau) < Im(z) < 0")
-    acc = 0j
-    for n in range(-ctx.terms, ctx.terms + 1):
-        acc += cmath.exp(-TWO_PI_I * n * z) / (
-            1 - cmath.exp(-TWO_PI_I * (u - n * ctx.tau))
-        )
-    return TWO_PI_I * acc
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ All arithmetic in this module is exact, apart from the float evaluation
 `root_complex`.  Scalars are `fractions.Fraction`; matrices are immutable
 nested tuples so they can be hashed and cached.
 
-The solvers `kernel`, `solve_multi`, `rank` and `det` take a matrix as
+The solvers `kernel`, `solve_multi` and `det` take a matrix as
 its rows, each a {column: entry} dict with Fraction or int entries, and
 its column count `ncols`; `solve_multi` takes each right-hand side as a
 {row: entry} dict.  The systems here (Sol((e,d), x), the Frobenius Gram matrices and splits, the
@@ -90,34 +90,6 @@ def mat_unit(n: int, i: int, j: int) -> tuple:
 
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mat_scale(c, a):
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
-def mat_mul(a, b):
-    nb = len(b)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(ra[k] * col[k] for k in range(nb)) for col in bt) for ra in a
-    )
-
-
-def mat_bracket(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_transpose(a):
-    return tuple(zip(*a))
 
 
 def mat_is_zero(a) -> bool:
@@ -332,11 +304,6 @@ def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> l
     return [tuple(Fraction(-a, den) if a else ZERO for a in v[:ncols]) for v, den in vecs]
 
 
-def rank(rows: Sequence[dict], ncols: int) -> int:
-    """Rank of the matrix with {column: entry} rows `rows` and `ncols` columns."""
-    return len(_bareiss_echelon(_integer_rows(rows, ncols)[0], ncols)[1])
-
-
 def det(rows: Sequence[dict], ncols: int) -> Fraction:
     """Exact determinant of the square matrix with {column: entry} rows
     `rows`: Bareiss on the denominator-cleared rows, whose last pivot is
@@ -467,12 +434,6 @@ class MatrixPoly:
             if e + d != self.n:
                 raise ValueError("block split %r does not sum to n=%d" % (self.block_split, self.n))
 
-    def coeff_matrix(self, k: int) -> tuple:
-        """Matrix of z**k coefficients."""
-        return tuple(
-            tuple(p[k] if k < len(p) else ZERO for p in row) for row in self.entries
-        )
-
     def coeff_terms(self) -> dict:
         """{k: {(i, j): nonzero z**k coefficient of entry (i, j)}}, 1-based,
         read off the nonzero coefficients only."""
@@ -484,23 +445,11 @@ class MatrixPoly:
                         out.setdefault(k, {})[i, j] = c
         return out
 
-    def add(self, other: "MatrixPoly") -> "MatrixPoly":
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return MatrixPoly(
-            self.n,
-            tuple(
-                tuple(poly_add(p, q) for p, q in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            ),
-            self.block_split,
-        )
-
     def is_zero(self) -> bool:
         return all(not p for row in self.entries for p in row)
 
 
-def matrix_poly_from_coeffs(coeff_mats: Sequence, block_split=None) -> MatrixPoly:
+def matrix_poly_from_coeffs(coeff_mats: Sequence) -> MatrixPoly:
     """Build from a list of constant matrices, index = power of z."""
     n = len(coeff_mats[0])
     entries = tuple(
@@ -510,11 +459,7 @@ def matrix_poly_from_coeffs(coeff_mats: Sequence, block_split=None) -> MatrixPol
         )
         for i in range(n)
     )
-    return MatrixPoly(n, entries, block_split)
-
-
-def constant_matrix_poly(mat, block_split=None) -> MatrixPoly:
-    return matrix_poly_from_coeffs([mat], block_split)
+    return MatrixPoly(n, entries)
 
 
 def eval_matrix_poly(F: MatrixPoly, x: Fraction) -> tuple:

@@ -1,9 +1,10 @@
 """Basis-indexed exact tensor algebra on gl(n)/sl(n).
 
 Tensors are stored over the matrix-unit basis of gl(n) (x) gl(n) even though
-the solutions live in sl(n) (x) sl(n); sl-membership is a checkable predicate,
-not a storage constraint.  The CYBE embedding conventions (which slot carries
-the bracket) are fixed here once and nowhere else.
+the solutions live in sl(n) (x) sl(n); sl-membership (both partial traces
+vanish) is a property the tests check, not a storage constraint.  The CYBE
+embedding conventions (which slot carries the bracket) are fixed here once
+and nowhere else.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from operator import mul
 
 from .exact import (
     ONE,
-    ZERO,
     cyclo_rational,
     mat_from_entries,
     mat_unit,
-    rank,
     root_complex,
     root_table,
 )
@@ -48,14 +47,6 @@ def basis_matrix(label: BasisIndex, n: int):
     if not 1 <= l <= n - 1:
         raise ValueError("cartan index out of range: %d" % l)
     return mat_from_entries(n, {(l, l): ONE, (l + 1, l + 1): -ONE})
-
-
-def trace_form(a, b) -> Fraction:
-    """tr(a b); the invariant symmetric pairing everything here is dual to."""
-    if len(a) != len(b):
-        raise ValueError("trace form needs equal sizes")
-    n = len(a)
-    return sum(a[i][j] * b[j][i] for i in range(n) for j in range(n))
 
 
 def cartan_dual(l: int, n: int):
@@ -167,10 +158,6 @@ class GlTensor3:
         return max((abs(v) for v in self.terms.values()), default=0.0)
 
 
-def tensor_zero(n: int, ring: str = RATIONAL) -> GlTensor2:
-    return GlTensor2(n, ring, {})
-
-
 def tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
     """Sum of coeff * (A (x) B) over (A, B, coeff) triples of matrices."""
     out: dict = {}
@@ -211,51 +198,6 @@ def casimir(n: int) -> GlTensor2:
     terms = {(i, j, j, i): ONE for i in idx for j in idx if i != j}
     terms.update({(a, a, b, b): (a == b) - Fraction(1, n) for a in idx for b in idx})
     return GlTensor2(n, RATIONAL, terms)
-
-
-def contract_first(r: GlTensor2, a) -> tuple:
-    """Image of `a` under the endomorphism induced by r through the trace
-    pairing in the first slot: a |-> sum tr(e_{i,j} a) coeff e_{k,l}."""
-    n = r.n
-    acc = [[0 if r.ring == COMPLEX else ZERO] * n for _ in range(n)]
-    for (i, j, k, l), c in r.terms.items():
-        v = a[j - 1][i - 1]
-        if v:
-            acc[k - 1][l - 1] += c * v
-    return tuple(tuple(row) for row in acc)
-
-
-def induced_endomorphism_rank(r: GlTensor2) -> int:
-    """Rank of the induced map gl(n) -> gl(n) in unit-basis coordinates."""
-    n = r.n
-    rows: list = [{} for _ in range(n * n)]
-    for (i, j, k, l), c in r.terms.items():
-        # output coord (k,l) from input coord (j,i); each pair has one term
-        rows[(k - 1) * n + (l - 1)][(j - 1) * n + (i - 1)] = c
-    if r.ring == COMPLEX:
-        import numpy as np  # only here: loading numpy dominates CLI start-up
-
-        dense = [[row.get(q, 0) for q in range(n * n)] for row in rows]
-        return int(np.linalg.matrix_rank(np.array(dense, dtype=complex), tol=1e-9))
-    return rank(rows, n * n)
-
-
-def nondegenerate(r: GlTensor2) -> bool:
-    """True iff the induced map sl(n) -> sl(n) is invertible."""
-    return induced_endomorphism_rank(r) >= r.n * r.n - 1
-
-
-def partial_traces_vanish(r: GlTensor2) -> bool:
-    """sl-membership predicate: both partial traces of the tensor are zero."""
-    n = r.n
-    first: dict = {}
-    second: dict = {}
-    for (i, j, k, l), c in r.terms.items():
-        if i == j:
-            _accumulate(first, (k, l), c)
-        if k == l:
-            _accumulate(second, (i, j), c)
-    return not first and not second
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +445,6 @@ def signed_permutation_map(n: int, image) -> LinearMapGl:
     return LinearMapGl(n, {(i, j): image(i, j) for i in idx for j in idx})
 
 
-def identity_map(n: int) -> LinearMapGl:
-    return signed_permutation_map(n, lambda i, j: (i, j, 1))
-
-
 def transpose_negate_map(n: int) -> LinearMapGl:
     """A |-> -A^t, the involutive automorphism relating the two rational
     pipelines."""
@@ -685,48 +623,3 @@ def heisenberg(n: int, d: int) -> HeisenbergBasis:
     hb = HeisenbergBasis(n, d, X, Y, index_set, Z, Zd)
     _validate_heisenberg(hb)
     return hb
-
-
-def heisenberg_casimir(n: int, d: int) -> GlTensor2:
-    """Sum of Z^dual (x) Z over the index set, as an exact rational tensor:
-    the reproducing-kernel tensor, equal to casimir(n)."""
-    return _dual_sum(heisenberg(n, d))
-
-
-__all__ = [
-    "BasisIndex",
-    "COMPLEX",
-    "GlTensor2",
-    "GlTensor3",
-    "HeisenbergBasis",
-    "LinearMapGl",
-    "Monomial",
-    "POLE",
-    "RATIONAL",
-    "TensorTable",
-    "apply_gauge",
-    "basis_matrix",
-    "cartan_dual",
-    "casimir",
-    "contract_first",
-    "cybe_lhs",
-    "cybe_residual_difference",
-    "cybe_residual_two_variable",
-    "dual_matrix",
-    "dual_terms",
-    "flip_map",
-    "heisenberg",
-    "heisenberg_casimir",
-    "identity_map",
-    "is_unitary_pair",
-    "nondegenerate",
-    "partial_traces_vanish",
-    "signed_permutation_map",
-    "sl_basis",
-    "swap_tensor",
-    "tensor_from_pairs",
-    "tensor_table",
-    "tensor_zero",
-    "trace_form",
-    "transpose_negate_map",
-]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .cuspidal import NonCoprimeError, build_j, region
+from .cuspidal import G_ELEMENTS_CACHE_MAX, NonCoprimeError, build_j, region
 from .exact import (
     LinearAlgebraError,
     MatrixPoly,
@@ -24,7 +24,6 @@ from .exact import (
     eval_matrix_poly,
     freeze,
     mat_add,
-    mat_bracket,
     mat_is_zero,
     mat_unit,
     mat_zero,
@@ -44,7 +43,6 @@ from .lie import (
     sl_basis,
     tensor_from_pairs,
     tensor_table,
-    trace_form,
     transpose_negate_map,
 )
 
@@ -66,17 +64,6 @@ def parabolic_labels(e: int, n: int) -> tuple:
         lbl for lbl in sl_basis(n)
         if lbl[0] == "cartan" or region(lbl[1], lbl[2], e, n) != "III"
     )
-
-
-def parabolic_basis(e: int, n: int) -> tuple:
-    return tuple(basis_matrix(lbl, n) for lbl in parabolic_labels(e, n))
-
-
-def omega_pairing(K, a, b) -> Fraction:
-    """omega_K(a, b) = tr(K^t [a, b])."""
-    br = mat_bracket(a, b)
-    n = len(K)
-    return sum(K[i][j] * br[i][j] for i in range(n) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -278,7 +265,7 @@ def _dual_pair(label, n: int) -> tuple:
     return pair if label[0] == "unit" else pair[::-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)
 def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     """Solve the block decomposition equations for every basis label.
 
@@ -426,42 +413,22 @@ def laurent_from_coeffs(n, entries: dict, lo: int, hi: int) -> LaurentMatrixSeri
     return LaurentMatrixSeries(n, lo, hi, clean)
 
 
-def kac_pairing(a: LaurentMatrixSeries, b: LaurentMatrixSeries) -> Fraction:
-    """Residue at z = 0 of tr(a b): the degree -1 coefficient of the product."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
-    total = ZERO
-    for p, mp in a.coeffs.items():
-        mq = b.coeffs.get(-1 - p)
-        if mq is not None:
-            total += trace_form(mp, mq)
-    return total
-
-
-def poly_current(n, mats: dict) -> LaurentMatrixSeries:
-    """Element of g[z] given by {degree: matrix}; exact everywhere."""
-    hi = max(mats, default=0)
-    return laurent_from_coeffs(n, mats, min(0, min(mats, default=0)), max(hi, 0))
-
-
 # ---------------------------------------------------------------------------
 # Lagrangian subalgebra attached to (g, e, omega_K) and its dual-basis series
 # ---------------------------------------------------------------------------
 
-def _eta_shift(e: int, n: int, M, base_degree: int) -> dict:
-    """Degrees of eta^{-1} (z^base M) eta for eta = diag(1_e, z 1_d):
-    diagonal blocks keep the degree, the upper-right block gains one, the
-    lower-left loses one."""
+def _eta_shift(e: int, n: int, parts) -> dict:
+    """Degree -> coefficient matrix of the sum of eta^{-1} (z^base M) eta
+    over the (M, base) in `parts`, each M given as {(row, col): nonzero
+    entry}, 0-based, for eta = diag(1_e, z 1_d): diagonal blocks keep the
+    degree, the upper-right block gains one, the lower-left loses one."""
     out: dict = {}
-    for i in range(n):
-        for j in range(n):
-            v = M[i][j]
-            if v == 0:
-                continue
+    for terms, base_degree in parts:
+        for (i, j), v in terms.items():
             reg = region(i + 1, j + 1, e, n)
             k = base_degree + (1 if reg == "I" else -1 if reg == "III" else 0)
             m = out.setdefault(k, [[ZERO] * n for _ in range(n)])
-            m[i][j] = v
+            m[i][j] += v
     return {k: freeze(m) for k, m in out.items()}
 
 
@@ -489,23 +456,17 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
     form = frobenius_gram(K, e, n)
     if not form.nondegenerate:
         raise DegenerateFormError("omega_K is degenerate on p_%d" % e)
-    Kt = tuple(zip(*K))
+    alphas = {lbl: _matrix_terms(basis_matrix(lbl, n)) for lbl in sl_basis(n)}
     elements = []
-    for lbl in sl_basis(n):
-        alpha = basis_matrix(lbl, n)
-        chi = mat_bracket(Kt, alpha)
-        entries: dict = {}
-        for k, m in _eta_shift(e, n, alpha, 0).items():
-            entries[k] = m
-        for k, m in _eta_shift(e, n, chi, -1).items():
-            cur = entries.get(k)
-            entries[k] = mat_add(cur, m) if cur is not None else m
+    for lbl, alpha in alphas.items():
+        chi = _bracket_kt_terms(K, lbl, n)
+        entries = _eta_shift(e, n, [(alpha, 0), (chi, -1)])
         elements.append(laurent_from_coeffs(n, entries, lo, hi))
     for m_deg in range(2, -lo + 2):
-        for lbl in sl_basis(n):
+        for alpha in alphas.values():
             # a basis matrix lies in one block, so its conjugate has one
             # degree: the window holds all of it or none
-            entries = _eta_shift(e, n, basis_matrix(lbl, n), -m_deg)
+            entries = _eta_shift(e, n, [(alpha, -m_deg)])
             if min(entries) >= lo:
                 elements.append(laurent_from_coeffs(n, entries, lo, hi))
     return OrderBasis(n, window, tuple(elements))
@@ -578,7 +539,7 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
             wanted.append((lbl, k))
     try:
         sols = solve_multi(rows, rhs_cols, len(order.elements))
-    except Exception as exc:
+    except LinearAlgebraError as exc:
         raise TruncationError("dual element not solvable in window") from exc
 
     poly_parts = {}

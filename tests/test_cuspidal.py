@@ -12,17 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_bit_for_bit import POINTS
+from test_exact import rank
+from test_lie import nondegenerate
 from ybe_forge import cuspidal, exact, lie, stolin
 from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
     AnsatzError,
     NonCoprimeError,
-    ShapeError,
     SolDimensionError,
     assemble_r,
     build_j,
-    ev_map,
-    extract_f0_feps,
     flip_j,
     flip_transpose_gauge,
     g_elements,
@@ -30,23 +29,19 @@ from ybe_forge.cuspidal import (
     psi_transport,
     r_ansatz,
     region,
-    res_map,
-    sol_constraint_violation,
     sol_space,
-    ved_matrix_poly,
 )
 from ybe_forge.exact import (
     ONE,
     ZERO,
     MatrixPoly,
-    constant_matrix_poly,
     eval_matrix_poly,
+    mat_add,
+    mat_from_entries,
     mat_is_zero,
-    mat_sub,
     mat_unit,
     mat_zero,
     matrix_poly_from_coeffs,
-    rank,
 )
 from ybe_forge.lie import (
     basis_matrix,
@@ -54,7 +49,7 @@ from ybe_forge.lie import (
     cybe_residual_two_variable,
     dual_matrix,
     is_unitary_pair,
-    nondegenerate,
+    signed_permutation_map,
     sl_basis,
     tensor_from_pairs,
 )
@@ -120,36 +115,34 @@ class TestShapedSpace:
         assert region(3, 3, 2, 3) == "II"
 
     def test_lower_left_constant_enters_neither(self):
-        Fm = ved_matrix_poly(1, 1, [mat_unit(2, 2, 1)])
-        f0, feps = extract_f0_feps(Fm)
+        f0, feps = extract_f0_feps(matrix_poly_from_coeffs([mat_unit(2, 2, 1)]), 1, 1)
         assert mat_is_zero(f0) and mat_is_zero(feps)
 
     def test_upper_right_constant_lands_in_f0(self):
-        Fm = ved_matrix_poly(1, 1, [mat_unit(2, 1, 2)])
-        f0, feps = extract_f0_feps(Fm)
+        f0, feps = extract_f0_feps(matrix_poly_from_coeffs([mat_unit(2, 1, 2)]), 1, 1)
         assert f0 == mat_unit(2, 1, 2) and mat_is_zero(feps)
 
     def test_linear_cartan_lands_in_f0(self):
         h = basis_matrix(("cartan", 1), 2)
-        Fm = ved_matrix_poly(1, 1, [mat_zero(2), h])
-        f0, feps = extract_f0_feps(Fm)
+        f0, feps = extract_f0_feps(matrix_poly_from_coeffs([mat_zero(2), h]), 1, 1)
         assert f0 == h and mat_is_zero(feps)
 
     def test_degree_cap_enforced(self):
+        # z^2 in the upper-right block is out of shape
+        Fm = matrix_poly_from_coeffs([mat_zero(2), mat_zero(2), mat_unit(2, 1, 2)])
         with pytest.raises(ShapeError):
-            # z^2 in the upper-right block is out of shape
-            ved_matrix_poly(1, 1, [mat_zero(2), mat_zero(2), mat_unit(2, 1, 2)])
+            validate_ved_shape(Fm, 1, 1)
 
     def test_trace_condition_enforced(self):
         with pytest.raises(ShapeError):
-            ved_matrix_poly(1, 1, [mat_unit(2, 1, 1)])
+            validate_ved_shape(matrix_poly_from_coeffs([mat_unit(2, 1, 1)]), 1, 1)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
     def test_f0_feps_match_region_table(self, data):
         e, d = data.draw(st.sampled_from(SHAPED_PAIRS))
         Fm = data.draw(ved_members(e, d))
-        assert extract_f0_feps(Fm) == _region_table_f0_feps(Fm)
+        assert extract_f0_feps(Fm, e, d) == _region_table_f0_feps(Fm, e, d)
 
 
 # the pairs the shaped-space properties draw from; (3, 2) and (2, 3) have all
@@ -161,6 +154,74 @@ def _cap(i, j, e, n):
     """Degree cap of entry (i, j): constant upper-right block, quadratic
     lower-left block, linear diagonal blocks."""
     return {"I": 0, "III": 2}.get(region(i, j, e, n), 1)
+
+
+# The reference form of the defining constraint of Sol((e,d), x), which reads
+# F_0 and F_eps off a member of V_{e,d} in powers of z; `TestSolEncoding`
+# proves the rows of `sol_space` equal to it.
+
+class ShapeError(ValueError):
+    """A matrix polynomial violates the V_{e,d} degree mask."""
+
+
+def coeff_matrix(Fm, k):
+    """The matrix of z**k coefficients of Fm."""
+    return tuple(tuple(p[k] if k < len(p) else ZERO for p in row) for row in Fm.entries)
+
+
+def validate_ved_shape(Fm, e, d):
+    """Fm, if it lies in V_{e,d}: no entry above its degree cap and
+    traceless z^0 and z^1 parts; ShapeError otherwise."""
+    n = e + d
+    if Fm.n != n:
+        raise ShapeError("size mismatch: %d vs %d" % (Fm.n, n))
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            p = Fm.entries[i - 1][j - 1]
+            if len(p) - 1 > _cap(i, j, e, n):
+                raise ShapeError("degree %d exceeds cap at entry (%d, %d) in region %s"
+                                 % (len(p) - 1, i, j, region(i, j, e, n)))
+    for k in (0, 1):
+        if sum(coeff_matrix(Fm, k)[a][a] for a in range(n)) != 0:
+            raise ShapeError("z^%d part has nonzero trace" % k)
+    return Fm
+
+
+def extract_f0_feps(Fm, e, d):
+    """The two constant matrices read off Fm in V_{e,d}: F_0 holds each
+    entry's z^cap coefficient and F_eps its z^(cap-1) coefficient, cap being
+    the entry's degree cap.  So the constant upper-right block enters F_0
+    only and the constant lower-left block enters neither."""
+    n = e + d
+    validate_ved_shape(Fm, e, d)
+
+    def layer(shift):  # each entry's z^(cap - shift) coefficient
+        out = [[ZERO] * n for _ in range(n)]
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                p = Fm.entries[i - 1][j - 1]
+                k = _cap(i, j, e, n) - shift
+                if 0 <= k < len(p):
+                    out[i - 1][j - 1] = p[k]
+        return tuple(map(tuple, out))
+
+    return layer(0), layer(1)
+
+
+def sol_constraint_violation(Fm, e, d, x):
+    """[F_0, J] + x F_0 + F_eps of Fm in V_{e,d} as a matrix; zero iff Fm
+    lies in Sol((e,d), x)."""
+    J = build_j(e, d).matrix
+    f0, feps = extract_f0_feps(Fm, e, d)
+    n = e + d
+    out = [[x * a + b for a, b in zip(r0, reps)] for r0, reps in zip(f0, feps)]
+    for c in range(n):
+        for b in range(n):
+            if J[c][b]:  # J is 0/1: add F_0 e_cb - e_cb F_0
+                for a in range(n):
+                    out[a][b] += f0[a][c]
+                    out[c][a] -= f0[b][a]
+    return tuple(map(tuple, out))
 
 
 def ved_members(e, d):
@@ -182,17 +243,17 @@ def ved_members(e, d):
             mats[k][i - 1][j - 1] = v
         for k in (0, 1):
             mats[k][n - 1][n - 1] = -sum(mats[k][a][a] for a in range(n - 1))
-        return ved_matrix_poly(e, d, [tuple(map(tuple, m)) for m in mats])
+        Fm = matrix_poly_from_coeffs([tuple(map(tuple, m)) for m in mats])
+        return validate_ved_shape(Fm, e, d)
 
     return st.lists(coeff, min_size=len(slots), max_size=len(slots)).map(build)
 
 
-def _region_table_f0_feps(Fm):
+def _region_table_f0_feps(Fm, e, d):
     """F_0 and F_eps by the per-region table of the construction: the
     diagonal blocks give their linear part to F_0 and their constant part to
     F_eps, the upper-right block its constant to F_0, and the lower-left block
     its quadratic part to F_0 and its linear part to F_eps."""
-    e, d = Fm.block_split
     n = e + d
     table = {"IV": (1, 0), "II": (1, 0), "I": (0, None), "III": (2, 1)}
     f0 = [[ZERO] * n for _ in range(n)]
@@ -214,9 +275,9 @@ def _members(sol):
 
 def _bump(Fm, i, j, k):
     """Fm with one added to the z^k coefficient of entry (i, j)."""
-    mats = [[list(row) for row in Fm.coeff_matrix(m)] for m in range(3)]
+    mats = [[list(row) for row in coeff_matrix(Fm, m)] for m in range(3)]
     mats[k][i - 1][j - 1] += ONE
-    return matrix_poly_from_coeffs([tuple(map(tuple, m)) for m in mats], Fm.block_split)
+    return matrix_poly_from_coeffs([tuple(map(tuple, m)) for m in mats])
 
 
 class TestSolSpace:
@@ -226,8 +287,8 @@ class TestSolSpace:
 
     def test_lower_left_unit_always_solves(self):
         for x in (F(0), F(2), F(-7, 3)):
-            Fm = ved_matrix_poly(1, 1, [mat_unit(2, 2, 1)])
-            assert mat_is_zero(sol_constraint_violation(Fm, x))
+            Fm = matrix_poly_from_coeffs([mat_unit(2, 2, 1)])
+            assert mat_is_zero(sol_constraint_violation(Fm, 1, 1, x))
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3),
                                      (4, 3), (5, 2), (7, 1), (5, 3), (1, 7)])
@@ -245,7 +306,7 @@ class TestSolSpace:
 
     def test_members_verify_constraint(self):
         for Fm in _members(sol_space(2, 1, F(3, 7))):
-            assert mat_is_zero(sol_constraint_violation(Fm, F(3, 7)))
+            assert mat_is_zero(sol_constraint_violation(Fm, 2, 1, F(3, 7)))
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(0)), (1, 2, F(-5, 3)),
                                        (3, 2, F(3, 7)), (2, 5, F(-1, 2)), (4, 3, F(9))])
@@ -255,10 +316,8 @@ class TestSolSpace:
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][1:]
         assert len(members) == len(cells)
         for Fm, (i, j) in zip(members, cells):
-            want = mat_unit(n, i, j)
-            if i == j:
-                want = mat_sub(want, mat_unit(n, 1, 1))
-            assert res_map(Fm, x) == want
+            want = {(i, j): ONE, **({(1, 1): -ONE} if i == j else {})}
+            assert eval_matrix_poly(Fm, x) == mat_from_entries(n, want)
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(2)), (2, 1, F(3, 7)), (3, 2, F(-1, 2))])
     def test_one_changed_coefficient_violates(self, e, d, x):
@@ -273,7 +332,8 @@ class TestSolSpace:
                         continue
                     cap = _cap(i, j, e, n)
                     for k in {cap, cap - 1} - {-1}:
-                        assert not mat_is_zero(sol_constraint_violation(_bump(Fm, i, j, k), x))
+                        bumped_member = _bump(Fm, i, j, k)
+                        assert not mat_is_zero(sol_constraint_violation(bumped_member, e, d, x))
 
     @pytest.mark.parametrize("fake", [
         lambda v: [v[1], v[0]] + v[2:],  # the same kernel, reordered
@@ -361,7 +421,7 @@ def _encoding_mismatches(e, d, x, rows, vectors):
                 for r, v in columns[m]:
                     image[r] += v * cm
         member = cuspidal._coords_to_matrix_poly(e, d, x, c)
-        want = [v for row in sol_constraint_violation(member, x) for v in row]
+        want = [v for row in sol_constraint_violation(member, e, d, x) for v in row]
         if image != want + [ZERO, ZERO]:
             bad.append(c)
     return bad
@@ -412,17 +472,8 @@ class TestSolEncoding:
 
 class TestResEv:
     def test_res_constant(self):
-        Fm = constant_matrix_poly(mat_unit(2, 1, 2), (1, 1))
-        assert res_map(Fm, F(5)) == mat_unit(2, 1, 2)
-
-    def test_ev_divisor_one(self):
-        Fm = constant_matrix_poly(mat_unit(2, 1, 2), (1, 1))
-        assert ev_map(Fm, F(2), F(3)) == mat_unit(2, 1, 2)
-
-    def test_ev_coincident_points(self):
-        Fm = constant_matrix_poly(mat_unit(2, 1, 2), (1, 1))
-        with pytest.raises(ValueError):
-            ev_map(Fm, F(2), F(2))
+        Fm = matrix_poly_from_coeffs([mat_unit(2, 1, 2)])
+        assert eval_matrix_poly(Fm, F(5)) == mat_unit(2, 1, 2)
 
 
 class TestGElements:
@@ -502,9 +553,10 @@ def _assert_defining_conditions(g):
         G = g.corrections[label]
         assert isinstance(G, MatrixPoly) and G.block_split == (g.e, g.d)
         assert mat_is_zero(eval_matrix_poly(G, g.x))
-        B = constant_matrix_poly(basis_matrix(label, n), (g.e, g.d))
-        member = B.add(G)
-        assert mat_is_zero(sol_constraint_violation(member, g.x))
+        B = basis_matrix(label, n)
+        member = matrix_poly_from_coeffs(
+            [mat_add(B, coeff_matrix(G, 0)), coeff_matrix(G, 1), coeff_matrix(G, 2)])
+        assert mat_is_zero(sol_constraint_violation(member, g.e, g.d, g.x))
 
 
 class TestAssemble:
@@ -664,15 +716,32 @@ class TestFlipTransport:
         assert lhs != assemble_r(1, 2, x, y)
 
     def test_gauge_is_involutive(self):
-        from ybe_forge.lie import identity_map
-
         for (e, d) in [(2, 1), (3, 2)]:
             g_ed = flip_transpose_gauge(e, d)
             g_de = flip_transpose_gauge(d, e)
-            assert g_de.compose(g_ed) == identity_map(e + d)
+            assert g_de.compose(g_ed) == signed_permutation_map(e + d, lambda i, j: (i, j, 1))
 
 
 class TestAnsatz:
+    def test_non_polynomial_tail_is_an_ansatz_error(self, monkeypatch):
+        """A tail cubic in x fails the interpolation at degree bound 1,
+        which is reported as AnsatzError."""
+        monkeypatch.setattr(cuspidal, "_tail_tensor", lambda e, d, x, y: lie.GlTensor2(
+            e + d, lie.RATIONAL, {(1, 2, 2, 1): x**3} if x else {}))
+        with pytest.raises(AnsatzError, match="not polynomial"):
+            r_ansatz(1, 1)
+
+    def test_other_errors_propagate(self, monkeypatch):
+        """Only an interpolation failure becomes AnsatzError; any other error
+        reaches the caller as it was raised."""
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(cuspidal, "interpolate", broken)
+        with pytest.raises(RuntimeError, match="injected") as caught:
+            r_ansatz(1, 1)
+        assert caught.type is RuntimeError
+
     @pytest.mark.parametrize(
         "e,d", [(e, d) for e in range(1, 6) for d in range(1, 7 - e) if gcd(e, d) == 1]
     )

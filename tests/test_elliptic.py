@@ -18,7 +18,6 @@ from ybe_forge.elliptic import (
     belavin_unitarity_residual,
     jacobi_sn_cn_dn,
     kronecker_sigma,
-    kronecker_sigma_series,
     theta1,
     theta1_deriv0,
     theta3,
@@ -34,12 +33,25 @@ from ybe_forge.lie import (
     cybe_lhs,
     cybe_residual_difference,
     heisenberg,
-    heisenberg_casimir,
     swap_tensor,
+    _dual_sum,
     tensor_from_pairs,
 )
 
 CTX = ThetaContext(tau=0.3 + 1j)
+
+
+def kronecker_sigma_series(u: complex, z: complex, ctx: ThetaContext) -> complex:
+    """Double-series form of the kernel, with the exponent read as a - n tau
+    (a commonly reproduced variant of the exponent is dimensionally
+    inconsistent).  Converges only for -Im(tau) < Im(z) < 0, where it
+    cross-checks the quotient form `kronecker_sigma`."""
+    if not -ctx.tau.imag < z.imag < 0:
+        raise ValueError("series form needs -Im(tau) < Im(z) < 0")
+    acc = 0j
+    for n in range(-ctx.terms, ctx.terms + 1):
+        acc += cmath.exp(-TWO_PI_I * n * z) / (1 - cmath.exp(-TWO_PI_I * (u - n * ctx.tau)))
+    return TWO_PI_I * acc
 CTX_I = ThetaContext(tau=1j)
 
 
@@ -188,7 +200,7 @@ class TestBelavin:
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)])
     def test_dual_family_is_casimir(self, n, d):
-        assert heisenberg_casimir(n, d) == casimir(n)
+        assert _dual_sum(heisenberg(n, d)) == casimir(n)
 
     def test_lattice_point_rejected(self):
         with pytest.raises(PoleProximityError):
@@ -251,7 +263,7 @@ class TestBelavin:
         assert drift < 1e-12
 
     def test_nondegenerate_away_from_poles(self):
-        from ybe_forge.lie import nondegenerate
+        from test_lie import nondegenerate
 
         assert nondegenerate(belavin_r(3, 1, CTX, 0.13, 0.37))
 

@@ -24,7 +24,6 @@ from ybe_forge.exact import (
     poly_add,
     poly_eval,
     poly_mul,
-    rank,
     rat,
     root_complex,
     root_table,
@@ -32,6 +31,12 @@ from ybe_forge.exact import (
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def rank(rows, ncols):
+    """Rank of the matrix with {column: entry} rows `rows` and `ncols`
+    columns: the pivot count of the solvers' elimination."""
+    return len(exact._bareiss_echelon(exact._integer_rows(rows, ncols)[0], ncols)[1])
 
 
 def _sparse(rows):
@@ -63,7 +68,8 @@ class TestSolve:
 
     def test_cartan_gram_n4(self):
         # Gram system of the simple coroot pairing for n = 4, re-verified
-        from ybe_forge.lie import basis_matrix, trace_form
+        from test_lie import trace_form
+        from ybe_forge.lie import basis_matrix
 
         hs = [basis_matrix(("cartan", l), 4) for l in range(1, 4)]
         gram = [[trace_form(a, b) for b in hs] for a in hs]

@@ -1,11 +1,14 @@
 """Static hygiene of the package: no dead definitions, no unused imports,
-no function that the benchmark traces by name missing, no numpy on the
-CLI's import path, and each CLI command loading only the modules it uses.
+no function that the benchmark traces by name missing, no numpy in the
+package, and each CLI command loading only the modules it uses.
 
-A definition counts as used when its name occurs anywhere in src/, tests/ or
+A definition counts as used when its name occurs anywhere in src/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
-constant (perfbench traces functions by their string names).  The names
-listed in `__all__` do not count: an export alone is not a use.
+constant (perfbench traces functions by their string names).  A use from
+tests/ does not count: src/ holds only what the CLI, the `verify` checks and
+the benchmark reach, and a reference oracle lives in the test module that
+uses it.  The names listed in `__all__` do not count either: an export alone
+is not a use.
 """
 
 import ast
@@ -21,7 +24,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ybe_forge"
-TREES = ("src", "tests", "perfbench")
+TREES = ("src", "perfbench")  # the trees whose uses count
 
 
 def _parse(path: Path) -> ast.Module:
@@ -138,9 +141,26 @@ def _python(code: str, *args: str, **env_extra: str) -> str:
     return out.stdout.strip().splitlines()[-1]
 
 
+def test_no_module_imports_numpy():
+    """numpy is a test dependency only: no module of the package imports
+    it, at the top or inside a function."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append("%s:%d" % (path.stem, node.lineno))
+    assert importers == []
+
+
 def test_cli_import_leaves_numpy_unloaded():
-    """numpy takes about half of a CLI process's start-up; only the complex
-    rank in `lie.induced_endomorphism_rank` may load it."""
+    """numpy takes about half of a process's start-up when it loads; no
+    command's import path may load it, also not through a dependency."""
     code = "import sys, ybe_forge.cli, ybe_forge.verify; print('numpy' in sys.modules)"
     assert _python(code) == "False"
 
@@ -181,8 +201,9 @@ def test_command_loads_only_its_modules(args, extra):
 
 def test_scan_sees_a_dead_helper(tmp_path):
     """The scan itself must flag an unused alias, function, method and
-    import."""
-    for tree_name in TREES:
+    import, and a helper that only a test references; a use from perfbench/
+    counts."""
+    for tree_name in TREES + ("tests",):
         (tmp_path / tree_name).mkdir()
     pkg = tmp_path / "src" / "ybe_forge"
     pkg.mkdir()
@@ -192,11 +213,14 @@ def test_scan_sees_a_dead_helper(tmp_path):
         "Alias = int\n\n"
         "def used(a):\n    return gcd(a, 2)\n\n"
         "def orphan():\n    return 1\n\n"
+        "def oracle():\n    return 2\n\n"
         "class Box:\n"
         "    def __init__(self):\n        self.v = used(4)\n\n"
         "    def spare(self):\n        return self.v\n\n"
         "__all__ = ['orphan', 'Box']\n"
     )
-    (tmp_path / "tests" / "test_mod.py").write_text("from ybe_forge.mod import Box\nBox()\n")
-    assert dead_definitions(tmp_path) == ["mod:Alias", "mod:orphan", "mod:Box.spare"]
+    (tmp_path / "perfbench" / "bench.py").write_text("from ybe_forge.mod import Box\nBox()\n")
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from ybe_forge.mod import Box, oracle\nBox()\nassert oracle() == 2\n")
+    assert dead_definitions(tmp_path) == ["mod:Alias", "mod:orphan", "mod:oracle", "mod:Box.spare"]
     assert unused_imports(pkg) == ["mod:1 json"]

@@ -1,11 +1,15 @@
 """Loop-algebra pairing, Lagrangian subalgebra bases, dual-basis series."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from test_exact import rank
+from test_lie import trace_form
+from ybe_forge import stolin
 from ybe_forge.cuspidal import region
-from ybe_forge.exact import ONE, ZERO, mat_zero, rank
+from ybe_forge.exact import ONE, ZERO, mat_zero
 from ybe_forge.lie import basis_matrix, casimir, dual_matrix, sl_basis
 from ybe_forge.stolin import (
     TruncationError,
@@ -13,13 +17,30 @@ from ybe_forge.stolin import (
     build_order,
     geometric_pole_partial,
     j_matrix_rat,
-    kac_pairing,
     laurent_from_coeffs,
-    poly_current,
     series_r,
     solve_dec,
     yang_order,
 )
+
+
+def kac_pairing(a, b):
+    """Residue at z = 0 of tr(a b) for two Laurent series: the degree -1
+    coefficient of the product."""
+    if a.n != b.n:
+        raise ValueError("size mismatch")
+    total = ZERO
+    for p, mp in a.coeffs.items():
+        mq = b.coeffs.get(-1 - p)
+        if mq is not None:
+            total += trace_form(mp, mq)
+    return total
+
+
+def poly_current(n, mats: dict):
+    """Element of g[z] given by {degree: matrix}."""
+    hi = max(mats, default=0)
+    return laurent_from_coeffs(n, mats, min(0, min(mats, default=0)), max(hi, 0))
 
 
 class TestKacPairing:
@@ -138,6 +159,24 @@ class TestSeries:
         ob = build_order(j_matrix_rat(1, 1), 1, 2, (-4, 1))
         with pytest.raises(TruncationError):
             series_r(ob, 6, F(1, 3), F(2))
+
+    def test_unsolvable_dual_is_a_truncation_error(self):
+        """An order missing an element leaves a dual element without a
+        solution: the solver's failure is reported as TruncationError."""
+        ob = yang_order(2, (-4, 1))
+        with pytest.raises(TruncationError, match="not solvable"):
+            series_r(replace(ob, elements=ob.elements[1:]), 1, F(1, 3), F(2))
+
+    def test_other_errors_propagate(self, monkeypatch):
+        """Only a solver failure becomes TruncationError; any other error
+        reaches the caller as it was raised."""
+        def broken(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(stolin, "solve_multi", broken)
+        with pytest.raises(RuntimeError, match="injected") as caught:
+            series_r(yang_order(2, (-4, 1)), 1, F(1, 3), F(2))
+        assert caught.type is RuntimeError
 
     def test_pole_point_rejected(self):
         ob = yang_order(2, (-4, 1))

@@ -10,20 +10,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_bit_for_bit import POINTS
-from test_cuspidal import TABLE_PAIRS, bumped, spy_tensor_products, table_mismatches
+from test_cuspidal import (
+    TABLE_PAIRS,
+    bumped,
+    coeff_matrix,
+    spy_tensor_products,
+    table_mismatches,
+)
 from ybe_forge import lie, stolin
-from ybe_forge.cuspidal import assemble_r, build_j, flip_transpose_gauge, region
+from ybe_forge.cuspidal import (
+    G_ELEMENTS_CACHE_MAX,
+    assemble_r,
+    build_j,
+    flip_transpose_gauge,
+    region,
+)
 from ybe_forge.exact import (
     ONE,
     ZERO,
     eval_matrix_poly,
     freeze,
     mat_add,
-    mat_bracket,
+    mat_from_entries,
     mat_is_zero,
-    mat_neg,
-    mat_scale,
-    mat_sub,
     mat_unit,
     mat_zero,
 )
@@ -47,11 +56,29 @@ from ybe_forge.stolin import (
     frobenius_split,
     j_matrix_rat,
     neg_j_matrix,
-    omega_pairing,
-    parabolic_basis,
     parabolic_labels,
     solve_dec,
 )
+
+
+def mat_bracket(a, b):
+    """[a, b] of two dense matrices."""
+    n = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def omega_pairing(K, a, b):
+    """omega_K(a, b) = tr(K^t [a, b]), the form `frobenius_gram` tabulates."""
+    br = mat_bracket(a, b)
+    n = len(K)
+    return sum(K[i][j] * br[i][j] for i in range(n) for j in range(n))
 
 
 class TestFrobeniusGram:
@@ -67,7 +94,7 @@ class TestFrobeniusGram:
         for e, n in [(1, 2), (2, 3), (1, 4), (3, 5)]:
             K = tuple(tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
                       for _ in range(n))
-            basis = parabolic_basis(e, n)
+            basis = [basis_matrix(lbl, n) for lbl in parabolic_labels(e, n)]
             want = tuple(tuple(omega_pairing(K, a, b) for b in basis) for a in basis)
             assert frobenius_gram(K, e, n).gram == want
 
@@ -80,7 +107,7 @@ class TestFrobeniusGram:
             d = n - e
             want = n * n - e * d - 1
             assert len(parabolic_labels(e, n)) == want
-            for m in parabolic_basis(e, n):
+            for m in (basis_matrix(lbl, n) for lbl in parabolic_labels(e, n)):
                 assert sum(m[i][i] for i in range(n)) == 0
                 for i in range(e, n):
                     for j in range(e):
@@ -89,13 +116,14 @@ class TestFrobeniusGram:
     def test_cocycle_identity(self, rng):
         # coboundaries are cocycles; asserted on random parabolic triples
         e, n = 2, 3
-        basis = parabolic_basis(e, n)
+        basis = [basis_matrix(lbl, n) for lbl in parabolic_labels(e, n)]
         K = j_matrix_rat(2, 1)
 
         def rand_p():
             m = mat_zero(n)
             for b in basis:
-                m = mat_add(m, mat_scale(F(rng.randint(-3, 3)), b))
+                c = F(rng.randint(-3, 3))
+                m = mat_add(m, tuple(tuple(c * v for v in row) for row in b))
             return m
 
         for _ in range(200):
@@ -148,8 +176,8 @@ class TestFrobeniusSplit:
 
 def _w_blocks(w, e, n):
     """(A|B / 0|D) from the constant part and the z-part upper block of w."""
-    const = w.coeff_matrix(0)
-    lin = w.coeff_matrix(1)
+    const = coeff_matrix(w, 0)
+    lin = coeff_matrix(w, 1)
     P_blocks = [[const[i][j] if region(i + 1, j + 1, e, n) != "I" else ZERO
                  for j in range(n)] for i in range(n)]
     B = [[const[i][j] if region(i + 1, j + 1, e, n) == "I" else ZERO
@@ -169,12 +197,12 @@ class TestSolveDec:
         ws = solve_dec(1, 1, j_matrix_rat(1, 1))
         # order-0 dual-Cartan correction: -z e_{1,2}
         w = ws.w(("cartan", 1), 0)
-        assert w.coeff_matrix(0) == mat_zero(2)
-        assert w.coeff_matrix(1) == mat_neg(mat_unit(2, 1, 2))
+        assert coeff_matrix(w, 0) == mat_zero(2)
+        assert coeff_matrix(w, 1) == mat_from_entries(2, {(1, 2): -ONE})
         # order-1 upper-unit correction: h/2
         w1 = ws.w(("unit", 1, 2), 1)
-        assert w1.coeff_matrix(0) == mat_scale(F(1, 2), basis_matrix(("cartan", 1), 2))
-        assert w1.coeff_matrix(1) == mat_zero(2)
+        assert coeff_matrix(w1, 0) == mat_from_entries(2, {(1, 1): F(1, 2), (2, 2): F(-1, 2)})
+        assert coeff_matrix(w1, 1) == mat_zero(2)
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)])
     def test_equations_resubstitute_in_block_form(self, e, d):
@@ -218,8 +246,8 @@ class TestSolveDec:
         for label in sl_basis(n):
             for k in (0, 1):
                 w = ws.w(label, k)
-                const = w.coeff_matrix(0)
-                lin = w.coeff_matrix(1)
+                const = coeff_matrix(w, 0)
+                lin = coeff_matrix(w, 1)
                 for i in range(n):
                     for j in range(n):
                         if region(i + 1, j + 1, e, n) == "III":
@@ -234,6 +262,20 @@ class TestSolveDec:
     def test_degenerate_k_rejected(self):
         with pytest.raises(DegenerateFormError):
             solve_dec(1, 1, freeze([[ZERO, ZERO], [ZERO, ZERO]]))
+
+    def test_cache_is_bounded(self):
+        """A process that sees more cocycle matrices than the cache holds
+        keeps only the most recent ones; the bound is the one of
+        `g_elements`."""
+        solve_dec.cache_clear()
+        try:
+            for k in range(1, G_ELEMENTS_CACHE_MAX + 2):
+                solve_dec(1, 1, freeze([[ZERO, F(k)], [ZERO, ZERO]]))
+            info = solve_dec.cache_info()
+        finally:
+            solve_dec.cache_clear()
+        assert info.misses == G_ELEMENTS_CACHE_MAX + 1
+        assert info.currsize <= info.maxsize == G_ELEMENTS_CACHE_MAX
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.sampled_from([(1, 1), (1, 2), (2, 1), (1, 3), (3, 1)]).flatmap(
