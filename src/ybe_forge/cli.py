@@ -29,18 +29,18 @@ EXIT_FAIL = 2
 EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
-# 3 before any work.  The exact pipelines cost about n^6: on one CPU of an
-# Intel Xeon, `rational 12 1` takes 0.11 s and `elliptic 12 1` 0.10 s.
+# 3 before any work.  The exact pipelines cost about n^6: on one CPU of a
+# 2-core Intel Xeon, `rational 12 1` takes 0.22 s and `elliptic 12 1` 0.26 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.5- to 2-fold per step
-# of n: serial on one CPU of an Intel Xeon, --n-max 5 takes 0.5 s, 7 takes
-# 1.8 s and 8 takes 2.9 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.3- to 1.8-fold per
+# step of n: serial on one CPU of a 2-core Intel Xeon, --n-max 5 takes
+# 0.9 s, 7 takes 3.0 s and 8 takes 4.0 s.
 VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
-# (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  The
-# exact solve slows as x grows: on one CPU of an Intel Xeon, `rational 12 d`
-# for d = 1, 5, 7 and 11 takes 0.11 s at x = 1/3 and 0.12-0.22 s at a
-# 30-digit x, and the (5, 7) solve takes 0.39 s at a 60-digit x.
+# (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and
+# y enter only a table evaluation: on one CPU of a 2-core Intel Xeon,
+# `rational 12 d` for d = 1, 5, 7 and 11 takes 0.19-0.23 s at x = 1/3 and
+# 0.18-0.20 s at a 30-digit x; a warm (5, 7) evaluation 4 ms at 60 digits.
 RAT_DIGITS_MAX = 30
 # Most digits a K-matrix file may carry beyond one per numerator and one per
 # denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in

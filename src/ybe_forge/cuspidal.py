@@ -11,26 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 from .exact import (
-    InterpolationError,
+    InconsistentSystemError,
     MatrixPoly,
-    ONE,
-    POLY_ZERO,
+    SingularSystemError,
     ZERO,
-    interpolate,
     kernel,
     poly_trim,
     rat,
+    solve_multi,
 )
 from .lie import (
+    POLE,
     GlTensor2,
-    RATIONAL,
     TensorTable,
     apply_gauge,
-    casimir,
     dual_terms,
     signed_permutation_map,
     sl_basis,
@@ -43,11 +41,12 @@ class NonCoprimeError(ValueError):
 
 
 class SolDimensionError(RuntimeError):
-    """dim Sol((e,d), x) != n^2 - 1; downstream formulas would be meaningless."""
+    """The certificate of `sol_family` failed: dim Sol((e,d), x) may differ
+    from n^2 - 1 at some x, and downstream formulas would be meaningless."""
 
 
 class AnsatzError(RuntimeError):
-    """The polynomial-plus-Casimir-pole Ansatz failed to certify."""
+    """The table is not of the form c/(y - x) + A + x B + y C."""
 
 
 def _check_coprime(e: int, d: int):
@@ -172,8 +171,8 @@ def _cells(n: int) -> list:
 
 # Coordinates of V_{e,d}: (i, j, k) is the coefficient of (z - x)^k in entry
 # (i, j), for every k up to the entry's degree cap.  The n^2 residue
-# coordinates (k = 0) come last, in row-major order, so that the kernel of the
-# defining constraint comes out dual to the residues (see `sol_space`).
+# coordinates (k = 0) come last, in row-major order, so that the solutions
+# split into the coordinates before them and the residues (see `sol_family`).
 @lru_cache(maxsize=None)
 def _ved_coords(e: int, d: int) -> tuple:
     n = e + d
@@ -183,25 +182,60 @@ def _ved_coords(e: int, d: int) -> tuple:
     ) + tuple((i, j, 0) for i, j in cells)
 
 
-def _coords_to_matrix_poly(e: int, d: int, x: Fraction, vec) -> MatrixPoly:
-    """The member of V_{e,d} with (z - x)-coordinates `vec`, in powers of z.
-    The coordinates past the end of a shorter `vec` are zero."""
+def _coords_to_matrix_poly(e: int, d: int, x: Fraction, vec: dict) -> MatrixPoly:
+    """The member of V_{e,d} with the sparse (z - x)-coordinates `vec`
+    ({coordinate: value}), in powers of z."""
     n = e + d
+    coords = _ved_coords(e, d)
     # (z - x)^k - z^k in powers of z, for k = 0, 1, 2
     lower = ((), (-x,), (x * x, -2 * x))
     coeffs: dict = {}  # (i, j) -> its z^0, z^1, z^2 coefficients
-    for (i, j, k), v in zip(_ved_coords(e, d), vec):
-        if v:
-            p = coeffs.setdefault((i, j), [ZERO, ZERO, ZERO])
-            p[k] += v
-            for m, c in enumerate(lower[k]):
-                p[m] += c * v
-    entries = tuple(
-        tuple(poly_trim(coeffs[i, j]) if (i, j) in coeffs else POLY_ZERO
-              for j in range(1, n + 1))
-        for i in range(1, n + 1)
-    )
-    return MatrixPoly(n, entries, (e, d))
+    for c, v in vec.items():
+        i, j, k = coords[c]
+        p = coeffs.setdefault((i, j), [ZERO, ZERO, ZERO])
+        p[k] += v
+        for m, low in enumerate(lower[k]):
+            p[m] += low * v
+    entries = tuple(tuple(poly_trim(coeffs.get((i, j), ())) for j in range(1, n + 1))
+                    for i in range(1, n + 1))
+    return MatrixPoly(n, entries)
+
+
+def _sol_rows(e: int, d: int) -> tuple[list, list]:
+    """The defining constraint of Sol((e,d), x) as the rows of A0 + x A1
+    over the coordinates of V_{e,d}, each a {column: int} dict.
+
+    In (z - x)-coordinates c_k, an entry with degree cap `cap` has
+    F_0 = c_cap and F_eps = c_(cap-1) - cap x c_cap, so row (a, b) of the
+    constraint is [c_cap, J] + (1 - cap) x c_cap + c_(cap-1), and the trace
+    rows are sum c1_aa = 0 and sum c0_aa = 0.  tests/test_cuspidal.py
+    proves, for n <= cli.N_MAX, that A0 + x A1 equals its reference form of
+    the constraint (F_0 and F_eps read off each member in powers of z) at
+    every x, so no member is re-checked at runtime.
+    """
+    n = e + d
+    col = {c: idx for idx, c in enumerate(_ved_coords(e, d))}
+    # (i, j) -> the column of its top coefficient c_cap
+    top = {(i, j): col[i, j, _degree_cap(i, j, e, n)] for i, j in _cells(n)}
+    J = build_j(e, d).matrix
+    a0, a1 = [], []
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            cap = _degree_cap(a, b, e, n)
+            row = {col[a, b, cap - 1]: 1} if cap else {}
+            # J is strictly upper triangular, so no column below is hit
+            # twice and none of them is top[a, b]
+            for c in range(1, n + 1):
+                if J[c - 1][b - 1]:
+                    row[top[a, c]] = 1
+                if J[a - 1][c - 1]:
+                    row[top[c, b]] = -1
+            a0.append(row)
+            a1.append({top[a, b]: 1 - cap} if cap != 1 else {})
+    for k in (1, 0):
+        a0.append({col[a, a, k]: 1 for a in range(1, n + 1)})
+        a1.append({})
+    return a0, a1
 
 
 @dataclass(frozen=True)
@@ -213,72 +247,144 @@ class SolBasis:
     e: int
     d: int
     x: Fraction
-    vectors: tuple  # the members' (z - x)-coordinates, as `kernel` returned them
-
-    @property
-    def n(self) -> int:
-        return self.e + self.d
+    vectors: tuple  # the members' (z - x)-coordinates
 
 
-def sol_space(e: int, d: int, x: Fraction) -> SolBasis:
-    """Kernel of the defining constraint inside V_{e,d}.
+def _columns(rows) -> dict:
+    """{column: {row: entry}} of the {column: entry} rows."""
+    out: dict = {}
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out.setdefault(c, {})[r] = v
+    return out
 
-    In (z - x)-coordinates c_k, an entry with degree cap `cap` has
-    F_0 = c_cap and F_eps = c_(cap-1) - cap x c_cap, so row (a, b) of the
-    constraint is [c_cap, J] + (1 - cap) x c_cap + c_(cap-1), and the trace
-    rows are sum c1_aa = 0 and sum c0_aa = 0.  With the residue coordinates
-    last, the residue map Sol -> sl(n) is an isomorphism iff the kernel's
-    free columns are the residue coordinates other than (1, 1, 0); the
-    kernel vector of the free column (i, j, 0) then has residue
-    e_ij - delta_ij e_11.  Anything else aborts hard: every downstream
-    formula assumes that isomorphism.
 
-    tests/test_cuspidal.py proves, at every x and for n <= cli.N_MAX, that
-    these rows equal its reference form of the constraint (F_0 and F_eps
-    read off each member in powers of z), so the members are not
-    re-checked here.
+def _combine(terms) -> dict:
+    """The sum of w v over the pairs (w, v) of `terms`, each v a sparse
+    {index: value} dict, with zeros dropped."""
+    acc: dict = {}
+    for w, vec in terms:
+        for c, v in vec.items():
+            acc[c] = acc.get(c, 0) + w * v
+    return {c: v for c, v in acc.items() if v}
+
+
+def _by_label(n: int, members) -> dict:
+    """label B -> B + G_B as the same combination of the members'
+    coordinates (in the order of `SolBasis`), since B = sum over
+    (i, j) != (1, 1) of B_ij (e_ij - delta_ij e_11).  Without its residue
+    coordinates it is G_B, and G_B(x) = 0: each one left is of (z - x)^k,
+    k >= 1."""
+    member = dict(zip(_cells(n)[1:], members))
+    member[1, 1] = {}
+    return {label: member[label[1:]] if label[0] == "unit" else _combine(
+        ((1, member[label[1], label[1]]), (-1, member[label[1] + 1, label[1] + 1])))
+        for label in sl_basis(n)}
+
+
+# (k, s) -> the signed monomials the x^s part of a z^k coordinate of G adds
+# to G(y)/(y - x): the sum of the z^1 coordinates and the z^2 ones (y - x).
+_PARTS = {(1, 0): ((1, (0, 0, 0)),), (1, 1): ((1, (0, 1, 0)),),
+          (2, 0): ((1, (0, 0, 1)), (-1, (0, 1, 0))), (2, 1): ((1, (0, 1, 1)), (-1, (0, 2, 0)))}
+
+
+@dataclass(frozen=True)
+class SolFamily:
+    """Sol((e,d), x) for every x: member m of the residue-dual basis has the
+    coordinates v0[m]/den + x v1[m]/den^2, each a sparse {coordinate: int}
+    dict; `table` is r(x, y) read off them."""
+
+    den: int
+    v0: tuple
+    v1: tuple
+    table: TensorTable
+
+
+# One family per coprime pair, kept for the life of the process: the CLI
+# admits the 45 pairs up to cli.N_MAX, and a family at n = 12, table
+# included, holds about 0.23 MB (measured with tracemalloc at (1, 11) and
+# (5, 7)).
+@lru_cache(maxsize=None)
+def sol_family(e: int, d: int) -> SolFamily:
+    """Sol((e,d), x) for every x from one elimination, certified at every x.
+
+    Split the columns of A0 + x A1 (`_sol_rows`) into the coordinates before
+    the residues, B0 + x P, and the residues, R0 + x R1.  One batched
+    `solve_multi` on B0 gives W0 = B0^-1 (-R0 D) for the residue duals D,
+    U = B0^-1 (-R1 D) for those D with R1 D != 0, and M = B0^-1 P; it raises
+    unless B0 is injective and every right-hand side lies in its range.
+    The certificate: M is zero on the rows of P's columns, so M^2 = 0 and
+    B0 + x P = B0 (I + x M) is injective at every x; and M U = 0.  Then the
+    member over D is W0 + x (U - M W0) at every x, and the residue map
+    Sol -> sl(n) is an isomorphism, which every downstream formula assumes;
+    SolDimensionError otherwise.
     """
     _check_coprime(e, d)
-    x = rat(x)
     n = e + d
-    coords = _ved_coords(e, d)
-    col = {c: idx for idx, c in enumerate(coords)}
-    # (i, j) -> the column of its top coefficient c_cap
-    top = {(i, j): col[i, j, _degree_cap(i, j, e, n)] for i, j in _cells(n)}
-    J = build_j(e, d).matrix
+    head = len(_ved_coords(e, d)) - n * n  # coordinates before the residue ones
+    a0, a1 = _sol_rows(e, d)
+    cols0, cols1 = _columns(a0), _columns(a1)
+    # the residue dual of cell (i, j) != (1, 1), e_ij - delta_ij e_11
+    duals = [{head + q: 1, **({head: -1} if i == j else {})}
+             for q, (i, j) in enumerate(_cells(n)) if q]
+    w_rhs = [_combine((-w, cols0.get(c, {})) for c, w in D.items()) for D in duals]
+    u_rhs = {m: rhs for m, D in enumerate(duals)
+             if (rhs := _combine((-w, cols1.get(c, {})) for c, w in D.items()))}
+    p_cols = sorted(c for c in cols1 if c < head)
+    b0 = [{c: v for c, v in row.items() if c < head} for row in a0]
+    try:
+        sols = solve_multi(b0, w_rhs + list(u_rhs.values()) + [cols1[c] for c in p_cols], head)
+    except (SingularSystemError, InconsistentSystemError) as exc:
+        raise SolDimensionError("Sol((%d,%d), x): %s" % (e, d, exc)) from exc
+    sparse = [{c: v for c, v in enumerate(sol) if v} for sol in sols]
+    den = lcm(*(v.denominator for sol in sparse for v in sol.values()))
+    ints = [{c: v.numerator * (den // v.denominator) for c, v in sol.items()} for sol in sparse]
+    u = dict(zip(u_rhs, ints[len(w_rhs):]))
+    # each member with its residue coordinates, the dual itself
+    w0 = tuple({**w, **{c: den * v for c, v in D.items()}} for w, D in zip(ints, duals))
+    m_cols = dict(zip(p_cols, ints[len(ints) - len(p_cols):]))
+    if (any(c in m_cols for col in m_cols.values() for c in col)
+            or any(_combine((w, m_cols.get(j, {})) for j, w in um.items()) for um in u.values())):
+        raise SolDimensionError("Sol((%d,%d), x): M is not zero on the rows of P's "
+                                "columns, or M U != 0" % (e, d))
+    v1 = tuple(_combine([(den, u.get(m, {}))] + [(-w, m_cols.get(j, {})) for j, w in w0m.items()])
+               for m, w0m in enumerate(w0))
+    return SolFamily(den, w0, v1, _family_table(n, den, w0, v1, _ved_coords(e, d)))
 
-    rows = []
-    for a in range(1, n + 1):
-        for b in range(1, n + 1):
-            cap = _degree_cap(a, b, e, n)
-            row = {top[a, b]: (1 - cap) * x}
-            if cap:
-                row[col[a, b, cap - 1]] = 1
-            # J is strictly upper triangular, so no column below is hit
-            # twice and none of them is top[a, b]
-            for c in range(1, n + 1):
-                if J[c - 1][b - 1]:
-                    row[top[a, c]] = 1
-                if J[a - 1][c - 1]:
-                    row[top[c, b]] = -1
-            if not row[top[a, b]]:
-                del row[top[a, b]]
-            rows.append(row)
-    for k in (1, 0):
-        rows.append({col[a, a, k]: 1 for a in range(1, n + 1)})
 
-    vecs = kernel(rows, len(coords))
-    cells = _cells(n)
-    dual = [
-        tuple(int(c == (i, j)) - int(i == j and c == (1, 1)) for c in cells)
-        for i, j in cells[1:]
-    ]
-    if [v[-n * n:] for v in vecs] != dual:
-        raise SolDimensionError(
-            "residue map Sol((%d,%d), %s) -> sl(%d) is not an isomorphism "
-            "(dim Sol = %d, expected %d)" % (e, d, x, n, len(vecs), n * n - 1)
-        )
-    return SolBasis(e, d, x, tuple(vecs))
+def _family_table(n: int, den: int, v0: tuple, v1: tuple, coords: tuple) -> TensorTable:
+    """r(x, y) for every x and y, in integers, from the members' coordinates
+    v0 over den and v1 over den^2."""
+    g1 = _by_label(n, v1)
+    pairs = []
+    for label, g0 in _by_label(n, v0).items():
+        parts: dict = {}  # monomial -> {(i, j): numerator over den^2}
+        for s, g, scale in ((0, g0, den), (1, g1[label], 1)):
+            for c, v in g.items():
+                i, j, k = coords[c]
+                # k = 0 is B itself, whose part is the Casimir pole
+                for sign, m in _PARTS.get((k, s), ()):
+                    slot = parts.setdefault(m, {})
+                    slot[i, j] = slot.get((i, j), 0) + sign * scale * v
+        first = {key: v / (den * den) for key, v in dual_terms(label, n).items()}
+        pairs += [(first, {ij: v for ij, v in slot.items() if v}, m) for m, slot in parts.items()]
+    return tensor_table(n, pairs)
+
+
+def sol_space(e: int, d: int, x) -> SolBasis:
+    """The basis of Sol((e,d), x) dual to the residues: `sol_family`
+    evaluated at x."""
+    x = rat(x)
+    fam = sol_family(e, d)
+    scale = fam.den * x.denominator  # v0/den + x v1/den^2 over den * scale
+    ncols, vectors = len(_ved_coords(e, d)), []
+    for g0, g1 in zip(fam.v0, fam.v1):
+        vec = [ZERO] * ncols
+        for c in g0.keys() | g1.keys():
+            if num := g0.get(c, 0) * scale + g1.get(c, 0) * x.numerator:
+                vec[c] = Fraction(num, fam.den * scale)
+        vectors.append(tuple(vec))
+    return SolBasis(e, d, x, tuple(vectors))
 
 
 @dataclass(frozen=True)
@@ -291,69 +397,42 @@ class GElements:
     x: Fraction
     corrections: dict  # BasisIndex -> MatrixPoly
 
-    @property
-    def n(self) -> int:
-        return self.e + self.d
-
-    @cached_property
-    def table(self) -> TensorTable:
-        """r(x, y) at this x for every y, built on first use.  Each G_B has
-        degree <= 2 in z, so r(x, y) = (c + T0 + y T1 + y^2 T2)/(y - x) with
-        T_k = sum dual(B) (x) [z^k] G_B."""
-        n = self.n
-        pairs = []
-        for label, G in self.corrections.items():
-            first = dual_terms(label, n)
-            pairs += [(first, second, (1, 0, k)) for k, second in G.coeff_terms().items()]
-        return tensor_table(n, pairs)
-
 
 # Most residue points whose corrections `g_elements` keeps.  At n = 12 one
-# entry holds about 0.4 MB and, once `assemble_r` has built its table,
-# about 0.6 MB (measured with tracemalloc at (1, 11) and (5, 7)), so the
-# cache stays under about 40 MB.  A process
-# re-uses few points at a time: `verify --n-max 8` (330 points) and
-# warm-eval (a pool of 8) lose no hit at this size; a size of 32 already
-# costs `verify --n-max 7` one.  `stolin.solve_dec` keeps as many cocycle
-# matrices: `verify --n-max 8` asks it for 42 (370 hits), so it loses none.
+# entry holds about 0.35 MB (measured with tracemalloc at (1, 11) and
+# (5, 7)), so the cache stays under about 23 MB; no assembly reads it.
+# `stolin.solve_dec` keeps as many cocycle matrices: `verify --n-max 8`
+# asks it for 42 (370 hits), so it loses none.
 G_ELEMENTS_CACHE_MAX = 64
 
 
 @lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)
 def g_elements(e: int, d: int, x: Fraction) -> GElements:
-    """The corrections, read off the residue-dual basis of `sol_space`.
+    """The corrections at x, read off `sol_space(e, d, x)` (`_by_label`)."""
+    sol = sol_space(e, d, rat(x))
+    members = [{c: v for c, v in enumerate(vec[:-(e + d) ** 2]) if v} for vec in sol.vectors]
+    return GElements(e, d, sol.x, {label: _coords_to_matrix_poly(e, d, sol.x, g)
+                                   for label, g in _by_label(e + d, members).items()})
 
-    B = sum over (i, j) != (1, 1) of B_ij (e_ij - delta_ij e_11), so
-    B + G_B is the same combination of the members (i, j), and G_B is that
-    combination with its residue coordinates dropped.  Every coordinate
-    left multiplies a positive power of (z - x), so G_B(x) = 0.
-    """
+
+def point_sol_space(e: int, d: int, x) -> SolBasis:
+    """Sol((e,d), x) from one `kernel` elimination of the rows at x, without
+    `sol_family`: the reference of `verify.check_ansatz`.  Its basis is the
+    residue-dual one exactly when the residue map is an isomorphism at x."""
     x = rat(x)
-    sol = sol_space(e, d, x)
-    n = e + d
-    head = len(sol.vectors[0]) - n * n  # coordinates before the residue ones
-    member = {c: v[:head] for c, v in zip(_cells(n)[1:], sol.vectors)}
-    member[1, 1] = (ZERO,) * head
-    corrections = {}
-    for label in sl_basis(n):
-        if label[0] == "unit":
-            vec = member[label[1:]]
-        else:  # h_l = e_ll - e_(l+1)(l+1)
-            l = label[1]
-            vec = tuple(a - b if b else a for a, b in zip(member[l, l], member[l + 1, l + 1]))
-        corrections[label] = _coords_to_matrix_poly(e, d, x, vec)
-    return GElements(e, d, x, corrections)
+    # A0 and A1 share no column within a row
+    rows = [{**r0, **{c: x * v for c, v in r1.items() if x}} for r0, r1 in zip(*_sol_rows(e, d))]
+    return SolBasis(e, d, x, tuple(kernel(rows, len(_ved_coords(e, d)))))
 
 
 def assemble_r(e: int, d: int, x, y) -> GlTensor2:
     """The rational solution of the geometric pipeline at exact points:
     (1/(y-x)) [ c + sum dual(B) (x) G_B(y) ] over the sl(n) basis, read off
-    the table of `g_elements(e, d, x)`."""
+    the table of `sol_family(e, d)`."""
     x, y = rat(x), rat(y)
     if x == y:
         raise ValueError("need x != y")
-    _check_coprime(e, d)
-    return g_elements(e, d, x).table.at(x, y)
+    return sol_family(e, d).table.at(x, y)
 
 
 def flip_transpose_gauge(e: int, d: int):
@@ -382,95 +461,13 @@ def psi_transport(e: int, d: int, x, y) -> GlTensor2:
     return apply_gauge(g, g, assemble_r(e, d, x, y))
 
 
-# ---------------------------------------------------------------------------
-# certification of the polynomial Ansatz r = c/(y-x) + s(x, y)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnsatzResult:
-    """Bivariate polynomial tail s(x,y): per tensor coefficient, an array of
-    coefficients indexed by (x-degree, y-degree)."""
-
-    e: int
-    d: int
-    degree_bound: int
-    coefficients: dict  # (i,j,k,l) -> tuple of tuples of Fraction
-
-    def eval_tail(self, x, y) -> GlTensor2:
-        x, y = rat(x), rat(y)
-        n = self.e + self.d
-        terms = {}
-        for key, grid in self.coefficients.items():
-            acc = ZERO
-            for p, row in enumerate(grid):
-                xp = x**p
-                for q, cpq in enumerate(row):
-                    if cpq != 0:
-                        acc += cpq * xp * y**q
-            if acc != 0:
-                terms[key] = acc
-        return GlTensor2(n, RATIONAL, terms)
-
-    def eval(self, x, y) -> GlTensor2:
-        """c/(y-x) + s(x, y)."""
-        x, y = rat(x), rat(y)
-        n = self.e + self.d
-        return casimir(n).scale(ONE / (y - x)).add(self.eval_tail(x, y))
-
-
-def _tail_tensor(e: int, d: int, x: Fraction, y: Fraction) -> GlTensor2:
-    n = e + d
-    return assemble_r(e, d, x, y).sub(casimir(n).scale(ONE / (y - x)))
-
-
-def r_ansatz(e: int, d: int) -> AnsatzResult:
-    """Reconstruct the polynomial tail by exact interpolation at degree
-    bound 1 in each variable, with one spare sample per interpolation and a
-    spare point off the sampling grid.
-
-    Every coprime pair with e + d <= 6 certifies at this bound; a tail that
-    does not aborts loudly with AnsatzError.
-    """
-    _check_coprime(e, d)
-    bound = 1
-    npts = bound + 2
-    xs = [Fraction(p, 1) for p in range(npts)]
-    ys = [Fraction(2 * npts + 3 * q, 2) for q in range(npts)]
-    samples = {}
-    keys = set()
-    for x in xs:
-        for y in ys:
-            t = _tail_tensor(e, d, x, y)
-            samples[(x, y)] = t
-            keys.update(t.terms)
-    coefficients = {}
-    try:
-        for key in sorted(keys):
-            # interpolate in y for each x, then across x per y-degree
-            per_x = []
-            for x in xs:
-                pts = [(y, samples[(x, y)].terms.get(key, ZERO)) for y in ys]
-                per_x.append(interpolate(pts, bound))
-            ydeg = max((len(p) for p in per_x), default=0)
-            grid = []
-            for q in range(ydeg):
-                pts = [
-                    (x, per_x[ix][q] if q < len(per_x[ix]) else ZERO)
-                    for ix, x in enumerate(xs)
-                ]
-                grid.append(interpolate(pts, bound))
-            xdeg = max((len(p) for p in grid), default=0)
-            coefficients[key] = tuple(
-                tuple(grid[q][p] if p < len(grid[q]) else ZERO for q in range(ydeg))
-                for p in range(xdeg)
-            )
-    except InterpolationError as exc:
-        raise AnsatzError(
-            "tail of ((%d,%d)) not polynomial at degree bound %d" % (e, d, bound)
-        ) from exc
-    result = AnsatzResult(e, d, bound, coefficients)
-    # spare-point validation away from the sampling grid
-    spare = (Fraction(-7, 3), Fraction(9, 4))
-    if result.eval(*spare) != assemble_r(e, d, *spare):
-        raise AnsatzError("spare-point validation failed for ((%d,%d))" % (e, d))
-    return result
+def r_ansatz(e: int, d: int) -> TensorTable:
+    """The table of `sol_family(e, d)`, certified to be c/(y - x) + A + x B
+    + y C: no monomial besides the pole, 1, x and y (A is zero for (1, 1)).
+    A z^2 coordinate of some V1 would add x y and x^2.  AnsatzError
+    otherwise."""
+    table = sol_family(e, d).table
+    if not {POLE, (0, 0, 0), (0, 1, 0), (0, 0, 1)}.issuperset(table.monomials):
+        raise AnsatzError("table of (%d,%d) has the monomials %s, not those of "
+                          "c/(y-x) + A + xB + yC" % (e, d, sorted(table.monomials)))
+    return table

@@ -419,20 +419,14 @@ def interpolate(samples: Sequence[tuple[Fraction, Fraction]], degree_bound: int)
 
 @dataclass(frozen=True)
 class MatrixPoly:
-    """n x n matrix with polynomial entries in z; optionally tagged with the
-    block split e + d = n used by the shaped spaces of the cuspidal pipeline."""
+    """n x n matrix with polynomial entries in z."""
 
     n: int
     entries: tuple  # n x n nested tuple of Poly tuples
-    block_split: tuple[int, int] | None = None
 
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValueError("entries must be an n x n grid of polynomials")
-        if self.block_split is not None:
-            e, d = self.block_split
-            if e + d != self.n:
-                raise ValueError("block split %r does not sum to n=%d" % (self.block_split, self.n))
 
     def coeff_terms(self) -> dict:
         """{k: {(i, j): nonzero z**k coefficient of entry (i, j)}}, 1-based,

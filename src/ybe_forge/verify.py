@@ -19,13 +19,14 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__, cuspidal, elliptic, stolin
-from .exact import ONE, mat_unit
+from .exact import ONE, eval_matrix_poly, mat_unit
 from .lie import (
     apply_gauge,
     basis_matrix,
     casimir,
     cybe_residual_difference,
     cybe_residual_two_variable,
+    dual_matrix,
     flip_map,
     is_unitary_pair,
     sl_basis,
@@ -195,11 +196,16 @@ def check_flip_symmetry(e: int, d: int, pairs) -> tuple[bool, str]:
 
 
 def check_ansatz(e: int, d: int) -> tuple[bool, str]:
-    res = cuspidal.r_ansatz(e, d)
-    ok = True
+    table = cuspidal.r_ansatz(e, d)
+    n, ok = e + d, True
     for x, y in ((Fraction(5, 7), Fraction(-3, 2)), (Fraction(-7, 3), Fraction(9, 4))):
-        ok &= res.eval(x, y) == cuspidal.assemble_r(e, d, x, y)
-    return ok, "polynomial tail at degree bound %d" % res.degree_bound
+        ok &= cuspidal.sol_space(e, d, x) == cuspidal.point_sol_space(e, d, x)
+        # the per-point formula (c + sum dual(B) (x) G_B(y))/(y - x)
+        inv = ONE / (y - x)
+        pairs = [(dual_matrix(label, n), eval_matrix_poly(G, y), inv)
+                 for label, G in cuspidal.g_elements(e, d, x).corrections.items()]
+        ok &= table.at(x, y) == casimir(n).scale(inv).add(tensor_from_pairs(n, pairs))
+    return ok, "c/(y-x) + A + xB + yC; Sol and table match a fresh elimination at 2 points"
 
 
 def check_frobenius_goldens() -> tuple[bool, str]:
@@ -379,9 +385,9 @@ def _tasks_for(suite: str, n_max: int, seed: int):
                 ("order-series-(%d,%d)" % (e, d), "exact", check_series, (e, d)))
     if suite in ("elliptic", "all"):
         tasks.append(("theta-half-shift-relation", "1e-12", check_theta_relation, (11,)))
-        for (n, d) in ((2, 1), (3, 1), (3, 2)):
+        for (e, d) in _coprime_pairs(min(n_max, 6)):
             tasks.append(
-                ("belavin-(%d,%d)" % (n, d), "1e-9/1e-5", check_belavin, (n, d)))
+                ("belavin-(%d,%d)" % (e + d, d), "1e-9/1e-5", check_belavin, (e + d, d)))
         tasks.append(
             ("belavin-truncation-stability", "1e-12", check_truncation_stability, ()))
     if suite in ("zoo", "all"):

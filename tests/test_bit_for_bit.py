@@ -38,6 +38,11 @@ def _poly_text(F) -> str:
     return ";".join(",".join(map(str, p)) for row in F.entries for p in row)
 
 
+def entries_text(items) -> str:
+    """(key, matrix polynomial) pairs as text, sorted by key, entries only."""
+    return "|".join("%r:%s" % (key, _poly_text(G)) for key, G in sorted(items))
+
+
 def compute_digests() -> dict:
     out = {}
     for n in range(2, N_MAX + 1):

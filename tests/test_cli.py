@@ -59,14 +59,18 @@ class TestRational:
         res = run(runner, "rational", "2", "1", "--x", "0", "--y", "1")
         assert res.exit_code == 0
         doc = document_from_json(json.loads(res.stdout))
+        from ybe_forge import lie
+        from ybe_forge.cuspidal import r_ansatz
         from ybe_forge.exact import ONE
         from ybe_forge.lie import casimir
 
+        # the tail is the polynomial part of the certified table
+        table = r_ansatz(1, 1)
+        polynomial = lie.TensorTable(2, table.monomials[:-1], table.den, {
+            key: nums[:-1] for key, nums in table.terms.items() if any(nums[:-1])})
         tail = doc.to_tensor().sub(casimir(2).scale(ONE / (F(1) - F(0))))
-        # the tail is the polynomial part: re-evaluating the certificate
-        from ybe_forge.cuspidal import r_ansatz
-
-        assert tail == r_ansatz(1, 1).eval_tail(F(0), F(1))
+        assert table.monomials[-1] == lie.POLE
+        assert tail == polynomial.at(F(0), F(1))
 
     def test_round_trip(self, runner):
         res = run(runner, "rational", "3", "1", "--x", "1/3", "--y", "2")
@@ -382,6 +386,14 @@ class TestVerify:
         payload = json.loads(res.stdout)
         assert payload["passed"] is True
         assert payload["version"] == __version__
+
+    def test_belavin_pairs(self):
+        """`check_belavin` runs on every coprime (n, d) with n <= min(n_max, 6)."""
+        def names(n_max):
+            return [t[0] for t in _tasks_for("elliptic", n_max, 0) if t[2] is verify.check_belavin]
+
+        assert names(4) == ["belavin-(%d,%d)" % p for p in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3))]
+        assert len(names(6)) == len(names(8)) == 11
 
     def test_suite_choices_have_checks(self):
         """The CLI's --suite choices are the one list of suite names: each

@@ -6,15 +6,16 @@ import random
 import time
 from fractions import Fraction as F
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_bit_for_bit import POINTS
+from test_bit_for_bit import POINTS, entries_text
 from test_exact import rank
 from test_lie import nondegenerate
-from ybe_forge import cuspidal, exact, lie, stolin
+from ybe_forge import cuspidal, exact, lie, stolin, verify
 from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
     AnsatzError,
@@ -29,6 +30,7 @@ from ybe_forge.cuspidal import (
     psi_transport,
     r_ansatz,
     region,
+    sol_family,
     sol_space,
 )
 from ybe_forge.exact import (
@@ -270,7 +272,8 @@ def _region_table_f0_feps(Fm, e, d):
 
 def _members(sol):
     """The members of Sol((e,d), x) as matrix polynomials in z."""
-    return [cuspidal._coords_to_matrix_poly(sol.e, sol.d, sol.x, v) for v in sol.vectors]
+    return [cuspidal._coords_to_matrix_poly(sol.e, sol.d, sol.x, dict(enumerate(v)))
+            for v in sol.vectors]
 
 
 def _bump(Fm, i, j, k):
@@ -278,6 +281,37 @@ def _bump(Fm, i, j, k):
     mats = [[list(row) for row in coeff_matrix(Fm, m)] for m in range(3)]
     mats[k][i - 1][j - 1] += ONE
     return matrix_poly_from_coeffs([tuple(map(tuple, m)) for m in mats])
+
+
+def _p_columns(e, d):
+    """The columns of P: the z^2 coordinates of the lower-left block."""
+    coords = cuspidal._ved_coords(e, d)
+    return [m for m, (_, _, k) in enumerate(coords) if k == 2]
+
+
+def _perturbed_m_block(e, d, rows, rhs, ncols):
+    """`solve_multi`, with one entry of M = B0^-1 P set on P's columns."""
+    sols = exact.solve_multi(rows, rhs, ncols)
+    p = _p_columns(e, d)
+    last = list(sols[-1])
+    last[p[0]] += 1
+    return sols[:-1] + [tuple(last)]
+
+
+def _x2_term(e, d, rows, rhs, ncols):
+    """`solve_multi`, with the first U = B0^-1 (-R1 D) given a z^2
+    coordinate where M is nonzero, so that M U != 0."""
+    sols = exact.solve_multi(rows, rhs, ncols)
+    p = _p_columns(e, d)
+    first_u = (e + d) ** 2 - 1
+    u = list(sols[first_u])
+    u[p[0]] += 1
+    return sols[:first_u] + [tuple(u)] + sols[first_u + 1:]
+
+
+def _singular_b0(e, d, rows, rhs, ncols):
+    """`solve_multi` on B0 with its first column zeroed."""
+    return exact.solve_multi([{c: v for c, v in row.items() if c} for row in rows], rhs, ncols)
 
 
 class TestSolSpace:
@@ -336,14 +370,23 @@ class TestSolSpace:
                         assert not mat_is_zero(sol_constraint_violation(bumped_member, e, d, x))
 
     @pytest.mark.parametrize("fake", [
-        lambda v: [v[1], v[0]] + v[2:],  # the same kernel, reordered
-        lambda v: [tuple(a + b for a, b in zip(v[0], v[1]))] + v[1:],  # recombined
-        lambda v: v[:-1],  # one member short
-    ], ids=["swapped", "recombined", "short"])
-    def test_kernel_not_dual_to_residues_refused(self, fake, monkeypatch):
-        monkeypatch.setattr(cuspidal, "kernel", lambda rows, ncols: fake(exact.kernel(rows, ncols)))
-        with pytest.raises(SolDimensionError, match="not an isomorphism"):
-            sol_space(2, 1, F(5, 3))
+        _perturbed_m_block,
+        _x2_term,
+        _singular_b0,
+    ], ids=["m-block", "x2-term", "singular"])
+    def test_certificate_failure_refused(self, fake, monkeypatch):
+        """Negative controls of the family's certificate: a nonzero entry of
+        M on P's columns, a nonzero x^2 coefficient M U, and a singular B0
+        each raise SolDimensionError."""
+        e, d = 2, 3
+        monkeypatch.setattr(cuspidal, "solve_multi", lambda rows, rhs, ncols:
+                            fake(e, d, rows, rhs, ncols))
+        sol_family.cache_clear()
+        try:
+            with pytest.raises(SolDimensionError):
+                sol_space(e, d, F(5, 3))
+        finally:
+            sol_family.cache_clear()
 
     @pytest.mark.parametrize("e,d", [(2, 1), (1, 2)])
     def test_dimension_at_ten_random_points(self, e, d, rng):
@@ -355,24 +398,14 @@ class TestSolSpace:
             assert len(_members(sol_space(e, d, x))) == n * n - 1
 
 
-class _RowsCaptured(Exception):
-    """Raised by the stand-in for `kernel`, carrying the rows it was given."""
-
-
-def _constraint_rows(e, d, x, monkeypatch):
-    """The {column: entry} rows that `sol_space(e, d, x)` hands to `kernel`,
-    taken before any elimination runs; `kernel` must be told one column per
-    coordinate of V_{e,d}."""
-
-    def capture(rows, ncols):
-        raise _RowsCaptured(rows, ncols)
-
-    monkeypatch.setattr(cuspidal, "kernel", capture)
-    with pytest.raises(_RowsCaptured) as caught:
-        sol_space(e, d, x)
-    rows, ncols = caught.value.args
-    assert ncols == len(cuspidal._ved_coords(e, d))
-    return rows
+def _constraint_rows(e, d, x):
+    """The {column: entry} rows of A0 + x A1 from `_sol_rows(e, d)`, each
+    column one coordinate of V_{e,d}."""
+    a0, a1 = cuspidal._sol_rows(e, d)
+    ncols = len(cuspidal._ved_coords(e, d))
+    assert all(0 <= c < ncols for row in a0 + a1 for c in row)
+    return [{c: r0.get(c, 0) + x * r1.get(c, 0) for c in r0.keys() | r1.keys()}
+            for r0, r1 in zip(a0, a1)]
 
 
 def _proof_vectors(e, d, rng):
@@ -420,7 +453,7 @@ def _encoding_mismatches(e, d, x, rows, vectors):
             if cm:
                 for r, v in columns[m]:
                     image[r] += v * cm
-        member = cuspidal._coords_to_matrix_poly(e, d, x, c)
+        member = cuspidal._coords_to_matrix_poly(e, d, x, dict(enumerate(c)))
         want = [v for row in sol_constraint_violation(member, e, d, x) for v in row]
         if image != want + [ZERO, ZERO]:
             bad.append(c)
@@ -431,24 +464,25 @@ PROOF_PAIRS = [(e, n - e) for n in range(2, N_MAX + 1) for e in range(1, n) if g
 
 
 class TestSolEncoding:
-    """The rows of `sol_space` encode [F_0, J] + x F_0 + F_eps = 0 exactly,
-    which is why `sol_space` does not re-check its members.
+    """The rows A0 + x A1 of `_sol_rows`, from which `sol_family` builds
+    Sol((e,d), x) for every x, encode [F_0, J] + x F_0 + F_eps = 0 exactly,
+    which is why no member is re-checked against the constraint.
 
-    For fixed coordinates c, rows(x) . c and the constraint of c's member
-    are polynomials of degree <= 3 in x (the rows are linear in x, and the
-    member's z-power coefficients quadratic), so agreeing at the four points
-    of `test_bit_for_bit.POINTS` proves them equal at every x.  The trace
-    rows are checked to be exactly the two trace functionals, so the kernel
-    of the rows is Sol((e,d), x)."""
+    For fixed coordinates c, (A0 + x A1) . c and the constraint of c's
+    member are polynomials of degree <= 3 in x (the rows are linear in x,
+    and the member's z-power coefficients quadratic), so agreeing at the
+    four points of `test_bit_for_bit.POINTS` proves them equal at every x,
+    and so proves A0 and A1.  The trace rows are checked to be exactly the
+    two trace functionals, so the kernel of the rows is Sol((e,d), x)."""
 
     @pytest.mark.parametrize("e,d", PROOF_PAIRS)
-    def test_rows_encode_the_constraint(self, e, d, monkeypatch):
+    def test_rows_encode_the_constraint(self, e, d):
         n = e + d
         rng = random.Random(1000 * e + d)
         coords = cuspidal._ved_coords(e, d)
         traces = [coords.index((1, 1, k)) for k in (1, 0)]
         for x in POINTS:
-            rows = _constraint_rows(e, d, x, monkeypatch)
+            rows = _constraint_rows(e, d, x)
             assert len(rows) == n * n + 2
             assert [[row.get(m, 0) for m in traces] for row in rows[-2:]] == [[1, 0], [0, 1]]
             assert not _encoding_mismatches(e, d, x, rows, _proof_vectors(e, d, rng))
@@ -458,15 +492,17 @@ class TestSolEncoding:
                              ids=["cap0", "cap1", "cap2", "cap2-random"])
     def test_changed_entry_is_caught(self, e, d, cell, monkeypatch):
         """Negative control: the comparison rejects rows in which the
-        (1 - cap) x entry of one constraint row has been changed."""
+        (1 - cap) entry of one row of A1 has been changed."""
         n = e + d
         a, b = cell
         x = POINTS[2]
-        rows = _constraint_rows(e, d, x, monkeypatch)
+        a0, a1 = cuspidal._sol_rows(e, d)
         m = cuspidal._ved_coords(e, d).index((a, b, _cap(a, b, e, n)))
-        row = rows[(a - 1) * n + b - 1]
-        assert row.get(m, 0) == (1 - _cap(a, b, e, n)) * x
-        row[m] = row.get(m, 0) + ONE
+        row = a1[(a - 1) * n + b - 1]
+        assert row.get(m, 0) == 1 - _cap(a, b, e, n)
+        row[m] = row.get(m, 0) + 1
+        monkeypatch.setattr(cuspidal, "_sol_rows", lambda e, d: (a0, a1))
+        rows = _constraint_rows(e, d, x)
         assert _encoding_mismatches(e, d, x, rows, _proof_vectors(e, d, random.Random(7)))
 
 
@@ -491,8 +527,8 @@ class TestGElements:
         _assert_defining_conditions(g_elements(e, d, x))
 
     def test_large_residue_point(self):
-        """A 31-digit x: the corrections are read off the kernel, with no
-        second elimination over its values (about 30 s before)."""
+        """A 31-digit x: the corrections are the family evaluated at x, with
+        no elimination over its values (about 30 s when there was one)."""
         x = F(1, 10**30)
         t0 = time.perf_counter()
         g = g_elements(1, 8, x)
@@ -514,6 +550,8 @@ class TestGElements:
         assert info.currsize <= info.maxsize == cuspidal.G_ELEMENTS_CACHE_MAX
 
     def test_cold_run_makes_one_elimination(self, monkeypatch):
+        """A cold pair runs one `solve_multi` and no `kernel`; a further x,
+        and an assembly at a third, run no elimination."""
         calls = []
 
         def counting(name, original):
@@ -527,31 +565,36 @@ class TestGElements:
             for module in (exact, cuspidal):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counting(name, original))
-        x = F(-2, 9)
         g_elements.cache_clear()
+        sol_family.cache_clear()
         try:
-            g_elements(2, 3, x)
+            g_elements(2, 3, F(-2, 9))
+            assert calls == ["solve_multi"]
+            g_elements(2, 3, F(7, 5))
+            assemble_r(2, 3, F(1, 3), F(2))
         finally:
             g_elements.cache_clear()
-        assert calls == ["kernel"]
+        assert calls == ["solve_multi"]
 
     @pytest.mark.parametrize("e,d,x,digest", [
-        (2, 3, F(-1, 2), "75327648033832dcffa116e00e2297e91c8fb0919f82cd8ba61a590a8131f485"),
-        (1, 6, F(0), "1c23235e9acb084e836004b54fb17054f27757112a4c8e86a9e241992ce3382a"),
+        (2, 3, F(-1, 2), "27db93c9b50d9794782f54f70b3f01aabe56db51d4944867b591dcd5e1218816"),
+        (1, 6, F(0), "ebdfb9247553926f92abfd370f4d25285056d6aa7c2f80a164edd3ab7e71350c"),
     ])
     def test_corrections_golden(self, e, d, x, digest):
-        """sha256 of the repr of every correction, taken before the
-        corrections were read off the residue-dual basis."""
-        text = repr(sorted(g_elements(e, d, x).corrections.items()))
+        """sha256 of the entries of every correction, first taken before the
+        corrections were read off the residue-dual basis (as the repr of
+        each correction); the entries-only digests were re-recorded on the
+        per-point solve and are unchanged by the family."""
+        text = entries_text(g_elements(e, d, x).corrections.items())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _assert_defining_conditions(g):
-    n = g.n
+    n = g.e + g.d
     assert sorted(g.corrections) == sorted(sl_basis(n))
     for label in sl_basis(n):
         G = g.corrections[label]
-        assert isinstance(G, MatrixPoly) and G.block_split == (g.e, g.d)
+        assert isinstance(G, MatrixPoly)
         assert mat_is_zero(eval_matrix_poly(G, g.x))
         B = basis_matrix(label, n)
         member = matrix_poly_from_coeffs(
@@ -647,56 +690,56 @@ def _per_point_r(e, d, x, y):
 
 
 class TestTable:
-    """`assemble_r` reads r(x, y) off the table of `g_elements(e, d, x)`.
-    On both sides (y - x) r(x, y) is a polynomial of degree <= 2 in y, so
-    agreeing at the four y of `table_ys(x)` proves the table right for every
-    y at that x."""
+    """`assemble_r` reads r(x, y) off the table of `sol_family(e, d)`.  At
+    each x both sides of (y - x) r(x, y) are polynomials of degree <= 2 in
+    y, so agreeing at the four y of `table_ys(x)` proves the table right for
+    every y at the four x of `POINTS`, where `tests/test_bit_for_bit.py`
+    fixes the corrections."""
 
     @pytest.mark.parametrize("e,d", TABLE_PAIRS)
     def test_table_is_the_per_point_formula(self, e, d):
-        for x in POINTS:
-            table = g_elements(e, d, x).table
-            assert table_mismatches(table, lambda a, b: _per_point_r(e, d, a, b), [x]) == []
-            y = table_ys(x)[0]
-            assert assemble_r(e, d, x, y) == table.at(x, y)
+        table = sol_family(e, d).table
+        assert table_mismatches(table, lambda x, y: _per_point_r(e, d, x, y), POINTS) == []
+        y = table_ys(POINTS[2])[0]
+        assert assemble_r(e, d, POINTS[2], y) == table.at(POINTS[2], y)
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (3, 4)])
     def test_bumped_entry_is_caught(self, e, d):
         """Negative control: one numerator raised by 1 fails the comparison."""
         rng = random.Random(100 * e + d)
-        for x in POINTS:
-            table = bumped(g_elements(e, d, x).table, rng)
-            assert table_mismatches(table, lambda a, b: _per_point_r(e, d, a, b), [x])
+        for _ in range(4):
+            table = bumped(sol_family(e, d).table, rng)
+            assert table_mismatches(table, lambda x, y: _per_point_r(e, d, x, y), POINTS)
 
     def test_table_integer_only(self):
-        table = g_elements(3, 4, POINTS[3]).table
-        # (c + T0 + y T1 + y^2 T2)/(y - x), with the parts that occur
-        assert lie.POLE in table.monomials
-        assert set(table.monomials) <= {lie.POLE, (1, 0, 1), (1, 0, 2)}
+        table = sol_family(3, 4).table
+        # c/(y - x) + A + x B + y C
+        assert set(table.monomials) == {lie.POLE, (0, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert type(table.den) is int
         assert all(type(v) is int for nums in table.terms.values() for v in nums)
         assert all(any(nums) for nums in table.terms.values())
 
     def test_warm_assembly_forms_no_tensor_product(self, monkeypatch):
-        """After the first assembly at x, another y evaluates the cached
-        table; a table goes with its `g_elements` entry."""
-        e, d, x = 2, 3, F(-3, 7)
-        g_elements.cache_clear()
+        """After the first assembly, another (x, y), at a new x too,
+        evaluates the cached table; a table goes with its `sol_family`
+        entry."""
+        e, d = 2, 3
+        sol_family.cache_clear()
         try:
-            assemble_r(e, d, x, F(5, 2))
-            table = g_elements(e, d, x).table
+            assemble_r(e, d, F(-3, 7), F(5, 2))
+            table = sol_family(e, d).table
             calls = spy_tensor_products(monkeypatch)
             builds = []
             monkeypatch.setattr(cuspidal, "tensor_table",
                                 lambda *a, _f=cuspidal.tensor_table: builds.append(1) or _f(*a))
-            assemble_r(e, d, x, F(-11, 4))
+            assemble_r(e, d, F(1, 9), F(-11, 4))
             assert calls == [] and builds == []
-            g_elements.cache_clear()
-            assemble_r(e, d, x, F(-11, 4))
+            sol_family.cache_clear()
+            assemble_r(e, d, F(1, 9), F(-11, 4))
             assert calls == [] and builds == [1]
-            assert g_elements(e, d, x).table is not table
+            assert sol_family(e, d).table is not table
         finally:
-            g_elements.cache_clear()
+            sol_family.cache_clear()
 
 
 class TestFlipTransport:
@@ -724,38 +767,58 @@ class TestFlipTransport:
 
 class TestAnsatz:
     def test_non_polynomial_tail_is_an_ansatz_error(self, monkeypatch):
-        """A tail cubic in x fails the interpolation at degree bound 1,
-        which is reported as AnsatzError."""
-        monkeypatch.setattr(cuspidal, "_tail_tensor", lambda e, d, x, y: lie.GlTensor2(
-            e + d, lie.RATIONAL, {(1, 2, 2, 1): x**3} if x else {}))
-        with pytest.raises(AnsatzError, match="not polynomial"):
+        """A table with a monomial outside c/(y-x) + A + xB + yC, here x^3,
+        is reported as AnsatzError."""
+        table = sol_family(1, 1).table
+        cubic = lie.TensorTable(table.n, table.monomials + ((0, 3, 0),), table.den,
+                                {key: nums + (1,) for key, nums in table.terms.items()})
+        monkeypatch.setattr(cuspidal, "sol_family", lambda e, d: SimpleNamespace(table=cubic))
+        with pytest.raises(AnsatzError, match="not those of"):
             r_ansatz(1, 1)
 
     def test_other_errors_propagate(self, monkeypatch):
-        """Only an interpolation failure becomes AnsatzError; any other error
-        reaches the caller as it was raised."""
-        def broken(*args):
-            raise RuntimeError("injected")
-
-        monkeypatch.setattr(cuspidal, "interpolate", broken)
-        with pytest.raises(RuntimeError, match="injected") as caught:
-            r_ansatz(1, 1)
-        assert caught.type is RuntimeError
+        """Only a table of the wrong form becomes AnsatzError; a failed
+        certificate reaches the caller as the error it raised."""
+        monkeypatch.setattr(cuspidal, "solve_multi", lambda rows, rhs, ncols:
+                            _singular_b0(1, 1, rows, rhs, ncols))
+        sol_family.cache_clear()
+        try:
+            with pytest.raises(SolDimensionError) as caught:
+                r_ansatz(1, 1)
+        finally:
+            sol_family.cache_clear()
+        assert caught.type is SolDimensionError
 
     @pytest.mark.parametrize(
         "e,d", [(e, d) for e in range(1, 6) for d in range(1, 7 - e) if gcd(e, d) == 1]
     )
     def test_certificate(self, e, d):
-        res = r_ansatz(e, d)
-        # tail degree is at most one per slot for every pair with e + d <= 6
-        assert res.degree_bound == 1
+        table = r_ansatz(e, d)
+        assert lie.POLE in table.monomials
+        assert verify.check_ansatz(e, d)[0]
         x, y = F(5, 7), F(-3, 2)
-        assert res.eval(x, y) == assemble_r(e, d, x, y)
+        assert table.at(x, y) == assemble_r(e, d, x, y)
 
     def test_tail_finite_on_diagonal(self):
-        res = r_ansatz(1, 1)
-        t = res.eval_tail(F(2), F(2))  # no pole survives in the tail
-        assert all(v is not None for v in t.terms.values())
+        """The table's one pole is the Casimir's: the pole monomial carries
+        c and no other monomial has a pole, so r - c/(y-x) is finite at
+        y = x."""
+        for e, d in ((1, 1), (2, 3)):
+            table = r_ansatz(e, d)
+            pole = table.monomials.index(lie.POLE)
+            assert [m for m in table.monomials if m[0]] == [lie.POLE]
+            got = {key: F(nums[pole], table.den)
+                   for key, nums in table.terms.items() if nums[pole]}
+            assert got == casimir(e + d).terms
+
+    def test_bumped_table_fails_the_check(self, monkeypatch):
+        """Negative control: one numerator of the (2, 1) table raised by 1
+        fails `ansatz-(2,1)` and no other check."""
+        table = bumped(r_ansatz(2, 1), random.Random(21))
+        monkeypatch.setattr(cuspidal, "r_ansatz", lambda e, d, _f=cuspidal.r_ansatz:
+                            table if (e, d) == (2, 1) else _f(e, d))
+        report = verify.run_suite("rational", n_max=3, threads=1)
+        assert [c.name for c in report.checks if not c.passed] == ["ansatz-(2,1)"]
 
     def test_e_block_x_degree_via_interpolation(self):
         # coefficients of (y-x) r for (2,1), sampled in x: the terms whose

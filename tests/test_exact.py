@@ -372,14 +372,24 @@ class TestBuilderRows:
 
     @pytest.mark.parametrize("x", [F(0), F(1), F(-3, 7)])
     def test_sol_space_rows(self, x, monkeypatch):
+        """The family's batched solve and the per-point reference
+        elimination at x."""
         from ybe_forge import cuspidal
 
-        seen = []
-        self._recording(monkeypatch, cuspidal, "kernel", seen)
-        for e, d in ((1, 1), (3, 2), (2, 5)):
-            cuspidal.sol_space(e, d, x)
-        assert len(seen) == 3
-        assert all(_sparse_and_clean(rows) for rows, _ in seen)
+        solves, kernels = [], []
+        self._recording(monkeypatch, cuspidal, "solve_multi", solves)
+        self._recording(monkeypatch, cuspidal, "kernel", kernels)
+        cuspidal.sol_family.cache_clear()
+        try:
+            for e, d in ((1, 1), (3, 2), (2, 5)):
+                cuspidal.sol_space(e, d, x)
+                cuspidal.point_sol_space(e, d, x)
+        finally:
+            cuspidal.sol_family.cache_clear()
+        assert len(solves) == 3 and len(kernels) == 3
+        for rows, rhs_cols, _ in solves:
+            assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
+        assert all(_sparse_and_clean(rows) for rows, _ in kernels)
 
     def test_frobenius_rows(self, monkeypatch):
         from ybe_forge import stolin
@@ -586,10 +596,6 @@ class TestMatrixPoly:
         Fq = matrix_poly_from_coeffs([((F(0),) * 2,) * 2, ((F(0),) * 2,) * 2, z2])
         val = eval_matrix_poly(Fq, F(3))
         assert val[1][0] == 9 and val[0][1] == 0
-
-    def test_bad_split_rejected(self):
-        with pytest.raises(ValueError):
-            MatrixPoly(2, ((( ), ( )), (( ), ( ))), block_split=(2, 2))
 
 
 class TestCyclo:

@@ -1,6 +1,7 @@
 """Static hygiene of the package: no dead definitions, no unused imports,
-no function that the benchmark traces by name missing, no numpy in the
-package, and each CLI command loading only the modules it uses.
+no function that the benchmark traces by name missing, the definitions that
+only the benchmark reaches listed, no numpy in the package, and each CLI
+command loading only the modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -80,17 +81,30 @@ def _definitions(tree: ast.Module):
                     yield "%s.%s" % (node.name, item.name), item.name
 
 
-def dead_definitions(root: Path = ROOT) -> list[str]:
+def _tree_uses(root: Path, tree_name: str) -> Counter:
     uses: Counter = Counter()
-    for tree_name in TREES:
-        for path in sorted((root / tree_name).rglob("*.py")):
-            uses += _uses(_parse(path))
-    dead = []
+    for path in sorted((root / tree_name).rglob("*.py")):
+        uses += _uses(_parse(path))
+    return uses
+
+
+def _package_definitions(root: Path):
+    """(module:qualified name, bare name) of every definition in the package."""
     for path in sorted((root / "src" / "ybe_forge").glob("*.py")):
         for qualname, name in _definitions(_parse(path)):
-            if not uses[name]:
-                dead.append("%s:%s" % (path.stem, qualname))
-    return dead
+            yield "%s:%s" % (path.stem, qualname), name
+
+
+def dead_definitions(root: Path = ROOT) -> list[str]:
+    uses = sum((_tree_uses(root, tree_name) for tree_name in TREES), Counter())
+    return [qualname for qualname, name in _package_definitions(root) if not uses[name]]
+
+
+def benchmark_only_definitions(root: Path = ROOT) -> list[str]:
+    """The package definitions that perfbench/ uses and src/ does not."""
+    src, bench = (_tree_uses(root, tree_name) for tree_name in TREES)
+    return [qualname for qualname, name in _package_definitions(root)
+            if bench[name] and not src[name]]
 
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:
@@ -112,6 +126,21 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
 
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+# The package definitions that only the benchmark reaches: perfbench/
+# traces or calls them by name and nothing in src/ uses them.  Each is debt
+# owed to the next change to the benchmark, which can move it off them so
+# that they can go; a new entry needs a reason just as strong.
+BENCHMARK_ONLY = [
+    "document:TensorDocument.to_tensor",
+    "exact:interpolate",
+    "stolin:frobenius_split",
+]
+
+
+def test_benchmark_only_definitions():
+    assert benchmark_only_definitions() == BENCHMARK_ONLY
 
 
 def test_no_unused_imports():
@@ -202,7 +231,7 @@ def test_command_loads_only_its_modules(args, extra):
 def test_scan_sees_a_dead_helper(tmp_path):
     """The scan itself must flag an unused alias, function, method and
     import, and a helper that only a test references; a use from perfbench/
-    counts."""
+    counts, and is listed when it is the only one."""
     for tree_name in TREES + ("tests",):
         (tmp_path / tree_name).mkdir()
     pkg = tmp_path / "src" / "ybe_forge"
@@ -223,4 +252,6 @@ def test_scan_sees_a_dead_helper(tmp_path):
     (tmp_path / "tests" / "test_mod.py").write_text(
         "from ybe_forge.mod import Box, oracle\nBox()\nassert oracle() == 2\n")
     assert dead_definitions(tmp_path) == ["mod:Alias", "mod:orphan", "mod:oracle", "mod:Box.spare"]
+    # `Box` is exported and built in perfbench/ only
+    assert benchmark_only_definitions(tmp_path) == ["mod:Box"]
     assert unused_imports(pkg) == ["mod:1 json"]
