@@ -30,7 +30,7 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of a
-# 2-core Intel Xeon, `rational 12 1` takes 0.22 s and `elliptic 12 1` 0.26 s.
+# 2-core Intel Xeon, `rational 12 1` takes 0.22 s and `elliptic 12 1` 0.21 s.
 N_MAX = 12
 # Largest `verify --n-max`.  The suite's cost grows 1.3- to 1.8-fold per
 # step of n: serial on one CPU of a 2-core Intel Xeon, --n-max 5 takes
@@ -255,7 +255,9 @@ def stolin_cmd(n, e, kspec, x, y, fmt):
 @click.option("--tau", required=True, help="modulus with positive imaginary part, e.g. 0.3+1i")
 @click.option("--x", required=True)
 @click.option("--y", required=True)
-@click.option("--terms", type=int, default=60, help="theta series truncation")
+@click.option("--terms", type=int, default=60,
+              help="theta series truncation; terms past the point where the coefficients "
+                   "underflow to zero cost nothing")
 def elliptic_cmd(n, d, tau, x, y, terms):
     """Torus solution for (N, D) at complex points; JSON document output."""
     from . import elliptic

@@ -8,7 +8,9 @@ is ordered lexicographically by (i, j, k, l) for deterministic output.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .exact import rat
 from .lie import COMPLEX, GlTensor2, RATIONAL
@@ -36,12 +38,6 @@ def document_from_tensor(t: GlTensor2, provenance: dict | None = None) -> Tensor
     return TensorDocument(t.n, t.ring, terms, dict(provenance or {}))
 
 
-def _coeff_to_json(c, scalar: str):
-    if scalar == RATIONAL:
-        return str(c)
-    return [c.real, c.imag]
-
-
 def _coeff_from_json(v, scalar: str):
     if scalar == RATIONAL:
         if not isinstance(v, str):
@@ -56,19 +52,6 @@ def _int_from_json(v, what: str) -> int:
     if type(v) is not int:
         raise DocumentError("%s must be an integer, got %r" % (what, v))
     return v
-
-
-def document_to_json(doc: TensorDocument) -> dict:
-    return {
-        "schema": SCHEMA,
-        "n": doc.n,
-        "scalar": doc.scalar,
-        "terms": [
-            {"i": i, "j": j, "k": k, "l": l, "coeff": _coeff_to_json(c, doc.scalar)}
-            for (i, j, k, l), c in doc.terms
-        ],
-        "provenance": doc.provenance,
-    }
 
 
 def document_from_json(payload: dict) -> TensorDocument:
@@ -99,8 +82,46 @@ def document_from_json(payload: dict) -> TensorDocument:
     return TensorDocument(n, scalar, tuple(sorted(terms.items())), provenance)
 
 
+# One entry of the "terms" array as json.dumps(indent=2, sort_keys=True)
+# writes it, for a rational and for a complex coefficient; the indices are
+# ints (`document_from_json` refuses anything else)
+_RATIONAL_TERM = (
+    '    {\n      "coeff": %s,\n      "i": %d,\n      "j": %d,\n      "k": %d,\n'
+    '      "l": %d\n    }'
+)
+_COMPLEX_TERM = (
+    '    {\n      "coeff": [\n        %s,\n        %s\n      ],\n      "i": %d,\n'
+    '      "j": %d,\n      "k": %d,\n      "l": %d\n    }'
+)
+
+
+def _json_number(v) -> str:
+    """json.dumps(v), without the encoder for a finite float."""
+    if type(v) is float and math.isfinite(v):
+        return float.__repr__(v)
+    return json.dumps(v)
+
+
 def dumps(doc: TensorDocument) -> str:
-    return json.dumps(document_to_json(doc), indent=2, sort_keys=True)
+    """The document as json.dumps(payload, indent=2, sort_keys=True) writes
+    it.  With an indent json encodes in pure Python, so only the head goes
+    through it and the term array, most of a document, is written from a
+    template."""
+    head = json.dumps(
+        {"schema": SCHEMA, "n": doc.n, "scalar": doc.scalar, "terms": [],
+         "provenance": doc.provenance},
+        indent=2, sort_keys=True,
+    )
+    if not doc.terms:
+        return head
+    if doc.scalar == RATIONAL:
+        body = [_RATIONAL_TERM % (encode_basestring_ascii(str(c)), i, j, k, l)
+                for (i, j, k, l), c in doc.terms]
+    else:
+        body = [_COMPLEX_TERM % (_json_number(c.real), _json_number(c.imag), i, j, k, l)
+                for (i, j, k, l), c in doc.terms]
+    # "terms" sorts last among the keys: the head ends with '"terms": []\n}'
+    return "%s[\n%s\n  ]\n}" % (head[: -len("[]\n}")], ",\n".join(body))
 
 
 def loads(text: str) -> TensorDocument:

@@ -50,8 +50,15 @@ class ThetaContext:
     terms: int = 60
 
     def __post_init__(self):
+        # NaN compares False with everything, so it must be refused first
+        if not cmath.isfinite(self.tau):
+            raise ValueError("need a finite tau, got %r" % (self.tau,))
         if self.tau.imag <= 0:
             raise ValueError("need Im(tau) > 0, got %r" % (self.tau,))
+        # an equal float would share the tables of the int (lru_cache keys)
+        if not isinstance(self.terms, int):
+            raise ValueError("need an integer number of theta series terms, got %r"
+                             % (self.terms,))
         if self.terms < 1:
             raise ValueError("need at least 1 theta series term, got %d" % self.terms)
         if (2 * self.terms - 1) * math.pi * self.tau.imag / 2 > _LOG_MAX:
@@ -76,12 +83,56 @@ class ThetaContext:
         return cmath.exp(1j * math.pi * self.tau)
 
 
-def _theta1_series(z: complex, ctx: ThetaContext) -> complex:
+# contexts (and (n, d, context) triples) whose tables are kept at once
+CONTEXT_CACHE_MAX = 32
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_MAX)
+def _theta_table(ctx: ThetaContext) -> tuple:
+    """The context-only parts of the odd theta series: 2 q^{1/4}, the terms
+    (coefficient (-1)^n q^{n(n+1)}, frequency (2n+1) pi) up to the last
+    nonzero coefficient, and theta1'(0) summed over all `terms` terms."""
     q = ctx.q
+    coeffs = [(-1) ** n * q ** (n * (n + 1)) for n in range(ctx.terms)]
+    deriv = 0j
+    for n, c in enumerate(coeffs):
+        deriv += c * (2 * n + 1) * math.pi
+    # |q|^(n(n+1)) underflows to 0.0 long before `terms` at moderate Im(tau)
+    # (from n = 15 on at tau = i); those terms only add signed zeros
+    kept = 1 + max(n for n, c in enumerate(coeffs) if c)
+    prefactor = 2 * q ** Fraction(1, 4)
+    terms = tuple((c, (2 * n + 1) * math.pi) for n, c in enumerate(coeffs[:kept]))
+    return prefactor, terms, prefactor * deriv
+
+
+def _can_overflow(w) -> bool:
+    """False when cmath.sin(w) certainly returns a finite value: sinh and
+    cosh of |Im w| <= 710 stay below the largest float."""
+    return not (cmath.isfinite(w) and abs(w.imag) <= 710)
+
+
+def _theta1_series(z: complex, ctx: ThetaContext) -> complex:
+    """The first `ctx.terms` terms of the odd theta series, summed in order.
+
+    The terms past the table add +-0.0 each, which leaves a float sum that
+    starts at +0.0 unchanged.  But cmath.sin raises OverflowError on some of
+    them where the full series would, so the sines that may overflow are
+    taken: those of a tail of the frequencies, found by bisection."""
+    prefactor, terms, _ = _theta_table(ctx)
     acc = 0j
-    for n in range(ctx.terms):
-        acc += (-1) ** n * q ** (n * (n + 1)) * cmath.sin((2 * n + 1) * math.pi * z)
-    return 2 * q ** Fraction(1, 4) * acc
+    for c, f in terms:
+        acc += c * cmath.sin(f * z)
+    lo, hi = len(terms), ctx.terms - 1
+    if lo <= hi and _can_overflow((2 * hi + 1) * math.pi * z):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _can_overflow((2 * mid + 1) * math.pi * z):
+                hi = mid
+            else:
+                lo = mid + 1
+        for n in range(lo, ctx.terms):
+            cmath.sin((2 * n + 1) * math.pi * z)
+    return prefactor * acc
 
 
 def theta1(z: complex, ctx: ThetaContext) -> complex:
@@ -125,15 +176,10 @@ def theta4(z: complex, ctx: ThetaContext) -> complex:
     return acc
 
 
-@lru_cache(maxsize=None)
 def theta1_deriv0(ctx: ThetaContext) -> complex:
-    """Term-wise derivative of the odd theta series at z = 0; it depends on
-    the context alone, so each context sums it once."""
-    q = ctx.q
-    acc = 0j
-    for n in range(ctx.terms):
-        acc += (-1) ** n * q ** (n * (n + 1)) * (2 * n + 1) * math.pi
-    return 2 * q ** Fraction(1, 4) * acc
+    """Term-wise derivative of the odd theta series at z = 0, summed once
+    per context into its theta table."""
+    return _theta_table(ctx)[2]
 
 
 def theta_half_shift_identity_residual(z: complex, ctx: ThetaContext) -> float:
@@ -145,11 +191,13 @@ def theta_half_shift_identity_residual(z: complex, ctx: ThetaContext) -> float:
 
 
 def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext, *,
-                    tz: complex | None = None) -> complex:
+                    tu: complex | None = None, tz: complex | None = None) -> complex:
     """The elliptic kernel in its theta-quotient form:
     theta1'(0) theta1(u+z) / (theta1(u) theta1(z)).  A caller that has
-    already summed theta1(z, ctx) passes it as `tz`."""
-    tu = theta1(u, ctx)
+    already summed theta1(u, ctx) or theta1(z, ctx) passes it as `tu` or
+    `tz`."""
+    if tu is None:
+        tu = theta1(u, ctx)
     if tz is None:
         tz = theta1(z, ctx)
     if abs(tu) < POLE_GUARD or abs(tz) < POLE_GUARD:
@@ -172,6 +220,20 @@ def v_sign_convention() -> str:
     return "y-x"
 
 
+@lru_cache(maxsize=CONTEXT_CACHE_MAX)
+def _lattice_thetas(n: int, d: int, ctx: ThetaContext) -> tuple:
+    """(k, l, r, s, u, theta1(u)) for each (k, l) of the Heisenberg index set,
+    with u = (s - r tau) / n.  The coefficient depends on d k and d l only
+    mod n: shifting u by 1 leaves sigma unchanged, and the prefactor undoes
+    a shift by tau."""
+    out = []
+    for (k, l) in heisenberg(n, d).index_set:
+        r, s = d * k % n, d * l % n
+        u = (1 / n) * (s - r * ctx.tau)
+        out.append((k, l, r, s, u, theta1(u, ctx)))
+    return tuple(out)
+
+
 def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
     hb = heisenberg(n, d)
     # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau + j,
@@ -192,12 +254,8 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
             "difference of spectral points is on the period lattice"
         )
     pairs = []
-    for (k, l) in hb.index_set:
-        # the coefficient depends on d k and d l only mod n: shifting u by 1
-        # leaves sigma unchanged, and the prefactor undoes a shift by tau
-        r, s = d * k % n, d * l % n
-        u = (1 / n) * (s - r * ctx.tau)
-        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx, tz=tv)
+    for k, l, r, s, u, tu in _lattice_thetas(n, d, ctx):
+        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx, tu=tu, tz=tv)
         # the phase depends on m s + j r only mod n; reduce it in integers,
         # since j r can be too large for the float phase to be accurate
         phase = (m * s + j * r) % n

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 from ybe_forge.document import (
+    SCHEMA,
     DocumentError,
+    TensorDocument,
     document_from_json,
     document_from_tensor,
-    document_to_json,
     dumps,
     loads,
     render_latex,
@@ -19,6 +20,29 @@ from ybe_forge.document import (
 from ybe_forge.lie import COMPLEX, GlTensor2, RATIONAL, casimir
 
 GOLDENS = Path(__file__).parent / "goldens"
+
+
+def document_to_json(doc: TensorDocument) -> dict:
+    """Reference payload of a document: rationals as strings, complex
+    coefficients as [re, im]; `dumps` must write exactly
+    json.dumps(document_to_json(doc), indent=2, sort_keys=True)."""
+    def coeff(c):
+        return str(c) if doc.scalar == RATIONAL else [c.real, c.imag]
+
+    return {
+        "schema": SCHEMA,
+        "n": doc.n,
+        "scalar": doc.scalar,
+        "terms": [
+            {"i": i, "j": j, "k": k, "l": l, "coeff": coeff(c)}
+            for (i, j, k, l), c in doc.terms
+        ],
+        "provenance": doc.provenance,
+    }
+
+
+def reference_dumps(doc: TensorDocument) -> str:
+    return json.dumps(document_to_json(doc), indent=2, sort_keys=True)
 
 
 class TestRoundTrip:
@@ -106,6 +130,56 @@ class TestRoundTrip:
         }
         with pytest.raises(DocumentError):
             document_from_json(payload)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+class TestDumps:
+    """`dumps` writes the term array from a template; every document must
+    read exactly as json.dumps of its payload does."""
+
+    @pytest.mark.parametrize("doc", [
+        document_from_tensor(casimir(3), {"pipeline": "rational", "x": "1/3"}),
+        document_from_tensor(GlTensor2(3, RATIONAL, {(1, 2, 3, 1): F(-355, 113),
+                                                     (3, 3, 2, 2): F(10**40, 7)})),
+        document_from_tensor(GlTensor2(2, COMPLEX, {(1, 2, 2, 1): 0.125 - 3.25j,
+                                                    (1, 1, 2, 2): 1e-17 + 1j,
+                                                    (2, 2, 1, 1): complex(-0.0, 0.0),
+                                                    (2, 1, 1, 2): 1e300 - 5e-324j}),
+                             {"pipeline": "elliptic", "tau": [0.3, 1.0], "terms": 60}),
+        document_from_tensor(GlTensor2(2, COMPLEX, {(1, 1, 1, 1): complex(NAN, INF),
+                                                    (1, 2, 1, 2): complex(-INF, NAN)})),
+        document_from_tensor(GlTensor2(2, RATIONAL, {})),
+        document_from_tensor(GlTensor2(2, COMPLEX, {}), {"pipeline": "elliptic"}),
+        document_from_tensor(casimir(2), {"note": "caf\u00e9 \u2603 \"quoted\"\n",
+                                          "nested": {"b": [1, None, True], "a": NAN}}),
+    ], ids=["rational", "large-rational", "complex", "nan-inf", "empty-rational",
+            "empty-complex", "non-ascii-provenance"])
+    def test_equals_json_dumps(self, doc):
+        assert dumps(doc) == reference_dumps(doc)
+
+    def test_cli_sized_documents(self):
+        """A Stolin (1,6) assembly (275 terms) and a Belavin (4,1) tensor."""
+        from ybe_forge.elliptic import ThetaContext, belavin_r
+        from ybe_forge.stolin import assemble_stolin_r, neg_j_matrix
+
+        docs = [
+            document_from_tensor(assemble_stolin_r(1, 6, neg_j_matrix(1, 6), F(1, 3), F(2))),
+            document_from_tensor(belavin_r(4, 1, ThetaContext(tau=0.3 + 1j), 0.1, 0.35 + 0.02j)),
+        ]
+        assert len(docs[0].terms) > 200
+        for doc in docs:
+            assert dumps(doc) == reference_dumps(doc)
+
+    def test_python_spelling_of_nan_differs(self, monkeypatch):
+        """Negative control: writing the parts with repr alone ('nan',
+        'inf') is not json's spelling, and the comparison sees it."""
+        from ybe_forge import document
+
+        doc = document_from_tensor(GlTensor2(2, COMPLEX, {(1, 1, 1, 1): complex(NAN, -INF)}))
+        monkeypatch.setattr(document, "_json_number", repr)
+        assert dumps(doc) != reference_dumps(doc)
 
 
 class TestRendering:

@@ -1,6 +1,8 @@
 """Theta numerics, the elliptic kernel, the torus solution, and the zoo."""
 
 import cmath
+import json
+import math
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -17,6 +19,7 @@ from ybe_forge.elliptic import (
     belavin_residue_fit,
     belavin_unitarity_residual,
     jacobi_sn_cn_dn,
+    _theta_table,
     kronecker_sigma,
     theta1,
     theta1_deriv0,
@@ -55,6 +58,144 @@ def kronecker_sigma_series(u: complex, z: complex, ctx: ThetaContext) -> complex
 CTX_I = ThetaContext(tau=1j)
 
 
+# ---------------------------------------------------------------------------
+# reference oracle: every one of the `terms` series terms, summed per call
+# ---------------------------------------------------------------------------
+
+def theta1_series_reference(z, ctx: ThetaContext) -> complex:
+    q = ctx.q
+    acc = 0j
+    for n in range(ctx.terms):
+        acc += (-1) ** n * q ** (n * (n + 1)) * cmath.sin((2 * n + 1) * math.pi * z)
+    return 2 * q ** F(1, 4) * acc
+
+
+def theta1_reference(z, ctx: ThetaContext) -> complex:
+    """The full series, or its value at z - m tau where a term overflows."""
+    try:
+        return theta1_series_reference(z, ctx)
+    except OverflowError:
+        m = round(z.imag / ctx.tau.imag)
+        z = z - m * ctx.tau
+        scale = (-1) ** m * ctx.q ** (-m * m) * cmath.exp(-TWO_PI_I * m * z)
+        return scale * theta1_series_reference(z, ctx)
+
+
+def theta1_deriv0_reference(ctx: ThetaContext) -> complex:
+    q = ctx.q
+    acc = 0j
+    for n in range(ctx.terms):
+        acc += (-1) ** n * q ** (n * (n + 1)) * (2 * n + 1) * math.pi
+    return 2 * q ** F(1, 4) * acc
+
+
+def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
+    """The Belavin tensor with every theta value summed afresh by the
+    reference series, in the order of operations of `belavin_r`."""
+    hb = heisenberg(n, d)
+    v = complex(y) - complex(x)
+    m = round(v.imag / ctx.tau.imag)
+    if m:
+        v = v - m * ctx.tau
+    j = round(v.real)
+    if j:
+        v = v - j
+    tv = theta1_reference(v, ctx)
+    pairs = []
+    for (k, l) in hb.index_set:
+        r, s = d * k % n, d * l % n
+        u = (1 / n) * (s - r * ctx.tau)
+        sigma = theta1_deriv0_reference(ctx) * theta1_reference(u + v, ctx) / (
+            theta1_reference(u, ctx) * tv)
+        coeff = cmath.exp(-TWO_PI_I * r * v / n) * sigma
+        phase = (m * s + j * r) % n
+        if phase:
+            coeff *= cmath.exp(-TWO_PI_I * phase / n)
+        pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
+    return tensor_from_pairs(n, pairs, ring=COMPLEX)
+
+
+ORACLE_TAUS = [1j, 0.3 + 1j, 1.1j, 0.1 + 2j, 0.05j, 0.5 + 0.2j]
+
+
+def oracle_points(tau: complex, seed: int, count: int = 40) -> list:
+    """Seeded points with |Im z| up to 4 Im(tau), past the overflow point of
+    the series for the larger moduli, plus points on both axes."""
+    rng = random.Random(seed)
+    h = tau.imag
+    pts = [complex(rng.uniform(-2, 2), rng.uniform(-4 * h, 4 * h)) for _ in range(count)]
+    pts += [complex(rng.uniform(-2, 2), 0.0) for _ in range(8)]
+    pts += [rng.uniform(-2, 2) for _ in range(4)]
+    pts += [complex(0.0, rng.uniform(-4 * h, 4 * h)) for _ in range(8)]
+    pts += [complex(-0.0, rng.uniform(-4 * h, 4 * h)) for _ in range(4)]
+    return pts + [0, 0.0, -0.0, complex(-0.0, -0.0), 0.5, 1, tau, (1 + tau) / 2, 3.5 * tau]
+
+
+class TestReferenceOracle:
+    """theta1 sums only the nonzero terms of a per-context table and reads
+    theta1(u) from a per-(n, d, context) table; every value must still be
+    the full series' value to the bit, signed zeros included."""
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_theta1_repr_identical(self, tau):
+        ctx = ThetaContext(tau=tau)
+        for z in oracle_points(tau, seed=int(100 * abs(tau))):
+            assert repr(theta1(z, ctx)) == repr(theta1_reference(z, ctx)), z
+
+    @pytest.mark.parametrize("tau,terms", [(tau, 60) for tau in ORACLE_TAUS] + [
+        (1j, 7), (1j, 200), (0.3 + 1j, 7), (0.3 + 1j, 200), (1.1j, 7), (0.1 + 2j, 7),
+        (0.05j, 200), (0.5 + 0.2j, 200),
+    ])
+    def test_deriv0_repr_identical(self, tau, terms):
+        ctx = ThetaContext(tau=tau, terms=terms)
+        assert repr(theta1_deriv0(ctx)) == repr(theta1_deriv0_reference(ctx))
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)])
+    @pytest.mark.parametrize("tau", ORACLE_TAUS)
+    def test_belavin_terms_repr_identical(self, n, d, tau):
+        ctx = ThetaContext(tau=tau)
+        rng = random.Random(7 * n + d)
+        h = tau.imag
+        points = [(0.1, 0.35), (0.0, 0.25 + 0.0j), (0.2, 0.2 + 1.3 * tau), (1e3 + 0.1, 0.35)] + [
+            (complex(rng.uniform(-1, 1), rng.uniform(-h, h)),
+             complex(rng.uniform(-1, 1), rng.uniform(-h, h))) for _ in range(3)
+        ]
+        for x, y in points:
+            got = sorted(belavin_r(n, d, ctx, x, y).terms.items())
+            want = sorted(belavin_reference(n, d, ctx, x, y).terms.items())
+            assert repr(got) == repr(want), (x, y)
+
+    def test_overflow_of_a_dropped_term_is_seen(self):
+        """At this point the sine of the last series term is finite but that
+        of an earlier dropped term overflows, so the full series takes the
+        quasi-periodicity path; theta1 must take it too."""
+        ctx = ThetaContext(tau=0.05j, terms=4500)
+        z = complex(-0.8256144841552209, 0.025138381494675864)
+        assert len(_theta_table(ctx)[1]) < ctx.terms
+        cmath.sin((2 * ctx.terms - 1) * math.pi * z)
+        with pytest.raises(OverflowError):
+            theta1_series_reference(z, ctx)
+        assert repr(theta1(z, ctx)) == repr(theta1_reference(z, ctx))
+
+    def test_terms_past_underflow_cost_nothing(self):
+        """At tau = 0.05i the coefficients underflow to 0.0 near n = 70, so
+        4500 requested terms leave a short table, and the CLI document is
+        the reference's."""
+        from click.testing import CliRunner
+
+        from ybe_forge.cli import main
+
+        ctx = ThetaContext(tau=0.05j, terms=4500)
+        assert len(_theta_table(ctx)[1]) < 100
+        res = CliRunner().invoke(main, ["elliptic", "3", "1", "--tau", "0.05i",
+                                        "--terms", "4500", "--x=0", "--y=0.003"])
+        assert res.exit_code == 0, res.output
+        want = [[list(key), [c.real, c.imag]]
+                for key, c in sorted(belavin_reference(3, 1, ctx, 0.0, 0.003).terms.items())]
+        got = [[[t[a] for a in "ijkl"], t["coeff"]] for t in json.loads(res.stdout)["terms"]]
+        assert repr(got) == repr(want)
+
+
 class TestTheta:
     def test_odd_theta_vanishes_at_zero(self):
         assert abs(theta1(0, CTX)) == 0
@@ -83,6 +224,19 @@ class TestTheta:
     def test_bad_modulus_rejected(self):
         with pytest.raises(ValueError):
             ThetaContext(tau=0.5 - 0.1j)
+
+    @pytest.mark.parametrize("tau", [complex(0, math.nan), complex(math.nan, 1),
+                                     complex(0, math.inf), complex(-math.inf, 1)])
+    def test_non_finite_modulus_rejected(self, tau):
+        """NaN compares False with every bound, so it is refused by name."""
+        with pytest.raises(ValueError, match="finite") as info:
+            ThetaContext(tau=tau)
+        assert "\n" not in str(info.value)
+
+    def test_float_terms_rejected(self):
+        """60.0 == 60, so a float count would read the tables of the int."""
+        with pytest.raises(ValueError, match="integer"):
+            ThetaContext(tau=1j, terms=60.0)
 
     @pytest.mark.parametrize("terms", [0, -5])
     def test_nonpositive_terms_rejected(self, terms):
@@ -141,8 +295,10 @@ class TestKernel:
 
     def test_theta1_of_v_summed_once(self, monkeypatch):
         """belavin_r sums theta1(v) once, for the pole check, and hands it to
-        every kernel call: one theta1 of v plus theta1(u) and theta1(u + v)
-        for each of the n^2 - 1 coefficients."""
+        every kernel call; theta1(u) at the n^2 - 1 lattice points is read
+        from a table kept per (n, d, context).  The first call at a context
+        fills the table, then sums theta1(v) and the n^2 - 1 theta1(u + v);
+        a second call sums only the latter."""
         from ybe_forge import elliptic
 
         calls = []
@@ -153,9 +309,13 @@ class TestKernel:
 
         real = elliptic.theta1
         monkeypatch.setattr(elliptic, "theta1", counting)
+        elliptic._lattice_thetas.cache_clear()
         n = 3
         elliptic.belavin_r(n, 1, CTX, 0.1, 0.35 + 0.2j)
-        assert len(calls) == 1 + 2 * (n * n - 1)
+        assert len(calls) == (n * n - 1) + 1 + (n * n - 1)
+        del calls[:]
+        elliptic.belavin_r(n, 1, CTX, 0.2, 0.45 - 0.1j)
+        assert len(calls) == 1 + (n * n - 1)
 
     def test_given_theta_of_z_is_used(self):
         u, z = 0.37 + 0.21j, 0.3

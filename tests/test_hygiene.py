@@ -1,7 +1,8 @@
 """Static hygiene of the package: no dead definitions, no unused imports,
 no function that the benchmark traces by name missing, the definitions that
-only the benchmark reaches listed, no numpy in the package, and each CLI
-command loading only the modules it uses.
+only the benchmark reaches listed, no cache that never evicts unless its
+keys are small integers, no numpy in the package, and each CLI command
+loading only the modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -159,6 +160,61 @@ def test_traced_layers_resolve():
         if not callable(getattr(importlib.import_module("ybe_forge." + mod), fn, None))
     ]
     assert missing == []
+
+
+def _is_unbounded_cache(dec) -> bool:
+    """`@cache` or `@lru_cache(maxsize=None)`, under any module prefix."""
+    target = dec.func if isinstance(dec, ast.Call) else dec
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return True
+    if name != "lru_cache" or not isinstance(dec, ast.Call):
+        return False
+    args = list(dec.args[:1]) + [kw.value for kw in dec.keywords if kw.arg == "maxsize"]
+    return any(isinstance(a, ast.Constant) and a.value is None for a in args)
+
+
+def unbounded_caches(package: Path = PACKAGE) -> list[str]:
+    """module:name of every function in the package whose cache never
+    evicts."""
+    return ["%s:%s" % (path.stem, node.name)
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.FunctionDef)
+            and any(_is_unbounded_cache(d) for d in node.decorator_list)]
+
+
+# The functions whose caches never evict.  Each is keyed by small integers
+# (n, d, e, m) bounded by the CLI's N_MAX, so the set of keys is finite; a
+# cache keyed by floats, exact points or contexts must set a maxsize.
+UNBOUNDED_CACHES = [
+    "cuspidal:build_j",
+    "cuspidal:_ved_coords",
+    "cuspidal:sol_family",
+    "exact:root_table",
+    "lie:casimir",
+    "lie:_root_values",
+    "lie:heisenberg",
+]
+
+
+def test_unbounded_caches_are_integer_keyed():
+    assert unbounded_caches() == UNBOUNDED_CACHES
+
+
+def test_scan_sees_an_unbounded_cache(tmp_path):
+    """Negative control: each spelling of a cache that never evicts is
+    flagged, and a bounded one is not."""
+    (tmp_path / "mod.py").write_text(
+        "import functools\n"
+        "from functools import cache, lru_cache\n\n"
+        "@lru_cache(maxsize=None)\ndef a(ctx):\n    return ctx\n\n"
+        "@functools.lru_cache(None)\ndef b(ctx):\n    return ctx\n\n"
+        "@cache\ndef c(ctx):\n    return ctx\n\n"
+        "@lru_cache(maxsize=32)\ndef d(ctx):\n    return ctx\n\n"
+        "@lru_cache\ndef e(ctx):\n    return ctx\n"
+    )
+    assert unbounded_caches(tmp_path) == ["mod:a", "mod:b", "mod:c"]
 
 
 def _python(code: str, *args: str, **env_extra: str) -> str:
