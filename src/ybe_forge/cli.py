@@ -32,9 +32,10 @@ EXIT_BADINPUT = 3
 # 3 before any work.  The exact pipelines cost about n^6: on one CPU of a
 # 2-core Intel Xeon, `rational 12 1` takes 0.22 s and `elliptic 12 1` 0.21 s.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.3- to 1.8-fold per
-# step of n: serial on one CPU of a 2-core Intel Xeon, --n-max 5 takes
-# 0.9 s, 7 takes 3.0 s and 8 takes 4.0 s.
+# Largest `verify --n-max`.  The suite's cost grows 1.4- to 1.6-fold per
+# step of n: serial on one CPU of a 2-core Intel Xeon, in a slow phase of
+# the VM (`python -c pass` 58 ms), --n-max 5 takes 0.9 s, 7 takes 2.1 s
+# and 8 takes 3.0 s.
 VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and

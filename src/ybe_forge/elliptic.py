@@ -22,6 +22,8 @@ from .lie import (
     casimir,
     cybe_residual_two_variable,
     heisenberg,
+    heisenberg_entries,
+    tensor_from_entries,
     tensor_from_pairs,
 )
 
@@ -222,20 +224,19 @@ def v_sign_convention() -> str:
 
 @lru_cache(maxsize=CONTEXT_CACHE_MAX)
 def _lattice_thetas(n: int, d: int, ctx: ThetaContext) -> tuple:
-    """(k, l, r, s, u, theta1(u)) for each (k, l) of the Heisenberg index set,
-    with u = (s - r tau) / n.  The coefficient depends on d k and d l only
-    mod n: shifting u by 1 leaves sigma unchanged, and the prefactor undoes
-    a shift by tau."""
+    """(r, s, u, theta1(u)) for each (k, l) of the Heisenberg index set in
+    order, with r = d k mod n, s = d l mod n and u = (s - r tau) / n.  The
+    coefficient depends on d k and d l only mod n: shifting u by 1 leaves
+    sigma unchanged, and the prefactor undoes a shift by tau."""
     out = []
     for (k, l) in heisenberg(n, d).index_set:
         r, s = d * k % n, d * l % n
         u = (1 / n) * (s - r * ctx.tau)
-        out.append((k, l, r, s, u, theta1(u, ctx)))
+        out.append((r, s, u, theta1(u, ctx)))
     return tuple(out)
 
 
 def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
-    hb = heisenberg(n, d)
     # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau + j,
     # |Im v0| <= Im tau / 2 and |Re v0| <= 1/2, every coefficient is
     # exp(-2 pi i (m s + j r) / n) times its value at v0: the tau terms of
@@ -254,14 +255,15 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
             "difference of spectral points is on the period lattice"
         )
     pairs = []
-    for k, l, r, s, u, tu in _lattice_thetas(n, d, ctx):
+    lattice = zip(_lattice_thetas(n, d, ctx), heisenberg_entries(n, d))
+    for (r, s, u, tu), (z_dual, z) in lattice:
         coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx, tu=tu, tz=tv)
         # the phase depends on m s + j r only mod n; reduce it in integers,
         # since j r can be too large for the float phase to be accurate
         phase = (m * s + j * r) % n
         if phase:
             coeff *= cmath.exp(-TWO_PI_I * phase / n)
-        pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
+        pairs.append((z_dual, z, coeff))
     return pairs
 
 
@@ -276,7 +278,7 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
         raise ValueError(
             "y - x = %r is not finite or too large for Im(tau) = %g" % (v, ctx.tau.imag)
         )
-    return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
+    return tensor_from_entries(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
 
 
 def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:

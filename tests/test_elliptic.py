@@ -40,6 +40,7 @@ from ybe_forge.lie import (
     _dual_sum,
     tensor_from_pairs,
 )
+from test_lie import z_matrices
 
 CTX = ThetaContext(tau=0.3 + 1j)
 
@@ -111,7 +112,7 @@ def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
         phase = (m * s + j * r) % n
         if phase:
             coeff *= cmath.exp(-TWO_PI_I * phase / n)
-        pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
+        pairs.append((*z_matrices(hb, k, l), coeff))
     return tensor_from_pairs(n, pairs, ring=COMPLEX)
 
 
@@ -373,7 +374,7 @@ class TestBelavin:
         here term by term."""
         hb = heisenberg(n, d)
         direct = tensor_from_pairs(n, [
-            (hb.z_dual_complex(k, l), hb.z_complex(k, l),
+            (*z_matrices(hb, k, l),
              cmath.exp(-2j * cmath.pi * d * k * v / n)
              * kronecker_sigma((d / n) * (l - k * CTX.tau), v, CTX))
             for (k, l) in hb.index_set
@@ -396,7 +397,7 @@ class TestBelavin:
             r, s = d * k % n, d * l % n
             coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(
                 (1 / n) * (s - r * ctx.tau), v, ctx)
-            pairs.append((hb.z_dual_complex(k, l), hb.z_complex(k, l), coeff))
+            pairs.append((*z_matrices(hb, k, l), coeff))
         assert belavin_r(n, d, ctx, x, y).terms == tensor_from_pairs(n, pairs, ring=COMPLEX).terms
 
     @pytest.mark.parametrize("ctx", [CTX, CTX_I], ids=["tau=0.3+i", "tau=i"])

@@ -194,6 +194,7 @@ UNBOUNDED_CACHES = [
     "exact:root_table",
     "lie:casimir",
     "lie:_root_values",
+    "lie:heisenberg_entries",
     "lie:heisenberg",
 ]
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_exact import rank
-from ybe_forge import stolin
+from ybe_forge import cuspidal, lie, stolin
 from ybe_forge.cli import N_MAX
 from ybe_forge.exact import ZERO, mat_unit, root_table
 from ybe_forge.lie import (
@@ -29,6 +29,7 @@ from ybe_forge.lie import (
     dual_matrix,
     flip_map,
     heisenberg,
+    heisenberg_entries,
     is_unitary_pair,
     signed_permutation_map,
     sl_basis,
@@ -36,6 +37,7 @@ from ybe_forge.lie import (
     tensor_from_pairs,
     transpose_negate_map,
     _dual_sum,
+    _root_values,
     _validate_heisenberg,
 )
 
@@ -93,6 +95,22 @@ def induced_endomorphism_rank(r: GlTensor2) -> int:
 def nondegenerate(r: GlTensor2) -> bool:
     """True iff the induced map sl(n) -> sl(n) is invertible."""
     return induced_endomorphism_rank(r) >= r.n * r.n - 1
+
+
+def z_matrices(hb, k: int, l: int) -> tuple:
+    """Z^dual_{k,l} and Z_{k,l} as dense n x n tuples of complex entries,
+    read off their `Monomial`s: the reference the sparse
+    `heisenberg_entries` is checked against."""
+    n = hb.n
+
+    def dense(m):
+        values = _root_values(n, m.den)
+        rows = [[0j] * n for _ in range(n)]
+        for i, e in enumerate(m.exps):
+            rows[i][(i + m.shift) % n] = values[hb.d * e % n]
+        return tuple(tuple(row) for row in rows)
+
+    return dense(hb.Z_dual[(k, l)]), dense(hb.Z[(k, l)])
 
 
 class TestTraceForm:
@@ -235,6 +253,59 @@ def cybe_inputs(draw, ring):
             for _ in range(3)]
 
 
+def identity_part(n: int, u: tuple, c, first: bool) -> GlTensor2:
+    """c I (x) e_u (first=True) or c e_u (x) I, I = sum_a e_aa."""
+    k, l = u
+    keys = [(a, a, k, l) if first else (k, l, a, a) for a in range(1, n + 1)]
+    return GlTensor2(n, RATIONAL, {key: F(c) for key in keys})
+
+
+@st.composite
+def central_inputs(draw):
+    """Three rational tensors of one size n <= 4 with dense diagonal
+    blocks: sparse terms plus a multiple of the Casimir and multiples of
+    I (x) u and u (x) I for a few matrix units u."""
+    n = draw(st.integers(2, 4))
+    idx = st.integers(1, n)
+    units = st.dictionaries(st.tuples(idx, idx), COEFFS[RATIONAL], max_size=3)
+    out = []
+    for _ in range(3):
+        t = GlTensor2(n, RATIONAL, draw(st.dictionaries(
+            st.tuples(idx, idx, idx, idx), COEFFS[RATIONAL], max_size=8)))
+        t = t.add(casimir(n).scale(draw(COEFFS[RATIONAL] | st.just(F(0)))))
+        for first in (True, False):
+            for u, c in draw(units).items():
+                t = t.add(identity_part(n, u, c, first))
+        out.append(t)
+    return out
+
+
+def join_products(monkeypatch) -> list:
+    """Spy on `lie._join`: the returned one-element list counts the
+    products the joins form, the sum over shared indices of the sizes of
+    the two groups."""
+    count = [0]
+    join = lie._join
+
+    def spy(total, xs, ys, sign):
+        count[0] += sum(len(g) * len(ys.get(idx, ())) for idx, g in xs.items())
+        join(total, xs, ys, sign)
+
+    monkeypatch.setattr(lie, "_join", spy)
+    return count
+
+
+def stolin_1_6_triple() -> tuple:
+    """The Stolin (1,6) solution at K = J, evaluated at (0, 1), (0, 2) and
+    (1, 2)."""
+    K = stolin.j_matrix_rat(1, 6)
+
+    def r(a, b):
+        return stolin.assemble_stolin_r(1, 6, K, a, b)
+
+    return r(F(0), F(1)), r(F(0), F(2)), r(F(1), F(2))
+
+
 class TestCybe:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(cybe_inputs(RATIONAL))
@@ -251,16 +322,75 @@ class TestCybe:
     def test_negated_r12_control(self):
         """The Stolin (1,6) solution has a zero residual; negating r12 must
         leave a nonzero one (7135 terms at (0, 1, 2))."""
-        K = stolin.j_matrix_rat(1, 6)
-
-        def r(a, b):
-            return stolin.assemble_stolin_r(1, 6, K, a, b)
-
-        r12, r13, r23 = r(F(0), F(1)), r(F(0), F(2)), r(F(1), F(2))
+        r12, r13, r23 = stolin_1_6_triple()
         assert cybe_lhs(r12, r13, r23).is_zero()
         wrong = cybe_lhs(r12.scale(-1), r13, r23)
         assert len(wrong.terms) == 7135
         assert wrong.terms == _naive_cybe(r12.scale(-1), r13, r23)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(central_inputs())
+    def test_dense_diagonals_match_naive_brackets(self, tensors):
+        assert cybe_lhs(*tensors).terms == _naive_cybe(*tensors)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(central_inputs(), st.data())
+    def test_central_parts_change_nothing(self, tensors, data):
+        """A multiple of I in the shared slot of a commutator does not
+        change it: each commutator alone, and the whole sum with I (x) I
+        added to every input, give the same terms in the same order."""
+        r12, r13, r23 = tensors
+        n = r12.n
+        zero = GlTensor2(n, RATIONAL, {})
+        idx = st.integers(1, n)
+
+        def plus(t, first):
+            u, c = data.draw(st.tuples(idx, idx)), data.draw(COEFFS[RATIONAL])
+            return t.add(identity_part(n, u, c, first))
+
+        def same(got, want):
+            assert list(got.terms.items()) == list(want.terms.items())
+
+        # [r12, r13] shares slot 1, [r13, r23] slot 3, [r12, r23] slot 2
+        same(cybe_lhs(plus(r12, True), plus(r13, True), zero), cybe_lhs(r12, r13, zero))
+        same(cybe_lhs(zero, plus(r13, False), plus(r23, False)), cybe_lhs(zero, r13, r23))
+        same(cybe_lhs(plus(r12, False), zero, plus(r23, True)), cybe_lhs(r12, zero, r23))
+        eye = GlTensor2(n, RATIONAL, {(a, a, b, b): F(1) for a in range(1, n + 1)
+                                      for b in range(1, n + 1)})
+        shifted = [t.add(eye.scale(data.draw(COEFFS[RATIONAL]))) for t in tensors]
+        same(cybe_lhs(*shifted), cybe_lhs(*tensors))
+
+    def test_drop_in_the_other_slot_is_caught(self, monkeypatch):
+        """Negative control: dropping I from the second factor, which the
+        commutator does not act on, changes the result."""
+        drop = lie._drop_central
+
+        def drop_second(terms, n):
+            flipped = lie._swapped(terms)
+            drop(flipped, n)
+            terms.clear()
+            terms.update(lie._swapped(flipped))
+
+        monkeypatch.setattr(lie, "_drop_central", drop_second)
+        r12 = GlTensor2(2, RATIONAL, {(2, 1, 1, 1): F(1)})
+        r13 = identity_part(2, (1, 2), 1, first=False)
+        zero = GlTensor2(2, RATIONAL, {})
+        assert _naive_cybe(r12, r13, zero) != {}
+        assert cybe_lhs(r12, r13, zero).terms != _naive_cybe(r12, r13, zero)
+        assert not cybe_lhs(*stolin_1_6_triple()).is_zero()
+
+    def test_join_products_at_stolin_1_6(self, monkeypatch):
+        """Deterministic work guard: at the Stolin (1,6) solution the joins
+        form at most 30,000 products (56,294 without the central drop)."""
+        tensors = stolin_1_6_triple()
+        count = join_products(monkeypatch)
+        assert cybe_lhs(*tensors).is_zero()
+        assert count[0] <= 30_000
+        # the count sees the saving: without the drop it is back
+        count[0] = 0
+        monkeypatch.setattr(lie, "_drop_central", lambda terms, n: None)
+        assert cybe_lhs(*tensors).is_zero()
+        assert count[0] == 56_294
 
     def test_zero_inputs(self):
         z = GlTensor2(2, RATIONAL, {})
@@ -306,6 +436,65 @@ class TestSwap:
         }
         t = GlTensor2(3, RATIONAL, terms)
         assert swap_tensor(swap_tensor(t)) == t
+
+
+@st.composite
+def unitarity_pairs(draw):
+    """(r_xy, r_yx) over the rationals: r_yx is -swap(r_xy), that with one
+    term bumped, dropped or added, or an unrelated tensor."""
+    n = draw(st.integers(2, 3))
+    idx = st.integers(1, n)
+    keys = st.tuples(idx, idx, idx, idx)
+    r = GlTensor2(n, RATIONAL, draw(st.dictionaries(keys, COEFFS[RATIONAL], max_size=10)))
+    terms = dict(swap_tensor(r).scale(-1).terms)
+    how = draw(st.sampled_from(["unitary", "bump", "drop", "add", "other"]))
+    if how == "other":
+        terms = draw(st.dictionaries(keys, COEFFS[RATIONAL], max_size=10))
+    elif how == "add":
+        terms[draw(keys)] = draw(COEFFS[RATIONAL])
+    elif how != "unitary" and terms:
+        key = draw(st.sampled_from(sorted(terms)))
+        if how == "bump":
+            terms[key] += 1
+        else:
+            del terms[key]
+    return r, GlTensor2(n, RATIONAL, terms)
+
+
+class TestUnitary:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(unitarity_pairs())
+    def test_matches_negated_swap(self, pair):
+        r_xy, r_yx = pair
+        assert is_unitary_pair(r_xy, r_yx) == (r_yx == swap_tensor(r_xy).scale(-1))
+
+    @pytest.mark.parametrize("route", ["cuspidal", "stolin"])
+    @pytest.mark.parametrize("e,d", [(1, 2), (2, 3), (1, 6)])
+    def test_assembled_pairs(self, route, e, d):
+        """Assembled solutions are unitary; one numerator bumped is not."""
+        if route == "cuspidal":
+            def r(a, b):
+                return cuspidal.assemble_r(e, d, a, b)
+        else:
+            K = stolin.j_matrix_rat(e, d)
+
+            def r(a, b):
+                return stolin.assemble_stolin_r(e, d, K, a, b)
+
+        x, y = F(1, 3), F(-5, 2)
+        r_xy, r_yx = r(x, y), r(y, x)
+        assert is_unitary_pair(r_xy, r_yx)
+        assert r_yx == swap_tensor(r_xy).scale(-1)
+        key, v = next(iter(r_yx.terms.items()))
+        bumped = GlTensor2(r_yx.n, RATIONAL, {**r_yx.terms, key: v + F(1, v.denominator)})
+        assert not is_unitary_pair(r_xy, bumped)
+        assert bumped != swap_tensor(r_xy).scale(-1)
+
+    def test_size_and_ring_must_match(self):
+        z2, z3 = GlTensor2(2, RATIONAL, {}), GlTensor2(3, RATIONAL, {})
+        assert is_unitary_pair(z2, z2)
+        assert not is_unitary_pair(z2, z3)
+        assert not is_unitary_pair(z2, GlTensor2(2, COMPLEX, {}))
 
 
 class TestGauges:
@@ -482,5 +671,18 @@ class TestHeisenberg:
         Y = np.roll(np.eye(n), 1, axis=1)
         for (k, l) in hb.index_set:
             z = np.linalg.matrix_power(Y, k) @ np.linalg.matrix_power(np.linalg.inv(X), l)
-            assert np.allclose(np.array(hb.z_complex(k, l)), z, atol=1e-12)
-            assert np.allclose(np.array(hb.z_dual_complex(k, l)), np.linalg.inv(z) / n, atol=1e-12)
+            dense_dual, dense = z_matrices(hb, k, l)
+            assert np.allclose(np.array(dense), z, atol=1e-12)
+            assert np.allclose(np.array(dense_dual), np.linalg.inv(z) / n, atol=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 1), (5, 3), (12, 5)])
+    def test_entries_are_the_dense_nonzeros(self, n, d):
+        """`heisenberg_entries` lists the nonzero entries of the dense
+        matrices, values bit for bit, in the order of a row-major scan."""
+        hb = heisenberg(n, d)
+        entries = heisenberg_entries(n, d)
+        assert len(entries) == len(hb.index_set)
+        for kl, pair in zip(hb.index_set, entries):
+            for got, m in zip(pair, z_matrices(hb, *kl)):
+                want = [(i + 1, j + 1, m[i][j]) for i in range(n) for j in range(n) if m[i][j]]
+                assert repr(list(got)) == repr(want)
