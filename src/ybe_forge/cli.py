@@ -47,11 +47,14 @@ RAT_DIGITS_MAX = 30
 # denominator: an n x n K has at most 2 n^2 + K_EXTRA_DIGITS_MAX digits in
 # all.  Every entry enters 2n rows of the split elimination, and a new prime
 # denominator scales each of them, so two-digit prime denominators cost the
-# most per digit.  On one CPU of an Intel Xeon, `stolin 12 e` for e = 1, 5,
-# 7 and 11 with a dense K takes 1.1-1.2 s with one-digit integers, 3.4-4.0 s
-# with one-digit fractions and 4.4-4.8 s at this bound (four two-digit prime
-# denominators); measured earlier, when the same files took about 2.3 times
-# as long, dense 30-digit entries, refused here, took 313 s, and a bound on
+# most per digit.  On one CPU of an Intel Xeon (`python -c pass` 70-90 ms),
+# `stolin 12 e` for e = 1, 5, 7 and 11 with a dense K takes 2.2-3.2 s with
+# one-digit integers, 7.3-9.8 s with one-digit fractions and 10.5-13.0 s at
+# this bound (four two-digit prime denominators).  Such rows are dense, so
+# the elimination dominates: of a one-digit-fraction request at e = 5 the
+# Bareiss steps take about 6 s, back-substitution about 2 s and the re-check
+# 0.2 s.  Measured earlier, when the one-digit-fraction files took about
+# 8-9 s, dense 30-digit entries, refused here, took 313 s, and a bound on
 # the plain total admitted n = 10 files that took 15 s, so smaller n gain no
 # slack.
 K_EXTRA_DIGITS_MAX = 4

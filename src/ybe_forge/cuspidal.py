@@ -16,11 +16,10 @@ from math import gcd, lcm
 
 from .exact import (
     InconsistentSystemError,
-    MatrixPoly,
     SingularSystemError,
     ZERO,
     kernel,
-    poly_trim,
+    matrix_poly_from_entries,
     rat,
     solve_multi,
 )
@@ -180,25 +179,6 @@ def _ved_coords(e: int, d: int) -> tuple:
     return tuple(
         (i, j, k) for i, j in cells for k in range(1, _degree_cap(i, j, e, n) + 1)
     ) + tuple((i, j, 0) for i, j in cells)
-
-
-def _coords_to_matrix_poly(e: int, d: int, x: Fraction, vec: dict) -> MatrixPoly:
-    """The member of V_{e,d} with the sparse (z - x)-coordinates `vec`
-    ({coordinate: value}), in powers of z."""
-    n = e + d
-    coords = _ved_coords(e, d)
-    # (z - x)^k - z^k in powers of z, for k = 0, 1, 2
-    lower = ((), (-x,), (x * x, -2 * x))
-    coeffs: dict = {}  # (i, j) -> its z^0, z^1, z^2 coefficients
-    for c, v in vec.items():
-        i, j, k = coords[c]
-        p = coeffs.setdefault((i, j), [ZERO, ZERO, ZERO])
-        p[k] += v
-        for m, low in enumerate(lower[k]):
-            p[m] += low * v
-    entries = tuple(tuple(poly_trim(coeffs.get((i, j), ())) for j in range(1, n + 1))
-                    for i in range(1, n + 1))
-    return MatrixPoly(n, entries)
 
 
 def _sol_rows(e: int, d: int) -> tuple[list, list]:
@@ -408,11 +388,41 @@ G_ELEMENTS_CACHE_MAX = 64
 
 @lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)
 def g_elements(e: int, d: int, x: Fraction) -> GElements:
-    """The corrections at x, read off `sol_space(e, d, x)` (`_by_label`)."""
-    sol = sol_space(e, d, rat(x))
-    members = [{c: v for c, v in enumerate(vec[:-(e + d) ** 2]) if v} for vec in sol.vectors]
-    return GElements(e, d, sol.x, {label: _coords_to_matrix_poly(e, d, sol.x, g)
-                                   for label, g in _by_label(e + d, members).items()})
+    """The corrections at x, read off the integer coordinates of
+    `sol_family(e, d)` (`_by_label`).
+
+    Coordinate c of a correction is (g0 den xd + g1 xn) / (den^2 xd) at
+    x = xn/xd, for its g0 over den and g1 over den^2, and it is the
+    coefficient of (z - x)^k, k >= 1; so every z^m coefficient is an
+    integer over den^2 xd^3, summed over the nonzero coordinates only."""
+    x = rat(x)
+    n = e + d
+    fam = sol_family(e, d)
+    coords = _ved_coords(e, d)
+    xn, xd = x.numerator, x.denominator
+    q = fam.den ** 2 * xd ** 3
+    # (z - x)^k as (m, its z^m coefficient times xd^2, an integer) pairs
+    powers = {1: ((1, xd * xd), (0, -xn * xd)), 2: ((2, xd * xd), (1, -2 * xn * xd), (0, xn * xn))}
+    g1 = _by_label(n, fam.v1)
+    corrections = {}
+    for label, g0 in _by_label(n, fam.v0).items():
+        h1 = g1[label]
+        cells: dict = {}  # (i, j) -> numerators of its z^0, z^1, z^2 coefficients
+        for c in g0.keys() | h1.keys():
+            i, j, k = coords[c]
+            if k:  # k = 0 is B itself
+                num = g0.get(c, 0) * fam.den * xd + h1.get(c, 0) * xn
+                p = cells.setdefault((i, j), [0, 0, 0])
+                for m, f in powers[k]:
+                    p[m] += num * f
+        polys = {}
+        for ij, p in cells.items():
+            while p and not p[-1]:
+                p.pop()
+            if p:
+                polys[ij] = tuple(Fraction(a, q) if a else ZERO for a in p)
+        corrections[label] = matrix_poly_from_entries(n, polys)
+    return GElements(e, d, x, corrections)
 
 
 def point_sol_space(e: int, d: int, x) -> SolBasis:

@@ -17,11 +17,13 @@ runs on them, back-substitution yields numerators over one common
 denominator per solution, and every solution is re-checked in integers
 against the cleared rows.  Fractions are built only for the returned
 values.  Each pivot step rewrites only the rows nonzero in its column and
-rescales the others lazily, when they are next touched.
+rescales the others lazily, when they are next touched; back-substitution
+and the re-check touch only the nonzero values of each solution.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -216,45 +218,80 @@ def _bareiss_echelon(m: list[dict[int, int]], ncols: int) -> tuple[list[dict[int
     return echelon, piv_cols, order
 
 
-def _back_substitute(m, piv_cols, free_cols, n: int) -> list[list[int]]:
+def _back_substitute(m, piv_cols, free_cols, n: int) -> list[dict[int, int]]:
     """Integer back-substitution through the sparse echelon rows `m`.
 
     For each free column f, returns den times the null vector that is 1 at f
-    and 0 at the other free columns, den being the last pivot.  Bareiss
-    pivots are leading minors, so by Cramer's rule every division here is
-    exact; it is checked anyway.
+    and 0 at the other free columns, as {column: nonzero integer}, den being
+    the last pivot.  Each pivot value is solved once its row has received
+    every later value, and is then scattered into the rows above it that
+    are nonzero in its column; a zero value is neither stored nor
+    scattered.  Bareiss pivots are leading minors, so by Cramer's rule every
+    division here is exact; it is checked anyway.
     """
     rank = len(piv_cols)
     den = m[rank - 1][piv_cols[rank - 1]] if rank else 1
-    pivot_set = set(piv_cols)
-    # row r is zero left of its pivot, so these are the later pivot columns
-    tails = [[(c, a) for c, a in row.items() if c in pivot_set and c != p]
-             for row, p in zip(m, piv_cols)]
+    above: dict = {}  # column -> (row, entry) off the pivots, in every row
+    for r, (row, p) in enumerate(zip(m, piv_cols)):
+        for c, a in row.items():
+            if c != p:
+                above.setdefault(c, []).append((r, a))
     out = []
     for f in free_cols:
-        v = [0] * n
-        v[f] = den
-        for r in range(rank - 1, -1, -1):
-            acc = -den * m[r].get(f, 0)
-            for c, a in tails[r]:
-                acc -= a * v[c]
-            v[piv_cols[r]] = _exact_div(acc, m[r][piv_cols[r]])
+        v = {f: den}
+        # a max-heap of the pending rows: a pivot column meets only rows
+        # above its own, so each row is solved after every value it needs
+        acc = {r: -den * a for r, a in above.get(f, ())}
+        heap = [-r for r in acc]
+        heapq.heapify(heap)
+        while heap:
+            r = -heapq.heappop(heap)
+            s = acc.pop(r)
+            if s:
+                p = piv_cols[r]
+                val = v[p] = _exact_div(s, m[r][p])
+                for r2, a in above.get(p, ()):
+                    if r2 not in acc:
+                        heapq.heappush(heap, -r2)
+                    acc[r2] = acc.get(r2, 0) - a * val
         out.append(v)
     return out
 
 
-def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple[list[int], int]]:
-    """`_back_substitute` in lowest terms, as (numerators, positive
-    denominator), each vector re-checked in integers against `ints`, the
-    rows that `m` is the echelon form of."""
+def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple[dict[int, int], int]]:
+    """`_back_substitute` in lowest terms, as ({column: nonzero numerator},
+    positive denominator), each vector re-checked exactly, in integers,
+    against every row of `ints`, the rows that `m` is the echelon form of.
+    The check runs column-wise over the vector's nonzeros, so it reads only
+    the columns where the vector is nonzero (for `solve_multi`, A's columns
+    and the solution's own right-hand side); every row it does not reach
+    is zero on the vector."""
+    cols: dict = {}
+    for r, row in enumerate(ints):
+        for c, a in row.items():
+            cols.setdefault(c, []).append((r, a))
     out = []
     for f, v in zip(free_cols, _back_substitute(m, piv_cols, free_cols, n)):
-        g = math.gcd(*v) * (1 if v[f] > 0 else -1)
-        v = [a // g for a in v]
-        if any(sum(a * v[c] for c, a in row.items()) for row in ints):
+        g = math.gcd(*v.values()) * (1 if v[f] > 0 else -1)
+        v = {c: a // g for c, a in v.items()}
+        image: dict = {}
+        for c, a in v.items():
+            for r, b in cols.get(c, ()):
+                image[r] = image.get(r, 0) + a * b
+        if any(image.values()):
             raise LinearAlgebraError("%s verification failed" % what)
         out.append((v, v[f]))
     return out
+
+
+def _fractions(v: dict, sign: int, den: int, ncols: int) -> tuple:
+    """The first `ncols` entries of the numerators `v` times `sign`, over
+    `den`, as a dense tuple of Fractions."""
+    out = [ZERO] * ncols
+    for c, a in v.items():
+        if c < ncols:
+            out[c] = Fraction(sign * a, den)
+    return tuple(out)
 
 
 def kernel(rows: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -269,7 +306,7 @@ def kernel(rows: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
     m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], ncols)
     free_cols = sorted(set(range(ncols)).difference(piv_cols))
     vecs = _null_vectors(ints, m, piv_cols, free_cols, ncols, "kernel")
-    return [tuple(Fraction(a, den) if a else ZERO for a in v) for v, den in vecs]
+    return [_fractions(v, 1, den, ncols) for v, den in vecs]
 
 
 def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
@@ -301,7 +338,7 @@ def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> l
     if len(piv_cols) < ncols:
         raise SingularSystemError("coefficient matrix is rank-deficient")
     vecs = _null_vectors(ints, m, piv_cols, range(ncols, width), width, "solve")
-    return [tuple(Fraction(-a, den) if a else ZERO for a in v[:ncols]) for v, den in vecs]
+    return [_fractions(v, -1, den, ncols) for v, den in vecs]
 
 
 def det(rows: Sequence[dict], ncols: int) -> Fraction:
@@ -454,6 +491,14 @@ def matrix_poly_from_coeffs(coeff_mats: Sequence) -> MatrixPoly:
         for i in range(n)
     )
     return MatrixPoly(n, entries)
+
+
+def matrix_poly_from_entries(n: int, entries: dict) -> MatrixPoly:
+    """Build from a {(i, j): nonzero polynomial} dict with 1-based keys."""
+    rows = [[POLY_ZERO] * n for _ in range(n)]
+    for (i, j), p in entries.items():
+        rows[i - 1][j - 1] = p
+    return MatrixPoly(n, tuple(map(tuple, rows)))
 
 
 def eval_matrix_poly(F: MatrixPoly, x: Fraction) -> tuple:

@@ -24,10 +24,12 @@ from .exact import (
     eval_matrix_poly,
     freeze,
     mat_add,
+    mat_from_entries,
     mat_is_zero,
     mat_unit,
     mat_zero,
     matrix_poly_from_coeffs,
+    matrix_poly_from_entries,
     rat,
     solve_multi,
 )
@@ -191,12 +193,14 @@ def frobenius_split(G, K, e: int) -> tuple[tuple, tuple]:
     """The unique (P, N) with G = [K^t, P] + N, P in p_e and N in the
     upper-right block.  Exists and is unique exactly when omega_K is
     non-degenerate on p_e."""
-    return frobenius_splits([_matrix_terms(G)], K, e)[0]
+    P, N = frobenius_splits([_matrix_terms(G)], K, e)[0]
+    return mat_from_entries(len(K), P), mat_from_entries(len(K), N)
 
 
-def frobenius_splits(targets, K, e: int) -> list[tuple[tuple, tuple]]:
-    """`frobenius_split` of every G in sl(n) in `targets`, each given as
-    {(row, col): nonzero entry}, 0-based, from one elimination.
+def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
+    """The splits (P, N) of every G in sl(n) in `targets`, each given as
+    {(row, col): nonzero entry}, 0-based, from one elimination; P and N come
+    as {(i, j): nonzero entry}, 1-based, read off the nonzero coordinates.
 
     The elimination decides degeneracy: (P, N) |-> [K^t, P] + N maps p_e plus
     the upper-right block into sl(n), of the same dimension n^2 - 1.  Its
@@ -214,15 +218,14 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[tuple, tuple]]:
         raise DegenerateFormError("omega_K is degenerate on p_%d" % e) from exc
     out = []
     for coeffs in sols:
-        P = [[ZERO] * n for _ in range(n)]
+        P: dict = {}
         for c, lbl in zip(coeffs, labels):
-            if c != 0:
+            if c:
                 for i, j, sign in _label_units(lbl):
-                    P[i - 1][j - 1] += sign * c
-        N = [[ZERO] * n for _ in range(n)]
-        for c, (i, j) in zip(coeffs[len(labels):], nil_pos):
-            N[i - 1][j - 1] = c
-        out.append((freeze(P), freeze(N)))
+                    v = c if sign > 0 else -c
+                    P[i, j] = P[i, j] + v if (i, j) in P else v
+        N = {ij: c for c, ij in zip(coeffs[len(labels):], nil_pos) if c}
+        out.append(({ij: v for ij, v in P.items() if v}, N))
     return out
 
 
@@ -275,7 +278,8 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     with its upper-right block replaced by -N, plus z times that block of P.
     All of them come from one batched solve, which raises DegenerateFormError
     for a degenerate omega_K and verifies every solution by exact
-    re-substitution.
+    re-substitution.  Targets and elements are built from the nonzero
+    entries only.
     """
     if gcd(e, d) != 1:
         raise NonCoprimeError("need coprime (e, d), got (%d, %d)" % (e, d))
@@ -283,24 +287,26 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     K = freeze(K)
     targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
-        reg = region(label[1], label[2], e, n) if label[0] == "unit" else "cartan"
-        dual = _matrix_terms(_dual_pair(label, n)[1])
+        if label[0] == "cartan":  # the second slot of `_dual_pair`: h_l itself
+            targets[label, 0] = {(i - 1, j - 1): s for i, j, s in _label_units(label)}
+            continue
+        _, i, j = label
+        reg = region(i, j, e, n)
+        dual = {(j - 1, i - 1): 1}
         if reg == "I":
             # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
-            bracket = _bracket_kt_terms(K, ("unit", label[2], label[1]), n)
-            targets[(label, 0)] = {key: -v for key, v in bracket.items()}
-            targets[(label, 1)] = dual
+            bracket = _bracket_kt_terms(K, ("unit", j, i), n)
+            targets[label, 0] = {key: -v for key, v in bracket.items()}
+            targets[label, 1] = dual
         elif reg != "III":
-            targets[(label, 0)] = dual
-    zero_poly = matrix_poly_from_coeffs([mat_zero(n)])
+            targets[label, 0] = dual
+    zero_poly = matrix_poly_from_entries(n, {})
     elements = dict.fromkeys(((lbl, k) for lbl in sl_basis(n) for k in (0, 1)), zero_poly)
     for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
-        const = [list(row) for row in P]
-        lin = [[ZERO] * n for _ in range(n)]
-        for i in range(e):
-            for j in range(e, n):
-                const[i][j], lin[i][j] = -N[i][j], P[i][j]
-        elements[key] = matrix_poly_from_coeffs([const, lin])
+        polys = {ij: (-v,) for ij, v in N.items()}
+        for (i, j), v in P.items():  # region I is i <= e < j
+            polys[i, j] = (-N.get((i, j), ZERO), v) if i <= e < j else (v,)
+        elements[key] = matrix_poly_from_entries(n, polys)
     return WElementSet(e, d, K, elements)
 
 

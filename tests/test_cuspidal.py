@@ -44,6 +44,7 @@ from ybe_forge.exact import (
     mat_unit,
     mat_zero,
     matrix_poly_from_coeffs,
+    poly_trim,
 )
 from ybe_forge.lie import (
     basis_matrix,
@@ -270,9 +271,29 @@ def _region_table_f0_feps(Fm, e, d):
     return tuple(map(tuple, f0)), tuple(map(tuple, feps))
 
 
+def _coords_to_matrix_poly(e, d, x, vec):
+    """The member of V_{e,d} with the sparse (z - x)-coordinates `vec`
+    ({coordinate: value}), in powers of z, expanded in Fractions: the
+    reference of `g_elements`, which sums integer numerators."""
+    n = e + d
+    coords = cuspidal._ved_coords(e, d)
+    # (z - x)^k - z^k in powers of z, for k = 0, 1, 2
+    lower = ((), (-x,), (x * x, -2 * x))
+    coeffs = {}  # (i, j) -> its z^0, z^1, z^2 coefficients
+    for c, v in vec.items():
+        i, j, k = coords[c]
+        p = coeffs.setdefault((i, j), [ZERO, ZERO, ZERO])
+        p[k] += v
+        for m, low in enumerate(lower[k]):
+            p[m] += low * v
+    entries = tuple(tuple(poly_trim(coeffs.get((i, j), ())) for j in range(1, n + 1))
+                    for i in range(1, n + 1))
+    return MatrixPoly(n, entries)
+
+
 def _members(sol):
     """The members of Sol((e,d), x) as matrix polynomials in z."""
-    return [cuspidal._coords_to_matrix_poly(sol.e, sol.d, sol.x, dict(enumerate(v)))
+    return [_coords_to_matrix_poly(sol.e, sol.d, sol.x, dict(enumerate(v)))
             for v in sol.vectors]
 
 
@@ -453,7 +474,7 @@ def _encoding_mismatches(e, d, x, rows, vectors):
             if cm:
                 for r, v in columns[m]:
                     image[r] += v * cm
-        member = cuspidal._coords_to_matrix_poly(e, d, x, dict(enumerate(c)))
+        member = _coords_to_matrix_poly(e, d, x, dict(enumerate(c)))
         want = [v for row in sol_constraint_violation(member, e, d, x) for v in row]
         if image != want + [ZERO, ZERO]:
             bad.append(c)
@@ -575,6 +596,23 @@ class TestGElements:
         finally:
             g_elements.cache_clear()
         assert calls == ["solve_multi"]
+
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 3), (2, 3), (1, 6), (5, 2)])
+    def test_corrections_match_sol_space_members(self, e, d, monkeypatch):
+        """`g_elements` sums integer numerators off the family's coordinates
+        without `sol_space`; the reference expands the residue-dual members
+        of `sol_space` in Fractions.  Both agree repr for repr."""
+        for x in (F(0), F(1), F(-3, 7), F(22, 9), F(5, 10**12 + 1)):
+            members = [{c: v for c, v in enumerate(vec[:-(e + d) ** 2]) if v}
+                       for vec in sol_space(e, d, x).vectors]
+            want = {label: _coords_to_matrix_poly(e, d, x, g)
+                    for label, g in cuspidal._by_label(e + d, members).items()}
+            g_elements.cache_clear()
+            with monkeypatch.context() as m:
+                m.setattr(cuspidal, "sol_space", None)
+                got = g_elements(e, d, x)
+            assert repr(got.corrections) == repr(want) and got.x == x
+        g_elements.cache_clear()
 
     @pytest.mark.parametrize("e,d,x,digest", [
         (2, 3, F(-1, 2), "27db93c9b50d9794782f54f70b3f01aabe56db51d4944867b591dcd5e1218816"),

@@ -1,5 +1,6 @@
 """Exact solvers, polynomials, interpolation, roots of unity."""
 
+import contextlib
 import random
 from fractions import Fraction as F
 
@@ -325,6 +326,53 @@ class TestIntegerCore:
         with pytest.raises(LinearAlgebraError, match="solve verification failed"):
             solve_multi(B, [{0: F(1), 1: F(2), 2: F(3)}], 2)
 
+    @staticmethod
+    @contextlib.contextmanager
+    def _corrupted(monkeypatch, which, column):
+        """A context in which `_back_substitute` adds one to entry `column`
+        of its `which`-th vector alone."""
+        real = exact._back_substitute
+
+        def corrupt(*args):
+            vecs = real(*args)
+            vecs[which][column] = vecs[which].get(column, 0) + 1
+            return vecs
+
+        with monkeypatch.context() as m:
+            m.setattr(exact, "_back_substitute", corrupt)
+            yield
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_recheck_reads_the_last_right_hand_side(self, monkeypatch, column):
+        """Only the last of three solutions is off: every right-hand side is
+        re-checked, not only the first."""
+        B = [{0: F(2), 1: F(1)}, {0: F(1), 1: F(3)}, {0: F(3), 1: F(4)}]
+        rhs = [{0: F(1), 1: F(2), 2: F(3)}, {0: F(2), 1: F(4), 2: F(6)},
+               {0: F(1), 1: F(-2), 2: F(-1)}]
+        A = [{0: F(1), 1: F(1, 2), 3: F(2)}, {1: F(1), 2: F(-1, 3), 4: F(1)}]
+        assert len(solve_multi(B, rhs, 2)) == 3 and len(kernel(A, 5)) == 3
+        with self._corrupted(monkeypatch, -1, column):
+            with pytest.raises(LinearAlgebraError, match="solve verification failed"):
+                solve_multi(B, rhs, 2)
+            with pytest.raises(LinearAlgebraError, match="kernel verification failed"):
+                kernel(A, 5)
+
+    def test_recheck_reads_a_column_that_meets_one_row(self, monkeypatch):
+        """One entry of the last solution is off, in a column that meets a
+        single row: that row alone shows the error, and it is read."""
+        C = [{0: F(1), 1: F(2)}, {0: F(3), 1: F(1)}, {1: F(1), 2: F(5)}]
+        rhs = [{0: F(1)}, {1: F(1), 2: F(2)}]
+        A = [{0: F(1), 1: F(2)}, {1: F(1), 2: F(-1), 3: F(3)}]
+        assert [2 in row for row in C] == [False, False, True]
+        assert [0 in row for row in A] == [True, False]
+        assert len(solve_multi(C, rhs, 3)) == 2 and len(kernel(A, 4)) == 2
+        with self._corrupted(monkeypatch, -1, 2):
+            with pytest.raises(LinearAlgebraError, match="solve verification failed"):
+                solve_multi(C, rhs, 3)
+        with self._corrupted(monkeypatch, -1, 0):
+            with pytest.raises(LinearAlgebraError, match="kernel verification failed"):
+                kernel(A, 4)
+
     def test_solve_dec_makes_one_batched_solve(self, monkeypatch):
         """A cold solve_dec runs one batched split and no determinant: the
         split itself decides degeneracy."""
@@ -414,6 +462,31 @@ class TestBuilderRows:
         assert all(_sparse_and_clean(rows) for rows, _ in dets)
         for rows, rhs_cols, _ in solves:
             assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
+
+    def test_solve_dec_without_dense_grids(self, monkeypatch):
+        """A cold solve_dec builds its targets from label units and its
+        elements from the nonzero split coordinates: no dense unit, zero or
+        basis matrix anywhere on its way."""
+        from ybe_forge import lie, stolin
+
+        dense = []
+        for module in (stolin, lie):
+            for name in ("mat_unit", "mat_zero", "basis_matrix", "dual_matrix"):
+                if hasattr(module, name):
+                    original = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, name=name, original=original:
+                                        dense.append(name) or original(*a))
+        solves = []
+        self._recording(monkeypatch, stolin, "solve_multi", solves)
+        stolin.solve_dec.cache_clear()
+        try:
+            w = stolin.solve_dec(2, 3, stolin.neg_j_matrix(2, 3))
+        finally:
+            stolin.solve_dec.cache_clear()
+        assert dense == []
+        [(rows, rhs_cols, _)] = solves
+        assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
+        assert len(w.elements) == 2 * (5 * 5 - 1)
 
     def test_series_rows_without_dense_grids(self, monkeypatch):
         """series_r reads each element's coefficient dict once: no

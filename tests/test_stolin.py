@@ -186,6 +186,40 @@ def _w_blocks(w, e, n):
     return freeze(P_blocks), freeze(B), freeze(Btilde)
 
 
+def _assert_block_equations(e, d, K):
+    """Each quadruple solve_dec(e, d, K) solves satisfies its decomposition
+    equation written out in explicit block form."""
+    n = e + d
+    Kt = tuple(zip(*K))
+    ws = solve_dec(e, d, K)
+    for label in sl_basis(n):
+        if label[0] == "unit":
+            _, i, j = label
+            reg = region(i, j, e, n)
+            target = mat_unit(n, j, i)
+        else:
+            reg = "cartan"
+            target = basis_matrix(label, n)
+        if label[0] == "unit" and reg == "III":
+            continue
+        w0 = ws.w(label, 0)
+        P0, B0, Bt0 = _w_blocks(w0, e, n)
+        mixed0 = mat_add(P0, Bt0)  # (A | Btilde / 0 | D)
+        if label[0] == "cartan" or reg in ("II", "IV"):
+            # target - [K^t, (A|Btilde/0|D)] + (0|B/0|0) = 0
+            resid = mat_add(mat_sub(target, mat_bracket(Kt, mixed0)), B0)
+            assert mat_is_zero(resid), (label, 0)
+            assert ws.w(label, 1).is_zero()
+        else:  # region I carries two equations, order 0 and order 1
+            lhs = mat_bracket(Kt, mat_add(target, mixed0))
+            assert lhs == B0, (label, 0)
+            w1 = ws.w(label, 1)
+            P1, B1, Bt1 = _w_blocks(w1, e, n)
+            mixed1 = mat_add(P1, Bt1)
+            resid = mat_add(mat_sub(target, mat_bracket(Kt, mixed1)), B1)
+            assert mat_is_zero(resid), (label, 1)
+
+
 class TestSolveDec:
     def test_region_three_vanishes(self):
         ws = solve_dec(2, 1, j_matrix_rat(2, 1))
@@ -208,36 +242,19 @@ class TestSolveDec:
     def test_equations_resubstitute_in_block_form(self, e, d):
         """Each solved quadruple satisfies its decomposition equation written
         out in explicit block form."""
+        _assert_block_equations(e, d, j_matrix_rat(e, d))
+
+    @pytest.mark.parametrize("e,d", [(2, 1), (1, 2), (3, 2), (2, 3), (1, 4)])
+    def test_equations_resubstitute_at_a_dense_k(self, e, d):
+        """The same at a K with no zero entry, where the split coordinates
+        of a region I element are nonzero both in N and in P's upper-right
+        block (at K = +-J, for every pair with n <= 9, they never are)."""
+        rng = random.Random(31 * e + d)
         n = e + d
-        K = j_matrix_rat(e, d)
-        Kt = tuple(zip(*K))
-        ws = solve_dec(e, d, K)
-        for label in sl_basis(n):
-            if label[0] == "unit":
-                _, i, j = label
-                reg = region(i, j, e, n)
-                target = mat_unit(n, j, i)
-            else:
-                reg = "cartan"
-                target = basis_matrix(label, n)
-            if label[0] == "unit" and reg == "III":
-                continue
-            w0 = ws.w(label, 0)
-            P0, B0, Bt0 = _w_blocks(w0, e, n)
-            mixed0 = mat_add(P0, Bt0)  # (A | Btilde / 0 | D)
-            if label[0] == "cartan" or reg in ("II", "IV"):
-                # target - [K^t, (A|Btilde/0|D)] + (0|B/0|0) = 0
-                resid = mat_add(mat_sub(target, mat_bracket(Kt, mixed0)), B0)
-                assert mat_is_zero(resid), (label, 0)
-                assert ws.w(label, 1).is_zero()
-            else:  # region I carries two equations, order 0 and order 1
-                lhs = mat_bracket(Kt, mat_add(target, mixed0))
-                assert lhs == B0, (label, 0)
-                w1 = ws.w(label, 1)
-                P1, B1, Bt1 = _w_blocks(w1, e, n)
-                mixed1 = mat_add(P1, Bt1)
-                resid = mat_add(mat_sub(target, mat_bracket(Kt, mixed1)), B1)
-                assert mat_is_zero(resid), (label, 1)
+        K = freeze([[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                     for _ in range(n)] for _ in range(n)])
+        assert frobenius_gram(K, e, n).nondegenerate
+        _assert_block_equations(e, d, K)
 
     @pytest.mark.parametrize("e,d", [(2, 1), (3, 2), (1, 3)])
     def test_w_elements_live_in_p_plus_zn(self, e, d):
@@ -300,6 +317,23 @@ class TestSolveDec:
         (1, 3, -1, "56d3dd424d43ec782947176fb9f66016ba9161ed51d19b5fcec7d933151f3c4d"),
         (3, 2, 1, "04ff653a11a6ea01da85ca16a7a3847756ed7567c530f1e8abff32e1bddfa333"),
         (3, 2, -1, "fa7488fd5923ad1fb9abeac0bb90b2192994385416e05f7d6945afae1422dcc9"),
+        # every other coprime pair with n <= 7 at K = -J, recorded while
+        # solve_dec still built dense target and element grids
+        (1, 1, -1, "e222970888a3c3e4b9cabaac7e75a7de9650badc79041987d0480b91093451d6"),
+        (1, 2, -1, "a8ee7a7603f18a97a1716d92b4f42aa6ca590a1bd009ad5ee5fb076a817aa8d8"),
+        (2, 1, -1, "b7aae55bebe070c3f36b76c619411008745c186bddb216905588d2cf173c2633"),
+        (3, 1, -1, "4112f9313ba0b41186d034ba8af1787f39a87103e7d9336067d5cb3fb050d395"),
+        (1, 4, -1, "59b3c765704373de0ecfb4289d6aeaf0973115f60cfc6b88d92b2b1bdf084e69"),
+        (2, 3, -1, "48244d392d61cb98dc47f1097389c7e800e453d1bdf51dd6c3d99b990bc96504"),
+        (4, 1, -1, "1a0e4bd7b710996d9e473f9263116d99637411f8b5907dd2f7fbaaab6bd5fff6"),
+        (1, 5, -1, "e728320174af805daef2d1beea3e3d60942083e5c53aaf775c48e243dacbffe6"),
+        (5, 1, -1, "0990e963dc8eb837dbf5c977e65eec1edde553a2656700161b9e1a53ab2f6e6a"),
+        (1, 6, -1, "4328ceccab04894fa7bdfbcadaa6ca039c3c0b3f508375600dd2dd02ece37c3b"),
+        (2, 5, -1, "1059e2d615682b89ea17fc647d905267e26cb120a4fcef1135da0692e0f4801a"),
+        (3, 4, -1, "170aa55c8090bdafff04804c7738f70b48092c5c182033f0bdf9f915a8e1f4c6"),
+        (4, 3, -1, "1d670be471831c42c2200b2495889743dec750b01fde719e0726873742b36014"),
+        (5, 2, -1, "7ea3a9830d37710611a7742b4d6387c519fe3c60259afe4a31978d57e231e4f8"),
+        (6, 1, -1, "a33722abba2971f37b2482ced7d408d3cd609ccf7ffea61976dc48a0925f9004"),
     ])
     def test_elements_golden(self, e, d, sign, digest):
         """sha256 of the entries of every w at K = sign * J, first taken
