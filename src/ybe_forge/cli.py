@@ -28,15 +28,13 @@ from .document import (
 EXIT_FAIL = 2
 EXIT_BADINPUT = 3
 
-# Largest n (e + d for `jmatrix`) any command accepts; larger requests exit
-# 3 before any work.  The exact pipelines cost about n^6: on one CPU of a
-# 2-core Intel Xeon, `rational 12 1` takes 0.22 s and `elliptic 12 1` 0.21 s.
+# Largest n (e + d for `jmatrix`) any command accepts, and largest `verify
+# --n-max`; larger requests exit 3 before any work.  The exact pipelines
+# cost about n^6: on one CPU of a 2-core Intel Xeon, `rational 12 1` takes
+# 0.22 s and `elliptic 12 1` 0.21 s.  `verify` proves the CYBE and
+# unitarity once per table: `python tools/time_verify.py 8 12` (in-process,
+# serial) reads 1.2-1.3 s at 8 and 4.7-6.6 s at 12 on the same machine.
 N_MAX = 12
-# Largest `verify --n-max`.  The suite's cost grows 1.4- to 1.6-fold per
-# step of n: serial on one CPU of a 2-core Intel Xeon, in a slow phase of
-# the VM (`python -c pass` 58 ms), --n-max 5 takes 0.9 s, 7 takes 2.1 s
-# and 8 takes 3.0 s.
-VERIFY_N_MAX = 8
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and
 # y enter only a table evaluation: on one CPU of a 2-core Intel Xeon,
@@ -92,9 +90,9 @@ def _parse_complex(text: str, name: str) -> complex:
     return value
 
 
-def _check_size(n: int, name: str = "n", limit: int = N_MAX):
-    if n > limit:
-        _fail("%s = %d exceeds the supported maximum %d" % (name, n, limit), EXIT_BADINPUT)
+def _check_size(n: int, name: str = "n"):
+    if n > N_MAX:
+        _fail("%s = %d exceeds the supported maximum %d" % (name, n, N_MAX), EXIT_BADINPUT)
 
 
 def _emit(tensor, provenance: dict, fmt: str):
@@ -305,7 +303,7 @@ def verify_cmd(suite, n_max, fmt):
 
     if n_max < 2:
         _fail("--n-max must be at least 2", EXIT_BADINPUT)
-    _check_size(n_max, "--n-max", VERIFY_N_MAX)
+    _check_size(n_max, "--n-max")
     try:
         threads = verify.forge_threads()
     except ValueError as exc:

@@ -380,10 +380,11 @@ class GElements:
 
 # Most residue points whose corrections `g_elements` keeps.  At n = 12 one
 # entry holds about 0.35 MB (measured with tracemalloc at (1, 11) and
-# (5, 7)), so the cache stays under about 23 MB; no assembly reads it.
-# `stolin.solve_dec` keeps as many cocycle matrices: `verify --n-max 8`
-# asks it for 42 (370 hits), so it loses none.
-G_ELEMENTS_CACHE_MAX = 64
+# (5, 7)), so the cache stays under about 34 MB; no assembly reads it.
+# `stolin.solve_dec` keeps as many cocycle matrices: `verify --n-max 12`
+# asks it for J and -J at each of the 45 pairs, 90 in all, so it loses
+# none (at 64 it re-solved about 30).
+G_ELEMENTS_CACHE_MAX = 96
 
 
 @lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)

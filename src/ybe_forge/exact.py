@@ -76,10 +76,6 @@ def freeze(rows) -> tuple:
     return tuple(tuple(row) for row in rows)
 
 
-def mat_zero(n: int) -> tuple:
-    return tuple(tuple(ZERO for _ in range(n)) for _ in range(n))
-
-
 def mat_unit(n: int, i: int, j: int) -> tuple:
     """Matrix unit e_{i,j} with 1-based indices, as in the usual basis."""
     if not (1 <= i <= n and 1 <= j <= n):
@@ -88,10 +84,6 @@ def mat_unit(n: int, i: int, j: int) -> tuple:
         tuple(ONE if (r == i - 1 and c == j - 1) else ZERO for c in range(n))
         for r in range(n)
     )
-
-
-def mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 def mat_is_zero(a) -> bool:

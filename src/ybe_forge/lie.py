@@ -388,11 +388,19 @@ def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
     and 29,154 with it.  Complex inputs skip the drop, which would change
     their rounding.
     """
-    r12._check_compatible(r13)
-    r12._check_compatible(r23)
-    n = r12.n
-    rational = r12.ring == RATIONAL
-    den = _common_denominator((r12, r13, r23)) if rational else 1
+    return cybe_lhs_sum([(r12, r13, r23)])
+
+
+def cybe_lhs_sum(triples) -> GlTensor3:
+    """The sum of `cybe_lhs(r12, r13, r23)` over the triples, from one pass
+    per row v over all of them: a term that cancels between triples is
+    never decoded."""
+    tensors = [t for triple in triples for t in triple]
+    for t in tensors[1:]:
+        tensors[0]._check_compatible(t)
+    n = tensors[0].n
+    rational = tensors[0].ring == RATIONAL
+    den = _common_denominator(tensors) if rational else 1
 
     def coeffs(t: GlTensor2) -> dict:
         if not rational:
@@ -401,44 +409,49 @@ def cybe_lhs(r12: GlTensor2, r13: GlTensor2, r23: GlTensor2) -> GlTensor3:
 
     base = n + 1
     powers = [base ** p for p in range(5, -1, -1)]
-    c12, c13, c23 = coeffs(r12), coeffs(r13), coeffs(r23)
-    # the bracket acts on each tensor's first factor; swapping moves the
-    # shared slot there.  [r12, r13] lands in slot 1 and takes c12 and c13,
-    # [r13, r23] in slot 3 and [r12, r23] in slot 2 take swapped tensors;
-    # those two carry the first factor of r13 and of r12 into slot 1, so
-    # their rows v are those of the second factor after the swap.
-    s12, s13, s23 = _swapped(c12), _swapped(c13), _swapped(c23)
-    if rational:
-        for t in (c12, c13, s13, s23, s12, c23):
-            _drop_central(t, n)
     (x1, y1, _), (x2, y2, _) = _bracket_joins((0, 1, 2), powers)
     in_slot3 = _bracket_joins((2, 0, 1), powers)
     in_slot2 = _bracket_joins((1, 0, 2), powers)
-    # the unrestricted side of each join, grouped once
-    r13_y1, r12_x2 = _by_slot(c13, *y1), _by_slot(c12, *x2)
-    r23_slot3 = [(x, _by_slot(s23, *y), sign) for x, y, sign in in_slot3]
-    r23_slot2 = [(x, _by_slot(c23, *y), sign) for x, y, sign in in_slot2]
-    rows12, rows13 = _by_row(c12, 0), _by_row(c13, 0)
-    srows13, srows12 = _by_row(s13, 2), _by_row(s12, 2)
+    groups = []
+    for r12, r13, r23 in triples:
+        c12, c13, c23 = coeffs(r12), coeffs(r13), coeffs(r23)
+        # the bracket acts on each tensor's first factor; swapping moves the
+        # shared slot there.  [r12, r13] lands in slot 1 and takes c12 and
+        # c13, [r13, r23] in slot 3 and [r12, r23] in slot 2 take swapped
+        # tensors; those two carry the first factor of r13 and of r12 into
+        # slot 1, so their rows v are those of the second factor after the
+        # swap.
+        s12, s13, s23 = _swapped(c12), _swapped(c13), _swapped(c23)
+        if rational:
+            for t in (c12, c13, s13, s23, s12, c23):
+                _drop_central(t, n)
+        # the unrestricted side of each join, grouped once, then the rows
+        groups.append((
+            _by_slot(c13, *y1), _by_slot(c12, *x2),
+            [(x, _by_slot(s23, *y), sign) for x, y, sign in in_slot3],
+            [(x, _by_slot(c23, *y), sign) for x, y, sign in in_slot2],
+            _by_row(c12, 0), _by_row(c13, 0), _by_row(s13, 2), _by_row(s12, 2),
+        ))
     sq = den * den
     unit = [divmod(q, base) for q in range(base * base)]  # (row, col) of a packed slot
     terms: dict = {}
     for v in range(1, n + 1):
         packed: dict = {}
-        _join(packed, _by_slot(rows12.get(v, {}), *x1), r13_y1, 1)
-        _join(packed, r12_x2, _by_slot(rows13.get(v, {}), *y2), -1)
-        v13, v12 = srows13.get(v, {}), srows12.get(v, {})
-        for x, ys, sign in r23_slot3:
-            _join(packed, _by_slot(v13, *x), ys, sign)
-        for x, ys, sign in r23_slot2:
-            _join(packed, _by_slot(v12, *x), ys, sign)
+        for r13_y1, r12_x2, r23_slot3, r23_slot2, rows12, rows13, srows13, srows12 in groups:
+            _join(packed, _by_slot(rows12.get(v, {}), *x1), r13_y1, 1)
+            _join(packed, r12_x2, _by_slot(rows13.get(v, {}), *y2), -1)
+            v13, v12 = srows13.get(v, {}), srows12.get(v, {})
+            for x, ys, sign in r23_slot3:
+                _join(packed, _by_slot(v13, *x), ys, sign)
+            for x, ys, sign in r23_slot2:
+                _join(packed, _by_slot(v12, *x), ys, sign)
         # lexicographic order of the six indices
         for key in sorted([key for key, c in packed.items() if c]):
             c = packed[key]
             first, rest = divmod(key, powers[1])
             second, third = divmod(rest, powers[3])
             terms[unit[first] + unit[second] + unit[third]] = Fraction(c, sq) if rational else c
-    return GlTensor3(n, r12.ring, terms)
+    return GlTensor3(n, tensors[0].ring, terms)
 
 
 def cybe_residual_two_variable(r_of, points) -> GlTensor3:

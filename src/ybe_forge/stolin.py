@@ -23,11 +23,8 @@ from .exact import (
     det,
     eval_matrix_poly,
     freeze,
-    mat_add,
     mat_from_entries,
     mat_is_zero,
-    mat_unit,
-    mat_zero,
     matrix_poly_from_coeffs,
     matrix_poly_from_entries,
     rat,
@@ -38,7 +35,6 @@ from .lie import (
     TensorTable,
     apply_gauge,
     basis_matrix,
-    cartan_dual,
     casimir,
     dual_matrix,
     dual_terms,
@@ -99,24 +95,33 @@ def _label_units(lbl) -> tuple:
     return ((l, l, 1), (l + 1, l + 1, -1))
 
 
-def _bracket_kt_terms(K, lbl, n) -> dict:
+def _k_nonzeros(K) -> tuple:
+    """The nonzero entries of K as (rows, columns): rows[i] lists the
+    (column, entry) of row i and columns[j] the (row, entry) of column j,
+    0-based and in ascending order."""
+    rows = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in K)
+    cols: list = [[] for _ in K]
+    for r, row in enumerate(rows):
+        for c, v in row:
+            cols[c].append((r, v))
+    return rows, tuple(map(tuple, cols))
+
+
+def _bracket_kt_terms(kn, lbl) -> dict:
     """[K^t, B] for a basis label B as {(row, col): nonzero entry}, 0-based,
-    from O(n) updates that exploit the sparsity of both."""
+    from the nonzeros `kn` of K (`_k_nonzeros`)."""
+    rows, cols = kn
     out: dict = {}
 
     def add(key, v):
         out[key] = out[key] + v if key in out else v
 
     for i, j, sign in _label_units(lbl):
-        # [K^t, e_{i,j}]: column j receives K[i-1][:], row i loses K[:][j-1]
-        for r in range(n):
-            v = K[i - 1][r]
-            if v:
-                add((r, j - 1), v if sign > 0 else -v)
-        for c in range(n):
-            v = K[c][j - 1]
-            if v:
-                add((i - 1, c), -v if sign > 0 else v)
+        # [K^t, e_{i,j}]: column j receives row i of K, row i loses column j
+        for r, v in rows[i - 1]:
+            add((r, j - 1), v if sign > 0 else -v)
+        for c, v in cols[j - 1]:
+            add((i - 1, c), -v if sign > 0 else v)
     return {key: v for key, v in out.items() if v}
 
 
@@ -134,12 +139,13 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
     A degenerate K is a valid query and is reported, not raised.
     """
     K = freeze(K)
+    kn = _k_nonzeros(K)
     labels = parabolic_labels(e, n)
     index = {lbl: p for p, lbl in enumerate(labels)}
     rows = []
     for lbl in labels:
         row: dict = {}
-        for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
+        for (r, c), v in _bracket_kt_terms(kn, lbl).items():
             if r != c:
                 p = index.get(("unit", c + 1, r + 1))
                 if p is not None:  # no Gram column for e_{c+1,r+1} outside p_e
@@ -180,9 +186,10 @@ def _split_solver(K: tuple, e: int, n: int):
         for j in range(1, n + 1)
         if region(i, j, e, n) == "I"
     ]
+    kn = _k_nonzeros(K)
     rows: list = [{} for _ in range(n * n)]
     for p, lbl in enumerate(labels):
-        for (r, c), v in _bracket_kt_terms(K, lbl, n).items():
+        for (r, c), v in _bracket_kt_terms(kn, lbl).items():
             rows[r * n + c][p] = v
     for q, (i, j) in enumerate(nil_pos, len(labels)):
         rows[(i - 1) * n + j - 1][q] = 1
@@ -285,6 +292,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
         raise NonCoprimeError("need coprime (e, d), got (%d, %d)" % (e, d))
     n = e + d
     K = freeze(K)
+    kn = _k_nonzeros(K)
     targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
         if label[0] == "cartan":  # the second slot of `_dual_pair`: h_l itself
@@ -295,7 +303,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
         dual = {(j - 1, i - 1): 1}
         if reg == "I":
             # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
-            bracket = _bracket_kt_terms(K, ("unit", j, i), n)
+            bracket = _bracket_kt_terms(kn, ("unit", j, i))
             targets[label, 0] = {key: -v for key, v in bracket.items()}
             targets[label, 1] = dual
         elif reg != "III":
@@ -316,11 +324,39 @@ def assemble_stolin_r(e: int, d: int, K, x, y) -> GlTensor2:
     x, y = rat(x), rat(y)
     if x == y:
         raise ValueError("need x != y")
-    return solve_dec(e, d, freeze(rational_k_matrix(K))).table.at(x, y)
+    return solve_dec(e, d, _normal_k(K)).table.at(x, y)
 
 
-def closed_form_d1(n: int, x, y) -> GlTensor2:
-    """Direct transcription of the closed formula for the pair (n-1, 1).
+class _NormalK(tuple):
+    """A cocycle matrix after `rational_k_matrix` and `freeze`, as the
+    `solve_dec` cache key: it hashes its n^2 Fractions once."""
+
+    def __hash__(self):
+        h = self.__dict__.get("hash")
+        if h is None:
+            h = self.__dict__["hash"] = tuple.__hash__(self)
+        return h
+
+
+# The last K object that `_normal_k` normalised, with its normal form.  Only
+# a tuple of tuples is kept: it cannot change, so a caller that evaluates
+# many points at one K normalises and hashes it once, not at every point.
+_last_k: tuple = (None, None)
+
+
+def _normal_k(K) -> _NormalK:
+    global _last_k
+    if K is _last_k[0]:
+        return _last_k[1]
+    normal = _NormalK(freeze(rational_k_matrix(K)))
+    if type(K) is tuple and all(type(row) is tuple for row in K):
+        _last_k = (K, normal)
+    return normal
+
+
+def closed_form_d1(n: int) -> TensorTable:
+    """Direct transcription of the closed formula for the pair (n-1, 1), as
+    the table of r(x, y).
 
     A frequently quoted short n=2 variant ends in h (x) e_{2,1}; that reading
     is not unitary and matches neither construction route, so the last factor
@@ -328,56 +364,46 @@ def closed_form_d1(n: int, x, y) -> GlTensor2:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    x, y = rat(x), rat(y)
-    terms = []  # (first, second, coeff)
+    X, Y, C = (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    pairs = []  # (first, second, monomial), each factor {(i, j): entry}
 
-    def unit(i, j):
-        return mat_unit(n, i, j)
+    def unit(i, j, v=ONE):
+        return {(i, j): v}
 
     def hdual(l):
-        return cartan_dual(l, n)
+        return dual_terms(("cartan", l), n)
 
     def chain(j):
         # sum over k of e_{j+k-1, k+1}, the shifted lower chains
-        m = mat_zero(n)
-        for k in range(1, n - j + 2):
-            m = mat_add(m, unit(j + k - 1, k + 1))
-        return m
+        return {(j + k - 1, k + 1): ONE for k in range(1, n - j + 2)}
 
     def chain2(j):
         # sum over k of e_{j+k, k+1}
-        m = mat_zero(n)
-        for k in range(1, n - j + 1):
-            m = mat_add(m, unit(j + k, k + 1))
-        return m
+        return {(j + k, k + 1): ONE for k in range(1, n - j + 1)}
 
     # x [ e_{1,2} (x) h1-dual - sum_{j>=3} e_{1,j} (x) chain(j) ]
-    terms.append((unit(1, 2), hdual(1), x))
+    pairs.append((unit(1, 2), hdual(1), X))
     for j in range(3, n + 1):
-        terms.append((unit(1, j), chain(j), -x))
+        pairs.append((unit(1, j, -ONE), chain(j), X))
     # -y [ h1-dual (x) e_{1,2} - sum_{j>=3} chain(j) (x) e_{1,j} ]
-    terms.append((hdual(1), unit(1, 2), -y))
+    pairs.append((hdual(1), unit(1, 2, -ONE), Y))
     for j in range(3, n + 1):
-        terms.append((chain(j), unit(1, j), y))
+        pairs.append((chain(j), unit(1, j), Y))
     # constant blocks
     for j in range(2, n):
-        terms.append((unit(1, j), chain2(j), ONE))
+        pairs.append((unit(1, j), chain2(j), C))
     for i in range(2, n):
-        terms.append((unit(i, i + 1), hdual(i), ONE))
+        pairs.append((unit(i, i + 1), hdual(i), C))
     for j in range(2, n):
-        terms.append((chain2(j), unit(1, j), -ONE))
+        pairs.append((chain2(j), unit(1, j, -ONE), C))
     for i in range(2, n):
-        terms.append((hdual(i), unit(i, i + 1), -ONE))
+        pairs.append((hdual(i), unit(i, i + 1, -ONE), C))
     for i in range(2, n - 1):
         for k in range(2, n - i + 1):
-            m = mat_zero(n)
-            for l in range(1, n - i - k + 2):
-                m = mat_add(m, unit(i + k + l - 1, l + i))
-            terms.append((m, unit(i, i + k), ONE))
-            terms.append((unit(i, i + k), m, -ONE))
-
-    tail = tensor_from_pairs(n, terms)
-    return casimir(n).scale(ONE / (y - x)).add(tail)
+            m = {(i + k + l - 1, l + i): ONE for l in range(1, n - i - k + 2)}
+            pairs.append((m, unit(i, i + k), C))
+            pairs.append((unit(i, i + k), {ij: -v for ij, v in m.items()}, C))
+    return tensor_table(n, pairs)
 
 
 def compare_pipelines(e: int, d: int, x, y) -> bool:
@@ -462,10 +488,11 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
     form = frobenius_gram(K, e, n)
     if not form.nondegenerate:
         raise DegenerateFormError("omega_K is degenerate on p_%d" % e)
+    kn = _k_nonzeros(K)
     alphas = {lbl: _matrix_terms(basis_matrix(lbl, n)) for lbl in sl_basis(n)}
     elements = []
     for lbl, alpha in alphas.items():
-        chi = _bracket_kt_terms(K, lbl, n)
+        chi = _bracket_kt_terms(kn, lbl)
         entries = _eta_shift(e, n, [(alpha, 0), (chi, -1)])
         elements.append(laurent_from_coeffs(n, entries, lo, hi))
     for m_deg in range(2, -lo + 2):

@@ -16,7 +16,6 @@ from ybe_forge.cli import (
     K_FILE_BYTES_MAX,
     N_MAX,
     RAT_DIGITS_MAX,
-    VERIFY_N_MAX,
     main,
     verify_cmd,
 )
@@ -289,10 +288,20 @@ class TestSizeCap:
         assert len(res.stderr.strip().splitlines()) == 1
 
     def test_verify_above_cap_exit_3(self, runner):
-        res = run(runner, "verify", "--n-max", str(VERIFY_N_MAX + 1))
+        """`verify --n-max` shares the one cap N_MAX."""
+        res = run(runner, "verify", "--n-max", str(N_MAX + 1))
         assert res.exit_code == 3
-        assert "exceeds the supported maximum %d" % VERIFY_N_MAX in res.stderr
+        assert "exceeds the supported maximum %d" % N_MAX in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
+
+    def test_verify_cap_admitted(self, runner, monkeypatch):
+        """--n-max N_MAX passes argument checking and reaches the suite."""
+        calls = []
+        monkeypatch.setattr(verify, "run_suite", lambda suite, n_max, threads: calls.append(
+            (suite, n_max)) or verify.VerifyReport(suite, ()))
+        res = run(runner, "verify", "--n-max", str(N_MAX))
+        assert res.exit_code == 0
+        assert calls == [("all", N_MAX)]
 
     def test_cap_admitted(self, runner):
         assert run(runner, "jmatrix", str(N_MAX - 1), "1").exit_code == 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_bit_for_bit import POINTS, entries_text
-from test_exact import rank
+from test_exact import mat_add, mat_zero, rank
 from test_lie import nondegenerate
 from ybe_forge import cuspidal, exact, lie, stolin, verify
 from ybe_forge.cli import N_MAX
@@ -38,11 +38,9 @@ from ybe_forge.exact import (
     ZERO,
     MatrixPoly,
     eval_matrix_poly,
-    mat_add,
     mat_from_entries,
     mat_is_zero,
     mat_unit,
-    mat_zero,
     matrix_poly_from_coeffs,
     poly_trim,
 )

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_exact import rank
+from test_exact import mat_zero, rank
 from test_lie import trace_form
 from ybe_forge import stolin
 from ybe_forge.cuspidal import region
-from ybe_forge.exact import ONE, ZERO, mat_zero
+from ybe_forge.exact import ONE, ZERO
 from ybe_forge.lie import basis_matrix, casimir, dual_matrix, sl_basis
 from ybe_forge.stolin import (
     TruncationError,

@@ -17,6 +17,7 @@ from test_cuspidal import (
     spy_tensor_products,
     table_mismatches,
 )
+from test_exact import mat_add, mat_zero
 from ybe_forge import lie, stolin
 from ybe_forge.cuspidal import (
     G_ELEMENTS_CACHE_MAX,
@@ -30,11 +31,9 @@ from ybe_forge.exact import (
     ZERO,
     eval_matrix_poly,
     freeze,
-    mat_add,
     mat_from_entries,
     mat_is_zero,
     mat_unit,
-    mat_zero,
 )
 from ybe_forge.lie import (
     apply_gauge,
@@ -59,6 +58,7 @@ from ybe_forge.stolin import (
     parabolic_labels,
     solve_dec,
 )
+from ybe_forge.verify import _coprime_pairs
 
 
 def mat_bracket(a, b):
@@ -79,6 +79,38 @@ def omega_pairing(K, a, b):
     br = mat_bracket(a, b)
     n = len(K)
     return sum(K[i][j] * br[i][j] for i in range(n) for j in range(n))
+
+
+def _dense_bracket_kt(K, lbl, n) -> dict:
+    """[K^t, B] from a scan of a whole row and column of K per unit of B:
+    the reference of `stolin._bracket_kt_terms`."""
+    out: dict = {}
+    for i, j, sign in stolin._label_units(lbl):
+        for r in range(n):
+            if K[i - 1][r]:
+                v = K[i - 1][r] if sign > 0 else -K[i - 1][r]
+                out[r, j - 1] = out[r, j - 1] + v if (r, j - 1) in out else v
+        for c in range(n):
+            if K[c][j - 1]:
+                v = -K[c][j - 1] if sign > 0 else K[c][j - 1]
+                out[i - 1, c] = out[i - 1, c] + v if (i - 1, c) in out else v
+    return {key: v for key, v in out.items() if v}
+
+
+def test_bracket_kt_terms_is_the_dense_scan():
+    """From K's nonzeros read once, every bracket equals the dense scan,
+    entries and order, for every coprime pair with e + d <= 12 at J, -J
+    and a sparse random K."""
+    rng = random.Random(12)
+    for (e, d) in _coprime_pairs(12):
+        n = e + d
+        sparse = tuple(tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.3
+                             else ZERO for _ in range(n)) for _ in range(n))
+        for K in (j_matrix_rat(e, d), neg_j_matrix(e, d), sparse):
+            kn = stolin._k_nonzeros(K)
+            for lbl in sl_basis(n):
+                assert list(stolin._bracket_kt_terms(kn, lbl).items()) == list(
+                    _dense_bracket_kt(K, lbl, n).items())
 
 
 class TestFrobeniusGram:
@@ -371,22 +403,22 @@ class TestAssembly:
         for _ in range(3):
             x = F(rng.randint(-9, 9), rng.randint(1, 9))
             y = x + F(rng.randint(1, 9), rng.randint(1, 9))
-            assert closed_form_d1(n, x, y) == assemble_stolin_r(
+            assert closed_form_d1(n).at(x, y) == assemble_stolin_r(
                 1, n - 1, j_matrix_rat(1, n - 1), x, y
             )
 
     def test_closed_form_pole_part(self):
         x, y = F(0), F(1)
-        tail = closed_form_d1(3, x, y).sub(casimir(3).scale(ONE / (y - x)))
+        tail = closed_form_d1(3).at(x, y).sub(casimir(3).scale(ONE / (y - x)))
         # no 1/(y-x) singularity remains in the tail: evaluate at nearby pair
         x2, y2 = F(1, 1000), F(1)
-        tail2 = closed_form_d1(3, x2, y2).sub(casimir(3).scale(ONE / (y2 - x2)))
+        tail2 = closed_form_d1(3).at(x2, y2).sub(casimir(3).scale(ONE / (y2 - x2)))
         assert max(abs(v) for v in tail2.terms.values()) < 10
 
     def test_closed_form_unitary(self, rng):
         for n in (2, 3, 4):
             x, y = F(1, 3), F(5, 2)
-            assert is_unitary_pair(closed_form_d1(n, x, y), closed_form_d1(n, y, x))
+            assert is_unitary_pair(closed_form_d1(n).at(x, y), closed_form_d1(n).at(y, x))
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3)])
     def test_cybe_and_unitarity(self, e, d, rng):
@@ -483,6 +515,39 @@ class TestTable:
             assert solve_dec(e, d, K).table is not table
         finally:
             solve_dec.cache_clear()
+
+
+    def test_assembly_normalises_k_once(self, monkeypatch):
+        """A K object passed again is not normalised again, and every
+        assembly is, repr for repr, the table of `solve_dec` at the
+        normalised K: for a tuple K reused, an equal K in a new object and a
+        list K changed in place between two calls."""
+        normalised = []
+        rational = stolin.rational_k_matrix
+        monkeypatch.setattr(stolin, "rational_k_matrix",
+                            lambda K: normalised.append(1) or rational(K))
+        monkeypatch.setattr(stolin, "_last_k", (None, None))
+
+        def check(e, d, K, pts):
+            for x, y in pts:
+                want = solve_dec(e, d, freeze(rational(K))).table.at(x, y)
+                assert repr(assemble_stolin_r(e, d, K, x, y)) == repr(want)
+
+        pts = [(F(1, 3), F(2)), (F(-7, 2), F(5, 9)), (F(0), F(1))]
+        K = neg_j_matrix(2, 3)
+        check(2, 3, K, pts)
+        assert len(normalised) == 1
+        check(3, 2, neg_j_matrix(3, 2), pts)
+        check(2, 3, neg_j_matrix(2, 3), pts)
+        assert len(normalised) == 3
+        check(2, 3, K, pts)
+        assert len(normalised) == 4
+        listed = [[str(v) for v in row] for row in K]
+        check(2, 3, listed, pts[:1])
+        for row in listed:  # now +J
+            row[:] = [str(-F(v)) for v in row]
+        check(2, 3, listed, pts[:1])
+        assert len(normalised) == 6
 
 
 class TestComparison:
