@@ -316,9 +316,8 @@ def sol_family(e: int, d: int) -> SolFamily:
         sols = solve_multi(b0, w_rhs + list(u_rhs.values()) + [cols1[c] for c in p_cols], head)
     except (SingularSystemError, InconsistentSystemError) as exc:
         raise SolDimensionError("Sol((%d,%d), x): %s" % (e, d, exc)) from exc
-    sparse = [{c: v for c, v in enumerate(sol) if v} for sol in sols]
-    den = lcm(*(v.denominator for sol in sparse for v in sol.values()))
-    ints = [{c: v.numerator * (den // v.denominator) for c, v in sol.items()} for sol in sparse]
+    den = lcm(*(q for _, q in sols))
+    ints = [{c: v * (den // q) for c, v in sol.items()} for sol, q in sols]
     u = dict(zip(u_rhs, ints[len(w_rhs):]))
     # each member with its residue coordinates, the dual itself
     w0 = tuple({**w, **{c: den * v for c, v in D.items()}} for w, D in zip(ints, duals))
@@ -433,7 +432,9 @@ def point_sol_space(e: int, d: int, x) -> SolBasis:
     x = rat(x)
     # A0 and A1 share no column within a row
     rows = [{**r0, **{c: x * v for c, v in r1.items() if x}} for r0, r1 in zip(*_sol_rows(e, d))]
-    return SolBasis(e, d, x, tuple(kernel(rows, len(_ved_coords(e, d)))))
+    ncols = len(_ved_coords(e, d))
+    return SolBasis(e, d, x, tuple(tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
+                                   for vec, den in kernel(rows, ncols)))
 
 
 def assemble_r(e: int, d: int, x, y) -> GlTensor2:

@@ -270,9 +270,22 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
 def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
     """The elliptic solution on the torus: sum over the Heisenberg index set
     of exp(-2 pi i d k v / n) sigma(d(l - k tau)/n, v) Zdual_{k,l} (x) Z_{k,l}
-    with v = y - x."""
+    with v = y - x.
+
+    r is invariant under tau -> tau + n.  theta1(z | tau + 1) =
+    exp(i pi / 4) theta1(z | tau) (DLMF 20.7.26), so sigma(u, v), with two
+    theta1 factors above and two below, does not change with tau at fixed
+    u and v.  The lattice point u = (s - r tau)/n moves by the integer -r
+    under tau -> tau + n, and theta1(z - r) = (-1)^r theta1(z) changes the
+    numerator theta1(u + v) and the denominator theta1(u) by the same sign.
+    The prefactor exp(-2 pi i r v / n) does not involve tau.  The float
+    phase of q = exp(i pi tau) and of u loses its accuracy as |Re tau|
+    grows, so for |Re tau| > n/2 r is evaluated at Re tau reduced mod n into
+    [-n/2, n/2] by the exact `math.remainder`."""
     if gcd(n, d) != 1 or not 0 < d < n:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
+    if abs(ctx.tau.real) > n / 2:
+        ctx = ThetaContext(complex(math.remainder(ctx.tau.real, n), ctx.tau.imag), ctx.terms)
     v = complex(y) - complex(x)
     if not cmath.isfinite(v / ctx.tau.imag):
         raise ValueError(

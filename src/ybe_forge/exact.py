@@ -15,10 +15,12 @@ those.  The solvers work in integers: the stored entries of each row are
 cleared of denominators, one sparse fraction-free (Bareiss) elimination
 runs on them, back-substitution yields numerators over one common
 denominator per solution, and every solution is re-checked in integers
-against the cleared rows.  Fractions are built only for the returned
-values.  Each pivot step rewrites only the rows nonzero in its column and
-rescales the others lazily, when they are next touched; back-substitution
-and the re-check touch only the nonzero values of each solution.
+against the cleared rows.  `kernel` and `solve_multi` return each
+solution as it comes out, ({column: nonzero numerator}, positive den) in
+lowest terms: no Fraction is built.  Each pivot step rewrites only the
+rows nonzero in its column and rescales the others lazily, when they are
+next touched; back-substitution and the re-check touch only the nonzero
+values of each solution.
 """
 
 from __future__ import annotations
@@ -276,42 +278,34 @@ def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple
     return out
 
 
-def _fractions(v: dict, sign: int, den: int, ncols: int) -> tuple:
-    """The first `ncols` entries of the numerators `v` times `sign`, over
-    `den`, as a dense tuple of Fractions."""
-    out = [ZERO] * ncols
-    for c, a in v.items():
-        if c < ncols:
-            out[c] = Fraction(sign * a, den)
-    return tuple(out)
-
-
-def kernel(rows: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
+def kernel(rows: Sequence[dict], ncols: int) -> list[tuple[dict[int, int], int]]:
     """Exact basis of the null space of the matrix with {column: entry} rows
     `rows` and `ncols` columns: one vector per non-pivot column f, 1 at f and
     0 at the other non-pivot columns.
 
-    Every vector is re-checked as A.num == 0 against the denominator-cleared
-    rows before it is turned into Fractions.
+    Each vector comes as ({column: nonzero numerator}, positive den) in
+    lowest terms, so its entry at f is den.  Every vector is re-checked as
+    A.num == 0 against the denominator-cleared rows.
     """
     ints, _ = _integer_rows(rows, ncols)
     m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], ncols)
     free_cols = sorted(set(range(ncols)).difference(piv_cols))
-    vecs = _null_vectors(ints, m, piv_cols, free_cols, ncols, "kernel")
-    return [_fractions(v, 1, den, ncols) for v, den in vecs]
+    return _null_vectors(ints, m, piv_cols, free_cols, ncols, "kernel")
 
 
-def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> list[tuple[Fraction, ...]]:
+def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> list[tuple[dict[int, int], int]]:
     """Solve A x = b for several right-hand sides at once: A has the
     {column: entry} rows `rows` and `ncols` columns, and each b is a
-    {row: entry} dict.
+    {row: entry} dict.  Each x comes as ({column: nonzero numerator},
+    positive den) in lowest terms.
 
     Accepts square or overdetermined-consistent systems.  Raises
     SingularSystemError if A has deficient column rank and
     InconsistentSystemError if elimination yields 0 = nonzero.  One
     elimination serves every right-hand side.  x is the null vector
     (x, -1) of [A | b], so it is re-checked as A.num == b.den against the
-    denominator-cleared rows.
+    denominator-cleared rows, and its numerators are those of that null
+    vector negated, off the right-hand-side column.
     """
     nrows = len(rows)
     _check_columns(rows, ncols)
@@ -330,7 +324,7 @@ def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> l
     if len(piv_cols) < ncols:
         raise SingularSystemError("coefficient matrix is rank-deficient")
     vecs = _null_vectors(ints, m, piv_cols, range(ncols, width), width, "solve")
-    return [_fractions(v, -1, den, ncols) for v, den in vecs]
+    return [({c: -a for c, a in v.items() if c < ncols}, den) for v, den in vecs]
 
 
 def det(rows: Sequence[dict], ncols: int) -> Fraction:
@@ -456,33 +450,6 @@ class MatrixPoly:
     def __post_init__(self):
         if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
             raise ValueError("entries must be an n x n grid of polynomials")
-
-    def coeff_terms(self) -> dict:
-        """{k: {(i, j): nonzero z**k coefficient of entry (i, j)}}, 1-based,
-        read off the nonzero coefficients only."""
-        out: dict = {}
-        for i, row in enumerate(self.entries, 1):
-            for j, p in enumerate(row, 1):
-                for k, c in enumerate(p):
-                    if c:
-                        out.setdefault(k, {})[i, j] = c
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not p for row in self.entries for p in row)
-
-
-def matrix_poly_from_coeffs(coeff_mats: Sequence) -> MatrixPoly:
-    """Build from a list of constant matrices, index = power of z."""
-    n = len(coeff_mats[0])
-    entries = tuple(
-        tuple(
-            poly_trim([coeff_mats[k][i][j] for k in range(len(coeff_mats))])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return MatrixPoly(n, entries)
 
 
 def matrix_poly_from_entries(n: int, entries: dict) -> MatrixPoly:

@@ -17,16 +17,12 @@ from math import gcd
 from .cuspidal import G_ELEMENTS_CACHE_MAX, NonCoprimeError, build_j, region
 from .exact import (
     LinearAlgebraError,
-    MatrixPoly,
     ONE,
     ZERO,
     det,
-    eval_matrix_poly,
     freeze,
     mat_from_entries,
     mat_is_zero,
-    matrix_poly_from_coeffs,
-    matrix_poly_from_entries,
     rat,
     solve_multi,
 )
@@ -80,10 +76,6 @@ class FrobeniusForm:
         """The Gram matrix as a dense nested tuple."""
         cols = range(len(self.labels))
         return tuple(tuple(row.get(c, ZERO) for c in cols) for row in self.rows)
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.determinant != 0
 
 
 def _label_units(lbl) -> tuple:
@@ -224,35 +216,35 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     except LinearAlgebraError as exc:
         raise DegenerateFormError("omega_K is degenerate on p_%d" % e) from exc
     out = []
-    for coeffs in sols:
-        P: dict = {}
-        for c, lbl in zip(coeffs, labels):
-            if c:
-                for i, j, sign in _label_units(lbl):
-                    v = c if sign > 0 else -c
-                    P[i, j] = P[i, j] + v if (i, j) in P else v
-        N = {ij: c for c, ij in zip(coeffs[len(labels):], nil_pos) if c}
-        out.append(({ij: v for ij, v in P.items() if v}, N))
+    for coeffs, den in sols:
+        P: dict = {}  # (i, j) -> numerator over den
+        N = {}
+        for c, a in coeffs.items():
+            if c < len(labels):
+                for i, j, sign in _label_units(labels[c]):
+                    P[i, j] = P.get((i, j), 0) + (a if sign > 0 else -a)
+            else:
+                N[nil_pos[c - len(labels)]] = Fraction(a, den)
+        out.append(({ij: Fraction(a, den) for ij, a in P.items() if a}, N))
     return out
 
 
 @dataclass(frozen=True)
 class WElementSet:
-    """The degree <= 1 current-algebra elements w_{(label; k)} assembled from
-    the dec solves, including the prescribed zeros (lower-left block labels
-    vanish identically; order 1 vanishes outside the upper-right block)."""
+    """The degree <= 1 current-algebra elements w_{(label; k)} of the dec
+    solves, each as its parts {m: {(i, j): nonzero z^m coefficient}},
+    1-based, with no empty part.  Only the nonzero elements are stored: the
+    lower-left block labels vanish identically, and order 1 vanishes outside
+    the upper-right block."""
 
     e: int
     d: int
     K: tuple
-    elements: dict  # (label, k) -> MatrixPoly
+    parts: dict  # (label, k) -> {m: {(i, j): coefficient}}
 
     @property
     def n(self) -> int:
         return self.e + self.d
-
-    def w(self, label, k: int) -> MatrixPoly:
-        return self.elements[(label, k)]
 
     @cached_property
     def table(self) -> TensorTable:
@@ -262,9 +254,9 @@ class WElementSet:
         sum first(b) (x) w_(b;1), first(b) the first slot of `_dual_pair`."""
         n = self.n
         pairs = []
-        for (label, k), w in self.elements.items():
+        for (label, k), parts in self.parts.items():
             first = {label[1:]: ONE} if label[0] == "unit" else dual_terms(label, n)
-            pairs += [(first, second, (0, k, m)) for m, second in w.coeff_terms().items()]
+            pairs += [(first, second, (0, k, m)) for m, second in parts.items()]
         return tensor_table(n, pairs)
 
 
@@ -285,7 +277,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     with its upper-right block replaced by -N, plus z times that block of P.
     All of them come from one batched solve, which raises DegenerateFormError
     for a degenerate omega_K and verifies every solution by exact
-    re-substitution.  Targets and elements are built from the nonzero
+    re-substitution.  Targets and parts are built from the nonzero
     entries only.
     """
     if gcd(e, d) != 1:
@@ -308,14 +300,14 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
             targets[label, 1] = dual
         elif reg != "III":
             targets[label, 0] = dual
-    zero_poly = matrix_poly_from_entries(n, {})
-    elements = dict.fromkeys(((lbl, k) for lbl in sl_basis(n) for k in (0, 1)), zero_poly)
+    parts = {}
     for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
-        polys = {ij: (-v,) for ij, v in N.items()}
+        split: dict = {0: {ij: -v for ij, v in N.items()}, 1: {}}
         for (i, j), v in P.items():  # region I is i <= e < j
-            polys[i, j] = (-N.get((i, j), ZERO), v) if i <= e < j else (v,)
-        elements[key] = matrix_poly_from_entries(n, polys)
-    return WElementSet(e, d, K, elements)
+            split[1 if i <= e < j else 0][i, j] = v
+        if w := {m: terms for m, terms in split.items() if terms}:  # a zero target splits to 0
+            parts[key] = w
+    return WElementSet(e, d, K, parts)
 
 
 def assemble_stolin_r(e: int, d: int, K, x, y) -> GlTensor2:
@@ -485,9 +477,7 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
     if lo > -3 or hi < 1:
         raise TruncationError("window must contain [-3, 1], got %r" % (window,))
     K = freeze(rational_k_matrix(K))
-    form = frobenius_gram(K, e, n)
-    if not form.nondegenerate:
-        raise DegenerateFormError("omega_K is degenerate on p_%d" % e)
+    frobenius_splits([], K, e)  # DegenerateFormError unless omega_K is nondegenerate
     kn = _k_nonzeros(K)
     alphas = {lbl: _matrix_terms(basis_matrix(lbl, n)) for lbl in sl_basis(n)}
     elements = []
@@ -524,7 +514,7 @@ class SeriesResult:
 
     n: int
     tensor: GlTensor2
-    poly_parts: dict  # (label, k) -> MatrixPoly
+    parts: dict  # (label, k) -> {m: {(i, j): coefficient}}, as `WElementSet`
 
 
 def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
@@ -550,7 +540,7 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
     # rows: all (negative degree, matrix position) coordinates of the
     # window, row (deg - lo) n^2 + i n + j; column p is element p
     rows: list = [{} for _ in range(-lo * n * n)]
-    poly_terms = []  # per element, its (degree, i, j, entry) in degrees 0, 1
+    poly_terms = []  # per element, its (degree, (i, j), entry) in degrees 0, 1, 1-based
     for p, w in enumerate(order.elements):
         own = []
         for deg, m in w.coeffs.items():
@@ -560,7 +550,7 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
                         if lo <= deg < 0:
                             rows[((deg - lo) * n + i) * n + j][p] = v
                         elif deg <= 1:
-                            own.append((deg, i, j, v))
+                            own.append((deg, (i + 1, j + 1), v))
         poly_terms.append(own)
     rhs_cols = []
     wanted = []
@@ -575,25 +565,33 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
     except LinearAlgebraError as exc:
         raise TruncationError("dual element not solvable in window") from exc
 
-    poly_parts = {}
+    parts = {}
     terms = []
-    for (lbl, k), coeffs in zip(wanted, sols):
-        poly_mats = [[[ZERO] * n for _ in range(n)] for _ in (0, 1)]
-        for c, own in zip(coeffs, poly_terms):
-            if c:
-                for deg, i, j, v in own:
-                    poly_mats[deg][i][j] += c * v
-        poly_parts[(lbl, k)] = matrix_poly_from_coeffs(poly_mats)
+    for key, (coeffs, den) in zip(wanted, sols):
+        acc: dict = {}  # m -> {(i, j): z^m coefficient times den}
+        for p, a in coeffs.items():
+            for deg, ij, v in poly_terms[p]:
+                slot = acc.setdefault(deg, {})
+                slot[ij] = slot.get(ij, ZERO) + a * v
+        w: dict = {}
+        for m, slot in acc.items():
+            for ij, v in slot.items():
+                if v:
+                    w.setdefault(m, {})[ij] = v / den
+        parts[key] = w
     for k in range(k_max + 1):
         xk = x**k
         pole_coeff = xk * y ** (-k - 1)
         for lbl in labels:
             first, dual = pairs[lbl]
             terms.append((first, dual, pole_coeff))
-            wpoly = eval_matrix_poly(poly_parts[(lbl, k)], y)
-            if not mat_is_zero(wpoly):
-                terms.append((first, wpoly, xk))
-    return SeriesResult(n, tensor_from_pairs(n, terms), poly_parts)
+            value: dict = {}  # w_(lbl;k)(y)
+            for m, coeffs in parts[lbl, k].items():
+                for ij, v in coeffs.items():
+                    value[ij] = value.get(ij, ZERO) + v * y**m
+            if any(value.values()):
+                terms.append((first, mat_from_entries(n, value), xk))
+    return SeriesResult(n, tensor_from_pairs(n, terms), parts)
 
 
 def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:

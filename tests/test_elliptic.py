@@ -409,6 +409,33 @@ class TestBelavin:
         assert belavin_cybe_residual(3, 1, ctx, pts) < 1e-9
         assert belavin_cybe_residual(5, 2, ctx, pts) < 1e-9
 
+    @pytest.mark.parametrize("n,d", [
+        (n, d) for n in range(2, 8) for d in range(1, n) if gcd(n, d) == 1][:12])
+    def test_invariant_under_tau_plus_n(self, n, d):
+        """r(tau + n) = r(tau), each side summed by the reference series at
+        its own modulus, and belavin_r leaves |Re tau| = n/2 unreduced."""
+        x, y = 0.11, 0.37 + 0.1j
+        base = belavin_r(n, d, CTX, x, y)
+        for shift in (n, -n, 2 * n):
+            moved = belavin_reference(n, d, ThetaContext(CTX.tau + shift), x, y)
+            assert moved.sub(base).norm() <= 1e-14 * base.norm()
+        for re_tau in (-n / 2, n / 2):
+            ctx = ThetaContext(complex(re_tau, 1))
+            assert repr(belavin_r(n, d, ctx, x, y)) == repr(belavin_reference(n, d, ctx, x, y))
+
+    @pytest.mark.parametrize("re_tau", [1e4, -1e4, 1e15, -1e15, 1e300])
+    def test_large_real_tau_reduced(self, re_tau):
+        """Far from the real period the float phase of q and of the lattice
+        points would decay (CYBE 14 at Re tau = 1e15); Re tau is reduced mod
+        n exactly, so the residuals stay at rounding level."""
+        ctx = ThetaContext(complex(re_tau, 1))
+        for n, d in ((2, 1), (3, 1), (5, 2)):
+            reduced = ThetaContext(complex(math.remainder(re_tau, n), 1))
+            assert belavin_r(n, d, ctx, 0.13, 0.41).terms == belavin_r(
+                n, d, reduced, 0.13, 0.41).terms
+            assert belavin_cybe_residual(n, d, ctx, (0.11, 0.27, 0.40)) < 1e-12
+            assert belavin_unitarity_residual(n, d, ctx, 0.13, 0.29) < 1e-12
+
     def test_non_finite_difference_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             belavin_r(2, 1, CTX_I, 1e308, -1e308)

@@ -1,6 +1,7 @@
 """Exact solvers, polynomials, interpolation, roots of unity."""
 
 import contextlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,10 +22,10 @@ from ybe_forge.exact import (
     eval_matrix_poly,
     interpolate,
     kernel,
-    matrix_poly_from_coeffs,
     poly_add,
     poly_eval,
     poly_mul,
+    poly_trim,
     rat,
     root_complex,
     root_table,
@@ -40,6 +41,19 @@ def mat_zero(n):
 
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def is_zero_poly(F) -> bool:
+    """Whether every entry of the matrix polynomial F is the zero polynomial."""
+    return not any(p for row in F.entries for p in row)
+
+
+def matrix_poly_from_coeffs(coeff_mats):
+    """The matrix polynomial with the constant matrices `coeff_mats` as its
+    coefficients, index = power of z."""
+    n = len(coeff_mats[0])
+    return MatrixPoly(n, tuple(
+        tuple(poly_trim([m[i][j] for m in coeff_mats]) for j in range(n)) for i in range(n)))
 
 
 def rank(rows, ncols):
@@ -60,9 +74,32 @@ def _rhs(b):
     return {i: v for i, v in enumerate(b) if v}
 
 
+def _dense(vecs, ncols):
+    """The solvers' ({column: numerator}, den) solutions as dense tuples of
+    Fractions, after checking their form: integer numerators, none zero,
+    every column below `ncols`, den > 0, and lowest terms."""
+    out = []
+    for v, den in vecs:
+        assert type(den) is int and den > 0
+        assert all(type(a) is int and a and 0 <= c < ncols for c, a in v.items())
+        assert math.gcd(den, *v.values()) == 1
+        out.append(tuple(F(v.get(c, 0), den) for c in range(ncols)))
+    return out
+
+
+def _kernel(rows, ncols):
+    """kernel, densified."""
+    return _dense(kernel(rows, ncols), ncols)
+
+
+def _solve_sparse(rows, rhs_cols, ncols):
+    """solve_multi on {column: entry} rows, densified."""
+    return _dense(solve_multi(rows, rhs_cols, ncols), ncols)
+
+
 def _solve(rows, rhs_cols):
-    """solve_multi on dense rows and right-hand sides."""
-    return solve_multi(_sparse(rows), [_rhs(b) for b in rhs_cols], len(rows[0]))
+    """solve_multi on dense rows and right-hand sides, densified."""
+    return _solve_sparse(_sparse(rows), [_rhs(b) for b in rhs_cols], len(rows[0]))
 
 
 class TestSolve:
@@ -146,7 +183,7 @@ class TestKernel:
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.lists(rationals, min_size=4, max_size=4), min_size=2, max_size=3))
     def test_kernel_members_annihilate(self, rows):
-        vecs = kernel(_sparse(rows), 4)
+        vecs = _kernel(_sparse(rows), 4)
         assert len(vecs) == 4 - rank(_sparse(rows), 4)
         for v in vecs:
             for row in rows:
@@ -173,11 +210,11 @@ class TestSparseRows:
     def test_empty_row(self):
         dense = [[F(1), F(2), F(0)], [F(0)] * 3, [F(0), F(1), F(1)]]
         rows = [{0: F(1), 1: F(2)}, {}, {1: F(1), 2: F(1)}]
-        assert kernel(rows, 3) == _ref_kernel(dense)
+        assert _kernel(rows, 3) == _ref_kernel(dense)
         assert rank(rows, 3) == 2
         assert det(rows, 3) == 0
         b = [F(3), F(0), F(2)]
-        assert _outcome(solve_multi, rows, [_rhs(b)], 3) == _outcome(_ref_solve_multi, dense, [b])
+        assert _outcome(_solve_sparse, rows, [_rhs(b)], 3) == _outcome(_ref_solve_multi, dense, [b])
         assert _outcome(solve_multi, rows, [{1: F(1)}], 3) is InconsistentSystemError
 
     def test_trailing_zero_columns(self):
@@ -185,7 +222,7 @@ class TestSparseRows:
         zero and free."""
         rows = [{0: F(2), 1: F(1)}, {1: F(3)}]
         dense = [[F(2), F(1), F(0), F(0)], [F(0), F(3), F(0), F(0)]]
-        assert kernel(rows, 4) == _ref_kernel(dense)
+        assert _kernel(rows, 4) == _ref_kernel(dense)
         assert len(kernel(rows, 4)) == 2
         assert rank(rows, 4) == 2
         assert _outcome(solve_multi, rows, [{0: F(1)}], 4) is SingularSystemError
@@ -195,14 +232,17 @@ class TestSparseRows:
         changes the result."""
         rows = [{0: F(1), 1: F(0)}, {0: F(0), 1: F(0), 2: F(5, 3)}]
         dense = [[F(1), F(0), F(0)], [F(0), F(0), F(5, 3)]]
-        assert kernel(rows, 3) == _ref_kernel(dense) == [(F(0), F(1), F(0))]
+        assert _kernel(rows, 3) == _ref_kernel(dense) == [(F(0), F(1), F(0))]
+        assert kernel(rows, 3) == [({1: 1}, 1)]
         assert rank(rows, 3) == 2
         assert det([{0: F(0), 1: F(2)}, {0: F(-2), 1: F(0)}], 2) == 4
         square = [{0: F(2), 1: F(0)}, {0: F(0), 1: F(4)}]
-        assert solve_multi(square, [{0: F(1), 1: F(0)}], 2) == [(F(1, 2), F(0))]
+        assert _solve_sparse(square, [{0: F(1), 1: F(0)}], 2) == [(F(1, 2), F(0))]
+        assert solve_multi(square, [{0: F(1), 1: F(0)}], 2) == [({0: 1}, 2)]
 
     def test_empty_matrix(self):
-        assert kernel([], 2) == [(F(1), F(0)), (F(0), F(1))]
+        assert _kernel([], 2) == [(F(1), F(0)), (F(0), F(1))]
+        assert kernel([], 2) == [({0: 1}, 1), ({1: 1}, 1)]
         assert rank([], 3) == 0
         assert det([], 0) == 1
 
@@ -289,7 +329,7 @@ class TestIntegerCore:
     @given(rational_matrices())
     def test_kernel_rank_det_match_reference(self, rows):
         ncols = len(rows[0])
-        assert kernel(_sparse(rows), ncols) == _ref_kernel(rows)
+        assert _kernel(_sparse(rows), ncols) == _ref_kernel(rows)
         _, piv, factor = _gauss_jordan(rows, ncols)
         assert rank(_sparse(rows), ncols) == len(piv)
         if len(rows) == ncols:
@@ -458,8 +498,8 @@ class TestBuilderRows:
              (F(-1), F(0), F(1), F(1)), (F(0), F(0), F(0), F(1)))
         for e in (1, 2, 3):
             form = stolin.frobenius_gram(K, e, 4)
-            assert form.nondegenerate == (e != 2)
-            if form.nondegenerate:
+            assert (form.determinant != 0) == (e != 2)
+            if form.determinant:
                 stolin.frobenius_splits([{(0, 1): F(1)}, {(0, 0): F(1), (3, 3): F(-1)}], K, e)
         stolin.solve_dec.cache_clear()
         try:
@@ -494,7 +534,10 @@ class TestBuilderRows:
         assert dense == []
         [(rows, rhs_cols, _)] = solves
         assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
-        assert len(w.elements) == 2 * (5 * 5 - 1)
+        # one element per target, 5 * 5 - 1 of them, but for the two zero
+        # targets -[K^t, e_{j,i}] of region I
+        assert w.parts.keys() <= {(lbl, k) for lbl in lie.sl_basis(5) for k in (0, 1)}
+        assert len(w.parts) == 5 * 5 - 3
 
     def test_series_rows_without_dense_grids(self, monkeypatch):
         """series_r reads each element's coefficient dict once: no
@@ -561,11 +604,65 @@ def _perm_sign(perm):
 
 def _check_against_oracle(rows):
     ncols = len(rows[0])
-    assert kernel(_sparse(rows), ncols) == _ref_kernel(rows)
+    assert _kernel(_sparse(rows), ncols) == _ref_kernel(rows)
     _, piv, factor = _gauss_jordan(rows, ncols)
     assert rank(_sparse(rows), ncols) == len(piv)
     if len(rows) == ncols:
         assert det(_sparse(rows), ncols) == (factor if len(piv) == len(rows) else F(0))
+
+
+class TestSolverContract:
+    """`kernel` and `solve_multi` return each solution as
+    ({column: numerator}, den): integer numerators, none zero, over an
+    integer den > 0, in lowest terms.  A kernel vector holds den at its
+    free column and nothing at the other free columns; a solution of
+    `solve_multi` holds no column at or past `ncols`."""
+
+    @staticmethod
+    def _assert_lowest_terms(v, den):
+        assert type(den) is int and den > 0
+        assert all(type(a) is int and a != 0 for a in v.values())
+        assert math.gcd(den, *v.values()) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices())
+    def test_kernel(self, rows):
+        ncols = len(rows[0])
+        _, piv, _ = _gauss_jordan(rows, ncols)
+        free = [c for c in range(ncols) if c not in piv]
+        vecs = kernel(_sparse(rows), ncols)
+        assert len(vecs) == len(free)
+        for f, (v, den) in zip(free, vecs):
+            self._assert_lowest_terms(v, den)
+            assert v[f] == den
+            assert set(v).isdisjoint(set(free) - {f})
+            assert all(0 <= c < ncols for c in v)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (7, 7), (9, 5), (12, 6)])
+    def test_solve_multi(self, shape):
+        rng = random.Random(shape[0] * 17 + shape[1])
+        nrows, ncols = shape
+        solved = 0
+        for density in (1.0, 0.4, 0.15):
+            for _ in range(4):
+                rows = _sparse(_random_matrix(rng, nrows, ncols, density))
+                xs = [{c: _entry(rng) for c in range(ncols) if rng.random() < 0.6} for _ in range(3)]
+                rhs = [{} for _ in xs]  # b = A x, and b = 0
+                for b, x in zip(rhs, xs):
+                    for i, row in enumerate(rows):
+                        if v := sum((a * x[c] for c, a in row.items() if c in x), F(0)):
+                            b[i] = v
+                try:
+                    sols = solve_multi(rows, rhs + [{}], ncols)
+                except SingularSystemError:
+                    continue
+                solved += 1
+                for v, den in sols:
+                    self._assert_lowest_terms(v, den)
+                    assert all(0 <= c < ncols for c in v)
+                assert [{c: F(a, den) for c, a in v.items()} for v, den in sols] == xs + [{}]
+                assert sols[-1] == ({}, 1)
+        assert solved >= 4
 
 
 class TestSeededOracle:

@@ -7,6 +7,7 @@ import pytest
 
 from test_exact import mat_zero, rank
 from test_lie import trace_form
+from test_stolin import w_of
 from ybe_forge import stolin
 from ybe_forge.cuspidal import region
 from ybe_forge.exact import ONE, ZERO
@@ -129,8 +130,8 @@ class TestSeries:
         x, y = F(1, 3), F(2)
         sr = series_r(yang_order(n, (-9, 1)), 6, x, y)
         assert sr.tensor == geometric_pole_partial(n, 6, x, y)
-        for (lbl, k), poly in sr.poly_parts.items():
-            assert poly.is_zero()
+        assert sr.parts.keys() == {(lbl, k) for lbl in sl_basis(n) for k in range(7)}
+        assert all(parts == {} for parts in sr.parts.values())
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_series_matches_dec_assembly(self, e, d):
@@ -143,11 +144,12 @@ class TestSeries:
         ws = solve_dec(e, d, K)
         for lbl in sl_basis(n):
             for k in range(k_max + 1):
-                got = sr.poly_parts[(lbl, k)]
+                got = sr.parts[lbl, k]
                 if k <= 1:
-                    assert got.entries == ws.w(lbl, k).entries
+                    assert w_of(sr, lbl, k) == w_of(ws, lbl, k)
+                    assert got == ws.parts.get((lbl, k), {})
                 else:
-                    assert got.is_zero()
+                    assert got == {}
         expected = (
             assemble_stolin_r(e, d, K, x, y)
             .sub(casimir(n).scale(ONE / (y - x)))

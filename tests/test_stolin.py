@@ -17,7 +17,7 @@ from test_cuspidal import (
     spy_tensor_products,
     table_mismatches,
 )
-from test_exact import mat_add, mat_zero
+from test_exact import mat_add, mat_zero, matrix_poly_from_coeffs
 from ybe_forge import lie, stolin
 from ybe_forge.cuspidal import (
     G_ELEMENTS_CACHE_MAX,
@@ -29,11 +29,13 @@ from ybe_forge.cuspidal import (
 from ybe_forge.exact import (
     ONE,
     ZERO,
+    MatrixPoly,
     eval_matrix_poly,
     freeze,
     mat_from_entries,
     mat_is_zero,
     mat_unit,
+    matrix_poly_from_entries,
 )
 from ybe_forge.lie import (
     apply_gauge,
@@ -41,9 +43,11 @@ from ybe_forge.lie import (
     cartan_dual,
     casimir,
     cybe_residual_two_variable,
+    dual_terms,
     is_unitary_pair,
     sl_basis,
     tensor_from_pairs,
+    tensor_table,
     transpose_negate_map,
 )
 from ybe_forge.stolin import (
@@ -53,6 +57,7 @@ from ybe_forge.stolin import (
     compare_pipelines,
     frobenius_gram,
     frobenius_split,
+    frobenius_splits,
     j_matrix_rat,
     neg_j_matrix,
     parabolic_labels,
@@ -97,6 +102,72 @@ def _dense_bracket_kt(K, lbl, n) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
+def w_of(ws, label, k) -> MatrixPoly:
+    """w_(label;k) of `solve_dec` as a matrix polynomial, from its parts; a
+    key with no parts is the zero element."""
+    parts = ws.parts.get((label, k), {})
+    return matrix_poly_from_coeffs([mat_from_entries(ws.n, parts.get(m, {})) for m in (0, 1)])
+
+
+def w_elements(ws) -> dict:
+    """Every w_(label;k), k = 0, 1, the zero elements included."""
+    return {(label, k): w_of(ws, label, k) for label in sl_basis(ws.n) for k in (0, 1)}
+
+
+def coeff_terms(w) -> dict:
+    """{m: {(i, j): nonzero z^m coefficient}}, 1-based, from a scan of all
+    n^2 entries of the matrix polynomial w."""
+    out: dict = {}
+    for i, row in enumerate(w.entries, 1):
+        for j, p in enumerate(row, 1):
+            for m, c in enumerate(p):
+                if c:
+                    out.setdefault(m, {})[i, j] = c
+    return out
+
+
+def reference_elements(e, d, K) -> dict:
+    """The elements of the dec solves through dense brackets and matrix
+    polynomials: targets from `_dense_bracket_kt`, one batched split, and
+    each w assembled as P with its upper-right block replaced by -N, plus z
+    times that block of P; the zero elements included.  The reference of
+    `solve_dec`."""
+    n = e + d
+    zero = matrix_poly_from_entries(n, {})
+    out = {(label, k): zero for label in sl_basis(n) for k in (0, 1)}
+    targets = {}
+    for label in sl_basis(n):
+        if label[0] == "cartan":
+            m = basis_matrix(label, n)
+            targets[label, 0] = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+            continue
+        _, i, j = label
+        reg = region(i, j, e, n)
+        if reg == "I":
+            targets[label, 0] = {key: -v for key, v in _dense_bracket_kt(K, ("unit", j, i), n).items()}
+            targets[label, 1] = {(j - 1, i - 1): ONE}
+        elif reg != "III":
+            targets[label, 0] = {(j - 1, i - 1): ONE}
+    for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
+        Pm, Nm = mat_from_entries(n, P), mat_from_entries(n, N)
+        const = [[-Nm[r][c] if region(r + 1, c + 1, e, n) == "I" else Pm[r][c]
+                  for c in range(n)] for r in range(n)]
+        lin = [[Pm[r][c] if region(r + 1, c + 1, e, n) == "I" else ZERO
+                for c in range(n)] for r in range(n)]
+        out[key] = matrix_poly_from_coeffs([freeze(const), freeze(lin)])
+    return out
+
+
+def reference_table(n, elements):
+    """The table of r(x, y) read off matrix-polynomial elements through
+    `coeff_terms`: the reference of `WElementSet.table`."""
+    pairs = []
+    for (label, k), w in elements.items():
+        first = {label[1:]: ONE} if label[0] == "unit" else dual_terms(label, n)
+        pairs += [(first, second, (0, k, m)) for m, second in coeff_terms(w).items()]
+    return tensor_table(n, pairs)
+
+
 def test_bracket_kt_terms_is_the_dense_scan():
     """From K's nonzeros read once, every bracket equals the dense scan,
     entries and order, for every coprime pair with e + d <= 12 at J, -J
@@ -132,7 +203,7 @@ class TestFrobeniusGram:
 
     def test_zero_matrix_degenerate(self):
         form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1, 2)
-        assert form.determinant == 0 and not form.nondegenerate
+        assert form.determinant == 0
 
     def test_parabolic_dimension(self):
         for (e, n) in [(1, 2), (2, 3), (1, 3), (3, 5), (2, 5)]:
@@ -234,39 +305,58 @@ def _assert_block_equations(e, d, K):
             target = basis_matrix(label, n)
         if label[0] == "unit" and reg == "III":
             continue
-        w0 = ws.w(label, 0)
+        w0 = w_of(ws, label, 0)
         P0, B0, Bt0 = _w_blocks(w0, e, n)
         mixed0 = mat_add(P0, Bt0)  # (A | Btilde / 0 | D)
         if label[0] == "cartan" or reg in ("II", "IV"):
             # target - [K^t, (A|Btilde/0|D)] + (0|B/0|0) = 0
             resid = mat_add(mat_sub(target, mat_bracket(Kt, mixed0)), B0)
             assert mat_is_zero(resid), (label, 0)
-            assert ws.w(label, 1).is_zero()
+            assert (label, 1) not in ws.parts
         else:  # region I carries two equations, order 0 and order 1
             lhs = mat_bracket(Kt, mat_add(target, mixed0))
             assert lhs == B0, (label, 0)
-            w1 = ws.w(label, 1)
+            w1 = w_of(ws, label, 1)
             P1, B1, Bt1 = _w_blocks(w1, e, n)
             mixed1 = mat_add(P1, Bt1)
             resid = mat_add(mat_sub(target, mat_bracket(Kt, mixed1)), B1)
             assert mat_is_zero(resid), (label, 1)
 
 
+def _dense_k(e, d):
+    """A seeded cocycle matrix with no zero entry."""
+    rng = random.Random(31 * e + d)
+    n = e + d
+    return freeze([[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                    for _ in range(n)] for _ in range(n)])
+
+
+def _assert_reference_route(e, d, K):
+    """solve_dec(e, d, K) stores no empty part and no zero coefficient, and
+    its elements and table are those of the matrix-polynomial route."""
+    ws = solve_dec(e, d, K)
+    assert all(parts and all(terms and all(terms.values()) for terms in parts.values())
+               for parts in ws.parts.values())
+    ref = reference_elements(e, d, K)
+    assert w_elements(ws) == ref
+    assert ws.table == reference_table(e + d, ref)
+
+
 class TestSolveDec:
     def test_region_three_vanishes(self):
         ws = solve_dec(2, 1, j_matrix_rat(2, 1))
         for (i, j) in [(3, 1), (3, 2)]:
-            assert ws.w(("unit", i, j), 0).is_zero()
-            assert ws.w(("unit", i, j), 1).is_zero()
+            assert (("unit", i, j), 0) not in ws.parts
+            assert (("unit", i, j), 1) not in ws.parts
 
     def test_n2_explicit_solution(self):
         ws = solve_dec(1, 1, j_matrix_rat(1, 1))
         # order-0 dual-Cartan correction: -z e_{1,2}
-        w = ws.w(("cartan", 1), 0)
+        w = w_of(ws, ("cartan", 1), 0)
         assert coeff_matrix(w, 0) == mat_zero(2)
         assert coeff_matrix(w, 1) == mat_from_entries(2, {(1, 2): -ONE})
         # order-1 upper-unit correction: h/2
-        w1 = ws.w(("unit", 1, 2), 1)
+        w1 = w_of(ws, ("unit", 1, 2), 1)
         assert coeff_matrix(w1, 0) == mat_from_entries(2, {(1, 1): F(1, 2), (2, 2): F(-1, 2)})
         assert coeff_matrix(w1, 1) == mat_zero(2)
 
@@ -281,12 +371,18 @@ class TestSolveDec:
         """The same at a K with no zero entry, where the split coordinates
         of a region I element are nonzero both in N and in P's upper-right
         block (at K = +-J, for every pair with n <= 9, they never are)."""
-        rng = random.Random(31 * e + d)
-        n = e + d
-        K = freeze([[F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
-                     for _ in range(n)] for _ in range(n)])
-        assert frobenius_gram(K, e, n).nondegenerate
+        K = _dense_k(e, d)
+        assert frobenius_gram(K, e, e + d).determinant != 0
         _assert_block_equations(e, d, K)
+
+    @pytest.mark.parametrize("e,d", TABLE_PAIRS)
+    def test_parts_and_table_are_the_reference_route(self, e, d):
+        _assert_reference_route(e, d, j_matrix_rat(e, d))
+        _assert_reference_route(e, d, neg_j_matrix(e, d))
+
+    @pytest.mark.parametrize("e,d", [(2, 1), (1, 2), (3, 2), (2, 3), (1, 4)])
+    def test_parts_and_table_are_the_reference_route_at_a_dense_k(self, e, d):
+        _assert_reference_route(e, d, _dense_k(e, d))
 
     @pytest.mark.parametrize("e,d", [(2, 1), (3, 2), (1, 3)])
     def test_w_elements_live_in_p_plus_zn(self, e, d):
@@ -294,7 +390,7 @@ class TestSolveDec:
         ws = solve_dec(e, d, j_matrix_rat(e, d))
         for label in sl_basis(n):
             for k in (0, 1):
-                w = ws.w(label, k)
+                w = w_of(ws, label, k)
                 const = coeff_matrix(w, 0)
                 lin = coeff_matrix(w, 1)
                 for i in range(n):
@@ -306,7 +402,7 @@ class TestSolveDec:
                 if label[0] == "unit" and k == 1:
                     _, i, j = label
                     if region(i, j, e, n) != "I":
-                        assert w.is_zero()
+                        assert (label, k) not in ws.parts
 
     def test_degenerate_k_rejected(self):
         with pytest.raises(DegenerateFormError):
@@ -333,16 +429,30 @@ class TestSolveDec:
     @example(((1, 3), [0] * 16))
     @example(((2, 1), [0] * 9))
     def test_split_fails_exactly_when_gram_degenerate(self, case):
-        """solve_dec decides degeneracy by its split alone; the Bareiss
-        determinant of the Gram matrix must agree on every K."""
+        """solve_dec and build_order decide degeneracy by the split alone;
+        the Bareiss determinant of the Gram matrix must agree on every K."""
         (e, d), cells = case
         n = e + d
         K = freeze([[F(v) for v in cells[r * n:(r + 1) * n]] for r in range(n)])
-        if frobenius_gram(K, e, n).nondegenerate:
+        if frobenius_gram(K, e, n).determinant != 0:
             solve_dec(e, d, K)
+            stolin.build_order(K, e, n)
         else:
-            with pytest.raises(DegenerateFormError, match=r"^omega_K is degenerate on p_%d$" % e):
-                solve_dec(e, d, K)
+            for build in (lambda: solve_dec(e, d, K), lambda: stolin.build_order(K, e, n)):
+                with pytest.raises(DegenerateFormError,
+                                   match=r"^omega_K is degenerate on p_%d$" % e):
+                    build()
+
+    def test_build_order_computes_no_determinant(self, monkeypatch):
+        """build_order tests degeneracy with the split elimination, not with
+        a Gram determinant."""
+        def no_det(*args):
+            raise AssertionError("det called")
+
+        monkeypatch.setattr(stolin, "det", no_det)
+        stolin.build_order(j_matrix_rat(2, 1), 2, 3)
+        with pytest.raises(DegenerateFormError, match=r"^omega_K is degenerate on p_1$"):
+            stolin.build_order(freeze([[ZERO, ZERO], [ZERO, ZERO]]), 1, 2)
 
     @pytest.mark.parametrize("e,d,sign,digest", [
         (1, 3, 1, "e0d02a4705109288a6f61afa39867d266604c6f2f27e9bf8f704af6b3005c3d0"),
@@ -373,7 +483,7 @@ class TestSolveDec:
         matrices (as the repr of each w); the entries-only digests were
         re-recorded on that code and are unchanged since."""
         K = j_matrix_rat(e, d) if sign > 0 else neg_j_matrix(e, d)
-        text = entries_text(solve_dec(e, d, K).elements.items())
+        text = entries_text(w_elements(solve_dec(e, d, K)).items())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -458,8 +568,8 @@ def _per_point_stolin_r(ws, x, y):
     pairs = []
     for label in sl_basis(n):
         first = basis_matrix(label, n) if label[0] == "unit" else cartan_dual(label[1], n)
-        pairs.append((first, eval_matrix_poly(ws.w(label, 0), y), ONE))
-        pairs.append((first, eval_matrix_poly(ws.w(label, 1), y), x))
+        pairs.append((first, eval_matrix_poly(w_of(ws, label, 0), y), ONE))
+        pairs.append((first, eval_matrix_poly(w_of(ws, label, 1), y), x))
     return casimir(n).scale(ONE / (y - x)).add(tensor_from_pairs(n, pairs))
 
 
