@@ -1,18 +1,25 @@
 """Command-line surface.
 
 Exit codes: 0 success, 2 verification/computation failure (degenerate form,
-pole proximity, failed suite), 3 invalid input, click's own usage errors
-included.  Documents go to stdout, diagnostics to stderr.
+pole proximity, failed suite), 3 invalid input, usage errors included.
+Documents go to stdout, diagnostics to stderr.
+
+The arguments are parsed from the table `COMMANDS` by a parser that imports
+nothing, so a request pays no start-up for a parsing library.  It keeps the
+rules and messages of the click-based parser it replaced: an option's value
+is the next token even when that starts with `-`, or comes as
+`--opt=value`; option names are never abbreviated; the last of repeated
+values wins; any other token led by `-` is an option, and `--` ends the
+options.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import os
 import sys
 from fractions import Fraction
-
-import click
 
 # A process runs one command, so each command imports the pipeline modules it
 # uses itself: `cuspidal`, `stolin`, `elliptic` and `verify` would otherwise
@@ -61,10 +68,16 @@ K_EXTRA_DIGITS_MAX = 4
 # the bounds above apply.  A K that passes them has at most 2 * 12^2 + 4
 # digits, a few kB of JSON even with one indented entry per line.
 K_FILE_BYTES_MAX = 1 << 16
+# The `verify --suite` names.
+SUITES = ("rational", "stolin", "elliptic", "zoo", "all")
+
+
+def _echo(text: str, err: bool = False):
+    print(text, file=sys.stderr if err else sys.stdout, flush=True)
 
 
 def _fail(message: str, code: int):
-    click.echo("error: %s" % message, err=True)
+    _echo("error: %s" % message, err=True)
     sys.exit(code)
 
 
@@ -98,43 +111,13 @@ def _check_size(n: int, name: str = "n"):
 def _emit(tensor, provenance: dict, fmt: str):
     doc = document_from_tensor(tensor, provenance)
     if fmt == "json":
-        click.echo(dumps(doc))
+        _echo(dumps(doc))
     elif fmt == "latex":
-        click.echo(render_latex(doc))
+        _echo(render_latex(doc))
     else:
-        click.echo(render_text(doc))
+        _echo(render_text(doc))
 
 
-class _Main(click.Group):
-    """The command group.  Click's own usage errors (a missing or unknown
-    option, a malformed value, an unknown or missing command) are invalid
-    input like any other, so they end in one `error:` line and exit 3.
-    Group options are parsed in `make_context`; a command's arguments, and
-    the command itself, in `invoke`.  `--help` is not an error and exits 0."""
-
-    def make_context(self, *args, **kwargs):
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.UsageError as exc:
-            _fail(" ".join(exc.format_message().split()), EXIT_BADINPUT)
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except click.UsageError as exc:
-            _fail(" ".join(exc.format_message().split()), EXIT_BADINPUT)
-
-
-@click.group(cls=_Main, no_args_is_help=False)
-def main():
-    """Exact and numeric classical r-matrices for sl(n): construction,
-    serialization, and verification."""
-
-
-@main.command()
-@click.argument("e", type=int)
-@click.argument("d", type=int)
-@click.option("--format", "fmt", type=click.Choice(["text", "json", "both"]), default="both")
 def jmatrix(e, d, fmt):
     """Print the recursive 0/1 matrix for the coprime pair (E, D)."""
     from . import cuspidal
@@ -146,17 +129,11 @@ def jmatrix(e, d, fmt):
         _fail("not coprime: %s" % exc, EXIT_BADINPUT)
     if fmt in ("text", "both"):
         for row in j.matrix:
-            click.echo(" ".join(str(v) for v in row))
+            _echo(" ".join(str(v) for v in row))
     if fmt in ("json", "both"):
-        click.echo(json.dumps({"e": e, "d": d, "matrix": [list(r) for r in j.matrix]}))
+        _echo(json.dumps({"e": e, "d": d, "matrix": [list(r) for r in j.matrix]}))
 
 
-@main.command()
-@click.argument("n", type=int)
-@click.argument("d", type=int)
-@click.option("--x", required=True, help="exact rational, e.g. 1/3")
-@click.option("--y", required=True, help="exact rational, distinct from --x")
-@click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 def rational(n, d, x, y, fmt):
     """Geometric-pipeline solution for (N, D) at exact points."""
     from . import cuspidal
@@ -213,14 +190,6 @@ def _load_k_matrix(spec: str, e: int, d: int):
     return K, "file:%s" % spec
 
 
-@main.command("stolin")
-@click.argument("n", type=int)
-@click.argument("e", type=int)
-@click.option("--k-matrix", "kspec", default="default",
-              help="default | neg-j | path to a JSON matrix of rationals")
-@click.option("--x", required=True)
-@click.option("--y", required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "latex", "text"]), default="json")
 def stolin_cmd(n, e, kspec, x, y, fmt):
     """Parabolic-pipeline solution for the triple with parabolic index E."""
     from . import cuspidal, stolin
@@ -251,15 +220,6 @@ def stolin_cmd(n, e, kspec, x, y, fmt):
     _emit(tensor, provenance, fmt)
 
 
-@main.command("elliptic")
-@click.argument("n", type=int)
-@click.argument("d", type=int)
-@click.option("--tau", required=True, help="modulus with positive imaginary part, e.g. 0.3+1i")
-@click.option("--x", required=True)
-@click.option("--y", required=True)
-@click.option("--terms", type=int, default=60,
-              help="theta series truncation; terms past the point where the coefficients "
-                   "underflow to zero cost nothing")
 def elliptic_cmd(n, d, tau, x, y, terms):
     """Torus solution for (N, D) at complex points; JSON document output."""
     from . import elliptic
@@ -292,11 +252,6 @@ def elliptic_cmd(n, d, tau, x, y, terms):
     _emit(tensor, provenance, "json")
 
 
-@main.command("verify")
-@click.option("--suite", type=click.Choice(["rational", "stolin", "elliptic", "zoo", "all"]),
-              default="all")
-@click.option("--n-max", type=int, default=4)
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]), default="text")
 def verify_cmd(suite, n_max, fmt):
     """Run a verification suite; exit 0 iff every check passes."""
     from . import verify
@@ -310,11 +265,193 @@ def verify_cmd(suite, n_max, fmt):
         _fail(str(exc), EXIT_BADINPUT)
     report = verify.run_suite(suite, n_max=n_max, threads=threads)
     if fmt == "json":
-        click.echo(verify.report_json(report))
+        _echo(verify.report_json(report))
     else:
-        click.echo(report.render_text())
+        _echo(report.render_text())
     if not report.passed:
         sys.exit(EXIT_FAIL)
+
+
+# Each command: its function, the names of its integer positionals (in the
+# order of the function's first parameters), and its options as {flag:
+# (keyword, type, default, help)}.  A type is str, int or a tuple of choices;
+# a default of None makes the option required.
+FORMATS = ("json", "latex", "text")
+COMMANDS = {
+    "jmatrix": (jmatrix, ("E", "D"), {
+        "--format": ("fmt", ("text", "json", "both"), "both", ""),
+    }),
+    "rational": (rational, ("N", "D"), {
+        "--x": ("x", str, None, "exact rational, e.g. 1/3"),
+        "--y": ("y", str, None, "exact rational, distinct from --x"),
+        "--format": ("fmt", FORMATS, "json", ""),
+    }),
+    "stolin": (stolin_cmd, ("N", "E"), {
+        "--k-matrix": ("kspec", str, "default",
+                       "default | neg-j | path to a JSON matrix of rationals"),
+        "--x": ("x", str, None, ""),
+        "--y": ("y", str, None, ""),
+        "--format": ("fmt", FORMATS, "json", ""),
+    }),
+    "elliptic": (elliptic_cmd, ("N", "D"), {
+        "--tau": ("tau", str, None, "modulus with positive imaginary part, e.g. 0.3+1i"),
+        "--x": ("x", str, None, ""),
+        "--y": ("y", str, None, ""),
+        "--terms": ("terms", int, 60, "theta series truncation; terms past the point where "
+                    "the coefficients underflow to zero cost nothing"),
+    }),
+    "verify": (verify_cmd, (), {
+        "--suite": ("suite", SUITES, "all", ""),
+        "--n-max": ("n_max", int, 4, ""),
+        "--format": ("fmt", ("text", "json"), "text", ""),
+    }),
+}
+
+
+def _usage_error(message: str):
+    _fail(" ".join(message.split()), EXIT_BADINPUT)
+
+
+def _parse(tokens, options: dict, interspersed: bool = True):
+    """(positionals, {flag: text}, whether --help was given) from `tokens`.
+    Without `interspersed` the options end at the first positional."""
+    positionals, given, wants_help = [], {}, False
+    tokens = iter(tokens)
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+        elif token[:1] != "-" or token == "-":
+            positionals.append(token)
+            if not interspersed:
+                positionals += tokens
+        elif not token.startswith("--"):
+            _usage_error("No such option %r." % token[:2])
+        else:
+            flag, eq, text = token.partition("=")
+            if flag == "--help":
+                if eq:
+                    _usage_error("Option '--help' does not take a value.")
+                wants_help = True
+                continue
+            if flag not in options:
+                from difflib import get_close_matches
+
+                close = sorted(get_close_matches(flag, [*options, "--help"]))
+                hint = ", ".join(map(repr, close))
+                if len(close) > 1:
+                    hint = "(Did you mean one of: %s?)" % hint
+                elif close:
+                    hint = "Did you mean %s?" % hint
+                _usage_error("No such option %r. %s" % (flag, hint))
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    _usage_error("Option %r requires an argument." % flag)
+            given[flag] = text
+    return positionals, given, wants_help
+
+
+def _convert(text: str, kind, label: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            _usage_error("Invalid value for %r: %r is not a valid integer." % (label, text))
+    if isinstance(kind, tuple) and text not in kind:
+        _usage_error("Invalid value for %r: %r is not one of %s."
+                     % (label, text, ", ".join(map(repr, kind))))
+    return text
+
+
+def _help(usage: str, doc: str, sections):
+    """Print a help page and exit 0: the usage line, the first paragraph of
+    `doc`, and each section's (name, text) rows as a table."""
+    import textwrap
+
+    # `doc` and the row texts are docstrings, which `python -OO` drops
+    paragraph = " ".join((doc or "").split("\n\n")[0].split())
+    out = ["Usage: " + usage, "",
+           textwrap.fill(paragraph, 78, initial_indent="  ", subsequent_indent="  ")]
+    for title, rows in sections:
+        first = min(max(len(name) for name, _ in rows), 30) + 2
+        out += ["", title + ":"]
+        for name, text in rows:
+            lines = textwrap.wrap(text or "", 76 - first, replace_whitespace=False)
+            pad = " " * (first - len(name)) if len(name) <= first - 2 else "\n" + " " * (first + 2)
+            out.append("  " + name + (pad if lines else "")
+                       + ("\n" + " " * (first + 2)).join(lines))
+    _echo("\n".join(out))
+    sys.exit(0)
+
+
+def _command_help(prog: str, name: str):
+    fn, names, options = COMMANDS[name]
+    rows = []
+    for flag, (_, kind, default, text) in options.items():
+        metavar = "[%s]" % "|".join(kind) if isinstance(kind, tuple) else (
+            "INTEGER" if kind is int else "TEXT")
+        rows.append((flag + " " + metavar,
+                     "  ".join(filter(None, [text, "[required]" * (default is None)]))))
+    rows.append(("--help", "Show this message and exit."))
+    _help(" ".join([prog, name, "[OPTIONS]", *names]), fn.__doc__, [("Options", rows)])
+
+
+def _prog_name() -> str:
+    spec = getattr(sys.modules.get("__main__"), "__spec__", None)
+    return "python -m " + spec.name if spec else os.path.basename(sys.argv[0])
+
+
+def main(args=None, prog_name=None):
+    """Exact and numeric classical r-matrices for sl(n): construction,
+    serialization, and verification.
+
+    Runs the command in `args` (default: sys.argv[1:]) and always ends in
+    SystemExit with the command's exit code.  `prog_name` names the program
+    in help pages."""
+    prog = prog_name or _prog_name()
+    try:
+        rest, _, wants_help = _parse(sys.argv[1:] if args is None else args, {},
+                                     interspersed=False)
+        if wants_help:
+            _help(prog + " [OPTIONS] COMMAND [ARGS]...", main.__doc__, [
+                ("Options", [("--help", "Show this message and exit.")]),
+                ("Commands", [(name, COMMANDS[name][0].__doc__) for name in sorted(COMMANDS)])])
+        if not rest:
+            _usage_error("Missing command.")
+        if rest[0] not in COMMANDS:
+            _usage_error("No such command %r." % rest[0])
+        fn, names, options = COMMANDS[rest[0]]
+        positionals, given, wants_help = _parse(rest[1:], options)
+        if wants_help:
+            _command_help(prog, rest[0])
+        # The first error is reported, in this order: the options given, the
+        # positionals, the options left out, extra positionals.
+        kwargs = {options[flag][0]: _convert(text, options[flag][1], flag)
+                  for flag, text in given.items()}
+        values = []
+        for i, label in enumerate(names):
+            if i == len(positionals):
+                _usage_error("Missing argument %r." % label)
+            values.append(_convert(positionals[i], int, label))
+        for flag, (keyword, _, default, _) in options.items():
+            if keyword not in kwargs:
+                if default is None:
+                    _usage_error("Missing option %r." % flag)
+                kwargs[keyword] = default
+        extra = positionals[len(names):]
+        if extra:
+            _usage_error("Got unexpected extra argument%s (%s)"
+                         % ("s" * (len(extra) > 1), " ".join(extra)))
+        fn(*values, **kwargs)
+    except KeyboardInterrupt:
+        _echo("\nAborted!", err=True)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): exit 1 without a
+        # traceback, and leave nothing for the flush at exit to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -3,21 +3,23 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import invoke
 
 from ybe_forge import __version__, verify
 from ybe_forge.cli import (
+    COMMANDS,
     K_EXTRA_DIGITS_MAX,
     K_FILE_BYTES_MAX,
     N_MAX,
     RAT_DIGITS_MAX,
-    main,
-    verify_cmd,
+    SUITES,
 )
 from ybe_forge.document import document_from_json
 from ybe_forge.verify import _tasks_for, forge_threads, run_suite
@@ -25,37 +27,32 @@ from ybe_forge.verify import _tasks_for, forge_threads, run_suite
 GOLDENS = Path(__file__).parent / "goldens"
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def run(runner, *args):
-    return runner.invoke(main, list(args))
+def run(*args):
+    return invoke(args)
 
 
 class TestJmatrix:
-    def test_golden_1_1(self, runner):
-        res = run(runner, "jmatrix", "1", "1")
+    def test_golden_1_1(self):
+        res = run("jmatrix", "1", "1")
         assert res.exit_code == 0
         assert res.stdout.splitlines()[:2] == ["0 1", "0 0"]
         assert json.loads(res.stdout.splitlines()[2])["matrix"] == [[0, 1], [0, 0]]
 
-    def test_golden_3_2(self, runner):
-        res = run(runner, "jmatrix", "3", "2", "--format", "json")
+    def test_golden_3_2(self):
+        res = run("jmatrix", "3", "2", "--format", "json")
         assert res.exit_code == 0
         golden = json.loads((GOLDENS / "jmatrix_3_2.json").read_text())
         assert json.loads(res.stdout) == golden
 
-    def test_non_coprime_exit_3(self, runner):
-        res = run(runner, "jmatrix", "2", "2")
+    def test_non_coprime_exit_3(self):
+        res = run("jmatrix", "2", "2")
         assert res.exit_code == 3
         assert "not coprime" in res.stderr
 
 
 class TestRational:
-    def test_document_pole_part(self, runner):
-        res = run(runner, "rational", "2", "1", "--x", "0", "--y", "1")
+    def test_document_pole_part(self):
+        res = run("rational", "2", "1", "--x", "0", "--y", "1")
         assert res.exit_code == 0
         doc = document_from_json(json.loads(res.stdout))
         from ybe_forge import lie
@@ -71,60 +68,60 @@ class TestRational:
         assert table.monomials[-1] == lie.POLE
         assert tail == polynomial.at(F(0), F(1))
 
-    def test_round_trip(self, runner):
-        res = run(runner, "rational", "3", "1", "--x", "1/3", "--y", "2")
+    def test_round_trip(self):
+        res = run("rational", "3", "1", "--x", "1/3", "--y", "2")
         doc = document_from_json(json.loads(res.stdout))
         from ybe_forge.cuspidal import assemble_r
 
         assert doc.to_tensor() == assemble_r(2, 1, F(1, 3), F(2))
 
-    def test_latex_format(self, runner):
-        res = run(runner, "rational", "2", "1", "--x", "0", "--y", "1", "--format", "latex")
+    def test_latex_format(self):
+        res = run("rational", "2", "1", "--x", "0", "--y", "1", "--format", "latex")
         assert res.exit_code == 0
         assert "\\otimes" in res.stdout
 
-    def test_bad_points_exit_3(self, runner):
-        assert run(runner, "rational", "2", "1", "--x", "1", "--y", "1").exit_code == 3
-        assert run(runner, "rational", "2", "1", "--x", "a", "--y", "1").exit_code == 3
-        assert run(runner, "rational", "2", "2", "--x", "0", "--y", "1").exit_code == 3
+    def test_bad_points_exit_3(self):
+        assert run("rational", "2", "1", "--x", "1", "--y", "1").exit_code == 3
+        assert run("rational", "2", "1", "--x", "a", "--y", "1").exit_code == 3
+        assert run("rational", "2", "2", "--x", "0", "--y", "1").exit_code == 3
 
-    def test_huge_exponent_exit_3(self, runner):
-        res = run(runner, "rational", "3", "1", "--x", "1e999999999", "--y", "2")
+    def test_huge_exponent_exit_3(self):
+        res = run("rational", "3", "1", "--x", "1e999999999", "--y", "2")
         assert res.exit_code == 3
         assert len(res.stderr.strip().splitlines()) == 1
-        assert run(runner, "rational", "3", "1", "--x", "2.5e3", "--y", "2").exit_code == 0
+        assert run("rational", "3", "1", "--x", "2.5e3", "--y", "2").exit_code == 0
 
     @pytest.mark.parametrize("option", ["--x", "--y"])
-    def test_long_point_exit_3(self, runner, option):
+    def test_long_point_exit_3(self, option):
         """A 1000-digit point is refused before any work: it would cost
         minutes in the exact solve."""
         args = {"--x": "1/3", "--y": "2", option: "1/" + "7" * 1000}
         t0 = time.perf_counter()
-        res = run(runner, "rational", "12", "7", *[t for item in args.items() for t in item])
+        res = run("rational", "12", "7", *[t for item in args.items() for t in item])
         assert time.perf_counter() - t0 < 1.0
         assert res.exit_code == 3
         assert "digits" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
-    def test_point_at_digit_cap(self, runner):
+    def test_point_at_digit_cap(self):
         top = 10 ** RAT_DIGITS_MAX - 1
-        res = run(runner, "rational", "3", "1", "--x", "%d/%d" % (-top, top - 1), "--y", str(top))
+        res = run("rational", "3", "1", "--x", "%d/%d" % (-top, top - 1), "--y", str(top))
         assert res.exit_code == 0
         assert json.loads(res.stdout)["provenance"]["y"] == str(top)
-        assert run(runner, "rational", "3", "1", "--x", "1e%d" % RAT_DIGITS_MAX,
+        assert run("rational", "3", "1", "--x", "1e%d" % RAT_DIGITS_MAX,
                    "--y", "2").exit_code == 3
 
 
 class TestStolin:
-    def test_default_matches_reference_n2(self, runner):
-        res = run(runner, "stolin", "2", "1", "--x", "0", "--y", "1")
+    def test_default_matches_reference_n2(self):
+        res = run("stolin", "2", "1", "--x", "0", "--y", "1")
         doc = document_from_json(json.loads(res.stdout))
         golden = json.loads((GOLDENS / "stolin_n2_e1_x0_y1.json").read_text())
         assert doc == document_from_json(golden)
 
-    def test_neg_j_equals_gauged_rational(self, runner):
-        res1 = run(runner, "stolin", "3", "2", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2")
-        res2 = run(runner, "rational", "3", "1", "--x", "1/3", "--y", "2")
+    def test_neg_j_equals_gauged_rational(self):
+        res1 = run("stolin", "3", "2", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2")
+        res2 = run("rational", "3", "1", "--x", "1/3", "--y", "2")
         t1 = document_from_json(json.loads(res1.stdout)).to_tensor()
         t2 = document_from_json(json.loads(res2.stdout)).to_tensor()
         from ybe_forge.lie import apply_gauge, transpose_negate_map
@@ -132,32 +129,32 @@ class TestStolin:
         phi = transpose_negate_map(3)
         assert apply_gauge(phi, phi, t2) == t1
 
-    def test_degenerate_file_exit_2(self, runner, tmp_path):
+    def test_degenerate_file_exit_2(self, tmp_path):
         bad = tmp_path / "k.json"
         bad.write_text(json.dumps([[0, 0], [0, 0]]))
-        res = run(runner, "stolin", "2", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
+        res = run("stolin", "2", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
         assert res.exit_code == 2
         assert res.stderr == "error: Frobenius form degenerate: omega_K is degenerate on p_1\n"
 
     @pytest.mark.parametrize("payload", ["[1, 2]", '{"a": 1}', '"12"', '[["1/0", "1"], [0, 0]]',
                                          '[[[1]], [2]]', "[1,",
                                          '[["1e30", 0, 0], [0, 0, 0], [0, 0, 0]]'])
-    def test_malformed_k_file_exit_3(self, runner, tmp_path, payload):
+    def test_malformed_k_file_exit_3(self, tmp_path, payload):
         bad = tmp_path / "k.json"
         bad.write_text(payload)
-        res = run(runner, "stolin", "3", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
+        res = run("stolin", "3", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
         assert res.exit_code == 3
         assert res.exception is None or isinstance(res.exception, SystemExit)
         assert len(res.stderr.strip().splitlines()) == 1
 
-    def test_non_coprime_default_k_exit_3(self, runner):
-        res = run(runner, "stolin", "4", "2", "--x", "0", "--y", "1")
+    def test_non_coprime_default_k_exit_3(self):
+        res = run("stolin", "4", "2", "--x", "0", "--y", "1")
         assert res.exit_code == 3
         assert "coprime" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("n,e,extra", [(3, 1, 0), (3, 2, 0), (12, 1, 1), (12, 7, 1)])
-    def test_k_file_digit_bound(self, runner, tmp_path, n, e, extra):
+    def test_k_file_digit_bound(self, tmp_path, n, e, extra):
         """A K file with K_EXTRA_DIGITS_MAX digits beyond one per numerator and
         denominator is solved (or found degenerate); one digit more is refused
         before any work."""
@@ -168,7 +165,7 @@ class TestStolin:
         k_file = tmp_path / "k.json"
         k_file.write_text(json.dumps(cells))
         t0 = time.perf_counter()
-        res = run(runner, "stolin", str(n), str(e), "--k-matrix", str(k_file), "--x", "0",
+        res = run("stolin", str(n), str(e), "--k-matrix", str(k_file), "--x", "0",
                   "--y", "1")
         if extra:
             assert time.perf_counter() - t0 < 1.0
@@ -178,71 +175,71 @@ class TestStolin:
         else:
             assert res.exit_code in (0, 2)
 
-    def test_k_file_byte_bound(self, runner, tmp_path):
+    def test_k_file_byte_bound(self, tmp_path):
         """A K file of K_FILE_BYTES_MAX bytes is read; a file of one byte more,
         spaces only, is refused with one error line before it is parsed."""
         k_file = tmp_path / "k.json"
         text = json.dumps([["0", "1"], ["0", "0"]])
         k_file.write_text(text.ljust(K_FILE_BYTES_MAX))
-        res = run(runner, "stolin", "2", "1", "--k-matrix", str(k_file), "--x", "1", "--y", "2")
+        res = run("stolin", "2", "1", "--k-matrix", str(k_file), "--x", "1", "--y", "2")
         assert res.exit_code == 0
         k_file.write_text(" " * (K_FILE_BYTES_MAX + 1))
-        res = run(runner, "stolin", "2", "1", "--k-matrix", str(k_file), "--x", "1", "--y", "2")
+        res = run("stolin", "2", "1", "--k-matrix", str(k_file), "--x", "1", "--y", "2")
         assert res.exit_code == 3
         assert res.stderr == "error: K matrix file %r is longer than %d bytes\n" % (
             str(k_file), K_FILE_BYTES_MAX)
 
-    def test_file_k_matrix(self, runner, tmp_path):
+    def test_file_k_matrix(self, tmp_path):
         good = tmp_path / "k.json"
         good.write_text(json.dumps([["0", "1"], ["0", "0"]]))
-        res = run(runner, "stolin", "2", "1", "--k-matrix", str(good), "--x", "0", "--y", "1")
+        res = run("stolin", "2", "1", "--k-matrix", str(good), "--x", "0", "--y", "1")
         assert res.exit_code == 0
 
 
 class TestElliptic:
-    def test_document_provenance(self, runner):
-        res = run(runner, "elliptic", "2", "1", "--tau", "0.3+1i", "--x", "0.1", "--y", "0.2")
+    def test_document_provenance(self):
+        res = run("elliptic", "2", "1", "--tau", "0.3+1i", "--x", "0.1", "--y", "0.2")
         assert res.exit_code == 0
         payload = json.loads(res.stdout)
         assert payload["provenance"]["difference_convention"] == "y-x"
         assert payload["scalar"] == "complex"
         assert len(payload["terms"]) > 0
 
-    def test_lattice_point_exit_2(self, runner):
-        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.1")
+    def test_lattice_point_exit_2(self):
+        res = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.1")
         assert res.exit_code == 2
         assert "pole" in res.stderr
 
-    def test_terms_drift(self, runner):
-        r60 = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
+    def test_terms_drift(self):
+        r60 = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
                   "--terms", "60")
-        r120 = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
+        r120 = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
                    "--terms", "120")
         t60 = document_from_json(json.loads(r60.stdout)).to_tensor()
         t120 = document_from_json(json.loads(r120.stdout)).to_tensor()
         assert t60.sub(t120).norm() < 1e-12
 
-    def test_nonpositive_terms_exit_3(self, runner):
-        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.3",
+    def test_nonpositive_terms_exit_3(self):
+        res = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.3",
                   "--terms", "-5")
         assert res.exit_code == 3
         assert "pole" not in res.stderr
 
-    def test_bad_tau_exit_3(self, runner):
-        res = run(runner, "elliptic", "2", "1", "--tau", "0.3-1i", "--x", "0.1", "--y", "0.2")
+    def test_bad_tau_exit_3(self):
+        res = run("elliptic", "2", "1", "--tau", "0.3-1i", "--x", "0.1", "--y", "0.2")
         assert res.exit_code == 3
 
     @pytest.mark.parametrize("option, value", [("--x", "nan"), ("--x", "1e400"),
                                                ("--tau", "nan+1i"), ("--tau", "0.3+1e400i")])
-    def test_non_finite_exit_3(self, runner, option, value):
+    def test_non_finite_exit_3(self, option, value):
         args = {"--tau": "1i", "--x": "0.1", "--y": "0.2", option: value}
-        res = run(runner, "elliptic", "2", "1", *[t for item in args.items() for t in item])
+        res = run("elliptic", "2", "1", *[t for item in args.items() for t in item])
         assert res.exit_code == 3
         assert "finite" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
-    def test_non_finite_difference_exit_3(self, runner):
-        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "1e308", "--y", "-1e308")
+    def test_non_finite_difference_exit_3(self):
+        res = run("elliptic", "2", "1", "--tau", "1i", "--x", "1e308", "--y", "-1e308")
         assert res.exit_code == 3
         assert "finite" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
@@ -252,21 +249,21 @@ class TestElliptic:
         ("3", "1", "--tau", "0.3+1i", "--x", "0", "--y", "3i"),
         ("6", "5", "--tau", "2i", "--x", "0", "--y", "-0.9i"),
     ], ids=["large-u", "large-difference", "large-sum"])
-    def test_former_overflow_exit_0(self, runner, args):
-        res = run(runner, "elliptic", *args)
+    def test_former_overflow_exit_0(self, args):
+        res = run("elliptic", *args)
         assert res.exit_code == 0
         assert json.loads(res.stdout)["terms"]
 
-    def test_truncation_short_of_tolerance_exit_3(self, runner):
+    def test_truncation_short_of_tolerance_exit_3(self):
         """Im(tau) = 0.0027: the dropped theta terms reach 1.5e-13 at
         |Im z| = 1.5 Im(tau), above tol/10."""
-        res = run(runner, "elliptic", "2", "1", "--tau", "0.0027i", "--x", "0.1", "--y", "0.2")
+        res = run("elliptic", "2", "1", "--tau", "0.0027i", "--x", "0.1", "--y", "0.2")
         assert res.exit_code == 3
         assert "truncation" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
-    def test_overflowing_series_exit_3(self, runner):
-        res = run(runner, "elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
+    def test_overflowing_series_exit_3(self):
+        res = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",
                   "--terms", "1000")
         assert res.exit_code == 3
         assert "overflow" in res.stderr
@@ -281,30 +278,30 @@ class TestSizeCap:
         ["elliptic", str(N_MAX + 1), "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"],
         ["verify", "--n-max", str(N_MAX + 1)],
     ], ids=lambda args: args[0])
-    def test_above_cap_exit_3(self, runner, args):
-        res = run(runner, *args)
+    def test_above_cap_exit_3(self, args):
+        res = run(*args)
         assert res.exit_code == 3
         assert "exceeds the supported maximum" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
-    def test_verify_above_cap_exit_3(self, runner):
+    def test_verify_above_cap_exit_3(self):
         """`verify --n-max` shares the one cap N_MAX."""
-        res = run(runner, "verify", "--n-max", str(N_MAX + 1))
+        res = run("verify", "--n-max", str(N_MAX + 1))
         assert res.exit_code == 3
         assert "exceeds the supported maximum %d" % N_MAX in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
-    def test_verify_cap_admitted(self, runner, monkeypatch):
+    def test_verify_cap_admitted(self, monkeypatch):
         """--n-max N_MAX passes argument checking and reaches the suite."""
         calls = []
         monkeypatch.setattr(verify, "run_suite", lambda suite, n_max, threads: calls.append(
             (suite, n_max)) or verify.VerifyReport(suite, ()))
-        res = run(runner, "verify", "--n-max", str(N_MAX))
+        res = run("verify", "--n-max", str(N_MAX))
         assert res.exit_code == 0
         assert calls == [("all", N_MAX)]
 
-    def test_cap_admitted(self, runner):
-        assert run(runner, "jmatrix", str(N_MAX - 1), "1").exit_code == 0
+    def test_cap_admitted(self):
+        assert run("jmatrix", str(N_MAX - 1), "1").exit_code == 0
 
 
 USAGE_ERRORS = {
@@ -337,21 +334,21 @@ USAGE_ERRORS = {
 
 
 class TestUsageErrors:
-    """Click's own usage errors are invalid input: exit 3 and one line."""
+    """Usage errors are invalid input: exit 3 and one line."""
 
     @pytest.mark.parametrize("command", sorted(USAGE_ERRORS))
     @pytest.mark.parametrize("case", ["missing", "non-integer", "unknown"])
-    def test_usage_error_exit_3(self, runner, command, case):
-        res = run(runner, *USAGE_ERRORS[command][case])
+    def test_usage_error_exit_3(self, command, case):
+        res = run(*USAGE_ERRORS[command][case])
         assert res.exit_code == 3
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("error: ")
 
     @pytest.mark.parametrize("args", [[], ["bogus"], ["--bogus", "verify"]])
-    def test_group_usage_error_exit_3(self, runner, args):
+    def test_group_usage_error_exit_3(self, args):
         """No command, an unknown command, an unknown group option."""
-        res = run(runner, *args)
+        res = run(*args)
         assert res.exit_code == 3
         assert res.stdout == ""
         assert len(res.stderr.splitlines()) == 1
@@ -359,30 +356,154 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("args", [[], ["jmatrix"], ["rational"], ["stolin"],
                                       ["elliptic"], ["verify"]])
-    def test_help_exit_0(self, runner, args):
-        res = run(runner, *args, "--help")
+    def test_help_exit_0(self, args):
+        res = run(*args, "--help")
         assert res.exit_code == 0
         assert res.stdout.startswith("Usage:")
 
 
+# A valid request per command, with what the parsing tests vary.
+VALID = {
+    "jmatrix": ["jmatrix", "3", "2", "--format", "json"],
+    "rational": ["rational", "3", "1", "--x", "1/3", "--y", "2"],
+    "stolin": ["stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2"],
+    "elliptic": ["elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"],
+    "verify": ["verify", "--suite", "zoo", "--n-max", "2"],
+}
+
+
+def _with(args, option, value):
+    """`args` with the value of `option` replaced by the separate token `value`."""
+    args = list(args)
+    args[args.index(option) + 1] = value
+    return args
+
+
+class TestParsing:
+    """An option's value is the next token even when it starts with `-`;
+    options are never abbreviated; the last repeated value wins; `--help`
+    lists every option."""
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("rational", "--x", "-1/3"), ("rational", "--y", "-2"),
+        ("stolin", "--x", "-1/3"), ("elliptic", "--y", "-0.9i"),
+        ("elliptic", "--x", "-0.1"),
+    ])
+    def test_dash_led_value(self, command, option, value):
+        args = _with(VALID[command], option, value)
+        spaced = run(*args)
+        i = args.index(option)
+        joined = run(*args[:i], "%s=%s" % (option, value), *args[i + 2:])
+        assert spaced.exit_code == 0, spaced.output
+        assert json.loads(spaced.stdout)["provenance"] == json.loads(joined.stdout)["provenance"]
+        assert spaced.stdout == joined.stdout
+
+    @pytest.mark.parametrize("args, message", [
+        (["verify", "--n-max", "-3"], "--n-max must be at least 2"),
+        (VALID["elliptic"] + ["--terms", "-5"], "need at least 1 theta series term, got -5"),
+    ], ids=["--n-max", "--terms"])
+    def test_dash_led_value_reaches_domain_check(self, args, message):
+        res = run(*args)
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr == "error: %s\n" % message
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_no_abbreviation(self, command):
+        assert run(*VALID[command]).exit_code == 0
+        res = run(*VALID[command], "--form", "json")
+        assert res.exit_code == 3
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: No such option '--form'.")
+        assert len(res.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, option, first", [
+        ("rational", "--x", "1/5"), ("stolin", "--x", "1/5"), ("elliptic", "--x", "0.3"),
+        ("jmatrix", "--format", "text"), ("verify", "--suite", "bogus"),
+    ])
+    def test_last_repeated_value_wins(self, command, option, first):
+        args = VALID[command]
+        i = args.index(option)
+        res = run(*args[:i], option, first, *args[i:])
+        assert res.exit_code == 0, res.output
+        assert res.stdout == run(*args).stdout
+
+    @pytest.mark.parametrize("args", [
+        ["jmatrix", "-1", "2"],
+        ["rational", "-3", "1", "--x", "0", "--y", "1"],
+        ["stolin", "3", "-1", "--x", "0", "--y", "1"],
+        ["elliptic", "2", "-1", "--tau", "1i", "--x", "0.1", "--y", "0.2"],
+        ["jmatrix", "--", "-1", "2"],
+        ["rational", "--x", "0", "--y", "1", "--", "4", "-1"],
+        ["elliptic", "--tau", "1i", "--x", "0.1", "--y", "0.2", "--", "2", "-1"],
+    ], ids=lambda args: " ".join(args))
+    def test_negative_positionals_exit_3(self, args):
+        res = run(*args)
+        assert res.exit_code == 3
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+        assert len(res.stderr.splitlines()) == 1
+        assert "Traceback" not in res.output
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_help_lists_every_option(self, command):
+        res = run(command, "--help")
+        assert res.exit_code == 0
+        assert res.stdout.startswith("Usage: ybe-forge %s [OPTIONS]" % command)
+        options = [line.split()[0] for line in res.stdout.split("Options:\n")[1].splitlines()
+                   if line.startswith("  --")]
+        assert options == [*COMMANDS[command][2], "--help"]
+
+    def test_group_help_lists_every_command(self):
+        res = run("--help")
+        assert res.exit_code == 0
+        commands = [line.split()[0] for line in res.stdout.split("Commands:\n")[1].splitlines()]
+        assert commands == sorted(COMMANDS)
+
+
+class TestInterrupted:
+    def test_interrupt_exits_1(self, monkeypatch):
+        from ybe_forge import cuspidal
+
+        def interrupted(e, d):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cuspidal, "build_j", interrupted)
+        res = run("jmatrix", "3", "2")
+        assert (res.exit_code, res.stdout, res.stderr) == (1, "", "\nAborted!\n")
+
+    def test_closed_stdout_exits_1_quietly(self):
+        """A reader that closes stdout early (`| head`) ends the request with
+        exit 1 and nothing on stderr."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-m", "ybe_forge.cli", "jmatrix", "11", "1"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        assert proc.wait() == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+
 class TestVerify:
-    def test_zoo_suite_passes(self, runner):
-        res = run(runner, "verify", "--suite", "zoo")
+    def test_zoo_suite_passes(self):
+        res = run("verify", "--suite", "zoo")
         assert res.exit_code == 0
         assert "all checks passed" in res.stdout
 
-    def test_failing_check_exit_2(self, runner, monkeypatch):
+    def test_failing_check_exit_2(self, monkeypatch):
         monkeypatch.setattr(verify, "check_zoo_rational", lambda: (False, "forced failure"))
-        res = run(runner, "verify", "--suite", "zoo")
+        res = run("verify", "--suite", "zoo")
         assert res.exit_code == 2
         assert "[FAIL] zoo-rational" in res.stdout
 
-    def test_json_report_is_reproducible(self, runner):
+    def test_json_report_is_reproducible(self):
         """Two runs of the same suite report the same checks, verdicts and
         details; only the timings differ."""
         reports = []
         for _ in range(2):
-            res = run(runner, "verify", "--suite", "all", "--n-max", "4", "--format", "json")
+            res = run("verify", "--suite", "all", "--n-max", "4", "--format", "json")
             assert res.exit_code == 0
             payload = json.loads(res.stdout)
             for check in payload["checks"]:
@@ -390,8 +511,8 @@ class TestVerify:
             reports.append(payload)
         assert reports[0] == reports[1]
 
-    def test_json_format(self, runner):
-        res = run(runner, "verify", "--suite", "zoo", "--format", "json")
+    def test_json_format(self):
+        res = run("verify", "--suite", "zoo", "--format", "json")
         payload = json.loads(res.stdout)
         assert payload["passed"] is True
         assert payload["version"] == __version__
@@ -407,25 +528,24 @@ class TestVerify:
     def test_suite_choices_have_checks(self):
         """The CLI's --suite choices are the one list of suite names: each
         has checks, and a name outside it is refused."""
-        suite = next(p for p in verify_cmd.params if p.name == "suite")
-        for name in suite.type.choices:
+        for name in SUITES:
             assert _tasks_for(name, 2, 0)
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("bogus", n_max=2, threads=1)
 
-    def test_bad_suite_exit(self, runner):
-        res = run(runner, "verify", "--suite", "bogus")
+    def test_bad_suite_exit(self):
+        res = run("verify", "--suite", "bogus")
         assert res.exit_code != 0
 
-    def test_forge_threads_env(self, runner, monkeypatch):
+    def test_forge_threads_env(self, monkeypatch):
         monkeypatch.setenv("FORGE_THREADS", "2")
-        res = run(runner, "verify", "--suite", "zoo")
+        res = run("verify", "--suite", "zoo")
         assert res.exit_code == 0
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
-    def test_bad_forge_threads_exit_3(self, runner, monkeypatch, value):
+    def test_bad_forge_threads_exit_3(self, monkeypatch, value):
         monkeypatch.setenv("FORGE_THREADS", value)
-        res = run(runner, "verify", "--suite", "zoo")
+        res = run("verify", "--suite", "zoo")
         assert res.exit_code == 3
         assert "FORGE_THREADS" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1

@@ -182,14 +182,12 @@ class TestReferenceOracle:
         """At tau = 0.05i the coefficients underflow to 0.0 near n = 70, so
         4500 requested terms leave a short table, and the CLI document is
         the reference's."""
-        from click.testing import CliRunner
-
-        from ybe_forge.cli import main
+        from conftest import invoke
 
         ctx = ThetaContext(tau=0.05j, terms=4500)
         assert len(_theta_table(ctx)[1]) < 100
-        res = CliRunner().invoke(main, ["elliptic", "3", "1", "--tau", "0.05i",
-                                        "--terms", "4500", "--x=0", "--y=0.003"])
+        res = invoke(["elliptic", "3", "1", "--tau", "0.05i", "--terms", "4500", "--x=0",
+                      "--y=0.003"])
         assert res.exit_code == 0, res.output
         want = [[list(key), [c.real, c.imag]]
                 for key, c in sorted(belavin_reference(3, 1, ctx, 0.0, 0.003).terms.items())]

@@ -57,14 +57,6 @@ def _uses(tree: ast.Module) -> Counter:
     return out
 
 
-def _is_click_command(fn) -> bool:
-    for dec in fn.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr in ("command", "group"):
-            return True
-    return False
-
-
 def _definitions(tree: ast.Module):
     """Top-level functions, classes and aliases (`Name = Other`), and the
     non-dunder methods of the classes, as (qualified name, bare name)."""
@@ -74,8 +66,7 @@ def _definitions(tree: ast.Module):
                 if isinstance(target, ast.Name):
                     yield target.id, target.id
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if not (isinstance(node, ast.FunctionDef) and _is_click_command(node)):
-                yield node.name, node.name
+            yield node.name, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
@@ -283,6 +274,27 @@ def test_command_loads_only_its_modules(args, extra):
     loaded, pool = json.loads(_python(_LOADED, *args, FORGE_THREADS="1"))
     assert loaded == sorted(_CLI_CORE + extra)
     assert not pool
+
+
+# The modules that the interpreter and `site` load before the package (a
+# `.pth` file may add some from outside the standard library) are left out.
+_FOREIGN = """import json, sys
+before = set(sys.modules)
+from ybe_forge import cli
+try:
+    cli.main(args=["jmatrix", "2", "1"], prog_name="ybe-forge")
+except SystemExit as exc:
+    code = exc.code
+top = {m.split(".")[0] for m in set(sys.modules) - before}
+print(json.dumps([code, sorted(top - set(sys.stdlib_module_names) - {"ybe_forge"})]))
+"""
+
+
+def test_cli_loads_only_the_standard_library():
+    """A request loads no module from outside the standard library: the
+    CLI parses its arguments itself, so no parsing library (such as click)
+    adds to the start-up of every request."""
+    assert json.loads(_python(_FOREIGN)) == [0, []]
 
 
 def test_scan_sees_a_dead_helper(tmp_path):

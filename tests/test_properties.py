@@ -4,11 +4,10 @@ DocumentError."""
 
 import json
 
-from click.testing import CliRunner
+from conftest import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybe_forge.cli import main
 from ybe_forge.document import DocumentError, TensorDocument, loads
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
@@ -47,7 +46,7 @@ TAU = (st.sampled_from(["1i", "0.3+1i", "2i", "0.5+1.5i", "0.1+3.7i"]), COMPLEX[
 
 
 def _invoke(args):
-    res = CliRunner().invoke(main, args)
+    res = invoke(args)
     assert res.exit_code in (0, 2, 3), (args, res.exit_code, res.exception)
     assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
     assert "Traceback" not in res.output
