@@ -174,7 +174,8 @@ def _load_k_matrix(spec: str, e: int, d: int):
             _fail("K matrix file %r is longer than %d bytes" % (spec, K_FILE_BYTES_MAX),
                   EXIT_BADINPUT)
         rows = json.loads(data.decode("utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # a file of a few kB can nest its lists deeper than the parser recurses
         _fail("cannot read K matrix from %r: %s" % (spec, exc), EXIT_BADINPUT)
     if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
         _fail("K matrix in %r must be a JSON list of lists of rationals" % spec, EXIT_BADINPUT)
@@ -297,8 +298,9 @@ COMMANDS = {
         "--tau": ("tau", str, None, "modulus with positive imaginary part, e.g. 0.3+1i"),
         "--x": ("x", str, None, ""),
         "--y": ("y", str, None, ""),
-        "--terms": ("terms", int, 60, "theta series truncation; terms past the point where "
-                    "the coefficients underflow to zero cost nothing"),
+        "--terms": ("terms", int, 60, "theta series truncation, at most 10000; each term "
+                    "costs about 1 us once per request, also past the point where the "
+                    "coefficients underflow to zero"),
     }),
     "verify": (verify_cmd, (), {
         "--suite": ("suite", SUITES, "all", ""),

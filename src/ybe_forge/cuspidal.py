@@ -19,7 +19,6 @@ from .exact import (
     SingularSystemError,
     ZERO,
     kernel,
-    matrix_poly_from_entries,
     rat,
     solve_multi,
 )
@@ -374,7 +373,7 @@ class GElements:
     e: int
     d: int
     x: Fraction
-    corrections: dict  # BasisIndex -> MatrixPoly
+    corrections: dict  # BasisIndex -> {(i, j): nonzero polynomial in z}
 
 
 # Most residue points whose corrections `g_elements` keeps.  At n = 12 one
@@ -415,13 +414,14 @@ def g_elements(e: int, d: int, x: Fraction) -> GElements:
                 p = cells.setdefault((i, j), [0, 0, 0])
                 for m, f in powers[k]:
                     p[m] += num * f
-        polys = {}
-        for ij, p in cells.items():
+        polys = {}  # in row-major order
+        for ij in sorted(cells):
+            p = cells[ij]
             while p and not p[-1]:
                 p.pop()
             if p:
                 polys[ij] = tuple(Fraction(a, q) if a else ZERO for a in p)
-        corrections[label] = matrix_poly_from_entries(n, polys)
+        corrections[label] = polys
     return GElements(e, d, x, corrections)
 
 

@@ -19,11 +19,11 @@ from math import gcd
 from .lie import (
     COMPLEX,
     GlTensor2,
+    basis_terms,
     casimir,
     cybe_residual_two_variable,
     heisenberg,
     heisenberg_entries,
-    tensor_from_entries,
     tensor_from_pairs,
 )
 
@@ -38,6 +38,13 @@ RESIDUE_FIT_RADIUS = 1e-4
 # tolerance of every theta evaluation: a `ThetaContext` whose first dropped
 # series term is not below a tenth of it is refused
 THETA_TOL = 1e-12
+# Most theta series terms a `ThetaContext` admits.  Each requested term
+# costs about 1 us once per context (its coefficient and its share of
+# theta1'(0)), also past the point where the coefficients underflow, and the
+# overflow check alone admits about 709 / (pi Im(tau)) terms, without bound
+# as Im(tau) -> 0.  At this bound a context's table takes about 10 ms (one
+# CPU of a 2-core Intel Xeon, at tau = 0.02i and at 0.0001i).
+THETA_TERMS_MAX = 10_000
 
 
 class PoleProximityError(ArithmeticError):
@@ -63,6 +70,8 @@ class ThetaContext:
                              % (self.terms,))
         if self.terms < 1:
             raise ValueError("need at least 1 theta series term, got %d" % self.terms)
+        if self.terms > THETA_TERMS_MAX:
+            raise ValueError("need at most %d theta series terms" % THETA_TERMS_MAX)
         if (2 * self.terms - 1) * math.pi * self.tau.imag / 2 > _LOG_MAX:
             raise ValueError(
                 "%d theta series terms overflow on the strip |Im z| <= Im(tau)/2 "
@@ -291,7 +300,7 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
         raise ValueError(
             "y - x = %r is not finite or too large for Im(tau) = %g" % (v, ctx.tau.imag)
         )
-    return tensor_from_entries(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
+    return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
 
 
 def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:
@@ -324,20 +333,10 @@ def belavin_unitarity_residual(n: int, d: int, ctx: ThetaContext, x, y) -> float
 # the classical (2,1) solutions: elliptic, trigonometric, rational
 # ---------------------------------------------------------------------------
 
-def _sl2_basis():
-    from .exact import ONE, ZERO
-
-    h = ((ONE, ZERO), (ZERO, -ONE))
-    e = ((ZERO, ONE), (ZERO, ZERO))
-    f = ((ZERO, ZERO), (ONE, ZERO))
-    return h, e, f
-
-
-def _sl2_basis_c():
-    h = ((1 + 0j, 0j), (0j, -1 + 0j))
-    e = ((0j, 1 + 0j), (0j, 0j))
-    f = ((0j, 0j), (1 + 0j, 0j))
-    return h, e, f
+# h, e and f of sl(2) as their ((i, j), entry) pairs, with integer entries,
+# so that they serve the exact and the complex solutions alike
+_SL2 = tuple(tuple(basis_terms(label, 2).items())
+             for label in (("cartan", 1), ("unit", 1, 2), ("unit", 2, 1)))
 
 
 def jacobi_sn_cn_dn(z: complex, ctx: ThetaContext) -> tuple[complex, complex, complex]:
@@ -365,7 +364,7 @@ def zoo_baxter(z: complex, ctx: ThetaContext) -> GlTensor2:
     sn, cn, dn = jacobi_sn_cn_dn(z, ctx)
     if abs(sn) < POLE_GUARD:
         raise PoleProximityError("sn zero: solution pole")
-    h, e, f = _sl2_basis_c()
+    h, e, f = _SL2
     pairs = [
         (h, h, cn / sn),
         (e, f, (1 + dn) / sn),
@@ -382,7 +381,7 @@ def zoo_cherednik(z: complex) -> GlTensor2:
     s = cmath.sin(z)
     if abs(s) < POLE_GUARD:
         raise PoleProximityError("sin zero: solution pole")
-    h, e, f = _sl2_basis_c()
+    h, e, f = _SL2
     pairs = [
         (h, h, 0.5 * cmath.cos(z) / s),
         (e, f, 1 / s),
@@ -400,7 +399,7 @@ def zoo_stolin_rat(z) -> GlTensor2:
     z = rat(z)
     if z == 0:
         raise ZeroDivisionError("solution pole at z = 0")
-    h, e, f = _sl2_basis()
+    h, e, f = _SL2
     pairs = [
         (h, h, Fraction(1, 2) / z),
         (e, f, ONE / z),

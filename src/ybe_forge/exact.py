@@ -1,10 +1,13 @@
-"""Exact rational linear algebra: matrices, fraction-free elimination,
-polynomials in the loop variable z, interpolation, and roots of unity
-in the power basis of Q(zeta_m).
+"""Exact rational linear algebra: fraction-free elimination, polynomials
+in the loop variable z, interpolation, and roots of unity in the power
+basis of Q(zeta_m).
 
 All arithmetic in this module is exact, apart from the float evaluation
-`root_complex`.  Scalars are `fractions.Fraction`; matrices are immutable
-nested tuples so they can be hashed and cached.
+`root_complex`.  Scalars are `fractions.Fraction`.  An n x n matrix of the
+package is a {(i, j): nonzero entry} dict, 1-based, and a matrix
+polynomial one of {(i, j): nonzero polynomial}.  Only the cocycle matrix
+K, which keys the `solve_dec` cache, and the matrix J that `jmatrix`
+prints are immutable nested tuples.
 
 The solvers `kernel`, `solve_multi` and `det` take a matrix as
 its rows, each a {column: entry} dict with Fraction or int entries, and
@@ -28,7 +31,6 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -70,34 +72,10 @@ def rat(v) -> Fraction:
     return Fraction(v)
 
 
-# ---------------------------------------------------------------------------
-# dense matrices over an exact ring (Fraction by default)
-# ---------------------------------------------------------------------------
-
 def freeze(rows) -> tuple:
+    """A dense matrix as nested tuples, hashable: the form of a cocycle
+    matrix K."""
     return tuple(tuple(row) for row in rows)
-
-
-def mat_unit(n: int, i: int, j: int) -> tuple:
-    """Matrix unit e_{i,j} with 1-based indices, as in the usual basis."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("unit index out of range: (%d, %d) for n=%d" % (i, j, n))
-    return tuple(
-        tuple(ONE if (r == i - 1 and c == j - 1) else ZERO for c in range(n))
-        for r in range(n)
-    )
-
-
-def mat_is_zero(a) -> bool:
-    return not any(any(row) for row in a)
-
-
-def mat_from_entries(n: int, entries: dict) -> tuple:
-    """Build an n x n matrix from a {(i, j): value} dict with 1-based keys."""
-    rows = [[ZERO] * n for _ in range(n)]
-    for (i, j), v in entries.items():
-        rows[i - 1][j - 1] = v
-    return freeze(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +418,15 @@ def interpolate(samples: Sequence[tuple[Fraction, Fraction]], degree_bound: int)
 # matrix polynomials in z
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixPoly:
-    """n x n matrix with polynomial entries in z."""
-
-    n: int
-    entries: tuple  # n x n nested tuple of Poly tuples
-
-    def __post_init__(self):
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
-            raise ValueError("entries must be an n x n grid of polynomials")
-
-
-def matrix_poly_from_entries(n: int, entries: dict) -> MatrixPoly:
-    """Build from a {(i, j): nonzero polynomial} dict with 1-based keys."""
-    rows = [[POLY_ZERO] * n for _ in range(n)]
-    for (i, j), p in entries.items():
-        rows[i - 1][j - 1] = p
-    return MatrixPoly(n, tuple(map(tuple, rows)))
-
-
-def eval_matrix_poly(F: MatrixPoly, x: Fraction) -> tuple:
-    """Entry-wise evaluation at z = x."""
+def eval_matrix_poly(F: dict, x: Fraction) -> dict:
+    """Entry-wise evaluation at z = x of a matrix polynomial given as
+    {(i, j): nonzero polynomial}, as {(i, j): nonzero value}."""
     x = rat(x)
-    return tuple(tuple(poly_eval(p, x) if p else ZERO for p in row) for row in F.entries)
+    out = {}
+    for ij, p in F.items():
+        if v := poly_eval(p, x):
+            out[ij] = v
+    return out
 
 
 # ---------------------------------------------------------------------------

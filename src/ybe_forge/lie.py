@@ -16,14 +16,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
 
-from .exact import (
-    ONE,
-    cyclo_rational,
-    mat_from_entries,
-    mat_unit,
-    root_complex,
-    root_table,
-)
+from .exact import ONE, cyclo_rational, root_complex, root_table
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -39,34 +32,22 @@ def sl_basis(n: int) -> tuple[BasisIndex, ...]:
     return tuple(labels)
 
 
-def basis_matrix(label: BasisIndex, n: int):
-    """The matrix of a basis label: e_{i,j} or h_l = e_{l,l} - e_{l+1,l+1}."""
+def basis_terms(label: BasisIndex, n: int) -> dict:
+    """The matrix of a basis label as {(i, j): nonzero entry}, 1-based:
+    e_{i,j}, or h_l = e_{l,l} - e_{l+1,l+1}, with integer entries."""
     if label[0] == "unit":
-        _, i, j = label
-        return mat_unit(n, i, j)
+        return {label[1:]: 1}
     _, l = label
     if not 1 <= l <= n - 1:
-        raise ValueError("cartan index out of range: %d" % l)
-    return mat_from_entries(n, {(l, l): ONE, (l + 1, l + 1): -ONE})
-
-
-def cartan_dual(l: int, n: int):
-    """The unique Cartan element with tr(dual * h_m) = delta_{l m}: the
-    fundamental coweight, diagonal with (n-l)/n in its first l entries and
-    -l/n in the rest."""
-    return mat_from_entries(n, dual_terms(("cartan", l), n))
-
-
-def dual_matrix(label: BasisIndex, n: int):
-    """Trace-form dual of a basis element: e_{i,j} -> e_{j,i}, h_l -> its dual."""
-    if label[0] == "unit":
-        _, i, j = label
-        return mat_unit(n, j, i)
-    return cartan_dual(label[1], n)
+        raise ValueError("cartan index out of range: %d for n=%d" % (l, n))
+    return {(l, l): 1, (l + 1, l + 1): -1}
 
 
 def dual_terms(label: BasisIndex, n: int) -> dict:
-    """`dual_matrix` as {(i, j): nonzero entry}, 1-based."""
+    """The trace-form dual of a basis label as {(i, j): nonzero entry},
+    1-based: e_{i,j} -> e_{j,i}, and h_l -> the unique Cartan element with
+    tr(dual h_m) = delta_{l m}, the fundamental coweight, diagonal with
+    (n-l)/n in its first l entries and -l/n in the rest."""
     if label[0] == "unit":
         _, i, j = label
         return {(j, i): ONE}
@@ -160,28 +141,18 @@ class GlTensor3:
 
 
 def tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
-    """Sum of coeff * (A (x) B) over (A, B, coeff) triples of matrices."""
-    return tensor_from_entries(n, ((_entries(a), _entries(b), c) for a, b, c in pairs), ring)
-
-
-def _entries(m) -> list:
-    """The nonzero entries of a square matrix as (row, column, entry),
-    1-based, in row-major order."""
-    n = len(m)
-    return [(i + 1, j + 1, m[i][j]) for i in range(n) for j in range(n) if m[i][j] != 0]
-
-
-def tensor_from_entries(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
-    """Sum of coeff * (A (x) B) over (A, B, coeff) triples, A and B given as
-    their nonzero entries (row, column, entry), 1-based.  Each key sums its
-    products in the order of the triples."""
+    """Sum of coeff * (A (x) B) over (A, B, coeff) triples, A and B each
+    given as its nonzero entries, an iterable of ((i, j), entry) pairs,
+    1-based (a tuple of pairs, or the items of a {(i, j): entry} dict).
+    Each key sums its products in the order of the triples and of their
+    entries."""
     out: dict = {}
     for a, b, c in pairs:
         if c == 0:
             continue
-        for i, j, aij in a:
+        for (i, j), aij in a:
             ca = c * aij
-            for k, l, bkl in b:
+            for (k, l), bkl in b:
                 _accumulate(out, (i, j, k, l), ca * bkl)
     return GlTensor2(n, ring, out)
 
@@ -593,14 +564,14 @@ class HeisenbergBasis:
 @lru_cache(maxsize=None)
 def heisenberg_entries(n: int, d: int) -> tuple:
     """The entries of Z^dual_{k,l} and of Z_{k,l} as complex numbers, for
-    each (k, l) of the index set in order.  Each is a tuple of (row, column,
-    entry), 1-based, one per row in row order: the nonzero entries of the
-    matrix, in the order a dense scan meets them."""
+    each (k, l) of the index set in order.  Each is a tuple of
+    ((row, column), entry) pairs, 1-based, one per row in row order: the
+    nonzero entries of the matrix, in the order a dense scan meets them."""
     hb = heisenberg(n, d)
 
     def entries(m: Monomial) -> tuple:
         values = _root_values(n, m.den)
-        return tuple((i + 1, (i + m.shift) % n + 1, values[d * e % n])
+        return tuple(((i + 1, (i + m.shift) % n + 1), values[d * e % n])
                      for i, e in enumerate(m.exps))
 
     return tuple((entries(hb.Z_dual[kl]), entries(hb.Z[kl])) for kl in hb.index_set)

@@ -21,8 +21,6 @@ from .exact import (
     ZERO,
     det,
     freeze,
-    mat_from_entries,
-    mat_is_zero,
     rat,
     solve_multi,
 )
@@ -30,9 +28,8 @@ from .lie import (
     GlTensor2,
     TensorTable,
     apply_gauge,
-    basis_matrix,
+    basis_terms,
     casimir,
-    dual_matrix,
     dual_terms,
     sl_basis,
     tensor_from_pairs,
@@ -78,29 +75,20 @@ class FrobeniusForm:
         return tuple(tuple(row.get(c, ZERO) for c in cols) for row in self.rows)
 
 
-def _label_units(lbl) -> tuple:
-    """basis_matrix(lbl) as (i, j, sign) terms sign * e_{i,j}: a unit, or
-    h_l = e_{l,l} - e_{l+1,l+1}."""
-    if lbl[0] == "unit":
-        return ((lbl[1], lbl[2], 1),)
-    l = lbl[1]
-    return ((l, l, 1), (l + 1, l + 1, -1))
-
-
 def _k_nonzeros(K) -> tuple:
-    """The nonzero entries of K as (rows, columns): rows[i] lists the
-    (column, entry) of row i and columns[j] the (row, entry) of column j,
-    0-based and in ascending order."""
-    rows = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in K)
+    """The nonzero entries of K as (rows, columns): rows[i - 1] lists the
+    (j, entry) of row i and columns[j - 1] the (i, entry) of column j,
+    1-based and in ascending order."""
+    rows = tuple(tuple((c, v) for c, v in enumerate(row, 1) if v) for row in K)
     cols: list = [[] for _ in K]
-    for r, row in enumerate(rows):
+    for r, row in enumerate(rows, 1):
         for c, v in row:
-            cols[c].append((r, v))
+            cols[c - 1].append((r, v))
     return rows, tuple(map(tuple, cols))
 
 
 def _bracket_kt_terms(kn, lbl) -> dict:
-    """[K^t, B] for a basis label B as {(row, col): nonzero entry}, 0-based,
+    """[K^t, B] for a basis label B as {(i, j): nonzero entry}, 1-based,
     from the nonzeros `kn` of K (`_k_nonzeros`)."""
     rows, cols = kn
     out: dict = {}
@@ -108,18 +96,13 @@ def _bracket_kt_terms(kn, lbl) -> dict:
     def add(key, v):
         out[key] = out[key] + v if key in out else v
 
-    for i, j, sign in _label_units(lbl):
+    for (i, j), sign in basis_terms(lbl, len(rows)).items():
         # [K^t, e_{i,j}]: column j receives row i of K, row i loses column j
         for r, v in rows[i - 1]:
-            add((r, j - 1), v if sign > 0 else -v)
+            add((r, j), v if sign > 0 else -v)
         for c, v in cols[j - 1]:
-            add((i - 1, c), -v if sign > 0 else v)
+            add((i, c), -v if sign > 0 else v)
     return {key: v for key, v in out.items() if v}
-
-
-def _matrix_terms(m) -> dict:
-    """A dense matrix as {(row, col): nonzero entry}, 0-based."""
-    return {(i, j): v for i, row in enumerate(m) for j, v in enumerate(row) if v}
 
 
 def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
@@ -139,15 +122,15 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
         row: dict = {}
         for (r, c), v in _bracket_kt_terms(kn, lbl).items():
             if r != c:
-                p = index.get(("unit", c + 1, r + 1))
-                if p is not None:  # no Gram column for e_{c+1,r+1} outside p_e
+                p = index.get(("unit", c, r))
+                if p is not None:  # no Gram column for e_{c,r} outside p_e
                     row[p] = v
                 continue
-            if r + 1 < n:
-                p = index["cartan", r + 1]
-                row[p] = row.get(p, ZERO) + v
-            if r > 0:
+            if r < n:
                 p = index["cartan", r]
+                row[p] = row.get(p, ZERO) + v
+            if r > 1:
+                p = index["cartan", r - 1]
                 row[p] = row.get(p, ZERO) - v
         rows.append({p: v for p, v in row.items() if v})
     rows = tuple(rows)
@@ -181,25 +164,24 @@ def _split_solver(K: tuple, e: int, n: int):
     kn = _k_nonzeros(K)
     rows: list = [{} for _ in range(n * n)]
     for p, lbl in enumerate(labels):
-        for (r, c), v in _bracket_kt_terms(kn, lbl).items():
-            rows[r * n + c][p] = v
+        for (i, j), v in _bracket_kt_terms(kn, lbl).items():
+            rows[(i - 1) * n + j - 1][p] = v
     for q, (i, j) in enumerate(nil_pos, len(labels)):
         rows[(i - 1) * n + j - 1][q] = 1
     return labels, tuple(nil_pos), rows
 
 
-def frobenius_split(G, K, e: int) -> tuple[tuple, tuple]:
+def frobenius_split(G: dict, K, e: int) -> tuple[dict, dict]:
     """The unique (P, N) with G = [K^t, P] + N, P in p_e and N in the
-    upper-right block.  Exists and is unique exactly when omega_K is
-    non-degenerate on p_e."""
-    P, N = frobenius_splits([_matrix_terms(G)], K, e)[0]
-    return mat_from_entries(len(K), P), mat_from_entries(len(K), N)
+    upper-right block, all three as {(i, j): nonzero entry}.  Exists and is
+    unique exactly when omega_K is non-degenerate on p_e."""
+    return frobenius_splits([G], K, e)[0]
 
 
 def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
-    """The splits (P, N) of every G in sl(n) in `targets`, each given as
-    {(row, col): nonzero entry}, 0-based, from one elimination; P and N come
-    as {(i, j): nonzero entry}, 1-based, read off the nonzero coordinates.
+    """The splits (P, N) of every G in sl(n) in `targets` from one
+    elimination; G, P and N are {(i, j): nonzero entry}, 1-based, and P and
+    N are read off the nonzero coordinates.
 
     The elimination decides degeneracy: (P, N) |-> [K^t, P] + N maps p_e plus
     the upper-right block into sl(n), of the same dimension n^2 - 1.  Its
@@ -210,7 +192,7 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     K = freeze(K)
     n = len(K)
     labels, nil_pos, rows = _split_solver(K, e, n)
-    rhs = [{r * n + c: v for (r, c), v in G.items()} for G in targets]
+    rhs = [{(i - 1) * n + j - 1: v for (i, j), v in G.items()} for G in targets]
     try:
         sols = solve_multi(rows, rhs, len(labels) + len(nil_pos))
     except LinearAlgebraError as exc:
@@ -221,8 +203,8 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
         N = {}
         for c, a in coeffs.items():
             if c < len(labels):
-                for i, j, sign in _label_units(labels[c]):
-                    P[i, j] = P.get((i, j), 0) + (a if sign > 0 else -a)
+                for ij, sign in basis_terms(labels[c], n).items():
+                    P[ij] = P.get(ij, 0) + (a if sign > 0 else -a)
             else:
                 N[nil_pos[c - len(labels)]] = Fraction(a, den)
         out.append(({ij: Fraction(a, den) for ij, a in P.items() if a}, N))
@@ -251,20 +233,14 @@ class WElementSet:
         """r(x, y) for every x and y, built on first use.  Each w has degree
         <= 1 in z, so r = c/(y-x) + A + y B + x C + x y D: A and B are the
         z^0 and z^1 parts of sum first(b) (x) w_(b;0), C and D those of
-        sum first(b) (x) w_(b;1), first(b) the first slot of `_dual_pair`."""
+        sum first(b) (x) w_(b;1), first(b) e_{i,j} for a unit b = e_{i,j}
+        and the dual-Cartan element of h_l for b = h_l."""
         n = self.n
         pairs = []
         for (label, k), parts in self.parts.items():
-            first = {label[1:]: ONE} if label[0] == "unit" else dual_terms(label, n)
+            first = basis_terms(label, n) if label[0] == "unit" else dual_terms(label, n)
             pairs += [(first, second, (0, k, m)) for m, second in parts.items()]
         return tensor_table(n, pairs)
-
-
-def _dual_pair(label, n: int) -> tuple:
-    """(first-slot element, its trace dual) for an sl(n) basis label:
-    (e_{i,j}, e_{j,i}), or (the dual-Cartan of h_l, h_l)."""
-    pair = (basis_matrix(label, n), dual_matrix(label, n))
-    return pair if label[0] == "unit" else pair[::-1]
 
 
 @lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)
@@ -287,12 +263,12 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     kn = _k_nonzeros(K)
     targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
-        if label[0] == "cartan":  # the second slot of `_dual_pair`: h_l itself
-            targets[label, 0] = {(i - 1, j - 1): s for i, j, s in _label_units(label)}
+        if label[0] == "cartan":  # the trace dual of h_l's dual-Cartan: h_l itself
+            targets[label, 0] = basis_terms(label, n)
             continue
         _, i, j = label
         reg = region(i, j, e, n)
-        dual = {(j - 1, i - 1): 1}
+        dual = {(j, i): 1}
         if reg == "I":
             # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
             bracket = _bracket_kt_terms(kn, ("unit", j, i))
@@ -411,55 +387,31 @@ def compare_pipelines(e: int, d: int, x, y) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# truncated Laurent series with gl(n) coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LaurentMatrixSeries:
-    """gl(n)-valued Laurent polynomial/series on an explicit degree window.
-
-    Coefficients outside [`lo`, `hi`] are zero by contract.
-    """
-
-    n: int
-    lo: int
-    hi: int
-    coeffs: dict  # degree -> matrix
-
-    def __post_init__(self):
-        for k in self.coeffs:
-            if not self.lo <= k <= self.hi:
-                raise ValueError("coefficient degree %d outside window" % k)
-
-
-def laurent_from_coeffs(n, entries: dict, lo: int, hi: int) -> LaurentMatrixSeries:
-    clean = {k: freeze(m) for k, m in entries.items() if not mat_is_zero(m)}
-    return LaurentMatrixSeries(n, lo, hi, clean)
-
-
-# ---------------------------------------------------------------------------
 # Lagrangian subalgebra attached to (g, e, omega_K) and its dual-basis series
 # ---------------------------------------------------------------------------
 
 def _eta_shift(e: int, n: int, parts) -> dict:
-    """Degree -> coefficient matrix of the sum of eta^{-1} (z^base M) eta
-    over the (M, base) in `parts`, each M given as {(row, col): nonzero
-    entry}, 0-based, for eta = diag(1_e, z 1_d): diagonal blocks keep the
-    degree, the upper-right block gains one, the lower-left loses one."""
+    """The sum of eta^{-1} (z^base M) eta over the (M, base) in `parts`, each
+    M given as {(i, j): nonzero entry}, for eta = diag(1_e, z 1_d): diagonal
+    blocks keep the degree, the upper-right block gains one, the lower-left
+    loses one.  The sum comes as {degree: {(i, j): nonzero entry}}, with no
+    empty degree."""
     out: dict = {}
     for terms, base_degree in parts:
         for (i, j), v in terms.items():
-            reg = region(i + 1, j + 1, e, n)
+            reg = region(i, j, e, n)
             k = base_degree + (1 if reg == "I" else -1 if reg == "III" else 0)
-            m = out.setdefault(k, [[ZERO] * n for _ in range(n)])
-            m[i][j] += v
-    return {k: freeze(m) for k, m in out.items()}
+            m = out.setdefault(k, {})
+            m[i, j] = m.get((i, j), 0) + v
+    out = {k: {ij: v for ij, v in m.items() if v} for k, m in out.items()}
+    return {k: m for k, m in out.items() if m}
 
 
 @dataclass(frozen=True)
 class OrderBasis:
     """Truncated basis of a Lagrangian subalgebra complementary to g[z]:
-    `elements` are exact Laurent polynomials supported inside the window."""
+    `elements` are exact Laurent polynomials supported inside the window,
+    each as {degree: {(i, j): nonzero z^degree coefficient}}, 1-based."""
 
     n: int
     window: tuple[int, int]
@@ -479,31 +431,24 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
     K = freeze(rational_k_matrix(K))
     frobenius_splits([], K, e)  # DegenerateFormError unless omega_K is nondegenerate
     kn = _k_nonzeros(K)
-    alphas = {lbl: _matrix_terms(basis_matrix(lbl, n)) for lbl in sl_basis(n)}
-    elements = []
-    for lbl, alpha in alphas.items():
-        chi = _bracket_kt_terms(kn, lbl)
-        entries = _eta_shift(e, n, [(alpha, 0), (chi, -1)])
-        elements.append(laurent_from_coeffs(n, entries, lo, hi))
+    alphas = {lbl: basis_terms(lbl, n) for lbl in sl_basis(n)}
+    elements = [_eta_shift(e, n, [(alpha, 0), (_bracket_kt_terms(kn, lbl), -1)])
+                for lbl, alpha in alphas.items()]
     for m_deg in range(2, -lo + 2):
         for alpha in alphas.values():
             # a basis matrix lies in one block, so its conjugate has one
             # degree: the window holds all of it or none
-            entries = _eta_shift(e, n, [(alpha, -m_deg)])
-            if min(entries) >= lo:
-                elements.append(laurent_from_coeffs(n, entries, lo, hi))
+            w = _eta_shift(e, n, [(alpha, -m_deg)])
+            if min(w) >= lo:
+                elements.append(w)
     return OrderBasis(n, window, tuple(elements))
 
 
 def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
     """The order z^{-1} g[[z^{-1}]] truncated to the window: the fixture whose
     series reproduces the pure Casimir pole."""
-    lo, hi = window
-    elements = []
-    for m_deg in range(1, -lo + 1):
-        for lbl in sl_basis(n):
-            alpha = basis_matrix(lbl, n)
-            elements.append(laurent_from_coeffs(n, {-m_deg: alpha}, lo, hi))
+    elements = [{-m_deg: basis_terms(lbl, n)}
+                for m_deg in range(1, -window[0] + 1) for lbl in sl_basis(n)]
     return OrderBasis(n, window, tuple(elements))
 
 
@@ -536,29 +481,30 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
             "window %r too small for k_max=%d" % (order.window, k_max)
         )
     labels = sl_basis(n)
-    pairs = {lbl: _dual_pair(lbl, n) for lbl in labels}
+    pairs = {}  # label -> (first-slot element, its trace dual)
+    for lbl in labels:
+        basis, dual = basis_terms(lbl, n), dual_terms(lbl, n)
+        # (e_{i,j}, e_{j,i}), or (the dual-Cartan of h_l, h_l)
+        pairs[lbl] = (basis, dual) if lbl[0] == "unit" else (dual, basis)
     # rows: all (negative degree, matrix position) coordinates of the
-    # window, row (deg - lo) n^2 + i n + j; column p is element p
+    # window, row (deg - lo) n^2 + (i - 1) n + j - 1; column p is element p
     rows: list = [{} for _ in range(-lo * n * n)]
-    poly_terms = []  # per element, its (degree, (i, j), entry) in degrees 0, 1, 1-based
+    poly_terms = []  # per element, its (degree, (i, j), entry) in degrees 0, 1
     for p, w in enumerate(order.elements):
         own = []
-        for deg, m in w.coeffs.items():
-            for i, mrow in enumerate(m):
-                for j, v in enumerate(mrow):
-                    if v:
-                        if lo <= deg < 0:
-                            rows[((deg - lo) * n + i) * n + j][p] = v
-                        elif deg <= 1:
-                            own.append((deg, (i + 1, j + 1), v))
+        for deg, m in w.items():
+            for (i, j), v in m.items():
+                if lo <= deg < 0:
+                    rows[((deg - lo) * n + i - 1) * n + j - 1][p] = v
+                elif deg <= 1:
+                    own.append((deg, (i, j), v))
         poly_terms.append(own)
     rhs_cols = []
     wanted = []
     for k in range(k_max + 1):
         base = (-k - 1 - lo) * n * n
         for lbl in labels:
-            dual = _matrix_terms(pairs[lbl][1])
-            rhs_cols.append({base + i * n + j: v for (i, j), v in dual.items()})
+            rhs_cols.append({base + (i - 1) * n + j - 1: v for (i, j), v in pairs[lbl][1].items()})
             wanted.append((lbl, k))
     try:
         sols = solve_multi(rows, rhs_cols, len(order.elements))
@@ -584,13 +530,12 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
         pole_coeff = xk * y ** (-k - 1)
         for lbl in labels:
             first, dual = pairs[lbl]
-            terms.append((first, dual, pole_coeff))
+            terms.append((first.items(), dual.items(), pole_coeff))
             value: dict = {}  # w_(lbl;k)(y)
             for m, coeffs in parts[lbl, k].items():
                 for ij, v in coeffs.items():
                     value[ij] = value.get(ij, ZERO) + v * y**m
-            if any(value.values()):
-                terms.append((first, mat_from_entries(n, value), xk))
+            terms.append((first.items(), value.items(), xk))
     return SeriesResult(n, tensor_from_pairs(n, terms), parts)
 
 

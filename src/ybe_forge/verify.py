@@ -29,7 +29,7 @@ from .lie import (
     casimir,
     cybe_lhs_sum,
     cybe_residual_difference,
-    dual_matrix,
+    dual_terms,
     flip_map,
     is_unitary_pair,
     sl_basis,
@@ -328,7 +328,7 @@ def check_ansatz(e: int, d: int) -> tuple[bool, str]:
         ok &= cuspidal.sol_space(e, d, x) == cuspidal.point_sol_space(e, d, x)
         # the per-point formula (c + sum dual(B) (x) G_B(y))/(y - x)
         inv = ONE / (y - x)
-        pairs = [(dual_matrix(label, n), eval_matrix_poly(G, y), inv)
+        pairs = [(dual_terms(label, n).items(), eval_matrix_poly(G, y).items(), inv)
                  for label, G in cuspidal.g_elements(e, d, x).corrections.items()]
         ok &= table.at(x, y) == casimir(n).scale(inv).add(tensor_from_pairs(n, pairs))
     return ok, "c/(y-x) + A + xB + yC; Sol and table match a fresh elimination at 2 points"

@@ -34,13 +34,17 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _poly_text(F) -> str:
-    return ";".join(",".join(map(str, p)) for row in F.entries for p in row)
+def _poly_text(G: dict, n: int) -> str:
+    """The n x n matrix polynomial G, {(i, j): polynomial}, as the text of
+    its dense grid: every entry in row-major order, the zero ones empty."""
+    return ";".join(",".join(map(str, G.get((i, j), ())))
+                    for i in range(1, n + 1) for j in range(1, n + 1))
 
 
-def entries_text(items) -> str:
-    """(key, matrix polynomial) pairs as text, sorted by key, entries only."""
-    return "|".join("%r:%s" % (key, _poly_text(G)) for key, G in sorted(items))
+def entries_text(items, n: int) -> str:
+    """(key, n x n matrix polynomial) pairs as text, sorted by key, entries
+    only."""
+    return "|".join("%r:%s" % (key, _poly_text(G, n)) for key, G in sorted(items))
 
 
 def compute_digests() -> dict:
@@ -57,7 +61,7 @@ def compute_digests() -> dict:
                 out["%d,%d,%s" % (e, d, x)] = {
                     "sol_space": _sha("|".join(",".join(map(str, v)) for v in sol.vectors)),
                     "g_elements": _sha("|".join(
-                        "%r:%s" % (label, _poly_text(G)) for label, G in g.corrections.items()
+                        "%r:%s" % (label, _poly_text(G, n)) for label, G in g.corrections.items()
                     )),
                     "assemble_r": _sha(dumps(document_from_tensor(
                         cuspidal.assemble_r(e, d, x, Y)))),

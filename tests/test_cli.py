@@ -22,6 +22,7 @@ from ybe_forge.cli import (
     SUITES,
 )
 from ybe_forge.document import document_from_json
+from ybe_forge.elliptic import THETA_TERMS_MAX
 from ybe_forge.verify import _tasks_for, forge_threads, run_suite
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -189,6 +190,18 @@ class TestStolin:
         assert res.stderr == "error: K matrix file %r is longer than %d bytes\n" % (
             str(k_file), K_FILE_BYTES_MAX)
 
+    def test_deeply_nested_k_file_exit_3(self, tmp_path):
+        """20,000 nested lists fit under K_FILE_BYTES_MAX but nest deeper
+        than the JSON parser recurses: one error line, exit 3."""
+        bad = tmp_path / "k.json"
+        bad.write_text("[" * 20000 + "]" * 20000)
+        assert bad.stat().st_size <= K_FILE_BYTES_MAX
+        res = run("stolin", "3", "1", "--k-matrix", str(bad), "--x", "0", "--y", "1")
+        assert res.exit_code == 3
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert res.stderr.startswith("error: cannot read K matrix from %r: " % str(bad))
+        assert len(res.stderr.strip().splitlines()) == 1
+
     def test_file_k_matrix(self, tmp_path):
         good = tmp_path / "k.json"
         good.write_text(json.dumps([["0", "1"], ["0", "0"]]))
@@ -261,6 +274,29 @@ class TestElliptic:
         assert res.exit_code == 3
         assert "truncation" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("tau, terms", [
+        ("1i", "1" + "0" * 400),  # overflowed the float arithmetic of the checks
+        ("0.0001i", "1000000"),  # took 1.1 s and 55 MB, about 1 us per term
+        ("0.02i", str(THETA_TERMS_MAX + 1)),
+    ], ids=["401-digits", "million", "cap+1"])
+    def test_terms_above_cap_exit_3(self, tau, terms):
+        t0 = time.perf_counter()
+        res = run("elliptic", "2", "1", "--tau", tau, "--x", "0.1", "--y", "0.5",
+                  "--terms", terms)
+        assert time.perf_counter() - t0 < 0.5
+        assert res.exit_code == 3
+        assert res.stderr == "error: need at most %d theta series terms\n" % THETA_TERMS_MAX
+
+    def test_terms_at_cap_admitted(self):
+        """The cap itself passes the bound; at tau = 0.02i the series then
+        decides (exit 0, or 2 where it finds a pole)."""
+        res = run("elliptic", "2", "1", "--tau", "0.02i", "--x", "0.1", "--y", "0.3",
+                  "--terms", str(THETA_TERMS_MAX))
+        assert res.exit_code in (0, 2)
+        assert "theta series terms" not in res.stderr
+        help_text = run("elliptic", "--help").stdout
+        assert "at most %d" % THETA_TERMS_MAX in " ".join(help_text.split())
 
     def test_overflowing_series_exit_3(self):
         res = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",

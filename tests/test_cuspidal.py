@@ -13,8 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_bit_for_bit import POINTS, entries_text
-from test_exact import is_zero_poly, mat_add, mat_zero, matrix_poly_from_coeffs, rank
-from test_lie import nondegenerate
+from test_exact import (
+    eval_dense,
+    mat_add,
+    mat_from_entries,
+    mat_is_zero,
+    mat_unit,
+    mat_zero,
+    matrix_poly_from_coeffs,
+    matrix_poly_from_entries,
+    rank,
+)
+from test_lie import basis_matrix, nondegenerate
 from ybe_forge import cuspidal, exact, lie, stolin, verify
 from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
@@ -33,21 +43,11 @@ from ybe_forge.cuspidal import (
     sol_family,
     sol_space,
 )
-from ybe_forge.exact import (
-    ONE,
-    ZERO,
-    MatrixPoly,
-    eval_matrix_poly,
-    mat_from_entries,
-    mat_is_zero,
-    mat_unit,
-    poly_trim,
-)
+from ybe_forge.exact import ONE, ZERO, eval_matrix_poly, poly_trim
 from ybe_forge.lie import (
-    basis_matrix,
     casimir,
     cybe_residual_two_variable,
-    dual_matrix,
+    dual_terms,
     is_unitary_pair,
     signed_permutation_map,
     sl_basis,
@@ -268,11 +268,11 @@ def _region_table_f0_feps(Fm, e, d):
     return tuple(map(tuple, f0)), tuple(map(tuple, feps))
 
 
-def _coords_to_matrix_poly(e, d, x, vec):
+def _coords_to_poly_terms(e, d, x, vec):
     """The member of V_{e,d} with the sparse (z - x)-coordinates `vec`
-    ({coordinate: value}), in powers of z, expanded in Fractions: the
-    reference of `g_elements`, which sums integer numerators."""
-    n = e + d
+    ({coordinate: value}), in powers of z, expanded in Fractions, as
+    {(i, j): nonzero polynomial} in row-major order: the reference of
+    `g_elements`, which sums integer numerators."""
     coords = cuspidal._ved_coords(e, d)
     # (z - x)^k - z^k in powers of z, for k = 0, 1, 2
     lower = ((), (-x,), (x * x, -2 * x))
@@ -283,15 +283,14 @@ def _coords_to_matrix_poly(e, d, x, vec):
         p[k] += v
         for m, low in enumerate(lower[k]):
             p[m] += low * v
-    entries = tuple(tuple(poly_trim(coeffs.get((i, j), ())) for j in range(1, n + 1))
-                    for i in range(1, n + 1))
-    return MatrixPoly(n, entries)
+    polys = {ij: poly_trim(coeffs[ij]) for ij in sorted(coeffs)}
+    return {ij: p for ij, p in polys.items() if p}
 
 
 def _members(sol):
-    """The members of Sol((e,d), x) as matrix polynomials in z."""
-    return [_coords_to_matrix_poly(sol.e, sol.d, sol.x, dict(enumerate(v)))
-            for v in sol.vectors]
+    """The members of Sol((e,d), x) as dense matrix polynomials in z."""
+    return [matrix_poly_from_entries(sol.e + sol.d, _coords_to_poly_terms(
+        sol.e, sol.d, sol.x, dict(enumerate(v)))) for v in sol.vectors]
 
 
 def _bump(Fm, i, j, k):
@@ -356,7 +355,7 @@ class TestSolSpace:
             assert len(members) == n * n - 1
             rows = []
             for Fm in members:
-                v = eval_matrix_poly(Fm, x)
+                v = eval_dense(Fm, x)
                 rows.append({i * n + j: v[i][j] for i in range(n) for j in range(n) if v[i][j]})
             assert rank(rows, n * n) == n * n - 1
 
@@ -373,7 +372,7 @@ class TestSolSpace:
         assert len(members) == len(cells)
         for Fm, (i, j) in zip(members, cells):
             want = {(i, j): ONE, **({(1, 1): -ONE} if i == j else {})}
-            assert eval_matrix_poly(Fm, x) == mat_from_entries(n, want)
+            assert eval_dense(Fm, x) == mat_from_entries(n, want)
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(2)), (2, 1, F(3, 7)), (3, 2, F(-1, 2))])
     def test_one_changed_coefficient_violates(self, e, d, x):
@@ -475,7 +474,7 @@ def _encoding_mismatches(e, d, x, rows, vectors):
             if cm:
                 for r, v in columns[m]:
                     image[r] += v * cm
-        member = _coords_to_matrix_poly(e, d, x, dict(enumerate(c)))
+        member = matrix_poly_from_entries(e + d, _coords_to_poly_terms(e, d, x, dict(enumerate(c))))
         want = [v for row in sol_constraint_violation(member, e, d, x) for v in row]
         if image != want + [ZERO, ZERO]:
             bad.append(c)
@@ -530,19 +529,17 @@ class TestSolEncoding:
 
 class TestResEv:
     def test_res_constant(self):
-        Fm = matrix_poly_from_coeffs([mat_unit(2, 1, 2)])
-        assert eval_matrix_poly(Fm, F(5)) == mat_unit(2, 1, 2)
+        assert eval_matrix_poly({(1, 2): (ONE,)}, F(5)) == {(1, 2): ONE}
 
 
 class TestGElements:
     def test_lower_left_unit_needs_no_correction(self):
         g = g_elements(1, 1, F(1))
-        assert is_zero_poly(g.corrections[("unit", 2, 1)])
+        assert g.corrections[("unit", 2, 1)] == {}
 
     def test_region_three_vanishing(self):
         g = g_elements(2, 1, F(2))
-        assert is_zero_poly(g.corrections[("unit", 3, 1)])
-        assert is_zero_poly(g.corrections[("unit", 3, 2)])
+        assert g.corrections[("unit", 3, 1)] == g.corrections[("unit", 3, 2)] == {}
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(-1, 2)), (1, 2, F(3))])
     def test_defining_conditions(self, e, d, x):
@@ -606,7 +603,7 @@ class TestGElements:
         for x in (F(0), F(1), F(-3, 7), F(22, 9), F(5, 10**12 + 1)):
             members = [{c: v for c, v in enumerate(vec[:-(e + d) ** 2]) if v}
                        for vec in sol_space(e, d, x).vectors]
-            want = {label: _coords_to_matrix_poly(e, d, x, g)
+            want = {label: _coords_to_poly_terms(e, d, x, g)
                     for label, g in cuspidal._by_label(e + d, members).items()}
             g_elements.cache_clear()
             with monkeypatch.context() as m:
@@ -624,7 +621,7 @@ class TestGElements:
         corrections were read off the residue-dual basis (as the repr of
         each correction); the entries-only digests were re-recorded on the
         per-point solve and are unchanged by the family."""
-        text = entries_text(g_elements(e, d, x).corrections.items())
+        text = entries_text(g_elements(e, d, x).corrections.items(), e + d)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -632,9 +629,11 @@ def _assert_defining_conditions(g):
     n = g.e + g.d
     assert sorted(g.corrections) == sorted(sl_basis(n))
     for label in sl_basis(n):
-        G = g.corrections[label]
-        assert isinstance(G, MatrixPoly)
-        assert mat_is_zero(eval_matrix_poly(G, g.x))
+        terms = g.corrections[label]
+        # {(i, j): polynomial} in row-major order, no zero polynomial stored
+        assert type(terms) is dict and list(terms) == sorted(terms) and all(terms.values())
+        assert eval_matrix_poly(terms, g.x) == {}
+        G = matrix_poly_from_entries(n, terms)
         B = basis_matrix(label, n)
         member = matrix_poly_from_coeffs(
             [mat_add(B, coeff_matrix(G, 0)), coeff_matrix(G, 1), coeff_matrix(G, 2)])
@@ -707,14 +706,19 @@ def bumped(table, rng):
 
 def spy_tensor_products(monkeypatch) -> list:
     """Record every `eval_matrix_poly` and `tensor_from_pairs` call, under
-    any module's binding of either name."""
+    any module's binding of either name.  The spy is checked live on the
+    defining modules before it is handed out."""
     calls = []
     for name in ("eval_matrix_poly", "tensor_from_pairs"):
-        for mod in (exact, lie, cuspidal, stolin):
+        for mod in (exact, lie, cuspidal, stolin, verify):
             original = getattr(mod, name, None)
             if original is not None:
                 monkeypatch.setattr(mod, name, lambda *a, _f=original, _n=name, **k:
                                     calls.append(_n) or _f(*a, **k))
+    exact.eval_matrix_poly({}, ONE)
+    lie.tensor_from_pairs(2, [])
+    assert calls == ["eval_matrix_poly", "tensor_from_pairs"]
+    calls.clear()
     return calls
 
 
@@ -723,7 +727,7 @@ def _per_point_r(e, d, x, y):
     the duals with the corrections evaluated at y, over y - x."""
     n = e + d
     inv = ONE / (y - x)
-    pairs = [(dual_matrix(label, n), eval_matrix_poly(G, y), inv)
+    pairs = [(dual_terms(label, n).items(), eval_matrix_poly(G, y).items(), inv)
              for label, G in g_elements(e, d, x).corrections.items()]
     return casimir(n).scale(inv).add(tensor_from_pairs(n, pairs))
 

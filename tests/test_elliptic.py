@@ -38,9 +38,8 @@ from ybe_forge.lie import (
     heisenberg,
     swap_tensor,
     _dual_sum,
-    tensor_from_pairs,
 )
-from test_lie import z_matrices
+from test_lie import dense_tensor_from_pairs, z_matrices
 
 CTX = ThetaContext(tau=0.3 + 1j)
 
@@ -113,7 +112,7 @@ def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
         if phase:
             coeff *= cmath.exp(-TWO_PI_I * phase / n)
         pairs.append((*z_matrices(hb, k, l), coeff))
-    return tensor_from_pairs(n, pairs, ring=COMPLEX)
+    return dense_tensor_from_pairs(n, pairs, ring=COMPLEX)
 
 
 ORACLE_TAUS = [1j, 0.3 + 1j, 1.1j, 0.1 + 2j, 0.05j, 0.5 + 0.2j]
@@ -371,7 +370,7 @@ class TestBelavin:
         """The reduced (k, l) and v give the unreduced Belavin sum, evaluated
         here term by term."""
         hb = heisenberg(n, d)
-        direct = tensor_from_pairs(n, [
+        direct = dense_tensor_from_pairs(n, [
             (*z_matrices(hb, k, l),
              cmath.exp(-2j * cmath.pi * d * k * v / n)
              * kronecker_sigma((d / n) * (l - k * CTX.tau), v, CTX))
@@ -396,7 +395,7 @@ class TestBelavin:
             coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(
                 (1 / n) * (s - r * ctx.tau), v, ctx)
             pairs.append((*z_matrices(hb, k, l), coeff))
-        assert belavin_r(n, d, ctx, x, y).terms == tensor_from_pairs(n, pairs, ring=COMPLEX).terms
+        assert belavin_r(n, d, ctx, x, y).terms == dense_tensor_from_pairs(n, pairs, ring=COMPLEX).terms
 
     @pytest.mark.parametrize("ctx", [CTX, CTX_I], ids=["tau=0.3+i", "tau=i"])
     def test_large_real_difference(self, ctx):

@@ -3,6 +3,7 @@
 import contextlib
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,6 @@ from ybe_forge.exact import (
     InconsistentSystemError,
     InterpolationError,
     LinearAlgebraError,
-    MatrixPoly,
     SingularSystemError,
     cyclo_rational,
     cyclotomic_poly,
@@ -35,6 +35,9 @@ from ybe_forge.exact import (
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
+# Dense reference forms, which the package no longer builds: an n x n
+# matrix as nested tuples, and a matrix polynomial as a `MatrixPoly`.
+
 def mat_zero(n):
     return tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
 
@@ -43,9 +46,55 @@ def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def is_zero_poly(F) -> bool:
-    """Whether every entry of the matrix polynomial F is the zero polynomial."""
-    return not any(p for row in F.entries for p in row)
+def mat_unit(n: int, i: int, j: int) -> tuple:
+    """Matrix unit e_{i,j}, 1-based."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("unit index out of range: (%d, %d) for n=%d" % (i, j, n))
+    return mat_from_entries(n, {(i, j): F(1)})
+
+
+def mat_is_zero(a) -> bool:
+    return not any(any(row) for row in a)
+
+
+def mat_from_entries(n: int, entries: dict) -> tuple:
+    """The n x n matrix of a {(i, j): value} dict with 1-based keys."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for (i, j), v in entries.items():
+        rows[i - 1][j - 1] = v
+    return tuple(map(tuple, rows))
+
+
+def mat_terms(m) -> dict:
+    """A dense matrix as the package's {(i, j): nonzero entry}, 1-based."""
+    return {(i, j): v for i, row in enumerate(m, 1) for j, v in enumerate(row, 1) if v}
+
+
+@dataclass(frozen=True)
+class MatrixPoly:
+    """n x n matrix with polynomial entries in z, as a dense grid."""
+
+    n: int
+    entries: tuple  # n x n nested tuple of polynomials, ascending
+
+
+def matrix_poly_from_entries(n: int, entries: dict) -> MatrixPoly:
+    """The dense form of a {(i, j): polynomial} dict with 1-based keys, the
+    package's form of a matrix polynomial."""
+    rows = [[()] * n for _ in range(n)]
+    for (i, j), p in entries.items():
+        rows[i - 1][j - 1] = p
+    return MatrixPoly(n, tuple(map(tuple, rows)))
+
+
+def poly_terms(Fm: MatrixPoly) -> dict:
+    """A dense matrix polynomial as {(i, j): nonzero polynomial}."""
+    return {(i, j): p for i, row in enumerate(Fm.entries, 1) for j, p in enumerate(row, 1) if p}
+
+
+def eval_dense(Fm: MatrixPoly, x) -> tuple:
+    """Entry-wise evaluation of a dense matrix polynomial at z = x."""
+    return tuple(tuple(poly_eval(p, x) if p else F(0) for p in row) for row in Fm.entries)
 
 
 def matrix_poly_from_coeffs(coeff_mats):
@@ -114,8 +163,7 @@ class TestSolve:
 
     def test_cartan_gram_n4(self):
         # Gram system of the simple coroot pairing for n = 4, re-verified
-        from test_lie import trace_form
-        from ybe_forge.lie import basis_matrix
+        from test_lie import basis_matrix, trace_form
 
         hs = [basis_matrix(("cartan", l), 4) for l in range(1, 4)]
         gram = [[trace_form(a, b) for b in hs] for a in hs]
@@ -500,7 +548,7 @@ class TestBuilderRows:
             form = stolin.frobenius_gram(K, e, 4)
             assert (form.determinant != 0) == (e != 2)
             if form.determinant:
-                stolin.frobenius_splits([{(0, 1): F(1)}, {(0, 0): F(1), (3, 3): F(-1)}], K, e)
+                stolin.frobenius_splits([{(1, 2): F(1)}, {(1, 1): F(1), (4, 4): F(-1)}], K, e)
         stolin.solve_dec.cache_clear()
         try:
             stolin.solve_dec(1, 3, stolin.neg_j_matrix(1, 3))
@@ -512,26 +560,27 @@ class TestBuilderRows:
             assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
 
     def test_solve_dec_without_dense_grids(self, monkeypatch):
-        """A cold solve_dec builds its targets from label units and its
-        elements from the nonzero split coordinates: no dense unit, zero or
-        basis matrix anywhere on its way."""
+        """A cold solve_dec builds its targets from `basis_terms` and the
+        nonzeros of K, and its elements from the nonzero split coordinates:
+        the only dense matrix on its way is K, which it freezes, and every
+        basis matrix it reads holds one or two entries."""
         from ybe_forge import lie, stolin
 
-        dense = []
-        for module in (stolin, lie):
-            for name in ("mat_unit", "mat_zero", "basis_matrix", "dual_matrix"):
-                if hasattr(module, name):
-                    original = getattr(module, name)
-                    monkeypatch.setattr(module, name, lambda *a, name=name, original=original:
-                                        dense.append(name) or original(*a))
+        frozen, units = [], []
+        monkeypatch.setattr(stolin, "freeze", lambda rows, _f=stolin.freeze:
+                            frozen.append(rows) or _f(rows))
+        monkeypatch.setattr(stolin, "basis_terms", lambda *a, _f=stolin.basis_terms:
+                            units.append(_f(*a)) or units[-1])
         solves = []
         self._recording(monkeypatch, stolin, "solve_multi", solves)
+        K = stolin.neg_j_matrix(2, 3)
         stolin.solve_dec.cache_clear()
         try:
-            w = stolin.solve_dec(2, 3, stolin.neg_j_matrix(2, 3))
+            w = stolin.solve_dec(2, 3, K)
         finally:
             stolin.solve_dec.cache_clear()
-        assert dense == []
+        assert frozen and all(rows == K for rows in frozen)
+        assert units and all(type(u) is dict and 1 <= len(u) <= 2 for u in units)
         [(rows, rhs_cols, _)] = solves
         assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
         # one element per target, 5 * 5 - 1 of them, but for the two zero
@@ -540,23 +589,23 @@ class TestBuilderRows:
         assert len(w.parts) == 5 * 5 - 3
 
     def test_series_rows_without_dense_grids(self, monkeypatch):
-        """series_r reads each element's coefficient dict once: no
-        `mat_zero` call."""
+        """The order's elements are {degree: {(i, j): entry}} dicts with no
+        zero and no empty degree, and series_r stores exactly their entries
+        of negative degree in its rows: no dense grid is scanned."""
         from ybe_forge import stolin
 
-        order = stolin.build_order(stolin.j_matrix_rat(2, 1), 2, 3, (-4, 1))
-        dense = []
-        # stolin no longer imports mat_zero: the spy catches a use that
-        # would come back with it
-        monkeypatch.setattr(stolin, "mat_zero", lambda n: dense.append("mat_zero"),
-                            raising=False)
+        lo = -4
+        order = stolin.build_order(stolin.j_matrix_rat(2, 1), 2, 3, (lo, 1))
+        assert all(w and all(m and all(m.values()) for m in w.values())
+                   for w in order.elements)
         solves = []
         self._recording(monkeypatch, stolin, "solve_multi", solves)
         stolin.series_r(order, 1, F(1, 3), F(2))
-        assert dense == []
         [(rows, rhs_cols, ncols)] = solves
         assert ncols == len(order.elements)
         assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
+        assert sum(map(len, rows)) == sum(
+            len(m) for w in order.elements for deg, m in w.items() if lo <= deg < 0)
 
 
 def _entry(rng):
@@ -767,15 +816,23 @@ class TestInterpolate:
 
 class TestMatrixPoly:
     def test_eval_constant(self):
-        m = ((F(1), F(2)), (F(3), F(4)))
-        F0 = matrix_poly_from_coeffs([m])
-        assert eval_matrix_poly(F0, F(17)) == m
+        m = {(1, 1): F(1), (1, 2): F(2), (2, 1): F(3), (2, 2): F(4)}
+        assert eval_matrix_poly({ij: (v,) for ij, v in m.items()}, F(17)) == m
 
     def test_eval_quadratic_unit(self):
-        z2 = ((F(0), F(0)), (F(1), F(0)))
-        Fq = matrix_poly_from_coeffs([((F(0),) * 2,) * 2, ((F(0),) * 2,) * 2, z2])
-        val = eval_matrix_poly(Fq, F(3))
-        assert val[1][0] == 9 and val[0][1] == 0
+        assert eval_matrix_poly({(2, 1): (F(0), F(0), F(1))}, F(3)) == {(2, 1): 9}
+
+    def test_eval_drops_zero_values(self):
+        """An entry that vanishes at x is not stored: z - 2 at z = 2."""
+        assert eval_matrix_poly({(1, 2): (F(-2), F(1)), (2, 1): (F(5),)}, F(2)) == {(2, 1): 5}
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                           st.lists(rationals, min_size=1, max_size=3).map(poly_trim)
+                           .filter(bool), max_size=6), rationals)
+    def test_eval_is_the_dense_scan(self, entries, x):
+        dense = eval_dense(matrix_poly_from_entries(3, entries), x)
+        assert mat_from_entries(3, eval_matrix_poly(entries, x)) == dense
 
 
 class TestCyclo:

@@ -12,21 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_exact import rank
+from test_exact import mat_from_entries, mat_terms, mat_unit, rank
 from ybe_forge import cuspidal, lie, stolin
 from ybe_forge.cli import N_MAX
-from ybe_forge.exact import ZERO, mat_unit, root_table
+from ybe_forge.exact import ZERO, root_table
 from ybe_forge.lie import (
     COMPLEX,
     GlTensor2,
     RATIONAL,
     apply_gauge,
-    basis_matrix,
-    cartan_dual,
+    basis_terms,
     casimir,
     cybe_lhs,
     cybe_residual_two_variable,
-    dual_matrix,
+    dual_terms,
     flip_map,
     heisenberg,
     heisenberg_entries,
@@ -44,6 +43,53 @@ from ybe_forge.lie import (
 
 # reference forms of the trace pairing and of properties of a tensor, which
 # the tests check the package's results with
+
+
+def basis_matrix(label, n: int) -> tuple:
+    """The dense matrix of a basis label: e_{i,j}, or h_l = e_{l,l} -
+    e_{l+1,l+1}.  The reference of `lie.basis_terms`."""
+    if label[0] == "unit":
+        return mat_unit(n, label[1], label[2])
+    _, l = label
+    if not 1 <= l <= n - 1:
+        raise ValueError("cartan index out of range: %d" % l)
+    return mat_from_entries(n, {(l, l): F(1), (l + 1, l + 1): F(-1)})
+
+
+def cartan_dual(l: int, n: int) -> tuple:
+    """The dual-Cartan element of h_l from `lie.dual_terms`, dense."""
+    return mat_from_entries(n, dual_terms(("cartan", l), n))
+
+
+def dual_matrix(label, n: int) -> tuple:
+    """Trace-form dual of a basis element, dense: e_{i,j} -> e_{j,i}, h_l ->
+    its dual-Cartan element."""
+    if label[0] == "unit":
+        return mat_unit(n, label[2], label[1])
+    return cartan_dual(label[1], n)
+
+
+def dense_tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
+    """Sum of coeff * (A (x) B) over (A, B, coeff) triples of dense
+    matrices, each read as its nonzero entries in row-major order and each
+    key summing its products in the order of the triples: the reference of
+    `lie.tensor_from_pairs`."""
+    out: dict = {}
+    for a, b, c in pairs:
+        if c == 0:
+            continue
+        a_entries = [(i + 1, j + 1, v) for i, row in enumerate(a) for j, v in enumerate(row) if v != 0]
+        b_entries = [(i + 1, j + 1, v) for i, row in enumerate(b) for j, v in enumerate(row) if v != 0]
+        for i, j, aij in a_entries:
+            ca = c * aij
+            for k, l, bkl in b_entries:
+                key = (i, j, k, l)
+                acc = out[key] + ca * bkl if key in out else ca * bkl
+                if acc == 0:
+                    out.pop(key, None)
+                else:
+                    out[key] = acc
+    return GlTensor2(n, ring, out)
 
 
 def trace_form(a, b) -> F:
@@ -148,11 +194,11 @@ class TestCartanDual:
             kernel = tensor_from_pairs(
                 n,
                 [
-                    (cartan_dual(l, n), basis_matrix(("cartan", l), n), F(1))
+                    (dual_terms(("cartan", l), n).items(), basis_terms(("cartan", l), n).items(), F(1))
                     for l in range(1, n)
                 ],
             )
-            transposed = tensor_from_pairs(
+            transposed = dense_tensor_from_pairs(
                 n,
                 [
                     (
@@ -174,14 +220,91 @@ class TestCartanDual:
                 assert trace_form(dual, basis_matrix(("cartan", m), n)) == (l == m)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            cartan_dual(3, 3)
+        for label in (("cartan", 3), ("cartan", 0)):
+            with pytest.raises(ValueError):
+                dual_terms(label, 3)
+            with pytest.raises(ValueError):
+                basis_terms(label, 3)
+
+
+class TestBasisTerms:
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_basis_and_dual_terms_are_the_dense_nonzeros(self, n):
+        """`basis_terms` and `dual_terms` hold the nonzero entries of the
+        dense basis matrix and of its trace dual, in row-major order."""
+        for label in sl_basis(n):
+            for got, want in ((basis_terms(label, n), basis_matrix(label, n)),
+                              (dual_terms(label, n), dual_matrix(label, n))):
+                assert list(got.items()) == list(mat_terms(want).items())
+            assert all(type(v) is int for v in basis_terms(label, n).values())
+
+
+def _random_terms(rng, n, value) -> dict:
+    """A random sparse {(i, j): entry} in row-major order, some of its
+    entries equal."""
+    return {(i, j): value(rng) for i in range(1, n + 1) for j in range(1, n + 1)
+            if rng.random() < 0.3}
+
+
+class TestTensorFromPairs:
+    """`tensor_from_pairs` against the dense route it replaced: each
+    matrix scanned in row-major order for its nonzeros."""
+
+    @staticmethod
+    def _triples(rng, n, value, count):
+        out = []
+        for _ in range(count):
+            a, b = _random_terms(rng, n, value), _random_terms(rng, n, value)
+            # a zero coefficient, and a triple that cancels an earlier one
+            c = 0 if rng.random() < 0.1 else value(rng)
+            out.append((a, b, c))
+            if rng.random() < 0.2:
+                a0, b0, c0 = rng.choice(out)
+                out.append((a0, b0, -c0))
+        return out
+
+    def _compare(self, n, triples, ring):
+        got = tensor_from_pairs(n, [(a.items(), b.items(), c) for a, b, c in triples], ring)
+        want = dense_tensor_from_pairs(
+            n, [(mat_from_entries(n, a), mat_from_entries(n, b), c) for a, b, c in triples], ring)
+        return got, want
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rational_exactly_equal(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        got, want = self._compare(n, self._triples(rng, n, lambda r: F(r.randint(-3, 3), r.randint(1, 4)), 8),
+                                  RATIONAL)
+        assert got == want and got.ring == RATIONAL
+        assert all(got.terms.values())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_complex_repr_identical(self, seed):
+        """Complex sums depend on their order: the same values, the same
+        keys in the same order, bit for bit."""
+        rng = random.Random(100 + seed)
+        n = rng.randint(2, 5)
+
+        def value(r):
+            return complex(r.choice((-1, 1)) * r.random(), r.choice((-0.0, 0.0, r.random())))
+
+        triples = self._triples(rng, n, value, 8)
+        # mat_from_entries pads with Fraction zeros, which the dense scan skips
+        got, want = self._compare(n, triples, COMPLEX)
+        assert repr(got.terms) == repr(want.terms) and got.ring == COMPLEX
+
+    def test_pair_tuples_and_dict_items_agree(self):
+        rng = random.Random(7)
+        triples = self._triples(rng, 4, lambda r: F(r.randint(-3, 3), r.randint(1, 4)), 5)
+        items = tensor_from_pairs(4, [(a.items(), b.items(), c) for a, b, c in triples])
+        tuples = tensor_from_pairs(4, [(tuple(a.items()), tuple(b.items()), c) for a, b, c in triples])
+        assert repr(items.terms) == repr(tuples.terms)
 
 
 class TestCasimir:
     def test_n2_golden(self):
         h = basis_matrix(("cartan", 1), 2)
-        want = tensor_from_pairs(
+        want = dense_tensor_from_pairs(
             2,
             [
                 (h, h, F(1, 2)),
@@ -510,9 +633,9 @@ class TestGauges:
     def test_flip_example_n3(self):
         psi = flip_map(3)
         t = tensor_from_pairs(
-            3, [(mat_unit(3, 1, 2), basis_matrix(("cartan", 1), 3), F(1))]
+            3, [(basis_terms(("unit", 1, 2), 3).items(), basis_terms(("cartan", 1), 3).items(), F(1))]
         )
-        want = tensor_from_pairs(
+        want = dense_tensor_from_pairs(
             3, [(mat_unit(3, 3, 2), basis_matrix(("cartan", 2), 3), F(-1))]
         )
         assert apply_gauge(psi, psi, t) == want
@@ -684,5 +807,5 @@ class TestHeisenberg:
         assert len(entries) == len(hb.index_set)
         for kl, pair in zip(hb.index_set, entries):
             for got, m in zip(pair, z_matrices(hb, *kl)):
-                want = [(i + 1, j + 1, m[i][j]) for i in range(n) for j in range(n) if m[i][j]]
+                want = [((i + 1, j + 1), m[i][j]) for i in range(n) for j in range(n) if m[i][j]]
                 assert repr(list(got)) == repr(want)

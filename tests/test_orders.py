@@ -5,78 +5,74 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_exact import mat_zero, rank
-from test_lie import trace_form
+from test_exact import mat_from_entries, mat_terms, rank
+from test_lie import basis_matrix, dual_matrix, trace_form
 from test_stolin import w_of
 from ybe_forge import stolin
 from ybe_forge.cuspidal import region
 from ybe_forge.exact import ONE, ZERO
-from ybe_forge.lie import basis_matrix, casimir, dual_matrix, sl_basis
+from ybe_forge.lie import casimir, sl_basis
 from ybe_forge.stolin import (
     TruncationError,
     assemble_stolin_r,
     build_order,
     geometric_pole_partial,
     j_matrix_rat,
-    laurent_from_coeffs,
     series_r,
     solve_dec,
     yang_order,
 )
 
+# A Laurent polynomial with gl(n) coefficients is {degree: {(i, j): entry}},
+# the form of `OrderBasis.elements`.
 
-def kac_pairing(a, b):
-    """Residue at z = 0 of tr(a b) for two Laurent series: the degree -1
-    coefficient of the product."""
-    if a.n != b.n:
-        raise ValueError("size mismatch")
+
+def kac_pairing(a, b, n):
+    """Residue at z = 0 of tr(a b) for two Laurent polynomials: the degree
+    -1 coefficient of the product, through dense matrices."""
     total = ZERO
-    for p, mp in a.coeffs.items():
-        mq = b.coeffs.get(-1 - p)
+    for p, mp in a.items():
+        mq = b.get(-1 - p)
         if mq is not None:
-            total += trace_form(mp, mq)
+            total += trace_form(mat_from_entries(n, mp), mat_from_entries(n, mq))
     return total
 
 
-def poly_current(n, mats: dict):
-    """Element of g[z] given by {degree: matrix}."""
-    hi = max(mats, default=0)
-    return laurent_from_coeffs(n, mats, min(0, min(mats, default=0)), max(hi, 0))
+def laurent(mats: dict) -> dict:
+    """The Laurent polynomial with the dense coefficients {degree: matrix}."""
+    return {k: mat_terms(m) for k, m in mats.items()}
 
 
 class TestKacPairing:
     def test_unit_residue(self):
-        a = laurent_from_coeffs(2, {-1: basis_matrix(("unit", 1, 2), 2)}, -2, 0)
-        b = poly_current(2, {0: basis_matrix(("unit", 2, 1), 2)})
-        assert kac_pairing(a, b) == 1
-        assert kac_pairing(b, a) == 1
+        a = laurent({-1: basis_matrix(("unit", 1, 2), 2)})
+        b = laurent({0: basis_matrix(("unit", 2, 1), 2)})
+        assert kac_pairing(a, b, 2) == 1
+        assert kac_pairing(b, a, 2) == 1
 
     def test_polynomials_pair_to_zero(self):
-        a = poly_current(2, {0: basis_matrix(("unit", 1, 2), 2), 1: basis_matrix(("cartan", 1), 2)})
-        b = poly_current(2, {0: basis_matrix(("unit", 2, 1), 2)})
-        assert kac_pairing(a, b) == 0
+        a = laurent({0: basis_matrix(("unit", 1, 2), 2), 1: basis_matrix(("cartan", 1), 2)})
+        b = laurent({0: basis_matrix(("unit", 2, 1), 2)})
+        assert kac_pairing(a, b, 2) == 0
 
     def test_yang_duality_table(self):
         for k in range(3):
             for kp in range(3):
                 for l1 in sl_basis(2):
                     for l2 in sl_basis(2):
-                        a = poly_current(2, {k: basis_matrix(l1, 2)})
-                        b = laurent_from_coeffs(
-                            2, {-kp - 1: dual_matrix(l2, 2)}, -4, 0
-                        )
+                        a = laurent({k: basis_matrix(l1, 2)})
+                        b = laurent({-kp - 1: dual_matrix(l2, 2)})
                         want = ONE if (k == kp and l1 == l2) else ZERO
-                        assert kac_pairing(a, b) == want
+                        assert kac_pairing(a, b, 2) == want
 
 
 def _window_span_rank(ob, n):
     lo, hi = ob.window
     rows = []
-    zero = mat_zero(n)
     for w in ob.elements:
         rows.append(
-            [w.coeffs.get(k, zero)[i][j]
-             for k in range(lo, hi + 1) for i in range(n) for j in range(n)]
+            [w.get(k, {}).get((i, j), ZERO)
+             for k in range(lo, hi + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
         )
     for k in range(0, hi + 1):
         for lbl in sl_basis(n):
@@ -99,14 +95,13 @@ class TestBuildOrder:
         n = e + d
         ob = build_order(j_matrix_rat(e, d), e, n, (-4, 1))
         for w in ob.elements:
-            for deg, m in w.coeffs.items():
-                for i in range(n):
-                    for j in range(n):
-                        if m[i][j] == 0:
-                            continue
-                        reg = region(i + 1, j + 1, e, n)
-                        cap = 1 if reg == "I" else -1 if reg == "III" else 0
-                        assert deg <= cap
+            assert w and all(m and all(m.values()) for m in w.values())
+            for deg, m in w.items():
+                assert -4 <= deg <= 1
+                for (i, j) in m:
+                    reg = region(i, j, e, n)
+                    cap = 1 if reg == "I" else -1 if reg == "III" else 0
+                    assert deg <= cap
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_isotropy(self, e, d):
@@ -114,7 +109,7 @@ class TestBuildOrder:
         ob = build_order(j_matrix_rat(e, d), e, n, (-4, 1))
         for u in ob.elements:
             for v in ob.elements:
-                assert kac_pairing(u, v) == 0
+                assert kac_pairing(u, v, n) == 0
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_complementarity(self, e, d):

@@ -3,6 +3,8 @@
 DocumentError."""
 
 import json
+import os
+import tempfile
 
 from conftest import invoke
 from hypothesis import example, given, settings
@@ -64,12 +66,21 @@ def test_rational_exit_codes(args):
     _invoke(["rational", n, d, "--x", x, "--y", y])
 
 
+# A K-matrix file of 40 kB that nests 20,000 lists, deeper than the JSON
+# parser recurses; the directory is removed when the process exits.
+_K_FILES = tempfile.TemporaryDirectory()
+NESTED_K = os.path.join(_K_FILES.name, "nested-k.json")
+with open(NESTED_K, "w") as fh:
+    fh.write("[" * 20000 + "]" * 20000)
+
+
 @SETTINGS
 @given(requests(_ints(2, 4), _ints(1, 3),
                 (st.sampled_from(["default", "neg-j"]), st.just("no/such/k-matrix.json")),
                 RAT, RAT))
 @example(args=("4", "2", "default", "0", "1"))  # the default K of a non-coprime split
 @example(args=("3", "1", "default", "1e999999999", "1"))  # a billion-digit rational
+@example(args=("3", "1", NESTED_K, "0", "1"))  # a RecursionError in the JSON parser
 def test_stolin_exit_codes(args):
     n, e, k, x, y = args
     _invoke(["stolin", n, e, "--k-matrix", k, "--x", x, "--y", y])
@@ -81,6 +92,7 @@ def test_stolin_exit_codes(args):
 @example(args=("6", "5", "2i", "0", "-0.9i", "60"))  # overflowed before the reduction
 @example(args=("2", "1", "1i", "1e308", "-1e308", "60"))  # y - x is not finite
 @example(args=("5", "3", "-0.85+0.01i", "2.7+8.8e299i", "0", "60"))  # too large to reduce
+@example(args=("2", "1", "1i", "0.1", "0.5", "1" + "0" * 400))  # overflowed the terms checks
 def test_elliptic_exit_codes(args):
     n, d, tau, x, y, terms = args
     _invoke(["elliptic", n, d, "--tau", tau, "--x", x, "--y", y, "--terms", terms])

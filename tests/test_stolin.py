@@ -17,7 +17,20 @@ from test_cuspidal import (
     spy_tensor_products,
     table_mismatches,
 )
-from test_exact import mat_add, mat_zero, matrix_poly_from_coeffs
+from test_exact import (
+    MatrixPoly,
+    eval_dense,
+    mat_add,
+    mat_from_entries,
+    mat_is_zero,
+    mat_terms,
+    mat_unit,
+    mat_zero,
+    matrix_poly_from_coeffs,
+    matrix_poly_from_entries,
+    poly_terms,
+)
+from test_lie import basis_matrix, cartan_dual, dense_tensor_from_pairs
 from ybe_forge import lie, stolin
 from ybe_forge.cuspidal import (
     G_ELEMENTS_CACHE_MAX,
@@ -26,27 +39,14 @@ from ybe_forge.cuspidal import (
     flip_transpose_gauge,
     region,
 )
-from ybe_forge.exact import (
-    ONE,
-    ZERO,
-    MatrixPoly,
-    eval_matrix_poly,
-    freeze,
-    mat_from_entries,
-    mat_is_zero,
-    mat_unit,
-    matrix_poly_from_entries,
-)
+from ybe_forge.exact import ONE, ZERO, freeze
 from ybe_forge.lie import (
     apply_gauge,
-    basis_matrix,
-    cartan_dual,
     casimir,
     cybe_residual_two_variable,
     dual_terms,
     is_unitary_pair,
     sl_basis,
-    tensor_from_pairs,
     tensor_table,
     transpose_negate_map,
 )
@@ -87,18 +87,22 @@ def omega_pairing(K, a, b):
 
 
 def _dense_bracket_kt(K, lbl, n) -> dict:
-    """[K^t, B] from a scan of a whole row and column of K per unit of B:
+    """[K^t, B] as {(i, j): nonzero entry}, 1-based, from a scan of the
+    dense matrix of B and of a whole row and column of K per unit of B:
     the reference of `stolin._bracket_kt_terms`."""
     out: dict = {}
-    for i, j, sign in stolin._label_units(lbl):
-        for r in range(n):
-            if K[i - 1][r]:
-                v = K[i - 1][r] if sign > 0 else -K[i - 1][r]
-                out[r, j - 1] = out[r, j - 1] + v if (r, j - 1) in out else v
-        for c in range(n):
-            if K[c][j - 1]:
-                v = -K[c][j - 1] if sign > 0 else K[c][j - 1]
-                out[i - 1, c] = out[i - 1, c] + v if (i - 1, c) in out else v
+    B = basis_matrix(lbl, n)
+    units = [(i, j, B[i - 1][j - 1]) for i in range(1, n + 1) for j in range(1, n + 1)
+             if B[i - 1][j - 1]]
+    for i, j, sign in units:
+        for r in range(1, n + 1):
+            if K[i - 1][r - 1]:
+                v = K[i - 1][r - 1] if sign > 0 else -K[i - 1][r - 1]
+                out[r, j] = out[r, j] + v if (r, j) in out else v
+        for c in range(1, n + 1):
+            if K[c - 1][j - 1]:
+                v = -K[c - 1][j - 1] if sign > 0 else K[c - 1][j - 1]
+                out[i, c] = out[i, c] + v if (i, c) in out else v
     return {key: v for key, v in out.items() if v}
 
 
@@ -138,16 +142,15 @@ def reference_elements(e, d, K) -> dict:
     targets = {}
     for label in sl_basis(n):
         if label[0] == "cartan":
-            m = basis_matrix(label, n)
-            targets[label, 0] = {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v}
+            targets[label, 0] = mat_terms(basis_matrix(label, n))
             continue
         _, i, j = label
         reg = region(i, j, e, n)
         if reg == "I":
             targets[label, 0] = {key: -v for key, v in _dense_bracket_kt(K, ("unit", j, i), n).items()}
-            targets[label, 1] = {(j - 1, i - 1): ONE}
+            targets[label, 1] = {(j, i): ONE}
         elif reg != "III":
-            targets[label, 0] = {(j - 1, i - 1): ONE}
+            targets[label, 0] = {(j, i): ONE}
     for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
         Pm, Nm = mat_from_entries(n, P), mat_from_entries(n, N)
         const = [[-Nm[r][c] if region(r + 1, c + 1, e, n) == "I" else Pm[r][c]
@@ -239,11 +242,15 @@ class TestFrobeniusGram:
             assert total == 0
 
 
+def dense_split(G, K, e):
+    """`frobenius_split` of the dense G, with P and N dense."""
+    P, N = frobenius_split(mat_terms(G), K, e)
+    return mat_from_entries(len(K), P), mat_from_entries(len(K), N)
+
+
 class TestFrobeniusSplit:
     def test_nilpotent_input_maps_to_itself(self):
-        G = mat_unit(2, 1, 2)
-        P, N = frobenius_split(G, j_matrix_rat(1, 1), 1)
-        assert mat_is_zero(P) and N == G
+        assert frobenius_split({(1, 2): ONE}, j_matrix_rat(1, 1), 1) == ({}, {(1, 2): ONE})
 
     def test_reconstruction_random(self, rng):
         for (e, d) in [(1, 1), (2, 1), (2, 3), (4, 1)]:
@@ -255,7 +262,7 @@ class TestFrobeniusSplit:
                 tr = sum(G[i][i] for i in range(n))
                 G[0][0] -= tr
                 G = freeze(G)
-                P, N = frobenius_split(G, K, e)
+                P, N = dense_split(G, K, e)
                 assert mat_add(mat_bracket(Kt, P), N) == G
                 # P parabolic, N strictly upper-right block
                 for i in range(e, n):
@@ -268,13 +275,13 @@ class TestFrobeniusSplit:
 
     def test_n2_unit_case(self):
         G = mat_unit(2, 2, 1)
-        P, N = frobenius_split(G, j_matrix_rat(1, 1), 1)
+        P, N = dense_split(G, j_matrix_rat(1, 1), 1)
         Kt = ((F(0), F(0)), (F(1), F(0)))
         assert mat_add(mat_bracket(Kt, P), N) == G
 
     def test_degenerate_form_raises(self):
         with pytest.raises(DegenerateFormError):
-            frobenius_split(mat_unit(2, 1, 2), tuple((ZERO,) * 2 for _ in range(2)), 1)
+            frobenius_split({(1, 2): ONE}, tuple((ZERO,) * 2 for _ in range(2)), 1)
 
 
 def _w_blocks(w, e, n):
@@ -483,7 +490,8 @@ class TestSolveDec:
         matrices (as the repr of each w); the entries-only digests were
         re-recorded on that code and are unchanged since."""
         K = j_matrix_rat(e, d) if sign > 0 else neg_j_matrix(e, d)
-        text = entries_text(w_elements(solve_dec(e, d, K)).items())
+        text = entries_text(((key, poly_terms(w)) for key, w in w_elements(solve_dec(e, d, K)).items()),
+                            e + d)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -496,7 +504,7 @@ class TestAssembly:
         got = assemble_stolin_r(1, 1, j_matrix_rat(1, 1), x, y)
         h = basis_matrix(("cartan", 1), 2)
         want = casimir(2).scale(ONE / (y - x)).add(
-            tensor_from_pairs(
+            dense_tensor_from_pairs(
                 2,
                 [
                     (mat_unit(2, 1, 2), h, x / 2),
@@ -568,9 +576,9 @@ def _per_point_stolin_r(ws, x, y):
     pairs = []
     for label in sl_basis(n):
         first = basis_matrix(label, n) if label[0] == "unit" else cartan_dual(label[1], n)
-        pairs.append((first, eval_matrix_poly(w_of(ws, label, 0), y), ONE))
-        pairs.append((first, eval_matrix_poly(w_of(ws, label, 1), y), x))
-    return casimir(n).scale(ONE / (y - x)).add(tensor_from_pairs(n, pairs))
+        pairs.append((first, eval_dense(w_of(ws, label, 0), y), ONE))
+        pairs.append((first, eval_dense(w_of(ws, label, 1), y), x))
+    return casimir(n).scale(ONE / (y - x)).add(dense_tensor_from_pairs(n, pairs))
 
 
 class TestTable:
