@@ -9,7 +9,6 @@ produce the tensor, whose pole part is always the Casimir element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -52,14 +51,16 @@ def _check_coprime(e: int, d: int):
         raise NonCoprimeError("need coprime positive integers, got (%d, %d)" % (e, d))
 
 
-@dataclass(frozen=True)
 class JMatrix:
     """The 0/1 matrix attached to a coprime pair (e, d), block-upper-triangular
     with respect to the split e + d."""
 
-    e: int
-    d: int
-    matrix: tuple
+    __slots__ = ("e", "d", "matrix")
+
+    def __init__(self, e: int, d: int, matrix: tuple):
+        self.e = e
+        self.d = d
+        self.matrix = matrix
 
     @property
     def n(self) -> int:
@@ -217,16 +218,23 @@ def _sol_rows(e: int, d: int) -> tuple[list, list]:
     return a0, a1
 
 
-@dataclass(frozen=True)
 class SolBasis:
     """Exact basis of Sol((e,d), x) inside V_{e,d}, dual to the residues:
     member m is the one with residue e_ij - delta_ij e_11, for the m-th
     (i, j) != (1, 1) in row-major order."""
 
-    e: int
-    d: int
-    x: Fraction
-    vectors: tuple  # the members' (z - x)-coordinates
+    __slots__ = ("e", "d", "x", "vectors")
+
+    def __init__(self, e: int, d: int, x: Fraction, vectors: tuple):
+        self.e = e
+        self.d = d
+        self.x = x
+        self.vectors = vectors  # the members' (z - x)-coordinates
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.e, self.d, self.x, self.vectors) == (other.e, other.d, other.x, other.vectors)
 
 
 def _columns(rows) -> dict:
@@ -267,16 +275,18 @@ _PARTS = {(1, 0): ((1, (0, 0, 0)),), (1, 1): ((1, (0, 1, 0)),),
           (2, 0): ((1, (0, 0, 1)), (-1, (0, 1, 0))), (2, 1): ((1, (0, 1, 1)), (-1, (0, 2, 0)))}
 
 
-@dataclass(frozen=True)
 class SolFamily:
     """Sol((e,d), x) for every x: member m of the residue-dual basis has the
     coordinates v0[m]/den + x v1[m]/den^2, each a sparse {coordinate: int}
     dict; `table` is r(x, y) read off them."""
 
-    den: int
-    v0: tuple
-    v1: tuple
-    table: TensorTable
+    __slots__ = ("den", "v0", "v1", "table")
+
+    def __init__(self, den: int, v0: tuple, v1: tuple, table: TensorTable):
+        self.den = den
+        self.v0 = v0
+        self.v1 = v1
+        self.table = table
 
 
 # One family per coprime pair, kept for the life of the process: the CLI
@@ -365,15 +375,17 @@ def sol_space(e: int, d: int, x) -> SolBasis:
     return SolBasis(e, d, x, tuple(vectors))
 
 
-@dataclass(frozen=True)
 class GElements:
     """For each sl(n) basis element B, the unique correction G in V_{e,d} with
     B + G in Sol((e,d), x) and G(x) = 0."""
 
-    e: int
-    d: int
-    x: Fraction
-    corrections: dict  # BasisIndex -> {(i, j): nonzero polynomial in z}
+    __slots__ = ("e", "d", "x", "corrections")
+
+    def __init__(self, e: int, d: int, x: Fraction, corrections: dict):
+        self.e = e
+        self.d = d
+        self.x = x
+        self.corrections = corrections  # BasisIndex -> {(i, j): nonzero polynomial in z}
 
 
 # Most residue points whose corrections `g_elements` keeps.  At n = 12 one

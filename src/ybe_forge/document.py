@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .exact import rat
@@ -22,12 +21,20 @@ class DocumentError(ValueError):
     """Malformed or unsupported document payload."""
 
 
-@dataclass(frozen=True)
 class TensorDocument:
-    n: int
-    scalar: str
-    terms: tuple  # ((i, j, k, l), coeff) sorted
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("n", "scalar", "terms", "provenance")
+
+    def __init__(self, n: int, scalar: str, terms: tuple, provenance: dict | None = None):
+        self.n = n
+        self.scalar = scalar
+        self.terms = terms  # ((i, j, k, l), coeff) sorted
+        self.provenance = {} if provenance is None else provenance
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.scalar, self.terms, self.provenance) == (
+            other.n, other.scalar, other.terms, other.provenance)
 
     def to_tensor(self) -> GlTensor2:
         return GlTensor2(self.n, self.scalar, dict(self.terms))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -51,14 +50,15 @@ class PoleProximityError(ArithmeticError):
     """Evaluation point too close to a zero of theta / a pole of the kernel."""
 
 
-@dataclass(frozen=True)
 class ThetaContext:
-    """Modulus and series truncation for all elliptic evaluation."""
+    """Modulus and series truncation for all elliptic evaluation.  Equal
+    contexts hash alike, so they share the tables cached per context."""
 
-    tau: complex
-    terms: int = 60
+    __slots__ = ("tau", "terms")
 
-    def __post_init__(self):
+    def __init__(self, tau: complex, terms: int = 60):
+        self.tau = tau
+        self.terms = terms
         # NaN compares False with everything, so it must be refused first
         if not cmath.isfinite(self.tau):
             raise ValueError("need a finite tau, got %r" % (self.tau,))
@@ -88,6 +88,14 @@ class ThetaContext:
                 "truncation at %d terms cannot reach tol=%g for this modulus"
                 % (self.terms, THETA_TOL)
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tau, self.terms) == (other.tau, other.terms)
+
+    def __hash__(self):
+        return hash((self.tau, self.terms))
 
     @property
     def q(self) -> complex:
@@ -245,19 +253,24 @@ def _lattice_thetas(n: int, d: int, ctx: ThetaContext) -> tuple:
     return tuple(out)
 
 
-def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex):
+def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex, j: int):
     # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau + j,
     # |Im v0| <= Im tau / 2 and |Re v0| <= 1/2, every coefficient is
     # exp(-2 pi i (m s + j r) / n) times its value at v0: the tau terms of
     # the prefactor and the kernel cancel, and sigma(u, v + 1) = sigma(u, v).
+    # The caller has already taken the integer j off v.
     m = round(v.imag / ctx.tau.imag)
     if m:
+        # y - x and m tau each round by up to an ulp of their size, and the
+        # reduced v0 inherits both errors
+        if (abs(v) + abs(m * ctx.tau)) * sys.float_info.epsilon > THETA_TOL:
+            raise ValueError("y - x is too far from the real axis to reduce by the periods "
+                             "within tol=%g" % THETA_TOL)
         v = v - m * ctx.tau
-        if abs(v.imag) > ctx.tau.imag:
-            raise ValueError("y - x is too large to reduce by the periods")
-    j = round(v.real)
-    if j:
-        v = v - j
+    k = round(v.real)
+    if k:
+        v = v - k
+        j += k
     tv = theta1(v, ctx)
     if abs(tv) < POLE_GUARD:
         raise PoleProximityError(
@@ -295,12 +308,18 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
     if abs(ctx.tau.real) > n / 2:
         ctx = ThetaContext(complex(math.remainder(ctx.tau.real, n), ctx.tau.imag), ctx.terms)
-    v = complex(y) - complex(x)
-    if not cmath.isfinite(v / ctx.tau.imag):
+    x, y = complex(x), complex(y)
+    if not cmath.isfinite((y - x) / ctx.tau.imag):
         raise ValueError(
-            "y - x = %r is not finite or too large for Im(tau) = %g" % (v, ctx.tau.imag)
+            "y - x = %r is not finite or too large for Im(tau) = %g" % (y - x, ctx.tau.imag)
         )
-    return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v), ring=COMPLEX)
+    # Re x and Re y are reduced by the period 1 each, by the exact
+    # `math.remainder`, and the integer shifts are kept as ints: far from the
+    # origin the float y - x would round away the fraction of Re(y - x)
+    rx, ry = math.remainder(x.real, 1), math.remainder(y.real, 1)
+    v = complex(ry - rx, y.imag - x.imag)
+    j = int(y.real - ry) - int(x.real - rx)
+    return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v, j), ring=COMPLEX)
 
 
 def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:

@@ -31,9 +31,9 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

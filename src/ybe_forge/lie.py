@@ -10,7 +10,6 @@ and nowhere else.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -70,18 +69,21 @@ def _accumulate(store: dict, key, value):
         store[key] = acc
 
 
-@dataclass(frozen=True)
 class GlTensor2:
     """Sparse element of gl(n) (x) gl(n): terms[(i,j,k,l)] is the coefficient
     of e_{i,j} (x) e_{k,l} (1-based indices)."""
 
-    n: int
-    ring: str
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("n", "ring", "terms")
 
-    def __post_init__(self):
-        if self.ring not in (RATIONAL, COMPLEX):
-            raise ValueError("unknown scalar ring %r" % self.ring)
+    def __init__(self, n: int, ring: str, terms: dict | None = None):
+        self.n = n
+        self.ring = ring
+        self.terms = {} if terms is None else terms
+        if ring not in (RATIONAL, COMPLEX):
+            raise ValueError("unknown scalar ring %r" % ring)
+
+    def __repr__(self):
+        return "GlTensor2(n=%r, ring=%r, terms=%r)" % (self.n, self.ring, self.terms)
 
     def __eq__(self, other):
         return (
@@ -125,13 +127,15 @@ class GlTensor2:
         return GlTensor2(self.n, COMPLEX, {k: complex(v) for k, v in self.terms.items()})
 
 
-@dataclass(frozen=True)
 class GlTensor3:
     """Sparse element of gl(n) (x) gl(n) (x) gl(n), keyed by six indices."""
 
-    n: int
-    ring: str
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("n", "ring", "terms")
+
+    def __init__(self, n: int, ring: str, terms: dict | None = None):
+        self.n = n
+        self.ring = ring
+        self.terms = {} if terms is None else terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -187,17 +191,25 @@ def casimir(n: int) -> GlTensor2:
 POLE = (1, 0, 0)
 
 
-@dataclass(frozen=True)
 class TensorTable:
     """r(x, y) = sum over the monomials m of m(x, y) T_m in integers:
     terms[(i, j, k, l)] holds the numerators of the coefficient of
     e_{i,j} (x) e_{k,l} in each T_m, in the order of `monomials`, over the
     common denominator `den`.  No key has only zero numerators."""
 
-    n: int
-    monomials: tuple
-    den: int
-    terms: dict
+    __slots__ = ("n", "monomials", "den", "terms")
+
+    def __init__(self, n: int, monomials: tuple, den: int, terms: dict):
+        self.n = n
+        self.monomials = monomials
+        self.den = den
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.monomials, self.den, self.terms) == (
+            other.n, other.monomials, other.den, other.terms)
 
     def at(self, x: Fraction, y: Fraction) -> GlTensor2:
         """r(x, y) for y != x.  Every monomial is an integer over one common
@@ -450,14 +462,21 @@ def is_unitary_pair(r_xy: GlTensor2, r_yx: GlTensor2) -> bool:
 # constant gauge transformations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LinearMapGl:
     """A signed permutation of the unit basis of gl(n): images[(i, j)] =
     (a, b, s) means e_{i,j} |-> s e_{a,b} with s = +1 or -1.  Every gauge
     relating the pipelines has this form."""
 
-    n: int
-    images: dict
+    __slots__ = ("n", "images")
+
+    def __init__(self, n: int, images: dict):
+        self.n = n
+        self.images = images
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.images) == (other.n, other.images)
 
     def compose(self, other: "LinearMapGl") -> "LinearMapGl":
         """self after other."""
@@ -506,15 +525,22 @@ def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
 # the finite Heisenberg pair and its eigenbasis of sl(n)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Monomial:
     """An n x n monomial matrix over Q(eps), eps a primitive n-th root of
     unity: row i holds eps**exps[i] / den in column (i + shift) % n and zeros
     elsewhere.  The shift and the exponents are kept mod n = len(exps)."""
 
-    shift: int
-    exps: tuple
-    den: int = 1
+    __slots__ = ("shift", "exps", "den")
+
+    def __init__(self, shift: int, exps: tuple, den: int = 1):
+        self.shift = shift
+        self.exps = exps
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shift, self.exps, self.den) == (other.shift, other.exps, other.den)
 
     def __matmul__(self, other: "Monomial") -> "Monomial":
         n = len(self.exps)
@@ -545,20 +571,23 @@ def _root_values(n: int, den: int) -> tuple:
     return tuple(root_complex(row, n, den) for row in root_table(n))
 
 
-@dataclass(frozen=True)
 class HeisenbergBasis:
     """The clock-and-shift pair (X, Y) for epsilon = exp(2 pi i d / n) with the
     eigenfamilies Z_{k,l} = Y^k X^{-l} and their trace duals
     Z^dual_{k,l} = Z_{k,l}^{-1} / n, all stored as `Monomial`s in powers of
     epsilon."""
 
-    n: int
-    d: int
-    X: Monomial
-    Y: Monomial
-    index_set: tuple
-    Z: dict
-    Z_dual: dict
+    __slots__ = ("n", "d", "X", "Y", "index_set", "Z", "Z_dual")
+
+    def __init__(self, n: int, d: int, X: Monomial, Y: Monomial, index_set: tuple,
+                 Z: dict, Z_dual: dict):
+        self.n = n
+        self.d = d
+        self.X = X
+        self.Y = Y
+        self.index_set = index_set
+        self.Z = Z
+        self.Z_dual = Z_dual
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ each other and against the geometric pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
@@ -57,16 +56,19 @@ def parabolic_labels(e: int, n: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
 class FrobeniusForm:
     """Gram matrix of omega_K on the parabolic p_e, with its determinant."""
 
-    K: tuple
-    e: int
-    n: int
-    labels: tuple
-    rows: tuple  # the Gram rows as {column: nonzero entry} dicts
-    determinant: Fraction
+    __slots__ = ("K", "e", "n", "labels", "rows", "determinant")
+
+    def __init__(self, K: tuple, e: int, n: int, labels: tuple, rows: tuple,
+                 determinant: Fraction):
+        self.K = K
+        self.e = e
+        self.n = n
+        self.labels = labels
+        self.rows = rows  # the Gram rows as {column: nonzero entry} dicts
+        self.determinant = determinant
 
     @property
     def gram(self) -> tuple:
@@ -211,7 +213,6 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     return out
 
 
-@dataclass(frozen=True)
 class WElementSet:
     """The degree <= 1 current-algebra elements w_{(label; k)} of the dec
     solves, each as its parts {m: {(i, j): nonzero z^m coefficient}},
@@ -219,10 +220,11 @@ class WElementSet:
     lower-left block labels vanish identically, and order 1 vanishes outside
     the upper-right block."""
 
-    e: int
-    d: int
-    K: tuple
-    parts: dict  # (label, k) -> {m: {(i, j): coefficient}}
+    def __init__(self, e: int, d: int, K: tuple, parts: dict):
+        self.e = e
+        self.d = d
+        self.K = K
+        self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}
 
     @property
     def n(self) -> int:
@@ -407,15 +409,17 @@ def _eta_shift(e: int, n: int, parts) -> dict:
     return {k: m for k, m in out.items() if m}
 
 
-@dataclass(frozen=True)
 class OrderBasis:
     """Truncated basis of a Lagrangian subalgebra complementary to g[z]:
     `elements` are exact Laurent polynomials supported inside the window,
     each as {degree: {(i, j): nonzero z^degree coefficient}}, 1-based."""
 
-    n: int
-    window: tuple[int, int]
-    elements: tuple
+    __slots__ = ("n", "window", "elements")
+
+    def __init__(self, n: int, window: tuple[int, int], elements: tuple):
+        self.n = n
+        self.window = window
+        self.elements = elements
 
 
 def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
@@ -452,14 +456,16 @@ def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
     return OrderBasis(n, window, tuple(elements))
 
 
-@dataclass(frozen=True)
 class SeriesResult:
     """Truncated dual-basis series of an order: the evaluated partial sum and
     the polynomial parts of the dual elements."""
 
-    n: int
-    tensor: GlTensor2
-    parts: dict  # (label, k) -> {m: {(i, j): coefficient}}, as `WElementSet`
+    __slots__ = ("n", "tensor", "parts")
+
+    def __init__(self, n: int, tensor: GlTensor2, parts: dict):
+        self.n = n
+        self.tensor = tensor
+        self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}, as `WElementSet`
 
 
 def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:

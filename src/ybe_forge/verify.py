@@ -14,7 +14,6 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -44,19 +43,23 @@ SUITE_SEED = 2008
 SERIES_K_MAX = 6
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    tolerance: str
-    elapsed: float
+    __slots__ = ("name", "passed", "detail", "tolerance", "elapsed")
+
+    def __init__(self, name: str, passed: bool, detail: str, tolerance: str, elapsed: float):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.tolerance = tolerance
+        self.elapsed = elapsed
 
 
-@dataclass(frozen=True)
 class VerifyReport:
-    suite: str
-    checks: tuple
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: tuple):
+        self.suite = suite
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

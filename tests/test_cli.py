@@ -257,6 +257,25 @@ class TestElliptic:
         assert "finite" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("x", ["1000000.25+0.1i", "1000000000000000.25+0.1i"],
+                             ids=["1e6", "1e15"])
+    def test_far_point_keeps_tolerance(self, x):
+        """An even real shift of x leaves the n = 2 tensor unchanged within
+        the printed tolerance."""
+        args = ("elliptic", "2", "1", "--tau", "1i", "--y=0.3")
+        near, far = (run(*args, "--x=" + v) for v in ("0.25+0.1i", x))
+        assert near.exit_code == far.exit_code == 0
+        want, got = (document_from_json(json.loads(r.stdout)) for r in (near, far))
+        assert got.provenance["tolerance"] == 1e-12
+        t_want = want.to_tensor()
+        assert got.to_tensor().sub(t_want).norm() <= 1e-12 * t_want.norm()
+
+    def test_far_imaginary_point_exit_3(self):
+        res = run("elliptic", "2", "1", "--tau", "1i", "--x=0.1+3000i", "--y=0.3")
+        assert res.exit_code == 3
+        assert "too far from the real axis" in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("args", [
         ("4", "3", "--tau", "1i", "--x", "0.1", "--y", "0.2"),
         ("3", "1", "--tau", "0.3+1i", "--x", "0", "--y", "3i"),

@@ -52,6 +52,15 @@ class TestRoundTrip:
         assert again == doc
         assert again.to_tensor() == casimir(3)
 
+    def test_equality_reads_every_field(self):
+        """The round trip is checked by equality, so documents that differ in
+        provenance alone compare unequal."""
+        doc = document_from_tensor(casimir(2), {"pipeline": "test"})
+        assert loads(dumps(doc)) == doc
+        assert TensorDocument(doc.n, doc.scalar, doc.terms, {"pipeline": "other"}) != doc
+        assert TensorDocument(doc.n, doc.scalar, doc.terms) != doc
+        assert TensorDocument(doc.n, doc.scalar, doc.terms[1:], doc.provenance) != doc
+
     def test_rational_exactness(self):
         t = GlTensor2(2, RATIONAL, {(1, 2, 2, 1): F(355, 113)})
         doc = document_from_tensor(t)

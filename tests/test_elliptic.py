@@ -19,6 +19,7 @@ from ybe_forge.elliptic import (
     belavin_residue_fit,
     belavin_unitarity_residual,
     jacobi_sn_cn_dn,
+    _lattice_thetas,
     _theta_table,
     kronecker_sigma,
     theta1,
@@ -93,13 +94,17 @@ def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
     """The Belavin tensor with every theta value summed afresh by the
     reference series, in the order of operations of `belavin_r`."""
     hb = heisenberg(n, d)
-    v = complex(y) - complex(x)
+    x, y = complex(x), complex(y)
+    rx, ry = math.remainder(x.real, 1), math.remainder(y.real, 1)
+    v = complex(ry - rx, y.imag - x.imag)
+    j = int(y.real - ry) - int(x.real - rx)
     m = round(v.imag / ctx.tau.imag)
     if m:
         v = v - m * ctx.tau
-    j = round(v.real)
-    if j:
-        v = v - j
+    k = round(v.real)
+    if k:
+        v = v - k
+        j += k
     tv = theta1_reference(v, ctx)
     pairs = []
     for (k, l) in hb.index_set:
@@ -235,6 +240,16 @@ class TestTheta:
         """60.0 == 60, so a float count would read the tables of the int."""
         with pytest.raises(ValueError, match="integer"):
             ThetaContext(tau=1j, terms=60.0)
+
+    def test_equal_contexts_share_tables(self):
+        """A context is the cache key of its theta tables: equal contexts
+        hash alike and read one table, another truncation reads its own."""
+        a, b = ThetaContext(tau=0.3 + 1j), ThetaContext(0.3 + 1j, 60)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert _theta_table(a) is _theta_table(b)
+        assert _lattice_thetas(3, 1, a) is _lattice_thetas(3, 1, b)
+        c = ThetaContext(0.3 + 1j, 61)
+        assert c != a and _theta_table(c) is not _theta_table(a)
 
     @pytest.mark.parametrize("terms", [0, -5])
     def test_nonpositive_terms_rejected(self, terms):
@@ -405,6 +420,32 @@ class TestBelavin:
         pts = (-1e12 + 0.125, 0.25, 1e12 + 0.375)  # differences exact in binary
         assert belavin_cybe_residual(3, 1, ctx, pts) < 1e-9
         assert belavin_cybe_residual(5, 2, ctx, pts) < 1e-9
+
+    @pytest.mark.parametrize("shift", [10**6, 10**15], ids=["1e6", "1e15"])
+    @pytest.mark.parametrize("n,d", [(2, 1), (4, 3), (5, 2)])
+    @pytest.mark.parametrize("ctx", [CTX, CTX_I], ids=["tau=0.3+i", "tau=i"])
+    def test_far_point_keeps_tolerance(self, ctx, n, d, shift):
+        """Moving x by a multiple of n, a real period of every coefficient,
+        leaves r unchanged within tol: each point's real part is reduced on
+        its own, before the float y - x can round the fraction away (at
+        x = 1e6 + 0.25 + 0.1i it once drifted by 3e-10 relative)."""
+        x, y = 0.25 + 0.1j, 0.3
+        want = belavin_r(n, d, ctx, x, y)
+        got = belavin_r(n, d, ctx, x + shift, y)
+        assert got.sub(want).norm() <= THETA_TOL * want.norm()
+
+    @pytest.mark.parametrize("k, refused", [(100, False), (400, False), (460, True)])
+    def test_far_imaginary_point_is_refused(self, k, refused):
+        """An imaginary shift by m tau rounds by about an ulp of |m tau|: an
+        accepted one keeps tol, one that may not is refused."""
+        n, d, x, y = 5, 2, 0.25 + 0.1j, 0.3
+        want = belavin_r(n, d, CTX, x, y)
+        moved = x + n * k * CTX.tau
+        if refused:
+            with pytest.raises(ValueError, match="too far from the real axis"):
+                belavin_r(n, d, CTX, moved, y)
+        else:
+            assert belavin_r(n, d, CTX, moved, y).sub(want).norm() <= THETA_TOL * want.norm()
 
     @pytest.mark.parametrize("n,d", [
         (n, d) for n in range(2, 8) for d in range(1, n) if gcd(n, d) == 1][:12])

@@ -153,6 +153,26 @@ def test_traced_layers_resolve():
     assert missing == []
 
 
+def test_benchmark_constructor_calls():
+    """The calls perfbench/run.py makes with keywords and defaults still
+    work: ThetaContext(tau=...) with 60 terms, a document with provenance
+    equal to itself after the round trip.  The empty defaults of GlTensor2
+    and TensorDocument are fresh dicts."""
+    from ybe_forge.document import TensorDocument, document_from_tensor, dumps, loads
+    from ybe_forge.elliptic import ThetaContext, belavin_cybe_residual, belavin_r
+    from ybe_forge.lie import COMPLEX, GlTensor2
+
+    ctx = ThetaContext(tau=1j)
+    assert (ctx.tau, ctx.terms) == (1j, 60)
+    assert belavin_cybe_residual(2, 1, ctx, (0.1, 0.25, 0.4)) < 1e-9
+    doc = document_from_tensor(belavin_r(2, 1, ctx, 0.1, 0.3), {"source": "elliptic"})
+    assert loads(dumps(doc)) == doc
+    a, b = GlTensor2(2, COMPLEX), GlTensor2(2, COMPLEX)
+    assert a.terms == {} and a.terms is not b.terms
+    c, d = TensorDocument(2, COMPLEX, ()), TensorDocument(2, COMPLEX, ())
+    assert c.provenance == {} and c.provenance is not d.provenance
+
+
 def _is_unbounded_cache(dec) -> bool:
     """`@cache` or `@lru_cache(maxsize=None)`, under any module prefix."""
     target = dec.func if isinstance(dec, ast.Call) else dec
@@ -209,12 +229,13 @@ def test_scan_sees_an_unbounded_cache(tmp_path):
     assert unbounded_caches(tmp_path) == ["mod:a", "mod:b", "mod:c"]
 
 
-def _python(code: str, *args: str, **env_extra: str) -> str:
-    """The last stdout line of `code` run in a new interpreter on ./src."""
+def _python(code: str, *args: str, flags: tuple = (), **env_extra: str) -> str:
+    """The last stdout line of `code` run in a new interpreter on ./src,
+    started with the interpreter options `flags`."""
     env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
-                         text=True, check=True)
+    out = subprocess.run([sys.executable, *flags, "-c", code, *args], env=env,
+                         capture_output=True, text=True, check=True)
     return out.stdout.strip().splitlines()[-1]
 
 
@@ -242,9 +263,13 @@ def test_cli_import_leaves_numpy_unloaded():
     assert _python(code) == "False"
 
 
+# Standard-library modules that add to the start-up of every request and
+# that no command needs: `dataclasses` alone pulls in inspect, ast, dis and
+# tokenize.
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
 # The command (if any) runs through the CLI's entry point, then the process
-# prints the package modules it loaded and whether the process pool is among
-# them.
+# prints the package modules it loaded, whether the process pool is among
+# them, and which of `_HEAVY` it loaded.
 _LOADED = """import json, sys
 from ybe_forge import cli
 if sys.argv[1:]:
@@ -253,8 +278,9 @@ if sys.argv[1:]:
     except SystemExit as exc:
         assert exc.code == 0, exc.code
 print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("ybe_forge.")),
-                  "concurrent.futures.process" in sys.modules]))
-"""
+                  "concurrent.futures.process" in sys.modules,
+                  [m for m in %r if m in sys.modules]]))
+""" % (_HEAVY,)
 _CLI_CORE = ["cli", "document", "exact", "lie"]
 
 
@@ -271,7 +297,7 @@ _CLI_CORE = ["cli", "document", "exact", "lie"]
 def test_command_loads_only_its_modules(args, extra):
     """A CLI process imports the modules its command uses and no others; a
     serial `verify` leaves multiprocessing unloaded."""
-    loaded, pool = json.loads(_python(_LOADED, *args, FORGE_THREADS="1"))
+    loaded, pool, _ = json.loads(_python(_LOADED, *args, FORGE_THREADS="1"))
     assert loaded == sorted(_CLI_CORE + extra)
     assert not pool
 
@@ -295,6 +321,21 @@ def test_cli_loads_only_the_standard_library():
     CLI parses its arguments itself, so no parsing library (such as click)
     adds to the start-up of every request."""
     assert json.loads(_python(_FOREIGN)) == [0, []]
+
+
+@pytest.mark.parametrize("args", [
+    ("jmatrix", "3", "1"),
+    ("rational", "3", "1", "--x", "1/3", "--y", "2"),
+    ("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2"),
+    ("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"),
+    ("verify", "--suite", "rational", "--n-max", "2"),
+], ids=["jmatrix", "rational", "stolin", "elliptic", "verify"])
+def test_command_loads_no_heavy_standard_modules(args):
+    """A request loads none of `_HEAVY`.  The probe runs under -S, so that
+    the modules `site` loads itself (a `.pth` file may load typing and re)
+    hide none of them."""
+    heavy = json.loads(_python(_LOADED, *args, flags=("-S",), FORGE_THREADS="1"))[2]
+    assert heavy == []
 
 
 def test_scan_sees_a_dead_helper(tmp_path):

@@ -91,7 +91,7 @@ def test_stolin_exit_codes(args):
                 (st.just("60"), st.sampled_from(["1", "0", "-5", "1000", "10000000", "x"]))))
 @example(args=("6", "5", "2i", "0", "-0.9i", "60"))  # overflowed before the reduction
 @example(args=("2", "1", "1i", "1e308", "-1e308", "60"))  # y - x is not finite
-@example(args=("5", "3", "-0.85+0.01i", "2.7+8.8e299i", "0", "60"))  # too large to reduce
+@example(args=("5", "3", "-0.85+0.01i", "2.7+8.8e299i", "0", "60"))  # too far to reduce
 @example(args=("2", "1", "1i", "0.1", "0.5", "1" + "0" * 400))  # overflowed the terms checks
 def test_elliptic_exit_codes(args):
     n, d, tau, x, y, terms = args

@@ -248,7 +248,7 @@ class TestProof:
                 r = super().at(x, y)
                 return r.add(r) if x < y else r
 
-        use_table(monkeypatch, "cuspidal", Broken(*vars(table).values()))
+        use_table(monkeypatch, "cuspidal", Broken(table.n, table.monomials, table.den, table.terms))
         ok, detail = verify.check_cuspidal_cybe(2, 1, PAIR)
         assert not ok and detail.startswith("not unitary at")
 

@@ -9,7 +9,8 @@ PYTHONDONTWRITEBYTECODE=1.  DIR is the `src` directory of a second checkout:
 each request then runs on both, alternating which goes first, so a drift in
 machine speed touches both alike.  The script prints, per checkout, the
 median and quartiles of the wall latency and the largest peak RSS of one
-request (both of the request's own process, from spawn to exit), and the
+request (both of the request's own process, from spawn to exit), the median
+latency of each request kind (jmatrix, rational, stolin, elliptic), and the
 number of distinct requests whose stdout, stderr or exit code differ between
 the two checkouts.
 """
@@ -68,6 +69,15 @@ def summary(name, walls, rss):
         name, 1000 * med, 1000 * q1, 1000 * q3, len(walls), max(rss))
 
 
+def kind_medians(kinds, walls):
+    """The median latency of each request kind, by kind name."""
+    by_kind = {}
+    for kind, wall in zip(kinds, walls):
+        by_kind.setdefault(kind, []).append(wall)
+    return ", ".join("%s %.1f ms" % (kind, 1000 * statistics.median(w))
+                     for kind, w in sorted(by_kind.items()))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", type=int, nargs="+")
@@ -78,7 +88,9 @@ def main():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **bench.PINNED_ENV)
     sources = [os.path.join(ROOT, "src")] + ([os.path.abspath(args.src)] if args.src else [])
     for seed in args.seeds:
-        reqs = [req["args"] for req in bench.cold_cli_mix(seed)[0]]
+        mix = bench.cold_cli_mix(seed)[0]
+        reqs = [req["args"] for req in mix]
+        kinds = [req["kind"] for req in mix] * args.passes
         walls = {src: [] for src in sources}
         rss = {src: [] for src in sources}
         differ = set()
@@ -95,6 +107,7 @@ def main():
         print("seed %d, %d requests x %d passes" % (seed, len(reqs), args.passes))
         for src in sources:
             print("  " + summary(src, walls[src], rss[src]))
+            print("    by kind: " + kind_medians(kinds, walls[src]))
         if args.src:
             print("  outputs differ on %d of %d requests" % (len(differ), len(reqs)))
 
