@@ -6,3 +6,8 @@ verification surface tying them together.
 """
 
 __version__ = "0.1.0"
+
+# The coefficient ring of a tensor (`lie.GlTensor2.ring`) and a document's
+# "scalar"; defined here, so that `document` need not load `lie`.
+RATIONAL = "rational"
+COMPLEX = "complex"

@@ -19,18 +19,11 @@ import cmath
 import json
 import os
 import sys
-from fractions import Fraction
 
-# A process runs one command, so each command imports the pipeline modules it
-# uses itself: `cuspidal`, `stolin`, `elliptic` and `verify` would otherwise
-# cost every request their import time.
-from .exact import rat
-from .document import (
-    document_from_tensor,
-    dumps,
-    render_latex,
-    render_text,
-)
+# A process runs one command, and without cached bytecode it compiles every
+# module it imports, so each command and `_parse_rat` import the package
+# modules they use themselves: `jmatrix` loads `jmat` and `document` only.
+from .document import document_from_tensor, dumps, render_latex, render_text
 
 EXIT_FAIL = 2
 EXIT_BADINPUT = 3
@@ -40,7 +33,8 @@ EXIT_BADINPUT = 3
 # cost about n^6: on one CPU of a 2-core Intel Xeon, `rational 12 1` takes
 # 0.22 s and `elliptic 12 1` 0.21 s.  `verify` proves the CYBE and
 # unitarity once per table: `python tools/time_verify.py 8 12` (in-process,
-# serial) reads 1.2-1.3 s at 8 and 4.7-6.6 s at 12 on the same machine.
+# serial) reads 0.7-1.2 s at 8 and 3.6-5.8 s at 12 on the same machine, whose
+# speed drifted by up to 1.6x between runs.
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and
@@ -81,7 +75,9 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-def _parse_rat(text: str, name: str) -> Fraction:
+def _parse_rat(text: str, name: str):
+    from .exact import rat
+
     try:
         value = rat(text)
     except (ValueError, ZeroDivisionError):
@@ -120,12 +116,12 @@ def _emit(tensor, provenance: dict, fmt: str):
 
 def jmatrix(e, d, fmt):
     """Print the recursive 0/1 matrix for the coprime pair (E, D)."""
-    from . import cuspidal
+    from . import jmat
 
     _check_size(e + d, "e + d")
     try:
-        j = cuspidal.build_j(e, d)
-    except cuspidal.NonCoprimeError as exc:
+        j = jmat.build_j(e, d)
+    except jmat.NonCoprimeError as exc:
         _fail("not coprime: %s" % exc, EXIT_BADINPUT)
     if fmt in ("text", "both"):
         for row in j.matrix:
@@ -136,7 +132,7 @@ def jmatrix(e, d, fmt):
 
 def rational(n, d, x, y, fmt):
     """Geometric-pipeline solution for (N, D) at exact points."""
-    from . import cuspidal
+    from . import cuspidal, jmat
 
     _check_size(n)
     x_val = _parse_rat(x, "--x")
@@ -148,7 +144,7 @@ def rational(n, d, x, y, fmt):
     e = n - d
     try:
         tensor = cuspidal.assemble_r(e, d, x_val, y_val)
-    except cuspidal.NonCoprimeError as exc:
+    except jmat.NonCoprimeError as exc:
         _fail(str(exc), EXIT_BADINPUT)
     provenance = {
         "pipeline": "cuspidal",
@@ -193,7 +189,7 @@ def _load_k_matrix(spec: str, e: int, d: int):
 
 def stolin_cmd(n, e, kspec, x, y, fmt):
     """Parabolic-pipeline solution for the triple with parabolic index E."""
-    from . import cuspidal, stolin
+    from . import jmat, stolin
 
     _check_size(n)
     x_val = _parse_rat(x, "--x")
@@ -208,7 +204,7 @@ def stolin_cmd(n, e, kspec, x, y, fmt):
         tensor = stolin.assemble_stolin_r(e, d, K, x_val, y_val)
     except stolin.DegenerateFormError as exc:
         _fail("Frobenius form degenerate: %s" % exc, EXIT_FAIL)
-    except cuspidal.NonCoprimeError as exc:
+    except jmat.NonCoprimeError as exc:
         _fail(str(exc), EXIT_BADINPUT)
     provenance = {
         "pipeline": "stolin",

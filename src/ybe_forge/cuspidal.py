@@ -1,17 +1,18 @@
 """Rational r-matrices from the geometric pipeline on the cuspidal cubic.
 
-The construction is driven by a 0/1 matrix J built by a Euclidean recursion
-from the coprime pair (e, d), a shaped space V_{e,d} of matrix polynomials in
-z, and its subspace Sol((e, d), x) cut out by [F_0, J] + x F_0 + F_eps = 0.
-The members of Sol, taken at the residue point x and evaluated at y,
-produce the tensor, whose pole part is always the Casimir element.
+The construction is driven by the 0/1 matrix J of the coprime pair (e, d)
+(`jmat`), a shaped space V_{e,d} of matrix polynomials in z, and its
+subspace Sol((e, d), x) cut out by [F_0, J] + x F_0 + F_eps = 0.  The
+members of Sol, taken at the residue point x and evaluated at y, produce
+the tensor, whose pole part is always the Casimir element.  A `rational`
+request runs only `assemble_r` on the cached `sol_family`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from .exact import (
     InconsistentSystemError,
@@ -21,6 +22,7 @@ from .exact import (
     rat,
     solve_multi,
 )
+from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, j_support_coloring, region
 from .lie import (
     POLE,
     GlTensor2,
@@ -33,10 +35,6 @@ from .lie import (
 )
 
 
-class NonCoprimeError(ValueError):
-    """The pair (e, d) must be coprime positive integers."""
-
-
 class SolDimensionError(RuntimeError):
     """The certificate of `sol_family` failed: dim Sol((e,d), x) may differ
     from n^2 - 1 at some x, and downstream formulas would be meaningless."""
@@ -44,113 +42,6 @@ class SolDimensionError(RuntimeError):
 
 class AnsatzError(RuntimeError):
     """The table is not of the form c/(y - x) + A + x B + y C."""
-
-
-def _check_coprime(e: int, d: int):
-    if e < 1 or d < 1 or gcd(e, d) != 1:
-        raise NonCoprimeError("need coprime positive integers, got (%d, %d)" % (e, d))
-
-
-class JMatrix:
-    """The 0/1 matrix attached to a coprime pair (e, d), block-upper-triangular
-    with respect to the split e + d."""
-
-    __slots__ = ("e", "d", "matrix")
-
-    def __init__(self, e: int, d: int, matrix: tuple):
-        self.e = e
-        self.d = d
-        self.matrix = matrix
-
-    @property
-    def n(self) -> int:
-        return self.e + self.d
-
-
-@lru_cache(maxsize=None)
-def build_j(e: int, d: int) -> JMatrix:
-    """The recursively defined matrix J_(e,d).
-
-    Descend (e,d) -> ... -> (1,1) by the Euclidean step, then extend back up
-    with the two block rules (identity block on top for growth on the left,
-    identity block on the right for growth on the right).
-    """
-    _check_coprime(e, d)
-    path = [(e, d)]
-    while path[-1] != (1, 1):
-        a, b = path[-1]
-        path.append((a - b, b) if a > b else (a, b - a))
-    mat = [[0, 1], [0, 0]]
-    for (p, q) in reversed(path[:-1]):
-        a, b = (p - q, q) if p > q else (p, q - p)
-        size = a + b
-        if p == a:  # grew on the right: q = a + b
-            new = [[0] * (p + q) for _ in range(p + q)]
-            for i in range(a):
-                new[i][a + i] = 1
-            for i in range(size):
-                for j in range(size):
-                    new[a + i][a + j] = mat[i][j]
-        else:  # q == b, grew on the left: p = a + b
-            new = [[0] * (p + q) for _ in range(p + q)]
-            for i in range(size):
-                for j in range(size):
-                    new[i][j] = mat[i][j]
-            for i in range(b):
-                new[a + i][size + i] = 1
-        mat = new
-    return JMatrix(e, d, tuple(tuple(row) for row in mat))
-
-
-def flip_j(j: JMatrix) -> tuple:
-    """Index-reversal of J in the form it enters the pairing tr(J^t [a,b]):
-    the transpose along the antidiagonal, position (i,j) -> (n+1-j, n+1-i).
-    This is the map under which J_(e,d) goes to J_(d,e); reversing both
-    indices without the transpose does not (already false for (1,1))."""
-    n = j.n
-    m = j.matrix
-    return tuple(
-        tuple(m[n - 1 - c][n - 1 - r] for c in range(n)) for r in range(n)
-    )
-
-
-def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
-    """Signs s_1..s_n with s_i s_j = -1 on every unit entry (i,j) of J_(e,d).
-
-    The support of J is a forest (each recursion step attaches a matching to
-    fresh indices), so the 2-coloring always exists; components start at +1.
-    """
-    n = e + d
-    J = build_j(e, d).matrix
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for jj in range(n):
-            if J[i][jj]:
-                adj[i].append(jj)
-                adj[jj].append(i)
-    s = [0] * n
-    for v in range(n):
-        if s[v]:
-            continue
-        s[v] = 1
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if s[w] == 0:
-                    s[w] = -s[u]
-                    stack.append(w)
-                elif s[w] != -s[u]:
-                    raise RuntimeError("J support graph is not 2-colorable")
-    return tuple(s)
-
-
-def region(i: int, j: int, e: int, n: int) -> str:
-    """Quadrant of the (i, j) entry for the split e + (n - e):
-    upper-left IV, upper-right I, lower-left III, lower-right II."""
-    if i <= e:
-        return "IV" if j <= e else "I"
-    return "III" if j <= e else "II"
 
 
 # degree caps of the shaped space: constant e x d upper-right block, linear
@@ -386,15 +277,6 @@ class GElements:
         self.d = d
         self.x = x
         self.corrections = corrections  # BasisIndex -> {(i, j): nonzero polynomial in z}
-
-
-# Most residue points whose corrections `g_elements` keeps.  At n = 12 one
-# entry holds about 0.35 MB (measured with tracemalloc at (1, 11) and
-# (5, 7)), so the cache stays under about 34 MB; no assembly reads it.
-# `stolin.solve_dec` keeps as many cocycle matrices: `verify --n-max 12`
-# asks it for J and -J at each of the 45 pairs, 90 in all, so it loses
-# none (at 64 it re-solved about 30).
-G_ELEMENTS_CACHE_MAX = 96
 
 
 @lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)

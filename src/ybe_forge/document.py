@@ -11,8 +11,7 @@ import json
 import math
 from json.encoder import encode_basestring_ascii
 
-from .exact import rat
-from .lie import COMPLEX, GlTensor2, RATIONAL
+from . import COMPLEX, RATIONAL
 
 SCHEMA = "tensor-document/1"
 
@@ -36,16 +35,18 @@ class TensorDocument:
         return (self.n, self.scalar, self.terms, self.provenance) == (
             other.n, other.scalar, other.terms, other.provenance)
 
-    def to_tensor(self) -> GlTensor2:
+    def to_tensor(self):
+        from .lie import GlTensor2  # writing a document leaves `lie` unloaded
+
         return GlTensor2(self.n, self.scalar, dict(self.terms))
 
 
-def document_from_tensor(t: GlTensor2, provenance: dict | None = None) -> TensorDocument:
+def document_from_tensor(t, provenance: dict | None = None) -> TensorDocument:
     terms = tuple(sorted(t.terms.items()))
     return TensorDocument(t.n, t.ring, terms, dict(provenance or {}))
 
 
-def _coeff_from_json(v, scalar: str):
+def _coeff_from_json(v, scalar: str, rat):
     if scalar == RATIONAL:
         if not isinstance(v, str):
             raise DocumentError("rational coefficients must be strings, got %r" % (v,))
@@ -62,6 +63,8 @@ def _int_from_json(v, what: str) -> int:
 
 
 def document_from_json(payload: dict) -> TensorDocument:
+    from .exact import rat  # writing a document leaves `exact` unloaded
+
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object, got %s" % type(payload).__name__)
     if payload.get("schema") != SCHEMA:
@@ -78,7 +81,7 @@ def document_from_json(payload: dict) -> TensorDocument:
                 raise DocumentError("term index out of range: %r" % (key,))
             if key in terms:
                 raise DocumentError("duplicate term %r" % (key,))
-            terms[key] = _coeff_from_json(item["coeff"], scalar)
+            terms[key] = _coeff_from_json(item["coeff"], scalar, rat)
         provenance = dict(payload.get("provenance", {}))
     except DocumentError:
         raise

@@ -1,9 +1,10 @@
-"""Numeric theta functions, the elliptic kernel, the torus r-matrix, and the
-classical (2,1) solution zoo.
+"""Numeric theta functions, the elliptic kernel and the torus r-matrix.
 
-Everything here is floating-point; the exact modules never import it.  The
-theta-quotient form of the elliptic kernel is normative; tests/test_elliptic.py
-cross-checks it against the double-series form where that converges.
+Everything here is floating-point; the exact modules never import it, and
+it loads neither `exact` nor the rational pipelines.  The theta-quotient form of the elliptic kernel is
+normative; tests/test_elliptic.py cross-checks it against the double-series
+form where that converges.  The classical (2,1) solution zoo and the
+residual checks of the elliptic solution live in `verify`.
 """
 
 from __future__ import annotations
@@ -15,25 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .lie import (
-    COMPLEX,
-    GlTensor2,
-    basis_terms,
-    casimir,
-    cybe_residual_two_variable,
-    heisenberg,
-    heisenberg_entries,
-    tensor_from_pairs,
-)
+from .heis import heisenberg_entries
+from .lie import COMPLEX, GlTensor2, cybe_residual_two_variable, heisenberg, tensor_from_pairs
 
 TWO_PI_I = 2j * math.pi
 # |sin(x + iy)| reaches the largest float once |y| exceeds about this
 _LOG_MAX = math.log(sys.float_info.max)
 # |theta| or |sin| below this counts as a zero: the point is refused as a pole
 POLE_GUARD = 1e-8
-# Laurent-fit offset of `belavin_residue_fit`; the regular part cancels to
-# second order in it
-RESIDUE_FIT_RADIUS = 1e-4
 # tolerance of every theta evaluation: a `ThetaContext` whose first dropped
 # series term is not below a tenth of it is refused
 THETA_TOL = 1e-12
@@ -201,14 +191,6 @@ def theta1_deriv0(ctx: ThetaContext) -> complex:
     return _theta_table(ctx)[2]
 
 
-def theta_half_shift_identity_residual(z: complex, ctx: ThetaContext) -> float:
-    """|theta3(z + (1+tau)/2) - i exp(-pi i (z + tau/4)) theta1(z)|: the
-    half-period relation tying the even and odd theta functions."""
-    lhs = theta3(z + (1 + ctx.tau) / 2, ctx)
-    rhs = 1j * cmath.exp(-1j * math.pi * (z + ctx.tau / 4)) * theta1(z, ctx)
-    return abs(lhs - rhs)
-
-
 def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext, *,
                     tu: complex | None = None, tz: complex | None = None) -> complex:
     """The elliptic kernel in its theta-quotient form:
@@ -325,106 +307,3 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
 def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:
     """Max-norm of the CYBE left-hand side at a triple of spectral points."""
     return cybe_residual_two_variable(lambda x, y: belavin_r(n, d, ctx, x, y), pts).norm()
-
-
-def belavin_residue_fit(n: int, d: int, ctx: ThetaContext) -> float:
-    """Max-norm distance of the Laurent-fit residue (in the variable y - x)
-    from the Casimir tensor.
-
-    Fits at two opposite radii so the regular part cancels to second order.
-    """
-    radius = RESIDUE_FIT_RADIUS
-    rp = belavin_r(n, d, ctx, 0.0, radius)
-    rm = belavin_r(n, d, ctx, 0.0, -radius)
-    fitted = rp.scale(radius).add(rm.scale(-radius)).scale(0.5)
-    return fitted.sub(casimir(n).to_complex()).norm()
-
-
-def belavin_unitarity_residual(n: int, d: int, ctx: ThetaContext, x, y) -> float:
-    from .lie import swap_tensor
-
-    r_xy = belavin_r(n, d, ctx, x, y)
-    r_yx = belavin_r(n, d, ctx, y, x)
-    return r_xy.add(swap_tensor(r_yx)).norm()
-
-
-# ---------------------------------------------------------------------------
-# the classical (2,1) solutions: elliptic, trigonometric, rational
-# ---------------------------------------------------------------------------
-
-# h, e and f of sl(2) as their ((i, j), entry) pairs, with integer entries,
-# so that they serve the exact and the complex solutions alike
-_SL2 = tuple(tuple(basis_terms(label, 2).items())
-             for label in (("cartan", 1), ("unit", 1, 2), ("unit", 2, 1)))
-
-
-def jacobi_sn_cn_dn(z: complex, ctx: ThetaContext) -> tuple[complex, complex, complex]:
-    """Jacobi elliptic triple from theta quotients at the context modulus.
-
-    Arguments are taken in theta convention (no rescaling by theta3(0)^2);
-    the induced relation between the classical modulus and tau is a property
-    of the fixture, not a claim.  All algebraic identities among sn, cn, dn
-    are scaling-invariant, which is what the residual checks consume.
-    """
-    t2z, t3z, t4z = theta2(z, ctx), theta3(z, ctx), theta4(z, ctx)
-    t1z = theta1(z, ctx)
-    t20, t30, t40 = theta2(0, ctx), theta3(0, ctx), theta4(0, ctx)
-    if abs(t4z) < POLE_GUARD:
-        raise PoleProximityError("theta4 zero: sn/cn/dn pole")
-    sn = t30 * t1z / (t20 * t4z)
-    cn = t40 * t2z / (t20 * t4z)
-    dn = t40 * t3z / (t30 * t4z)
-    return sn, cn, dn
-
-
-def zoo_baxter(z: complex, ctx: ThetaContext) -> GlTensor2:
-    """The elliptic (2,1) solution:
-    (cn/sn) h(x)h + ((1+dn)/sn)(e(x)f + f(x)e) + ((1-dn)/sn)(e(x)e + f(x)f)."""
-    sn, cn, dn = jacobi_sn_cn_dn(z, ctx)
-    if abs(sn) < POLE_GUARD:
-        raise PoleProximityError("sn zero: solution pole")
-    h, e, f = _SL2
-    pairs = [
-        (h, h, cn / sn),
-        (e, f, (1 + dn) / sn),
-        (f, e, (1 + dn) / sn),
-        (e, e, (1 - dn) / sn),
-        (f, f, (1 - dn) / sn),
-    ]
-    return tensor_from_pairs(2, pairs, ring=COMPLEX)
-
-
-def zoo_cherednik(z: complex) -> GlTensor2:
-    """The trigonometric (2,1) solution:
-    (1/2) cot(z) h(x)h + (1/sin z)(e(x)f + f(x)e) + sin(z) e(x)e."""
-    s = cmath.sin(z)
-    if abs(s) < POLE_GUARD:
-        raise PoleProximityError("sin zero: solution pole")
-    h, e, f = _SL2
-    pairs = [
-        (h, h, 0.5 * cmath.cos(z) / s),
-        (e, f, 1 / s),
-        (f, e, 1 / s),
-        (e, e, s),
-    ]
-    return tensor_from_pairs(2, pairs, ring=COMPLEX)
-
-
-def zoo_stolin_rat(z) -> GlTensor2:
-    """The rational (2,1) solution, exact in one variable:
-    (1/z)(h(x)h/2 + e(x)f + f(x)e) + z (f(x)h + h(x)f) - z^3 f(x)f."""
-    from .exact import ONE, rat
-
-    z = rat(z)
-    if z == 0:
-        raise ZeroDivisionError("solution pole at z = 0")
-    h, e, f = _SL2
-    pairs = [
-        (h, h, Fraction(1, 2) / z),
-        (e, f, ONE / z),
-        (f, e, ONE / z),
-        (f, h, z),
-        (h, f, z),
-        (f, f, -(z**3)),
-    ]
-    return tensor_from_pairs(2, pairs)

@@ -1,13 +1,11 @@
 """Exact rational linear algebra: fraction-free elimination, polynomials
-in the loop variable z, interpolation, and roots of unity in the power
-basis of Q(zeta_m).
+in the loop variable z, and interpolation.  `elliptic` never loads it.
 
-All arithmetic in this module is exact, apart from the float evaluation
-`root_complex`.  Scalars are `fractions.Fraction`.  An n x n matrix of the
-package is a {(i, j): nonzero entry} dict, 1-based, and a matrix
-polynomial one of {(i, j): nonzero polynomial}.  Only the cocycle matrix
-K, which keys the `solve_dec` cache, and the matrix J that `jmatrix`
-prints are immutable nested tuples.
+All arithmetic in this module is exact.  Scalars are `fractions.Fraction`.
+An n x n matrix of the package is a {(i, j): nonzero entry} dict, 1-based,
+and a matrix polynomial one of {(i, j): nonzero polynomial}.  Only the
+cocycle matrix K, which keys the `solve_dec` cache, and the matrix J that
+`jmatrix` prints are immutable nested tuples.
 
 The solvers `kernel`, `solve_multi` and `det` take a matrix as
 its rows, each a {column: entry} dict with Fraction or int entries, and
@@ -33,7 +31,6 @@ import math
 import re
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from functools import lru_cache
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -427,74 +424,3 @@ def eval_matrix_poly(F: dict, x: Fraction) -> dict:
         if v := poly_eval(p, x):
             out[ij] = v
     return out
-
-
-# ---------------------------------------------------------------------------
-# roots of unity in the power basis of Q(zeta_m), in integers
-# ---------------------------------------------------------------------------
-
-def _int_poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (ascending), den monic-led."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        if r != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i] = q
-        for j, c in enumerate(den):
-            num[i + j] -= q * c
-    if any(c != 0 for c in num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
-
-
-def cyclotomic_poly(m: int) -> tuple[int, ...]:
-    """Integer coefficients (ascending) of the m-th cyclotomic polynomial."""
-    num = [0] * (m + 1)
-    num[0], num[m] = -1, 1
-    for dd in range(1, m):
-        if m % dd == 0:
-            num = _int_poly_divexact(num, list(cyclotomic_poly(dd)))
-    return tuple(num)
-
-
-@lru_cache(maxsize=None)
-def root_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row e (0 <= e < m): the integer coefficients (ascending) of x**e mod
-    Phi_m, i.e. zeta_m**e in the power basis of Q(zeta_m).  Phi_m is monic,
-    so every reduction stays in the integers."""
-    phi = cyclotomic_poly(m)
-    row = [1] + [0] * (len(phi) - 2)
-    rows = []
-    for _ in range(m):
-        rows.append(tuple(row))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [c - top * p for c, p in zip(row, phi)]
-    return tuple(rows)
-
-
-def cyclo_rational(counts: Sequence[int], m: int) -> int | None:
-    """The value of sum(counts[e] * zeta_m**e) if it is rational, else None.
-
-    The sum is reduced through `root_table`; it is rational exactly when the
-    reduction is constant, and then it is an integer."""
-    table = root_table(m)
-    acc = [0] * len(table[0])
-    for e, c in enumerate(counts):
-        if c:
-            for j, t in enumerate(table[e]):
-                acc[j] += c * t
-    return acc[0] if not any(acc[1:]) else None
-
-
-def root_complex(coeffs: Sequence[int], m: int, den: int = 1) -> complex:
-    """Float value of sum(coeffs[k] / den * zeta_m**k) for a power-basis
-    coefficient vector, summed in ascending power order."""
-    z = math.tau / m
-    return sum(
-        float(Fraction(c, den)) * complex(math.cos(z * k), math.sin(z * k))
-        for k, c in enumerate(coeffs)
-    )

@@ -4,7 +4,9 @@ One route assembles the solution from the block decomposition equations
 ("dec" solves) attached to a cocycle matrix K on the parabolic subalgebra;
 the other realizes the same solution through a Lagrangian subalgebra of the
 loop algebra and its dual basis series.  The two routes are verified against
-each other and against the geometric pipeline.
+each other and against the geometric pipeline.  A `stolin` request needs
+only J (`jmat`), not the geometric pipeline.  The closed formula for d = 1
+and the Yang order, which only `verify` compares with, live in `verify`.
 """
 
 from __future__ import annotations
@@ -13,22 +15,20 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from .cuspidal import G_ELEMENTS_CACHE_MAX, NonCoprimeError, build_j, region
 from .exact import (
     LinearAlgebraError,
-    ONE,
     ZERO,
     det,
     freeze,
     rat,
     solve_multi,
 )
+from .jmat import G_ELEMENTS_CACHE_MAX, NonCoprimeError, build_j, region
 from .lie import (
     GlTensor2,
     TensorTable,
     apply_gauge,
     basis_terms,
-    casimir,
     dual_terms,
     sl_basis,
     tensor_from_pairs,
@@ -112,8 +112,9 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
 
     Uses tr(K^t [a, b]) = tr([K^t, a] b): entry (r, c) of [K^t, a] pairs
     with e_{c,r}, and a diagonal entry (l, l) with h_l (+) and h_(l-1) (-),
-    so each Gram row is filled from the nonzero entries of its bracket.
-    A degenerate K is a valid query and is reported, not raised.
+    so each Gram row is filled from the nonzero entries of its bracket; an
+    integer K gives integer rows.  A degenerate K is a valid query and is
+    reported, not raised.
     """
     K = freeze(K)
     kn = _k_nonzeros(K)
@@ -130,10 +131,10 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
                 continue
             if r < n:
                 p = index["cartan", r]
-                row[p] = row.get(p, ZERO) + v
+                row[p] = row.get(p, 0) + v
             if r > 1:
                 p = index["cartan", r - 1]
-                row[p] = row.get(p, ZERO) - v
+                row[p] = row.get(p, 0) - v
         rows.append({p: v for p, v in row.items() if v})
     rows = tuple(rows)
     return FrobeniusForm(K, e, n, labels, rows, det(rows, len(labels)))
@@ -324,58 +325,6 @@ def _normal_k(K) -> _NormalK:
     return normal
 
 
-def closed_form_d1(n: int) -> TensorTable:
-    """Direct transcription of the closed formula for the pair (n-1, 1), as
-    the table of r(x, y).
-
-    A frequently quoted short n=2 variant ends in h (x) e_{2,1}; that reading
-    is not unitary and matches neither construction route, so the last factor
-    here is h (x) e_{1,2} as the general-n form dictates.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    X, Y, C = (0, 1, 0), (0, 0, 1), (0, 0, 0)
-    pairs = []  # (first, second, monomial), each factor {(i, j): entry}
-
-    def unit(i, j, v=ONE):
-        return {(i, j): v}
-
-    def hdual(l):
-        return dual_terms(("cartan", l), n)
-
-    def chain(j):
-        # sum over k of e_{j+k-1, k+1}, the shifted lower chains
-        return {(j + k - 1, k + 1): ONE for k in range(1, n - j + 2)}
-
-    def chain2(j):
-        # sum over k of e_{j+k, k+1}
-        return {(j + k, k + 1): ONE for k in range(1, n - j + 1)}
-
-    # x [ e_{1,2} (x) h1-dual - sum_{j>=3} e_{1,j} (x) chain(j) ]
-    pairs.append((unit(1, 2), hdual(1), X))
-    for j in range(3, n + 1):
-        pairs.append((unit(1, j, -ONE), chain(j), X))
-    # -y [ h1-dual (x) e_{1,2} - sum_{j>=3} chain(j) (x) e_{1,j} ]
-    pairs.append((hdual(1), unit(1, 2, -ONE), Y))
-    for j in range(3, n + 1):
-        pairs.append((chain(j), unit(1, j), Y))
-    # constant blocks
-    for j in range(2, n):
-        pairs.append((unit(1, j), chain2(j), C))
-    for i in range(2, n):
-        pairs.append((unit(i, i + 1), hdual(i), C))
-    for j in range(2, n):
-        pairs.append((chain2(j), unit(1, j, -ONE), C))
-    for i in range(2, n):
-        pairs.append((hdual(i), unit(i, i + 1, -ONE), C))
-    for i in range(2, n - 1):
-        for k in range(2, n - i + 1):
-            m = {(i + k + l - 1, l + i): ONE for l in range(1, n - i - k + 2)}
-            pairs.append((m, unit(i, i + k), C))
-            pairs.append((unit(i, i + k), {ij: -v for ij, v in m.items()}, C))
-    return tensor_table(n, pairs)
-
-
 def compare_pipelines(e: int, d: int, x, y) -> bool:
     """Exact equality of the transpose-negation image of the geometric tensor
     with the parabolic assembly at cocycle matrix -J_(e,d)."""
@@ -445,14 +394,6 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
             w = _eta_shift(e, n, [(alpha, -m_deg)])
             if min(w) >= lo:
                 elements.append(w)
-    return OrderBasis(n, window, tuple(elements))
-
-
-def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
-    """The order z^{-1} g[[z^{-1}]] truncated to the window: the fixture whose
-    series reproduces the pure Casimir pole."""
-    elements = [{-m_deg: basis_terms(lbl, n)}
-                for m_deg in range(1, -window[0] + 1) for lbl in sl_basis(n)]
     return OrderBasis(n, window, tuple(elements))
 
 
@@ -543,10 +484,3 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
                     value[ij] = value.get(ij, ZERO) + v * y**m
             terms.append((first.items(), value.items(), xk))
     return SeriesResult(n, tensor_from_pairs(n, terms), parts)
-
-
-def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:
-    """The first k_max + 1 terms of the geometric expansion of c/(y-x)."""
-    x, y = rat(x), rat(y)
-    coeff = sum((x**k * y ** (-k - 1) for k in range(k_max + 1)), ZERO)
-    return casimir(n).scale(coeff)

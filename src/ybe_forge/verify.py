@@ -10,28 +10,33 @@ when the FORGE_THREADS environment variable asks for more than one worker
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 import os
 import random
 import time
 from fractions import Fraction
 from math import gcd
 
-from . import __version__, cuspidal, elliptic, stolin
-from .exact import ONE, eval_matrix_poly
+from . import __version__, cuspidal, elliptic, jmat, stolin
+from .cybe import cybe_lhs_sum
+from .exact import ONE, ZERO, eval_matrix_poly, rat
 from .lie import (
+    COMPLEX,
     POLE,
     RATIONAL,
     GlTensor2,
     LinearMapGl,
     TensorTable,
+    basis_terms,
     casimir,
-    cybe_lhs_sum,
     cybe_residual_difference,
     dual_terms,
     flip_map,
     is_unitary_pair,
     sl_basis,
+    swap_tensor,
     tensor_from_pairs,
     tensor_table,
     transpose_negate_map,
@@ -281,7 +286,7 @@ def check_j_goldens() -> tuple[bool, str]:
     ]
     ok = True
     for (e, d), want in goldens:
-        ok &= cuspidal.build_j(e, d).matrix == want
+        ok &= jmat.build_j(e, d).matrix == want
     return ok, "exact goldens"
 
 
@@ -310,8 +315,8 @@ def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
 
 
 def check_flip_symmetry(e: int, d: int, pair) -> tuple[bool, str]:
-    ok = cuspidal.flip_j(cuspidal.build_j(e, d)) == cuspidal.build_j(d, e).matrix
-    ok &= cuspidal.flip_j(cuspidal.build_j(d, e)) == cuspidal.build_j(e, d).matrix
+    ok = jmat.flip_j(jmat.build_j(e, d)) == jmat.build_j(d, e).matrix
+    ok &= jmat.flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d).matrix
     g = cuspidal.flip_transpose_gauge(e, d)
     src, dst = cuspidal.sol_family(e, d).table, cuspidal.sol_family(d, e).table
     ok &= _same_table(_gauge_table(g, src), dst)
@@ -338,14 +343,84 @@ def check_ansatz(e: int, d: int) -> tuple[bool, str]:
 
 
 def check_frobenius_goldens() -> tuple[bool, str]:
-    form = stolin.frobenius_gram(stolin.j_matrix_rat(1, 1), 1, 2)
+    # J's 0/1 integers give integer Gram rows, cheaper to eliminate than Fractions
+    form = stolin.frobenius_gram(jmat.build_j(1, 1).matrix, 1, 2)
     ok = form.labels == (("cartan", 1), ("unit", 1, 2))
     ok &= form.gram == ((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)))
     pairs = _coprime_pairs(12)
     for (e, d) in pairs:
-        form = stolin.frobenius_gram(stolin.j_matrix_rat(e, d), e, e + d)
+        form = stolin.frobenius_gram(jmat.build_j(e, d).matrix, e, e + d)
         ok &= form.determinant == (e + d) ** 2
     return ok, "n=2 Gram golden; %d determinants equal (e+d)^2" % len(pairs)
+
+
+# --- fixtures of the stolin checks --------------------------------------------
+
+def closed_form_d1(n: int) -> TensorTable:
+    """Direct transcription of the closed formula for the pair (n-1, 1), as
+    the table of r(x, y).
+
+    A frequently quoted short n=2 variant ends in h (x) e_{2,1}; that reading
+    is not unitary and matches neither construction route, so the last factor
+    here is h (x) e_{1,2} as the general-n form dictates.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    X, Y, C = (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    pairs = []  # (first, second, monomial), each factor {(i, j): entry}
+
+    def unit(i, j, v=ONE):
+        return {(i, j): v}
+
+    def hdual(l):
+        return dual_terms(("cartan", l), n)
+
+    def chain(j):
+        # sum over k of e_{j+k-1, k+1}, the shifted lower chains
+        return {(j + k - 1, k + 1): ONE for k in range(1, n - j + 2)}
+
+    def chain2(j):
+        # sum over k of e_{j+k, k+1}
+        return {(j + k, k + 1): ONE for k in range(1, n - j + 1)}
+
+    # x [ e_{1,2} (x) h1-dual - sum_{j>=3} e_{1,j} (x) chain(j) ]
+    pairs.append((unit(1, 2), hdual(1), X))
+    for j in range(3, n + 1):
+        pairs.append((unit(1, j, -ONE), chain(j), X))
+    # -y [ h1-dual (x) e_{1,2} - sum_{j>=3} chain(j) (x) e_{1,j} ]
+    pairs.append((hdual(1), unit(1, 2, -ONE), Y))
+    for j in range(3, n + 1):
+        pairs.append((chain(j), unit(1, j), Y))
+    # constant blocks
+    for j in range(2, n):
+        pairs.append((unit(1, j), chain2(j), C))
+    for i in range(2, n):
+        pairs.append((unit(i, i + 1), hdual(i), C))
+    for j in range(2, n):
+        pairs.append((chain2(j), unit(1, j, -ONE), C))
+    for i in range(2, n):
+        pairs.append((hdual(i), unit(i, i + 1, -ONE), C))
+    for i in range(2, n - 1):
+        for k in range(2, n - i + 1):
+            m = {(i + k + l - 1, l + i): ONE for l in range(1, n - i - k + 2)}
+            pairs.append((m, unit(i, i + k), C))
+            pairs.append((unit(i, i + k), {ij: -v for ij, v in m.items()}, C))
+    return tensor_table(n, pairs)
+
+
+def yang_order(n: int, window: tuple[int, int] = (-3, 1)) -> stolin.OrderBasis:
+    """The order z^{-1} g[[z^{-1}]] truncated to the window: the fixture whose
+    series reproduces the pure Casimir pole."""
+    elements = [{-m_deg: basis_terms(lbl, n)}
+                for m_deg in range(1, -window[0] + 1) for lbl in sl_basis(n)]
+    return stolin.OrderBasis(n, window, tuple(elements))
+
+
+def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:
+    """The first k_max + 1 terms of the geometric expansion of c/(y-x)."""
+    x, y = rat(x), rat(y)
+    coeff = sum((x**k * y ** (-k - 1) for k in range(k_max + 1)), ZERO)
+    return casimir(n).scale(coeff)
 
 
 def _closed_form_n2() -> TensorTable:
@@ -357,7 +432,7 @@ def _closed_form_n2() -> TensorTable:
 
 
 def check_closed_form_d1(n: int) -> tuple[bool, str]:
-    want = stolin.closed_form_d1(n)
+    want = closed_form_d1(n)
     ok = _same_table(stolin.solve_dec(1, n - 1, stolin.j_matrix_rat(1, n - 1)).table, want)
     if n == 2:
         ok &= _same_table(want, _closed_form_n2())
@@ -382,12 +457,120 @@ def check_series(e: int, d: int) -> tuple[bool, str]:
     expected = (
         stolin.assemble_stolin_r(e, d, K, x, y)
         .sub(casimir(n).scale(ONE / (y - x)))
-        .add(stolin.geometric_pole_partial(n, k_max, x, y))
+        .add(geometric_pole_partial(n, k_max, x, y))
     )
     ok &= sr.tensor == expected
-    yang = stolin.series_r(stolin.yang_order(n, (-(k_max + 3), 1)), k_max, x, y)
-    ok &= yang.tensor == stolin.geometric_pole_partial(n, k_max, x, y)
+    yang = stolin.series_r(yang_order(n, (-(k_max + 3), 1)), k_max, x, y)
+    ok &= yang.tensor == geometric_pole_partial(n, k_max, x, y)
     return ok, "dual-basis series == dec assembly; Yang pole pure"
+
+
+# --- fixtures of the elliptic and zoo checks ---------------------------------
+
+def theta_half_shift_identity_residual(z: complex, ctx: elliptic.ThetaContext) -> float:
+    """|theta3(z + (1+tau)/2) - i exp(-pi i (z + tau/4)) theta1(z)|: the
+    half-period relation tying the even and odd theta functions."""
+    lhs = elliptic.theta3(z + (1 + ctx.tau) / 2, ctx)
+    rhs = 1j * cmath.exp(-1j * math.pi * (z + ctx.tau / 4)) * elliptic.theta1(z, ctx)
+    return abs(lhs - rhs)
+
+
+def belavin_residue_fit(n: int, d: int, ctx: elliptic.ThetaContext) -> float:
+    """Max-norm distance of the Laurent-fit residue (in the variable y - x)
+    from the Casimir tensor.
+
+    Fits at two opposite radii so the regular part cancels to second order.
+    """
+    radius = 1e-4  # the regular part cancels to second order in it
+    rp = elliptic.belavin_r(n, d, ctx, 0.0, radius)
+    rm = elliptic.belavin_r(n, d, ctx, 0.0, -radius)
+    fitted = rp.scale(radius).add(rm.scale(-radius)).scale(0.5)
+    return fitted.sub(casimir(n).to_complex()).norm()
+
+
+def belavin_unitarity_residual(n: int, d: int, ctx: elliptic.ThetaContext, x, y) -> float:
+    r_xy = elliptic.belavin_r(n, d, ctx, x, y)
+    r_yx = elliptic.belavin_r(n, d, ctx, y, x)
+    return r_xy.add(swap_tensor(r_yx)).norm()
+
+
+# --- the classical (2,1) solutions: elliptic, trigonometric, rational ------
+
+# h, e and f of sl(2) as their ((i, j), entry) pairs, with integer entries,
+# so that they serve the exact and the complex solutions alike
+_SL2 = tuple(tuple(basis_terms(label, 2).items())
+             for label in (("cartan", 1), ("unit", 1, 2), ("unit", 2, 1)))
+
+
+def jacobi_sn_cn_dn(z: complex, ctx: elliptic.ThetaContext) -> tuple[complex, complex, complex]:
+    """Jacobi elliptic triple from theta quotients at the context modulus.
+
+    Arguments are taken in theta convention (no rescaling by theta3(0)^2);
+    the induced relation between the classical modulus and tau is a property
+    of the fixture, not a claim.  All algebraic identities among sn, cn, dn
+    are scaling-invariant, which is what the residual checks consume.
+    """
+    theta2, theta3, theta4 = elliptic.theta2, elliptic.theta3, elliptic.theta4
+    t2z, t3z, t4z = theta2(z, ctx), theta3(z, ctx), theta4(z, ctx)
+    t1z = elliptic.theta1(z, ctx)
+    t20, t30, t40 = theta2(0, ctx), theta3(0, ctx), theta4(0, ctx)
+    if abs(t4z) < elliptic.POLE_GUARD:
+        raise elliptic.PoleProximityError("theta4 zero: sn/cn/dn pole")
+    sn = t30 * t1z / (t20 * t4z)
+    cn = t40 * t2z / (t20 * t4z)
+    dn = t40 * t3z / (t30 * t4z)
+    return sn, cn, dn
+
+
+def zoo_baxter(z: complex, ctx: elliptic.ThetaContext) -> GlTensor2:
+    """The elliptic (2,1) solution:
+    (cn/sn) h(x)h + ((1+dn)/sn)(e(x)f + f(x)e) + ((1-dn)/sn)(e(x)e + f(x)f)."""
+    sn, cn, dn = jacobi_sn_cn_dn(z, ctx)
+    if abs(sn) < elliptic.POLE_GUARD:
+        raise elliptic.PoleProximityError("sn zero: solution pole")
+    h, e, f = _SL2
+    pairs = [
+        (h, h, cn / sn),
+        (e, f, (1 + dn) / sn),
+        (f, e, (1 + dn) / sn),
+        (e, e, (1 - dn) / sn),
+        (f, f, (1 - dn) / sn),
+    ]
+    return tensor_from_pairs(2, pairs, ring=COMPLEX)
+
+
+def zoo_cherednik(z: complex) -> GlTensor2:
+    """The trigonometric (2,1) solution:
+    (1/2) cot(z) h(x)h + (1/sin z)(e(x)f + f(x)e) + sin(z) e(x)e."""
+    s = cmath.sin(z)
+    if abs(s) < elliptic.POLE_GUARD:
+        raise elliptic.PoleProximityError("sin zero: solution pole")
+    h, e, f = _SL2
+    pairs = [
+        (h, h, 0.5 * cmath.cos(z) / s),
+        (e, f, 1 / s),
+        (f, e, 1 / s),
+        (e, e, s),
+    ]
+    return tensor_from_pairs(2, pairs, ring=COMPLEX)
+
+
+def zoo_stolin_rat(z) -> GlTensor2:
+    """The rational (2,1) solution, exact in one variable:
+    (1/z)(h(x)h/2 + e(x)f + f(x)e) + z (f(x)h + h(x)f) - z^3 f(x)f."""
+    z = rat(z)
+    if z == 0:
+        raise ZeroDivisionError("solution pole at z = 0")
+    h, e, f = _SL2
+    pairs = [
+        (h, h, Fraction(1, 2) / z),
+        (e, f, ONE / z),
+        (f, e, ONE / z),
+        (f, h, z),
+        (h, f, z),
+        (f, f, -(z**3)),
+    ]
+    return tensor_from_pairs(2, pairs)
 
 
 def check_theta_relation(seed: int) -> tuple[bool, str]:
@@ -397,7 +580,7 @@ def check_theta_relation(seed: int) -> tuple[bool, str]:
         ctx = elliptic.ThetaContext(tau=tau)
         for _ in range(10):
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
-            worst = max(worst, elliptic.theta_half_shift_identity_residual(z, ctx))
+            worst = max(worst, theta_half_shift_identity_residual(z, ctx))
     return worst < 1e-12, "max residual %.2e" % worst
 
 
@@ -409,9 +592,9 @@ def check_belavin(n: int, d: int) -> tuple[bool, str]:
             worst_cybe, elliptic.belavin_cybe_residual(n, d, ctx, (0.11, 0.27, 0.40))
         )
         worst_uni = max(
-            worst_uni, elliptic.belavin_unitarity_residual(n, d, ctx, 0.13, 0.29)
+            worst_uni, belavin_unitarity_residual(n, d, ctx, 0.13, 0.29)
         )
-        worst_fit = max(worst_fit, elliptic.belavin_residue_fit(n, d, ctx))
+        worst_fit = max(worst_fit, belavin_residue_fit(n, d, ctx))
     # the dual family is exact by construction: `belavin_r` builds
     # `heisenberg(n, d)`, which raises unless its trace duals sum to casimir(n)
     ok = worst_cybe < 1e-9 and worst_uni < 1e-9 and worst_fit < 1e-5
@@ -435,19 +618,19 @@ def check_truncation_stability() -> tuple[bool, str]:
 
 def check_zoo_rational() -> tuple[bool, str]:
     res = cybe_residual_difference(
-        elliptic.zoo_stolin_rat, Fraction(1, 3), Fraction(1, 5)
+        zoo_stolin_rat, Fraction(1, 3), Fraction(1, 5)
     )
     return res.is_zero(), "one-variable residual exactly zero"
 
 
 def check_zoo_cherednik() -> tuple[bool, str]:
-    res = cybe_residual_difference(elliptic.zoo_cherednik, 0.2, 0.3).norm()
+    res = cybe_residual_difference(zoo_cherednik, 0.2, 0.3).norm()
     return res < 1e-9, "residual %.2e" % res
 
 
 def check_zoo_baxter() -> tuple[bool, str]:
     ctx = elliptic.ThetaContext(tau=1.1j)
-    res = cybe_residual_difference(lambda z: elliptic.zoo_baxter(z, ctx), 0.217, 0.391).norm()
+    res = cybe_residual_difference(lambda z: zoo_baxter(z, ctx), 0.217, 0.391).norm()
     return res < 1e-8, "residual %.2e" % res
 
 

@@ -518,12 +518,12 @@ class TestParsing:
 
 class TestInterrupted:
     def test_interrupt_exits_1(self, monkeypatch):
-        from ybe_forge import cuspidal
+        from ybe_forge import jmat
 
         def interrupted(e, d):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cuspidal, "build_j", interrupted)
+        monkeypatch.setattr(jmat, "build_j", interrupted)
         res = run("jmatrix", "3", "2")
         assert (res.exit_code, res.stdout, res.stderr) == (1, "", "\nAborted!\n")
 

@@ -25,25 +25,21 @@ from test_exact import (
     rank,
 )
 from test_lie import basis_matrix, nondegenerate
-from ybe_forge import cuspidal, exact, lie, stolin, verify
+from ybe_forge import cuspidal, exact, jmat, lie, stolin, verify
 from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
     AnsatzError,
-    NonCoprimeError,
     SolDimensionError,
     assemble_r,
-    build_j,
-    flip_j,
     flip_transpose_gauge,
     g_elements,
-    j_support_coloring,
     psi_transport,
     r_ansatz,
-    region,
     sol_family,
     sol_space,
 )
 from ybe_forge.exact import ONE, ZERO, eval_matrix_poly, poly_trim
+from ybe_forge.jmat import NonCoprimeError, build_j, flip_j, j_support_coloring, region
 from ybe_forge.lie import (
     casimir,
     cybe_residual_two_variable,
@@ -560,13 +556,13 @@ class TestGElements:
         keeps only the most recent ones."""
         g_elements.cache_clear()
         try:
-            for k in range(cuspidal.G_ELEMENTS_CACHE_MAX + 1):
+            for k in range(jmat.G_ELEMENTS_CACHE_MAX + 1):
                 g_elements(1, 1, F(k, 7))
             info = g_elements.cache_info()
         finally:
             g_elements.cache_clear()
-        assert info.misses == cuspidal.G_ELEMENTS_CACHE_MAX + 1
-        assert info.currsize <= info.maxsize == cuspidal.G_ELEMENTS_CACHE_MAX
+        assert info.misses == jmat.G_ELEMENTS_CACHE_MAX + 1
+        assert info.currsize <= info.maxsize == jmat.G_ELEMENTS_CACHE_MAX
 
     def test_cold_run_makes_one_elimination(self, monkeypatch):
         """A cold pair runs one `solve_multi` and no `kernel`; a further x,

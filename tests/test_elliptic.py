@@ -16,21 +16,15 @@ from ybe_forge.elliptic import (
     ThetaContext,
     belavin_cybe_residual,
     belavin_r,
-    belavin_residue_fit,
-    belavin_unitarity_residual,
-    jacobi_sn_cn_dn,
     _lattice_thetas,
     _theta_table,
     kronecker_sigma,
     theta1,
     theta1_deriv0,
     theta3,
-    theta_half_shift_identity_residual,
     v_sign_convention,
-    zoo_baxter,
-    zoo_cherednik,
-    zoo_stolin_rat,
 )
+from ybe_forge.heis import _dual_sum
 from ybe_forge.lie import (
     COMPLEX,
     casimir,
@@ -38,7 +32,15 @@ from ybe_forge.lie import (
     cybe_residual_difference,
     heisenberg,
     swap_tensor,
-    _dual_sum,
+)
+from ybe_forge.verify import (
+    belavin_residue_fit,
+    belavin_unitarity_residual,
+    jacobi_sn_cn_dn,
+    theta_half_shift_identity_residual,
+    zoo_baxter,
+    zoo_cherednik,
+    zoo_stolin_rat,
 )
 from test_lie import dense_tensor_from_pairs, z_matrices
 

@@ -10,14 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybe_forge import exact
+from ybe_forge import exact, heis
 from ybe_forge.exact import (
     InconsistentSystemError,
     InterpolationError,
     LinearAlgebraError,
     SingularSystemError,
-    cyclo_rational,
-    cyclotomic_poly,
     det,
     eval_matrix_poly,
     interpolate,
@@ -27,10 +25,9 @@ from ybe_forge.exact import (
     poly_mul,
     poly_trim,
     rat,
-    root_complex,
-    root_table,
     solve_multi,
 )
+from ybe_forge.heis import cyclo_rational, cyclotomic_poly, root_complex, root_table
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -850,7 +847,7 @@ class TestCyclo:
         for e, row in enumerate(table + (table[0],)):
             num = [-c for c in row] + [0] * (e + 1 - len(row))
             num[e] += 1
-            exact._int_poly_divexact(num, phi)  # raises unless exact
+            heis._int_poly_divexact(num, phi)  # raises unless exact
         assert table[0] == (1, 0, 0, 0)
         assert cyclo_rational([1] * 5, 5) == 0  # full sum of 5th roots
 

@@ -153,6 +153,39 @@ def test_traced_layers_resolve():
     assert missing == []
 
 
+def _benchmark_attribute_chains(path: Path) -> set:
+    """(module, name) of every `P.<module>.<name>` chain in the file: the
+    names perfbench reaches through `program()`."""
+    return {(node.value.attr, node.attr) for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name) and node.value.value.id == "P"}
+
+
+def test_benchmark_attributes_resolve():
+    """Every `P.<module>.<name>` that a file of perfbench/ reaches (the
+    benchmark and its own tests) is an attribute of ybe_forge.<module>: a
+    name moved to another module would otherwise surface only when the
+    benchmark or its tests run."""
+    chains = set().union(*(_benchmark_attribute_chains(path)
+                           for path in (ROOT / "perfbench").glob("*.py")))
+    assert {("lie", "cybe_residual_two_variable"), ("cli", "dumps")} <= chains
+    assert len(chains) > 10
+    missing = sorted("%s.%s" % (mod, name) for mod, name in chains
+                     if not hasattr(importlib.import_module("ybe_forge." + mod), name))
+    assert missing == []
+
+
+def test_moved_names_keep_their_identity():
+    """perfbench wraps a traced function in every module namespace that
+    binds the same object, and clears the caches it names: `cuspidal`
+    binds `jmat.build_j` itself, and the basis cache that `elliptic` and
+    `heis` read is `lie.heisenberg`, the one perfbench clears."""
+    from ybe_forge import cuspidal, elliptic, heis, jmat, lie, stolin
+
+    assert cuspidal.build_j is jmat.build_j and stolin.build_j is jmat.build_j
+    assert elliptic.heisenberg is lie.heisenberg and heis.heisenberg is lie.heisenberg
+
+
 def test_benchmark_constructor_calls():
     """The calls perfbench/run.py makes with keywords and defaults still
     work: ThetaContext(tau=...) with 60 terms, a document with provenance
@@ -199,13 +232,13 @@ def unbounded_caches(package: Path = PACKAGE) -> list[str]:
 # (n, d, e, m) bounded by the CLI's N_MAX, so the set of keys is finite; a
 # cache keyed by floats, exact points or contexts must set a maxsize.
 UNBOUNDED_CACHES = [
-    "cuspidal:build_j",
     "cuspidal:_ved_coords",
     "cuspidal:sol_family",
-    "exact:root_table",
+    "heis:root_table",
+    "heis:_root_values",
+    "heis:heisenberg_entries",
+    "jmat:build_j",
     "lie:casimir",
-    "lie:_root_values",
-    "lie:heisenberg_entries",
     "lie:heisenberg",
 ]
 
@@ -281,24 +314,29 @@ print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("y
                   "concurrent.futures.process" in sys.modules,
                   [m for m in %r if m in sys.modules]]))
 """ % (_HEAVY,)
-_CLI_CORE = ["cli", "document", "exact", "lie"]
 
 
-@pytest.mark.parametrize("args, extra", [
-    ((), []),
-    (("jmatrix", "3", "1"), ["cuspidal"]),
-    (("rational", "3", "1", "--x", "1/3", "--y", "2"), ["cuspidal"]),
+@pytest.mark.parametrize("args, modules", [
+    ((), ["cli", "document"]),
+    (("jmatrix", "3", "1"), ["cli", "document", "jmat"]),
+    (("rational", "3", "1", "--x", "1/3", "--y", "2"),
+     ["cli", "cuspidal", "document", "exact", "jmat", "lie"]),
     (("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2"),
-     ["cuspidal", "stolin"]),
-    (("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"), ["elliptic"]),
+     ["cli", "document", "exact", "jmat", "lie", "stolin"]),
+    (("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"),
+     ["cli", "document", "elliptic", "heis", "lie"]),
     (("verify", "--suite", "rational", "--n-max", "2"),
-     ["cuspidal", "elliptic", "stolin", "verify"]),
+     ["cli", "cuspidal", "cybe", "document", "elliptic", "exact", "heis", "jmat", "lie",
+      "stolin", "verify"]),
 ], ids=["import", "jmatrix", "rational", "stolin", "elliptic", "verify"])
-def test_command_loads_only_its_modules(args, extra):
-    """A CLI process imports the modules its command uses and no others; a
-    serial `verify` leaves multiprocessing unloaded."""
+def test_command_loads_only_its_modules(args, modules):
+    """A CLI process imports the modules its command uses and no others:
+    where bytecode is not cached, it compiles each of them.  `cli` binds
+    `document.dumps` (perfbench checks the binding), so every process
+    loads `document`; `verify` loads every module, and a serial `verify`
+    leaves multiprocessing unloaded."""
     loaded, pool, _ = json.loads(_python(_LOADED, *args, FORGE_THREADS="1"))
-    assert loaded == sorted(_CLI_CORE + extra)
+    assert loaded == modules
     assert not pool
 
 

@@ -12,14 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_exact import mat_from_entries, mat_terms, mat_unit, rank
-from ybe_forge import cuspidal, lie, stolin
+from ybe_forge import cuspidal, cybe, lie, stolin
 from ybe_forge.cli import N_MAX
-from ybe_forge.exact import ZERO, root_table
+from ybe_forge.exact import ZERO
+from ybe_forge.heis import (
+    HeisenbergBasis,
+    Monomial,
+    _dual_sum,
+    _root_values,
+    _validate_heisenberg,
+    heisenberg_entries,
+    root_table,
+)
 from ybe_forge.lie import (
     COMPLEX,
     GlTensor2,
-    HeisenbergBasis,
-    Monomial,
     RATIONAL,
     apply_gauge,
     basis_terms,
@@ -29,16 +36,12 @@ from ybe_forge.lie import (
     dual_terms,
     flip_map,
     heisenberg,
-    heisenberg_entries,
     is_unitary_pair,
     signed_permutation_map,
     sl_basis,
     swap_tensor,
     tensor_from_pairs,
     transpose_negate_map,
-    _dual_sum,
-    _root_values,
-    _validate_heisenberg,
 )
 
 
@@ -405,17 +408,17 @@ def central_inputs(draw):
 
 
 def join_products(monkeypatch) -> list:
-    """Spy on `lie._join`: the returned one-element list counts the
+    """Spy on `cybe._join`: the returned one-element list counts the
     products the joins form, the sum over shared indices of the sizes of
     the two groups."""
     count = [0]
-    join = lie._join
+    join = cybe._join
 
     def spy(total, xs, ys, sign):
         count[0] += sum(len(g) * len(ys.get(idx, ())) for idx, g in xs.items())
         join(total, xs, ys, sign)
 
-    monkeypatch.setattr(lie, "_join", spy)
+    monkeypatch.setattr(cybe, "_join", spy)
     return count
 
 
@@ -487,7 +490,7 @@ class TestCybe:
     def test_drop_in_the_other_slot_is_caught(self, monkeypatch):
         """Negative control: dropping I from the second factor, which the
         commutator does not act on, changes the result."""
-        drop = lie._drop_central
+        drop = cybe._drop_central
 
         def drop_second(terms, n):
             flipped = lie._swapped(terms)
@@ -495,7 +498,7 @@ class TestCybe:
             terms.clear()
             terms.update(lie._swapped(flipped))
 
-        monkeypatch.setattr(lie, "_drop_central", drop_second)
+        monkeypatch.setattr(cybe, "_drop_central", drop_second)
         r12 = GlTensor2(2, RATIONAL, {(2, 1, 1, 1): F(1)})
         r13 = identity_part(2, (1, 2), 1, first=False)
         zero = GlTensor2(2, RATIONAL, {})
@@ -512,7 +515,7 @@ class TestCybe:
         assert count[0] <= 30_000
         # the count sees the saving: without the drop it is back
         count[0] = 0
-        monkeypatch.setattr(lie, "_drop_central", lambda terms, n: None)
+        monkeypatch.setattr(cybe, "_drop_central", lambda terms, n: None)
         assert cybe_lhs(*tensors).is_zero()
         assert count[0] == 56_294
 
@@ -701,7 +704,7 @@ class TestGauges:
 
     def test_gauge_preserves_solution_property(self):
         # constant invertible gauge keeps CYBE residual zero and unitarity
-        from ybe_forge.elliptic import zoo_stolin_rat
+        from ybe_forge.verify import zoo_stolin_rat
 
         psi = flip_map(2)
 

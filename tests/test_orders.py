@@ -8,20 +8,19 @@ from test_exact import mat_from_entries, mat_terms, rank
 from test_lie import basis_matrix, dual_matrix, trace_form
 from test_stolin import w_of
 from ybe_forge import stolin
-from ybe_forge.cuspidal import region
 from ybe_forge.exact import ONE, ZERO
+from ybe_forge.jmat import region
 from ybe_forge.lie import casimir, sl_basis
 from ybe_forge.stolin import (
     OrderBasis,
     TruncationError,
     assemble_stolin_r,
     build_order,
-    geometric_pole_partial,
     j_matrix_rat,
     series_r,
     solve_dec,
-    yang_order,
 )
+from ybe_forge.verify import geometric_pole_partial, yang_order
 
 # A Laurent polynomial with gl(n) coefficients is {degree: {(i, j): entry}},
 # the form of `OrderBasis.elements`.

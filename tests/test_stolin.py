@@ -32,14 +32,9 @@ from test_exact import (
 )
 from test_lie import basis_matrix, cartan_dual, dense_tensor_from_pairs
 from ybe_forge import lie, stolin
-from ybe_forge.cuspidal import (
-    G_ELEMENTS_CACHE_MAX,
-    assemble_r,
-    build_j,
-    flip_transpose_gauge,
-    region,
-)
+from ybe_forge.cuspidal import assemble_r, flip_transpose_gauge
 from ybe_forge.exact import ONE, ZERO, freeze
+from ybe_forge.jmat import G_ELEMENTS_CACHE_MAX, build_j, region
 from ybe_forge.lie import (
     apply_gauge,
     casimir,
@@ -53,7 +48,6 @@ from ybe_forge.lie import (
 from ybe_forge.stolin import (
     DegenerateFormError,
     assemble_stolin_r,
-    closed_form_d1,
     compare_pipelines,
     frobenius_gram,
     frobenius_split,
@@ -63,7 +57,7 @@ from ybe_forge.stolin import (
     parabolic_labels,
     solve_dec,
 )
-from ybe_forge.verify import _coprime_pairs
+from ybe_forge.verify import _coprime_pairs, closed_form_d1
 
 
 def mat_bracket(a, b):
@@ -203,6 +197,18 @@ class TestFrobeniusGram:
             basis = [basis_matrix(lbl, n) for lbl in parabolic_labels(e, n)]
             want = tuple(tuple(omega_pairing(K, a, b) for b in basis) for a in basis)
             assert frobenius_gram(K, e, n).gram == want
+
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (5, 2), (1, 6)])
+    def test_integer_j_gives_integer_rows(self, e, d):
+        """J's 0/1 integers give integer Gram rows (what `verify`'s goldens
+        eliminate); the Fraction form of J gives Fraction rows, equal to
+        them, with the same determinant."""
+        ints = frobenius_gram(build_j(e, d).matrix, e, e + d)
+        fracs = frobenius_gram(j_matrix_rat(e, d), e, e + d)
+        assert all(type(v) is int for row in ints.rows for v in row.values())
+        assert all(type(v) is F for row in fracs.rows for v in row.values())
+        assert ints.rows == fracs.rows
+        assert ints.determinant == fracs.determinant == (e + d) ** 2
 
     def test_zero_matrix_degenerate(self):
         form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1, 2)

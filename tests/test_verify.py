@@ -307,14 +307,14 @@ class TestTableIdentities:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_closed_form_rejects_a_changed_table(self, n, monkeypatch):
-        table = stolin.closed_form_d1(n)
-        monkeypatch.setattr(stolin, "closed_form_d1", lambda _: changed(
+        table = verify.closed_form_d1(n)
+        monkeypatch.setattr(verify, "closed_form_d1", lambda _: changed(
             table, {((0, 1, 0), (1, 2, 1, 2)): 1}))
         assert not verify.check_closed_form_d1(n)[0]
 
     def test_closed_form_n2_reference(self):
-        assert verify._same_table(stolin.closed_form_d1(2), verify._closed_form_n2())
+        assert verify._same_table(verify.closed_form_d1(2), verify._closed_form_n2())
         # the variant ending in h (x) e_{2,1} is another table
         h = {(1, 1): F(1), (2, 2): F(-1)}
         e21 = tensor_table(2, [({(1, 2): F(1, 2)}, h, (0, 1, 0)), (h, {(2, 1): F(-1, 2)}, (0, 0, 1))])
-        assert not verify._same_table(stolin.closed_form_d1(2), e21)
+        assert not verify._same_table(verify.closed_form_d1(2), e21)

@@ -12,11 +12,15 @@ median and quartiles of the wall latency and the largest peak RSS of one
 request (both of the request's own process, from spawn to exit), the median
 latency of each request kind (jmatrix, rational, stolin, elliptic), and the
 number of distinct requests whose stdout, stderr or exit code differ between
-the two checkouts.
+the two checkouts.  Before the timed passes, one untimed probe per request
+kind and checkout lists the `ybe_forge` modules the request loads and their
+total source lines, `cli.py` included: without cached bytecode, the source
+a request compiles.
 """
 
 import argparse
 import importlib.util
+import json
 import os
 import statistics
 import subprocess
@@ -48,6 +52,32 @@ pid = os.posix_spawn(sys.executable, [sys.executable, "-m", "ybe_forge.cli", *sy
 _, status, usage = os.wait4(pid, 0)
 print(time.perf_counter() - t0, usage.ru_maxrss, os.waitstatus_to_exitcode(status))
 """
+
+
+# Runs one request through the CLI's entry point, then prints the source
+# files of the package modules it loaded as the last line of stdout.
+PROBE = """import json, sys
+from ybe_forge import cli
+try:
+    cli.main(args=sys.argv[1:])
+except SystemExit:
+    pass
+print(json.dumps(sorted(m.__file__ for name, m in sys.modules.items()
+                        if name.startswith("ybe_forge."))))
+"""
+
+
+def compiled_source(src, args, env):
+    """(module names, total source lines) of the package modules that one
+    request on `src` loads."""
+    out = subprocess.run([sys.executable, "-c", PROBE, *args], env=dict(env, PYTHONPATH=src),
+                         cwd=ROOT, check=True, capture_output=True, text=True).stdout
+    files = json.loads(out.splitlines()[-1])
+    lines = 0
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            lines += sum(1 for _ in fh)
+    return [os.path.splitext(os.path.basename(path))[0] for path in files], lines
 
 
 def request(src, args, env):
@@ -87,6 +117,15 @@ def main():
     bench = load_benchmark()
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **bench.PINNED_ENV)
     sources = [os.path.join(ROOT, "src")] + ([os.path.abspath(args.src)] if args.src else [])
+    first = {}  # kind -> the arguments of its first request in the first mix
+    for req in bench.cold_cli_mix(args.seeds[0])[0]:
+        first.setdefault(req["kind"], req["args"])
+    print("compiled source per request kind (one untimed request each)")
+    for src in sources:
+        print("  " + src)
+        for kind, req in sorted(first.items()):
+            modules, lines = compiled_source(src, req, env)
+            print("    %s: %d lines (%s)" % (kind, lines, " ".join(modules)))
     for seed in args.seeds:
         mix = bench.cold_cli_mix(seed)[0]
         reqs = [req["args"] for req in mix]
