@@ -1,15 +1,29 @@
 """The table proofs of `verify`: the CYBE lemma behind `cybe_polynomial`,
-its coefficient bound, the premises, and the table identities of the
-comparison, flip and closed-form checks with their negative controls."""
+its coefficient bound, the premises, the table identities of the
+comparison, flip and closed-form checks with their negative controls, and
+the transport of proofs and Gram determinants by proven automorphisms."""
 
+import os
 import random
 from fractions import Fraction as F
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
-from ybe_forge import cuspidal, stolin, verify
-from ybe_forge.lie import POLE, TensorTable, apply_gauge, cybe_lhs, flip_map, tensor_table
+from ybe_forge import cuspidal, jmat, stolin, verify
+from ybe_forge.jmat import JMatrix, build_j
+from ybe_forge.lie import (
+    POLE,
+    LinearMapGl,
+    TensorTable,
+    apply_gauge,
+    cybe_lhs,
+    flip_map,
+    signed_permutation_map,
+    tensor_table,
+    transpose_negate_map,
+)
 from ybe_forge.verify import _coprime_pairs, _points
 
 ROUTES = {
@@ -17,6 +31,13 @@ ROUTES = {
     "stolin": (verify._TAIL, verify.check_stolin_cybe),
 }
 PAIR = (F(1, 3), F(-5, 2))
+
+
+@pytest.fixture(autouse=True)
+def fresh_verdicts(monkeypatch):
+    """Each test starts from an empty verdict memo, so that a check it runs
+    proves its tables in the test, not in an earlier one."""
+    monkeypatch.setattr(verify, "_VERDICTS", {})
 
 
 def route_table(route, e, d) -> TensorTable:
@@ -318,3 +339,197 @@ class TestTableIdentities:
         h = {(1, 1): F(1), (2, 2): F(-1)}
         e21 = tensor_table(2, [({(1, 2): F(1, 2)}, h, (0, 1, 0)), (h, {(2, 1): F(-1, 2)}, (0, 0, 1))])
         assert not verify._same_table(verify.closed_form_d1(2), e21)
+
+
+def direct_proof(table, tail) -> bool:
+    """The Kronecker proof of the table itself, without the memo."""
+    if verify._broken_premise(table, tail) is not None:
+        return False
+    b = 1 << kronecker_bound(table).bit_length() + 1
+    return not verify.cybe_polynomial(table, b, b**3, b**9)
+
+
+def unit_bracket(a, b) -> dict:
+    """[e_a, e_b] for units a = (i, j), b = (k, l), as {(i, j): entry}."""
+    (i, j), (k, l) = a, b
+    out: dict = {}
+    if j == k:
+        out[i, l] = out.get((i, l), 0) + 1
+    if l == i:
+        out[k, j] = out.get((k, j), 0) - 1
+    return {key: v for key, v in out.items() if v}
+
+
+def brackets_kept(g) -> bool:
+    """The n^4 oracle: g [a, b] = [g a, g b] on every pair of units."""
+    def image(m):
+        out: dict = {}
+        for key, v in m.items():
+            a, b, s = g.images[key]
+            out[a, b] = out.get((a, b), 0) + s * v
+        return {key: v for key, v in out.items() if v}
+
+    units = list(g.images)
+    for a in units:
+        for b in units:
+            (p, q, s), (u, v, t) = g.images[a], g.images[b]
+            lhs = image(unit_bracket(a, b))
+            rhs = {key: s * t * w for key, w in unit_bracket((p, q), (u, v)).items()}
+            if lhs != rhs:
+                return False
+    return True
+
+
+def sign_flipped(g, key) -> LinearMapGl:
+    images = dict(g.images)
+    a, b, s = images[key]
+    images[key] = (a, b, -s)
+    return LinearMapGl(g.n, images)
+
+
+def sigma(n) -> LinearMapGl:
+    return signed_permutation_map(n, lambda i, j: (n + 1 - j, n + 1 - i, -1))
+
+
+class TestTransport:
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("e,d", _coprime_pairs(5))
+    def test_transported_verdict_is_the_direct_proof(self, route, e, d):
+        """The check's verdict equals the Kronecker proof of the pair's own
+        table, and every (e,d) cuspidal check with e > d and every +J check
+        was transported."""
+        tail, check = ROUTES[route]
+        ok, detail = check(e, d, PAIR)
+        assert ok == direct_proof(route_table(route, e, d), tail)
+        transported = route == "stolin" or e > d
+        assert ("image of cuspidal" in detail) == transported
+        assert detail.startswith("CYBE and unitarity for all x, y")
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_criterion_is_the_bracket_scan(self, n):
+        """The closed criterion agrees with the bracket scan: it accepts the
+        gauges and minus the antitranspose, and rejects each of them with any
+        one image sign flipped."""
+        maps = [flip_map(n), transpose_negate_map(n), sigma(n)]
+        maps += [cuspidal.flip_transpose_gauge(n - d, d) for d in range(1, n) if gcd(n, d) == 1]
+        for g in maps:
+            assert verify._is_automorphism(g) and brackets_kept(g)
+            for key in g.images:
+                bad = sign_flipped(g, key)
+                assert not verify._is_automorphism(bad) and not brackets_kept(bad)
+
+    @pytest.mark.parametrize("e,d", [(1, 2), (2, 1), (2, 3), (5, 7)])
+    def test_criterion_rejects_a_flipped_sign_and_the_transpose(self, e, d):
+        n, g = e + d, cuspidal.flip_transpose_gauge(e, d)
+        assert verify._is_automorphism(g)
+        assert not verify._is_automorphism(sign_flipped(g, (1, n)))
+        assert not verify._is_automorphism(sign_flipped(g, (n, n)))
+        # the bare transpose is an anti-automorphism
+        transpose = signed_permutation_map(n, lambda i, j: (j, i, 1))
+        assert not verify._is_automorphism(transpose)
+        assert not brackets_kept(transpose)
+
+    @pytest.mark.parametrize("e,d", [(2, 1), (2, 3), (3, 2)])
+    def test_bumped_plus_j_table_is_proved_on_its_own(self, e, d, monkeypatch):
+        """A +J table with one numerator moved (its unitary partner too)
+        is not the flip_map image of the cuspidal (d,e) table, so its own
+        Kronecker proof runs, and fails."""
+        table = route_table("stolin", e, d)
+        bumped = unitary_bump(table, (0, 1, 0), off_diagonal_keys(e + d)[0], 1)
+        assert not verify._transports(flip_map(e + d), cuspidal.sol_family(d, e).table, bumped)
+        use_table(monkeypatch, "stolin", bumped)
+        seen = []
+        polynomial = verify.cybe_polynomial
+        monkeypatch.setattr(verify, "cybe_polynomial",
+                            lambda t, *pt: seen.append(t) or polynomial(t, *pt))
+        assert verify.check_stolin_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
+        assert seen == [bumped]
+
+    def test_broken_table_after_a_clean_run(self, monkeypatch):
+        """After both orientations passed in this process, a broken (1,2)
+        table and its gauge image as the (2,1) table fail both checks: the
+        memo holds the verdicts of the old table objects only."""
+        assert verify.check_cuspidal_cybe(1, 2, PAIR)[0]
+        assert verify.check_cuspidal_cybe(2, 1, PAIR)[0]
+        broken = unitary_bump(route_table("cuspidal", 1, 2), (0, 0, 0), (1, 2, 2, 3), 1)
+        tables = {(1, 2): broken,
+                  (2, 1): verify._gauge_table(cuspidal.flip_transpose_gauge(1, 2), broken)}
+        monkeypatch.setattr(cuspidal, "sol_family", lambda e, d: SimpleNamespace(table=tables[e, d]))
+        for e, d in ((1, 2), (2, 1)):
+            assert verify.check_cuspidal_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
+        # the real +J (2,1) table is no flip_map image of the broken table,
+        # so it is proved on its own, and passes
+        assert verify.check_stolin_cybe(2, 1, PAIR)[0]
+
+    @pytest.mark.parametrize("e,d", [(2, 1), (1, 2)])
+    def test_broken_source_is_not_transported_to_plus_j(self, e, d, monkeypatch):
+        """A +J table that is the flip_map image of a broken cuspidal (d,e)
+        table takes no proof from it: its own proof runs, and fails."""
+        broken = unitary_bump(route_table("cuspidal", d, e), (0, 0, 0), (1, 2, 2, 3), 1)
+        image = verify._gauge_table(flip_map(e + d), broken)
+        real = cuspidal.sol_family
+        monkeypatch.setattr(cuspidal, "sol_family", lambda a, b: SimpleNamespace(
+            table=broken) if (a, b) == (d, e) else real(a, b))
+        use_table(monkeypatch, "stolin", image)
+        assert verify.check_stolin_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
+
+    def test_gram_determinants_match_elimination(self):
+        form = stolin.frobenius_gram(build_j(1, 1).matrix, 1, 2)
+        dets = verify._gram_determinants(form)
+        assert sorted(dets) == sorted(_coprime_pairs(12))
+        for (e, d), (det, eliminated) in dets.items():
+            assert det == stolin.frobenius_gram(build_j(e, d).matrix, e, e + d).determinant
+            assert eliminated == (e <= d)
+
+    def test_gram_transport_identity(self):
+        """Entry by entry: Gram(e,d)[sigma a, sigma b] = -Gram(d,e)[a, b]."""
+        for e, d in [(2, 1), (3, 2), (5, 2)]:
+            n = e + d
+            src = stolin.frobenius_gram(build_j(d, e).matrix, d, n)
+            dst = stolin.frobenius_gram(build_j(e, d).matrix, e, n)
+            at = {lbl: p for p, lbl in enumerate(dst.labels)}
+            g, to = sigma(n), {}
+            for p, lbl in enumerate(src.labels):
+                if lbl[0] == "cartan":
+                    to[p] = (at["cartan", n - lbl[1]], 1)
+                else:
+                    a, b, s = g.images[lbl[1:]]
+                    to[p] = (at["unit", a, b], s)
+            for p, row in enumerate(src.gram):
+                for q, v in enumerate(row):
+                    (p2, s), (q2, t) = to[p], to[q]
+                    assert dst.gram[p2][q2] * s * t == -v
+
+    def test_maps_labels_needs_the_other_parabolic(self):
+        n = 5
+        labels = {e: stolin.parabolic_labels(e, n) for e in (2, 3)}
+        assert verify._maps_labels(sigma(n), labels[2], labels[3])
+        assert not verify._maps_labels(sigma(n), labels[2], labels[2])
+        assert not verify._maps_labels(flip_map(n), labels[2], labels[3])
+
+    def test_moved_j_entry_falls_back_to_elimination(self, monkeypatch):
+        """J(3,2) with one unit moved breaks flip_j(J(2,3)) = J(3,2), so its
+        determinant is eliminated, from the moved J."""
+        real = build_j(3, 2)
+        rows = [list(row) for row in real.matrix]
+        i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
+        rows[i][j], rows[i][(j + 1) % 5] = 0, 1
+        moved = JMatrix(3, 2, tuple(map(tuple, rows)))
+        monkeypatch.setattr(jmat, "build_j", lambda e, d: moved if (e, d) == (3, 2) else build_j(e, d))
+        assert not verify._gram_transports(3, 2)
+        form = stolin.frobenius_gram(build_j(1, 1).matrix, 1, 2)
+        det, eliminated = verify._gram_determinants(form)[3, 2]
+        assert eliminated and det == stolin.frobenius_gram(moved.matrix, 3, 5).determinant
+        assert "24 eliminated, 21 transported" in verify.check_frobenius_goldens()[1]
+
+
+def test_pooled_run_equals_serial_run():
+    """Each worker keeps its own memo; the report is the serial one."""
+    threads = min(2, os.cpu_count() or 1)
+
+    def rows(report):
+        return [(c.name, c.passed, c.detail) for c in report.checks]
+
+    serial = verify.run_suite("all", 5, 1)
+    assert serial.passed
+    assert rows(verify.run_suite("all", 5, threads)) == rows(serial)

@@ -1,39 +1,71 @@
 """Time `verify --suite all` in-process and serially, one new interpreter per
 run, so that no cache carries over between runs.
 
-    python tools/time_verify.py [--src DIR] N_MAX [N_MAX ...]
+    python tools/time_verify.py [--src DIR ...] [--runs R] N_MAX [N_MAX ...]
 
-DIR is the `src` directory of the checkout to time (default: this one's),
-so two checkouts can be timed alternately with the same script.  Each run
-prints the wall and CPU seconds of `verify.run_suite("all", N_MAX, 1)`,
-without interpreter start-up or imports, and whether every check passed.
+DIR is the `src` directory of a checkout to time (default: this one's).
+Given more than once, the runs alternate across the checkouts, R rounds for
+each N_MAX, so that a drift in machine speed falls on all of them alike.
+Each run prints the wall and CPU seconds of `verify.run_suite("all", N_MAX,
+1)`, without interpreter start-up or imports, whether every check passed,
+and the summed `elapsed` of each check kind (the name before `-(` or
+`-n=`).  The median wall time of each checkout follows each N_MAX.
 """
 
 import argparse
+import json
 import os
+import re
+import statistics
 import subprocess
 import sys
 
-CHILD = """import sys, time
+CHILD = """import json, sys, time
 sys.path.insert(0, sys.argv[1])
 from ybe_forge import verify
 wall, cpu = time.perf_counter(), time.process_time()
 report = verify.run_suite("all", int(sys.argv[2]), 1)
-print("n_max %s: wall %.2f s, cpu %.2f s, %d checks, %s" % (
-    sys.argv[2], time.perf_counter() - wall, time.process_time() - cpu, len(report.checks),
-    "all passed" if report.passed else "FAILURES"))
+print(json.dumps({"wall": time.perf_counter() - wall, "cpu": time.process_time() - cpu,
+                  "passed": report.passed,
+                  "checks": [(c.name, c.elapsed) for c in report.checks]}))
 """
 
 
+def kind_totals(checks) -> dict:
+    """Summed elapsed seconds per check kind, in first-seen order."""
+    out: dict = {}
+    for name, elapsed in checks:
+        kind = re.split(r"-\(|-n=", name)[0]
+        out[kind] = out.get(kind, 0.0) + elapsed
+    return out
+
+
 def main():
-    here = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    here = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                         os.pardir, "src"))
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("n_max", type=int, nargs="+")
-    parser.add_argument("--src", default=os.path.normpath(here))
+    parser.add_argument("--src", action="append", help="a checkout's src directory; repeatable")
+    parser.add_argument("--runs", type=int, default=1, help="rounds per N_MAX (default 1)")
     args = parser.parse_args()
+    sources = args.src or [here]
     env = dict(os.environ, FORGE_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
     for n_max in args.n_max:
-        subprocess.run([sys.executable, "-c", CHILD, args.src, str(n_max)], env=env, check=True)
+        walls: dict = {src: [] for src in sources}
+        for _ in range(args.runs):
+            for src in sources:
+                out = subprocess.run([sys.executable, "-c", CHILD, src, str(n_max)], env=env,
+                                     check=True, capture_output=True, text=True).stdout
+                run = json.loads(out.strip().splitlines()[-1])
+                walls[src].append(run["wall"])
+                print("%s n_max %d: wall %.3f s, cpu %.3f s, %d checks, %s" % (
+                    src, n_max, run["wall"], run["cpu"], len(run["checks"]),
+                    "all passed" if run["passed"] else "FAILURES"))
+                kinds = kind_totals(run["checks"]).items()
+                print("    " + ", ".join("%s %.3f" % kv for kv in kinds))
+        for src in sources:
+            print("%s n_max %d: median wall %.3f s over %d runs" % (
+                src, n_max, statistics.median(walls[src]), len(walls[src])))
 
 
 if __name__ == "__main__":
