@@ -32,9 +32,9 @@ EXIT_BADINPUT = 3
 # --n-max`; larger requests exit 3 before any work.  The exact pipelines
 # cost about n^6: on one CPU of a 2-core Intel Xeon, `rational 12 1` takes
 # 0.22 s and `elliptic 12 1` 0.21 s.  `verify` proves the CYBE and
-# unitarity once per table: `python tools/time_verify.py 8 12` (in-process,
-# serial) reads 0.7-1.2 s at 8 and 3.6-5.8 s at 12 on the same machine, whose
-# speed drifted by up to 1.6x between runs.
+# unitarity once per unordered pair and transports the rest:
+# `python tools/time_verify.py 8 12` (in-process) reads 0.7-0.8 s at 8 and
+# 3.1-3.3 s at 12 on the same machine.
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and
@@ -256,11 +256,7 @@ def verify_cmd(suite, n_max, fmt):
     if n_max < 2:
         _fail("--n-max must be at least 2", EXIT_BADINPUT)
     _check_size(n_max, "--n-max")
-    try:
-        threads = verify.forge_threads()
-    except ValueError as exc:
-        _fail(str(exc), EXIT_BADINPUT)
-    report = verify.run_suite(suite, n_max=n_max, threads=threads)
+    report = verify.run_suite(suite, n_max=n_max)
     if fmt == "json":
         _echo(verify.report_json(report))
     else:

@@ -63,17 +63,25 @@ class ThetaContext:
         if self.terms > THETA_TERMS_MAX:
             raise ValueError("need at most %d theta series terms" % THETA_TERMS_MAX)
         if (2 * self.terms - 1) * math.pi * self.tau.imag / 2 > _LOG_MAX:
+            # fewer than 3 terms never reach tol (the bound below), so past
+            # the Im(tau) at which 3 terms overflow no truncation is left
+            if 5 * math.pi * self.tau.imag / 2 > _LOG_MAX:
+                raise ValueError(
+                    "no theta series truncation works for Im(tau) = %g: 3 or more "
+                    "terms overflow, fewer cannot reach tol=%g" % (self.tau.imag, THETA_TOL)
+                )
             raise ValueError(
                 "%d theta series terms overflow on the strip |Im z| <= Im(tau)/2 "
                 "for Im(tau) = %g; use fewer terms" % (self.terms, self.tau.imag)
             )
-        # first dropped term of the odd theta series, |q|^(N(N+1)) e^((2N+1) pi |Im z|),
-        # at the largest |Im z| theta1 is summed at: 1.5 Im(tau), where
-        # `belavin_r` evaluates theta1(u + v) with |Im u| < Im(tau) and
-        # |Im v| <= Im(tau)/2
+        # log of the first dropped term of the odd theta series,
+        # |q|^(N(N+1)) e^((2N+1) pi |Im z|), at the largest |Im z| theta1 is
+        # summed at: 1.5 Im(tau), where `belavin_r` evaluates theta1(u + v)
+        # with |Im u| < Im(tau) and |Im v| <= Im(tau)/2; compared as a log,
+        # since the term itself overflows for few terms at large Im(tau)
         n = self.terms
-        drop = math.exp(-math.pi * self.tau.imag * (n * (n + 1) - 1.5 * (2 * n + 1)))
-        if drop >= THETA_TOL / 10:
+        drop = -math.pi * self.tau.imag * (n * (n + 1) - 1.5 * (2 * n + 1))
+        if drop >= math.log(THETA_TOL / 10):
             raise ValueError(
                 "truncation at %d terms cannot reach tol=%g for this modulus"
                 % (self.terms, THETA_TOL)

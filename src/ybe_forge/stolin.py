@@ -59,11 +59,9 @@ def parabolic_labels(e: int, n: int) -> tuple:
 class FrobeniusForm:
     """Gram matrix of omega_K on the parabolic p_e, with its determinant."""
 
-    __slots__ = ("K", "e", "n", "labels", "rows", "determinant")
+    __slots__ = ("e", "n", "labels", "rows", "determinant")
 
-    def __init__(self, K: tuple, e: int, n: int, labels: tuple, rows: tuple,
-                 determinant: Fraction):
-        self.K = K
+    def __init__(self, e: int, n: int, labels: tuple, rows: tuple, determinant: Fraction):
         self.e = e
         self.n = n
         self.labels = labels
@@ -137,7 +135,7 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
                 row[p] = row.get(p, 0) - v
         rows.append({p: v for p, v in row.items() if v})
     rows = tuple(rows)
-    return FrobeniusForm(K, e, n, labels, rows, det(rows, len(labels)))
+    return FrobeniusForm(e, n, labels, rows, det(rows, len(labels)))
 
 
 def rational_k_matrix(K) -> tuple:
@@ -221,10 +219,9 @@ class WElementSet:
     lower-left block labels vanish identically, and order 1 vanishes outside
     the upper-right block."""
 
-    def __init__(self, e: int, d: int, K: tuple, parts: dict):
+    def __init__(self, e: int, d: int, parts: dict):
         self.e = e
         self.d = d
-        self.K = K
         self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}
 
     @property
@@ -286,7 +283,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
             split[1 if i <= e < j else 0][i, j] = v
         if w := {m: terms for m, terms in split.items() if terms}:  # a zero target splits to 0
             parts[key] = w
-    return WElementSet(e, d, K, parts)
+    return WElementSet(e, d, parts)
 
 
 def assemble_stolin_r(e: int, d: int, K, x, y) -> GlTensor2:

@@ -3,9 +3,8 @@ numerics, and the classical fixtures.
 
 Every check returns a pass/fail verdict with the measured residual (or the
 relevant determinant/dimension) and its tolerance; a report is the
-conjunction.  Suites fan out over independent checks through a process pool
-when the FORGE_THREADS environment variable asks for more than one worker
-(at most one per CPU).
+conjunction.  A suite runs its checks in order in one process, so that each
+CYBE proof, once made, serves every later check that transports it.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import os
 import random
 import time
 from fractions import Fraction
@@ -240,40 +238,6 @@ def cybe_polynomial(table: TensorTable, x1, x2, x3) -> dict:
     ]).terms
 
 
-# verdicts of `_kronecker_verdict`, {(id(table), tail): (table, verdict)};
-# the oldest goes first past this many (`verify --n-max 12` proves 23 tables)
-_VERDICTS_MAX = 128
-_VERDICTS: dict = {}
-
-
-def _kronecker_verdict(table: TensorTable, tail) -> str | None:
-    """None when the CYBE and unitarity of r(x, y) hold for every x and y,
-    else the first premise of `cybe_polynomial` that the table breaks or
-    "Q(B, B^3, B^9) != 0".  Given the premises, den^2 Q has integer
-    coefficients of size at most M = 6 S^2 in front of the monomials
-    x1^i x2^j x3^k, i, j, k <= 2.  At the Kronecker point (B, B^3, B^9),
-    B = 2^(bits(M) + 1) > 2 M, they become the digits of den^2 Q in base B
-    at the distinct exponents i + 3j + 9k; a lowest nonzero digit would
-    leave a remainder of size below B^(e+1), so the value is 0 iff every
-    coefficient is (von zur Gathen and Gerhard, Modern Computer Algebra,
-    section 8.4).  Memoised per table object: an entry is read only for the
-    very object it was computed for."""
-    key = id(table), tail
-    hit = _VERDICTS.get(key)
-    if hit is not None and hit[0] is table:
-        return hit[1]
-    verdict = _broken_premise(table, tail)
-    if verdict is None:
-        s = sum(abs(v) for nums in table.terms.values() for v in nums)
-        b = 1 << (6 * s * s).bit_length() + 1
-        if cybe_polynomial(table, b, b**3, b**9):
-            verdict = "Q(B, B^3, B^9) != 0"
-    if len(_VERDICTS) >= _VERDICTS_MAX:
-        del _VERDICTS[next(iter(_VERDICTS))]
-    _VERDICTS[key] = table, verdict
-    return verdict
-
-
 def _is_automorphism(g: LinearMapGl) -> bool:
     """Whether the signed permutation g of the units is, for a permutation
     p and signs t, either e_ij |-> t_i t_j e_p(i)p(j), conjugation by a
@@ -304,31 +268,66 @@ def _transports(g: LinearMapGl, src: TensorTable, table: TensorTable) -> bool:
     return _is_automorphism(g) and _same_table(_gauge_table(g, src), table)
 
 
-def _cuspidal_route(e: int, d: int, table: TensorTable) -> tuple[str | None, str]:
-    """(None, via) when the CYBE and unitarity of `table`, the cuspidal
-    table of (e, d), hold for all x, y, else (the first claim that fails,
-    "").  The premises run on `table` itself.  For e > d, when the
-    automorphism flip_transpose_gauge(d, e) carries the (d, e) table to
-    `table` and the (d, e) table is proved, `via` names that transport;
-    otherwise, and whenever the (d, e) table fails, `table` gets its own
-    Kronecker proof and `via` is ""."""
-    if e > d:
-        broken = _broken_premise(table, _CUSPIDAL_TAIL)
-        if broken:
-            return broken, ""
-        src = cuspidal.sol_family(d, e).table
-        if (_transports(cuspidal.flip_transpose_gauge(d, e), src, table)
-                and _kronecker_verdict(src, _CUSPIDAL_TAIL) is None):
-            return None, " = flip_transpose_gauge image of cuspidal (%d,%d)" % (d, e)
-    return _kronecker_verdict(table, _CUSPIDAL_TAIL), ""
+# proofs of `_proof`, {(route, e, d): (table, failed, via)}; the oldest goes
+# first past this many (`verify --n-max 12` proves 90 tables)
+_PROOFS_MAX = 128
+_PROOFS: dict = {}
 
 
-def _cybe_verdict(table: TensorTable, pair, failed: str | None, tail: str,
-                  via: str) -> tuple[bool, str]:
-    """The verdict of a CYBE check: `failed`, or the one pair evaluated end
-    to end through `TensorTable.at`, or the proof with its tail and, when
-    the table was transported, the chain of images `via` down to the table
-    that has Q(B, B^3, B^9) = 0."""
+def _proof(route: str, e: int, d: int) -> tuple[TensorTable, str | None, str]:
+    """(table, failed, via) for the (e, d) table of `route`, "cuspidal" or
+    "stolin" (the +J table): `failed` is None when the CYBE and unitarity of
+    r(x, y) hold for every x and y, else the first premise of
+    `cybe_polynomial` that the table breaks or "Q(B, B^3, B^9) != 0"; `via`
+    names the chain of transports down to the table proved on its own.
+
+    The premises run on the table itself.  Its one source edge: the +J
+    table of (e, d) is the flip_map image of the cuspidal (d, e) table, and
+    for e > d the cuspidal (e, d) table is the flip_transpose_gauge(d, e)
+    image of it.  When the automorphism carries the source table to this
+    one and the source is proved, the proof carries over.  Otherwise, and
+    whenever the source fails, the table gets its own Kronecker proof:
+    given the premises, den^2 Q has integer coefficients of size at most
+    M = 6 S^2 in front of the monomials x1^i x2^j x3^k, i, j, k <= 2.  At
+    the Kronecker point (B, B^3, B^9), B = 2^(bits(M) + 1) > 2 M, they
+    become the digits of den^2 Q in base B at the distinct exponents
+    i + 3j + 9k; a lowest nonzero digit, at B^k, would leave a remainder
+    of size below B^(k+1), so the value is 0 iff every coefficient is (von
+    zur Gathen and Gerhard, Modern Computer Algebra, section 8.4).  Memoised
+    per table object: an entry is read only for the very object it was
+    computed for."""
+    cusp = route == "cuspidal"
+    table = (cuspidal.sol_family(e, d) if cusp
+             else stolin.solve_dec(e, d, stolin.j_matrix_rat(e, d))).table
+    hit = _PROOFS.get((route, e, d))
+    if hit is not None and hit[0] is table:
+        return hit
+    failed, via = _broken_premise(table, _CUSPIDAL_TAIL if cusp else _TAIL), ""
+    if failed is None:
+        if not cusp or e > d:
+            g, name = ((cuspidal.flip_transpose_gauge(d, e), "flip_transpose_gauge") if cusp
+                       else (flip_map(e + d), "flip_map"))
+            if _transports(g, cuspidal.sol_family(d, e).table, table):
+                _, src_failed, src_via = _proof("cuspidal", d, e)
+                if src_failed is None:
+                    via = " = %s image of cuspidal (%d,%d)%s" % (name, d, e, src_via)
+        if not via:
+            s = sum(abs(v) for nums in table.terms.values() for v in nums)
+            b = 1 << (6 * s * s).bit_length() + 1
+            if cybe_polynomial(table, b, b**3, b**9):
+                failed = "Q(B, B^3, B^9) != 0"
+    if len(_PROOFS) >= _PROOFS_MAX:
+        del _PROOFS[next(iter(_PROOFS))]
+    _PROOFS[route, e, d] = table, failed, via
+    return table, failed, via
+
+
+def _cybe_verdict(route: str, e: int, d: int, pair, tail: str) -> tuple[bool, str]:
+    """The verdict of a CYBE check: the proof's failure, or the one pair
+    evaluated end to end through `TensorTable.at`, or the proof with its
+    tail and, when the table was transported, the chain of images `via`
+    down to the table that has Q(B, B^3, B^9) = 0."""
+    table, failed, via = _proof(route, e, d)
     if failed:
         return False, failed
     x, y = pair
@@ -339,7 +338,7 @@ def _cybe_verdict(table: TensorTable, pair, failed: str | None, tail: str,
                   "%s; unitary at 1 pair" % (tail, q))
 
 
-# --- individual checks (top level so a process pool can run them) ----------
+# --- individual checks -------------------------------------------------------
 #
 # `_tasks_for` and the acceptance criteria draw the points a check takes;
 # a point pair must have distinct entries.
@@ -367,26 +366,14 @@ def check_j_goldens() -> tuple[bool, str]:
 
 
 def check_cuspidal_cybe(e: int, d: int, pair) -> tuple[bool, str]:
-    table = cuspidal.sol_family(e, d).table
-    failed, via = _cuspidal_route(e, d, table)
-    return _cybe_verdict(table, pair, failed, "A + xB + yC", via)
+    return _cybe_verdict("cuspidal", e, d, pair, "A + xB + yC")
 
 
 def check_stolin_cybe(e: int, d: int, pair) -> tuple[bool, str]:
     """The +J table of (e, d) is the flip_map image of the cuspidal (d, e)
     table, which places it in the geometric family; when that identity
     holds and the cuspidal table is proved, the proof carries over."""
-    table = stolin.solve_dec(e, d, stolin.j_matrix_rat(e, d)).table
-    failed, via = _broken_premise(table, _TAIL), ""
-    if failed is None:
-        src = cuspidal.sol_family(d, e).table
-        if _transports(flip_map(e + d), src, table):
-            src_failed, src_via = _cuspidal_route(d, e, src)
-            if src_failed is None:
-                via = " = flip_map image of cuspidal (%d,%d)%s" % (d, e, src_via)
-        if not via:
-            failed = _kronecker_verdict(table, _TAIL)
-    return _cybe_verdict(table, pair, failed, "A + xB + yC + xyD", via)
+    return _cybe_verdict("stolin", e, d, pair, "A + xB + yC + xyD")
 
 
 def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
@@ -834,27 +821,11 @@ def _tasks_for(suite: str, n_max: int, seed: int):
     return tasks
 
 
-def forge_threads() -> int:
-    """FORGE_THREADS as a worker count: 1 by default, at most the CPU count."""
-    text = os.environ.get("FORGE_THREADS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise ValueError("FORGE_THREADS must be a positive integer, got %r" % text)
-    return min(int(text), os.cpu_count() or 1)
-
-
-def run_suite(suite: str, n_max: int, threads: int) -> VerifyReport:
+def run_suite(suite: str, n_max: int) -> VerifyReport:
     tasks = _tasks_for(suite, n_max, SUITE_SEED)
     if not tasks:
         raise ValueError("unknown suite %r" % suite)
-    if threads > 1 and len(tasks) > 1:
-        # imported here: it loads multiprocessing, which a serial run never uses
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            checks = tuple(pool.map(_run, tasks))
-    else:
-        checks = tuple(_run(t) for t in tasks)
-    return VerifyReport(suite, checks)
+    return VerifyReport(suite, tuple(_run(t) for t in tasks))
 
 
 def report_json(report: VerifyReport) -> str:

@@ -119,7 +119,7 @@ def test_criterion_10_zoo(announce):
 def test_shared_checks_are_live(monkeypatch):
     """Breaking a shared check fails both `verify` and the criterion."""
     monkeypatch.setattr(stolin, "compare_pipelines", lambda e, d, x, y: False)
-    report = verify.run_suite("stolin", n_max=2, threads=1)
+    report = verify.run_suite("stolin", n_max=2)
     assert [c.name for c in report.checks if not c.passed] == ["pipeline-comparison-(1,1)"]
     verdicts = []
     test_criterion_05_pipeline_comparison(lambda num, ok, detail: verdicts.append(ok))

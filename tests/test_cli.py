@@ -23,7 +23,7 @@ from ybe_forge.cli import (
 )
 from ybe_forge.document import document_from_json
 from ybe_forge.elliptic import THETA_TERMS_MAX
-from ybe_forge.verify import _tasks_for, forge_threads, run_suite
+from ybe_forge.verify import _tasks_for, run_suite
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -324,6 +324,30 @@ class TestElliptic:
         assert "overflow" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("tau", ["100i", "300i"])
+    def test_one_term_at_large_modulus_exit_3(self, tau):
+        """At 1 term the truncation bound's exponent 2.5 pi Im(tau) passes
+        the float range for 90.4 < Im(tau) <= 451.9; it is compared as a
+        log, so the request is refused without an OverflowError."""
+        res = run("elliptic", "2", "1", "--tau", tau, "--x", "0.1", "--y", "0.2",
+                  "--terms", "1")
+        assert res.exit_code == 3
+        assert res.stderr == "error: truncation at 1 terms cannot reach tol=1e-12 " \
+                             "for this modulus\n"
+
+    def test_no_truncation_at_large_modulus_exit_3(self):
+        """Past Im(tau) = 90.37 three terms overflow and fewer never reach
+        tol, so the refusal does not suggest fewer terms."""
+        res = run("elliptic", "2", "1", "--tau", "100i", "--x", "0.1", "--y", "0.2")
+        assert res.exit_code == 3
+        assert "no theta series truncation works for Im(tau) = 100" in res.stderr
+        assert "fewer terms" not in res.stderr
+        assert len(res.stderr.strip().splitlines()) == 1
+        # below that modulus fewer terms do help
+        res = run("elliptic", "2", "1", "--tau", "90i", "--x", "0.1", "--y", "0.2")
+        assert res.exit_code == 3
+        assert "use fewer terms" in res.stderr
+
 
 class TestSizeCap:
     @pytest.mark.parametrize("args", [
@@ -349,7 +373,7 @@ class TestSizeCap:
     def test_verify_cap_admitted(self, monkeypatch):
         """--n-max N_MAX passes argument checking and reaches the suite."""
         calls = []
-        monkeypatch.setattr(verify, "run_suite", lambda suite, n_max, threads: calls.append(
+        monkeypatch.setattr(verify, "run_suite", lambda suite, n_max: calls.append(
             (suite, n_max)) or verify.VerifyReport(suite, ()))
         res = run("verify", "--n-max", str(N_MAX))
         assert res.exit_code == 0
@@ -586,41 +610,24 @@ class TestVerify:
         for name in SUITES:
             assert _tasks_for(name, 2, 0)
         with pytest.raises(ValueError, match="unknown suite"):
-            run_suite("bogus", n_max=2, threads=1)
+            run_suite("bogus", n_max=2)
 
     def test_bad_suite_exit(self):
         res = run("verify", "--suite", "bogus")
         assert res.exit_code != 0
 
     def test_forge_threads_env(self, monkeypatch):
-        monkeypatch.setenv("FORGE_THREADS", "2")
-        res = run("verify", "--suite", "zoo")
-        assert res.exit_code == 0
+        """FORGE_THREADS no longer selects a process pool: any value, also
+        an invalid one, gives the serial report."""
+        args = ("verify", "--suite", "rational", "--n-max", "3", "--format", "json")
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5", ""])
-    def test_bad_forge_threads_exit_3(self, monkeypatch, value):
-        monkeypatch.setenv("FORGE_THREADS", value)
-        res = run("verify", "--suite", "zoo")
-        assert res.exit_code == 3
-        assert "FORGE_THREADS" in res.stderr
-        assert len(res.stderr.strip().splitlines()) == 1
+        def checks(res):
+            assert res.exit_code == 0 and res.stderr == ""
+            return [{k: v for k, v in c.items() if k != "elapsed"}
+                    for c in json.loads(res.stdout)["checks"]]
 
-
-class TestForgeThreads:
-    """The FORGE_THREADS parser alone; no pool is started here."""
-
-    def test_default_is_one(self, monkeypatch):
         monkeypatch.delenv("FORGE_THREADS", raising=False)
-        assert forge_threads() == 1
-
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        for value, expected in (("1", 1), ("2", 2), ("100000", 2)):
+        serial = checks(run(*args))
+        for value in ("abc", "2"):
             monkeypatch.setenv("FORGE_THREADS", value)
-            assert forge_threads() == expected
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-1", "1.5", "", "99999999999999999999x"])
-    def test_invalid_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("FORGE_THREADS", value)
-        with pytest.raises(ValueError, match="positive integer"):
-            forge_threads()
+            assert checks(run(*args)) == serial

@@ -856,7 +856,7 @@ class TestAnsatz:
         table = bumped(r_ansatz(2, 1), random.Random(21))
         monkeypatch.setattr(cuspidal, "r_ansatz", lambda e, d, _f=cuspidal.r_ansatz:
                             table if (e, d) == (2, 1) else _f(e, d))
-        report = verify.run_suite("rational", n_max=3, threads=1)
+        report = verify.run_suite("rational", n_max=3)
         assert [c.name for c in report.checks if not c.passed] == ["ansatz-(2,1)"]
 
     def test_e_block_x_degree_via_interpolation(self):

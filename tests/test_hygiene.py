@@ -1,8 +1,8 @@
-"""Static hygiene of the package: no dead definitions, no unused imports,
-no function that the benchmark traces by name missing, the definitions that
-only the benchmark reaches listed, no cache that never evicts unless its
-keys are small integers, no numpy in the package, and each CLI command
-loading only the modules it uses.
+"""Static hygiene of the package: no dead definitions, no write-only fields,
+no unused imports, no function that the benchmark traces by name missing,
+the definitions that only the benchmark reaches listed, no cache that never
+evicts unless its keys are small integers, no numpy in the package, and
+each CLI command loading only the modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -116,8 +116,40 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+def write_only_fields(root: Path = ROOT) -> list[str]:
+    """module:Class.field of every attribute that an `__init__` of the
+    package assigns on `self` and that no file in src/ or perfbench/ reads:
+    a field counts as read when its name occurs as an attribute that is
+    loaded or augmented (`x.field`, `x.field += 1`), on any object."""
+    reads = set()
+    for tree_name in TREES:
+        for path in (root / tree_name).rglob("*.py"):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                    reads.add(node.target.attr)
+                elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+                    reads.add(node.attr)
+    out = []
+    for path in sorted((root / "src" / "ybe_forge").glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, ast.FunctionDef) and fn.name == "__init__"):
+                    continue
+                out += ["%s:%s.%s" % (path.stem, cls.name, node.attr) for node in ast.walk(fn)
+                        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"
+                        and node.attr not in reads]
+    return out
+
+
 def test_no_dead_definitions():
     assert dead_definitions() == []
+
+
+def test_no_write_only_fields():
+    assert write_only_fields() == []
 
 
 # The package definitions that only the benchmark reaches: perfbench/
@@ -333,9 +365,9 @@ def test_command_loads_only_its_modules(args, modules):
     """A CLI process imports the modules its command uses and no others:
     where bytecode is not cached, it compiles each of them.  `cli` binds
     `document.dumps` (perfbench checks the binding), so every process
-    loads `document`; `verify` loads every module, and a serial `verify`
-    leaves multiprocessing unloaded."""
-    loaded, pool, _ = json.loads(_python(_LOADED, *args, FORGE_THREADS="1"))
+    loads `document`; `verify` loads every module, and leaves
+    multiprocessing unloaded even with FORGE_THREADS=2, which it ignores."""
+    loaded, pool, _ = json.loads(_python(_LOADED, *args, FORGE_THREADS="2"))
     assert loaded == modules
     assert not pool
 
@@ -372,7 +404,7 @@ def test_command_loads_no_heavy_standard_modules(args):
     """A request loads none of `_HEAVY`.  The probe runs under -S, so that
     the modules `site` loads itself (a `.pth` file may load typing and re)
     hide none of them."""
-    heavy = json.loads(_python(_LOADED, *args, flags=("-S",), FORGE_THREADS="1"))[2]
+    heavy = json.loads(_python(_LOADED, *args, flags=("-S",)))[2]
     assert heavy == []
 
 
@@ -403,3 +435,25 @@ def test_scan_sees_a_dead_helper(tmp_path):
     # `Box` is exported and built in perfbench/ only
     assert benchmark_only_definitions(tmp_path) == ["mod:Box"]
     assert unused_imports(pkg) == ["mod:1 json"]
+
+
+def test_scan_sees_a_write_only_field(tmp_path):
+    """Negative control: a field set in `__init__` and read nowhere is
+    flagged; one read in src/, one read only in perfbench/ and one only
+    augmented are not, and a read from tests/ does not count."""
+    for tree_name in TREES + ("tests",):
+        (tmp_path / tree_name).mkdir()
+    pkg = tmp_path / "src" / "ybe_forge"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, a):\n"
+        "        self.read = a\n        self.bench = a\n        self.count = 0\n"
+        "        self.tested = a\n        self.unread = a\n\n"
+        "    def bump(self):\n        self.count += 1\n        return self.read\n"
+    )
+    (tmp_path / "perfbench" / "bench.py").write_text(
+        "from ybe_forge.mod import Box\nprint(Box(1).bench)\n")
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from ybe_forge.mod import Box\nassert Box(1).tested == 1\n")
+    assert write_only_fields(tmp_path) == ["mod:Box.tested", "mod:Box.unread"]

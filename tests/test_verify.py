@@ -3,7 +3,6 @@ its coefficient bound, the premises, the table identities of the
 comparison, flip and closed-form checks with their negative controls, and
 the transport of proofs and Gram determinants by proven automorphisms."""
 
-import os
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -35,9 +34,9 @@ PAIR = (F(1, 3), F(-5, 2))
 
 @pytest.fixture(autouse=True)
 def fresh_verdicts(monkeypatch):
-    """Each test starts from an empty verdict memo, so that a check it runs
+    """Each test starts from an empty proof memo, so that a check it runs
     proves its tables in the test, not in an earlier one."""
-    monkeypatch.setattr(verify, "_VERDICTS", {})
+    monkeypatch.setattr(verify, "_PROOFS", {})
 
 
 def route_table(route, e, d) -> TensorTable:
@@ -429,6 +428,24 @@ class TestTransport:
         assert not verify._is_automorphism(transpose)
         assert not brackets_kept(transpose)
 
+    def test_plus_j_check_reads_its_source_proof(self, monkeypatch):
+        """After both cuspidal checks of (1,2) and (2,1), the +J (1,2)
+        check runs its own premises and its one transport, and takes the
+        memoised proof of cuspidal (2,1) without proving it again."""
+        assert verify.check_cuspidal_cybe(1, 2, PAIR)[0]
+        assert verify.check_cuspidal_cybe(2, 1, PAIR)[0]
+        calls = {"_transports": 0, "_broken_premise": 0, "cybe_polynomial": 0}
+        for name in calls:
+            real = getattr(verify, name)
+            monkeypatch.setattr(verify, name, lambda *a, _f=real, _n=name: calls.update(
+                {_n: calls[_n] + 1}) or _f(*a))
+        ok, detail = verify.check_stolin_cybe(1, 2, PAIR)
+        assert ok and "flip_map image of cuspidal (2,1) = flip_transpose_gauge" in detail
+        assert calls == {"_transports": 1, "_broken_premise": 1, "cybe_polynomial": 0}
+        # a second +J check reads its own memo entry
+        assert verify.check_stolin_cybe(1, 2, PAIR) == (ok, detail)
+        assert calls == {"_transports": 1, "_broken_premise": 1, "cybe_polynomial": 0}
+
     @pytest.mark.parametrize("e,d", [(2, 1), (2, 3), (3, 2)])
     def test_bumped_plus_j_table_is_proved_on_its_own(self, e, d, monkeypatch):
         """A +J table with one numerator moved (its unitary partner too)
@@ -522,14 +539,3 @@ class TestTransport:
         assert eliminated and det == stolin.frobenius_gram(moved.matrix, 3, 5).determinant
         assert "24 eliminated, 21 transported" in verify.check_frobenius_goldens()[1]
 
-
-def test_pooled_run_equals_serial_run():
-    """Each worker keeps its own memo; the report is the serial one."""
-    threads = min(2, os.cpu_count() or 1)
-
-    def rows(report):
-        return [(c.name, c.passed, c.detail) for c in report.checks]
-
-    serial = verify.run_suite("all", 5, 1)
-    assert serial.passed
-    assert rows(verify.run_suite("all", 5, threads)) == rows(serial)

@@ -1,15 +1,17 @@
-"""Time `verify --suite all` in-process and serially, one new interpreter per
-run, so that no cache carries over between runs.
+"""Time `verify --suite all` in-process, one new interpreter per run, so that
+no cache carries over between runs.
 
     python tools/time_verify.py [--src DIR ...] [--runs R] N_MAX [N_MAX ...]
 
 DIR is the `src` directory of a checkout to time (default: this one's).
 Given more than once, the runs alternate across the checkouts, R rounds for
 each N_MAX, so that a drift in machine speed falls on all of them alike.
-Each run prints the wall and CPU seconds of `verify.run_suite("all", N_MAX,
-1)`, without interpreter start-up or imports, whether every check passed,
-and the summed `elapsed` of each check kind (the name before `-(` or
-`-n=`).  The median wall time of each checkout follows each N_MAX.
+Each run prints the wall and CPU seconds of `cli.main(["verify", "--suite",
+"all", "--n-max", N_MAX, "--format", "json"])` with its output captured,
+without interpreter start-up or imports, whether every check passed, and
+the summed `elapsed` of each check kind (the name before `-(` or `-n=`),
+read from the JSON report.  The median wall time of each checkout follows
+each N_MAX.
 """
 
 import argparse
@@ -20,14 +22,17 @@ import statistics
 import subprocess
 import sys
 
-CHILD = """import json, sys, time
+CHILD = """import contextlib, io, json, sys, time
 sys.path.insert(0, sys.argv[1])
-from ybe_forge import verify
+from ybe_forge import cli, verify  # verify too: its import is not timed
+out = io.StringIO()
 wall, cpu = time.perf_counter(), time.process_time()
-report = verify.run_suite("all", int(sys.argv[2]), 1)
-print(json.dumps({"wall": time.perf_counter() - wall, "cpu": time.process_time() - cpu,
-                  "passed": report.passed,
-                  "checks": [(c.name, c.elapsed) for c in report.checks]}))
+with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
+    cli.main(["verify", "--suite", "all", "--n-max", sys.argv[2], "--format", "json"])
+wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+report = json.loads(out.getvalue())
+print(json.dumps({"wall": wall, "cpu": cpu, "passed": report["passed"],
+                  "checks": [(c["name"], c["elapsed"]) for c in report["checks"]]}))
 """
 
 
@@ -49,7 +54,7 @@ def main():
     parser.add_argument("--runs", type=int, default=1, help="rounds per N_MAX (default 1)")
     args = parser.parse_args()
     sources = args.src or [here]
-    env = dict(os.environ, FORGE_THREADS="1", PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for n_max in args.n_max:
         walls: dict = {src: [] for src in sources}
         for _ in range(args.runs):
