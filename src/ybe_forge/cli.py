@@ -157,10 +157,10 @@ def rational(n, d, x, y, fmt):
 
 
 def _load_k_matrix(spec: str, e: int, d: int):
-    from . import stolin
+    from . import jmat, stolin
 
     if spec == "default":
-        return stolin.j_matrix_rat(e, d), "J(%d,%d)" % (e, d)
+        return jmat.build_j(e, d).matrix, "J(%d,%d)" % (e, d)
     if spec == "neg-j":
         return stolin.neg_j_matrix(e, d), "-J(%d,%d)" % (e, d)
     try:

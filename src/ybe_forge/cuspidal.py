@@ -46,8 +46,8 @@ class AnsatzError(RuntimeError):
 
 # degree caps of the shaped space: constant e x d upper-right block, linear
 # diagonal blocks, quadratic d x e lower-left block
-def _degree_cap(i: int, j: int, e: int, n: int) -> int:
-    reg = region(i, j, e, n)
+def _degree_cap(i: int, j: int, e: int) -> int:
+    reg = region(i, j, e)
     if reg == "I":
         return 0
     if reg == "III":
@@ -68,7 +68,7 @@ def _ved_coords(e: int, d: int) -> tuple:
     n = e + d
     cells = _cells(n)
     return tuple(
-        (i, j, k) for i, j in cells for k in range(1, _degree_cap(i, j, e, n) + 1)
+        (i, j, k) for i, j in cells for k in range(1, _degree_cap(i, j, e) + 1)
     ) + tuple((i, j, 0) for i, j in cells)
 
 
@@ -87,12 +87,12 @@ def _sol_rows(e: int, d: int) -> tuple[list, list]:
     n = e + d
     col = {c: idx for idx, c in enumerate(_ved_coords(e, d))}
     # (i, j) -> the column of its top coefficient c_cap
-    top = {(i, j): col[i, j, _degree_cap(i, j, e, n)] for i, j in _cells(n)}
+    top = {(i, j): col[i, j, _degree_cap(i, j, e)] for i, j in _cells(n)}
     J = build_j(e, d).matrix
     a0, a1 = [], []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            cap = _degree_cap(a, b, e, n)
+            cap = _degree_cap(a, b, e)
             row = {col[a, b, cap - 1]: 1} if cap else {}
             # J is strictly upper triangular, so no column below is hit
             # twice and none of them is top[a, b]

@@ -22,7 +22,9 @@ from .lie import COMPLEX, GlTensor2, cybe_residual_two_variable, heisenberg, ten
 TWO_PI_I = 2j * math.pi
 # |sin(x + iy)| reaches the largest float once |y| exceeds about this
 _LOG_MAX = math.log(sys.float_info.max)
-# |theta| or |sin| below this counts as a zero: the point is refused as a pole
+# |theta| or |sin| below this counts as a zero: the point is refused as a
+# pole.  theta1 is compared relative to its prefactor |2 q^(1/4)|, which
+# falls as exp(-pi Im(tau) / 4): at tau = 30i, theta1(0.1) is about 4e-11.
 POLE_GUARD = 1e-8
 # tolerance of every theta evaluation: a `ThetaContext` whose first dropped
 # series term is not below a tenth of it is refused
@@ -193,25 +195,22 @@ def theta4(z: complex, ctx: ThetaContext) -> complex:
     return acc
 
 
-def theta1_deriv0(ctx: ThetaContext) -> complex:
-    """Term-wise derivative of the odd theta series at z = 0, summed once
-    per context into its theta table."""
-    return _theta_table(ctx)[2]
-
-
 def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext, *,
                     tu: complex | None = None, tz: complex | None = None) -> complex:
     """The elliptic kernel in its theta-quotient form:
     theta1'(0) theta1(u+z) / (theta1(u) theta1(z)).  A caller that has
     already summed theta1(u, ctx) or theta1(z, ctx) passes it as `tu` or
-    `tz`."""
+    `tz`.  theta1'(0) is the term-wise derivative of the series at 0,
+    summed once per context into its theta table."""
     if tu is None:
         tu = theta1(u, ctx)
     if tz is None:
         tz = theta1(z, ctx)
-    if abs(tu) < POLE_GUARD or abs(tz) < POLE_GUARD:
+    prefactor, _, deriv = _theta_table(ctx)
+    guard = POLE_GUARD * abs(prefactor)
+    if abs(tu) < guard or abs(tz) < guard:
         raise PoleProximityError("kernel argument too close to the zero lattice")
-    return theta1_deriv0(ctx) * theta1(u + z, ctx) / (tu * tz)
+    return deriv * theta1(u + z, ctx) / (tu * tz)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex, j: int):
         v = v - k
         j += k
     tv = theta1(v, ctx)
-    if abs(tv) < POLE_GUARD:
+    if abs(tv) < POLE_GUARD * abs(_theta_table(ctx)[0]):
         raise PoleProximityError(
             "difference of spectral points is on the period lattice"
         )

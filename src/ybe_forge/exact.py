@@ -1,11 +1,11 @@
 """Exact rational linear algebra: fraction-free elimination, polynomials
 in the loop variable z, and interpolation.  `elliptic` never loads it.
 
-All arithmetic in this module is exact.  Scalars are `fractions.Fraction`.
-An n x n matrix of the package is a {(i, j): nonzero entry} dict, 1-based,
-and a matrix polynomial one of {(i, j): nonzero polynomial}.  Only the
-cocycle matrix K, which keys the `solve_dec` cache, and the matrix J that
-`jmatrix` prints are immutable nested tuples.
+All arithmetic in this module is exact.  Scalars are `fractions.Fraction`,
+or ints where a matrix is integral.  An n x n matrix of the package is a
+{(i, j): nonzero entry} dict, 1-based, and a matrix polynomial one of
+{(i, j): nonzero polynomial}.  Only J and the cocycle matrix K, which keys
+the `solve_dec` cache, are nested tuples, of ints or Fractions.
 
 The solvers `kernel`, `solve_multi` and `det` take a matrix as
 its rows, each a {column: entry} dict with Fraction or int entries, and
@@ -67,12 +67,6 @@ def rat(v) -> Fraction:
         if exponent and abs(int(exponent.group(1))) > RAT_EXPONENT_MAX:
             raise ValueError("decimal exponent beyond %d: %r" % (RAT_EXPONENT_MAX, v))
     return Fraction(v)
-
-
-def freeze(rows) -> tuple:
-    """A dense matrix as nested tuples, hashable: the form of a cocycle
-    matrix K."""
-    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +181,7 @@ def _bareiss_echelon(m: list[dict[int, int]], ncols: int) -> tuple[list[dict[int
     return echelon, piv_cols, order
 
 
-def _back_substitute(m, piv_cols, free_cols, n: int) -> list[dict[int, int]]:
+def _back_substitute(m, piv_cols, free_cols) -> list[dict[int, int]]:
     """Integer back-substitution through the sparse echelon rows `m`.
 
     For each free column f, returns den times the null vector that is 1 at f
@@ -227,7 +221,7 @@ def _back_substitute(m, piv_cols, free_cols, n: int) -> list[dict[int, int]]:
     return out
 
 
-def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple[dict[int, int], int]]:
+def _null_vectors(ints, m, piv_cols, free_cols, what: str) -> list[tuple[dict[int, int], int]]:
     """`_back_substitute` in lowest terms, as ({column: nonzero numerator},
     positive denominator), each vector re-checked exactly, in integers,
     against every row of `ints`, the rows that `m` is the echelon form of.
@@ -240,7 +234,7 @@ def _null_vectors(ints, m, piv_cols, free_cols, n: int, what: str) -> list[tuple
         for c, a in row.items():
             cols.setdefault(c, []).append((r, a))
     out = []
-    for f, v in zip(free_cols, _back_substitute(m, piv_cols, free_cols, n)):
+    for f, v in zip(free_cols, _back_substitute(m, piv_cols, free_cols)):
         g = math.gcd(*v.values()) * (1 if v[f] > 0 else -1)
         v = {c: a // g for c, a in v.items()}
         image: dict = {}
@@ -265,7 +259,7 @@ def kernel(rows: Sequence[dict], ncols: int) -> list[tuple[dict[int, int], int]]
     ints, _ = _integer_rows(rows, ncols)
     m, piv_cols, _ = _bareiss_echelon([dict(r) for r in ints], ncols)
     free_cols = sorted(set(range(ncols)).difference(piv_cols))
-    return _null_vectors(ints, m, piv_cols, free_cols, ncols, "kernel")
+    return _null_vectors(ints, m, piv_cols, free_cols, "kernel")
 
 
 def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> list[tuple[dict[int, int], int]]:
@@ -298,7 +292,7 @@ def solve_multi(rows: Sequence[dict], rhs_cols: Sequence[dict], ncols: int) -> l
         raise InconsistentSystemError("no solution: 0 = nonzero after elimination")
     if len(piv_cols) < ncols:
         raise SingularSystemError("coefficient matrix is rank-deficient")
-    vecs = _null_vectors(ints, m, piv_cols, range(ncols, width), width, "solve")
+    vecs = _null_vectors(ints, m, piv_cols, range(ncols, width), "solve")
     return [({c: -a for c, a in v.items() if c < ncols}, den) for v, den in vecs]
 
 

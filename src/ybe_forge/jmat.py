@@ -122,8 +122,8 @@ def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
     return tuple(s)
 
 
-def region(i: int, j: int, e: int, n: int) -> str:
-    """Quadrant of the (i, j) entry for the split e + (n - e):
+def region(i: int, j: int, e: int) -> str:
+    """Quadrant of the (i, j) entry for the block split after index e:
     upper-left IV, upper-right I, lower-left III, lower-right II."""
     if i <= e:
         return "IV" if j <= e else "I"

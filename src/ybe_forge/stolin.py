@@ -7,6 +7,10 @@ loop algebra and its dual basis series.  The two routes are verified against
 each other and against the geometric pipeline.  A `stolin` request needs
 only J (`jmat`), not the geometric pipeline.  The closed formula for d = 1
 and the Yang order, which only `verify` compares with, live in `verify`.
+
+A cocycle matrix K is n row tuples of ints or Fractions, used as given: +J
+is `jmat.build_j(e, d).matrix` and -J `neg_j_matrix`, in J's integers, and
+a K file gives Fractions.  Equal values hash alike: one `solve_dec` entry.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .exact import (
     LinearAlgebraError,
     ZERO,
     det,
-    freeze,
     rat,
     solve_multi,
 )
@@ -52,7 +55,7 @@ def parabolic_labels(e: int, n: int) -> tuple:
         raise ValueError("parabolic index out of range: e=%d for n=%d" % (e, n))
     return tuple(
         lbl for lbl in sl_basis(n)
-        if lbl[0] == "cartan" or region(lbl[1], lbl[2], e, n) != "III"
+        if lbl[0] == "cartan" or region(lbl[1], lbl[2], e) != "III"
     )
 
 
@@ -114,7 +117,6 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
     integer K gives integer rows.  A degenerate K is a valid query and is
     reported, not raised.
     """
-    K = freeze(K)
     kn = _k_nonzeros(K)
     labels = parabolic_labels(e, n)
     index = {lbl: p for p, lbl in enumerate(labels)}
@@ -138,16 +140,9 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
     return FrobeniusForm(e, n, labels, rows, det(rows, len(labels)))
 
 
-def rational_k_matrix(K) -> tuple:
-    return tuple(tuple(rat(v) for v in row) for row in K)
-
-
 def neg_j_matrix(e: int, d: int) -> tuple:
-    return tuple(tuple(-rat(v) for v in row) for row in build_j(e, d).matrix)
-
-
-def j_matrix_rat(e: int, d: int) -> tuple:
-    return tuple(tuple(rat(v) for v in row) for row in build_j(e, d).matrix)
+    """The cocycle matrix -J_(e,d), in J's integers."""
+    return tuple(tuple(-v for v in row) for row in build_j(e, d).matrix)
 
 
 def _split_solver(K: tuple, e: int, n: int):
@@ -160,7 +155,7 @@ def _split_solver(K: tuple, e: int, n: int):
         (i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
-        if region(i, j, e, n) == "I"
+        if region(i, j, e) == "I"
     ]
     kn = _k_nonzeros(K)
     rows: list = [{} for _ in range(n * n)]
@@ -190,7 +185,6 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     b in p_e iff [K^t, P] lies in p_e^perp in sl(n), the upper-right block.
     So the solve fails, raising DegenerateFormError, exactly when omega_K is
     degenerate."""
-    K = freeze(K)
     n = len(K)
     labels, nil_pos, rows = _split_solver(K, e, n)
     rhs = [{(i - 1) * n + j - 1: v for (i, j), v in G.items()} for G in targets]
@@ -259,7 +253,6 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     if gcd(e, d) != 1:
         raise NonCoprimeError("need coprime (e, d), got (%d, %d)" % (e, d))
     n = e + d
-    K = freeze(K)
     kn = _k_nonzeros(K)
     targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
@@ -267,7 +260,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
             targets[label, 0] = basis_terms(label, n)
             continue
         _, i, j = label
-        reg = region(i, j, e, n)
+        reg = region(i, j, e)
         dual = {(j, i): 1}
         if reg == "I":
             # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
@@ -286,40 +279,14 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     return WElementSet(e, d, parts)
 
 
-def assemble_stolin_r(e: int, d: int, K, x, y) -> GlTensor2:
+def assemble_stolin_r(e: int, d: int, K: tuple, x, y) -> GlTensor2:
     """c/(y-x) + sum e_{i,j} (x) w_{(i,j;0)}(y) + sum dual-Cartan (x) w_{(l;0)}(y)
-    + x sum e_{i,j} (x) w_{(i,j;1)}(y), read off the table of `solve_dec`."""
+    + x sum e_{i,j} (x) w_{(i,j;1)}(y), read off the table of `solve_dec`.
+    K is a tuple of int or Fraction row tuples, used with no copy."""
     x, y = rat(x), rat(y)
     if x == y:
         raise ValueError("need x != y")
-    return solve_dec(e, d, _normal_k(K)).table.at(x, y)
-
-
-class _NormalK(tuple):
-    """A cocycle matrix after `rational_k_matrix` and `freeze`, as the
-    `solve_dec` cache key: it hashes its n^2 Fractions once."""
-
-    def __hash__(self):
-        h = self.__dict__.get("hash")
-        if h is None:
-            h = self.__dict__["hash"] = tuple.__hash__(self)
-        return h
-
-
-# The last K object that `_normal_k` normalised, with its normal form.  Only
-# a tuple of tuples is kept: it cannot change, so a caller that evaluates
-# many points at one K normalises and hashes it once, not at every point.
-_last_k: tuple = (None, None)
-
-
-def _normal_k(K) -> _NormalK:
-    global _last_k
-    if K is _last_k[0]:
-        return _last_k[1]
-    normal = _NormalK(freeze(rational_k_matrix(K)))
-    if type(K) is tuple and all(type(row) is tuple for row in K):
-        _last_k = (K, normal)
-    return normal
+    return solve_dec(e, d, K).table.at(x, y)
 
 
 def compare_pipelines(e: int, d: int, x, y) -> bool:
@@ -338,7 +305,7 @@ def compare_pipelines(e: int, d: int, x, y) -> bool:
 # Lagrangian subalgebra attached to (g, e, omega_K) and its dual-basis series
 # ---------------------------------------------------------------------------
 
-def _eta_shift(e: int, n: int, parts) -> dict:
+def _eta_shift(e: int, parts) -> dict:
     """The sum of eta^{-1} (z^base M) eta over the (M, base) in `parts`, each
     M given as {(i, j): nonzero entry}, for eta = diag(1_e, z 1_d): diagonal
     blocks keep the degree, the upper-right block gains one, the lower-left
@@ -347,7 +314,7 @@ def _eta_shift(e: int, n: int, parts) -> dict:
     out: dict = {}
     for terms, base_degree in parts:
         for (i, j), v in terms.items():
-            reg = region(i, j, e, n)
+            reg = region(i, j, e)
             k = base_degree + (1 if reg == "I" else -1 if reg == "III" else 0)
             m = out.setdefault(k, {})
             m[i, j] = m.get((i, j), 0) + v
@@ -378,17 +345,16 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
     lo, hi = window
     if lo > -3 or hi < 1:
         raise TruncationError("window must contain [-3, 1], got %r" % (window,))
-    K = freeze(rational_k_matrix(K))
     frobenius_splits([], K, e)  # DegenerateFormError unless omega_K is nondegenerate
     kn = _k_nonzeros(K)
     alphas = {lbl: basis_terms(lbl, n) for lbl in sl_basis(n)}
-    elements = [_eta_shift(e, n, [(alpha, 0), (_bracket_kt_terms(kn, lbl), -1)])
+    elements = [_eta_shift(e, [(alpha, 0), (_bracket_kt_terms(kn, lbl), -1)])
                 for lbl, alpha in alphas.items()]
     for m_deg in range(2, -lo + 2):
         for alpha in alphas.values():
             # a basis matrix lies in one block, so its conjugate has one
             # degree: the window holds all of it or none
-            w = _eta_shift(e, n, [(alpha, -m_deg)])
+            w = _eta_shift(e, [(alpha, -m_deg)])
             if min(w) >= lo:
                 elements.append(w)
     return OrderBasis(n, window, tuple(elements))

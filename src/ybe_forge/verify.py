@@ -298,7 +298,7 @@ def _proof(route: str, e: int, d: int) -> tuple[TensorTable, str | None, str]:
     computed for."""
     cusp = route == "cuspidal"
     table = (cuspidal.sol_family(e, d) if cusp
-             else stolin.solve_dec(e, d, stolin.j_matrix_rat(e, d))).table
+             else stolin.solve_dec(e, d, jmat.build_j(e, d).matrix)).table
     hit = _PROOFS.get((route, e, d))
     if hit is not None and hit[0] is table:
         return hit
@@ -381,7 +381,7 @@ def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
     lhs = _gauge_table(phi, cuspidal.sol_family(e, d).table)
     ok = _same_table(lhs, stolin.solve_dec(e, d, stolin.neg_j_matrix(e, d)).table)
     # negative control: the wrong cocycle sign (+J) must not match
-    ok &= not _same_table(lhs, stolin.solve_dec(e, d, stolin.j_matrix_rat(e, d)).table)
+    ok &= not _same_table(lhs, stolin.solve_dec(e, d, jmat.build_j(e, d).matrix).table)
     ok &= stolin.compare_pipelines(e, d, *pair)
     return ok, "gauged table == -J table for all x, y; +J table differs; exact at 1 pair"
 
@@ -560,7 +560,7 @@ def _closed_form_n2() -> TensorTable:
 
 def check_closed_form_d1(n: int) -> tuple[bool, str]:
     want = closed_form_d1(n)
-    ok = _same_table(stolin.solve_dec(1, n - 1, stolin.j_matrix_rat(1, n - 1)).table, want)
+    ok = _same_table(stolin.solve_dec(1, n - 1, jmat.build_j(1, n - 1).matrix).table, want)
     if n == 2:
         ok &= _same_table(want, _closed_form_n2())
     # the (n-1,1)-split table is the flip-gauge image of the same solution
@@ -573,7 +573,7 @@ def check_closed_form_d1(n: int) -> tuple[bool, str]:
 
 def check_series(e: int, d: int) -> tuple[bool, str]:
     n, k_max = e + d, SERIES_K_MAX
-    K = stolin.j_matrix_rat(e, d)
+    K = jmat.build_j(e, d).matrix
     x, y = Fraction(1, 3), Fraction(2)
     ob = stolin.build_order(K, e, n, (-(k_max + 3), 1))
     sr = stolin.series_r(ob, k_max, x, y)

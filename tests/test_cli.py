@@ -23,6 +23,7 @@ from ybe_forge.cli import (
 )
 from ybe_forge.document import document_from_json
 from ybe_forge.elliptic import THETA_TERMS_MAX
+from ybe_forge.lie import swap_tensor
 from ybe_forge.verify import _tasks_for, run_suite
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -208,6 +209,22 @@ class TestStolin:
         res = run("stolin", "2", "1", "--k-matrix", str(good), "--x", "0", "--y", "1")
         assert res.exit_code == 0
 
+    def test_file_j_gives_the_default_terms(self, tmp_path):
+        """J read from a file, as JSON integers or as strings, is the
+        default K in Fractions, and its document has the same terms."""
+        from ybe_forge.jmat import build_j
+
+        args = ("--x", "1/3", "--y", "-5/2")
+        want = json.loads(run("stolin", "5", "2", *args).stdout)
+        assert want["provenance"]["k_matrix"] == "J(2,3)"
+        J = [list(row) for row in build_j(2, 3).matrix]
+        for rows in (J, [[str(v) for v in row] for row in J]):
+            k_file = tmp_path / "k.json"
+            k_file.write_text(json.dumps(rows))
+            res = run("stolin", "5", "2", "--k-matrix", str(k_file), *args)
+            assert res.exit_code == 0
+            assert json.loads(res.stdout)["terms"] == want["terms"]
+
 
 class TestElliptic:
     def test_document_provenance(self):
@@ -222,6 +239,21 @@ class TestElliptic:
         res = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.1")
         assert res.exit_code == 2
         assert "pole" in res.stderr
+
+    @pytest.mark.parametrize("tau", ["30i", "60i"])
+    def test_large_modulus_is_not_a_pole(self, tau):
+        """|theta1| falls with its prefactor |2 q^(1/4)|, to about 4e-11 at
+        theta1(0.1 | 30i), so the pole guard is taken relative to it: the
+        request is answered, and unitary, and a lattice point is still
+        refused."""
+        args = ("elliptic", "2", "1", "--tau", tau, "--terms", "3")
+        docs = [run(*args, "--x", x, "--y", y) for x, y in (("0.1", "0.2"), ("0.2", "0.1"))]
+        assert [res.exit_code for res in docs] == [0, 0]
+        r_xy, r_yx = (document_from_json(json.loads(res.stdout)).to_tensor() for res in docs)
+        assert r_xy.add(swap_tensor(r_yx)).norm() < 1e-12
+        res = run(*args, "--x", "0.1", "--y", "0.1")
+        assert res.exit_code == 2
+        assert res.stderr == "error: pole: difference of spectral points is on the period lattice\n"
 
     def test_terms_drift(self):
         r60 = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2",

@@ -105,10 +105,10 @@ class TestBuildJ:
 
 class TestShapedSpace:
     def test_region_classification(self):
-        assert region(1, 3, 2, 3) == "I"
-        assert region(3, 1, 2, 3) == "III"
-        assert region(1, 2, 2, 3) == "IV"
-        assert region(3, 3, 2, 3) == "II"
+        assert region(1, 3, 2) == "I"
+        assert region(3, 1, 2) == "III"
+        assert region(1, 2, 2) == "IV"
+        assert region(3, 3, 2) == "II"
 
     def test_lower_left_constant_enters_neither(self):
         f0, feps = extract_f0_feps(matrix_poly_from_coeffs([mat_unit(2, 2, 1)]), 1, 1)
@@ -149,7 +149,7 @@ SHAPED_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 4)]
 def _cap(i, j, e, n):
     """Degree cap of entry (i, j): constant upper-right block, quadratic
     lower-left block, linear diagonal blocks."""
-    return {"I": 0, "III": 2}.get(region(i, j, e, n), 1)
+    return {"I": 0, "III": 2}.get(region(i, j, e), 1)
 
 
 # The reference form of the defining constraint of Sol((e,d), x), which reads
@@ -176,7 +176,7 @@ def validate_ved_shape(Fm, e, d):
             p = Fm.entries[i - 1][j - 1]
             if len(p) - 1 > _cap(i, j, e, n):
                 raise ShapeError("degree %d exceeds cap at entry (%d, %d) in region %s"
-                                 % (len(p) - 1, i, j, region(i, j, e, n)))
+                                 % (len(p) - 1, i, j, region(i, j, e)))
     for k in (0, 1):
         if sum(coeff_matrix(Fm, k)[a][a] for a in range(n)) != 0:
             raise ShapeError("z^%d part has nonzero trace" % k)
@@ -257,7 +257,7 @@ def _region_table_f0_feps(Fm, e, d):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             p = Fm.entries[i - 1][j - 1]
-            k0, keps = table[region(i, j, e, n)]
+            k0, keps = table[region(i, j, e)]
             f0[i - 1][j - 1] = p[k0] if k0 < len(p) else ZERO
             if keps is not None:
                 feps[i - 1][j - 1] = p[keps] if keps < len(p) else ZERO

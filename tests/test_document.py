@@ -215,10 +215,11 @@ class TestGoldens:
         doc = document_from_json(golden)
         # regenerate from the pipelines and compare exactly
         from ybe_forge.cuspidal import assemble_r
-        from ybe_forge.stolin import assemble_stolin_r, j_matrix_rat
+        from ybe_forge.jmat import build_j
+        from ybe_forge.stolin import assemble_stolin_r
 
         if golden["provenance"]["pipeline"] == "stolin":
-            t = assemble_stolin_r(1, 1, j_matrix_rat(1, 1), F(0), F(1))
+            t = assemble_stolin_r(1, 1, build_j(1, 1).matrix, F(0), F(1))
         else:
             t = assemble_r(1, 1, F(0), F(1))
         assert doc.to_tensor() == t

@@ -28,12 +28,22 @@ from ybe_forge.exact import (
     solve_multi,
 )
 from ybe_forge.heis import cyclo_rational, cyclotomic_poly, root_complex, root_table
+from ybe_forge.jmat import build_j
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
 
 # Dense reference forms, which the package no longer builds: an n x n
 # matrix as nested tuples, and a matrix polynomial as a `MatrixPoly`.
+
+def freeze(rows) -> tuple:
+    return tuple(map(tuple, rows))
+
+
+def j_matrix_rat(e, d) -> tuple:
+    """J_(e,d) with Fraction entries, the form a K matrix file gives."""
+    return tuple(tuple(F(v) for v in row) for row in build_j(e, d).matrix)
+
 
 def mat_zero(n):
     return tuple(tuple(F(0) for _ in range(n)) for _ in range(n))
@@ -559,13 +569,11 @@ class TestBuilderRows:
     def test_solve_dec_without_dense_grids(self, monkeypatch):
         """A cold solve_dec builds its targets from `basis_terms` and the
         nonzeros of K, and its elements from the nonzero split coordinates:
-        the only dense matrix on its way is K, which it freezes, and every
-        basis matrix it reads holds one or two entries."""
+        the only dense matrix on its way is K, and every basis matrix it
+        reads holds one or two entries."""
         from ybe_forge import lie, stolin
 
-        frozen, units = [], []
-        monkeypatch.setattr(stolin, "freeze", lambda rows, _f=stolin.freeze:
-                            frozen.append(rows) or _f(rows))
+        units = []
         monkeypatch.setattr(stolin, "basis_terms", lambda *a, _f=stolin.basis_terms:
                             units.append(_f(*a)) or units[-1])
         solves = []
@@ -576,7 +584,6 @@ class TestBuilderRows:
             w = stolin.solve_dec(2, 3, K)
         finally:
             stolin.solve_dec.cache_clear()
-        assert frozen and all(rows == K for rows in frozen)
         assert units and all(type(u) is dict and 1 <= len(u) <= 2 for u in units)
         [(rows, rhs_cols, _)] = solves
         assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
@@ -592,7 +599,7 @@ class TestBuilderRows:
         from ybe_forge import stolin
 
         lo = -4
-        order = stolin.build_order(stolin.j_matrix_rat(2, 1), 2, 3, (lo, 1))
+        order = stolin.build_order(j_matrix_rat(2, 1), 2, 3, (lo, 1))
         assert all(w and all(m and all(m.values()) for m in w.values())
                    for w in order.elements)
         solves = []

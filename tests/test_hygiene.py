@@ -1,8 +1,8 @@
 """Static hygiene of the package: no dead definitions, no write-only fields,
-no unused imports, no function that the benchmark traces by name missing,
-the definitions that only the benchmark reaches listed, no cache that never
-evicts unless its keys are small integers, no numpy in the package, and
-each CLI command loading only the modules it uses.
+no unused imports or parameters, no function that the benchmark traces by
+name missing, the definitions that only the benchmark reaches listed, no
+cache that never evicts unless its keys are small integers, no numpy in the
+package, and each CLI command loading only the modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -144,6 +144,24 @@ def write_only_fields(root: Path = ROOT) -> list[str]:
     return out
 
 
+def unused_parameters(package: Path = PACKAGE) -> list[str]:
+    """module:function(parameter) of every parameter of a function in the
+    package, `self` and `cls` aside, that its body never reads, also not
+    from a nested function."""
+    out = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            out += ["%s:%s(%s)" % (path.stem, fn.name, p.arg) for p in params
+                    if p.arg not in read and p.arg not in ("self", "cls")]
+    return out
+
+
 def test_no_dead_definitions():
     assert dead_definitions() == []
 
@@ -169,6 +187,23 @@ def test_benchmark_only_definitions():
 
 def test_no_unused_imports():
     assert unused_imports() == []
+
+
+def test_no_unused_parameters():
+    assert unused_parameters() == []
+
+
+def test_scan_sees_an_unused_parameter(tmp_path):
+    """Negative control: a positional, a keyword-only and a ** parameter
+    that the body never reads are flagged; one read only by a nested
+    function, a * parameter read, and `self` are not."""
+    (tmp_path / "mod.py").write_text(
+        "def used(a, b=1, *rest, key, **extra):\n    return a + len(rest)\n\n"
+        "def closure(a, b):\n    def inner():\n        return a\n    return inner\n\n"
+        "class Box:\n    def __init__(self, v, spare):\n        self.v = v\n"
+    )
+    assert unused_parameters(tmp_path) == [
+        "mod:used(b)", "mod:used(key)", "mod:used(extra)", "mod:closure(b)", "mod:__init__(spare)"]
 
 
 def test_traced_layers_resolve():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_exact import mat_from_entries, mat_terms, mat_unit, rank
+from test_exact import j_matrix_rat, mat_from_entries, mat_terms, mat_unit, rank
 from ybe_forge import cuspidal, cybe, lie, stolin
 from ybe_forge.cli import N_MAX
 from ybe_forge.exact import ZERO
@@ -425,7 +425,7 @@ def join_products(monkeypatch) -> list:
 def stolin_1_6_triple() -> tuple:
     """The Stolin (1,6) solution at K = J, evaluated at (0, 1), (0, 2) and
     (1, 2)."""
-    K = stolin.j_matrix_rat(1, 6)
+    K = j_matrix_rat(1, 6)
 
     def r(a, b):
         return stolin.assemble_stolin_r(1, 6, K, a, b)
@@ -603,7 +603,7 @@ class TestUnitary:
             def r(a, b):
                 return cuspidal.assemble_r(e, d, a, b)
         else:
-            K = stolin.j_matrix_rat(e, d)
+            K = j_matrix_rat(e, d)
 
             def r(a, b):
                 return stolin.assemble_stolin_r(e, d, K, a, b)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_exact import mat_from_entries, mat_terms, rank
+from test_exact import j_matrix_rat, mat_from_entries, mat_terms, rank
 from test_lie import basis_matrix, dual_matrix, trace_form
 from test_stolin import w_of
 from ybe_forge import stolin
@@ -16,7 +16,6 @@ from ybe_forge.stolin import (
     TruncationError,
     assemble_stolin_r,
     build_order,
-    j_matrix_rat,
     series_r,
     solve_dec,
 )
@@ -98,7 +97,7 @@ class TestBuildOrder:
             for deg, m in w.items():
                 assert -4 <= deg <= 1
                 for (i, j) in m:
-                    reg = region(i, j, e, n)
+                    reg = region(i, j, e)
                     cap = 1 if reg == "I" else -1 if reg == "III" else 0
                     assert deg <= cap
 

@@ -20,6 +20,8 @@ from test_cuspidal import (
 from test_exact import (
     MatrixPoly,
     eval_dense,
+    freeze,
+    j_matrix_rat,
     mat_add,
     mat_from_entries,
     mat_is_zero,
@@ -33,7 +35,7 @@ from test_exact import (
 from test_lie import basis_matrix, cartan_dual, dense_tensor_from_pairs
 from ybe_forge import lie, stolin
 from ybe_forge.cuspidal import assemble_r, flip_transpose_gauge
-from ybe_forge.exact import ONE, ZERO, freeze
+from ybe_forge.exact import ONE, ZERO
 from ybe_forge.jmat import G_ELEMENTS_CACHE_MAX, build_j, region
 from ybe_forge.lie import (
     apply_gauge,
@@ -52,7 +54,6 @@ from ybe_forge.stolin import (
     frobenius_gram,
     frobenius_split,
     frobenius_splits,
-    j_matrix_rat,
     neg_j_matrix,
     parabolic_labels,
     solve_dec,
@@ -139,7 +140,7 @@ def reference_elements(e, d, K) -> dict:
             targets[label, 0] = mat_terms(basis_matrix(label, n))
             continue
         _, i, j = label
-        reg = region(i, j, e, n)
+        reg = region(i, j, e)
         if reg == "I":
             targets[label, 0] = {key: -v for key, v in _dense_bracket_kt(K, ("unit", j, i), n).items()}
             targets[label, 1] = {(j, i): ONE}
@@ -147,9 +148,9 @@ def reference_elements(e, d, K) -> dict:
             targets[label, 0] = {(j, i): ONE}
     for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
         Pm, Nm = mat_from_entries(n, P), mat_from_entries(n, N)
-        const = [[-Nm[r][c] if region(r + 1, c + 1, e, n) == "I" else Pm[r][c]
+        const = [[-Nm[r][c] if region(r + 1, c + 1, e) == "I" else Pm[r][c]
                   for c in range(n)] for r in range(n)]
-        lin = [[Pm[r][c] if region(r + 1, c + 1, e, n) == "I" else ZERO
+        lin = [[Pm[r][c] if region(r + 1, c + 1, e) == "I" else ZERO
                 for c in range(n)] for r in range(n)]
         out[key] = matrix_poly_from_coeffs([freeze(const), freeze(lin)])
     return out
@@ -197,6 +198,15 @@ class TestFrobeniusGram:
             basis = [basis_matrix(lbl, n) for lbl in parabolic_labels(e, n)]
             want = tuple(tuple(omega_pairing(K, a, b) for b in basis) for a in basis)
             assert frobenius_gram(K, e, n).gram == want
+
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (5, 2), (1, 6)])
+    def test_j_sources_hold_integers(self, e, d):
+        """+J and -J reach `solve_dec` as J's own integers, with no
+        Fraction built from them."""
+        for K in (build_j(e, d).matrix, neg_j_matrix(e, d)):
+            assert len(K) == e + d and all(type(row) is tuple for row in K)
+            assert all(type(v) is int for row in K for v in row)
+        assert neg_j_matrix(e, d) == tuple(tuple(-v for v in row) for row in build_j(e, d).matrix)
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (5, 2), (1, 6)])
     def test_integer_j_gives_integer_rows(self, e, d):
@@ -276,7 +286,7 @@ class TestFrobeniusSplit:
                         assert P[i][j] == 0
                 for i in range(n):
                     for j in range(n):
-                        if region(i + 1, j + 1, e, n) != "I":
+                        if region(i + 1, j + 1, e) != "I":
                             assert N[i][j] == 0
 
     def test_n2_unit_case(self):
@@ -294,9 +304,9 @@ def _w_blocks(w, e, n):
     """(A|B / 0|D) from the constant part and the z-part upper block of w."""
     const = coeff_matrix(w, 0)
     lin = coeff_matrix(w, 1)
-    P_blocks = [[const[i][j] if region(i + 1, j + 1, e, n) != "I" else ZERO
+    P_blocks = [[const[i][j] if region(i + 1, j + 1, e) != "I" else ZERO
                  for j in range(n)] for i in range(n)]
-    B = [[const[i][j] if region(i + 1, j + 1, e, n) == "I" else ZERO
+    B = [[const[i][j] if region(i + 1, j + 1, e) == "I" else ZERO
           for j in range(n)] for i in range(n)]
     Btilde = [[lin[i][j] for j in range(n)] for i in range(n)]
     return freeze(P_blocks), freeze(B), freeze(Btilde)
@@ -311,7 +321,7 @@ def _assert_block_equations(e, d, K):
     for label in sl_basis(n):
         if label[0] == "unit":
             _, i, j = label
-            reg = region(i, j, e, n)
+            reg = region(i, j, e)
             target = mat_unit(n, j, i)
         else:
             reg = "cartan"
@@ -408,13 +418,13 @@ class TestSolveDec:
                 lin = coeff_matrix(w, 1)
                 for i in range(n):
                     for j in range(n):
-                        if region(i + 1, j + 1, e, n) == "III":
+                        if region(i + 1, j + 1, e) == "III":
                             assert const[i][j] == 0
-                        if region(i + 1, j + 1, e, n) != "I":
+                        if region(i + 1, j + 1, e) != "I":
                             assert lin[i][j] == 0
                 if label[0] == "unit" and k == 1:
                     _, i, j = label
-                    if region(i, j, e, n) != "I":
+                    if region(i, j, e) != "I":
                         assert (label, k) not in ws.parts
 
     def test_degenerate_k_rejected(self):
@@ -641,37 +651,24 @@ class TestTable:
             solve_dec.cache_clear()
 
 
-    def test_assembly_normalises_k_once(self, monkeypatch):
-        """A K object passed again is not normalised again, and every
-        assembly is, repr for repr, the table of `solve_dec` at the
-        normalised K: for a tuple K reused, an equal K in a new object and a
-        list K changed in place between two calls."""
-        normalised = []
-        rational = stolin.rational_k_matrix
-        monkeypatch.setattr(stolin, "rational_k_matrix",
-                            lambda K: normalised.append(1) or rational(K))
-        monkeypatch.setattr(stolin, "_last_k", (None, None))
-
-        def check(e, d, K, pts):
-            for x, y in pts:
-                want = solve_dec(e, d, freeze(rational(K))).table.at(x, y)
-                assert repr(assemble_stolin_r(e, d, K, x, y)) == repr(want)
-
+    def test_assembly_takes_k_as_given(self):
+        """A K reused, an equal K in a new tuple and the Fraction form of the
+        same -J key one `solve_dec` entry: only the first assembly solves,
+        and every assembly is, repr for repr, the table of that entry."""
         pts = [(F(1, 3), F(2)), (F(-7, 2), F(5, 9)), (F(0), F(1))]
         K = neg_j_matrix(2, 3)
-        check(2, 3, K, pts)
-        assert len(normalised) == 1
-        check(3, 2, neg_j_matrix(3, 2), pts)
-        check(2, 3, neg_j_matrix(2, 3), pts)
-        assert len(normalised) == 3
-        check(2, 3, K, pts)
-        assert len(normalised) == 4
-        listed = [[str(v) for v in row] for row in K]
-        check(2, 3, listed, pts[:1])
-        for row in listed:  # now +J
-            row[:] = [str(-F(v)) for v in row]
-        check(2, 3, listed, pts[:1])
-        assert len(normalised) == 6
+        fresh = neg_j_matrix(2, 3)
+        fracs = tuple(tuple(F(v) for v in row) for row in K)
+        assert fresh is not K and all(type(v) is F for row in fracs for v in row)
+        solve_dec.cache_clear()
+        try:
+            for k in (K, K, fresh, fracs):
+                for x, y in pts:
+                    got = assemble_stolin_r(2, 3, k, x, y)
+                    assert repr(got) == repr(solve_dec(2, 3, K).table.at(x, y))
+            assert solve_dec.cache_info().misses == 1
+        finally:
+            solve_dec.cache_clear()
 
 
 class TestComparison:

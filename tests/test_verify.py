@@ -42,7 +42,7 @@ def fresh_verdicts(monkeypatch):
 def route_table(route, e, d) -> TensorTable:
     if route == "cuspidal":
         return cuspidal.sol_family(e, d).table
-    return stolin.solve_dec(e, d, stolin.j_matrix_rat(e, d)).table
+    return stolin.solve_dec(e, d, jmat.build_j(e, d).matrix).table
 
 
 def use_table(monkeypatch, route, table):
@@ -307,7 +307,8 @@ class TestTableIdentities:
     def test_comparison_control_is_live(self, monkeypatch):
         """With -J in place of +J the control table equals the gauged one,
         and the check fails."""
-        monkeypatch.setattr(stolin, "j_matrix_rat", stolin.neg_j_matrix)
+        monkeypatch.setattr(jmat, "build_j",
+                            lambda e, d: SimpleNamespace(matrix=stolin.neg_j_matrix(e, d)))
         assert not verify.check_comparison(2, 3, PAIR)[0]
 
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 3)])
