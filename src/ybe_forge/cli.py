@@ -120,14 +120,14 @@ def jmatrix(e, d, fmt):
 
     _check_size(e + d, "e + d")
     try:
-        j = jmat.build_j(e, d)
+        J = jmat.build_j(e, d)
     except jmat.NonCoprimeError as exc:
         _fail("not coprime: %s" % exc, EXIT_BADINPUT)
     if fmt in ("text", "both"):
-        for row in j.matrix:
+        for row in J:
             _echo(" ".join(str(v) for v in row))
     if fmt in ("json", "both"):
-        _echo(json.dumps({"e": e, "d": d, "matrix": [list(r) for r in j.matrix]}))
+        _echo(json.dumps({"e": e, "d": d, "matrix": [list(r) for r in J]}))
 
 
 def rational(n, d, x, y, fmt):
@@ -160,7 +160,7 @@ def _load_k_matrix(spec: str, e: int, d: int):
     from . import jmat, stolin
 
     if spec == "default":
-        return jmat.build_j(e, d).matrix, "J(%d,%d)" % (e, d)
+        return jmat.build_j(e, d), "J(%d,%d)" % (e, d)
     if spec == "neg-j":
         return stolin.neg_j_matrix(e, d), "-J(%d,%d)" % (e, d)
     try:

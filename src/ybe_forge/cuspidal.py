@@ -5,7 +5,9 @@ The construction is driven by the 0/1 matrix J of the coprime pair (e, d)
 subspace Sol((e, d), x) cut out by [F_0, J] + x F_0 + F_eps = 0.  The
 members of Sol, taken at the residue point x and evaluated at y, produce
 the tensor, whose pole part is always the Casimir element.  A `rational`
-request runs only `assemble_r` on the cached `sol_family`.
+request runs only `assemble_r` on the cached `sol_family`.  The degree cap
+of entry (i, j) of V_{e,d} is 1 - `jmat.twist(i, j, e)`.  `sol_space` hands
+out its tuple of members and `g_elements` its corrections dict.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .exact import (
     rat,
     solve_multi,
 )
-from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, j_support_coloring, region
+from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, j_support_coloring, twist
 from .lie import (
     POLE,
     GlTensor2,
@@ -44,23 +46,14 @@ class AnsatzError(RuntimeError):
     """The table is not of the form c/(y - x) + A + x B + y C."""
 
 
-# degree caps of the shaped space: constant e x d upper-right block, linear
-# diagonal blocks, quadratic d x e lower-left block
-def _degree_cap(i: int, j: int, e: int) -> int:
-    reg = region(i, j, e)
-    if reg == "I":
-        return 0
-    if reg == "III":
-        return 2
-    return 1
-
-
 def _cells(n: int) -> list:
     return [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
 
 
 # Coordinates of V_{e,d}: (i, j, k) is the coefficient of (z - x)^k in entry
-# (i, j), for every k up to the entry's degree cap.  The n^2 residue
+# (i, j), for every k up to the entry's degree cap 1 - twist(i, j, e):
+# constant on the e x d upper-right block, linear on the diagonal blocks,
+# quadratic on the d x e lower-left block.  The n^2 residue
 # coordinates (k = 0) come last, in row-major order, so that the solutions
 # split into the coordinates before them and the residues (see `sol_family`).
 @lru_cache(maxsize=None)
@@ -68,7 +61,7 @@ def _ved_coords(e: int, d: int) -> tuple:
     n = e + d
     cells = _cells(n)
     return tuple(
-        (i, j, k) for i, j in cells for k in range(1, _degree_cap(i, j, e) + 1)
+        (i, j, k) for i, j in cells for k in range(1, 2 - twist(i, j, e))
     ) + tuple((i, j, 0) for i, j in cells)
 
 
@@ -87,12 +80,12 @@ def _sol_rows(e: int, d: int) -> tuple[list, list]:
     n = e + d
     col = {c: idx for idx, c in enumerate(_ved_coords(e, d))}
     # (i, j) -> the column of its top coefficient c_cap
-    top = {(i, j): col[i, j, _degree_cap(i, j, e)] for i, j in _cells(n)}
-    J = build_j(e, d).matrix
+    top = {(i, j): col[i, j, 1 - twist(i, j, e)] for i, j in _cells(n)}
+    J = build_j(e, d)
     a0, a1 = [], []
     for a in range(1, n + 1):
         for b in range(1, n + 1):
-            cap = _degree_cap(a, b, e)
+            cap = 1 - twist(a, b, e)
             row = {col[a, b, cap - 1]: 1} if cap else {}
             # J is strictly upper triangular, so no column below is hit
             # twice and none of them is top[a, b]
@@ -107,25 +100,6 @@ def _sol_rows(e: int, d: int) -> tuple[list, list]:
         a0.append({col[a, a, k]: 1 for a in range(1, n + 1)})
         a1.append({})
     return a0, a1
-
-
-class SolBasis:
-    """Exact basis of Sol((e,d), x) inside V_{e,d}, dual to the residues:
-    member m is the one with residue e_ij - delta_ij e_11, for the m-th
-    (i, j) != (1, 1) in row-major order."""
-
-    __slots__ = ("e", "d", "x", "vectors")
-
-    def __init__(self, e: int, d: int, x: Fraction, vectors: tuple):
-        self.e = e
-        self.d = d
-        self.x = x
-        self.vectors = vectors  # the members' (z - x)-coordinates
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.e, self.d, self.x, self.vectors) == (other.e, other.d, other.x, other.vectors)
 
 
 def _columns(rows) -> dict:
@@ -149,7 +123,7 @@ def _combine(terms) -> dict:
 
 def _by_label(n: int, members) -> dict:
     """label B -> B + G_B as the same combination of the members'
-    coordinates (in the order of `SolBasis`), since B = sum over
+    coordinates (in the order of `sol_space`), since B = sum over
     (i, j) != (1, 1) of B_ij (e_ij - delta_ij e_11).  Without its residue
     coordinates it is G_B, and G_B(x) = 0: each one left is of (z - x)^k,
     k >= 1."""
@@ -250,9 +224,11 @@ def _family_table(n: int, den: int, v0: tuple, v1: tuple, coords: tuple) -> Tens
     return tensor_table(n, pairs)
 
 
-def sol_space(e: int, d: int, x) -> SolBasis:
-    """The basis of Sol((e,d), x) dual to the residues: `sol_family`
-    evaluated at x."""
+def sol_space(e: int, d: int, x) -> tuple:
+    """The exact basis of Sol((e,d), x) inside V_{e,d} dual to the residues,
+    as the members' (z - x)-coordinates: member m is the one with residue
+    e_ij - delta_ij e_11, for the m-th (i, j) != (1, 1) in row-major order.
+    `sol_family` evaluated at x."""
     x = rat(x)
     fam = sol_family(e, d)
     scale = fam.den * x.denominator  # v0/den + x v1/den^2 over den * scale
@@ -263,26 +239,14 @@ def sol_space(e: int, d: int, x) -> SolBasis:
             if num := g0.get(c, 0) * scale + g1.get(c, 0) * x.numerator:
                 vec[c] = Fraction(num, fam.den * scale)
         vectors.append(tuple(vec))
-    return SolBasis(e, d, x, tuple(vectors))
-
-
-class GElements:
-    """For each sl(n) basis element B, the unique correction G in V_{e,d} with
-    B + G in Sol((e,d), x) and G(x) = 0."""
-
-    __slots__ = ("e", "d", "x", "corrections")
-
-    def __init__(self, e: int, d: int, x: Fraction, corrections: dict):
-        self.e = e
-        self.d = d
-        self.x = x
-        self.corrections = corrections  # BasisIndex -> {(i, j): nonzero polynomial in z}
+    return tuple(vectors)
 
 
 @lru_cache(maxsize=G_ELEMENTS_CACHE_MAX)
-def g_elements(e: int, d: int, x: Fraction) -> GElements:
-    """The corrections at x, read off the integer coordinates of
-    `sol_family(e, d)` (`_by_label`).
+def g_elements(e: int, d: int, x: Fraction) -> dict:
+    """For each sl(n) basis label B, the unique correction G in V_{e,d} with
+    B + G in Sol((e,d), x) and G(x) = 0, as {(i, j): nonzero polynomial in
+    z}; read off the integer coordinates of `sol_family(e, d)` (`_by_label`).
 
     Coordinate c of a correction is (g0 den xd + g1 xn) / (den^2 xd) at
     x = xn/xd, for its g0 over den and g1 over den^2, and it is the
@@ -316,10 +280,10 @@ def g_elements(e: int, d: int, x: Fraction) -> GElements:
             if p:
                 polys[ij] = tuple(Fraction(a, q) if a else ZERO for a in p)
         corrections[label] = polys
-    return GElements(e, d, x, corrections)
+    return corrections
 
 
-def point_sol_space(e: int, d: int, x) -> SolBasis:
+def point_sol_space(e: int, d: int, x) -> tuple:
     """Sol((e,d), x) from one `kernel` elimination of the rows at x, without
     `sol_family`: the reference of `verify.check_ansatz`.  Its basis is the
     residue-dual one exactly when the residue map is an isomorphism at x."""
@@ -327,8 +291,8 @@ def point_sol_space(e: int, d: int, x) -> SolBasis:
     # A0 and A1 share no column within a row
     rows = [{**r0, **{c: x * v for c, v in r1.items() if x}} for r0, r1 in zip(*_sol_rows(e, d))]
     ncols = len(_ved_coords(e, d))
-    return SolBasis(e, d, x, tuple(tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
-                                   for vec, den in kernel(rows, ncols)))
+    return tuple(tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
+                 for vec, den in kernel(rows, ncols))
 
 
 def assemble_r(e: int, d: int, x, y) -> GlTensor2:

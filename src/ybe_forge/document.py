@@ -53,7 +53,10 @@ def _coeff_from_json(v, scalar: str, rat):
         return rat(v)
     if not (isinstance(v, list) and len(v) == 2):
         raise DocumentError("complex coefficients must be [re, im], got %r" % (v,))
-    return complex(v[0], v[1])
+    c = complex(v[0], v[1])
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise DocumentError("complex coefficients must be finite, got %r" % (v,))
+    return c
 
 
 def _int_from_json(v, what: str) -> int:
@@ -74,6 +77,8 @@ def document_from_json(payload: dict) -> TensorDocument:
         raise DocumentError("unknown scalar kind %r" % scalar)
     try:
         n = _int_from_json(payload["n"], "n")
+        if n < 1:
+            raise DocumentError("n must be positive, got %d" % n)
         terms = {}
         for item in payload["terms"]:
             key = tuple(_int_from_json(item[c], c) for c in "ijkl")

@@ -5,7 +5,9 @@ All arithmetic in this module is exact.  Scalars are `fractions.Fraction`,
 or ints where a matrix is integral.  An n x n matrix of the package is a
 {(i, j): nonzero entry} dict, 1-based, and a matrix polynomial one of
 {(i, j): nonzero polynomial}.  Only J and the cocycle matrix K, which keys
-the `solve_dec` cache, are nested tuples, of ints or Fractions.
+the `solve_dec` cache, are nested tuples, of ints or Fractions, and each
+`sol_space` member is a flat tuple of Fraction coordinates; the exact
+layer wraps none of them.
 
 The solvers `kernel`, `solve_multi` and `det` take a matrix as
 its rows, each a {column: entry} dict with Fraction or int entries, and

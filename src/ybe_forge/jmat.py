@@ -3,6 +3,10 @@
 J drives both exact pipelines: the geometric one (`cuspidal`) pairs with
 it in the constraint of Sol((e,d), x), the parabolic one (`stolin`) takes
 +-J as its cocycle matrix.  `jmatrix` loads it beside `cli` and `document`.
+J is handed out as its n row tuples.  The split is one integer per entry,
+`twist`: the z-degree of eta^-1 e_ij eta, from which `cuspidal` reads the
+degree caps of V_{e,d} and `stolin` the parabolic p_e, the nilpotent block
+and the twist of the order.
 """
 
 from __future__ import annotations
@@ -28,25 +32,10 @@ def _check_coprime(e: int, d: int):
         raise NonCoprimeError("need coprime positive integers, got (%d, %d)" % (e, d))
 
 
-class JMatrix:
-    """The 0/1 matrix attached to a coprime pair (e, d), block-upper-triangular
-    with respect to the split e + d."""
-
-    __slots__ = ("e", "d", "matrix")
-
-    def __init__(self, e: int, d: int, matrix: tuple):
-        self.e = e
-        self.d = d
-        self.matrix = matrix
-
-    @property
-    def n(self) -> int:
-        return self.e + self.d
-
-
 @lru_cache(maxsize=None)
-def build_j(e: int, d: int) -> JMatrix:
-    """The recursively defined matrix J_(e,d).
+def build_j(e: int, d: int) -> tuple:
+    """The recursively defined matrix J_(e,d), as its n row tuples of 0/1
+    ints: block-upper-triangular with respect to the split e + d.
 
     Descend (e,d) -> ... -> (1,1) by the Euclidean step, then extend back up
     with the two block rules (identity block on top for growth on the left,
@@ -76,18 +65,17 @@ def build_j(e: int, d: int) -> JMatrix:
             for i in range(b):
                 new[a + i][size + i] = 1
         mat = new
-    return JMatrix(e, d, tuple(tuple(row) for row in mat))
+    return tuple(tuple(row) for row in mat)
 
 
-def flip_j(j: JMatrix) -> tuple:
+def flip_j(J: tuple) -> tuple:
     """Index-reversal of J in the form it enters the pairing tr(J^t [a,b]):
     the transpose along the antidiagonal, position (i,j) -> (n+1-j, n+1-i).
     This is the map under which J_(e,d) goes to J_(d,e); reversing both
     indices without the transpose does not (already false for (1,1))."""
-    n = j.n
-    m = j.matrix
+    n = len(J)
     return tuple(
-        tuple(m[n - 1 - c][n - 1 - r] for c in range(n)) for r in range(n)
+        tuple(J[n - 1 - c][n - 1 - r] for c in range(n)) for r in range(n)
     )
 
 
@@ -98,7 +86,7 @@ def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
     fresh indices), so the 2-coloring always exists; components start at +1.
     """
     n = e + d
-    J = build_j(e, d).matrix
+    J = build_j(e, d)
     adj: dict[int, list[int]] = {i: [] for i in range(n)}
     for i in range(n):
         for jj in range(n):
@@ -122,9 +110,8 @@ def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
     return tuple(s)
 
 
-def region(i: int, j: int, e: int) -> str:
-    """Quadrant of the (i, j) entry for the block split after index e:
-    upper-left IV, upper-right I, lower-left III, lower-right II."""
-    if i <= e:
-        return "IV" if j <= e else "I"
-    return "III" if j <= e else "II"
+def twist(i: int, j: int, e: int) -> int:
+    """The z-degree of eta^-1 e_ij eta for eta = diag(1_e, z 1_d): 1 on the
+    upper-right e x d block, -1 on the lower-left d x e block, 0 on the
+    diagonal blocks."""
+    return (i <= e) - (j <= e)

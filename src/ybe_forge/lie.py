@@ -90,9 +90,6 @@ class GlTensor2:
             and self.terms == other.terms
         )
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def norm(self) -> float:
         """Max coefficient magnitude."""
         return max((abs(v) for v in self.terms.values()), default=0.0)

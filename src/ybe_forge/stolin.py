@@ -9,15 +9,17 @@ only J (`jmat`), not the geometric pipeline.  The closed formula for d = 1
 and the Yang order, which only `verify` compares with, live in `verify`.
 
 A cocycle matrix K is n row tuples of ints or Fractions, used as given: +J
-is `jmat.build_j(e, d).matrix` and -J `neg_j_matrix`, in J's integers, and
-a K file gives Fractions.  Equal values hash alike: one `solve_dec` entry.
+is `jmat.build_j(e, d)` and -J `neg_j_matrix`, in J's integers, and a K
+file gives Fractions.  Equal values hash alike: one `solve_dec` entry.  The
+split e + d enters as `jmat.twist`, the z-degree of eta^-1 e_ij eta: p_e is
+spanned by the labels of twist >= 0, the nilpotent block is twist 1, and
+the order is twisted by eta = diag(1_e, z 1_d).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
 
 from .exact import (
     LinearAlgebraError,
@@ -26,7 +28,7 @@ from .exact import (
     rat,
     solve_multi,
 )
-from .jmat import G_ELEMENTS_CACHE_MAX, NonCoprimeError, build_j, region
+from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, twist
 from .lie import (
     GlTensor2,
     TensorTable,
@@ -55,18 +57,16 @@ def parabolic_labels(e: int, n: int) -> tuple:
         raise ValueError("parabolic index out of range: e=%d for n=%d" % (e, n))
     return tuple(
         lbl for lbl in sl_basis(n)
-        if lbl[0] == "cartan" or region(lbl[1], lbl[2], e) != "III"
+        if lbl[0] == "cartan" or twist(lbl[1], lbl[2], e) >= 0
     )
 
 
 class FrobeniusForm:
     """Gram matrix of omega_K on the parabolic p_e, with its determinant."""
 
-    __slots__ = ("e", "n", "labels", "rows", "determinant")
+    __slots__ = ("labels", "rows", "determinant")
 
-    def __init__(self, e: int, n: int, labels: tuple, rows: tuple, determinant: Fraction):
-        self.e = e
-        self.n = n
+    def __init__(self, labels: tuple, rows: tuple, determinant: Fraction):
         self.labels = labels
         self.rows = rows  # the Gram rows as {column: nonzero entry} dicts
         self.determinant = determinant
@@ -137,12 +137,12 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
                 row[p] = row.get(p, 0) - v
         rows.append({p: v for p, v in row.items() if v})
     rows = tuple(rows)
-    return FrobeniusForm(e, n, labels, rows, det(rows, len(labels)))
+    return FrobeniusForm(labels, rows, det(rows, len(labels)))
 
 
 def neg_j_matrix(e: int, d: int) -> tuple:
     """The cocycle matrix -J_(e,d), in J's integers."""
-    return tuple(tuple(-v for v in row) for row in build_j(e, d).matrix)
+    return tuple(tuple(-v for v in row) for row in build_j(e, d))
 
 
 def _split_solver(K: tuple, e: int, n: int):
@@ -155,7 +155,7 @@ def _split_solver(K: tuple, e: int, n: int):
         (i, j)
         for i in range(1, n + 1)
         for j in range(1, n + 1)
-        if region(i, j, e) == "I"
+        if twist(i, j, e) == 1
     ]
     kn = _k_nonzeros(K)
     rows: list = [{} for _ in range(n * n)]
@@ -241,8 +241,9 @@ class WElementSet:
 def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     """Solve the block decomposition equations for every basis label.
 
-    Region III labels get zero; region II/IV and Cartan labels get a single
-    order-0 element; region I labels get order-0 and order-1 elements.  Each
+    Units of twist -1 (the lower-left block) get zero; Cartan labels and
+    units of twist 0 get a single order-0 element; units of twist 1 get
+    order-0 and order-1 elements.  Each
     is the unique Frobenius splitting (P, N) of a target against K^t: w is P
     with its upper-right block replaced by -N, plus z times that block of P.
     All of them come from one batched solve, which raises DegenerateFormError
@@ -250,8 +251,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     re-substitution.  Targets and parts are built from the nonzero
     entries only.
     """
-    if gcd(e, d) != 1:
-        raise NonCoprimeError("need coprime (e, d), got (%d, %d)" % (e, d))
+    _check_coprime(e, d)
     n = e + d
     kn = _k_nonzeros(K)
     targets: dict = {}  # (label, order) -> splitting target
@@ -260,20 +260,20 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
             targets[label, 0] = basis_terms(label, n)
             continue
         _, i, j = label
-        reg = region(i, j, e)
+        t = twist(i, j, e)
         dual = {(j, i): 1}
-        if reg == "I":
+        if t == 1:
             # order 0 splits -[K^t, e_{j,i}]; order 1 splits e_{j,i}
             bracket = _bracket_kt_terms(kn, ("unit", j, i))
             targets[label, 0] = {key: -v for key, v in bracket.items()}
             targets[label, 1] = dual
-        elif reg != "III":
+        elif t == 0:
             targets[label, 0] = dual
     parts = {}
     for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
         split: dict = {0: {ij: -v for ij, v in N.items()}, 1: {}}
-        for (i, j), v in P.items():  # region I is i <= e < j
-            split[1 if i <= e < j else 0][i, j] = v
+        for (i, j), v in P.items():  # P lies in p_e: twist 0 or 1 is its z-degree
+            split[twist(i, j, e)][i, j] = v
         if w := {m: terms for m, terms in split.items() if terms}:  # a zero target splits to 0
             parts[key] = w
     return WElementSet(e, d, parts)
@@ -314,9 +314,7 @@ def _eta_shift(e: int, parts) -> dict:
     out: dict = {}
     for terms, base_degree in parts:
         for (i, j), v in terms.items():
-            reg = region(i, j, e)
-            k = base_degree + (1 if reg == "I" else -1 if reg == "III" else 0)
-            m = out.setdefault(k, {})
+            m = out.setdefault(base_degree + twist(i, j, e), {})
             m[i, j] = m.get((i, j), 0) + v
     out = {k: {ij: v for ij, v in m.items() if v} for k, m in out.items()}
     return {k: m for k, m in out.items() if m}
@@ -364,10 +362,9 @@ class SeriesResult:
     """Truncated dual-basis series of an order: the evaluated partial sum and
     the polynomial parts of the dual elements."""
 
-    __slots__ = ("n", "tensor", "parts")
+    __slots__ = ("tensor", "parts")
 
-    def __init__(self, n: int, tensor: GlTensor2, parts: dict):
-        self.n = n
+    def __init__(self, tensor: GlTensor2, parts: dict):
         self.tensor = tensor
         self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}, as `WElementSet`
 
@@ -446,4 +443,4 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
                 for ij, v in coeffs.items():
                     value[ij] = value.get(ij, ZERO) + v * y**m
             terms.append((first.items(), value.items(), xk))
-    return SeriesResult(n, tensor_from_pairs(n, terms), parts)
+    return SeriesResult(tensor_from_pairs(n, terms), parts)

@@ -49,3 +49,13 @@ def invoke(args) -> CliResult:
         except Exception as exc:
             code, exception = 1, exc
     return CliResult(code, out.getvalue(), err.getvalue(), exception)
+
+
+def quadrant(i: int, j: int, e: int) -> str:
+    """Quadrant of entry (i, j) for the block split after index e, read off
+    `i <= e` and `j <= e` here, so that the references that use it stay
+    independent of `jmat.twist`: upper-left IV, upper-right I, lower-left
+    III, lower-right II."""
+    if i <= e:
+        return "IV" if j <= e else "I"
+    return "III" if j <= e else "II"

@@ -59,9 +59,9 @@ def compute_digests() -> dict:
                 sol = cuspidal.sol_space(e, d, x)
                 g = cuspidal.g_elements(e, d, x)
                 out["%d,%d,%s" % (e, d, x)] = {
-                    "sol_space": _sha("|".join(",".join(map(str, v)) for v in sol.vectors)),
+                    "sol_space": _sha("|".join(",".join(map(str, v)) for v in sol)),
                     "g_elements": _sha("|".join(
-                        "%r:%s" % (label, _poly_text(G, n)) for label, G in g.corrections.items()
+                        "%r:%s" % (label, _poly_text(G, n)) for label, G in g.items()
                     )),
                     "assemble_r": _sha(dumps(document_from_tensor(
                         cuspidal.assemble_r(e, d, x, Y)))),

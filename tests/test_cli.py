@@ -155,6 +155,16 @@ class TestStolin:
         assert "coprime" in res.stderr
         assert len(res.stderr.strip().splitlines()) == 1
 
+    def test_non_coprime_message_same_for_every_k_source(self, tmp_path):
+        """The default K, neg-j and a K file of the right size are refused
+        by the one coprimality rule of `jmat`, with one message."""
+        k_file = tmp_path / "k.json"
+        k_file.write_text(json.dumps([["0"] * 4] * 4))
+        for spec in ("default", "neg-j", str(k_file)):
+            res = run("stolin", "4", "2", "--k-matrix", spec, "--x", "0", "--y", "1")
+            assert res.exit_code == 3
+            assert res.stderr == "error: need coprime positive integers, got (2, 2)\n"
+
     @pytest.mark.parametrize("n,e,extra", [(3, 1, 0), (3, 2, 0), (12, 1, 1), (12, 7, 1)])
     def test_k_file_digit_bound(self, tmp_path, n, e, extra):
         """A K file with K_EXTRA_DIGITS_MAX digits beyond one per numerator and
@@ -217,7 +227,7 @@ class TestStolin:
         args = ("--x", "1/3", "--y", "-5/2")
         want = json.loads(run("stolin", "5", "2", *args).stdout)
         assert want["provenance"]["k_matrix"] == "J(2,3)"
-        J = [list(row) for row in build_j(2, 3).matrix]
+        J = [list(row) for row in build_j(2, 3)]
         for rows in (J, [[str(v) for v in row] for row in J]):
             k_file = tmp_path / "k.json"
             k_file.write_text(json.dumps(rows))

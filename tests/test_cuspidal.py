@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quadrant
 from test_bit_for_bit import POINTS, entries_text
 from test_exact import (
     eval_dense,
@@ -39,7 +40,7 @@ from ybe_forge.cuspidal import (
     sol_space,
 )
 from ybe_forge.exact import ONE, ZERO, eval_matrix_poly, poly_trim
-from ybe_forge.jmat import NonCoprimeError, build_j, flip_j, j_support_coloring, region
+from ybe_forge.jmat import NonCoprimeError, build_j, flip_j, j_support_coloring, twist
 from ybe_forge.lie import (
     casimir,
     cybe_residual_two_variable,
@@ -53,10 +54,10 @@ from ybe_forge.lie import (
 
 class TestBuildJ:
     def test_base_case(self):
-        assert build_j(1, 1).matrix == ((0, 1), (0, 0))
+        assert build_j(1, 1) == ((0, 1), (0, 0))
 
     def test_one_two(self):
-        assert build_j(1, 2).matrix == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+        assert build_j(1, 2) == ((0, 1, 0), (0, 0, 1), (0, 0, 0))
 
     def test_three_two(self):
         want = (
@@ -66,11 +67,11 @@ class TestBuildJ:
             (0, 0, 0, 0, 0),
             (0, 0, 0, 0, 0),
         )
-        assert build_j(3, 2).matrix == want
+        assert build_j(3, 2) == want
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_superdiagonal_family(self, n):
-        m = build_j(n - 1, 1).matrix
+        m = build_j(n - 1, 1)
         for i in range(n):
             for j in range(n):
                 assert m[i][j] == (1 if j == i + 1 else 0)
@@ -83,12 +84,12 @@ class TestBuildJ:
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (3, 2), (2, 5), (5, 3), (7, 4)])
     def test_index_reversal(self, e, d):
-        assert flip_j(build_j(e, d)) == build_j(d, e).matrix
+        assert flip_j(build_j(e, d)) == build_j(d, e)
 
     @pytest.mark.parametrize("e,d", [(1, 1), (3, 2), (4, 3), (5, 2)])
     def test_support_coloring(self, e, d):
         s = j_support_coloring(e, d)
-        J = build_j(e, d).matrix
+        J = build_j(e, d)
         n = e + d
         for i in range(n):
             for j in range(n):
@@ -97,7 +98,7 @@ class TestBuildJ:
 
     def test_block_triangular(self):
         for (e, d) in [(2, 3), (4, 1), (3, 5)]:
-            m = build_j(e, d).matrix
+            m = build_j(e, d)
             for i in range(e, e + d):
                 for j in range(e):
                     assert m[i][j] == 0
@@ -105,10 +106,37 @@ class TestBuildJ:
 
 class TestShapedSpace:
     def test_region_classification(self):
-        assert region(1, 3, 2) == "I"
-        assert region(3, 1, 2) == "III"
-        assert region(1, 2, 2) == "IV"
-        assert region(3, 3, 2) == "II"
+        """The twist of each quadrant of the split 2 + 2: 1 upper-right,
+        -1 lower-left, 0 on the diagonal blocks."""
+        assert twist(1, 3, 2) == 1
+        assert twist(3, 1, 2) == -1
+        assert twist(1, 2, 2) == 0
+        assert twist(3, 3, 2) == 0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_twist_is_the_eta_degree(self, n):
+        """twist(i, j, e) is the z-degree of eta^-1 e_ij eta, eta =
+        diag(1_e, z 1_(n-e)), multiplied out here in Laurent polynomials
+        ({degree: coefficient}) for every i, j and every split e of n."""
+        def mul(a, b):  # products of {(row, column): {degree: coefficient}} matrices
+            out: dict = {}
+            for (r, k), p in a.items():
+                for (k2, c), q in b.items():
+                    if k == k2:
+                        slot = out.setdefault((r, c), {})
+                        for dp, vp in p.items():
+                            for dq, vq in q.items():
+                                slot[dp + dq] = slot.get(dp + dq, 0) + vp * vq
+            return {rc: {m: v for m, v in p.items() if v} for rc, p in out.items()}
+
+        for e in range(n + 1):
+            eta = {(k, k): {0 if k <= e else 1: 1} for k in range(1, n + 1)}
+            eta_inv = {(k, k): {0 if k <= e else -1: 1} for k in range(1, n + 1)}
+            assert mul(eta, eta_inv) == {(k, k): {0: 1} for k in range(1, n + 1)}
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    conj = mul(mul(eta_inv, {(i, j): {0: 1}}), eta)
+                    assert conj == {(i, j): {twist(i, j, e): 1}}, (i, j, e)
 
     def test_lower_left_constant_enters_neither(self):
         f0, feps = extract_f0_feps(matrix_poly_from_coeffs([mat_unit(2, 2, 1)]), 1, 1)
@@ -149,7 +177,7 @@ SHAPED_PAIRS = [(1, 1), (2, 1), (1, 2), (3, 2), (2, 3), (1, 4)]
 def _cap(i, j, e, n):
     """Degree cap of entry (i, j): constant upper-right block, quadratic
     lower-left block, linear diagonal blocks."""
-    return {"I": 0, "III": 2}.get(region(i, j, e), 1)
+    return {"I": 0, "III": 2}.get(quadrant(i, j, e), 1)
 
 
 # The reference form of the defining constraint of Sol((e,d), x), which reads
@@ -176,7 +204,7 @@ def validate_ved_shape(Fm, e, d):
             p = Fm.entries[i - 1][j - 1]
             if len(p) - 1 > _cap(i, j, e, n):
                 raise ShapeError("degree %d exceeds cap at entry (%d, %d) in region %s"
-                                 % (len(p) - 1, i, j, region(i, j, e)))
+                                 % (len(p) - 1, i, j, quadrant(i, j, e)))
     for k in (0, 1):
         if sum(coeff_matrix(Fm, k)[a][a] for a in range(n)) != 0:
             raise ShapeError("z^%d part has nonzero trace" % k)
@@ -207,7 +235,7 @@ def extract_f0_feps(Fm, e, d):
 def sol_constraint_violation(Fm, e, d, x):
     """[F_0, J] + x F_0 + F_eps of Fm in V_{e,d} as a matrix; zero iff Fm
     lies in Sol((e,d), x)."""
-    J = build_j(e, d).matrix
+    J = build_j(e, d)
     f0, feps = extract_f0_feps(Fm, e, d)
     n = e + d
     out = [[x * a + b for a, b in zip(r0, reps)] for r0, reps in zip(f0, feps)]
@@ -257,7 +285,7 @@ def _region_table_f0_feps(Fm, e, d):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             p = Fm.entries[i - 1][j - 1]
-            k0, keps = table[region(i, j, e)]
+            k0, keps = table[quadrant(i, j, e)]
             f0[i - 1][j - 1] = p[k0] if k0 < len(p) else ZERO
             if keps is not None:
                 feps[i - 1][j - 1] = p[keps] if keps < len(p) else ZERO
@@ -283,10 +311,10 @@ def _coords_to_poly_terms(e, d, x, vec):
     return {ij: p for ij, p in polys.items() if p}
 
 
-def _members(sol):
+def _members(e, d, x):
     """The members of Sol((e,d), x) as dense matrix polynomials in z."""
-    return [matrix_poly_from_entries(sol.e + sol.d, _coords_to_poly_terms(
-        sol.e, sol.d, sol.x, dict(enumerate(v)))) for v in sol.vectors]
+    return [matrix_poly_from_entries(e + d, _coords_to_poly_terms(e, d, x, dict(enumerate(v))))
+            for v in sol_space(e, d, x)]
 
 
 def _bump(Fm, i, j, k):
@@ -333,8 +361,8 @@ def _singular_b0(e, d, rows, rhs, ncols):
 
 class TestSolSpace:
     def test_dimension_small(self):
-        assert len(_members(sol_space(1, 1, F(1)))) == 3
-        assert len(_members(sol_space(2, 1, F(0)))) == 8
+        assert len(_members(1, 1, F(1))) == 3
+        assert len(_members(2, 1, F(0))) == 8
 
     def test_lower_left_unit_always_solves(self):
         for x in (F(0), F(2), F(-7, 3)):
@@ -347,7 +375,7 @@ class TestSolSpace:
         n = e + d
         for _ in range(2):
             x = F(rng.randint(-9, 9), rng.randint(1, 9))
-            members = _members(sol_space(e, d, x))
+            members = _members(e, d, x)
             assert len(members) == n * n - 1
             rows = []
             for Fm in members:
@@ -356,14 +384,14 @@ class TestSolSpace:
             assert rank(rows, n * n) == n * n - 1
 
     def test_members_verify_constraint(self):
-        for Fm in _members(sol_space(2, 1, F(3, 7))):
+        for Fm in _members(2, 1, F(3, 7)):
             assert mat_is_zero(sol_constraint_violation(Fm, 2, 1, F(3, 7)))
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(0)), (1, 2, F(-5, 3)),
                                        (3, 2, F(3, 7)), (2, 5, F(-1, 2)), (4, 3, F(9))])
     def test_basis_is_dual_to_residues(self, e, d, x):
         n = e + d
-        members = _members(sol_space(e, d, x))
+        members = _members(e, d, x)
         cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][1:]
         assert len(members) == len(cells)
         for Fm, (i, j) in zip(members, cells):
@@ -376,7 +404,7 @@ class TestSolSpace:
         moved off its value breaks the constraint, at every off-diagonal
         entry.  (x != 0, so that F_0 e_ab alone cannot commute with J.)"""
         n = e + d
-        for Fm in _members(sol_space(e, d, x))[:3]:
+        for Fm in _members(e, d, x)[:3]:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     if i == j:
@@ -412,7 +440,7 @@ class TestSolSpace:
         while len(seen) < 10:
             seen.add(F(rng.randint(-20, 20), rng.randint(1, 12)))
         for x in seen:
-            assert len(_members(sol_space(e, d, x))) == n * n - 1
+            assert len(_members(e, d, x)) == n * n - 1
 
 
 def _constraint_rows(e, d, x):
@@ -531,24 +559,24 @@ class TestResEv:
 class TestGElements:
     def test_lower_left_unit_needs_no_correction(self):
         g = g_elements(1, 1, F(1))
-        assert g.corrections[("unit", 2, 1)] == {}
+        assert g[("unit", 2, 1)] == {}
 
     def test_region_three_vanishing(self):
         g = g_elements(2, 1, F(2))
-        assert g.corrections[("unit", 3, 1)] == g.corrections[("unit", 3, 2)] == {}
+        assert g[("unit", 3, 1)] == g[("unit", 3, 2)] == {}
 
     @pytest.mark.parametrize("e,d,x", [(1, 1, F(1)), (2, 1, F(-1, 2)), (1, 2, F(3))])
     def test_defining_conditions(self, e, d, x):
-        _assert_defining_conditions(g_elements(e, d, x))
+        _assert_defining_conditions(e, d, x)
 
     def test_large_residue_point(self):
         """A 31-digit x: the corrections are the family evaluated at x, with
         no elimination over its values (about 30 s when there was one)."""
         x = F(1, 10**30)
         t0 = time.perf_counter()
-        g = g_elements(1, 8, x)
+        g_elements(1, 8, x)
         elapsed = time.perf_counter() - t0
-        _assert_defining_conditions(g)
+        _assert_defining_conditions(1, 8, x)
         assert elapsed < 10.0
 
     def test_cache_is_bounded(self):
@@ -598,14 +626,14 @@ class TestGElements:
         of `sol_space` in Fractions.  Both agree repr for repr."""
         for x in (F(0), F(1), F(-3, 7), F(22, 9), F(5, 10**12 + 1)):
             members = [{c: v for c, v in enumerate(vec[:-(e + d) ** 2]) if v}
-                       for vec in sol_space(e, d, x).vectors]
+                       for vec in sol_space(e, d, x)]
             want = {label: _coords_to_poly_terms(e, d, x, g)
                     for label, g in cuspidal._by_label(e + d, members).items()}
             g_elements.cache_clear()
             with monkeypatch.context() as m:
                 m.setattr(cuspidal, "sol_space", None)
                 got = g_elements(e, d, x)
-            assert repr(got.corrections) == repr(want) and got.x == x
+            assert repr(got) == repr(want)
         g_elements.cache_clear()
 
     @pytest.mark.parametrize("e,d,x,digest", [
@@ -617,23 +645,24 @@ class TestGElements:
         corrections were read off the residue-dual basis (as the repr of
         each correction); the entries-only digests were re-recorded on the
         per-point solve and are unchanged by the family."""
-        text = entries_text(g_elements(e, d, x).corrections.items(), e + d)
+        text = entries_text(g_elements(e, d, x).items(), e + d)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def _assert_defining_conditions(g):
-    n = g.e + g.d
-    assert sorted(g.corrections) == sorted(sl_basis(n))
+def _assert_defining_conditions(e, d, x):
+    n = e + d
+    g = g_elements(e, d, x)
+    assert sorted(g) == sorted(sl_basis(n))
     for label in sl_basis(n):
-        terms = g.corrections[label]
+        terms = g[label]
         # {(i, j): polynomial} in row-major order, no zero polynomial stored
         assert type(terms) is dict and list(terms) == sorted(terms) and all(terms.values())
-        assert eval_matrix_poly(terms, g.x) == {}
+        assert eval_matrix_poly(terms, x) == {}
         G = matrix_poly_from_entries(n, terms)
         B = basis_matrix(label, n)
         member = matrix_poly_from_coeffs(
             [mat_add(B, coeff_matrix(G, 0)), coeff_matrix(G, 1), coeff_matrix(G, 2)])
-        assert mat_is_zero(sol_constraint_violation(member, g.e, g.d, g.x))
+        assert mat_is_zero(sol_constraint_violation(member, e, d, x))
 
 
 class TestAssemble:
@@ -724,7 +753,7 @@ def _per_point_r(e, d, x, y):
     n = e + d
     inv = ONE / (y - x)
     pairs = [(dual_terms(label, n).items(), eval_matrix_poly(G, y).items(), inv)
-             for label, G in g_elements(e, d, x).corrections.items()]
+             for label, G in g_elements(e, d, x).items()]
     return casimir(n).scale(inv).add(tensor_from_pairs(n, pairs))
 
 

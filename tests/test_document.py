@@ -140,6 +140,27 @@ class TestRoundTrip:
         with pytest.raises(DocumentError):
             document_from_json(payload)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("scalar", [RATIONAL, COMPLEX])
+    def test_non_positive_n_rejected(self, n, scalar):
+        """A size below 1 is refused also when no term has an index to
+        check against it."""
+        payload = {"schema": SCHEMA, "n": n, "scalar": scalar, "terms": []}
+        with pytest.raises(DocumentError, match="n must be positive"):
+            document_from_json(payload)
+
+    @pytest.mark.parametrize("coeff", ["[1e400, 0]", "[0, -1e400]", "[Infinity, 0]",
+                                       "[0, -Infinity]", "[NaN, 0]", "[1, NaN]"])
+    def test_non_finite_complex_rejected(self, coeff):
+        """An overflowing number and json's Infinity and NaN literals load as
+        non-finite floats, which `dumps` would write back as no JSON number;
+        a finite coefficient in the same payload loads."""
+        text = ('{"schema": "%s", "n": 1, "scalar": "complex", "terms": '
+                '[{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": %s}]}' % (SCHEMA, "%s"))
+        assert loads(text % "[1e300, -2.5]").terms == (((1, 1, 1, 1), 1e300 - 2.5j),)
+        with pytest.raises(DocumentError, match="must be finite"):
+            loads(text % coeff)
+
 
 INF, NAN = float("inf"), float("nan")
 
@@ -219,7 +240,7 @@ class TestGoldens:
         from ybe_forge.stolin import assemble_stolin_r
 
         if golden["provenance"]["pipeline"] == "stolin":
-            t = assemble_stolin_r(1, 1, build_j(1, 1).matrix, F(0), F(1))
+            t = assemble_stolin_r(1, 1, build_j(1, 1), F(0), F(1))
         else:
             t = assemble_r(1, 1, F(0), F(1))
         assert doc.to_tensor() == t

@@ -42,7 +42,7 @@ def freeze(rows) -> tuple:
 
 def j_matrix_rat(e, d) -> tuple:
     """J_(e,d) with Fraction entries, the form a K matrix file gives."""
-    return tuple(tuple(F(v) for v in row) for row in build_j(e, d).matrix)
+    return tuple(tuple(F(v) for v in row) for row in build_j(e, d))
 
 
 def mat_zero(n):

@@ -116,19 +116,48 @@ def unused_imports(package: Path = PACKAGE) -> list[str]:
     return unused
 
 
+# The methods whose reads do not count: they only compare or show objects of
+# their own class, so a field read there alone is still write-only.
+_SELF_SERVING = ("__eq__", "__hash__", "__repr__")
+
+
+def _field_reads(tree: ast.Module, reads: list) -> None:
+    """Append (field, class, method, on self) for every attribute of `tree`
+    that is loaded or augmented (`x.field`, `x.field += 1`), with the
+    innermost class and its method around it (None outside any)."""
+    def visit(node, cls, method):
+        if isinstance(node, ast.ClassDef):
+            cls, method = node.name, None
+        elif isinstance(node, ast.FunctionDef) and cls and method is None:
+            method = node.name
+        attr = node.target if isinstance(node, ast.AugAssign) else node
+        if isinstance(attr, ast.Attribute) and (attr is not node or not isinstance(node.ctx, ast.Store)):
+            on_self = isinstance(attr.value, ast.Name) and attr.value.id == "self"
+            reads.append((attr.attr, cls, method, on_self))
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, method)
+
+    visit(tree, None, None)
+
+
 def write_only_fields(root: Path = ROOT) -> list[str]:
     """module:Class.field of every attribute that an `__init__` of the
-    package assigns on `self` and that no file in src/ or perfbench/ reads:
-    a field counts as read when its name occurs as an attribute that is
-    loaded or augmented (`x.field`, `x.field += 1`), on any object."""
-    reads = set()
+    package assigns on `self` and that no file in src/ or perfbench/ reads.
+    A field counts as read when its name occurs as an attribute that is
+    loaded or augmented (`x.field`, `x.field += 1`), except a read inside a
+    class's `__eq__`, `__hash__` or `__repr__` (of its own fields, or of the
+    other operand's, also of its class) and a `self.field` read inside
+    another class, which is that class's own field."""
+    reads: list = []
     for tree_name in TREES:
         for path in (root / tree_name).rglob("*.py"):
-            for node in ast.walk(_parse(path)):
-                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
-                    reads.add(node.target.attr)
-                elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
-                    reads.add(node.attr)
+            _field_reads(_parse(path), reads)
+
+    def is_read(field, owner):
+        return any(attr == field and method not in _SELF_SERVING
+                   and not (on_self and cls is not None and cls != owner)
+                   for attr, cls, method, on_self in reads)
+
     out = []
     for path in sorted((root / "src" / "ybe_forge").glob("*.py")):
         for cls in ast.walk(_parse(path)):
@@ -140,7 +169,7 @@ def write_only_fields(root: Path = ROOT) -> list[str]:
                 out += ["%s:%s.%s" % (path.stem, cls.name, node.attr) for node in ast.walk(fn)
                         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                         and isinstance(node.value, ast.Name) and node.value.id == "self"
-                        and node.attr not in reads]
+                        and not is_read(node.attr, cls.name)]
     return out
 
 
@@ -492,3 +521,31 @@ def test_scan_sees_a_write_only_field(tmp_path):
     (tmp_path / "tests" / "test_mod.py").write_text(
         "from ybe_forge.mod import Box\nassert Box(1).tested == 1\n")
     assert write_only_fields(tmp_path) == ["mod:Box.tested", "mod:Box.unread"]
+
+
+def test_scan_skips_self_serving_and_borrowed_reads(tmp_path):
+    """Negative control of the two reads that do not count: a field read
+    only in a `__repr__`, `__eq__` (also on the other operand, also in
+    another class) or `__hash__` is flagged, and so is one whose name only
+    another class reads on its own `self`; that other class's field is read,
+    and a field read on an instance from a function is not flagged."""
+    for tree_name in TREES:
+        (tmp_path / tree_name).mkdir()
+    pkg = tmp_path / "src" / "ybe_forge"
+    pkg.mkdir()
+    (pkg / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, a):\n"
+        "        self.shown = a\n        self.compared = a\n        self.hashed = a\n"
+        "        self.borrowed = a\n        self.used = a\n\n"
+        "    def __repr__(self):\n        return repr(self.shown)\n\n"
+        "    def __eq__(self, other):\n        return self.compared == other.compared\n\n"
+        "    def __hash__(self):\n        return hash(self.hashed)\n\n\n"
+        "class Other:\n"
+        "    def __init__(self):\n        self.borrowed = 1\n\n"
+        "    def get(self):\n        return self.borrowed\n\n"
+        "    def __eq__(self, other):\n        return self.borrowed == other.shown\n\n\n"
+        "def use(box):\n    return box.used\n"
+    )
+    assert write_only_fields(tmp_path) == [
+        "mod:Box.shown", "mod:Box.compared", "mod:Box.hashed", "mod:Box.borrowed"]

@@ -4,12 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import quadrant
 from test_exact import j_matrix_rat, mat_from_entries, mat_terms, rank
 from test_lie import basis_matrix, dual_matrix, trace_form
 from test_stolin import w_of
 from ybe_forge import stolin
 from ybe_forge.exact import ONE, ZERO
-from ybe_forge.jmat import region
 from ybe_forge.lie import casimir, sl_basis
 from ybe_forge.stolin import (
     OrderBasis,
@@ -97,7 +97,7 @@ class TestBuildOrder:
             for deg, m in w.items():
                 assert -4 <= deg <= 1
                 for (i, j) in m:
-                    reg = region(i, j, e)
+                    reg = quadrant(i, j, e)
                     cap = 1 if reg == "I" else -1 if reg == "III" else 0
                     assert deg <= cap
 
@@ -135,11 +135,12 @@ class TestSeries:
         ob = build_order(K, e, n, (-(k_max + 3), 1))
         sr = series_r(ob, k_max, x, y)
         ws = solve_dec(e, d, K)
+        series = stolin.WElementSet(e, d, sr.parts)
         for lbl in sl_basis(n):
             for k in range(k_max + 1):
                 got = sr.parts[lbl, k]
                 if k <= 1:
-                    assert w_of(sr, lbl, k) == w_of(ws, lbl, k)
+                    assert w_of(series, lbl, k) == w_of(ws, lbl, k)
                     assert got == ws.parts.get((lbl, k), {})
                 else:
                     assert got == {}

@@ -17,6 +17,7 @@ from test_cuspidal import (
     spy_tensor_products,
     table_mismatches,
 )
+from conftest import quadrant
 from test_exact import (
     MatrixPoly,
     eval_dense,
@@ -36,7 +37,7 @@ from test_lie import basis_matrix, cartan_dual, dense_tensor_from_pairs
 from ybe_forge import lie, stolin
 from ybe_forge.cuspidal import assemble_r, flip_transpose_gauge
 from ybe_forge.exact import ONE, ZERO
-from ybe_forge.jmat import G_ELEMENTS_CACHE_MAX, build_j, region
+from ybe_forge.jmat import G_ELEMENTS_CACHE_MAX, build_j
 from ybe_forge.lie import (
     apply_gauge,
     casimir,
@@ -140,7 +141,7 @@ def reference_elements(e, d, K) -> dict:
             targets[label, 0] = mat_terms(basis_matrix(label, n))
             continue
         _, i, j = label
-        reg = region(i, j, e)
+        reg = quadrant(i, j, e)
         if reg == "I":
             targets[label, 0] = {key: -v for key, v in _dense_bracket_kt(K, ("unit", j, i), n).items()}
             targets[label, 1] = {(j, i): ONE}
@@ -148,9 +149,9 @@ def reference_elements(e, d, K) -> dict:
             targets[label, 0] = {(j, i): ONE}
     for key, (P, N) in zip(targets, frobenius_splits(list(targets.values()), K, e)):
         Pm, Nm = mat_from_entries(n, P), mat_from_entries(n, N)
-        const = [[-Nm[r][c] if region(r + 1, c + 1, e) == "I" else Pm[r][c]
+        const = [[-Nm[r][c] if quadrant(r + 1, c + 1, e) == "I" else Pm[r][c]
                   for c in range(n)] for r in range(n)]
-        lin = [[Pm[r][c] if region(r + 1, c + 1, e) == "I" else ZERO
+        lin = [[Pm[r][c] if quadrant(r + 1, c + 1, e) == "I" else ZERO
                 for c in range(n)] for r in range(n)]
         out[key] = matrix_poly_from_coeffs([freeze(const), freeze(lin)])
     return out
@@ -203,17 +204,17 @@ class TestFrobeniusGram:
     def test_j_sources_hold_integers(self, e, d):
         """+J and -J reach `solve_dec` as J's own integers, with no
         Fraction built from them."""
-        for K in (build_j(e, d).matrix, neg_j_matrix(e, d)):
+        for K in (build_j(e, d), neg_j_matrix(e, d)):
             assert len(K) == e + d and all(type(row) is tuple for row in K)
             assert all(type(v) is int for row in K for v in row)
-        assert neg_j_matrix(e, d) == tuple(tuple(-v for v in row) for row in build_j(e, d).matrix)
+        assert neg_j_matrix(e, d) == tuple(tuple(-v for v in row) for row in build_j(e, d))
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (5, 2), (1, 6)])
     def test_integer_j_gives_integer_rows(self, e, d):
         """J's 0/1 integers give integer Gram rows (what `verify`'s goldens
         eliminate); the Fraction form of J gives Fraction rows, equal to
         them, with the same determinant."""
-        ints = frobenius_gram(build_j(e, d).matrix, e, e + d)
+        ints = frobenius_gram(build_j(e, d), e, e + d)
         fracs = frobenius_gram(j_matrix_rat(e, d), e, e + d)
         assert all(type(v) is int for row in ints.rows for v in row.values())
         assert all(type(v) is F for row in fracs.rows for v in row.values())
@@ -286,7 +287,7 @@ class TestFrobeniusSplit:
                         assert P[i][j] == 0
                 for i in range(n):
                     for j in range(n):
-                        if region(i + 1, j + 1, e) != "I":
+                        if quadrant(i + 1, j + 1, e) != "I":
                             assert N[i][j] == 0
 
     def test_n2_unit_case(self):
@@ -304,9 +305,9 @@ def _w_blocks(w, e, n):
     """(A|B / 0|D) from the constant part and the z-part upper block of w."""
     const = coeff_matrix(w, 0)
     lin = coeff_matrix(w, 1)
-    P_blocks = [[const[i][j] if region(i + 1, j + 1, e) != "I" else ZERO
+    P_blocks = [[const[i][j] if quadrant(i + 1, j + 1, e) != "I" else ZERO
                  for j in range(n)] for i in range(n)]
-    B = [[const[i][j] if region(i + 1, j + 1, e) == "I" else ZERO
+    B = [[const[i][j] if quadrant(i + 1, j + 1, e) == "I" else ZERO
           for j in range(n)] for i in range(n)]
     Btilde = [[lin[i][j] for j in range(n)] for i in range(n)]
     return freeze(P_blocks), freeze(B), freeze(Btilde)
@@ -321,7 +322,7 @@ def _assert_block_equations(e, d, K):
     for label in sl_basis(n):
         if label[0] == "unit":
             _, i, j = label
-            reg = region(i, j, e)
+            reg = quadrant(i, j, e)
             target = mat_unit(n, j, i)
         else:
             reg = "cartan"
@@ -418,13 +419,13 @@ class TestSolveDec:
                 lin = coeff_matrix(w, 1)
                 for i in range(n):
                     for j in range(n):
-                        if region(i + 1, j + 1, e) == "III":
+                        if quadrant(i + 1, j + 1, e) == "III":
                             assert const[i][j] == 0
-                        if region(i + 1, j + 1, e) != "I":
+                        if quadrant(i + 1, j + 1, e) != "I":
                             assert lin[i][j] == 0
                 if label[0] == "unit" and k == 1:
                     _, i, j = label
-                    if region(i, j, e) != "I":
+                    if quadrant(i, j, e) != "I":
                         assert (label, k) not in ws.parts
 
     def test_degenerate_k_rejected(self):

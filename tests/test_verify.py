@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from ybe_forge import cuspidal, jmat, stolin, verify
-from ybe_forge.jmat import JMatrix, build_j
+from ybe_forge.jmat import build_j
 from ybe_forge.lie import (
     POLE,
     LinearMapGl,
@@ -42,7 +42,7 @@ def fresh_verdicts(monkeypatch):
 def route_table(route, e, d) -> TensorTable:
     if route == "cuspidal":
         return cuspidal.sol_family(e, d).table
-    return stolin.solve_dec(e, d, jmat.build_j(e, d).matrix).table
+    return stolin.solve_dec(e, d, jmat.build_j(e, d)).table
 
 
 def use_table(monkeypatch, route, table):
@@ -307,8 +307,7 @@ class TestTableIdentities:
     def test_comparison_control_is_live(self, monkeypatch):
         """With -J in place of +J the control table equals the gauged one,
         and the check fails."""
-        monkeypatch.setattr(jmat, "build_j",
-                            lambda e, d: SimpleNamespace(matrix=stolin.neg_j_matrix(e, d)))
+        monkeypatch.setattr(jmat, "build_j", stolin.neg_j_matrix)
         assert not verify.check_comparison(2, 3, PAIR)[0]
 
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 3)])
@@ -492,19 +491,19 @@ class TestTransport:
         assert verify.check_stolin_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
 
     def test_gram_determinants_match_elimination(self):
-        form = stolin.frobenius_gram(build_j(1, 1).matrix, 1, 2)
+        form = stolin.frobenius_gram(build_j(1, 1), 1, 2)
         dets = verify._gram_determinants(form)
         assert sorted(dets) == sorted(_coprime_pairs(12))
         for (e, d), (det, eliminated) in dets.items():
-            assert det == stolin.frobenius_gram(build_j(e, d).matrix, e, e + d).determinant
+            assert det == stolin.frobenius_gram(build_j(e, d), e, e + d).determinant
             assert eliminated == (e <= d)
 
     def test_gram_transport_identity(self):
         """Entry by entry: Gram(e,d)[sigma a, sigma b] = -Gram(d,e)[a, b]."""
         for e, d in [(2, 1), (3, 2), (5, 2)]:
             n = e + d
-            src = stolin.frobenius_gram(build_j(d, e).matrix, d, n)
-            dst = stolin.frobenius_gram(build_j(e, d).matrix, e, n)
+            src = stolin.frobenius_gram(build_j(d, e), d, n)
+            dst = stolin.frobenius_gram(build_j(e, d), e, n)
             at = {lbl: p for p, lbl in enumerate(dst.labels)}
             g, to = sigma(n), {}
             for p, lbl in enumerate(src.labels):
@@ -528,15 +527,14 @@ class TestTransport:
     def test_moved_j_entry_falls_back_to_elimination(self, monkeypatch):
         """J(3,2) with one unit moved breaks flip_j(J(2,3)) = J(3,2), so its
         determinant is eliminated, from the moved J."""
-        real = build_j(3, 2)
-        rows = [list(row) for row in real.matrix]
+        rows = [list(row) for row in build_j(3, 2)]
         i, j = next((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v)
         rows[i][j], rows[i][(j + 1) % 5] = 0, 1
-        moved = JMatrix(3, 2, tuple(map(tuple, rows)))
+        moved = tuple(map(tuple, rows))
         monkeypatch.setattr(jmat, "build_j", lambda e, d: moved if (e, d) == (3, 2) else build_j(e, d))
         assert not verify._gram_transports(3, 2)
-        form = stolin.frobenius_gram(build_j(1, 1).matrix, 1, 2)
+        form = stolin.frobenius_gram(build_j(1, 1), 1, 2)
         det, eliminated = verify._gram_determinants(form)[3, 2]
-        assert eliminated and det == stolin.frobenius_gram(moved.matrix, 3, 5).determinant
+        assert eliminated and det == stolin.frobenius_gram(moved, 3, 5).determinant
         assert "24 eliminated, 21 transported" in verify.check_frobenius_goldens()[1]
 
