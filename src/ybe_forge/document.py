@@ -87,14 +87,17 @@ def document_from_json(payload: dict) -> TensorDocument:
             if key in terms:
                 raise DocumentError("duplicate term %r" % (key,))
             terms[key] = _coeff_from_json(item["coeff"], scalar, rat)
-        provenance = dict(payload.get("provenance", {}))
+        provenance = payload.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise DocumentError("provenance must be a JSON object, got %r" % (provenance,))
+        json.dumps(provenance, allow_nan=False)  # ValueError for NaN or an infinity at any depth
     except DocumentError:
         raise
     except KeyError as exc:
         raise DocumentError("missing key %s" % exc) from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError("malformed document: %s" % exc) from exc
-    return TensorDocument(n, scalar, tuple(sorted(terms.items())), provenance)
+    return TensorDocument(n, scalar, tuple(sorted(terms.items())), dict(provenance))
 
 
 # One entry of the "terms" array as json.dumps(indent=2, sort_keys=True)

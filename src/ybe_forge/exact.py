@@ -39,7 +39,7 @@ ONE = Fraction(1)
 # Largest decimal exponent `rat` parses: Fraction("1e999999999") is legal
 # text whose value has a billion digits, and building it takes hours.
 RAT_EXPONENT_MAX = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+)\s*$")
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")  # digits may be grouped by "_"
 
 
 class LinearAlgebraError(Exception):

@@ -10,10 +10,11 @@ and the Yang order, which only `verify` compares with, live in `verify`.
 
 A cocycle matrix K is n row tuples of ints or Fractions, used as given: +J
 is `jmat.build_j(e, d)` and -J `neg_j_matrix`, in J's integers, and a K
-file gives Fractions.  Equal values hash alike: one `solve_dec` entry.  The
-split e + d enters as `jmat.twist`, the z-degree of eta^-1 e_ij eta: p_e is
-spanned by the labels of twist >= 0, the nilpotent block is twist 1, and
-the order is twisted by eta = diag(1_e, z 1_d).
+file gives Fractions; n is len(K).  Equal values hash alike: one
+`solve_dec` entry.  The split e + d enters as `jmat.twist`, the z-degree of
+eta^-1 e_ij eta: p_e is spanned by the labels of twist >= 0, the nilpotent
+block is twist 1, and the order is twisted by eta = diag(1_e, z 1_d).  An
+order for k_max + 1 series terms spans the degrees -(k_max + 3) .. 1.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class DegenerateFormError(RuntimeError):
 
 
 class TruncationError(RuntimeError):
-    """A truncated Laurent window is too small to certify the requested value."""
+    """A dual element of an order has no solution inside its degree window."""
 
 
 def parabolic_labels(e: int, n: int) -> tuple:
@@ -70,12 +71,6 @@ class FrobeniusForm:
         self.labels = labels
         self.rows = rows  # the Gram rows as {column: nonzero entry} dicts
         self.determinant = determinant
-
-    @property
-    def gram(self) -> tuple:
-        """The Gram matrix as a dense nested tuple."""
-        cols = range(len(self.labels))
-        return tuple(tuple(row.get(c, ZERO) for c in cols) for row in self.rows)
 
 
 def _k_nonzeros(K) -> tuple:
@@ -108,8 +103,9 @@ def _bracket_kt_terms(kn, lbl) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
-    """Gram matrix of (a, b) |-> tr(K^t [a, b]) on the parabolic basis.
+def frobenius_gram(K, e: int) -> FrobeniusForm:
+    """Gram matrix of (a, b) |-> tr(K^t [a, b]) on the parabolic basis of
+    sl(n), n = len(K).
 
     Uses tr(K^t [a, b]) = tr([K^t, a] b): entry (r, c) of [K^t, a] pairs
     with e_{c,r}, and a diagonal entry (l, l) with h_l (+) and h_(l-1) (-),
@@ -117,6 +113,7 @@ def frobenius_gram(K, e: int, n: int) -> FrobeniusForm:
     integer K gives integer rows.  A degenerate K is a valid query and is
     reported, not raised.
     """
+    n = len(K)
     kn = _k_nonzeros(K)
     labels = parabolic_labels(e, n)
     index = {lbl: p for p, lbl in enumerate(labels)}
@@ -145,11 +142,12 @@ def neg_j_matrix(e: int, d: int) -> tuple:
     return tuple(tuple(-v for v in row) for row in build_j(e, d))
 
 
-def _split_solver(K: tuple, e: int, n: int):
+def _split_solver(K: tuple, e: int):
     """Coordinates for G = [K^t, P] + N with P in p_e, N in the upper-right
-    nilpotent block: returns (labels, nilpotent positions, matrix rows).
-    Row i n + j holds entry (i, j) of the coordinate matrices, as a
-    {column: nonzero entry} dict."""
+    nilpotent block of sl(n), n = len(K): returns (labels, nilpotent
+    positions, matrix rows).  Row i n + j holds entry (i, j) of the
+    coordinate matrices, as a {column: nonzero entry} dict."""
+    n = len(K)
     labels = parabolic_labels(e, n)
     nil_pos = [
         (i, j)
@@ -186,7 +184,7 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     So the solve fails, raising DegenerateFormError, exactly when omega_K is
     degenerate."""
     n = len(K)
-    labels, nil_pos, rows = _split_solver(K, e, n)
+    labels, nil_pos, rows = _split_solver(K, e)
     rhs = [{(i - 1) * n + j - 1: v for (i, j), v in G.items()} for G in targets]
     try:
         sols = solve_multi(rows, rhs, len(labels) + len(nil_pos))
@@ -213,14 +211,9 @@ class WElementSet:
     lower-left block labels vanish identically, and order 1 vanishes outside
     the upper-right block."""
 
-    def __init__(self, e: int, d: int, parts: dict):
-        self.e = e
-        self.d = d
+    def __init__(self, n: int, parts: dict):
+        self.n = n
         self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}
-
-    @property
-    def n(self) -> int:
-        return self.e + self.d
 
     @cached_property
     def table(self) -> TensorTable:
@@ -249,10 +242,12 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
     All of them come from one batched solve, which raises DegenerateFormError
     for a degenerate omega_K and verifies every solution by exact
     re-substitution.  Targets and parts are built from the nonzero
-    entries only.
+    entries only.  A K that is not (e + d) x (e + d) raises ValueError.
     """
     _check_coprime(e, d)
     n = e + d
+    if len(K) != n or any(len(row) != n for row in K):
+        raise ValueError("K must be %d x %d for (e, d) = (%d, %d)" % (n, n, e, d))
     kn = _k_nonzeros(K)
     targets: dict = {}  # (label, order) -> splitting target
     for label in sl_basis(n):
@@ -276,7 +271,7 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
             split[twist(i, j, e)][i, j] = v
         if w := {m: terms for m, terms in split.items() if terms}:  # a zero target splits to 0
             parts[key] = w
-    return WElementSet(e, d, parts)
+    return WElementSet(n, parts)
 
 
 def assemble_stolin_r(e: int, d: int, K: tuple, x, y) -> GlTensor2:
@@ -322,28 +317,30 @@ def _eta_shift(e: int, parts) -> dict:
 
 class OrderBasis:
     """Truncated basis of a Lagrangian subalgebra complementary to g[z]:
-    `elements` are exact Laurent polynomials supported inside the window,
+    `elements` are exact Laurent polynomials of degrees -(k_max + 3) .. 1,
     each as {degree: {(i, j): nonzero z^degree coefficient}}, 1-based."""
 
-    __slots__ = ("n", "window", "elements")
+    __slots__ = ("n", "k_max", "elements")
 
-    def __init__(self, n: int, window: tuple[int, int], elements: tuple):
+    def __init__(self, n: int, k_max: int, elements: tuple):
         self.n = n
-        self.window = window
+        self.k_max = k_max
         self.elements = elements
 
 
-def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBasis:
-    """Basis of the eta-conjugated subalgebra W within a degree window.
+def build_order(K, e: int, k_max: int) -> OrderBasis:
+    """Basis of the eta-conjugated subalgebra W of sl(n), n = len(K), within
+    the window [-(k_max + 3), 1].
 
     Spanning set: the twisted span of alpha + z^{-1}[K^t, alpha] over the
     sl(n) basis, plus the twisted deep-tail z^{-m} monomials whose
     conjugates fit inside the window.
     """
-    lo, hi = window
-    if lo > -3 or hi < 1:
-        raise TruncationError("window must contain [-3, 1], got %r" % (window,))
+    if k_max < 0:
+        raise ValueError("need k_max >= 0, got %d" % k_max)
+    lo = -(k_max + 3)
     frobenius_splits([], K, e)  # DegenerateFormError unless omega_K is nondegenerate
+    n = len(K)
     kn = _k_nonzeros(K)
     alphas = {lbl: basis_terms(lbl, n) for lbl in sl_basis(n)}
     elements = [_eta_shift(e, [(alpha, 0), (_bracket_kt_terms(kn, lbl), -1)])
@@ -355,7 +352,7 @@ def build_order(K, e: int, n: int, window: tuple[int, int] = (-3, 1)) -> OrderBa
             w = _eta_shift(e, [(alpha, -m_deg)])
             if min(w) >= lo:
                 elements.append(w)
-    return OrderBasis(n, window, tuple(elements))
+    return OrderBasis(n, k_max, tuple(elements))
 
 
 class SeriesResult:
@@ -369,8 +366,8 @@ class SeriesResult:
         self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}, as `WElementSet`
 
 
-def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
-    """Partial sum over k <= k_max of x^k sum_l alpha_l (x) beta_{l,k}(y).
+def series_r(order: OrderBasis, x, y) -> SeriesResult:
+    """Partial sum over k <= order.k_max of x^k sum_l alpha_l (x) beta_{l,k}(y).
 
     The dual element beta_{l,k} is found inside the truncated span as the
     unique combination equal to z^{-k-1} alpha_l-dual plus a polynomial; the
@@ -380,13 +377,8 @@ def series_r(order: OrderBasis, k_max: int, x, y) -> SeriesResult:
     x, y = rat(x), rat(y)
     if y == 0:
         raise ValueError("need y != 0 for the pole part")
-    n = order.n
-    lo, hi = order.window
-    if lo > -(k_max + 3):
-        # the dual of z^k needs tail depth k + 2 inside the window
-        raise TruncationError(
-            "window %r too small for k_max=%d" % (order.window, k_max)
-        )
+    n, k_max = order.n, order.k_max
+    lo = -(k_max + 3)  # the dual of z^k needs tail depth k + 2 inside the window
     labels = sl_basis(n)
     pairs = {}  # label -> (first-slot element, its trace dual)
     for lbl in labels:

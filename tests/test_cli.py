@@ -93,6 +93,20 @@ class TestRational:
         assert len(res.stderr.strip().splitlines()) == 1
         assert run("rational", "3", "1", "--x", "2.5e3", "--y", "2").exit_code == 0
 
+    def test_grouped_exponent_exit_3(self):
+        """An exponent written with digit separators is bounded too: the
+        request ends at once, in a process of its own so that a regression
+        is cut by the timeout."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "ybe_forge.cli", "rational", "2", "1",
+                               "--x", "1e9_999_999", "--y", "1"],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 3
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "1e9_999_999" in proc.stderr
+
     @pytest.mark.parametrize("option", ["--x", "--y"])
     def test_long_point_exit_3(self, option):
         """A 1000-digit point is refused before any work: it would cost

@@ -104,9 +104,15 @@ class TestRoundTrip:
             {"n": 2.9},
             {"terms": [{"i": 1.7, "j": True, "k": 1, "l": "2", "coeff": "1"}]},
             {"terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": "1e999999999"}]},
+            {"terms": [{"i": 1, "j": 1, "k": 1, "l": 1, "coeff": "1e2_000"}]},
+            {"provenance": [["a", 1]]},
+            {"provenance": {"a": float("nan"), "b": float("inf")}},
+            {"provenance": {"tau": [float("-inf"), 1.0]}},
         ],
         ids=["missing-n", "missing-terms", "missing-term-key", "zero-denominator",
-             "list-term", "non-integer-n", "float-n", "non-integer-index", "huge-exponent"],
+             "list-term", "non-integer-n", "float-n", "non-integer-index", "huge-exponent",
+             "grouped-huge-exponent", "list-provenance", "non-finite-provenance",
+             "nested-non-finite-provenance"],
     )
     def test_malformed_payload_rejected(self, change):
         payload = {
@@ -160,6 +166,22 @@ class TestRoundTrip:
         assert loads(text % "[1e300, -2.5]").terms == (((1, 1, 1, 1), 1e300 - 2.5j),)
         with pytest.raises(DocumentError, match="must be finite"):
             loads(text % coeff)
+
+    @pytest.mark.parametrize("args", [
+        ("rational", "3", "1", "--x", "1/3", "--y", "2", "--format", "json"),
+        ("stolin", "3", "2", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2", "--format", "json"),
+        ("elliptic", "2", "1", "--tau", "0.3+1i", "--x", "0.1", "--y", "0.35+0.02i"),
+    ], ids=["rational", "stolin", "elliptic"])
+    def test_cli_documents_round_trip(self, args):
+        """Every document the CLI writes loads back to itself: its provenance
+        holds only JSON values."""
+        from conftest import invoke
+
+        res = invoke(args)
+        assert res.exit_code == 0
+        doc = loads(res.stdout)
+        assert doc.provenance and loads(dumps(doc)) == doc
+        assert dumps(doc) == res.stdout.rstrip("\n")
 
 
 INF, NAN = float("inf"), float("nan")

@@ -10,6 +10,7 @@ from test_lie import basis_matrix, dual_matrix, trace_form
 from test_stolin import w_of
 from ybe_forge import stolin
 from ybe_forge.exact import ONE, ZERO
+from ybe_forge.jmat import build_j
 from ybe_forge.lie import casimir, sl_basis
 from ybe_forge.stolin import (
     OrderBasis,
@@ -65,7 +66,7 @@ class TestKacPairing:
 
 
 def _window_span_rank(ob, n):
-    lo, hi = ob.window
+    lo, hi = -(ob.k_max + 3), 1
     rows = []
     for w in ob.elements:
         rows.append(
@@ -85,13 +86,21 @@ def _window_span_rank(ob, n):
 
 class TestBuildOrder:
     def test_window_too_small(self):
-        with pytest.raises(TruncationError):
-            build_order(j_matrix_rat(1, 1), 1, 2, (-2, 1))
+        """The window is read off k_max, so only a negative k_max can make
+        it too small, and it is refused."""
+        with pytest.raises(ValueError, match=r"^need k_max >= 0, got -1$"):
+            build_order(j_matrix_rat(1, 1), 1, -1)
+
+    def test_size_comes_from_k(self):
+        """A 3 x 3 K builds the order of sl(3), with no n given beside it."""
+        ob = build_order(build_j(1, 2), 1, 0)
+        assert (ob.n, ob.k_max, len(ob.elements)) == (3, 0, 24)
+        assert _window_span_rank(ob, 3) == (40, 40)  # 5 degrees of sl(3)
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_sandwich(self, e, d):
         n = e + d
-        ob = build_order(j_matrix_rat(e, d), e, n, (-4, 1))
+        ob = build_order(j_matrix_rat(e, d), e, 1)
         for w in ob.elements:
             assert w and all(m and all(m.values()) for m in w.values())
             for deg, m in w.items():
@@ -104,7 +113,7 @@ class TestBuildOrder:
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_isotropy(self, e, d):
         n = e + d
-        ob = build_order(j_matrix_rat(e, d), e, n, (-4, 1))
+        ob = build_order(j_matrix_rat(e, d), e, 1)
         for u in ob.elements:
             for v in ob.elements:
                 assert kac_pairing(u, v, n) == 0
@@ -112,7 +121,7 @@ class TestBuildOrder:
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_complementarity(self, e, d):
         n = e + d
-        ob = build_order(j_matrix_rat(e, d), e, n, (-4, 1))
+        ob = build_order(j_matrix_rat(e, d), e, 1)
         got, want = _window_span_rank(ob, n)
         assert got == want
 
@@ -121,7 +130,7 @@ class TestSeries:
     @pytest.mark.parametrize("n", [2, 3])
     def test_yang_series_is_pure_pole(self, n):
         x, y = F(1, 3), F(2)
-        sr = series_r(yang_order(n, (-9, 1)), 6, x, y)
+        sr = series_r(yang_order(n, 6), x, y)
         assert sr.tensor == geometric_pole_partial(n, 6, x, y)
         assert sr.parts.keys() == {(lbl, k) for lbl in sl_basis(n) for k in range(7)}
         assert all(parts == {} for parts in sr.parts.values())
@@ -132,10 +141,9 @@ class TestSeries:
         k_max = 6
         K = j_matrix_rat(e, d)
         x, y = F(1, 3), F(2)
-        ob = build_order(K, e, n, (-(k_max + 3), 1))
-        sr = series_r(ob, k_max, x, y)
+        sr = series_r(build_order(K, e, k_max), x, y)
         ws = solve_dec(e, d, K)
-        series = stolin.WElementSet(e, d, sr.parts)
+        series = stolin.WElementSet(n, sr.parts)
         for lbl in sl_basis(n):
             for k in range(k_max + 1):
                 got = sr.parts[lbl, k]
@@ -151,17 +159,12 @@ class TestSeries:
         )
         assert sr.tensor == expected
 
-    def test_window_guard(self):
-        ob = build_order(j_matrix_rat(1, 1), 1, 2, (-4, 1))
-        with pytest.raises(TruncationError):
-            series_r(ob, 6, F(1, 3), F(2))
-
     def test_unsolvable_dual_is_a_truncation_error(self):
         """An order missing an element leaves a dual element without a
         solution: the solver's failure is reported as TruncationError."""
-        ob = yang_order(2, (-4, 1))
+        ob = yang_order(2, 1)
         with pytest.raises(TruncationError, match="not solvable"):
-            series_r(OrderBasis(ob.n, ob.window, ob.elements[1:]), 1, F(1, 3), F(2))
+            series_r(OrderBasis(ob.n, ob.k_max, ob.elements[1:]), F(1, 3), F(2))
 
     def test_other_errors_propagate(self, monkeypatch):
         """Only a solver failure becomes TruncationError; any other error
@@ -171,10 +174,9 @@ class TestSeries:
 
         monkeypatch.setattr(stolin, "solve_multi", broken)
         with pytest.raises(RuntimeError, match="injected") as caught:
-            series_r(yang_order(2, (-4, 1)), 1, F(1, 3), F(2))
+            series_r(yang_order(2, 1), F(1, 3), F(2))
         assert caught.type is RuntimeError
 
     def test_pole_point_rejected(self):
-        ob = yang_order(2, (-4, 1))
         with pytest.raises(ValueError):
-            series_r(ob, 1, F(1, 3), F(0))
+            series_r(yang_order(2, 1), F(1, 3), F(0))

@@ -82,6 +82,12 @@ def omega_pairing(K, a, b):
     return sum(K[i][j] * br[i][j] for i in range(n) for j in range(n))
 
 
+def dense_gram(form) -> tuple:
+    """The Gram matrix of a `FrobeniusForm` as a dense nested tuple."""
+    cols = range(len(form.labels))
+    return tuple(tuple(row.get(c, ZERO) for c in cols) for row in form.rows)
+
+
 def _dense_bracket_kt(K, lbl, n) -> dict:
     """[K^t, B] as {(i, j): nonzero entry}, 1-based, from a scan of the
     dense matrix of B and of a whole row and column of K per unit of B:
@@ -185,9 +191,9 @@ def test_bracket_kt_terms_is_the_dense_scan():
 
 class TestFrobeniusGram:
     def test_n2_golden(self):
-        form = frobenius_gram(j_matrix_rat(1, 1), 1, 2)
+        form = frobenius_gram(j_matrix_rat(1, 1), 1)
         assert form.labels == (("cartan", 1), ("unit", 1, 2))
-        assert form.gram == ((F(0), F(2)), (F(-2), F(0)))
+        assert form.rows == ({1: F(2)}, {0: F(-2)})
         assert form.determinant == 4
 
     def test_gram_is_the_pairing(self, rng):
@@ -198,7 +204,7 @@ class TestFrobeniusGram:
                       for _ in range(n))
             basis = [basis_matrix(lbl, n) for lbl in parabolic_labels(e, n)]
             want = tuple(tuple(omega_pairing(K, a, b) for b in basis) for a in basis)
-            assert frobenius_gram(K, e, n).gram == want
+            assert dense_gram(frobenius_gram(K, e)) == want
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (5, 2), (1, 6)])
     def test_j_sources_hold_integers(self, e, d):
@@ -209,20 +215,22 @@ class TestFrobeniusGram:
             assert all(type(v) is int for row in K for v in row)
         assert neg_j_matrix(e, d) == tuple(tuple(-v for v in row) for row in build_j(e, d))
 
-    @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (5, 2), (1, 6)])
+    @pytest.mark.parametrize("e,d", [(1, 1), (1, 2), (2, 3), (5, 2), (1, 6)])
     def test_integer_j_gives_integer_rows(self, e, d):
         """J's 0/1 integers give integer Gram rows (what `verify`'s goldens
         eliminate); the Fraction form of J gives Fraction rows, equal to
-        them, with the same determinant."""
-        ints = frobenius_gram(build_j(e, d), e, e + d)
-        fracs = frobenius_gram(j_matrix_rat(e, d), e, e + d)
+        them, with the same determinant, that of the form on sl(n) for
+        n = len(K): 9 at J(1, 2)."""
+        ints = frobenius_gram(build_j(e, d), e)
+        assert ints.labels == parabolic_labels(e, e + d)
+        fracs = frobenius_gram(j_matrix_rat(e, d), e)
         assert all(type(v) is int for row in ints.rows for v in row.values())
         assert all(type(v) is F for row in fracs.rows for v in row.values())
         assert ints.rows == fracs.rows
         assert ints.determinant == fracs.determinant == (e + d) ** 2
 
     def test_zero_matrix_degenerate(self):
-        form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1, 2)
+        form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1)
         assert form.determinant == 0
 
     def test_parabolic_dimension(self):
@@ -396,7 +404,7 @@ class TestSolveDec:
         of a region I element are nonzero both in N and in P's upper-right
         block (at K = +-J, for every pair with n <= 9, they never are)."""
         K = _dense_k(e, d)
-        assert frobenius_gram(K, e, e + d).determinant != 0
+        assert frobenius_gram(K, e).determinant != 0
         _assert_block_equations(e, d, K)
 
     @pytest.mark.parametrize("e,d", TABLE_PAIRS)
@@ -428,6 +436,16 @@ class TestSolveDec:
                     if quadrant(i, j, e) != "I":
                         assert (label, k) not in ws.parts
 
+    @pytest.mark.parametrize("e,d,K", [(1, 1, build_j(1, 2)), (1, 2, build_j(1, 1)),
+                                       (1, 1, ((0, 1), (0, 0, 0)))])
+    def test_k_of_the_wrong_size_rejected(self, e, d, K):
+        """A K that is not (e + d) x (e + d) is refused with one line."""
+        with pytest.raises(ValueError, match=r"^K must be %d x %d for \(e, d\) = \(%d, %d\)$"
+                           % (e + d, e + d, e, d)):
+            solve_dec(e, d, K)
+        with pytest.raises(ValueError, match=r"^K must be"):
+            assemble_stolin_r(e, d, K, F(1, 2), F(3))
+
     def test_degenerate_k_rejected(self):
         with pytest.raises(DegenerateFormError):
             solve_dec(1, 1, freeze([[ZERO, ZERO], [ZERO, ZERO]]))
@@ -458,11 +476,11 @@ class TestSolveDec:
         (e, d), cells = case
         n = e + d
         K = freeze([[F(v) for v in cells[r * n:(r + 1) * n]] for r in range(n)])
-        if frobenius_gram(K, e, n).determinant != 0:
+        if frobenius_gram(K, e).determinant != 0:
             solve_dec(e, d, K)
-            stolin.build_order(K, e, n)
+            stolin.build_order(K, e, 0)
         else:
-            for build in (lambda: solve_dec(e, d, K), lambda: stolin.build_order(K, e, n)):
+            for build in (lambda: solve_dec(e, d, K), lambda: stolin.build_order(K, e, 0)):
                 with pytest.raises(DegenerateFormError,
                                    match=r"^omega_K is degenerate on p_%d$" % e):
                     build()
@@ -474,9 +492,9 @@ class TestSolveDec:
             raise AssertionError("det called")
 
         monkeypatch.setattr(stolin, "det", no_det)
-        stolin.build_order(j_matrix_rat(2, 1), 2, 3)
+        stolin.build_order(j_matrix_rat(2, 1), 2, 0)
         with pytest.raises(DegenerateFormError, match=r"^omega_K is degenerate on p_1$"):
-            stolin.build_order(freeze([[ZERO, ZERO], [ZERO, ZERO]]), 1, 2)
+            stolin.build_order(freeze([[ZERO, ZERO], [ZERO, ZERO]]), 1, 0)
 
     @pytest.mark.parametrize("e,d,sign,digest", [
         (1, 3, 1, "e0d02a4705109288a6f61afa39867d266604c6f2f27e9bf8f704af6b3005c3d0"),

@@ -11,10 +11,13 @@ Each run prints the wall and CPU seconds of `cli.main(["verify", "--suite",
 without interpreter start-up or imports, whether every check passed, and
 the summed `elapsed` of each check kind (the name before `-(` or `-n=`),
 read from the JSON report.  The median wall time of each checkout follows
-each N_MAX.
+each N_MAX and, for each further checkout, the number of checks whose name,
+status, detail or tolerance differ, in any of its runs, from the first run
+of the first checkout (`elapsed` is not compared).
 """
 
 import argparse
+import itertools
 import json
 import os
 import re
@@ -32,7 +35,9 @@ with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
 report = json.loads(out.getvalue())
 print(json.dumps({"wall": wall, "cpu": cpu, "passed": report["passed"],
-                  "checks": [(c["name"], c["elapsed"]) for c in report["checks"]]}))
+                  "checks": [(c["name"], c["elapsed"]) for c in report["checks"]],
+                  "outcomes": [(c["name"], c["status"], c["detail"], c["tolerance"])
+                               for c in report["checks"]]}))
 """
 
 
@@ -43,6 +48,13 @@ def kind_totals(checks) -> dict:
         kind = re.split(r"-\(|-n=", name)[0]
         out[kind] = out.get(kind, 0.0) + elapsed
     return out
+
+
+def differing(outcomes, reference) -> set:
+    """The positions at which two runs' (name, status, detail, tolerance)
+    lists differ, a check missing from either list included."""
+    pairs = itertools.zip_longest(map(tuple, outcomes), map(tuple, reference))
+    return {p for p, (a, b) in enumerate(pairs) if a != b}
 
 
 def main():
@@ -57,12 +69,16 @@ def main():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for n_max in args.n_max:
         walls: dict = {src: [] for src in sources}
+        differ: dict = {src: set() for src in sources}
+        reference = None  # the outcomes of the first run of the first checkout
         for _ in range(args.runs):
             for src in sources:
                 out = subprocess.run([sys.executable, "-c", CHILD, src, str(n_max)], env=env,
                                      check=True, capture_output=True, text=True).stdout
                 run = json.loads(out.strip().splitlines()[-1])
                 walls[src].append(run["wall"])
+                reference = reference or run["outcomes"]
+                differ[src] |= differing(run["outcomes"], reference)
                 print("%s n_max %d: wall %.3f s, cpu %.3f s, %d checks, %s" % (
                     src, n_max, run["wall"], run["cpu"], len(run["checks"]),
                     "all passed" if run["passed"] else "FAILURES"))
@@ -71,6 +87,9 @@ def main():
         for src in sources:
             print("%s n_max %d: median wall %.3f s over %d runs" % (
                 src, n_max, statistics.median(walls[src]), len(walls[src])))
+        for src in sources[1:]:
+            print("%s n_max %d: %d of %d checks differ from %s" % (
+                src, n_max, len(differ[src]), len(reference), sources[0]))
 
 
 if __name__ == "__main__":
