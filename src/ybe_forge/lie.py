@@ -189,7 +189,13 @@ class TensorTable:
     """r(x, y) = sum over the monomials m of m(x, y) T_m in integers:
     terms[(i, j, k, l)] holds the numerators of the coefficient of
     e_{i,j} (x) e_{k,l} in each T_m, in the order of `monomials`, over the
-    common denominator `den`.  No key has only zero numerators."""
+    common denominator `den`.
+
+    A table is canonical: `monomials` is sorted, `den` is positive and in
+    lowest terms with the numerators, and no key and no monomial has only
+    zero numerators.  `tensor_table` builds only canonical tables, so for
+    the monomials it is given (1/(y - x) and x^a y^b, which are linearly
+    independent) two tables are the same r(x, y) iff they are ==."""
 
     __slots__ = ("n", "monomials", "den", "terms")
 
@@ -232,8 +238,9 @@ def tensor_table(n: int, pairs) -> TensorTable:
     """The table of c/(y - x) + sum of m(x, y) A (x) B over the list of
     triples (A, B, m) `pairs`, c the Casimir.  A and B are {(i, j): entry}
     dicts, 1-based, of rationals.  Built in integers: the entries of each
-    slot are scaled to the lcm of that slot's denominators, and keys whose
-    numerators all cancel are dropped."""
+    slot are scaled to the lcm of that slot's denominators, and keys and
+    monomials whose numerators all cancel are dropped: the table is
+    canonical."""
     monomials = tuple(sorted({POLE}.union(m for _, _, m in pairs)))
     col = {m: c for c, m in enumerate(monomials)}
     den_a = lcm(*(v.denominator for a, _, _ in pairs for v in a.values()))
@@ -254,6 +261,10 @@ def tensor_table(n: int, pairs) -> TensorTable:
                 if nums is None:
                     nums = acc[key] = [0] * width
                 nums[c] += va * vb
+    live = [c for c in range(width) if any(nums[c] for nums in acc.values())]
+    if len(live) < width:
+        monomials = tuple(monomials[c] for c in live)
+        acc = {key: [nums[c] for c in live] for key, nums in acc.items()}
     g = gcd(den, *(v for nums in acc.values() for v in nums))
     terms = {key: tuple(v // g for v in nums) for key, nums in acc.items() if any(nums)}
     return TensorTable(n, monomials, den // g, terms)

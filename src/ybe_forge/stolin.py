@@ -76,7 +76,10 @@ class FrobeniusForm:
 def _k_nonzeros(K) -> tuple:
     """The nonzero entries of K as (rows, columns): rows[i - 1] lists the
     (j, entry) of row i and columns[j - 1] the (i, entry) of column j,
-    1-based and in ascending order."""
+    1-based and in ascending order.  A K that is not square raises
+    ValueError."""
+    if any(len(row) != len(K) for row in K):
+        raise ValueError("K must be square, got rows of lengths %s" % [len(row) for row in K])
     rows = tuple(tuple((c, v) for c, v in enumerate(row, 1) if v) for row in K)
     cols: list = [[] for _ in K]
     for r, row in enumerate(rows, 1):
@@ -142,29 +145,6 @@ def neg_j_matrix(e: int, d: int) -> tuple:
     return tuple(tuple(-v for v in row) for row in build_j(e, d))
 
 
-def _split_solver(K: tuple, e: int):
-    """Coordinates for G = [K^t, P] + N with P in p_e, N in the upper-right
-    nilpotent block of sl(n), n = len(K): returns (labels, nilpotent
-    positions, matrix rows).  Row i n + j holds entry (i, j) of the
-    coordinate matrices, as a {column: nonzero entry} dict."""
-    n = len(K)
-    labels = parabolic_labels(e, n)
-    nil_pos = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if twist(i, j, e) == 1
-    ]
-    kn = _k_nonzeros(K)
-    rows: list = [{} for _ in range(n * n)]
-    for p, lbl in enumerate(labels):
-        for (i, j), v in _bracket_kt_terms(kn, lbl).items():
-            rows[(i - 1) * n + j - 1][p] = v
-    for q, (i, j) in enumerate(nil_pos, len(labels)):
-        rows[(i - 1) * n + j - 1][q] = 1
-    return labels, tuple(nil_pos), rows
-
-
 def frobenius_split(G: dict, K, e: int) -> tuple[dict, dict]:
     """The unique (P, N) with G = [K^t, P] + N, P in p_e and N in the
     upper-right block, all three as {(i, j): nonzero entry}.  Exists and is
@@ -182,9 +162,21 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     kernel is the radical of omega_K on p_e, since tr([K^t, P] b) = 0 for all
     b in p_e iff [K^t, P] lies in p_e^perp in sl(n), the upper-right block.
     So the solve fails, raising DegenerateFormError, exactly when omega_K is
-    degenerate."""
+    degenerate.
+
+    Row (i - 1) n + j - 1 of the system holds entry (i, j) of the
+    coordinate matrices, [K^t, b] for the labels b of p_e and e_ab for the
+    positions (a, b) of the upper-right block, as {column: nonzero entry}."""
     n = len(K)
-    labels, nil_pos, rows = _split_solver(K, e)
+    labels = parabolic_labels(e, n)
+    nil_pos = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if twist(i, j, e) == 1]
+    kn = _k_nonzeros(K)
+    rows: list = [{} for _ in range(n * n)]
+    for p, lbl in enumerate(labels):
+        for (i, j), v in _bracket_kt_terms(kn, lbl).items():
+            rows[(i - 1) * n + j - 1][p] = v
+    for q, (i, j) in enumerate(nil_pos, len(labels)):
+        rows[(i - 1) * n + j - 1][q] = 1
     rhs = [{(i - 1) * n + j - 1: v for (i, j), v in G.items()} for G in targets]
     try:
         sols = solve_multi(rows, rhs, len(labels) + len(nil_pos))

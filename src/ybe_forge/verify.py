@@ -123,6 +123,8 @@ def _points(rng: random.Random, count: int):
 #
 # `lie.tensor_table` holds each T_ab as integer numerators over one
 # denominator; the monomial (0, a, b) is x^a y^b and `lie.POLE` is 1/(y-x).
+# Its tables are canonical, and `_gauge_table` keeps them so: two tables
+# are the same r(x, y) iff they are ==.
 
 # the polynomial monomials a table may hold, as T00, T10, T01, T11
 _TAIL = ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
@@ -142,22 +144,9 @@ def _columns(table: TensorTable) -> dict:
     return out
 
 
-def _same_table(t: TensorTable, u: TensorTable) -> bool:
-    """t and u are the same r(x, y): equal parts, monomial by monomial.  No
-    key of a table has only zero numerators, so tables over the same
-    monomials and denominator are the same iff their terms are."""
-    if t.monomials == u.monomials and t.den == u.den:
-        return t.terms == u.terms
-    a, b = _columns(t), _columns(u)
-    return all(
-        {k: v * u.den for k, v in a.get(m, {}).items()}
-        == {k: v * t.den for k, v in b.get(m, {}).items()}
-        for m in a.keys() | b.keys()
-    )
-
-
 def _gauge_table(phi: LinearMapGl, table: TensorTable) -> TensorTable:
-    """The table of (phi (x) phi) r(x, y): a signed permutation of the keys."""
+    """The table of (phi (x) phi) r(x, y): a signed permutation of the keys,
+    so a canonical table stays canonical."""
     terms = {}
     for (i, j, k, l), nums in table.terms.items():
         a, b, s = phi.images[i, j]
@@ -265,12 +254,11 @@ def _transports(g: LinearMapGl, src: TensorTable, table: TensorTable) -> bool:
     CYBE(r) term by term ([g a, g b] = g [a, b] in each slot), and g (x) g
     commutes with the slot swap.  So the CYBE and unitarity of r for all
     x, y carry over to (g (x) g) r."""
-    return _is_automorphism(g) and _same_table(_gauge_table(g, src), table)
+    return _is_automorphism(g) and _gauge_table(g, src) == table
 
 
-# proofs of `_proof`, {(route, e, d): (table, failed, via)}; the oldest goes
-# first past this many (`verify --n-max 12` proves 90 tables)
-_PROOFS_MAX = 128
+# proofs of `_proof`, {(route, e, d): (table, failed, via)}: one entry per
+# route and pair, a finite set like the keys of the integer-keyed caches
 _PROOFS: dict = {}
 
 
@@ -316,8 +304,6 @@ def _proof(route: str, e: int, d: int) -> tuple[TensorTable, str | None, str]:
             b = 1 << (6 * s * s).bit_length() + 1
             if cybe_polynomial(table, b, b**3, b**9):
                 failed = "Q(B, B^3, B^9) != 0"
-    if len(_PROOFS) >= _PROOFS_MAX:
-        del _PROOFS[next(iter(_PROOFS))]
     _PROOFS[route, e, d] = table, failed, via
     return table, failed, via
 
@@ -379,9 +365,9 @@ def check_stolin_cybe(e: int, d: int, pair) -> tuple[bool, str]:
 def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
     phi = transpose_negate_map(e + d)
     lhs = _gauge_table(phi, cuspidal.sol_family(e, d).table)
-    ok = _same_table(lhs, stolin.solve_dec(e, d, stolin.neg_j_matrix(e, d)).table)
+    ok = lhs == stolin.solve_dec(e, d, stolin.neg_j_matrix(e, d)).table
     # negative control: the wrong cocycle sign (+J) must not match
-    ok &= not _same_table(lhs, stolin.solve_dec(e, d, jmat.build_j(e, d)).table)
+    ok &= lhs != stolin.solve_dec(e, d, jmat.build_j(e, d)).table
     ok &= stolin.compare_pipelines(e, d, *pair)
     return ok, "gauged table == -J table for all x, y; +J table differs; exact at 1 pair"
 
@@ -391,10 +377,10 @@ def check_flip_symmetry(e: int, d: int, pair) -> tuple[bool, str]:
     ok &= jmat.flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d)
     g = cuspidal.flip_transpose_gauge(e, d)
     src, dst = cuspidal.sol_family(e, d).table, cuspidal.sol_family(d, e).table
-    ok &= _same_table(_gauge_table(g, src), dst)
+    ok &= _gauge_table(g, src) == dst
     # negative control: the bare two-sided index reversal, without the
     # sign-twisted antitranspose, does not transport the solution
-    ok &= not _same_table(_gauge_table(flip_map(e + d), dst), src)
+    ok &= _gauge_table(flip_map(e + d), dst) != src
     x, y = pair
     ok &= cuspidal.psi_transport(e, d, x, y) == cuspidal.assemble_r(d, e, x, y)
     return ok, "J index-reversal; gauged table == (d,e) table for all x, y; " \
@@ -561,14 +547,14 @@ def _closed_form_n2() -> TensorTable:
 
 def check_closed_form_d1(n: int) -> tuple[bool, str]:
     want = closed_form_d1(n)
-    ok = _same_table(stolin.solve_dec(1, n - 1, jmat.build_j(1, n - 1)).table, want)
+    ok = stolin.solve_dec(1, n - 1, jmat.build_j(1, n - 1)).table == want
     if n == 2:
-        ok &= _same_table(want, _closed_form_n2())
+        ok &= want == _closed_form_n2()
     # the (n-1,1)-split table is the flip-gauge image of the same solution
     phi = transpose_negate_map(n)
     gamma = phi.compose(cuspidal.flip_transpose_gauge(n - 1, 1)).compose(phi)
     lhs = _gauge_table(gamma, stolin.solve_dec(n - 1, 1, stolin.neg_j_matrix(n - 1, 1)).table)
-    ok &= _same_table(lhs, stolin.solve_dec(1, n - 1, stolin.neg_j_matrix(1, n - 1)).table)
+    ok &= lhs == stolin.solve_dec(1, n - 1, stolin.neg_j_matrix(1, n - 1)).table
     return ok, "reference formula == (1,n-1) table for all x, y; (n-1,1) gauge exact"
 
 

@@ -233,6 +233,16 @@ class TestFrobeniusGram:
         form = frobenius_gram(tuple((ZERO,) * 2 for _ in range(2)), 1)
         assert form.determinant == 0
 
+    def test_ragged_k_rejected(self):
+        """Every reader of K's entries refuses a K that is not square with
+        one line, instead of reading it as the sl(len(K)) it is not."""
+        K = ((0, 1), (0, 0, 0))
+        for read in (lambda: frobenius_gram(K, 1), lambda: stolin.build_order(K, 1, 0),
+                     lambda: frobenius_splits([], K, 1)):
+            with pytest.raises(ValueError, match=r"^K must be square, got rows of lengths "
+                                                 r"\[2, 3\]$"):
+                read()
+
     def test_parabolic_dimension(self):
         for (e, n) in [(1, 2), (2, 3), (1, 3), (3, 5), (2, 5)]:
             d = n - e

@@ -274,17 +274,38 @@ class TestProof:
 
 
 class TestTableIdentities:
-    def test_same_table_reads_values(self):
-        table = cuspidal.sol_family(2, 3).table
-        scaled = TensorTable(table.n, table.monomials + ((0, 2, 0),), 3 * table.den,
-                             {key: tuple(3 * v for v in nums) + (0,)
-                              for key, nums in table.terms.items()})
-        assert verify._same_table(table, scaled) and verify._same_table(scaled, table)
-        key = next(iter(table.terms))
-        for bumped in (changed(table, {((0, 0, 0), key): 1}),
-                       changed(table, {((0, 2, 0), key): 1})):
-            assert not verify._same_table(table, bumped)
-            assert not verify._same_table(bumped, table)
+    def test_tensor_table_is_canonical(self):
+        """Pairs whose contributions to a monomial cancel leave no column and
+        no key behind, and entries scaled against each other give the same
+        denominator, so `==` is table identity."""
+        h, e12 = {(1, 1): F(1), (2, 2): F(-1)}, {(1, 2): F(1, 2)}
+        base = [(e12, h, (0, 1, 0)), (h, {(1, 2): F(-1, 2)}, (0, 0, 1))]
+        want = tensor_table(2, base)
+        cancelling = [({(2, 1): F(1, 3)}, {(1, 2): F(1)}, (0, 1, 1)),
+                      ({(2, 1): F(-1)}, {(1, 2): F(1, 3)}, (0, 1, 1)),
+                      ({(1, 2): F(5)}, h, (0, 1, 0)), ({(1, 2): F(-5)}, h, (0, 1, 0))]
+        assert tensor_table(2, base + cancelling) == want
+        assert tensor_table(2, cancelling[:2] + base) == want
+        scaled = [({k: 6 * v for k, v in a.items()}, {k: v / 6 for k, v in b.items()}, m)
+                  for a, b, m in base]
+        assert tensor_table(2, scaled).den == want.den and tensor_table(2, scaled) == want
+        assert tensor_table(2, base[:1]) != want
+
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 3), (3, 2), (1, 6)])
+    def test_built_tables_are_canonical(self, e, d):
+        """The rule `TensorTable` states, on the tables of both routes and
+        their gauge images."""
+        cusp = cuspidal.sol_family(e, d).table
+        tables = [cusp, verify._gauge_table(cuspidal.flip_transpose_gauge(e, d), cusp)]
+        tables += [stolin.solve_dec(e, d, K).table
+                   for K in (build_j(e, d), stolin.neg_j_matrix(e, d))]
+        for table in tables:
+            assert list(table.monomials) == sorted(set(table.monomials))
+            assert table.den > 0 and gcd(table.den, *(v for nums in table.terms.values()
+                                                     for v in nums)) == 1
+            assert all(any(nums) for nums in table.terms.values())
+            assert all(any(nums[c] for nums in table.terms.values())
+                       for c in range(len(table.monomials)))
 
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 3), (3, 1)])
     def test_gauge_table_is_apply_gauge(self, e, d):
@@ -333,11 +354,11 @@ class TestTableIdentities:
         assert not verify.check_closed_form_d1(n)[0]
 
     def test_closed_form_n2_reference(self):
-        assert verify._same_table(verify.closed_form_d1(2), verify._closed_form_n2())
+        assert verify.closed_form_d1(2) == verify._closed_form_n2()
         # the variant ending in h (x) e_{2,1} is another table
         h = {(1, 1): F(1), (2, 2): F(-1)}
         e21 = tensor_table(2, [({(1, 2): F(1, 2)}, h, (0, 1, 0)), (h, {(2, 1): F(-1, 2)}, (0, 0, 1))])
-        assert not verify._same_table(verify.closed_form_d1(2), e21)
+        assert verify.closed_form_d1(2) != e21
 
 
 def direct_proof(table, tail) -> bool:

@@ -6,14 +6,18 @@ no cache carries over between runs.
 DIR is the `src` directory of a checkout to time (default: this one's).
 Given more than once, the runs alternate across the checkouts, R rounds for
 each N_MAX, so that a drift in machine speed falls on all of them alike.
-Each run prints the wall and CPU seconds of `cli.main(["verify", "--suite",
-"all", "--n-max", N_MAX, "--format", "json"])` with its output captured,
-without interpreter start-up or imports, whether every check passed, and
-the summed `elapsed` of each check kind (the name before `-(` or `-n=`),
-read from the JSON report.  The median wall time of each checkout follows
-each N_MAX and, for each further checkout, the number of checks whose name,
-status, detail or tolerance differ, in any of its runs, from the first run
-of the first checkout (`elapsed` is not compared).
+Each run prints the wall and CPU seconds of `verify.report_json(
+verify.run_suite("all", N_MAX))`, what `verify --suite all --n-max N_MAX
+--format json` runs, without interpreter start-up or imports; N_MAX is not
+held to the CLI's cap `cli.N_MAX`.  It also prints the run's peak RSS,
+whether every check passed, and the summed `elapsed` of each check kind (the
+name before `-(` or `-n=`), read from the JSON report.  The peak RSS is the
+child's own `ru_maxrss`; on Linux a process started by fork and exec keeps
+the high-water mark of the process that started it, so this tool's own RSS
+(about 15 MB) is a floor on the reading.  The median wall time of each
+checkout follows each N_MAX and, for each further checkout, the number of
+checks whose name, status, detail or tolerance differ, in any of its runs,
+from the first run of the first checkout (`elapsed` is not compared).
 """
 
 import argparse
@@ -25,16 +29,15 @@ import statistics
 import subprocess
 import sys
 
-CHILD = """import contextlib, io, json, sys, time
+CHILD = """import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from ybe_forge import cli, verify  # verify too: its import is not timed
-out = io.StringIO()
+from ybe_forge import verify
 wall, cpu = time.perf_counter(), time.process_time()
-with contextlib.redirect_stdout(out), contextlib.suppress(SystemExit):
-    cli.main(["verify", "--suite", "all", "--n-max", sys.argv[2], "--format", "json"])
+out = verify.report_json(verify.run_suite("all", int(sys.argv[2])))
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-report = json.loads(out.getvalue())
-print(json.dumps({"wall": wall, "cpu": cpu, "passed": report["passed"],
+report = json.loads(out)
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"wall": wall, "cpu": cpu, "rss": rss, "passed": report["passed"],
                   "checks": [(c["name"], c["elapsed"]) for c in report["checks"]],
                   "outcomes": [(c["name"], c["status"], c["detail"], c["tolerance"])
                                for c in report["checks"]]}))
@@ -79,8 +82,8 @@ def main():
                 walls[src].append(run["wall"])
                 reference = reference or run["outcomes"]
                 differ[src] |= differing(run["outcomes"], reference)
-                print("%s n_max %d: wall %.3f s, cpu %.3f s, %d checks, %s" % (
-                    src, n_max, run["wall"], run["cpu"], len(run["checks"]),
+                print("%s n_max %d: wall %.3f s, cpu %.3f s, peak RSS %.1f MB, %d checks, %s" % (
+                    src, n_max, run["wall"], run["cpu"], run["rss"], len(run["checks"]),
                     "all passed" if run["passed"] else "FAILURES"))
                 kinds = kind_totals(run["checks"]).items()
                 print("    " + ", ".join("%s %.3f" % kv for kv in kinds))
