@@ -242,46 +242,10 @@ def _lattice_thetas(n: int, d: int, ctx: ThetaContext) -> tuple:
     return tuple(out)
 
 
-def _belavin_terms(n: int, d: int, ctx: ThetaContext, v: complex, j: int):
-    # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau + j,
-    # |Im v0| <= Im tau / 2 and |Re v0| <= 1/2, every coefficient is
-    # exp(-2 pi i (m s + j r) / n) times its value at v0: the tau terms of
-    # the prefactor and the kernel cancel, and sigma(u, v + 1) = sigma(u, v).
-    # The caller has already taken the integer j off v.
-    m = round(v.imag / ctx.tau.imag)
-    if m:
-        # y - x and m tau each round by up to an ulp of their size, and the
-        # reduced v0 inherits both errors
-        if (abs(v) + abs(m * ctx.tau)) * sys.float_info.epsilon > THETA_TOL:
-            raise ValueError("y - x is too far from the real axis to reduce by the periods "
-                             "within tol=%g" % THETA_TOL)
-        v = v - m * ctx.tau
-    k = round(v.real)
-    if k:
-        v = v - k
-        j += k
-    tv = theta1(v, ctx)
-    if abs(tv) < POLE_GUARD * abs(_theta_table(ctx)[0]):
-        raise PoleProximityError(
-            "difference of spectral points is on the period lattice"
-        )
-    pairs = []
-    lattice = zip(_lattice_thetas(n, d, ctx), heisenberg_entries(n, d))
-    for (r, s, u, tu), (z_dual, z) in lattice:
-        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx, tu=tu, tz=tv)
-        # the phase depends on m s + j r only mod n; reduce it in integers,
-        # since j r can be too large for the float phase to be accurate
-        phase = (m * s + j * r) % n
-        if phase:
-            coeff *= cmath.exp(-TWO_PI_I * phase / n)
-        pairs.append((z_dual, z, coeff))
-    return pairs
-
-
-def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
-    """The elliptic solution on the torus: sum over the Heisenberg index set
-    of exp(-2 pi i d k v / n) sigma(d(l - k tau)/n, v) Zdual_{k,l} (x) Z_{k,l}
-    with v = y - x.
+def belavin_coefficients(n: int, d: int, ctx: ThetaContext, x, y) -> list:
+    """The coefficients of r(x, y) = sum c_{k,l} Zdual_{k,l} (x) Z_{k,l}, in
+    the order of the Heisenberg index set: c_{k,l} = exp(-2 pi i d k v / n)
+    sigma(d(l - k tau)/n, v) with v = y - x.
 
     r is invariant under tau -> tau + n.  theta1(z | tau + 1) =
     exp(i pi / 4) theta1(z | tau) (DLMF 20.7.26), so sigma(u, v), with two
@@ -308,7 +272,45 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
     rx, ry = math.remainder(x.real, 1), math.remainder(y.real, 1)
     v = complex(ry - rx, y.imag - x.imag)
     j = int(y.real - ry) - int(x.real - rx)
-    return tensor_from_pairs(n, _belavin_terms(n, d, ctx, v, j), ring=COMPLEX)
+    # Quasi-periodicity (DLMF 20.2(ii)): with v = v0 + m tau + j,
+    # |Im v0| <= Im tau / 2 and |Re v0| <= 1/2, every coefficient is
+    # exp(-2 pi i (m s + j r) / n) times its value at v0: the tau terms of
+    # the prefactor and the kernel cancel, and sigma(u, v + 1) = sigma(u, v).
+    m = round(v.imag / ctx.tau.imag)
+    if m:
+        # y - x and m tau each round by up to an ulp of their size, and the
+        # reduced v0 inherits both errors
+        if (abs(v) + abs(m * ctx.tau)) * sys.float_info.epsilon > THETA_TOL:
+            raise ValueError("y - x is too far from the real axis to reduce by the periods "
+                             "within tol=%g" % THETA_TOL)
+        v = v - m * ctx.tau
+    k = round(v.real)
+    if k:
+        v = v - k
+        j += k
+    tv = theta1(v, ctx)
+    if abs(tv) < POLE_GUARD * abs(_theta_table(ctx)[0]):
+        raise PoleProximityError(
+            "difference of spectral points is on the period lattice"
+        )
+    coeffs = []
+    for r, s, u, tu in _lattice_thetas(n, d, ctx):
+        coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(u, v, ctx, tu=tu, tz=tv)
+        # the phase depends on m s + j r only mod n; reduce it in integers,
+        # since j r can be too large for the float phase to be accurate
+        phase = (m * s + j * r) % n
+        if phase:
+            coeff *= cmath.exp(-TWO_PI_I * phase / n)
+        coeffs.append(coeff)
+    return coeffs
+
+
+def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
+    """The elliptic solution on the torus, sum c_{k,l} Zdual_{k,l} (x)
+    Z_{k,l} over the Heisenberg index set, with the `belavin_coefficients`."""
+    coeffs = belavin_coefficients(n, d, ctx, x, y)
+    pairs = ((z_dual, z, c) for (z_dual, z), c in zip(heisenberg_entries(n, d), coeffs))
+    return tensor_from_pairs(n, pairs, ring=COMPLEX)
 
 
 def belavin_cybe_residual(n: int, d: int, ctx: ThetaContext, pts) -> float:

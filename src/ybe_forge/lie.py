@@ -115,11 +115,6 @@ class GlTensor2:
         if self.ring != other.ring:
             raise ValueError("scalar ring mismatch: %s vs %s" % (self.ring, other.ring))
 
-    def to_complex(self) -> "GlTensor2":
-        if self.ring == COMPLEX:
-            return self
-        return GlTensor2(self.n, COMPLEX, {k: complex(v) for k, v in self.terms.items()})
-
 
 class GlTensor3:
     """Sparse element of gl(n) (x) gl(n) (x) gl(n), keyed by six indices."""

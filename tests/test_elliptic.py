@@ -9,11 +9,13 @@ from math import gcd
 
 import pytest
 
+from ybe_forge import elliptic, verify
 from ybe_forge.elliptic import (
     THETA_TOL,
     TWO_PI_I,
     PoleProximityError,
     ThetaContext,
+    belavin_coefficients,
     belavin_cybe_residual,
     belavin_r,
     _lattice_thetas,
@@ -23,18 +25,18 @@ from ybe_forge.elliptic import (
     theta3,
     v_sign_convention,
 )
-from ybe_forge.heis import _dual_sum
+from ybe_forge.heis import Monomial, _dual_sum, heisenberg_entries
 from ybe_forge.lie import (
     COMPLEX,
+    GlTensor2,
     casimir,
     cybe_lhs,
     cybe_residual_difference,
     heisenberg,
     swap_tensor,
+    tensor_from_pairs,
 )
 from ybe_forge.verify import (
-    belavin_residue_fit,
-    belavin_unitarity_residual,
     jacobi_sn_cn_dn,
     theta_half_shift_identity_residual,
     zoo_baxter,
@@ -119,6 +121,32 @@ def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
             coeff *= cmath.exp(-TWO_PI_I * phase / n)
         pairs.append((*z_matrices(hb, k, l), coeff))
     return dense_tensor_from_pairs(n, pairs, ring=COMPLEX)
+
+
+def complex_casimir(n: int) -> GlTensor2:
+    return GlTensor2(n, COMPLEX, {k: complex(v) for k, v in casimir(n).terms.items()})
+
+
+def belavin_residue_fit(n: int, d: int, ctx: ThetaContext) -> float:
+    """Max-norm distance of the Laurent-fit residue (in the variable y - x)
+    from the Casimir tensor: the tensor reference of the residue identity
+    that `verify.check_belavin` reads off the coefficients.
+
+    Fits at two opposite radii so the regular part cancels to second order.
+    """
+    radius = 1e-4  # the regular part cancels to second order in it
+    rp = belavin_r(n, d, ctx, 0.0, radius)
+    rm = belavin_r(n, d, ctx, 0.0, -radius)
+    fitted = rp.scale(radius).add(rm.scale(-radius)).scale(0.5)
+    return fitted.sub(complex_casimir(n)).norm()
+
+
+def belavin_unitarity_residual(n: int, d: int, ctx: ThetaContext, x, y) -> float:
+    """Max-norm of r(x, y) + swap(r(y, x)): the tensor reference of the
+    unitarity that `verify.check_belavin` reads off the coefficients."""
+    r_xy = belavin_r(n, d, ctx, x, y)
+    r_yx = belavin_r(n, d, ctx, y, x)
+    return r_xy.add(swap_tensor(r_yx)).norm()
 
 
 ORACLE_TAUS = [1j, 0.3 + 1j, 1.1j, 0.1 + 2j, 0.05j, 0.5 + 0.2j]
@@ -357,7 +385,7 @@ class TestBelavin:
             if cybe_lhs(r(x1, x2), r(x1, x3), r(x2, x3)).norm() >= 1e-9:
                 continue
             fitted = r(0.0, radius).scale(radius).add(r(0.0, -radius).scale(-radius)).scale(0.5)
-            if fitted.sub(casimir(3).to_complex()).norm() >= 1e-5:
+            if fitted.sub(complex_casimir(3)).norm() >= 1e-5:
                 continue
             passing.append(sign)
         assert passing == [+1]
@@ -493,6 +521,201 @@ class TestBelavin:
         from test_lie import nondegenerate
 
         assert nondegenerate(belavin_r(3, 1, CTX, 0.13, 0.37))
+
+
+COPRIME_8 = [(n, d) for n in range(2, 9) for d in range(1, n) if gcd(n, d) == 1]
+COPRIME_5 = [(n, d) for (n, d) in COPRIME_8 if n <= 5]
+
+
+def tensor_from_coefficients(n, d, coeffs):
+    """r = sum c_a Zdual_a (x) Z_a, assembled as `belavin_r` assembles it."""
+    pairs = ((zd, z, c) for (zd, z), c in zip(heisenberg_entries(n, d), coeffs))
+    return tensor_from_pairs(n, pairs, ring=COMPLEX)
+
+
+def coordinate_verdicts(n, d, ctx, lists):
+    """The CYBE and unitarity verdicts of `verify.check_belavin` on the
+    coefficient lists at `BELAVIN_POINTS`: the triple (v12, v13, v23) and
+    the pair (v, -v)."""
+    weights, negatives, coordinates = verify.heisenberg_coordinates(n, d)
+    c12, c13, c23, forward, back = lists
+    w12, w13, w23 = ([c * w for c, w in zip(cs, weights)] for cs in (c12, c13, c23))
+    tol = verify.belavin_tolerance(verify._theta_floor(n, d, ctx, dict(zip(BELAVIN_POINTS, lists))))
+    cybe = verify.coordinate_cybe_residual(coordinates, w12, w13, w23)
+    uni = verify.coordinate_unitarity_residual(negatives, forward, back)
+    return cybe <= tol, uni <= tol
+
+
+def tensor_verdicts(n, d, lists):
+    """The same verdicts from the assembled tensors at the tier-1 bound 1e-9."""
+    r12, r13, r23, forward, back = (tensor_from_coefficients(n, d, cs) for cs in lists)
+    return (cybe_lhs(r12, r13, r23).norm() < 1e-9,
+            forward.add(swap_tensor(back)).norm() < 1e-9)
+
+
+_X1, _X2, _X3 = verify.BELAVIN_TRIPLE
+_X, _Y = verify.BELAVIN_PAIR
+BELAVIN_POINTS = ((_X1, _X2), (_X1, _X3), (_X2, _X3), (_X, _Y), (_Y, _X))
+
+
+def belavin_lists(n, d, ctx):
+    return [belavin_coefficients(n, d, ctx, *p) for p in BELAVIN_POINTS]
+
+
+class TestHeisenbergCoordinates:
+    """`verify.check_belavin` reads the CYBE, unitarity and the residue off
+    the coefficients c_a in the Heisenberg basis."""
+
+    @pytest.mark.parametrize("n,d", COPRIME_8)
+    def test_closed_forms_are_the_monomial_products(self, n, d):
+        """Z_a Z_b = eps^(l_a k_b) Z_(a+b) and Zdual_a = eps^(k_a l_a) Z_(-a) / n,
+        exactly, for every a and b (Z_0 the identity)."""
+        hb = heisenberg(n, d)
+        z = {**hb.Z, (0, 0): Monomial(0, (0,) * n)}
+        for a in z:
+            for b in z:
+                ab = ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
+                assert z[a] @ z[b] == z[ab].times_eps(verify.product_exponent(a, b, n))
+        for a in hb.index_set:
+            m = z[(-a[0] % n, -a[1] % n)].times_eps(verify.dual_exponent(a, n))
+            assert hb.Z_dual[a] == Monomial(m.shift, m.exps, n)
+
+    @pytest.mark.parametrize("n,d", COPRIME_5)
+    def test_coordinates_are_the_cybe_tensor(self, n, d):
+        """Each coordinate sum, summed back over the basis Z_P (x) Z_Q (x) Z_S,
+        is the CYBE tensor of the same coefficient lists, for lists that are
+        not a solution (random), so no term hides behind a cancellation."""
+        rng = random.Random(31 * n + d)
+        size = n * n - 1
+        lists = [[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(size)]
+                 for _ in range(3)]
+        want = cybe_lhs(*(tensor_from_coefficients(n, d, cs) for cs in lists))
+        weights, _, coordinates = verify.heisenberg_coordinates(n, d)
+        w12, w13, w23 = ([c * w for c, w in zip(cs, weights)] for cs in lists)
+        hb = heisenberg(n, d)
+        index = hb.index_set
+        got = {}
+        for q, s, p_, q_, b1, b2, b3 in coordinates:
+            coeff = w12[q] * w13[s] * b1 + w12[p_] * w23[s] * b2 + w13[p_] * w23[q_] * b3
+            p = index[p_]
+            mats = [hb.Z[(-p[0] % n, -p[1] % n)], hb.Z[index[q]], hb.Z[index[s]]]
+            rows = [[(i, (i + m.shift) % n, cmath.exp(TWO_PI_I * d * e / n))
+                     for i, e in enumerate(m.exps)] for m in mats]
+            for i, j, e1 in rows[0]:
+                for k, l, e2 in rows[1]:
+                    for a, b, e3 in rows[2]:
+                        key = (i + 1, j + 1, k + 1, l + 1, a + 1, b + 1)
+                        got[key] = got.get(key, 0) + coeff * e1 * e2 * e3
+        keys = set(got) | set(want.terms)
+        assert max(abs(got.get(k, 0) - want.terms.get(k, 0)) for k in keys) < 1e-12
+
+    @pytest.mark.parametrize("n,d", COPRIME_5)
+    @pytest.mark.parametrize("tau", [1j, 0.3 + 1j])
+    def test_verdicts_agree_with_the_tensor(self, n, d, tau):
+        """On the solution both readings pass; with one c_a scaled by
+        1 + 1e-6 in every list both CYBE readings fail, and with it scaled
+        in the forward unitarity list only (a != -a) both unitarity readings
+        fail."""
+        ctx = ThetaContext(tau=tau)
+        lists = belavin_lists(n, d, ctx)
+        assert coordinate_verdicts(n, d, ctx, lists) == tensor_verdicts(n, d, lists) == (True, True)
+        negatives = verify.heisenberg_coordinates(n, d)[1]
+        for a in {0, len(lists[0]) // 2, len(lists[0]) - 1}:
+            planted = [list(cs) for cs in lists]
+            for cs in planted[:3]:
+                cs[a] *= 1 + 1e-6
+            if negatives[a] != a:
+                planted[3][a] *= 1 + 1e-6
+            want = (False, negatives[a] == a)
+            assert coordinate_verdicts(n, d, ctx, planted) == tensor_verdicts(n, d, planted) == want
+
+    def test_planted_coefficient_reads_far_above_tol(self):
+        ctx = ThetaContext(tau=1j)
+        lists = belavin_lists(4, 1, ctx)
+        tol = verify.belavin_tolerance(verify._theta_floor(4, 1, ctx, dict(zip(BELAVIN_POINTS, lists))))
+        weights, _, coordinates = verify.heisenberg_coordinates(4, 1)
+        lists[0][1] *= 1 + 1e-6
+        w = [[c * x for c, x in zip(cs, weights)] for cs in lists[:3]]
+        assert verify.coordinate_cybe_residual(coordinates, *w) > 1e-7 > 1e3 * tol
+
+    def test_tolerance_is_derived(self):
+        """tol = 8 THETA_TOL / t + 64 eps, t the smallest theta value met in
+        units of |2 q^(1/4)|; the report prints it as the tolerance."""
+        assert verify.belavin_tolerance(0.5) == 16 * THETA_TOL + 64 * 2.0**-52
+        report = verify.run_suite("elliptic", 4)
+        tols = [c.tolerance for c in report.checks if c.name.startswith("belavin-(")]
+        assert len(tols) == 5
+        for tol in tols:
+            value, residue = tol.split("/")
+            assert 1e-11 < float(value) < 1e-9 and residue == "1e-5"
+
+    def test_theta_floor_reads_the_kernel_thetas(self):
+        """|theta1(u + v)| read off a coefficient is the summed one."""
+        ctx = ThetaContext(tau=0.3 + 1j)
+        x, y = verify.BELAVIN_PAIR
+        coeffs = belavin_coefficients(3, 1, ctx, x, y)
+        prefactor = abs(elliptic._theta_table(ctx)[0])
+        summed = min(abs(theta1(u + (y - x), ctx))
+                     for _, _, u, _ in elliptic._lattice_thetas(3, 1, ctx))
+        floor = verify._theta_floor(3, 1, ctx, {(x, y): coeffs})
+        assert floor <= summed / prefactor * (1 + 1e-12)
+        assert floor > 0
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (5, 2)])
+    def test_coefficients_are_the_bare_formula(self, n, d):
+        """In the fundamental domain the coefficient list is the formula,
+        bit for bit, in the order of the index set."""
+        ctx = CTX_I
+        v = 0.37 + 0.2j
+        want = []
+        for (k, l) in heisenberg(n, d).index_set:
+            r, s = d * k % n, d * l % n
+            want.append(cmath.exp(-TWO_PI_I * r * v / n)
+                        * kronecker_sigma((1 / n) * (s - r * ctx.tau), v, ctx))
+        assert belavin_coefficients(n, d, ctx, 0.0, v) == want
+
+    def test_other_sign_of_v_fails_the_residue(self, monkeypatch):
+        """v = x - y composes r with the flip of both slots: the CYBE and
+        unitarity still hold, the residue is -casimir, and `verify` fails."""
+        real = elliptic.belavin_coefficients
+        monkeypatch.setattr(elliptic, "belavin_coefficients",
+                            lambda n, d, ctx, x, y: real(n, d, ctx, y, x))
+        ok, detail, _ = verify.check_belavin(3, 1)
+        assert not ok and "residue 2.0e+00" in detail
+        report = verify.run_suite("elliptic", 4)
+        assert [c.name for c in report.checks if not c.passed] == [
+            "belavin-(%d,%d)" % p for p in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3))]
+
+    def test_swapped_bracket_exponents_are_a_symmetry(self, monkeypatch):
+        """Reading [a, b] as eps^(k_a l_b) - eps^(k_b l_a) negates every
+        bracket, and each coordinate holds one bracket per term, so the CYBE
+        of r is unchanged: this is no control the check could catch."""
+        want = verify.heisenberg_coordinates(4, 3)[2]
+        monkeypatch.setattr(verify, "product_exponent", lambda a, b, n: a[0] * b[1] % n)
+        got = verify.heisenberg_coordinates(4, 3)[2]
+        assert [c[:4] for c in got] == [c[:4] for c in want]
+        assert all(g[4:] == tuple(-b for b in w[4:]) for g, w in zip(got, want))
+        assert verify.run_suite("elliptic", 4).passed
+
+    @pytest.mark.parametrize("name, fake", [
+        ("product_exponent", lambda a, b, n: a[1] * b[1] % n),  # every bracket 0
+        ("dual_exponent", lambda a, n: 0),  # Zdual_a read as Z_(-a) / n
+    ])
+    def test_wrong_algebra_fails_verify(self, monkeypatch, name, fake):
+        monkeypatch.setattr(verify, name, fake)
+        report = verify.run_suite("elliptic", 4)
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name for c in failed] == [
+            "belavin-(%d,%d)" % p for p in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 3))]
+        assert all("residue 3.4e-08" in c.detail for c in failed)
+
+    def test_crash_keeps_the_announced_tolerance(self, monkeypatch):
+        def broken(*args):
+            raise PoleProximityError("planted")
+
+        monkeypatch.setattr(elliptic, "belavin_coefficients", broken)
+        check = verify.run_suite("elliptic", 2).checks[1]
+        assert (check.name, check.passed, check.tolerance) == ("belavin-(2,1)", False, "derived/1e-5")
 
 
 class TestZoo:

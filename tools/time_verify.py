@@ -14,10 +14,12 @@ whether every check passed, and the summed `elapsed` of each check kind (the
 name before `-(` or `-n=`), read from the JSON report.  The peak RSS is the
 child's own `ru_maxrss`; on Linux a process started by fork and exec keeps
 the high-water mark of the process that started it, so this tool's own RSS
-(about 15 MB) is a floor on the reading.  The median wall time of each
-checkout follows each N_MAX and, for each further checkout, the number of
-checks whose name, status, detail or tolerance differ, in any of its runs,
-from the first run of the first checkout (`elapsed` is not compared).
+(about 15 MB) is a floor on the reading.  After each N_MAX come, per
+checkout, the median wall time and the median over its runs of each check
+kind's summed `elapsed`, and, for each further checkout, the checks whose
+name, status, detail or tolerance differ, in any of its runs, from the first
+run of the first checkout (`elapsed` is not compared): their count, then
+each check's name with the fields that differ.
 """
 
 import argparse
@@ -53,11 +55,28 @@ def kind_totals(checks) -> dict:
     return out
 
 
-def differing(outcomes, reference) -> set:
-    """The positions at which two runs' (name, status, detail, tolerance)
-    lists differ, a check missing from either list included."""
+FIELDS = ("name", "status", "detail", "tolerance")
+
+
+def differing(outcomes, reference) -> dict:
+    """{position: (check name, differing fields)} for the positions at which
+    two runs' (name, status, detail, tolerance) lists differ; a check
+    missing from either list differs in every field."""
+    out = {}
     pairs = itertools.zip_longest(map(tuple, outcomes), map(tuple, reference))
-    return {p for p, (a, b) in enumerate(pairs) if a != b}
+    for p, (a, b) in enumerate(pairs):
+        if a != b:
+            fields = (FIELDS if a is None or b is None
+                      else tuple(f for f, x, y in zip(FIELDS, a, b) if x != y))
+            out[p] = ((b or a)[0], fields)
+    return out
+
+
+def kind_medians(totals) -> dict:
+    """The median over runs of each kind's summed elapsed seconds, given one
+    `kind_totals` dict per run; a kind missing from a run counts 0 there."""
+    kinds = dict.fromkeys(k for run in totals for k in run)
+    return {k: statistics.median(run.get(k, 0.0) for run in totals) for k in kinds}
 
 
 def main():
@@ -72,7 +91,8 @@ def main():
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     for n_max in args.n_max:
         walls: dict = {src: [] for src in sources}
-        differ: dict = {src: set() for src in sources}
+        kinds: dict = {src: [] for src in sources}
+        differ: dict = {src: {} for src in sources}
         reference = None  # the outcomes of the first run of the first checkout
         for _ in range(args.runs):
             for src in sources:
@@ -81,18 +101,24 @@ def main():
                 run = json.loads(out.strip().splitlines()[-1])
                 walls[src].append(run["wall"])
                 reference = reference or run["outcomes"]
-                differ[src] |= differing(run["outcomes"], reference)
+                for p, (name, fields) in differing(run["outcomes"], reference).items():
+                    differ[src][p] = (name, tuple(sorted(set(differ[src].get(p, ("", ()))[1])
+                                                         | set(fields), key=FIELDS.index)))
                 print("%s n_max %d: wall %.3f s, cpu %.3f s, peak RSS %.1f MB, %d checks, %s" % (
                     src, n_max, run["wall"], run["cpu"], run["rss"], len(run["checks"]),
                     "all passed" if run["passed"] else "FAILURES"))
-                kinds = kind_totals(run["checks"]).items()
-                print("    " + ", ".join("%s %.3f" % kv for kv in kinds))
+                kinds[src].append(kind_totals(run["checks"]))
+                print("    " + ", ".join("%s %.3f" % kv for kv in kinds[src][-1].items()))
         for src in sources:
             print("%s n_max %d: median wall %.3f s over %d runs" % (
                 src, n_max, statistics.median(walls[src]), len(walls[src])))
+            print("    median per kind: " + ", ".join(
+                "%s %.4f" % kv for kv in kind_medians(kinds[src]).items()))
         for src in sources[1:]:
             print("%s n_max %d: %d of %d checks differ from %s" % (
                 src, n_max, len(differ[src]), len(reference), sources[0]))
+            for _, (name, fields) in sorted(differ[src].items()):
+                print("    %s: %s" % (name, ", ".join(fields)))
 
 
 if __name__ == "__main__":
