@@ -298,11 +298,8 @@ def point_sol_space(e: int, d: int, x) -> tuple:
 def assemble_r(e: int, d: int, x, y) -> GlTensor2:
     """The rational solution of the geometric pipeline at exact points:
     (1/(y-x)) [ c + sum dual(B) (x) G_B(y) ] over the sl(n) basis, read off
-    the table of `sol_family(e, d)`."""
-    x, y = rat(x), rat(y)
-    if x == y:
-        raise ValueError("need x != y")
-    return sol_family(e, d).table.at(x, y)
+    the table of `sol_family(e, d)`; `TensorTable.at` refuses x == y."""
+    return sol_family(e, d).table.at(rat(x), rat(y))
 
 
 def flip_transpose_gauge(e: int, d: int):

@@ -4,11 +4,14 @@ triples of tensors, in gl(n)^(x3), in the slot conventions of
 that builds a solution runs it.
 
 One sparse pass per commutator; rational inputs are summed as integer
-numerators over their common denominator D and divided by D^2 once.  The
-passes run once per row v of the first output slot, so only the partial
-sums of that row are held at a time: that row is the row of the first
-factor of an r12 or an r13 term, so each join restricts one side to the
-terms of row v.
+numerators over their common denominator D and divided by D^2 once.  Each
+input hands over its numerators (`GlTensor2.numerators`): an evaluation of
+`TensorTable.at` holds them already, so a point evaluation reaches the
+kernel with no Fraction, and only a tensor built from Fractions is put over
+the lcm of its denominators first.  The passes run once per row v of the
+first output slot, so only the partial sums of that row are held at a
+time: that row is the row of the first factor of an r12 or an r13 term, so
+each join restricts one side to the terms of row v.
 
 Each commutator takes its two inputs with the shared slot moved first, and
 there the identity I is central: [I, b] = 0.  So for rational inputs each
@@ -26,11 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .lie import RATIONAL, GlTensor2, GlTensor3, _swapped
-
-
-def _common_denominator(tensors) -> int:
-    return lcm(*{v.denominator for t in tensors for v in t.terms.values()})
+from .lie import RATIONAL, GlTensor3, _swapped
 
 
 def _drop_central(terms: dict, n: int) -> None:
@@ -117,12 +116,16 @@ def cybe_lhs_sum(triples) -> GlTensor3:
         tensors[0]._check_compatible(t)
     n = tensors[0].n
     rational = tensors[0].ring == RATIONAL
-    den = _common_denominator(tensors) if rational else 1
-
-    def coeffs(t: GlTensor2) -> dict:
-        if not rational:
-            return t.terms
-        return {k: v.numerator * (den // v.denominator) for k, v in t.terms.items()}
+    if rational:
+        forms = [t.numerators() for t in tensors]
+        den = lcm(*(d for _, d in forms))
+        coeffs = []
+        for nums, d in forms:
+            f = den // d
+            # a new dict also when f = 1: `_drop_central` changes it in place
+            coeffs.append({k: v * f for k, v in nums.items()})
+    else:
+        den, coeffs = 1, [t.terms for t in tensors]
 
     base = n + 1
     powers = [base ** p for p in range(5, -1, -1)]
@@ -130,8 +133,7 @@ def cybe_lhs_sum(triples) -> GlTensor3:
     in_slot3 = _bracket_joins((2, 0, 1), powers)
     in_slot2 = _bracket_joins((1, 0, 2), powers)
     groups = []
-    for r12, r13, r23 in triples:
-        c12, c13, c23 = coeffs(r12), coeffs(r13), coeffs(r23)
+    for c12, c13, c23 in zip(*[iter(coeffs)] * 3):
         # the bracket acts on each tensor's first factor; swapping moves the
         # shared slot there.  [r12, r13] lands in slot 1 and takes c12 and
         # c13, [r13, r23] in slot 3 and [r12, r23] in slot 2 take swapped

@@ -68,16 +68,50 @@ def _accumulate(store: dict, key, value):
 
 class GlTensor2:
     """Sparse element of gl(n) (x) gl(n): terms[(i,j,k,l)] is the coefficient
-    of e_{i,j} (x) e_{k,l} (1-based indices)."""
+    of e_{i,j} (x) e_{k,l} (1-based indices).
 
-    __slots__ = ("n", "ring", "terms")
+    A rational tensor may hold its coefficients as nonzero integer
+    numerators over one positive denominator instead (`over`, which
+    `TensorTable.at` builds).  `terms` then builds the Fractions on its
+    first read and from then on holds that form alone, so a tensor always
+    has one exact value; `numerators` reads either form as integers."""
+
+    __slots__ = ("n", "ring", "_terms", "_nums", "_den")
 
     def __init__(self, n: int, ring: str, terms: dict | None = None):
         self.n = n
         self.ring = ring
-        self.terms = {} if terms is None else terms
+        self._terms = {} if terms is None else terms
+        self._nums = self._den = None
         if ring not in (RATIONAL, COMPLEX):
             raise ValueError("unknown scalar ring %r" % ring)
+
+    @classmethod
+    def over(cls, n: int, nums: dict, den: int) -> "GlTensor2":
+        """The rational tensor with coefficients nums[key] / den: the
+        numerators nonzero integers, den a positive integer."""
+        t = cls(n, RATIONAL)
+        t._terms, t._nums, t._den = None, nums, den
+        return t
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            den = self._den
+            self._terms = {k: Fraction(v, den) for k, v in self._nums.items()}
+            self._nums = self._den = None
+        return self._terms
+
+    def numerators(self) -> tuple[dict, int]:
+        """(nums, den) for a rational tensor: its nonzero coefficients are
+        nums[key] / den, den > 0.  The integer form is handed out as held,
+        not copied; Fraction coefficients are put over the lcm of their
+        denominators."""
+        if self._nums is not None:
+            return self._nums, self._den
+        terms = self._terms
+        den = lcm(*(v.denominator for v in terms.values()))
+        return {k: v.numerator * (den // v.denominator) for k, v in terms.items() if v}, den
 
     def __repr__(self):
         return "GlTensor2(n=%r, ring=%r, terms=%r)" % (self.n, self.ring, self.terms)
@@ -207,9 +241,14 @@ class TensorTable:
             other.n, other.monomials, other.den, other.terms)
 
     def at(self, x: Fraction, y: Fraction) -> GlTensor2:
-        """r(x, y) for y != x.  Every monomial is an integer over one common
-        denominator, so each term costs one integer combination and one
-        Fraction; terms that vanish at (x, y) are dropped."""
+        """r(x, y) for y != x, as integer numerators over one positive
+        denominator (`GlTensor2.over`).  Every monomial is an integer over
+        one common denominator, so each term costs one integer combination
+        and no Fraction; terms that vanish at (x, y) are dropped.  The
+        numerators are a new dict on every call: no evaluation shares a
+        value with the table or with another evaluation."""
+        if x == y:
+            raise ValueError("need x != y")
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
         s = yn * xd - xn * yd  # (y - x) xd yd
         p_max, a_max, b_max = (max(m[k] for m in self.monomials) for k in range(3))
@@ -218,15 +257,11 @@ class TensorTable:
             for p, a, b in self.monomials
         ]
         den = self.den * xd**a_max * yd**b_max * s**p_max
-        g = gcd(den, *values)
+        # den < 0 where y < x: a negative g makes den // g positive
+        g = gcd(den, *values) if den > 0 else -gcd(den, *values)
         values = [v // g for v in values]
-        den //= g
-        terms = {}
-        for key, nums in self.terms.items():
-            v = sum(map(mul, nums, values))
-            if v:
-                terms[key] = Fraction(v, den)
-        return GlTensor2(self.n, RATIONAL, terms)
+        nums = {key: v for key, row in self.terms.items() if (v := sum(map(mul, row, values)))}
+        return GlTensor2.over(self.n, nums, den // g)
 
 
 def tensor_table(n: int, pairs) -> TensorTable:
@@ -296,11 +331,19 @@ def cybe_residual_difference(r_of, x, y) -> GlTensor3:
 
 
 def is_unitary_pair(r_xy: GlTensor2, r_yx: GlTensor2) -> bool:
-    """Exact check of r(y,x) = -swap(r(x,y)), term by term."""
-    if (r_xy.n, r_xy.ring, len(r_xy.terms)) != (r_yx.n, r_yx.ring, len(r_yx.terms)):
+    """Exact check of r(y,x) = -swap(r(x,y)), term by term.  Rational
+    tensors compare their integer numerators crosswise: b / db = -a / da
+    iff b da = -a db."""
+    if (r_xy.n, r_xy.ring) != (r_yx.n, r_yx.ring):
         return False
+    if r_xy.ring == RATIONAL:
+        (a, da), (b, db) = r_xy.numerators(), r_yx.numerators()
+        get = b.get
+        return len(a) == len(b) and all(
+            get((k, l, i, j), 0) * da == -c * db for (i, j, k, l), c in a.items())
     get = r_yx.terms.get
-    return all(get((k, l, i, j)) == -c for (i, j, k, l), c in r_xy.terms.items())
+    return len(r_xy.terms) == len(r_yx.terms) and all(
+        get((k, l, i, j)) == -c for (i, j, k, l), c in r_xy.terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -269,11 +269,9 @@ def solve_dec(e: int, d: int, K: tuple) -> WElementSet:
 def assemble_stolin_r(e: int, d: int, K: tuple, x, y) -> GlTensor2:
     """c/(y-x) + sum e_{i,j} (x) w_{(i,j;0)}(y) + sum dual-Cartan (x) w_{(l;0)}(y)
     + x sum e_{i,j} (x) w_{(i,j;1)}(y), read off the table of `solve_dec`.
-    K is a tuple of int or Fraction row tuples, used with no copy."""
-    x, y = rat(x), rat(y)
-    if x == y:
-        raise ValueError("need x != y")
-    return solve_dec(e, d, K).table.at(x, y)
+    K is a tuple of int or Fraction row tuples, used with no copy.
+    `TensorTable.at` refuses x == y."""
+    return solve_dec(e, d, K).table.at(rat(x), rat(y))
 
 
 def compare_pipelines(e: int, d: int, x, y) -> bool:

@@ -87,6 +87,13 @@ class TestRational:
         assert run("rational", "2", "1", "--x", "a", "--y", "1").exit_code == 3
         assert run("rational", "2", "2", "--x", "0", "--y", "1").exit_code == 3
 
+    @pytest.mark.parametrize("command", ["rational", "stolin"])
+    def test_equal_points_exit_3(self, command):
+        for y in ("1/3", "2/6"):
+            res = run(command, "2", "1", "--x=1/3", "--y=" + y)
+            assert res.exit_code == 3
+            assert res.stderr == "error: need x != y\n"
+
     def test_huge_exponent_exit_3(self):
         res = run("rational", "3", "1", "--x", "1e999999999", "--y", "2")
         assert res.exit_code == 3

@@ -624,6 +624,174 @@ class TestUnitary:
         assert not is_unitary_pair(z2, GlTensor2(2, COMPLEX, {}))
 
 
+# --- point evaluations as integer numerators over one denominator ------------
+
+def table_reference(table, x, y) -> dict:
+    """{key: Fraction} of r(x, y) from the table's definition: each key's
+    numerators times the values x^a y^b / (y - x)^p of its monomials, over
+    the table's denominator, zeros dropped."""
+    values = [x**a * y**b / (y - x) ** p for p, a, b in table.monomials]
+    out = {key: sum(v * m for v, m in zip(nums, values)) / table.den
+           for key, nums in table.terms.items()}
+    return {key: v for key, v in out.items() if v}
+
+
+ROUTE_TABLES = {
+    "cuspidal": lambda e, d: cuspidal.sol_family(e, d).table,
+    "stolin": lambda e, d: stolin.solve_dec(e, d, stolin.neg_j_matrix(e, d)).table,
+}
+SOLUTION_PAIRS = [(1, 6), (2, 3), (3, 1)]
+
+
+def fraction_form(t: GlTensor2) -> GlTensor2:
+    """The value of `t` in a tensor built from Fractions."""
+    return GlTensor2(t.n, RATIONAL, dict(t.terms))
+
+
+def planted(t: GlTensor2, change) -> GlTensor2:
+    """`t` in integer form with its numerator v at the least key replaced
+    by change(v)."""
+    nums, den = t.numerators()
+    key = min(nums)
+    return GlTensor2.over(t.n, {**nums, key: change(nums[key])}, den)
+
+
+def same_lhs(a, b) -> bool:
+    return (a.n, a.ring, a.terms) == (b.n, b.ring, b.terms)
+
+
+def count_fractions(monkeypatch) -> list:
+    """Count the Fractions built from here on: the returned one-element
+    list holds the number of `Fraction.__new__` calls."""
+    count = [0]
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    return count
+
+
+class TestIntegerForm:
+    @pytest.mark.parametrize("route", sorted(ROUTE_TABLES))
+    @pytest.mark.parametrize("e,d", SOLUTION_PAIRS)
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_at_matches_reference(self, route, e, d, seed):
+        table = ROUTE_TABLES[route](e, d)
+        rng = random.Random(seed)
+        for _ in range(4):
+            x = F(rng.randint(-9, 9), rng.randint(1, 9))
+            y = x + F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            t = table.at(x, y)
+            nums, den = t.numerators()
+            assert den > 0 and all(type(v) is int and v for v in nums.values())
+            assert t.terms == table_reference(table, x, y)
+
+    def test_at_refuses_equal_points(self):
+        x = F(1, 3)
+        with pytest.raises(ValueError, match="need x != y"):
+            cuspidal.assemble_r(2, 1, x, F(2, 6))
+        with pytest.raises(ValueError, match="need x != y"):
+            stolin.assemble_stolin_r(1, 2, stolin.neg_j_matrix(1, 2), x, x)
+        with pytest.raises(ValueError, match="need x != y"):
+            ROUTE_TABLES["stolin"](1, 6).at(x, x)
+
+    @pytest.mark.parametrize("route", sorted(ROUTE_TABLES))
+    @pytest.mark.parametrize("e,d", SOLUTION_PAIRS)
+    def test_cybe_lhs_on_both_forms(self, route, e, d):
+        """Integer-form, Fraction-form and mixed triples give equal left-hand
+        sides: zero at the solution, and equal and nonzero once one
+        coefficient of r12 is changed."""
+        at = ROUTE_TABLES[route](e, d).at
+        points = ((F(1, 3), F(-2)), (F(1, 3), F(5, 4)), (F(-2), F(5, 4)))
+
+        def each_form(change):
+            ints = [at(*p) for p in points]
+            ints[0] = planted(ints[0], change)
+            fracs = [fraction_form(planted(at(*points[0]), change))]
+            fracs += [fraction_form(at(*p)) for p in points[1:]]
+            mixed = [(ints[0], fracs[1], ints[2]), (fracs[0], ints[1], fracs[2])]
+            return [cybe_lhs(*triple) for triple in [ints, fracs] + mixed]
+
+        assert all(res.is_zero() for res in each_form(lambda v: v))
+        got = each_form(lambda v: v + 1)
+        assert not got[0].is_zero()
+        assert all(same_lhs(res, got[0]) for res in got[1:])
+
+    @pytest.mark.parametrize("route", sorted(ROUTE_TABLES))
+    @pytest.mark.parametrize("e,d", SOLUTION_PAIRS)
+    def test_unitarity_on_both_forms(self, route, e, d):
+        """`is_unitary_pair` gives one answer on integer-form, Fraction-form
+        and mixed pairs; one sign flipped in r(y, x) is not unitary in any
+        of them."""
+        at = ROUTE_TABLES[route](e, d).at
+        x, y = F(2, 7), F(-3, 5)
+
+        def each_form(change):
+            def r_yx():
+                return planted(at(y, x), change)
+
+            return [is_unitary_pair(a, b) for a, b in [
+                (at(x, y), r_yx()), (fraction_form(at(x, y)), fraction_form(r_yx())),
+                (at(x, y), fraction_form(r_yx())), (fraction_form(at(x, y)), r_yx())]]
+
+        assert each_form(lambda v: v) == [True] * 4
+        assert each_form(lambda v: -v) == [False] * 4
+        # the numerators are compared over their denominators
+        nums, den = at(y, x).numerators()
+        tripled = GlTensor2.over(e + d, {k: 3 * v for k, v in nums.items()}, 3 * den)
+        assert is_unitary_pair(at(x, y), tripled)
+        assert not is_unitary_pair(at(x, y), GlTensor2.over(e + d, nums, 3 * den))
+
+    def test_evaluation_builds_no_fraction(self, monkeypatch):
+        """The CYBE residual and the unitarity test of the Stolin (1,6)
+        solution at -J build no Fraction once `solve_dec` is warm; the first
+        read of `terms` builds one per term, the second none."""
+        K = stolin.neg_j_matrix(1, 6)
+
+        def r(a, b):
+            return stolin.assemble_stolin_r(1, 6, K, a, b)
+
+        x1, x2, x3 = F(1, 3), F(-4, 7), F(5, 2)
+        r(x1, x2)
+        count = count_fractions(monkeypatch)
+        assert cybe_residual_two_variable(r, (x1, x2, x3)).is_zero()
+        assert is_unitary_pair(r(x1, x2), r(x2, x1))
+        assert is_unitary_pair(r(x3, x1), r(x1, x3))
+        assert count[0] == 0
+        t = r(x2, x3)
+        terms = t.terms
+        assert count[0] == len(terms) > 0
+        assert t.terms is terms and count[0] == len(terms)
+
+    @pytest.mark.parametrize("route", sorted(ROUTE_TABLES))
+    def test_evaluations_share_nothing(self, route):
+        """A changed evaluation leaves the next one at the same points as it
+        was, and the CYBE kernel sees the change; the kernel leaves the
+        numerators it is given as they were, also when all three share one
+        denominator."""
+        e, d = 2, 3
+        K = stolin.neg_j_matrix(e, d)
+        assemble = {"cuspidal": lambda x, y: cuspidal.assemble_r(e, d, x, y),
+                    "stolin": lambda x, y: stolin.assemble_stolin_r(e, d, K, x, y)}[route]
+        x1, x2, x3 = F(1, 2), F(-1, 3), F(4)
+        want = dict(assemble(x1, x2).terms)
+        changed = assemble(x1, x2)
+        changed.terms[min(want)] += 1
+        assert assemble(x1, x2).terms == want
+        res = cybe_lhs(changed, assemble(x1, x3), assemble(x2, x3))
+        assert not res.is_zero()
+        assert same_lhs(res, cybe_lhs(fraction_form(changed), assemble(x1, x3),
+                                      assemble(x2, x3)))
+        t = assemble(x1, x3)
+        nums, den = t.numerators()
+        held = dict(nums)
+        assert not cybe_lhs(t, t, t).is_zero()
+        assert t.numerators() == (held, den)
+
+
 class TestGauges:
     def test_identity(self):
         c = casimir(3)
