@@ -117,12 +117,16 @@ class GlTensor2:
         return "GlTensor2(n=%r, ring=%r, terms=%r)" % (self.n, self.ring, self.terms)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GlTensor2)
-            and self.n == other.n
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        """Same n, ring and coefficients.  Two integer-form tensors compare
+        by cross-multiplying, a / da = b / db iff a db = b da, so neither
+        builds a Fraction; any other pair compares `terms`."""
+        if not (isinstance(other, GlTensor2) and self.n == other.n and self.ring == other.ring):
+            return False
+        a, b = self._nums, other._nums
+        if a is None or b is None:
+            return self.terms == other.terms
+        da, db, get = self._den, other._den, b.get
+        return len(a) == len(b) and all(v * db == get(k, 0) * da for k, v in a.items())
 
     def norm(self) -> float:
         """Max coefficient magnitude."""
@@ -396,17 +400,21 @@ def flip_map(n: int) -> LinearMapGl:
 
 def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
     """(phi (x) psi) applied coefficient-wise.  Distinct unit pairs have
-    distinct images, so no two terms combine."""
+    distinct images, so no two terms combine.  A rational tensor is mapped
+    in its integer form (`numerators`) to an integer-form tensor over the
+    same denominator, so no Fraction is built."""
     if phi.n != r.n or psi.n != r.n:
         raise ValueError("gauge size mismatch")
+    rational = r.ring == RATIONAL
+    coeffs, den = r.numerators() if rational else (r.terms, None)
     out: dict = {}
-    for (i, j, k, l), c in r.terms.items():
+    for (i, j, k, l), c in coeffs.items():
         if c == 0:
             continue
         a, b, s = phi.images[(i, j)]
         p, q, t = psi.images[(k, l)]
         out[(a, b, p, q)] = c * (s * t)
-    return GlTensor2(r.n, r.ring, out)
+    return GlTensor2.over(r.n, out, den) if rational else GlTensor2(r.n, r.ring, out)
 
 
 # ---------------------------------------------------------------------------

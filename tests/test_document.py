@@ -1,11 +1,15 @@
 """Serialization round-trips and rendered output stability."""
 
 import json
+import math
+import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from test_lie import count_fractions
+from ybe_forge import cuspidal, stolin
 from ybe_forge.document import (
     SCHEMA,
     DocumentError,
@@ -43,6 +47,72 @@ def document_to_json(doc: TensorDocument) -> dict:
 
 def reference_dumps(doc: TensorDocument) -> str:
     return json.dumps(document_to_json(doc), indent=2, sort_keys=True)
+
+
+def _reference_int(v, what):
+    if type(v) is not int:
+        raise DocumentError("%s must be an integer, got %r" % (what, v))
+    return v
+
+
+def _reference_coeff(v, scalar):
+    from ybe_forge.exact import rat
+
+    if scalar == RATIONAL:
+        if not isinstance(v, str):
+            raise DocumentError("rational coefficients must be strings, got %r" % (v,))
+        return rat(v)
+    if not (isinstance(v, list) and len(v) == 2):
+        raise DocumentError("complex coefficients must be [re, im], got %r" % (v,))
+    c = complex(v[0], v[1])
+    if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+        raise DocumentError("complex coefficients must be finite, got %r" % (v,))
+    return c
+
+
+def reference_document_from_json(payload) -> TensorDocument:
+    """The per-item reader: every field checked in turn and every rational
+    coefficient read by `exact.rat`, as one Fraction.  The reader of the
+    package must accept the same payloads, with the same values, and
+    refuse the others with the same message."""
+    if not isinstance(payload, dict):
+        raise DocumentError("document must be a JSON object, got %s" % type(payload).__name__)
+    if payload.get("schema") != SCHEMA:
+        raise DocumentError("unsupported schema %r" % payload.get("schema"))
+    scalar = payload.get("scalar")
+    if scalar not in (RATIONAL, COMPLEX):
+        raise DocumentError("unknown scalar kind %r" % scalar)
+    try:
+        n = _reference_int(payload["n"], "n")
+        if n < 1:
+            raise DocumentError("n must be positive, got %d" % n)
+        terms = {}
+        for item in payload["terms"]:
+            key = tuple(_reference_int(item[c], c) for c in "ijkl")
+            if not all(1 <= v <= n for v in key):
+                raise DocumentError("term index out of range: %r" % (key,))
+            if key in terms:
+                raise DocumentError("duplicate term %r" % (key,))
+            terms[key] = _reference_coeff(item["coeff"], scalar)
+        provenance = payload.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise DocumentError("provenance must be a JSON object, got %r" % (provenance,))
+        json.dumps(provenance, allow_nan=False)
+    except DocumentError:
+        raise
+    except KeyError as exc:
+        raise DocumentError("missing key %s" % exc) from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DocumentError("malformed document: %s" % exc) from exc
+    return TensorDocument(n, scalar, tuple(sorted(terms.items())), dict(provenance))
+
+
+def read_outcome(read, payload):
+    """("ok", document) or ("error", message) of one reader on a payload."""
+    try:
+        return "ok", read(payload)
+    except DocumentError as exc:
+        return "error", str(exc)
 
 
 class TestRoundTrip:
@@ -273,3 +343,150 @@ class TestGoldens:
 
         doc = document_from_tensor(assemble_r(1, 1, F(0), F(1)))
         assert render_latex(doc) == golden
+
+
+def _payload(*items, n=3, scalar=RATIONAL):
+    return {"schema": SCHEMA, "n": n, "scalar": scalar, "terms": list(items),
+            "provenance": {"pipeline": "test"}}
+
+
+def _item(coeff="1/6", i=1, j=2, k=3, l=1):
+    return {"i": i, "j": j, "k": k, "l": l, "coeff": coeff}
+
+
+class TestReaderParity:
+    """The reader parses canonical spellings straight to integers and sends
+    every other item through the per-item checks; against the reference
+    reader it gives the same value or the same `DocumentError` message."""
+
+    @pytest.mark.parametrize("coeff", [
+        "3/4", "-3/4", "0", "-0", "007/3", "2/4", "5/1", "+3", " 3/4", "1.5", "1e3",
+        "1e1001", "1e2_000", "3/0", "٣/4", "1" * 5000, "-12/5000", "3/-4", "3/4\n",
+    ], ids=["3/4", "-3/4", "0", "-0", "007/3", "2/4", "5/1", "+3", "space-3/4", "1.5", "1e3",
+            "1e1001", "1e2_000", "3/0", "arabic-indic-3/4", "5000-digits", "-12/5000",
+            "negative-denominator", "trailing-newline"])
+    def test_spellings(self, coeff):
+        payload = _payload(_item("-1/6", 2, 2, 1, 1), _item(coeff))
+        got = read_outcome(document_from_json, payload)
+        assert got == read_outcome(reference_document_from_json, payload)
+        if coeff in ("3/4", "-3/4", "0", "-0", "007/3", "2/4", "5/1", "+3", " 3/4", "1.5", "1e3"):
+            assert got[0] == "ok" and dict(got[1].terms)[1, 2, 3, 1] == F(coeff.strip())
+
+    @pytest.mark.parametrize("item", [
+        _item(i=True), _item(j=1.0), _item(k="3"), _item(l=False),
+        _item(i=0), _item(j=4), _item(l=-1),
+        *({key: v for key, v in _item().items() if key != gone} for gone in "ijkl"),
+        {"i": 1, "j": 2, "k": 3, "l": 1},
+        _item(i=2, j=2, k=1, l=1), _item(i=2, j=2, k=1, l=1, coeff="1/6"),
+        [1, 2, 3, 1, "1/6"], "1/6", 7, None, _item(coeff=0.5), _item(coeff=["1", "2"]),
+    ], ids=["bool-i", "float-j", "string-k", "bool-l", "index-0", "index-n+1", "negative-l",
+            "missing-i", "missing-j", "missing-k", "missing-l", "missing-coeff",
+            "duplicate", "duplicate-canonical", "list", "string", "int", "null",
+            "float-coeff", "list-coeff"])
+    def test_items(self, item):
+        payload = _payload(_item("-1/6", 2, 2, 1, 1), item)
+        got = read_outcome(document_from_json, payload)
+        assert got[0] == "error"
+        assert got == read_outcome(reference_document_from_json, payload)
+
+    @pytest.mark.parametrize("terms", [{"a": 1}, "x", 3, None])
+    def test_terms_not_a_list(self, terms):
+        payload = dict(_payload(), terms=terms)
+        assert read_outcome(document_from_json, payload) == read_outcome(
+            reference_document_from_json, payload)
+
+    def test_denominators_combine(self):
+        """Unreduced and mixed spellings give the value of their Fractions,
+        over the lcm of the reduced denominators."""
+        payload = _payload(_item("4/6", 1, 1, 1, 1), _item("10/4", 1, 2, 2, 1),
+                           _item("-0/9", 2, 1, 1, 2), _item("1e-1", 3, 3, 3, 3))
+        got = document_from_json(payload)
+        assert got == reference_document_from_json(payload)
+        assert dict(got.terms) == {(1, 1, 1, 1): F(2, 3), (1, 2, 2, 1): F(5, 2),
+                                   (2, 1, 1, 2): 0, (3, 3, 3, 3): F(1, 10)}
+
+
+def _evaluations():
+    """(tensor, x, y) of integer-form table evaluations on both routes at
+    x = 0, y = 1 and at seeded points, y < x among them, and, last, one
+    with integer coefficients."""
+    rng = random.Random(35)
+    out = []
+    for e, d in ((1, 1), (2, 3), (1, 6)):
+        K = stolin.neg_j_matrix(e, d)
+        points = [(F(0), F(1))]
+        points += [tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in "xy")
+                   for _ in range(3)]
+        for x, y in points:
+            if x == y:
+                continue
+            out.append((cuspidal.assemble_r(e, d, x, y), x, y))
+            out.append((stolin.assemble_stolin_r(e, d, K, x, y), x, y))
+    # integer-valued: an evaluation's numerators, each over 1, held over a
+    # denominator that divides them all
+    t, x, y = out[-1]
+    nums, den = t.numerators()
+    out.append((GlTensor2.over(t.n, {k: 6 * v for k, v in nums.items()}, 6), x, y))
+    return out
+
+
+class TestIntegerForm:
+    def test_evaluations(self):
+        evaluations = _evaluations()
+        assert any(y < x for _, x, y in evaluations)
+        nums, den = evaluations[-1][0].numerators()
+        assert all(v % den == 0 for v in nums.values())
+        for t, x, y in evaluations:
+            doc = document_from_tensor(t, {"x": str(x), "y": str(y)})
+            text = dumps(doc)
+            assert text == reference_dumps(doc)
+            assert loads(text) == doc
+            assert loads(text).to_tensor() == t
+            assert TensorDocument(doc.n, doc.scalar, doc.terms, doc.provenance) == doc
+
+    def test_explicit_zero_kept(self):
+        """A tensor built from Fractions keeps an explicit zero as a "0"
+        term, and the document reads back to that tensor."""
+        t = GlTensor2(2, RATIONAL, {(1, 1, 2, 2): F(0), (1, 2, 2, 1): F(-3, 4)})
+        doc = document_from_tensor(t)
+        payload = json.loads(dumps(doc))
+        assert [term["coeff"] for term in payload["terms"]] == ["0", "-3/4"]
+        assert dumps(doc) == reference_dumps(doc)
+        assert loads(dumps(doc)) == doc and loads(dumps(doc)).to_tensor() == t
+
+    def test_equal_values_equal_documents(self):
+        """A document's form is canonical: a tensor over a non-reduced
+        denominator, its Fraction form and the document read back are ==,
+        and a changed coefficient is not."""
+        nums, den = {(1, 2, 2, 1): 6, (2, 1, 1, 2): -9}, 12
+        doc = document_from_tensor(GlTensor2.over(2, nums, den))
+        assert doc == document_from_tensor(GlTensor2(2, RATIONAL, {(1, 2, 2, 1): F(1, 2),
+                                                                   (2, 1, 1, 2): F(-3, 4)}))
+        assert doc == loads(dumps(doc))
+        assert doc != document_from_tensor(GlTensor2.over(2, {**nums, (1, 2, 2, 1): 5}, den))
+
+    def test_source_changed_later(self):
+        """Changing the tensor's numerators after the document was made
+        leaves the document as it was."""
+        t = stolin.assemble_stolin_r(2, 3, stolin.neg_j_matrix(2, 3), F(1, 2), F(-3))
+        doc = document_from_tensor(t)
+        text = dumps(doc)
+        nums, _ = t.numerators()
+        for key in list(nums)[:5]:
+            nums[key] += 7
+        assert dumps(doc) == text and loads(text) == doc
+
+    def test_round_trip_builds_no_fraction(self, monkeypatch):
+        """Stolin (1,6) at -J: from tensor to document, text, document read
+        back and the comparison build no Fraction; the first read of the
+        loaded document's terms builds one per term."""
+        K = stolin.neg_j_matrix(1, 6)
+        x, y = F(1, 3), F(-4, 7)
+        stolin.assemble_stolin_r(1, 6, K, x, y)
+        count = count_fractions(monkeypatch)
+        doc = document_from_tensor(stolin.assemble_stolin_r(1, 6, K, x, y), {"source": "stolin"})
+        again = loads(dumps(doc))
+        assert again == doc
+        assert count[0] == 0
+        terms = again.terms
+        assert count[0] == len(terms) > 200

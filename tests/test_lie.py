@@ -792,6 +792,43 @@ class TestIntegerForm:
         assert t.numerators() == (held, den)
 
 
+    @pytest.mark.parametrize("route", sorted(ROUTE_TABLES))
+    def test_gauge_keeps_integer_form(self, route):
+        """`apply_gauge` maps an evaluation to integer numerators over the
+        same denominator, with the value of the gauged Fraction form; `==`
+        cross-multiplies: a planted numerator change is unequal, the same
+        value over a tripled denominator equal."""
+        phi = transpose_negate_map(5)
+        t = ROUTE_TABLES[route](2, 3).at(F(2, 7), F(-3, 5))
+        nums, den = t.numerators()
+        gauged = apply_gauge(phi, phi, t)
+        g_nums, g_den = gauged.numerators()
+        assert g_den == den
+        assert sorted(map(abs, g_nums.values())) == sorted(map(abs, nums.values()))
+        assert gauged.terms == apply_gauge(phi, phi, fraction_form(t)).terms
+        identity = signed_permutation_map(5, lambda i, j: (i, j, 1))
+        assert apply_gauge(phi, identity, t).terms == {
+            (j, i, k, l): -c for (i, j, k, l), c in fraction_form(t).terms.items()}
+        gauged = apply_gauge(phi, phi, t)
+        assert gauged != apply_gauge(phi, phi, planted(t, lambda v: v + 1))
+        assert gauged != apply_gauge(phi, phi, planted(t, lambda v: -v))
+        assert gauged == GlTensor2.over(5, {k: 3 * v for k, v in g_nums.items()}, 3 * g_den)
+        assert gauged != GlTensor2.over(5, g_nums, 3 * g_den)
+
+    def test_compare_builds_no_fraction(self, monkeypatch):
+        """Once the caches are warm, comparing the pipelines at (2,3) builds
+        no Fraction, and a planted change on the gauged side is seen."""
+        x, y = F(1, 3), F(-5, 2)
+        assert stolin.compare_pipelines(2, 3, x, y)
+        count = count_fractions(monkeypatch)
+        assert stolin.compare_pipelines(2, 3, x, y)
+        assert count[0] == 0
+        phi = transpose_negate_map(5)
+        lhs = apply_gauge(phi, phi, planted(cuspidal.assemble_r(2, 3, x, y), lambda v: v + 1))
+        assert lhs != stolin.assemble_stolin_r(2, 3, stolin.neg_j_matrix(2, 3), x, y)
+        assert count[0] == 0
+
+
 class TestGauges:
     def test_identity(self):
         c = casimir(3)

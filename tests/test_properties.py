@@ -10,7 +10,8 @@ from conftest import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ybe_forge.document import DocumentError, TensorDocument, loads
+from test_document import read_outcome, reference_document_from_json
+from ybe_forge.document import DocumentError, TensorDocument, document_from_json, loads
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -148,3 +149,27 @@ def test_document_loads_or_raises_document_error(payload):
     except DocumentError:
         return
     assert isinstance(doc, TensorDocument)
+
+
+SPELLING = st.one_of(
+    st.fractions(max_denominator=9).map(str),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 12)),
+    st.text(alphabet="0123456789/+-_.e ", max_size=6),
+)
+# an index is junk on one draw in twelve, so most terms reach their coefficient
+INDEX = st.integers(0, 11).flatmap(
+    lambda i: st.one_of(st.integers(-1, 4), JSON_SCALAR) if i == 5 else st.integers(1, 3))
+PARITY_TERM = st.fixed_dictionaries(
+    {c: INDEX for c in "ijkl"} | {"coeff": mostly(SPELLING, JSON_VALUE)})
+
+
+@settings(SETTINGS, max_examples=300)
+@given(n=st.sampled_from([3, 1, 2, 4]),
+       terms=mostly(st.lists(PARITY_TERM, max_size=4), JSON_VALUE))
+def test_document_reader_matches_reference(n, terms):
+    """The reader that parses canonical spellings to integers and the
+    per-item reference reader give the same document or the same message."""
+    payload = {"schema": "tensor-document/1", "n": n, "scalar": "rational", "terms": terms}
+    payload = json.loads(json.dumps(payload))
+    assert read_outcome(document_from_json, payload) == read_outcome(
+        reference_document_from_json, payload)

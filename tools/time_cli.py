@@ -15,7 +15,10 @@ number of distinct requests whose stdout, stderr or exit code differ between
 the two checkouts.  Before the timed passes, one untimed probe per request
 kind and checkout lists the `ybe_forge` modules the request loads and their
 total source lines, `cli.py` included: without cached bytecode, the source
-a request compiles.
+a request compiles.  After them, an untimed round-trip probe per checkout
+reads every rational, stolin and elliptic document that checkout printed
+back through its own `document.loads`, writes it again with `dumps`, and
+prints how many rewrites differ from the printed text.
 """
 
 import argparse
@@ -80,6 +83,32 @@ def compiled_source(src, args, env):
     return [os.path.splitext(os.path.basename(path))[0] for path in files], lines
 
 
+# Reads a JSON list of printed documents from stdin and prints how many of
+# them `dumps(loads(text))` does not give back (a text that does not load
+# counts as differing).
+ROUND_TRIP = """import json, sys
+from ybe_forge.document import dumps, loads
+
+def same(text):
+    try:
+        return dumps(loads(text)) == text
+    except ValueError:
+        return False
+
+print(sum(not same(text) for text in json.load(sys.stdin)))
+"""
+DOCUMENT_KINDS = ("rational", "stolin", "elliptic")
+
+
+def round_trip_differences(src, texts, env):
+    """How many of the document texts differ from their rewrite by the
+    `document` module of `src`."""
+    out = subprocess.run([sys.executable, "-c", ROUND_TRIP], input=json.dumps(sorted(texts)),
+                         env=dict(env, PYTHONPATH=src), cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout
+    return int(out)
+
+
 def request(src, args, env):
     """(wall seconds, peak RSS in MB, (exit code, stdout, stderr)) of one
     request in a new interpreter on `src`."""
@@ -132,6 +161,7 @@ def main():
         kinds = [req["kind"] for req in mix] * args.passes
         walls = {src: [] for src in sources}
         rss = {src: [] for src in sources}
+        printed = {src: set() for src in sources}  # document texts, without the final newline
         differ = set()
         for p in range(args.passes):
             for i, req in enumerate(reqs):
@@ -141,12 +171,16 @@ def main():
                     walls[src].append(wall)
                     rss[src].append(peak)
                     outputs.append(output)
+                    if mix[i]["kind"] in DOCUMENT_KINDS and output[0] == 0:
+                        printed[src].add(output[1].decode().rstrip("\n"))
                 if len(set(outputs)) > 1:
                     differ.add(i)
         print("seed %d, %d requests x %d passes" % (seed, len(reqs), args.passes))
         for src in sources:
             print("  " + summary(src, walls[src], rss[src]))
             print("    by kind: " + kind_medians(kinds, walls[src]))
+            print("    round trip: %d of %d printed documents differ after loads and dumps" % (
+                round_trip_differences(src, printed[src], env), len(printed[src])))
         if args.src:
             print("  outputs differ on %d of %d requests" % (len(differ), len(reqs)))
 
