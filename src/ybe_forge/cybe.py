@@ -5,13 +5,11 @@ that builds a solution runs it.
 
 One sparse pass per commutator; rational inputs are summed as integer
 numerators over their common denominator D and divided by D^2 once.  Each
-input hands over its numerators (`GlTensor2.numerators`): an evaluation of
-`TensorTable.at` holds them already, so a point evaluation reaches the
-kernel with no Fraction, and only a tensor built from Fractions is put over
-the lcm of its denominators first.  The passes run once per row v of the
-first output slot, so only the partial sums of that row are held at a
-time: that row is the row of the first factor of an r12 or an r13 term, so
-each join restricts one side to the terms of row v.
+input hands over the numerators it holds (`GlTensor2.numerators`), so a
+point evaluation reaches the kernel with no Fraction.  The passes run once
+per row v of the first output slot, so only the partial sums of that row
+are held at a time: that row is the row of the first factor of an r12 or
+an r13 term, so each join restricts one side to the terms of row v.
 
 Each commutator takes its two inputs with the shared slot moved first, and
 there the identity I is central: [I, b] = 0.  So for rational inputs each
@@ -29,7 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .lie import RATIONAL, GlTensor3, _swapped
+from .lie import RATIONAL, GlTensor3, _scaled, _swapped
 
 
 def _drop_central(terms: dict, n: int) -> None:
@@ -116,16 +114,10 @@ def cybe_lhs_sum(triples) -> GlTensor3:
         tensors[0]._check_compatible(t)
     n = tensors[0].n
     rational = tensors[0].ring == RATIONAL
-    if rational:
-        forms = [t.numerators() for t in tensors]
-        den = lcm(*(d for _, d in forms))
-        coeffs = []
-        for nums, d in forms:
-            f = den // d
-            # a new dict also when f = 1: `_drop_central` changes it in place
-            coeffs.append({k: v * f for k, v in nums.items()})
-    else:
-        den, coeffs = 1, [t.terms for t in tensors]
+    forms = [t.numerators() for t in tensors]
+    den = lcm(*(d for _, d in forms))  # 1 for complex tensors
+    # new dicts, also where den // d = 1: `_drop_central` changes them in place
+    coeffs = [_scaled(nums, den // d) for nums, d in forms]
 
     base = n + 1
     powers = [base ** p for p in range(5, -1, -1)]

@@ -4,13 +4,14 @@ Exact rationals serialize as strings, never floats, so goldens stay
 bit-exact; complex coefficients serialize as [re, im] pairs.  The term list
 is ordered lexicographically by (i, j, k, l) for deterministic output.
 
-A rational document stays integers over one denominator from the tensor to
-its JSON text and back: `document_from_tensor` takes the numerators of an
-integer-form tensor (`lie.GlTensor2.over`) as they are, `dumps` writes each
-coefficient from its numerator and the denominator, `loads` parses the
-canonical spellings `-?[0-9]+(/[0-9]+)?` straight to integers, and `==`
-compares the integers, so a round trip of an evaluation builds no Fraction.
-Every other spelling goes through the per-item checks and `exact.rat`.
+A document holds its tensor (`lie.GlTensor2`) as given: the tensor is
+read-only, and a rational one holds integer numerators in lowest terms over
+one positive denominator.  `dumps` writes each coefficient from its
+numerator and the denominator, and `loads` parses the canonical spellings
+`-?[0-9]+(/[0-9]+)?` straight to integers over the lcm of the reduced
+denominators, the held form, so a round trip of an evaluation builds no
+Fraction.  Every other spelling goes through the per-item checks and
+`exact.rat`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ import re
 from . import COMPLEX, RATIONAL
 
 SCHEMA = "tensor-document/1"
+# Most decimal digits in the common denominator of a rational document's
+# coefficients.  `loads` refuses a larger one as soon as the lcm passes it,
+# so many distinct large denominators cost no quadratic work.  The CLI
+# writes fewer: every cuspidal and +-J table up to n = 12 has at most 2
+# digits, and 30-digit points add at most 120.  Dense n = 12 K-matrix files
+# at the `cli.K_EXTRA_DIGITS_MAX` bound gave tables of up to 161 digits and
+# documents of up to 279 (`stolin 12 e`, e = 1, 5, 7, 11, at 30-digit
+# points: 3.8-5.1 s a request on one CPU of an Intel Xeon).
+DEN_DIGITS_MAX = 1000
+_DEN_LIMIT = 10**DEN_DIGITS_MAX
 
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
 
@@ -31,69 +42,41 @@ class DocumentError(ValueError):
 
 
 class TensorDocument:
-    """A tensor's terms, sorted by (i, j, k, l), with its size, scalar kind
-    and provenance.  A rational document holds (key, integer numerator)
-    pairs over one positive denominator, the lcm of the coefficients'
-    reduced denominators, so equal values give equal forms and `==`
-    compares integers; `terms` builds the (key, Fraction) pairs on each
-    read.  A complex document holds its (key, complex) pairs as given."""
+    """A tensor (`lie.GlTensor2`) with its provenance.  The tensor is
+    read-only and its rational form canonical, so a document holds it as
+    given and `==` compares the held forms; `terms` lists its coefficients
+    sorted by (i, j, k, l)."""
 
-    __slots__ = ("n", "scalar", "_pairs", "_den", "provenance")
+    __slots__ = ("_tensor", "provenance")
 
-    def __init__(self, n: int, scalar: str, terms: tuple, provenance: dict | None = None):
-        self.n = n
-        self.scalar = scalar
+    def __init__(self, tensor, provenance: dict | None = None):
+        self._tensor = tensor
         self.provenance = {} if provenance is None else provenance
-        # terms: ((i, j, k, l), coeff) sorted
-        if scalar == RATIONAL:
-            den = math.lcm(*(c.denominator for _, c in terms))
-            self._pairs = tuple((key, c.numerator * (den // c.denominator)) for key, c in terms)
-            self._den = den
-        else:
-            self._pairs, self._den = terms, None
 
-    @classmethod
-    def _over(cls, n: int, nums: dict, den: int, provenance: dict) -> "TensorDocument":
-        """The rational document of the coefficients nums[key] / den, den
-        the lcm of their reduced denominators."""
-        doc = cls.__new__(cls)
-        doc.n, doc.scalar, doc._den, doc.provenance = n, RATIONAL, den, provenance
-        doc._pairs = tuple(sorted(nums.items()))
-        return doc
+    @property
+    def n(self) -> int:
+        return self._tensor.n
+
+    @property
+    def scalar(self) -> str:
+        return self._tensor.ring
 
     @property
     def terms(self) -> tuple:
-        den = self._den
-        if den is None:
-            return self._pairs
-        from fractions import Fraction  # writing a document leaves `fractions` unloaded
-
-        return tuple((key, Fraction(v, den)) for key, v in self._pairs)
+        return tuple(sorted(self._tensor.terms.items()))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.n, self.scalar, self._den, self._pairs, self.provenance) == (
-            other.n, other.scalar, other._den, other._pairs, other.provenance)
+        return (self._tensor, self.provenance) == (other._tensor, other.provenance)
 
     def to_tensor(self):
-        from .lie import GlTensor2  # writing a document leaves `lie` unloaded
-
-        return GlTensor2(self.n, self.scalar, dict(self.terms))
+        return self._tensor
 
 
 def document_from_tensor(t, provenance: dict | None = None) -> TensorDocument:
-    """The document of tensor `t`.  An integer-form tensor hands over its
-    numerators as they are, put in lowest terms with its denominator by one
-    gcd; a tensor of Fractions keeps every term, explicit zeros too."""
-    provenance = dict(provenance or {})
-    nums, den = t._nums, t._den  # the integer form of `GlTensor2.over`, else None
-    if nums is None:
-        return TensorDocument(t.n, t.ring, tuple(sorted(t.terms.items())), provenance)
-    g = math.gcd(den, *nums.values())
-    if g > 1:
-        nums, den = {key: v // g for key, v in nums.items()}, den // g
-    return TensorDocument._over(t.n, nums, den, provenance)
+    """The document of tensor `t`, held as given, with a copy of `provenance`."""
+    return TensorDocument(t, dict(provenance or {}))
 
 
 def _coeff_from_json(v, scalar: str, rat):
@@ -135,8 +118,9 @@ def _rational_terms(items, n: int, rat) -> tuple:
     goes through `_term_from_json`, which raises the per-item error or gives
     the Fraction of another spelling.  Over the lcm of the reduced
     denominators the numerators have no factor in common with it, so the
-    document needs no gcd of its own: over many distinct denominators that
-    gcd would take one long gcd per term."""
+    form is canonical with no gcd of its own: over many distinct
+    denominators that gcd would take one long gcd per term.  The lcm is
+    refused as soon as it passes `DEN_DIGITS_MAX` digits."""
     terms: dict = {}
     spelled: dict = {}  # canonical coefficient text -> (p, q) in lowest terms
     for item in items:
@@ -159,12 +143,18 @@ def _rational_terms(items, n: int, rat) -> tuple:
             pass
         key, c = _term_from_json(item, n, terms, RATIONAL, rat)
         terms[key] = c.numerator, c.denominator
-    den = math.lcm(*(q for _, q in terms.values()))
+    den = 1
+    for q in {q for _, q in terms.values()}:
+        den = math.lcm(den, q)
+        if den >= _DEN_LIMIT:
+            raise DocumentError("the coefficients' common denominator has more than %d digits"
+                                % DEN_DIGITS_MAX)
     return {key: p * (den // q) for key, (p, q) in terms.items()}, den
 
 
 def document_from_json(payload: dict) -> TensorDocument:
-    from .exact import rat  # writing a document leaves `exact` unloaded
+    from .exact import rat  # writing a document loads neither `exact` nor `lie`
+    from .lie import GlTensor2
 
     if not isinstance(payload, dict):
         raise DocumentError("document must be a JSON object, got %s" % type(payload).__name__)
@@ -178,12 +168,12 @@ def document_from_json(payload: dict) -> TensorDocument:
         if n < 1:
             raise DocumentError("n must be positive, got %d" % n)
         if scalar == RATIONAL:
-            nums, den = _rational_terms(payload["terms"], n, rat)
+            coeffs, den = _rational_terms(payload["terms"], n, rat)
         else:
-            terms = {}
+            coeffs, den = {}, 1
             for item in payload["terms"]:
-                key, c = _term_from_json(item, n, terms, scalar, rat)
-                terms[key] = c
+                key, c = _term_from_json(item, n, coeffs, scalar, rat)
+                coeffs[key] = c
         provenance = payload.get("provenance", {})
         if not isinstance(provenance, dict):
             raise DocumentError("provenance must be a JSON object, got %r" % (provenance,))
@@ -194,9 +184,7 @@ def document_from_json(payload: dict) -> TensorDocument:
         raise DocumentError("missing key %s" % exc) from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError("malformed document: %s" % exc) from exc
-    if scalar == RATIONAL:
-        return TensorDocument._over(n, nums, den, dict(provenance))
-    return TensorDocument(n, scalar, tuple(sorted(terms.items())), dict(provenance))
+    return TensorDocument(GlTensor2._held(n, scalar, coeffs, den), dict(provenance))
 
 
 # One entry of the "terms" array as json.dumps(indent=2, sort_keys=True)
@@ -229,13 +217,14 @@ def dumps(doc: TensorDocument) -> str:
          "provenance": doc.provenance},
         indent=2, sort_keys=True,
     )
-    if not doc._pairs:
+    nums, den = doc.to_tensor().numerators()
+    if not nums:
         return head
     if doc.scalar == RATIONAL:
         # each coefficient as str(Fraction(v, den)) spells it, from one gcd
         # per distinct numerator
-        den, body, texts = doc._den, [], {}
-        for (i, j, k, l), v in doc._pairs:
+        body, texts = [], {}
+        for (i, j, k, l), v in sorted(nums.items()):
             c = texts.get(v)
             if c is None:
                 g = math.gcd(v, den)
@@ -243,7 +232,7 @@ def dumps(doc: TensorDocument) -> str:
             body.append(_RATIONAL_TERM % (c, i, j, k, l))
     else:
         body = [_COMPLEX_TERM % (_json_number(c.real), _json_number(c.imag), i, j, k, l)
-                for (i, j, k, l), c in doc.terms]
+                for (i, j, k, l), c in sorted(nums.items())]
     # "terms" sorts last among the keys: the head ends with '"terms": []\n}'
     return "%s[\n%s\n  ]\n}" % (head[: -len("[]\n}")], ",\n".join(body))
 

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .lie import RATIONAL, GlTensor2, casimir, heisenberg
+from .lie import GlTensor2, casimir, heisenberg
 
 # --- roots of unity in the power basis of Q(zeta_m), in integers -----------
 
@@ -188,8 +188,8 @@ def _dual_sum(hb: HeisenbergBasis) -> GlTensor2:
         if v is None:
             raise AssertionError("duality failed: non-rational coefficient in Heisenberg Casimir")
         if v != 0:
-            terms[key] = Fraction(v, den)
-    return GlTensor2(n, RATIONAL, terms)
+            terms[key] = v
+    return GlTensor2.over(n, terms, den)
 
 
 def _validate_heisenberg(hb: HeisenbergBasis) -> None:

@@ -2,7 +2,9 @@
 
 Tensors are stored over the matrix-unit basis of gl(n) (x) gl(n) even though
 the solutions live in sl(n) (x) sl(n); sl-membership (both partial traces
-vanish) is a property the tests check, not a storage constraint.  The CYBE
+vanish) is a property the tests check, not a storage constraint.  A tensor
+is read-only, and a rational one holds integer numerators in lowest terms
+over one positive denominator, so equal values have equal forms.  The CYBE
 embedding conventions (which slot carries the bracket) are fixed here once,
 by `cybe_lhs`, and nowhere else.  The CYBE kernel (`cybe`) and the
 Heisenberg basis types (`heis`) load only when first used.
@@ -14,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
 from . import COMPLEX, RATIONAL
 
@@ -70,63 +73,64 @@ class GlTensor2:
     """Sparse element of gl(n) (x) gl(n): terms[(i,j,k,l)] is the coefficient
     of e_{i,j} (x) e_{k,l} (1-based indices).
 
-    A rational tensor may hold its coefficients as nonzero integer
-    numerators over one positive denominator instead (`over`, which
-    `TensorTable.at` builds).  `terms` then builds the Fractions on its
-    first read and from then on holds that form alone, so a tensor always
-    has one exact value; `numerators` reads either form as integers."""
+    A rational tensor holds numerators nums over den > 0 with gcd(den,
+    *nums) = 1, den the lcm of the reduced denominators: the constructor
+    puts Fraction or int terms, explicit zeros kept, over their lcm.  A
+    complex tensor holds its terms over den = 1.  `numerators` hands out the
+    held form and `terms` the coefficients (Fractions built on each read),
+    both read-only."""
 
-    __slots__ = ("n", "ring", "_terms", "_nums", "_den")
+    __slots__ = ("n", "ring", "_coeffs", "_den")
 
     def __init__(self, n: int, ring: str, terms: dict | None = None):
-        self.n = n
-        self.ring = ring
-        self._terms = {} if terms is None else terms
-        self._nums = self._den = None
         if ring not in (RATIONAL, COMPLEX):
             raise ValueError("unknown scalar ring %r" % ring)
+        terms = {} if terms is None else terms
+        den = 1
+        if ring == RATIONAL:
+            den = lcm(*(v.denominator for v in terms.values()))
+            terms = {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+        self.n, self.ring, self._coeffs, self._den = n, ring, terms, den
+
+    @classmethod
+    def _held(cls, n: int, ring: str, coeffs: dict, den: int) -> "GlTensor2":
+        """The tensor holding `coeffs` over `den` as given, for a caller
+        that has the canonical form already: `over` without its gcd."""
+        t = cls.__new__(cls)
+        t.n, t.ring, t._coeffs, t._den = n, ring, coeffs, den
+        return t
 
     @classmethod
     def over(cls, n: int, nums: dict, den: int) -> "GlTensor2":
-        """The rational tensor with coefficients nums[key] / den: the
-        numerators nonzero integers, den a positive integer."""
-        t = cls(n, RATIONAL)
-        t._terms, t._nums, t._den = None, nums, den
-        return t
+        """The rational tensor with coefficients nums[key] / den, for
+        integer numerators and a nonzero integer den, put in lowest terms by
+        one gcd with a positive denominator."""
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums, den = {k: v // g for k, v in nums.items()}, den // g
+        return cls._held(n, RATIONAL, nums, den)
 
     @property
-    def terms(self) -> dict:
-        if self._terms is None:
-            den = self._den
-            self._terms = {k: Fraction(v, den) for k, v in self._nums.items()}
-            self._nums = self._den = None
-        return self._terms
+    def terms(self):
+        if self.ring == COMPLEX:
+            return MappingProxyType(self._coeffs)
+        den = self._den
+        return MappingProxyType({k: Fraction(v, den) for k, v in self._coeffs.items()})
 
-    def numerators(self) -> tuple[dict, int]:
-        """(nums, den) for a rational tensor: its nonzero coefficients are
-        nums[key] / den, den > 0.  The integer form is handed out as held,
-        not copied; Fraction coefficients are put over the lcm of their
-        denominators."""
-        if self._nums is not None:
-            return self._nums, self._den
-        terms = self._terms
-        den = lcm(*(v.denominator for v in terms.values()))
-        return {k: v.numerator * (den // v.denominator) for k, v in terms.items() if v}, den
+    def numerators(self) -> tuple:
+        """(nums, den), the coefficients being nums[key] / den: the held
+        form, with nums read-only."""
+        return MappingProxyType(self._coeffs), self._den
 
     def __repr__(self):
-        return "GlTensor2(n=%r, ring=%r, terms=%r)" % (self.n, self.ring, self.terms)
+        return "GlTensor2(n=%r, ring=%r, terms=%r)" % (self.n, self.ring, dict(self.terms))
 
     def __eq__(self, other):
-        """Same n, ring and coefficients.  Two integer-form tensors compare
-        by cross-multiplying, a / da = b / db iff a db = b da, so neither
-        builds a Fraction; any other pair compares `terms`."""
-        if not (isinstance(other, GlTensor2) and self.n == other.n and self.ring == other.ring):
-            return False
-        a, b = self._nums, other._nums
-        if a is None or b is None:
-            return self.terms == other.terms
-        da, db, get = self._den, other._den, b.get
-        return len(a) == len(b) and all(v * db == get(k, 0) * da for k, v in a.items())
+        """Same n, ring and coefficients: the held forms are equal."""
+        return isinstance(other, GlTensor2) and (self.n, self.ring, self._den, self._coeffs) == (
+            other.n, other.ring, other._den, other._coeffs)
 
     def norm(self) -> float:
         """Max coefficient magnitude."""
@@ -134,10 +138,13 @@ class GlTensor2:
 
     def add(self, other: "GlTensor2") -> "GlTensor2":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
+        den = lcm(self._den, other._den)
+        out = _scaled(self._coeffs, den // self._den)
+        for k, v in _scaled(other._coeffs, den // other._den).items():
             _accumulate(out, k, v)
-        return GlTensor2(self.n, self.ring, out)
+        if self.ring == RATIONAL:
+            return GlTensor2.over(self.n, out, den)
+        return GlTensor2._held(self.n, COMPLEX, out, den)
 
     def sub(self, other: "GlTensor2") -> "GlTensor2":
         return self.add(other.scale(-1))
@@ -145,13 +152,21 @@ class GlTensor2:
     def scale(self, c) -> "GlTensor2":
         if c == 0:
             return GlTensor2(self.n, self.ring, {})
-        return GlTensor2(self.n, self.ring, {k: c * v for k, v in self.terms.items()})
+        if self.ring == COMPLEX:
+            return GlTensor2._held(self.n, COMPLEX, {k: c * v for k, v in self._coeffs.items()}, 1)
+        p, q = c.numerator, c.denominator
+        return GlTensor2.over(self.n, _scaled(self._coeffs, p), q * self._den)
 
     def _check_compatible(self, other):
         if self.n != other.n:
             raise ValueError("tensor size mismatch: %d vs %d" % (self.n, other.n))
         if self.ring != other.ring:
             raise ValueError("scalar ring mismatch: %s vs %s" % (self.ring, other.ring))
+
+
+def _scaled(coeffs, f: int) -> dict:
+    """A new dict of the coefficients times f; f = 1 multiplies none."""
+    return dict(coeffs) if f == 1 else {k: v * f for k, v in coeffs.items()}
 
 
 class GlTensor3:
@@ -194,7 +209,7 @@ def _swapped(terms: dict) -> dict:
 
 def swap_tensor(r: GlTensor2) -> GlTensor2:
     """The flip a (x) b -> b (x) a, extended linearly."""
-    return GlTensor2(r.n, r.ring, _swapped(r.terms))
+    return GlTensor2._held(r.n, r.ring, _swapped(r._coeffs), r._den)
 
 
 @lru_cache(maxsize=None)
@@ -204,10 +219,10 @@ def casimir(n: int) -> GlTensor2:
     (delta_{a,b} - 1/n) e_{a,a} (x) e_{b,b}."""
     if n < 2:
         raise ValueError("need n >= 2")
-    idx, one = range(1, n + 1), Fraction(1)
-    terms = {(i, j, j, i): one for i in idx for j in idx if i != j}
-    terms.update({(a, a, b, b): (a == b) - Fraction(1, n) for a in idx for b in idx})
-    return GlTensor2(n, RATIONAL, terms)
+    idx = range(1, n + 1)
+    nums = {(i, j, j, i): n for i in idx for j in idx if i != j}
+    nums.update({(a, a, b, b): n * (a == b) - 1 for a in idx for b in idx})
+    return GlTensor2.over(n, nums, n)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +260,8 @@ class TensorTable:
             other.n, other.monomials, other.den, other.terms)
 
     def at(self, x: Fraction, y: Fraction) -> GlTensor2:
-        """r(x, y) for y != x, as integer numerators over one positive
-        denominator (`GlTensor2.over`).  Every monomial is an integer over
+        """r(x, y) for y != x, put in lowest terms over one positive
+        denominator by `GlTensor2.over`.  Every monomial is an integer over
         one common denominator, so each term costs one integer combination
         and no Fraction; terms that vanish at (x, y) are dropped.  The
         numerators are a new dict on every call: no evaluation shares a
@@ -261,7 +276,8 @@ class TensorTable:
             for p, a, b in self.monomials
         ]
         den = self.den * xd**a_max * yd**b_max * s**p_max
-        # den < 0 where y < x: a negative g makes den // g positive
+        # den < 0 where y < x: a negative g makes den // g positive, so that
+        # `over` divides no numerator when they are in lowest terms
         g = gcd(den, *values) if den > 0 else -gcd(den, *values)
         values = [v // g for v in values]
         nums = {key: v for key, row in self.terms.items() if (v := sum(map(mul, row, values)))}
@@ -282,8 +298,9 @@ def tensor_table(n: int, pairs) -> TensorTable:
     den = den_a * den_b
     acc: dict = {}
     width = len(monomials)
-    for key, v in casimir(n).terms.items():
-        acc.setdefault(key, [0] * width)[col[POLE]] = v.numerator * (den // v.denominator)
+    c_nums, c_den = casimir(n).numerators()
+    for key, v in c_nums.items():
+        acc.setdefault(key, [0] * width)[col[POLE]] = v * (den // c_den)
     for a, b, m in pairs:
         c = col[m]
         b_terms = [(k, l, v.numerator * (den_b // v.denominator)) for (k, l), v in b.items()]
@@ -335,19 +352,13 @@ def cybe_residual_difference(r_of, x, y) -> GlTensor3:
 
 
 def is_unitary_pair(r_xy: GlTensor2, r_yx: GlTensor2) -> bool:
-    """Exact check of r(y,x) = -swap(r(x,y)), term by term.  Rational
-    tensors compare their integer numerators crosswise: b / db = -a / da
-    iff b da = -a db."""
-    if (r_xy.n, r_xy.ring) != (r_yx.n, r_yx.ring):
+    """Exact check of r(y,x) = -swap(r(x,y)), term by term on the held
+    forms: the canonical forms of a unitary pair share their denominator."""
+    if (r_xy.n, r_xy.ring, r_xy._den) != (r_yx.n, r_yx.ring, r_yx._den):
         return False
-    if r_xy.ring == RATIONAL:
-        (a, da), (b, db) = r_xy.numerators(), r_yx.numerators()
-        get = b.get
-        return len(a) == len(b) and all(
-            get((k, l, i, j), 0) * da == -c * db for (i, j, k, l), c in a.items())
-    get = r_yx.terms.get
-    return len(r_xy.terms) == len(r_yx.terms) and all(
-        get((k, l, i, j)) == -c for (i, j, k, l), c in r_xy.terms.items())
+    a, get = r_xy._coeffs, r_yx._coeffs.get
+    return len(a) == len(r_yx._coeffs) and all(
+        get((k, l, i, j)) == -c for (i, j, k, l), c in a.items())
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +410,19 @@ def flip_map(n: int) -> LinearMapGl:
 
 
 def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
-    """(phi (x) psi) applied coefficient-wise.  Distinct unit pairs have
-    distinct images, so no two terms combine.  A rational tensor is mapped
-    in its integer form (`numerators`) to an integer-form tensor over the
-    same denominator, so no Fraction is built."""
+    """(phi (x) psi) applied coefficient-wise, zero terms dropped.
+    Distinct unit pairs have distinct images, so no two terms combine: the
+    held coefficients are mapped over the same denominator."""
     if phi.n != r.n or psi.n != r.n:
         raise ValueError("gauge size mismatch")
-    rational = r.ring == RATIONAL
-    coeffs, den = r.numerators() if rational else (r.terms, None)
     out: dict = {}
-    for (i, j, k, l), c in coeffs.items():
+    for (i, j, k, l), c in r._coeffs.items():
         if c == 0:
             continue
         a, b, s = phi.images[(i, j)]
         p, q, t = psi.images[(k, l)]
         out[(a, b, p, q)] = c * (s * t)
-    return GlTensor2.over(r.n, out, den) if rational else GlTensor2(r.n, r.ring, out)
+    return GlTensor2._held(r.n, r.ring, out, r._den)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 from test_lie import count_fractions
 from ybe_forge import cuspidal, stolin
 from ybe_forge.document import (
+    DEN_DIGITS_MAX,
     SCHEMA,
     DocumentError,
     TensorDocument,
@@ -104,7 +105,7 @@ def reference_document_from_json(payload) -> TensorDocument:
         raise DocumentError("missing key %s" % exc) from exc
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise DocumentError("malformed document: %s" % exc) from exc
-    return TensorDocument(n, scalar, tuple(sorted(terms.items())), dict(provenance))
+    return TensorDocument(GlTensor2(n, scalar, terms), dict(provenance))
 
 
 def read_outcome(read, payload):
@@ -127,9 +128,11 @@ class TestRoundTrip:
         provenance alone compare unequal."""
         doc = document_from_tensor(casimir(2), {"pipeline": "test"})
         assert loads(dumps(doc)) == doc
-        assert TensorDocument(doc.n, doc.scalar, doc.terms, {"pipeline": "other"}) != doc
-        assert TensorDocument(doc.n, doc.scalar, doc.terms) != doc
-        assert TensorDocument(doc.n, doc.scalar, doc.terms[1:], doc.provenance) != doc
+        tensor = doc.to_tensor()
+        assert TensorDocument(tensor, {"pipeline": "other"}) != doc
+        assert TensorDocument(tensor) != doc
+        fewer = GlTensor2(doc.n, doc.scalar, dict(doc.terms[1:]))
+        assert TensorDocument(fewer, doc.provenance) != doc
 
     def test_rational_exactness(self):
         t = GlTensor2(2, RATIONAL, {(1, 2, 2, 1): F(355, 113)})
@@ -406,6 +409,33 @@ class TestReaderParity:
                                    (2, 1, 1, 2): 0, (3, 3, 3, 3): F(1, 10)}
 
 
+class TestDigitBudget:
+    """`loads` refuses a rational document whose common denominator has
+    more than `DEN_DIGITS_MAX` digits, in one line, as soon as the lcm of
+    the reduced denominators passes it."""
+
+    MESSAGE = "the coefficients' common denominator has more than %d digits" % DEN_DIGITS_MAX
+
+    def test_at_the_budget(self):
+        q = 10**DEN_DIGITS_MAX - 1
+        payload = _payload(_item("1/%d" % q, 1, 1, 1, 1), _item("-2/%d" % q, 2, 1, 1, 1))
+        doc = document_from_json(payload)
+        assert doc.to_tensor().numerators()[1] == q
+        assert doc == reference_document_from_json(payload)
+
+    def test_past_the_budget(self):
+        """Two denominators within the budget whose lcm, 10^DEN_DIGITS_MAX,
+        is past it; and many distinct 13-digit denominators."""
+        payload = _payload(_item("1/%d" % 2**DEN_DIGITS_MAX, 1, 1, 1, 1),
+                           _item("1/%d" % 5**DEN_DIGITS_MAX, 2, 1, 1, 1))
+        assert read_outcome(document_from_json, payload) == ("error", self.MESSAGE)
+        keys = [(i, j, k, l) for i in range(1, 13) for j in range(1, 13) for k in (1, 2)
+                for l in (1, 2)]
+        payload = _payload(*(_item("1/%d" % (10**12 + q), *key) for q, key in enumerate(keys)),
+                           n=12)
+        assert read_outcome(document_from_json, payload) == ("error", self.MESSAGE)
+
+
 def _evaluations():
     """(tensor, x, y) of integer-form table evaluations on both routes at
     x = 0, y = 1 and at seeded points, y < x among them, and, last, one
@@ -442,7 +472,8 @@ class TestIntegerForm:
             assert text == reference_dumps(doc)
             assert loads(text) == doc
             assert loads(text).to_tensor() == t
-            assert TensorDocument(doc.n, doc.scalar, doc.terms, doc.provenance) == doc
+            again = GlTensor2(doc.n, doc.scalar, dict(doc.terms))
+            assert TensorDocument(again, doc.provenance) == doc
 
     def test_explicit_zero_kept(self):
         """A tensor built from Fractions keeps an explicit zero as a "0"
@@ -466,14 +497,15 @@ class TestIntegerForm:
         assert doc != document_from_tensor(GlTensor2.over(2, {**nums, (1, 2, 2, 1): 5}, den))
 
     def test_source_changed_later(self):
-        """Changing the tensor's numerators after the document was made
-        leaves the document as it was."""
+        """The tensor a document holds cannot be changed through its
+        numerators, so the document stays as it was."""
         t = stolin.assemble_stolin_r(2, 3, stolin.neg_j_matrix(2, 3), F(1, 2), F(-3))
         doc = document_from_tensor(t)
         text = dumps(doc)
         nums, _ = t.numerators()
         for key in list(nums)[:5]:
-            nums[key] += 7
+            with pytest.raises(TypeError):
+                nums[key] += 7
         assert dumps(doc) == text and loads(text) == doc
 
     def test_round_trip_builds_no_fraction(self, monkeypatch):

@@ -204,7 +204,6 @@ def test_no_write_only_fields():
 # owed to the next change to the benchmark, which can move it off them so
 # that they can go; a new entry needs a reason just as strong.
 BENCHMARK_ONLY = [
-    "document:TensorDocument.to_tensor",
     "elliptic:belavin_cybe_residual",
     "exact:interpolate",
     "lie:swap_tensor",
@@ -287,8 +286,8 @@ def test_moved_names_keep_their_identity():
 def test_benchmark_constructor_calls():
     """The calls perfbench/run.py makes with keywords and defaults still
     work: ThetaContext(tau=...) with 60 terms, a document with provenance
-    equal to itself after the round trip.  The empty defaults of GlTensor2
-    and TensorDocument are fresh dicts."""
+    equal to itself after the round trip.  A GlTensor2 without terms is
+    empty, and the empty provenance of a TensorDocument is a fresh dict."""
     from ybe_forge.document import TensorDocument, document_from_tensor, dumps, loads
     from ybe_forge.elliptic import ThetaContext, belavin_cybe_residual, belavin_r
     from ybe_forge.lie import COMPLEX, GlTensor2
@@ -298,9 +297,9 @@ def test_benchmark_constructor_calls():
     assert belavin_cybe_residual(2, 1, ctx, (0.1, 0.25, 0.4)) < 1e-9
     doc = document_from_tensor(belavin_r(2, 1, ctx, 0.1, 0.3), {"source": "elliptic"})
     assert loads(dumps(doc)) == doc
-    a, b = GlTensor2(2, COMPLEX), GlTensor2(2, COMPLEX)
-    assert a.terms == {} and a.terms is not b.terms
-    c, d = TensorDocument(2, COMPLEX, ()), TensorDocument(2, COMPLEX, ())
+    a = GlTensor2(2, COMPLEX)
+    assert a.terms == {}
+    c, d = TensorDocument(a), TensorDocument(a)
     assert c.provenance == {} and c.provenance is not d.provenance
 
 

@@ -747,8 +747,8 @@ class TestIntegerForm:
 
     def test_evaluation_builds_no_fraction(self, monkeypatch):
         """The CYBE residual and the unitarity test of the Stolin (1,6)
-        solution at -J build no Fraction once `solve_dec` is warm; the first
-        read of `terms` builds one per term, the second none."""
+        solution at -J build no Fraction once `solve_dec` is warm; a read of
+        `terms` builds one per term."""
         K = stolin.neg_j_matrix(1, 6)
 
         def r(a, b):
@@ -764,22 +764,20 @@ class TestIntegerForm:
         t = r(x2, x3)
         terms = t.terms
         assert count[0] == len(terms) > 0
-        assert t.terms is terms and count[0] == len(terms)
 
     @pytest.mark.parametrize("route", sorted(ROUTE_TABLES))
     def test_evaluations_share_nothing(self, route):
-        """A changed evaluation leaves the next one at the same points as it
-        was, and the CYBE kernel sees the change; the kernel leaves the
-        numerators it is given as they were, also when all three share one
-        denominator."""
+        """An evaluation changed by `planted` leaves the next one at the same
+        points as it was, and the CYBE kernel sees the change; the kernel
+        leaves the numerators it is given as they were, also when all three
+        share one denominator."""
         e, d = 2, 3
         K = stolin.neg_j_matrix(e, d)
         assemble = {"cuspidal": lambda x, y: cuspidal.assemble_r(e, d, x, y),
                     "stolin": lambda x, y: stolin.assemble_stolin_r(e, d, K, x, y)}[route]
         x1, x2, x3 = F(1, 2), F(-1, 3), F(4)
         want = dict(assemble(x1, x2).terms)
-        changed = assemble(x1, x2)
-        changed.terms[min(want)] += 1
+        changed = planted(assemble(x1, x2), lambda v: v + 1)
         assert assemble(x1, x2).terms == want
         res = cybe_lhs(changed, assemble(x1, x3), assemble(x2, x3))
         assert not res.is_zero()
@@ -796,8 +794,8 @@ class TestIntegerForm:
     def test_gauge_keeps_integer_form(self, route):
         """`apply_gauge` maps an evaluation to integer numerators over the
         same denominator, with the value of the gauged Fraction form; `==`
-        cross-multiplies: a planted numerator change is unequal, the same
-        value over a tripled denominator equal."""
+        compares canonical forms: a planted numerator change is unequal, the
+        same value over a tripled denominator equal."""
         phi = transpose_negate_map(5)
         t = ROUTE_TABLES[route](2, 3).at(F(2, 7), F(-3, 5))
         nums, den = t.numerators()
@@ -827,6 +825,46 @@ class TestIntegerForm:
         lhs = apply_gauge(phi, phi, planted(cuspidal.assemble_r(2, 3, x, y), lambda v: v + 1))
         assert lhs != stolin.assemble_stolin_r(2, 3, stolin.neg_j_matrix(2, 3), x, y)
         assert count[0] == 0
+
+
+HANDED_OUT = ("cuspidal", "stolin", "casimir", "apply_gauge", "swap_tensor", "tensor_from_pairs",
+              "add", "scale", "belavin_r", "loaded-rational", "loaded-complex")
+
+
+@pytest.fixture(scope="module")
+def handed_out() -> dict:
+    """name -> tensor, for every kind of tensor the package hands out."""
+    from ybe_forge.document import document_from_tensor, dumps, loads
+    from ybe_forge.elliptic import ThetaContext, belavin_r
+
+    x, y = F(2, 7), F(-3, 5)
+    out = {route: ROUTE_TABLES[route](2, 3).at(x, y) for route in ROUTE_TABLES}
+    c, phi = casimir(3), transpose_negate_map(3)
+    out.update(casimir=c, apply_gauge=apply_gauge(phi, phi, c), swap_tensor=swap_tensor(c),
+               add=c.add(c), scale=c.scale(F(-2, 5)),
+               belavin_r=belavin_r(3, 1, ThetaContext(tau=1j), 0.1, 0.3))
+    out["tensor_from_pairs"] = tensor_from_pairs(3, [(
+        basis_terms(("unit", 1, 2), 3).items(), basis_terms(("cartan", 1), 3).items(), F(1, 3))])
+    for t in (out["cuspidal"], out["belavin_r"]):
+        out["loaded-" + t.ring] = loads(dumps(document_from_tensor(t))).to_tensor()
+    return out
+
+
+@pytest.mark.parametrize("name", HANDED_OUT)
+def test_tensors_are_read_only(handed_out, name):
+    """Every tensor the package hands out refuses a write through `terms`
+    and through `numerators()`, the cached Casimir among them, which
+    `tensor_table` and `verify` read: it still equals a fresh one."""
+    t = handed_out[name]
+    nums, _ = t.numerators()
+    key = min(nums)
+    for view in (t.terms, nums):
+        with pytest.raises(TypeError):
+            view[key] = 0
+        with pytest.raises(TypeError):
+            del view[key]
+        assert not any(hasattr(view, m) for m in ("clear", "pop", "popitem", "update", "setdefault"))
+    assert casimir(3) == casimir.__wrapped__(3)
 
 
 class TestGauges:

@@ -3,15 +3,25 @@
 DocumentError."""
 
 import json
+import math
 import os
 import tempfile
+from fractions import Fraction as F
 
 from conftest import invoke
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_document import read_outcome, reference_document_from_json
-from ybe_forge.document import DocumentError, TensorDocument, document_from_json, loads
+from test_document import read_outcome, reference_document_from_json, reference_dumps
+from ybe_forge.document import (
+    DocumentError,
+    TensorDocument,
+    document_from_json,
+    document_from_tensor,
+    dumps,
+    loads,
+)
+from ybe_forge.lie import RATIONAL, GlTensor2
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -173,3 +183,29 @@ def test_document_reader_matches_reference(n, terms):
     payload = json.loads(json.dumps(payload))
     assert read_outcome(document_from_json, payload) == read_outcome(
         reference_document_from_json, payload)
+
+
+RATIONAL_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(1, 3)] * 4),
+    st.one_of(st.just(0), st.integers(-5, 5), st.fractions(max_denominator=60)),
+    max_size=6,
+)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(terms=RATIONAL_TERMS, m=st.integers(-12, 12).filter(bool))
+def test_rational_form_is_canonical(terms, m):
+    """Equal terms give equal held forms: Fraction or int terms, explicit
+    zeros among them, equal `over` of their numerators over any multiple of
+    their lcm, a negative one too; the form is in lowest terms, reads back
+    as the terms, and its document writes as the reference writer does and
+    reads back equal."""
+    t = GlTensor2(3, RATIONAL, terms)
+    den = math.lcm(*(F(v).denominator for v in terms.values()))
+    assert t == GlTensor2.over(3, {k: m * int(v * den) for k, v in terms.items()}, m * den)
+    nums, den = t.numerators()
+    assert den > 0 and math.gcd(den, *nums.values()) == 1
+    assert dict(t.terms) == terms
+    doc = document_from_tensor(t, {"m": m})
+    assert dumps(doc) == reference_dumps(doc)
+    assert loads(dumps(doc)) == doc
