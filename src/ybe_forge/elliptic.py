@@ -1,10 +1,13 @@
-"""Numeric theta functions, the elliptic kernel and the torus r-matrix.
+"""The odd theta function, the elliptic kernel and the torus r-matrix.
 
 Everything here is floating-point; the exact modules never import it, and
-it loads neither `exact` nor the rational pipelines.  The theta-quotient form of the elliptic kernel is
+it loads neither `exact` nor the rational pipelines.  The torus r-matrix
+weights the entries of the clock-and-shift basis `lie.heisenberg` (the
+closed form of `heis`).  The theta-quotient form of the elliptic kernel is
 normative; tests/test_elliptic.py cross-checks it against the double-series
-form where that converges.  The classical (2,1) solution zoo and the
-residual checks of the elliptic solution live in `verify`.
+form where that converges.  The even theta functions, the classical (2,1)
+solution zoo and the residual checks of the elliptic solution live in
+`verify`, their only reader.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .heis import heisenberg_entries
 from .lie import COMPLEX, GlTensor2, cybe_residual_two_variable, heisenberg, tensor_from_pairs
 
 TWO_PI_I = 2j * math.pi
@@ -170,31 +172,6 @@ def theta1(z: complex, ctx: ThetaContext) -> complex:
         return scale * _theta1_series(z, ctx)
 
 
-def theta2(z: complex, ctx: ThetaContext) -> complex:
-    q = ctx.q
-    acc = 0j
-    for n in range(ctx.terms):
-        acc += q ** (n * (n + 1)) * cmath.cos((2 * n + 1) * math.pi * z)
-    return 2 * q ** Fraction(1, 4) * acc
-
-
-def theta3(z: complex, ctx: ThetaContext) -> complex:
-    """Even Jacobi theta: 1 + 2 sum q^{n^2} cos(2 pi n z)."""
-    q = ctx.q
-    acc = 1 + 0j
-    for n in range(1, ctx.terms + 1):
-        acc += 2 * q ** (n * n) * cmath.cos(2 * math.pi * n * z)
-    return acc
-
-
-def theta4(z: complex, ctx: ThetaContext) -> complex:
-    q = ctx.q
-    acc = 1 + 0j
-    for n in range(1, ctx.terms + 1):
-        acc += 2 * (-1) ** n * q ** (n * n) * cmath.cos(2 * math.pi * n * z)
-    return acc
-
-
 def kronecker_sigma(u: complex, z: complex, ctx: ThetaContext, *,
                     tu: complex | None = None, tz: complex | None = None) -> complex:
     """The elliptic kernel in its theta-quotient form:
@@ -235,7 +212,7 @@ def _lattice_thetas(n: int, d: int, ctx: ThetaContext) -> tuple:
     coefficient depends on d k and d l only mod n: shifting u by 1 leaves
     sigma unchanged, and the prefactor undoes a shift by tau."""
     out = []
-    for (k, l) in heisenberg(n, d).index_set:
+    for (k, l), _, _ in heisenberg(n, d):
         r, s = d * k % n, d * l % n
         u = (1 / n) * (s - r * ctx.tau)
         out.append((r, s, u, theta1(u, ctx)))
@@ -309,7 +286,7 @@ def belavin_r(n: int, d: int, ctx: ThetaContext, x, y) -> GlTensor2:
     """The elliptic solution on the torus, sum c_{k,l} Zdual_{k,l} (x)
     Z_{k,l} over the Heisenberg index set, with the `belavin_coefficients`."""
     coeffs = belavin_coefficients(n, d, ctx, x, y)
-    pairs = ((z_dual, z, c) for (z_dual, z), c in zip(heisenberg_entries(n, d), coeffs))
+    pairs = ((z_dual, z, c) for (_, z_dual, z), c in zip(heisenberg(n, d), coeffs))
     return tensor_from_pairs(n, pairs, ring=COMPLEX)
 
 

@@ -7,7 +7,7 @@ is read-only, and a rational one holds integer numerators in lowest terms
 over one positive denominator, so equal values have equal forms.  The CYBE
 embedding conventions (which slot carries the bracket) are fixed here once,
 by `cybe_lhs`, and nowhere else.  The CYBE kernel (`cybe`) and the
-Heisenberg basis types (`heis`) load only when first used.
+closed form of the Heisenberg basis (`heis`) load only when first used.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ class GlTensor2:
     A rational tensor holds numerators nums over den > 0 with gcd(den,
     *nums) = 1, den the lcm of the reduced denominators: the constructor
     puts Fraction or int terms, explicit zeros kept, over their lcm.  A
-    complex tensor holds its terms over den = 1.  `numerators` hands out the
-    held form and `terms` the coefficients (Fractions built on each read),
-    both read-only."""
+    complex tensor holds a copy of its terms over den = 1.  `numerators`
+    hands out the held form and `terms` the coefficients (Fractions built
+    on each read), both read-only."""
 
     __slots__ = ("n", "ring", "_coeffs", "_den")
 
@@ -90,6 +90,8 @@ class GlTensor2:
         if ring == RATIONAL:
             den = lcm(*(v.denominator for v in terms.values()))
             terms = {k: v.numerator * (den // v.denominator) for k, v in terms.items()}
+        else:
+            terms = dict(terms)  # the caller's dict stays the caller's
         self.n, self.ring, self._coeffs, self._den = n, ring, terms, den
 
     @classmethod
@@ -200,6 +202,8 @@ def tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
             ca = c * aij
             for (k, l), bkl in b:
                 _accumulate(out, (i, j, k, l), ca * bkl)
+    if ring == COMPLEX:  # `out` is this call's own: no copy
+        return GlTensor2._held(n, COMPLEX, out, 1)
     return GlTensor2(n, ring, out)
 
 
@@ -426,34 +430,16 @@ def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
 
 
 # ---------------------------------------------------------------------------
-# the finite Heisenberg pair and its eigenbasis of sl(n)
+# the finite Heisenberg eigenbasis of sl(n)
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def heisenberg(n: int, d: int):
-    """Construct and validate the Heisenberg eigenbasis of sl(n), a
-    `heis.HeisenbergBasis`.
-
-    Validates the conjugation-eigenvalue relations and the trace duality at
-    construction; a failure means a non-coprime pair or a bug.
-    """
-    from .heis import HeisenbergBasis, Monomial, _validate_heisenberg
-
+def heisenberg(n: int, d: int) -> tuple:
+    """The clock-and-shift eigenbasis of sl(n) for eps = exp(2 pi i d / n),
+    cached per (n, d): `heis.basis`, (a, Zdual_a, Z_a) per index a with the
+    matrices as complex entries.  Refuses a non-coprime pair."""
     if gcd(n, d) != 1 or not 0 < d < n:
         raise ValueError("need coprime 0 < d < n, got (%d, %d)" % (n, d))
-    X = Monomial(0, tuple(range(n)))
-    Y = Monomial(1, (0,) * n)
-    index_set = tuple(
-        (k, l) for k in range(n) for l in range(n) if (k, l) != (0, 0)
-    )
-    Z = {
-        (k, l): Monomial(k, tuple(-l * ((i + k) % n) % n for i in range(n)))
-        for (k, l) in index_set
-    }
-    Zd = {
-        (k, l): Monomial(-k % n, tuple(l * i % n for i in range(n)), n)
-        for (k, l) in index_set
-    }
-    hb = HeisenbergBasis(n, d, X, Y, index_set, Z, Zd)
-    _validate_heisenberg(hb)
-    return hb
+    from .heis import basis
+
+    return basis(n, d)

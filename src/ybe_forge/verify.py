@@ -21,6 +21,7 @@ from math import gcd
 from . import __version__, cuspidal, elliptic, jmat, stolin
 from .cybe import cybe_lhs_sum
 from .exact import ONE, ZERO, eval_matrix_poly, rat
+from .heis import dual_exponent, root_table, z_row
 from .lie import (
     COMPLEX,
     POLE,
@@ -581,10 +582,35 @@ def check_series(e: int, d: int) -> tuple[bool, str]:
 
 # --- fixtures of the elliptic and zoo checks ---------------------------------
 
+def theta2(z: complex, ctx: elliptic.ThetaContext) -> complex:
+    q = ctx.q
+    acc = 0j
+    for n in range(ctx.terms):
+        acc += q ** (n * (n + 1)) * cmath.cos((2 * n + 1) * math.pi * z)
+    return 2 * q ** Fraction(1, 4) * acc
+
+
+def theta3(z: complex, ctx: elliptic.ThetaContext) -> complex:
+    """Even Jacobi theta: 1 + 2 sum q^{n^2} cos(2 pi n z)."""
+    q = ctx.q
+    acc = 1 + 0j
+    for n in range(1, ctx.terms + 1):
+        acc += 2 * q ** (n * n) * cmath.cos(2 * math.pi * n * z)
+    return acc
+
+
+def theta4(z: complex, ctx: elliptic.ThetaContext) -> complex:
+    q = ctx.q
+    acc = 1 + 0j
+    for n in range(1, ctx.terms + 1):
+        acc += 2 * (-1) ** n * q ** (n * n) * cmath.cos(2 * math.pi * n * z)
+    return acc
+
+
 def theta_half_shift_identity_residual(z: complex, ctx: elliptic.ThetaContext) -> float:
     """|theta3(z + (1+tau)/2) - i exp(-pi i (z + tau/4)) theta1(z)|: the
     half-period relation tying the even and odd theta functions."""
-    lhs = elliptic.theta3(z + (1 + ctx.tau) / 2, ctx)
+    lhs = theta3(z + (1 + ctx.tau) / 2, ctx)
     rhs = 1j * cmath.exp(-1j * math.pi * (z + ctx.tau / 4)) * elliptic.theta1(z, ctx)
     return abs(lhs - rhs)
 
@@ -605,7 +631,6 @@ def jacobi_sn_cn_dn(z: complex, ctx: elliptic.ThetaContext) -> tuple[complex, co
     of the fixture, not a claim.  All algebraic identities among sn, cn, dn
     are scaling-invariant, which is what the residual checks consume.
     """
-    theta2, theta3, theta4 = elliptic.theta2, elliptic.theta3, elliptic.theta4
     t2z, t3z, t4z = theta2(z, ctx), theta3(z, ctx), theta4(z, ctx)
     t1z = elliptic.theta1(z, ctx)
     t20, t30, t40 = theta2(0, ctx), theta3(0, ctx), theta4(0, ctx)
@@ -682,9 +707,11 @@ def check_theta_relation(seed: int) -> tuple[bool, str]:
 # --- the elliptic solution in Heisenberg coordinates ---------------------------
 #
 # With eps = exp(2 pi i d / n) and a = (k_a, l_a) in the index set of
-# `heisenberg(n, d)`, the basis multiplies as Z_a Z_b = eps^(l_a k_b) Z_(a+b)
-# and its trace duals are Zdual_a = eps^(k_a l_a) Z_(-a) / n, indices mod n
-# (tier-1 checks both against the `Monomial` products for n <= 8).  So
+# `heisenberg(n, d)`, the closed form of `heis` (`z_row`, `dual_exponent`)
+# gives the basis exactly: Z_a Z_b = eps^(l_a k_b) Z_(a+b), which
+# `product_exponent` reads off row 0 of the three matrices, and the trace
+# duals Zdual_a = eps^(k_a l_a) Z_(-a) / n, indices mod n (tier-1 compares
+# both with dense products of the clock and the shift).  So
 # r = sum_a c_a Zdual_a (x) Z_a = sum_a w_a Z_(-a) (x) Z_a with
 # w_a = c_a eps^(k_a l_a) / n, and [Z_a, Z_b] = [a, b] Z_(a+b) with
 # [a, b] = eps^(l_a k_b) - eps^(l_b k_a).  The coordinate of Z_P (x) Z_Q (x) Z_S
@@ -692,7 +719,9 @@ def check_theta_relation(seed: int) -> tuple[bool, str]:
 #   w_Q(v12) w_S(v13) [-Q, -S] + w_-P(v12) w_S(v23) [-P, -S]
 #     + w_-P(v13) w_-Q(v23) [-P, -Q],
 # from [r12, r13], [r12, r23] and [r13, r23] (Belavin 1980; in these
-# coordinates the CYBE is the Fay trisecant identity of sigma).
+# coordinates the CYBE is the Fay trisecant identity of sigma).  That the
+# duals are the trace duals of the Z_a is the exact identity
+# sum_a Zdual_a (x) Z_a = casimir(n), which `_dual_sum` sums in Q(eps).
 
 # the points of `check_belavin`: the CYBE triple, a unitarity pair and the
 # residue radius; all real and less than 1/2 apart, so no period is reduced
@@ -706,13 +735,48 @@ BELAVIN_CONTEXTS = (elliptic.ThetaContext(tau=1j), elliptic.ThetaContext(tau=0.3
 
 
 def product_exponent(a, b, n: int) -> int:
-    """The exponent of eps in Z_a Z_b = eps^(l_a k_b) Z_(a+b)."""
-    return a[1] * b[0] % n
+    """The exponent of eps in Z_a Z_b = eps^(l_a k_b) Z_(a+b): row 0 of Z_a
+    holds eps^x in column c, row c of Z_b eps^y, and row 0 of Z_(a+b)
+    eps^z, so the exponent is x + y - z."""
+    c, x = z_row(a, 0, n)
+    return (x + z_row(b, c, n)[1] - z_row((a[0] + b[0], a[1] + b[1]), 0, n)[1]) % n
 
 
-def dual_exponent(a, n: int) -> int:
-    """The exponent of eps in Zdual_a = eps^(k_a l_a) Z_(-a) / n."""
-    return a[0] * a[1] % n
+def cyclo_rational(counts, m: int) -> int | None:
+    """The value of sum(counts[e] * zeta_m**e) if it is rational, else None.
+
+    The sum is reduced through `heis.root_table`; it is rational exactly
+    when the reduction is constant, and then it is an integer."""
+    table = root_table(m)
+    acc = [0] * len(table[0])
+    for e, c in enumerate(counts):
+        if c:
+            for j, t in enumerate(table[e]):
+                acc[j] += c * t
+    return acc[0] if not any(acc[1:]) else None
+
+
+def _dual_sum(n: int, d: int) -> GlTensor2 | None:
+    """Sum of Zdual_a (x) Z_a over the index set of `heisenberg(n, d)`, read
+    off the closed form in Q(eps), eps = zeta_n^d: an exact rational tensor
+    over the denominator n, or None if a coefficient is not rational.
+
+    Contracted with x in gl(n) through the first slot, the sum is
+    sum tr(Zdual_a x) Z_a, and casimir(n) is the projection of x to sl(n).
+    So the sum is casimir(n) exactly when the n^2 - 1 matrices Z_a are a
+    basis of sl(n) and tr(Zdual_a Z_b) = delta_ab: the full duality table."""
+    counts: dict = {}
+    for a, _, _ in heisenberg(n, d):
+        e = dual_exponent(a, n)
+        for i in range(n):
+            c, x = z_row((-a[0], -a[1]), i, n)
+            for p in range(n):
+                q, y = z_row(a, p, n)
+                counts.setdefault((i + 1, c + 1, p + 1, q + 1), [0] * n)[d * (x + e + y) % n] += 1
+    terms = {key: cyclo_rational(c, n) for key, c in counts.items()}
+    if None in terms.values():
+        return None
+    return GlTensor2.over(n, {key: v for key, v in terms.items() if v}, n)
 
 
 def heisenberg_coordinates(n: int, d: int) -> tuple:
@@ -721,7 +785,7 @@ def heisenberg_coordinates(n: int, d: int) -> tuple:
     of -a; each coordinate Z_P (x) Z_Q (x) Z_S with P, Q, S != 0 and a
     nonzero bracket is (Q, S, -P, -Q, [-Q, -S], [-P, -S], [-P, -Q]), its
     indices as positions."""
-    index = heisenberg(n, d).index_set
+    index = [a for a, _, _ in heisenberg(n, d)]
     position = {a: i for i, a in enumerate(index)}
     negatives = [position[(-k % n, -l % n)] for k, l in index]
     eps = [cmath.exp(2j * math.pi * (d * e % n) / n) for e in range(n)]
@@ -810,8 +874,10 @@ def check_belavin(n: int, d: int) -> tuple[bool, str, str]:
 
     tol is `belavin_tolerance` at the smallest theta value the CYBE and
     unitarity coefficients met, and the report gives it as the check's
-    tolerance.  That the trace duals sum to casimir(n) is exact:
-    `heisenberg(n, d)` raises unless they do."""
+    tolerance.  That the trace duals sum to casimir(n) is checked exactly,
+    by `_dual_sum`: the detail ends "dual family exact" when it holds, "dual
+    family not exact" and a FAIL when it does not."""
+    exact = _dual_sum(n, d) == casimir(n)
     weights, negatives, coordinates = heisenberg_coordinates(n, d)
     (x1, x2, x3), (x, y), rho = BELAVIN_TRIPLE, BELAVIN_PAIR, RESIDUE_RADIUS
     cybe = uni = fit = 0.0
@@ -828,8 +894,9 @@ def check_belavin(n: int, d: int) -> tuple[bool, str, str]:
         minus = elliptic.belavin_coefficients(n, d, ctx, 0.0, -rho)
         fit = max(fit, *(abs(rho * (p - m) / 2 - 1) for p, m in zip(plus, minus)))
     tol = belavin_tolerance(floor)
-    ok = cybe <= tol and uni <= tol and fit < RESIDUE_TOL
-    detail = "relative cybe %.1e uni %.1e, residue %.1e; dual family exact" % (cybe, uni, fit)
+    ok = cybe <= tol and uni <= tol and fit < RESIDUE_TOL and exact
+    detail = "relative cybe %.1e uni %.1e, residue %.1e; dual family %s" % (
+        cybe, uni, fit, "exact" if exact else "not exact")
     return ok, detail, "%.1e/1e-5" % tol
 
 

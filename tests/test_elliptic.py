@@ -1,6 +1,7 @@
 """Theta numerics, the elliptic kernel, the torus solution, and the zoo."""
 
 import cmath
+import functools
 import json
 import math
 import random
@@ -22,10 +23,8 @@ from ybe_forge.elliptic import (
     _theta_table,
     kronecker_sigma,
     theta1,
-    theta3,
     v_sign_convention,
 )
-from ybe_forge.heis import Monomial, _dual_sum, heisenberg_entries
 from ybe_forge.lie import (
     COMPLEX,
     GlTensor2,
@@ -38,12 +37,21 @@ from ybe_forge.lie import (
 )
 from ybe_forge.verify import (
     jacobi_sn_cn_dn,
+    theta3,
     theta_half_shift_identity_residual,
     zoo_baxter,
     zoo_cherednik,
     zoo_stolin_rat,
 )
-from test_lie import dense_tensor_from_pairs, z_matrices
+from test_lie import (
+    clock_and_shift,
+    dense_tensor_from_pairs,
+    gr_product,
+    gr_scaled,
+    index_set,
+    reference_basis,
+    reference_matrices,
+)
 
 CTX = ThetaContext(tau=0.3 + 1j)
 
@@ -95,8 +103,8 @@ def theta1_deriv0_reference(ctx: ThetaContext) -> complex:
 
 def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
     """The Belavin tensor with every theta value summed afresh by the
-    reference series, in the order of operations of `belavin_r`."""
-    hb = heisenberg(n, d)
+    reference series, in the order of operations of `belavin_r`, over the
+    dense reference of the clock-and-shift basis."""
     x, y = complex(x), complex(y)
     rx, ry = math.remainder(x.real, 1), math.remainder(y.real, 1)
     v = complex(ry - rx, y.imag - x.imag)
@@ -110,7 +118,7 @@ def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
         j += k
     tv = theta1_reference(v, ctx)
     pairs = []
-    for (k, l) in hb.index_set:
+    for (k, l) in index_set(n):
         r, s = d * k % n, d * l % n
         u = (1 / n) * (s - r * ctx.tau)
         sigma = theta1_deriv0_reference(ctx) * theta1_reference(u + v, ctx) / (
@@ -119,7 +127,7 @@ def belavin_reference(n: int, d: int, ctx: ThetaContext, x, y):
         phase = (m * s + j * r) % n
         if phase:
             coeff *= cmath.exp(-TWO_PI_I * phase / n)
-        pairs.append((*z_matrices(hb, k, l), coeff))
+        pairs.append((*reference_matrices(n, d, (k, l)), coeff))
     return dense_tensor_from_pairs(n, pairs, ring=COMPLEX)
 
 
@@ -184,9 +192,11 @@ class TestReferenceOracle:
         ctx = ThetaContext(tau=tau, terms=terms)
         assert repr(_theta_table(ctx)[2]) == repr(theta1_deriv0_reference(ctx))
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)])
-    @pytest.mark.parametrize("tau", ORACLE_TAUS)
-    def test_belavin_terms_repr_identical(self, n, d, tau):
+    # (7, 3) at one modulus: no benchmark workload reaches n >= 6
+    @pytest.mark.parametrize("tau,n,d", [
+        (tau, n, d) for tau in ORACLE_TAUS for n, d in [(2, 1), (3, 1), (3, 2), (4, 1), (5, 2)]
+    ] + [(0.3 + 1j, 7, 3)])
+    def test_belavin_terms_repr_identical(self, tau, n, d):
         ctx = ThetaContext(tau=tau)
         rng = random.Random(7 * n + d)
         h = tau.imag
@@ -402,7 +412,7 @@ class TestBelavin:
 
     @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (3, 2)])
     def test_dual_family_is_casimir(self, n, d):
-        assert _dual_sum(heisenberg(n, d)) == casimir(n)
+        assert verify._dual_sum(n, d) == casimir(n)
 
     def test_lattice_point_rejected(self):
         with pytest.raises(PoleProximityError):
@@ -413,12 +423,11 @@ class TestBelavin:
     def test_reduction_matches_direct_sum(self, n, d, v):
         """The reduced (k, l) and v give the unreduced Belavin sum, evaluated
         here term by term."""
-        hb = heisenberg(n, d)
         direct = dense_tensor_from_pairs(n, [
-            (*z_matrices(hb, k, l),
+            (*reference_matrices(n, d, (k, l)),
              cmath.exp(-2j * cmath.pi * d * k * v / n)
              * kronecker_sigma((d / n) * (l - k * CTX.tau), v, CTX))
-            for (k, l) in hb.index_set
+            for (k, l) in index_set(n)
         ], ring=COMPLEX)
         got = belavin_r(n, d, CTX, 0.05, 0.05 + v)
         assert got.sub(direct).norm() < 1e-12 * direct.norm()
@@ -431,14 +440,13 @@ class TestBelavin:
     def test_fundamental_domain_unreduced(self, n, d, ctx, x, y):
         """With |Re(y - x)| <= 1/2 and |Im(y - x)| <= Im tau / 2 neither
         period is subtracted: the tensor is the bare formula bit for bit."""
-        hb = heisenberg(n, d)
         v = complex(y) - complex(x)
         pairs = []
-        for (k, l) in hb.index_set:
+        for (k, l) in index_set(n):
             r, s = d * k % n, d * l % n
             coeff = cmath.exp(-TWO_PI_I * r * v / n) * kronecker_sigma(
                 (1 / n) * (s - r * ctx.tau), v, ctx)
-            pairs.append((*z_matrices(hb, k, l), coeff))
+            pairs.append((*reference_matrices(n, d, (k, l)), coeff))
         assert belavin_r(n, d, ctx, x, y).terms == dense_tensor_from_pairs(n, pairs, ring=COMPLEX).terms
 
     @pytest.mark.parametrize("ctx", [CTX, CTX_I], ids=["tau=0.3+i", "tau=i"])
@@ -529,7 +537,7 @@ COPRIME_5 = [(n, d) for (n, d) in COPRIME_8 if n <= 5]
 
 def tensor_from_coefficients(n, d, coeffs):
     """r = sum c_a Zdual_a (x) Z_a, assembled as `belavin_r` assembles it."""
-    pairs = ((zd, z, c) for (zd, z), c in zip(heisenberg_entries(n, d), coeffs))
+    pairs = ((zd, z, c) for (_, zd, z), c in zip(heisenberg(n, d), coeffs))
     return tensor_from_pairs(n, pairs, ring=COMPLEX)
 
 
@@ -562,6 +570,21 @@ def belavin_lists(n, d, ctx):
     return [belavin_coefficients(n, d, ctx, *p) for p in BELAVIN_POINTS]
 
 
+@functools.lru_cache(maxsize=None)
+def closed_forms_hold(n: int) -> bool:
+    basis = reference_basis(n)
+    z = {a: m for a, (_, m) in basis.items()}
+    z[(0, 0)] = gr_product(clock_and_shift(n)[0], clock_and_shift(n)[2], n)  # X X^-1
+    for a in z:
+        for b in z:
+            ab = ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
+            assert gr_product(z[a], z[b], n) == gr_scaled(z[ab], 1, verify.product_exponent(a, b, n), n)
+    for a, (z_dual, _) in basis.items():
+        neg = (-a[0] % n, -a[1] % n)
+        assert z_dual == gr_scaled(z[neg], F(1, n), verify.dual_exponent(a, n), n)
+    return True
+
+
 class TestHeisenbergCoordinates:
     """`verify.check_belavin` reads the CYBE, unitarity and the residue off
     the coefficients c_a in the Heisenberg basis."""
@@ -569,16 +592,11 @@ class TestHeisenbergCoordinates:
     @pytest.mark.parametrize("n,d", COPRIME_8)
     def test_closed_forms_are_the_monomial_products(self, n, d):
         """Z_a Z_b = eps^(l_a k_b) Z_(a+b) and Zdual_a = eps^(k_a l_a) Z_(-a) / n,
-        exactly, for every a and b (Z_0 the identity)."""
-        hb = heisenberg(n, d)
-        z = {**hb.Z, (0, 0): Monomial(0, (0,) * n)}
-        for a in z:
-            for b in z:
-                ab = ((a[0] + b[0]) % n, (a[1] + b[1]) % n)
-                assert z[a] @ z[b] == z[ab].times_eps(verify.product_exponent(a, b, n))
-        for a in hb.index_set:
-            m = z[(-a[0] % n, -a[1] % n)].times_eps(verify.dual_exponent(a, n))
-            assert hb.Z_dual[a] == Monomial(m.shift, m.exps, n)
+        exactly, for every a and b (Z_0 the identity), with the products of
+        these monomial matrices taken densely over the reference: the
+        exponents `verify` reads off the closed form.  The exact matrices do
+        not depend on d, so each n is compared once."""
+        assert closed_forms_hold(n)
 
     @pytest.mark.parametrize("n,d", COPRIME_5)
     def test_coordinates_are_the_cybe_tensor(self, n, d):
@@ -592,15 +610,16 @@ class TestHeisenbergCoordinates:
         want = cybe_lhs(*(tensor_from_coefficients(n, d, cs) for cs in lists))
         weights, _, coordinates = verify.heisenberg_coordinates(n, d)
         w12, w13, w23 = ([c * w for c, w in zip(cs, weights)] for cs in lists)
-        hb = heisenberg(n, d)
-        index = hb.index_set
+        z = {a: m for a, (_, m) in reference_basis(n).items()}
+        index = index_set(n)
         got = {}
         for q, s, p_, q_, b1, b2, b3 in coordinates:
             coeff = w12[q] * w13[s] * b1 + w12[p_] * w23[s] * b2 + w13[p_] * w23[q_] * b3
             p = index[p_]
-            mats = [hb.Z[(-p[0] % n, -p[1] % n)], hb.Z[index[q]], hb.Z[index[s]]]
-            rows = [[(i, (i + m.shift) % n, cmath.exp(TWO_PI_I * d * e / n))
-                     for i, e in enumerate(m.exps)] for m in mats]
+            mats = [z[(-p[0] % n, -p[1] % n)], z[index[q]], z[index[s]]]
+            rows = [[(i, j, cmath.exp(TWO_PI_I * d * e / n))
+                     for i, row in enumerate(m) for j, x in enumerate(row) for e in x]
+                    for m in mats]
             for i, j, e1 in rows[0]:
                 for k, l, e2 in rows[1]:
                     for a, b, e3 in rows[2]:
@@ -668,7 +687,7 @@ class TestHeisenbergCoordinates:
         ctx = CTX_I
         v = 0.37 + 0.2j
         want = []
-        for (k, l) in heisenberg(n, d).index_set:
+        for (k, l) in index_set(n):
             r, s = d * k % n, d * l % n
             want.append(cmath.exp(-TWO_PI_I * r * v / n)
                         * kronecker_sigma((1 / n) * (s - r * ctx.tau), v, ctx))
@@ -753,3 +772,17 @@ class TestZoo:
         ctx = ThetaContext(tau=1.1j)
         sn, cn, dn = jacobi_sn_cn_dn(0.23, ctx)
         assert abs(sn * sn + cn * cn - 1) < 1e-12
+
+    @pytest.mark.parametrize("z_row", [
+        lambda a, i, n: ((i + a[0] + 1) % n, -a[1] * (i + a[0]) % n),
+        lambda a, i, n: ((i + a[0]) % n, (-a[1] * (i + a[0]) + (i == 0)) % n),
+    ], ids=["changed-shift", "changed-exponent"])
+    def test_broken_basis_fails_the_exact_duality(self, monkeypatch, z_row):
+        """`check_belavin` sums Zdual (x) Z exactly off the closed form it
+        reads: with a changed column or a changed row-0 exponent in every
+        Z_a the sum is not casimir(n), and the check fails and says so.  On
+        the true closed form the detail ends as it always has."""
+        assert verify.check_belavin(3, 1)[1].endswith("residue 3.4e-08; dual family exact")
+        monkeypatch.setattr(verify, "z_row", z_row)
+        ok, detail, _ = verify.check_belavin(3, 1)
+        assert not ok and detail.endswith("; dual family not exact")

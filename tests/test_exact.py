@@ -27,8 +27,9 @@ from ybe_forge.exact import (
     rat,
     solve_multi,
 )
-from ybe_forge.heis import cyclo_rational, cyclotomic_poly, root_complex, root_table
+from ybe_forge.heis import cyclotomic_poly, root_complex, root_table
 from ybe_forge.jmat import build_j
+from ybe_forge.verify import cyclo_rational
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 

@@ -1,6 +1,7 @@
 """Static hygiene of the package: no dead definitions, no write-only fields,
 no unused imports or parameters, no function that the benchmark traces by
-name missing, the definitions that only the benchmark reaches listed, no
+name missing, the definitions that only the benchmark reaches listed, the
+definitions of request modules that only `verify` reaches listed, no
 cache that never evicts unless its keys are small integers, no numpy in the
 package, and each CLI command loading only the modules it uses.
 
@@ -97,6 +98,21 @@ def benchmark_only_definitions(root: Path = ROOT) -> list[str]:
     src, bench = (_tree_uses(root, tree_name) for tree_name in TREES)
     return [qualname for qualname, name in _package_definitions(root)
             if bench[name] and not src[name]]
+
+
+def verify_only_definitions(root: Path = ROOT) -> list[str]:
+    """module:name of every top-level definition of a request module (any
+    module of the package but `verify`) whose name `verify` uses and no
+    other module of the package does: code that only `verify` runs, which
+    every request that loads its module compiles.  A use in perfbench/ does
+    not count, since perfbench traces functions by name wherever they are."""
+    package = root / "src" / "ybe_forge"
+    uses = {path.stem: _uses(_parse(path)) for path in sorted(package.glob("*.py"))}
+    verify = uses.pop("verify")
+    others = sum(uses.values(), Counter())
+    return [qualname for qualname, name in _package_definitions(root)
+            if qualname.split(":")[0] != "verify" and "." not in qualname
+            and verify[name] and not others[name]]
 
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:
@@ -215,6 +231,58 @@ def test_benchmark_only_definitions():
     assert benchmark_only_definitions() == BENCHMARK_ONLY
 
 
+# The definitions of request modules that only `verify` reaches: every
+# request that loads their module compiles them and none runs them.
+# perfbench traces, clears or calls ten of them by name in their module, so
+# those stay until the benchmark reads spans instead; `point_sol_space`,
+# `flip_j`, `cybe_residual_difference` and `flip_map` are owed to the next
+# change that moves verify code.  A new entry needs a reason as strong.
+VERIFY_ONLY = [
+    "cuspidal:sol_space",
+    "cuspidal:g_elements",
+    "cuspidal:point_sol_space",
+    "cuspidal:psi_transport",
+    "cuspidal:r_ansatz",
+    "exact:eval_matrix_poly",
+    "jmat:flip_j",
+    "lie:cybe_residual_difference",
+    "lie:is_unitary_pair",
+    "lie:flip_map",
+    "stolin:frobenius_gram",
+    "stolin:compare_pipelines",
+    "stolin:build_order",
+    "stolin:series_r",
+]
+
+
+def test_verify_only_definitions():
+    assert verify_only_definitions() == VERIFY_ONLY
+
+
+def test_scan_sees_a_verify_only_definition(tmp_path):
+    """Negative control: a request-module function that only `verify`
+    calls is listed, also when perfbench names it; one that another module
+    calls, one that its own module calls and a method that only `verify`
+    calls are not."""
+    pkg = tmp_path / "src" / "ybe_forge"
+    pkg.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (pkg / "mod.py").write_text(
+        "def fixture():\n    return 1\n\n"
+        "def traced():\n    return 2\n\n"
+        "def shared():\n    return 3\n\n"
+        "def helper():\n    return 4\n\n"
+        "def run():\n    return helper()\n\n"
+        "class Box:\n    def probe(self):\n        return 5\n"
+    )
+    (pkg / "cli.py").write_text("from .mod import Box, run, shared\nrun() + shared()\nBox()\n")
+    (pkg / "verify.py").write_text(
+        "from .mod import Box, fixture, helper, shared, traced\n"
+        "fixture() + traced() + shared() + helper() + Box().probe()\n")
+    (tmp_path / "perfbench" / "bench.py").write_text("LAYERS = [('mod', 'traced')]\n")
+    assert verify_only_definitions(tmp_path) == ["mod:fixture", "mod:traced"]
+
+
 def test_no_unused_imports():
     assert unused_imports() == []
 
@@ -276,11 +344,17 @@ def test_moved_names_keep_their_identity():
     """perfbench wraps a traced function in every module namespace that
     binds the same object, and clears the caches it names: `cuspidal`
     binds `jmat.build_j` itself, and the basis cache that `elliptic` and
-    `heis` read is `lie.heisenberg`, the one perfbench clears."""
-    from ybe_forge import cuspidal, elliptic, heis, jmat, lie, stolin
+    `verify` read is `lie.heisenberg`, the one perfbench clears; `heis`
+    holds the closed form it caches and no cache of its own for the basis.
+    `verify` reads the closed form of `heis` itself, and the even thetas
+    moved from `elliptic` to `verify`."""
+    from ybe_forge import cuspidal, elliptic, heis, jmat, lie, stolin, verify
 
     assert cuspidal.build_j is jmat.build_j and stolin.build_j is jmat.build_j
-    assert elliptic.heisenberg is lie.heisenberg and heis.heisenberg is lie.heisenberg
+    assert elliptic.heisenberg is lie.heisenberg and verify.heisenberg is lie.heisenberg
+    assert not hasattr(heis, "heisenberg") and not hasattr(heis, "heisenberg_entries")
+    assert verify.z_row is heis.z_row and verify.dual_exponent is heis.dual_exponent
+    assert not any(hasattr(elliptic, name) for name in ("theta2", "theta3", "theta4"))
 
 
 def test_benchmark_constructor_calls():
@@ -333,7 +407,6 @@ UNBOUNDED_CACHES = [
     "cuspidal:sol_family",
     "heis:root_table",
     "heis:_root_values",
-    "heis:heisenberg_entries",
     "jmat:build_j",
     "lie:casimir",
     "lie:heisenberg",

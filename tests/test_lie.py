@@ -4,6 +4,7 @@ gauges, and the clock-and-shift eigenbasis."""
 import cmath
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -12,18 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_exact import j_matrix_rat, mat_from_entries, mat_terms, mat_unit, rank
-from ybe_forge import cuspidal, cybe, lie, stolin
+from ybe_forge import cuspidal, cybe, lie, stolin, verify
 from ybe_forge.cli import N_MAX
 from ybe_forge.exact import ZERO
-from ybe_forge.heis import (
-    HeisenbergBasis,
-    Monomial,
-    _dual_sum,
-    _root_values,
-    _validate_heisenberg,
-    heisenberg_entries,
-    root_table,
-)
+from ybe_forge.heis import _root_values
 from ybe_forge.lie import (
     COMPLEX,
     GlTensor2,
@@ -147,20 +140,129 @@ def nondegenerate(r: GlTensor2) -> bool:
     return induced_endomorphism_rank(r) >= r.n * r.n - 1
 
 
-def z_matrices(hb, k: int, l: int) -> tuple:
-    """Z^dual_{k,l} and Z_{k,l} as dense n x n tuples of complex entries,
-    read off their `Monomial`s: the reference the sparse
-    `heisenberg_entries` is checked against."""
-    n = hb.n
+# Reference of the clock-and-shift basis `lie.heisenberg`, built by dense
+# matrix products and not from the closed form of `heis`.  A matrix is a
+# tuple of rows of entries in the group ring Q[C_n]: an entry is a dict
+# {e: coefficient} for the sum of coefficient * eps^e, e mod n, and {} is 0.
+# eps = exp(2 pi i d / n) is a primitive n-th root of unity for every d
+# coprime to n, so the exact matrices are the same for every d; only their
+# values depend on d.
 
-    def dense(m):
-        values = _root_values(n, m.den)
+COPRIME_N_MAX = [(n, d) for n in range(2, N_MAX + 1) for d in range(1, n) if gcd(n, d) == 1]
+
+
+def index_set(n: int) -> list:
+    """The indices (k, l) != (0, 0) of the basis, k and l mod n, row-major."""
+    return [(k, l) for k in range(n) for l in range(n) if (k, l) != (0, 0)]
+
+
+def gr_product(a, b, n: int) -> tuple:
+    """The dense product a b over Q[C_n]."""
+    out = [[{} for _ in a] for _ in a]
+    for i, row in enumerate(a):
+        for m, x in enumerate(row):
+            if not x:
+                continue
+            for j, y in enumerate(b[m]):
+                acc = out[i][j]
+                for e, c in x.items():
+                    for f, g in y.items():
+                        v = acc.get((e + f) % n, 0) + c * g
+                        if v:
+                            acc[(e + f) % n] = v
+                        else:
+                            acc.pop((e + f) % n)
+    return tuple(tuple(row) for row in out)
+
+
+def gr_scaled(m, c, e: int, n: int) -> tuple:
+    """c eps^e m."""
+    return tuple(tuple({(f + e) % n: c * v for f, v in x.items()} for x in row) for row in m)
+
+
+@lru_cache(maxsize=None)
+def clock_and_shift(n: int) -> tuple:
+    """(X, Y, X^-1, Y^-1): the clock diag(eps^i) and the shift, row i
+    holding 1 in column i + 1, with their inverses."""
+    def monomial(column, exponent):
+        return tuple(tuple({exponent(i): 1} if j == column(i) else {} for j in range(n))
+                     for i in range(n))
+
+    return (monomial(lambda i: i, lambda i: i), monomial(lambda i: (i + 1) % n, lambda i: 0),
+            monomial(lambda i: i, lambda i: -i % n), monomial(lambda i: (i - 1) % n, lambda i: 0))
+
+
+@lru_cache(maxsize=None)
+def reference_basis(n: int) -> dict:
+    """{(k, l): (Zdual, Z)}: Z = Y^k X^-l and Zdual = Z^-1 / n = X^l Y^-k / n,
+    each by dense products."""
+    def powers(m):
+        out = [tuple(tuple({0: 1} if i == j else {} for j in range(n)) for i in range(n))]
+        for _ in range(n - 1):
+            out.append(gr_product(out[-1], m, n))
+        return out
+
+    xs, ys, xs_inv, ys_inv = (powers(m) for m in clock_and_shift(n))
+    return {(k, l): (gr_scaled(gr_product(xs[l], ys_inv[k], n), F(1, n), 0, n),
+                     gr_product(ys[k], xs_inv[l], n))
+            for k, l in index_set(n)}
+
+
+def gr_entries(m, n: int, d: int) -> tuple:
+    """The nonzero entries of m, ((row, column), value) pairs, 1-based in
+    row-major order, each entry c eps^e with c = 1/den valued as the float
+    of zeta_n^(d e) / den that `heis._root_values` gives."""
+    out = []
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x:
+                (e, c), = x.items()
+                assert c.numerator == 1 if isinstance(c, F) else c == 1
+                out.append(((i + 1, j + 1), _root_values(n, F(c).denominator)[d * e % n]))
+    return tuple(out)
+
+
+def reference_matrices(n: int, d: int, a) -> tuple:
+    """Zdual_a and Z_a of the reference as dense n x n tuples of complex
+    values."""
+    out = []
+    for m in reference_basis(n)[a]:
         rows = [[0j] * n for _ in range(n)]
-        for i, e in enumerate(m.exps):
-            rows[i][(i + m.shift) % n] = values[hb.d * e % n]
-        return tuple(tuple(row) for row in rows)
+        for (i, j), v in gr_entries(m, n, d):
+            rows[i - 1][j - 1] = v
+        out.append(tuple(tuple(row) for row in rows))
+    return tuple(out)
 
-    return dense(hb.Z_dual[(k, l)]), dense(hb.Z[(k, l)])
+
+def check_basis(n: int, d: int, X, Y, basis: dict) -> None:
+    """Raise AssertionError on the first relation the basis {a: (Zdual,
+    Z)} breaks, for the clock X and the shift Y:
+
+    - X^-1 Z_(k,l) X = eps^k Z_(k,l) and Y^-1 Z_(k,l) Y = eps^l Z_(k,l),
+      with the true inverses, so that a changed X or Y breaks them too;
+    - sum Zdual (x) Z = casimir(n) at eps = zeta_n^d, exactly: this is the
+      full duality table tr(Zdual_a Z_b) = delta_ab (see `verify._dual_sum`)."""
+    _, _, X_inv, Y_inv = clock_and_shift(n)
+    for (k, l), (_, z) in basis.items():
+        if gr_product(gr_product(X_inv, z, n), X, n) != gr_scaled(z, 1, k, n):
+            raise AssertionError("clock conjugation relation failed at %r" % ((k, l),))
+        if gr_product(gr_product(Y_inv, z, n), Y, n) != gr_scaled(z, 1, l, n):
+            raise AssertionError("shift conjugation relation failed at %r" % ((k, l),))
+    counts: dict = {}
+    for z_dual, z in basis.values():
+        scaled = [(i, j, e, c * n) for i, row in enumerate(z_dual) for j, x in enumerate(row)
+                  for e, c in x.items()]
+        if any(F(c).denominator != 1 for *_, c in scaled):
+            raise AssertionError("duality failed: a dual is not in (1/n) Z[eps]")
+        entries = [(p, q, f, g) for p, row in enumerate(z) for q, y in enumerate(row)
+                   for f, g in y.items()]
+        for i, j, e, c in scaled:
+            for p, q, f, g in entries:
+                counts.setdefault((i + 1, j + 1, p + 1, q + 1), [0] * n)[d * (e + f) % n] += int(c) * g
+    values = {key: verify.cyclo_rational(c, n) for key, c in counts.items()}
+    terms = {key: v for key, v in values.items() if v}
+    if None in values.values() or GlTensor2.over(n, terms, n) != casimir(n):
+        raise AssertionError("duality failed: sum of Zdual (x) Z is not the Casimir")
 
 
 class TestTraceForm:
@@ -867,6 +969,15 @@ def test_tensors_are_read_only(handed_out, name):
     assert casimir(3) == casimir.__wrapped__(3)
 
 
+def test_complex_constructor_copies_its_terms():
+    """A complex tensor holds its own dict: a caller that changes the dict
+    it passed leaves the tensor as it was."""
+    d = {(1, 2, 2, 1): 1j}
+    t = GlTensor2(2, COMPLEX, d)
+    d[(1, 2, 2, 1)] = 5j
+    assert t.terms == {(1, 2, 2, 1): 1j}
+
+
 class TestGauges:
     def test_identity(self):
         c = casimir(3)
@@ -976,35 +1087,35 @@ class TestNondegenerate:
 
 
 class TestHeisenberg:
+    """`lie.heisenberg` against the dense reference above."""
+
     def test_n2_goldens(self):
-        hb = heisenberg(2, 1)
-        # Phi_2 has degree 1, so each root-table row is the rational value
-        table = root_table(2)
-
-        def dense(m):
-            rows = [[0, 0], [0, 0]]
-            for i, e in enumerate(m.exps):
-                rows[i][(i + m.shift) % 2] = table[hb.d * e % 2][0]
-            return rows
-
-        assert dense(hb.X) == [[1, 0], [0, -1]]
-        assert dense(hb.Y) == [[0, 1], [1, 0]]
+        """At n = 2 every root is +-1: Z_(0,1) = X^-1, Z_(1,0) = Y and
+        Z_(1,1) = Y X^-1, with their duals Z^-1 / 2."""
+        dense = {a: [[0.0] * 2 for _ in range(2)] for a in index_set(2)}
+        dense_dual = {a: [[0.0] * 2 for _ in range(2)] for a in index_set(2)}
+        for a, z_dual, z in heisenberg(2, 1):
+            for m, entries in ((dense_dual[a], z_dual), (dense[a], z)):
+                for (i, j), v in entries:
+                    assert v.imag == 0
+                    m[i - 1][j - 1] = v.real
+        assert dense == {(0, 1): [[1, 0], [0, -1]], (1, 0): [[0, 1], [1, 0]],
+                         (1, 1): [[0, -1], [1, 0]]}
+        assert dense_dual == {(0, 1): [[0.5, 0], [0, -0.5]], (1, 0): [[0, 0.5], [0.5, 0]],
+                              (1, 1): [[0, 0.5], [-0.5, 0]]}
 
     def test_non_coprime_rejected(self):
         with pytest.raises(ValueError):
             heisenberg(4, 2)
 
-    @pytest.mark.parametrize(
-        "n,d", [(n, d) for n in range(2, N_MAX + 1) for d in range(1, n) if gcd(n, d) == 1]
-    )
+    @pytest.mark.parametrize("n,d", COPRIME_N_MAX)
     def test_dual_family_reproduces_casimir(self, n, d):
-        # every basis a CLI command can ask for is built, and so validated
-        assert _dual_sum(heisenberg(n, d)) == casimir(n)
-
-    def test_eigenrelations_validated_at_construction(self):
-        # constructor raises on violation; reaching here means they hold
-        heisenberg(3, 1)
-        heisenberg(5, 3)
+        """At every pair a CLI command can ask for, the exact duality sum
+        that `verify.check_belavin` reports holds, and the reference is the
+        eigenbasis: its conjugation relations and its duality hold."""
+        assert verify._dual_sum(n, d) == casimir(n)
+        X, Y, _, _ = clock_and_shift(n)
+        check_basis(n, d, X, Y, reference_basis(n))
 
     @pytest.mark.parametrize(
         "family,what,check",
@@ -1018,43 +1129,55 @@ class TestHeisenberg:
         ],
     )
     def test_corrupted_basis_fails_validation(self, family, what, check):
-        hb = heisenberg(3, 1)
-        _validate_heisenberg(hb)
+        """Negative controls: a changed shift (the column of every row), a
+        changed exponent (of row 0) or a changed dual denominator (n + 1)
+        in one matrix each break a relation of `check_basis`, and a changed
+        Z or Zdual no longer gives the entries of `lie.heisenberg`."""
+        n, d, a = 3, 1, (1, 2)
+        X, Y, _, _ = clock_and_shift(n)
+        basis = dict(reference_basis(n))
+        check_basis(n, d, X, Y, basis)
 
         def corrupt(m):
             if what == "shift":
-                return Monomial((m.shift + 1) % 3, m.exps, m.den)
+                return tuple(row[-1:] + row[:-1] for row in m)
             if what == "den":
-                return Monomial(m.shift, m.exps, m.den + 1)
-            return Monomial(m.shift, ((m.exps[0] + 1) % 3,) + m.exps[1:], m.den)
+                return gr_scaled(m, F(n, n + 1), 0, n)
+            row0 = tuple({(e + 1) % n: c for e, c in x.items()} for x in m[0])
+            return (row0,) + m[1:]
 
-        fields = {"X": hb.X, "Y": hb.Y, "Z": hb.Z, "Z_dual": hb.Z_dual}
-        old = fields[family]
-        fields[family] = (corrupt(old) if family in ("X", "Y")
-                          else {**old, (1, 2): corrupt(old[(1, 2)])})
+        fields = {"X": X, "Y": Y}
+        if family in fields:
+            fields[family] = corrupt(fields[family])
+        else:
+            z_dual, z = basis[a]
+            basis[a] = (corrupt(z_dual), z) if family == "Z_dual" else (z_dual, corrupt(z))
+            got = {b: (zd, z) for b, zd, z in heisenberg(n, d)}[a]
+            want = tuple(gr_entries(m, n, d) for m in basis[a])
+            assert repr(got) != repr(want)
         with pytest.raises(AssertionError, match=check):
-            _validate_heisenberg(HeisenbergBasis(hb.n, hb.d, index_set=hb.index_set, **fields))
+            check_basis(n, d, fields["X"], fields["Y"], basis)
 
     @pytest.mark.parametrize("n,d", [(3, 2), (4, 1), (5, 3)])
     def test_complex_values_match_clock_and_shift(self, n, d):
-        hb = heisenberg(n, d)
         eps = cmath.exp(2j * cmath.pi * d / n)
         X = np.diag([eps**i for i in range(n)])
         Y = np.roll(np.eye(n), 1, axis=1)
-        for (k, l) in hb.index_set:
-            z = np.linalg.matrix_power(Y, k) @ np.linalg.matrix_power(np.linalg.inv(X), l)
-            dense_dual, dense = z_matrices(hb, k, l)
-            assert np.allclose(np.array(dense), z, atol=1e-12)
-            assert np.allclose(np.array(dense_dual), np.linalg.inv(z) / n, atol=1e-12)
+        for (k, l), z_dual, z in heisenberg(n, d):
+            want = np.linalg.matrix_power(Y, k) @ np.linalg.matrix_power(np.linalg.inv(X), l)
+            for got, m in ((z, want), (z_dual, np.linalg.inv(want) / n)):
+                dense = np.zeros((n, n), dtype=complex)
+                for (i, j), v in got:
+                    dense[i - 1, j - 1] = v
+                assert np.allclose(dense, m, atol=1e-12)
 
-    @pytest.mark.parametrize("n,d", [(2, 1), (3, 2), (4, 1), (5, 3), (12, 5)])
+    @pytest.mark.parametrize("n,d", COPRIME_N_MAX)
     def test_entries_are_the_dense_nonzeros(self, n, d):
-        """`heisenberg_entries` lists the nonzero entries of the dense
-        matrices, values bit for bit, in the order of a row-major scan."""
-        hb = heisenberg(n, d)
-        entries = heisenberg_entries(n, d)
-        assert len(entries) == len(hb.index_set)
-        for kl, pair in zip(hb.index_set, entries):
-            for got, m in zip(pair, z_matrices(hb, *kl)):
-                want = [((i + 1, j + 1), m[i][j]) for i in range(n) for j in range(n) if m[i][j]]
-                assert repr(list(got)) == repr(want)
+        """`heisenberg(n, d)` lists the nonzero entries of the reference
+        matrices, values bit for bit, in the order of a row-major scan, for
+        the index set in row-major order."""
+        basis = heisenberg(n, d)
+        assert [a for a, _, _ in basis] == index_set(n)
+        for a, z_dual, z in basis:
+            want = tuple(gr_entries(m, n, d) for m in reference_basis(n)[a])
+            assert repr((z_dual, z)) == repr(want)
