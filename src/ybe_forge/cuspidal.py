@@ -7,7 +7,7 @@ members of Sol, taken at the residue point x and evaluated at y, produce
 the tensor, whose pole part is always the Casimir element.  A `rational`
 request runs only `assemble_r` on the cached `sol_family`.  The degree cap
 of entry (i, j) of V_{e,d} is 1 - `jmat.twist(i, j, e)`.  `sol_space` hands
-out its tuple of members and `g_elements` its corrections dict.
+out its tuple of members and `g_elements` its read-only corrections.
 """
 
 from __future__ import annotations
@@ -15,26 +15,18 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 
 from .exact import (
     InconsistentSystemError,
     SingularSystemError,
     ZERO,
-    kernel,
     rat,
     solve_multi,
 )
 from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, j_support_coloring, twist
-from .lie import (
-    POLE,
-    GlTensor2,
-    TensorTable,
-    apply_gauge,
-    dual_terms,
-    signed_permutation_map,
-    sl_basis,
-    tensor_table,
-)
+from .lie import GlTensor2, apply_gauge, signed_permutation_map
+from .table import POLE, TensorTable, dual_terms, sl_basis, tensor_table
 
 
 class SolDimensionError(RuntimeError):
@@ -73,7 +65,7 @@ def _sol_rows(e: int, d: int) -> tuple[list, list]:
     F_0 = c_cap and F_eps = c_(cap-1) - cap x c_cap, so row (a, b) of the
     constraint is [c_cap, J] + (1 - cap) x c_cap + c_(cap-1), and the trace
     rows are sum c1_aa = 0 and sum c0_aa = 0.  tests/test_cuspidal.py
-    proves, for n <= cli.N_MAX, that A0 + x A1 equals its reference form of
+    proves, for n <= request.N_MAX, that A0 + x A1 equals its reference form of
     the constraint (F_0 and F_eps read off each member in powers of z) at
     every x, so no member is re-checked at runtime.
     """
@@ -155,7 +147,7 @@ class SolFamily:
 
 
 # One family per coprime pair, kept for the life of the process: the CLI
-# admits the 45 pairs up to cli.N_MAX, and a family at n = 12, table
+# admits the 45 pairs up to request.N_MAX, and a family at n = 12, table
 # included, holds about 0.23 MB (measured with tracemalloc at (1, 11) and
 # (5, 7)).
 @lru_cache(maxsize=None)
@@ -251,7 +243,9 @@ def g_elements(e: int, d: int, x: Fraction) -> dict:
     Coordinate c of a correction is (g0 den xd + g1 xn) / (den^2 xd) at
     x = xn/xd, for its g0 over den and g1 over den^2, and it is the
     coefficient of (z - x)^k, k >= 1; so every z^m coefficient is an
-    integer over den^2 xd^3, summed over the nonzero coordinates only."""
+    integer over den^2 xd^3, summed over the nonzero coordinates only.
+    The cache hands one value to every caller, so the value is read-only:
+    label -> (i, j) -> coefficient tuple, in mapping proxies."""
     x = rat(x)
     n = e + d
     fam = sol_family(e, d)
@@ -279,20 +273,8 @@ def g_elements(e: int, d: int, x: Fraction) -> dict:
                 p.pop()
             if p:
                 polys[ij] = tuple(Fraction(a, q) if a else ZERO for a in p)
-        corrections[label] = polys
-    return corrections
-
-
-def point_sol_space(e: int, d: int, x) -> tuple:
-    """Sol((e,d), x) from one `kernel` elimination of the rows at x, without
-    `sol_family`: the reference of `verify.check_ansatz`.  Its basis is the
-    residue-dual one exactly when the residue map is an isomorphism at x."""
-    x = rat(x)
-    # A0 and A1 share no column within a row
-    rows = [{**r0, **{c: x * v for c, v in r1.items() if x}} for r0, r1 in zip(*_sol_rows(e, d))]
-    ncols = len(_ved_coords(e, d))
-    return tuple(tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
-                 for vec, den in kernel(rows, ncols))
+        corrections[label] = MappingProxyType(polys)
+    return MappingProxyType(corrections)
 
 
 def assemble_r(e: int, d: int, x, y) -> GlTensor2:

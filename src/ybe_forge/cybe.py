@@ -27,7 +27,25 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from .lie import RATIONAL, GlTensor3, _scaled, _swapped
+from .lie import RATIONAL, _scaled, _swapped
+
+
+class GlTensor3:
+    """Sparse element of gl(n) (x) gl(n) (x) gl(n), keyed by six indices:
+    the value of `cybe_lhs_sum`, and so of `lie.cybe_lhs`."""
+
+    __slots__ = ("n", "ring", "terms")
+
+    def __init__(self, n: int, ring: str, terms: dict | None = None):
+        self.n = n
+        self.ring = ring
+        self.terms = {} if terms is None else terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def norm(self) -> float:
+        return max((abs(v) for v in self.terms.values()), default=0.0)
 
 
 def _drop_central(terms: dict, n: int) -> None:

@@ -1,13 +1,13 @@
 """The odd theta function, the elliptic kernel and the torus r-matrix.
 
 Everything here is floating-point; the exact modules never import it, and
-it loads neither `exact` nor the rational pipelines.  The torus r-matrix
-weights the entries of the clock-and-shift basis `lie.heisenberg` (the
-closed form of `heis`).  The theta-quotient form of the elliptic kernel is
-normative; tests/test_elliptic.py cross-checks it against the double-series
-form where that converges.  The even theta functions, the classical (2,1)
-solution zoo and the residual checks of the elliptic solution live in
-`verify`, their only reader.
+it loads neither `exact`, the rational tables (`table`) nor `fractions`.
+The torus r-matrix weights the entries of the clock-and-shift basis
+`lie.heisenberg` (the closed form of `heis`).  The theta-quotient form of
+the elliptic kernel is normative; tests/test_elliptic.py cross-checks it
+against the double-series form where that converges.  The even theta
+functions, the classical (2,1) solution zoo and the residual checks of the
+elliptic solution live in `verify`, their only reader.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -121,7 +120,7 @@ def _theta_table(ctx: ThetaContext) -> tuple:
     # |q|^(n(n+1)) underflows to 0.0 long before `terms` at moderate Im(tau)
     # (from n = 15 on at tau = i); those terms only add signed zeros
     kept = 1 + max(n for n, c in enumerate(coeffs) if c)
-    prefactor = 2 * q ** Fraction(1, 4)
+    prefactor = 2 * q ** 0.25
     terms = tuple((c, (2 * n + 1) * math.pi) for n, c in enumerate(coeffs[:kept]))
     return prefactor, terms, prefactor * deriv
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 # --- roots of unity in the power basis of Q(zeta_m), in integers -----------
@@ -69,7 +68,7 @@ def root_complex(coeffs: Sequence[int], m: int, den: int = 1) -> complex:
     coefficient vector, summed in ascending power order."""
     z = math.tau / m
     return sum(
-        float(Fraction(c, den)) * complex(math.cos(z * k), math.sin(z * k))
+        c / den * complex(math.cos(z * k), math.sin(z * k))
         for k, c in enumerate(coeffs)
     )
 

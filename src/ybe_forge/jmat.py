@@ -68,17 +68,6 @@ def build_j(e: int, d: int) -> tuple:
     return tuple(tuple(row) for row in mat)
 
 
-def flip_j(J: tuple) -> tuple:
-    """Index-reversal of J in the form it enters the pairing tr(J^t [a,b]):
-    the transpose along the antidiagonal, position (i,j) -> (n+1-j, n+1-i).
-    This is the map under which J_(e,d) goes to J_(d,e); reversing both
-    indices without the transpose does not (already false for (1,1))."""
-    n = len(J)
-    return tuple(
-        tuple(J[n - 1 - c][n - 1 - r] for c in range(n)) for r in range(n)
-    )
-
-
 def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
     """Signs s_1..s_n with s_i s_j = -1 on every unit entry (i,j) of J_(e,d).
 

@@ -6,55 +6,21 @@ vanish) is a property the tests check, not a storage constraint.  A tensor
 is read-only, and a rational one holds integer numerators in lowest terms
 over one positive denominator, so equal values have equal forms.  The CYBE
 embedding conventions (which slot carries the bracket) are fixed here once,
-by `cybe_lhs`, and nowhere else.  The CYBE kernel (`cybe`) and the
-closed form of the Heisenberg basis (`heis`) load only when first used.
+by `cybe_lhs`, and nowhere else.  The CYBE kernel (`cybe`, which also holds
+`GlTensor3`) and the closed form of the Heisenberg basis (`heis`) load
+only when first used.  The sl(n) basis, the Casimir element and the
+rational tables of the exact pipelines are `table`: an `elliptic` request
+loads this module alone, and no `fractions`, since a Fraction is built
+only where one is handed out (`GlTensor2.terms` of a rational tensor).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
 
 from . import COMPLEX, RATIONAL
-
-# basis labels: ("unit", i, j) for e_{i,j} with i != j, ("cartan", l) for h_l
-BasisIndex = tuple
-
-
-def sl_basis(n: int) -> tuple[BasisIndex, ...]:
-    """Ordered basis of sl(n): h_1..h_{n-1} then the off-diagonal units."""
-    labels = [("cartan", l) for l in range(1, n)]
-    labels += [("unit", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-    return tuple(labels)
-
-
-def basis_terms(label: BasisIndex, n: int) -> dict:
-    """The matrix of a basis label as {(i, j): nonzero entry}, 1-based:
-    e_{i,j}, or h_l = e_{l,l} - e_{l+1,l+1}, with integer entries."""
-    if label[0] == "unit":
-        return {label[1:]: 1}
-    _, l = label
-    if not 1 <= l <= n - 1:
-        raise ValueError("cartan index out of range: %d for n=%d" % (l, n))
-    return {(l, l): 1, (l + 1, l + 1): -1}
-
-
-def dual_terms(label: BasisIndex, n: int) -> dict:
-    """The trace-form dual of a basis label as {(i, j): nonzero entry},
-    1-based: e_{i,j} -> e_{j,i}, and h_l -> the unique Cartan element with
-    tr(dual h_m) = delta_{l m}, the fundamental coweight, diagonal with
-    (n-l)/n in its first l entries and -l/n in the rest."""
-    if label[0] == "unit":
-        _, i, j = label
-        return {(j, i): Fraction(1)}
-    _, l = label
-    if not 1 <= l <= n - 1:
-        raise ValueError("cartan index out of range: %d for n=%d" % (l, n))
-    return {(a, a): Fraction(n - l if a <= l else -l, n) for a in range(1, n + 1)}
-
 
 # ---------------------------------------------------------------------------
 # sparse tensors over the unit basis
@@ -118,6 +84,8 @@ class GlTensor2:
     def terms(self):
         if self.ring == COMPLEX:
             return MappingProxyType(self._coeffs)
+        from fractions import Fraction
+
         den = self._den
         return MappingProxyType({k: Fraction(v, den) for k, v in self._coeffs.items()})
 
@@ -171,23 +139,6 @@ def _scaled(coeffs, f: int) -> dict:
     return dict(coeffs) if f == 1 else {k: v * f for k, v in coeffs.items()}
 
 
-class GlTensor3:
-    """Sparse element of gl(n) (x) gl(n) (x) gl(n), keyed by six indices."""
-
-    __slots__ = ("n", "ring", "terms")
-
-    def __init__(self, n: int, ring: str, terms: dict | None = None):
-        self.n = n
-        self.ring = ring
-        self.terms = {} if terms is None else terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def norm(self) -> float:
-        return max((abs(v) for v in self.terms.values()), default=0.0)
-
-
 def tensor_from_pairs(n: int, pairs, ring: str = RATIONAL) -> GlTensor2:
     """Sum of coeff * (A (x) B) over (A, B, coeff) triples, A and B each
     given as its nonzero entries, an iterable of ((i, j), entry) pairs,
@@ -216,115 +167,6 @@ def swap_tensor(r: GlTensor2) -> GlTensor2:
     return GlTensor2._held(r.n, r.ring, _swapped(r._coeffs), r._den)
 
 
-@lru_cache(maxsize=None)
-def casimir(n: int) -> GlTensor2:
-    """Casimir element of sl(n) for the trace form: sum over i != j of
-    e_{i,j} (x) e_{j,i}, plus sum over all a, b of
-    (delta_{a,b} - 1/n) e_{a,a} (x) e_{b,b}."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    idx = range(1, n + 1)
-    nums = {(i, j, j, i): n for i in idx for j in idx if i != j}
-    nums.update({(a, a, b, b): n * (a == b) - 1 for a in idx for b in idx})
-    return GlTensor2.over(n, nums, n)
-
-
-# ---------------------------------------------------------------------------
-# rational r-matrices as integer coefficient tables
-# ---------------------------------------------------------------------------
-
-# The monomial (p, a, b) of a table stands for x^a y^b / (y - x)^p.
-POLE = (1, 0, 0)
-
-
-class TensorTable:
-    """r(x, y) = sum over the monomials m of m(x, y) T_m in integers:
-    terms[(i, j, k, l)] holds the numerators of the coefficient of
-    e_{i,j} (x) e_{k,l} in each T_m, in the order of `monomials`, over the
-    common denominator `den`.
-
-    A table is canonical: `monomials` is sorted, `den` is positive and in
-    lowest terms with the numerators, and no key and no monomial has only
-    zero numerators.  `tensor_table` builds only canonical tables, so for
-    the monomials it is given (1/(y - x) and x^a y^b, which are linearly
-    independent) two tables are the same r(x, y) iff they are ==."""
-
-    __slots__ = ("n", "monomials", "den", "terms")
-
-    def __init__(self, n: int, monomials: tuple, den: int, terms: dict):
-        self.n = n
-        self.monomials = monomials
-        self.den = den
-        self.terms = terms
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.monomials, self.den, self.terms) == (
-            other.n, other.monomials, other.den, other.terms)
-
-    def at(self, x: Fraction, y: Fraction) -> GlTensor2:
-        """r(x, y) for y != x, put in lowest terms over one positive
-        denominator by `GlTensor2.over`.  Every monomial is an integer over
-        one common denominator, so each term costs one integer combination
-        and no Fraction; terms that vanish at (x, y) are dropped.  The
-        numerators are a new dict on every call: no evaluation shares a
-        value with the table or with another evaluation."""
-        if x == y:
-            raise ValueError("need x != y")
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        s = yn * xd - xn * yd  # (y - x) xd yd
-        p_max, a_max, b_max = (max(m[k] for m in self.monomials) for k in range(3))
-        values = [
-            xn**a * xd ** (a_max - a + p) * yn**b * yd ** (b_max - b + p) * s ** (p_max - p)
-            for p, a, b in self.monomials
-        ]
-        den = self.den * xd**a_max * yd**b_max * s**p_max
-        # den < 0 where y < x: a negative g makes den // g positive, so that
-        # `over` divides no numerator when they are in lowest terms
-        g = gcd(den, *values) if den > 0 else -gcd(den, *values)
-        values = [v // g for v in values]
-        nums = {key: v for key, row in self.terms.items() if (v := sum(map(mul, row, values)))}
-        return GlTensor2.over(self.n, nums, den // g)
-
-
-def tensor_table(n: int, pairs) -> TensorTable:
-    """The table of c/(y - x) + sum of m(x, y) A (x) B over the list of
-    triples (A, B, m) `pairs`, c the Casimir.  A and B are {(i, j): entry}
-    dicts, 1-based, of rationals.  Built in integers: the entries of each
-    slot are scaled to the lcm of that slot's denominators, and keys and
-    monomials whose numerators all cancel are dropped: the table is
-    canonical."""
-    monomials = tuple(sorted({POLE}.union(m for _, _, m in pairs)))
-    col = {m: c for c, m in enumerate(monomials)}
-    den_a = lcm(*(v.denominator for a, _, _ in pairs for v in a.values()))
-    den_b = lcm(n, *(v.denominator for _, b, _ in pairs for v in b.values()))
-    den = den_a * den_b
-    acc: dict = {}
-    width = len(monomials)
-    c_nums, c_den = casimir(n).numerators()
-    for key, v in c_nums.items():
-        acc.setdefault(key, [0] * width)[col[POLE]] = v * (den // c_den)
-    for a, b, m in pairs:
-        c = col[m]
-        b_terms = [(k, l, v.numerator * (den_b // v.denominator)) for (k, l), v in b.items()]
-        for (i, j), v in a.items():
-            va = v.numerator * (den_a // v.denominator)
-            for k, l, vb in b_terms:
-                key = (i, j, k, l)
-                nums = acc.get(key)
-                if nums is None:
-                    nums = acc[key] = [0] * width
-                nums[c] += va * vb
-    live = [c for c in range(width) if any(nums[c] for nums in acc.values())]
-    if len(live) < width:
-        monomials = tuple(monomials[c] for c in live)
-        acc = {key: [nums[c] for c in live] for key, nums in acc.items()}
-    g = gcd(den, *(v for nums in acc.values() for v in nums))
-    terms = {key: tuple(v // g for v in nums) for key, nums in acc.items() if any(nums)}
-    return TensorTable(n, monomials, den // g, terms)
-
-
 # ---------------------------------------------------------------------------
 # the CYBE left-hand side
 # ---------------------------------------------------------------------------
@@ -347,12 +189,6 @@ def cybe_residual_two_variable(r_of, points) -> GlTensor3:
     spectral points: r12 = r(x1,x2), r13 = r(x1,x3), r23 = r(x2,x3)."""
     x1, x2, x3 = points
     return cybe_lhs(r_of(x1, x2), r_of(x1, x3), r_of(x2, x3))
-
-
-def cybe_residual_difference(r_of, x, y) -> GlTensor3:
-    """CYBE left-hand side in the one-variable (difference) form:
-    [r12(x), r13(x+y)] + [r13(x+y), r23(y)] + [r12(x), r23(y)]."""
-    return cybe_lhs(r_of(x), r_of(x + y), r_of(y))
 
 
 def is_unitary_pair(r_xy: GlTensor2, r_yx: GlTensor2) -> bool:
@@ -406,11 +242,6 @@ def transpose_negate_map(n: int) -> LinearMapGl:
     """A |-> -A^t, the involutive automorphism relating the two rational
     pipelines."""
     return signed_permutation_map(n, lambda i, j: (j, i, -1))
-
-
-def flip_map(n: int) -> LinearMapGl:
-    """e_{i,j} |-> e_{n+1-i, n+1-j}, conjugation by the antidiagonal."""
-    return signed_permutation_map(n, lambda i, j: (n + 1 - i, n + 1 - j, 1))
 
 
 def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:

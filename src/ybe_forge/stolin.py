@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .exact import (
     LinearAlgebraError,
@@ -30,17 +31,8 @@ from .exact import (
     solve_multi,
 )
 from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, twist
-from .lie import (
-    GlTensor2,
-    TensorTable,
-    apply_gauge,
-    basis_terms,
-    dual_terms,
-    sl_basis,
-    tensor_from_pairs,
-    tensor_table,
-    transpose_negate_map,
-)
+from .lie import GlTensor2, apply_gauge, tensor_from_pairs, transpose_negate_map
+from .table import TensorTable, basis_terms, dual_terms, sl_basis, tensor_table
 
 
 class DegenerateFormError(RuntimeError):
@@ -205,7 +197,10 @@ class WElementSet:
 
     def __init__(self, n: int, parts: dict):
         self.n = n
-        self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}
+        # (label, k) -> {m: {(i, j): coefficient}}, read-only at every level:
+        # `solve_dec` hands the one cached set to every caller
+        self.parts = MappingProxyType({key: MappingProxyType(
+            {m: MappingProxyType(terms) for m, terms in w.items()}) for key, w in parts.items()})
 
     @cached_property
     def table(self) -> TensorTable:

@@ -4,7 +4,11 @@ numerics, and the classical fixtures.
 Every check returns a pass/fail verdict with the measured residual (or the
 relevant determinant/dimension) and its tolerance; a report is the
 conjunction.  A suite runs its checks in order in one process, so that each
-CYBE proof, once made, serves every later check that transports it.
+CYBE proof, once made, serves every later check that transports it.  What
+only these checks read lives here, not in a module that CLI requests load:
+the J flip (`flip_j`), the antidiagonal gauge (`flip_map`), the per-point
+reference of Sol (`point_sol_space`) and the one-variable residual
+(`cybe_residual_difference`), with the even thetas and the fixtures.
 """
 
 from __future__ import annotations
@@ -20,28 +24,21 @@ from math import gcd
 
 from . import __version__, cuspidal, elliptic, jmat, stolin
 from .cybe import cybe_lhs_sum
-from .exact import ONE, ZERO, eval_matrix_poly, rat
+from .exact import ONE, ZERO, eval_matrix_poly, kernel, rat
 from .heis import dual_exponent, root_table, z_row
 from .lie import (
     COMPLEX,
-    POLE,
     RATIONAL,
     GlTensor2,
     LinearMapGl,
-    TensorTable,
-    basis_terms,
-    casimir,
-    cybe_residual_difference,
-    dual_terms,
-    flip_map,
+    cybe_lhs,
     heisenberg,
     is_unitary_pair,
     signed_permutation_map,
-    sl_basis,
     tensor_from_pairs,
-    tensor_table,
     transpose_negate_map,
 )
+from .table import POLE, TensorTable, basis_terms, casimir, dual_terms, sl_basis, tensor_table
 
 # seed of the points every suite draws; a report is reproducible run to run
 SUITE_SEED = 2008
@@ -123,8 +120,8 @@ def _points(rng: random.Random, count: int):
 
 # --- exact identities on the tables r = c/(y-x) + sum x^a y^b T_ab ---------
 #
-# `lie.tensor_table` holds each T_ab as integer numerators over one
-# denominator; the monomial (0, a, b) is x^a y^b and `lie.POLE` is 1/(y-x).
+# `table.tensor_table` holds each T_ab as integer numerators over one
+# denominator; the monomial (0, a, b) is x^a y^b and `table.POLE` is 1/(y-x).
 # Its tables are canonical, and `_gauge_table` keeps them so: two tables
 # are the same r(x, y) iff they are ==.
 
@@ -374,9 +371,25 @@ def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
     return ok, "gauged table == -J table for all x, y; +J table differs; exact at 1 pair"
 
 
+def flip_j(J: tuple) -> tuple:
+    """Index-reversal of J in the form it enters the pairing tr(J^t [a,b]):
+    the transpose along the antidiagonal, position (i,j) -> (n+1-j, n+1-i).
+    This is the map under which J_(e,d) goes to J_(d,e); reversing both
+    indices without the transpose does not (already false for (1,1))."""
+    n = len(J)
+    return tuple(
+        tuple(J[n - 1 - c][n - 1 - r] for c in range(n)) for r in range(n)
+    )
+
+
+def flip_map(n: int) -> LinearMapGl:
+    """e_{i,j} |-> e_{n+1-i, n+1-j}, conjugation by the antidiagonal."""
+    return signed_permutation_map(n, lambda i, j: (n + 1 - i, n + 1 - j, 1))
+
+
 def check_flip_symmetry(e: int, d: int, pair) -> tuple[bool, str]:
-    ok = jmat.flip_j(jmat.build_j(e, d)) == jmat.build_j(d, e)
-    ok &= jmat.flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d)
+    ok = flip_j(jmat.build_j(e, d)) == jmat.build_j(d, e)
+    ok &= flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d)
     g = cuspidal.flip_transpose_gauge(e, d)
     src, dst = cuspidal.sol_family(e, d).table, cuspidal.sol_family(d, e).table
     ok &= _gauge_table(g, src) == dst
@@ -389,11 +402,25 @@ def check_flip_symmetry(e: int, d: int, pair) -> tuple[bool, str]:
                "bare reversal differs; exact at 1 pair"
 
 
+def point_sol_space(e: int, d: int, x) -> tuple:
+    """Sol((e,d), x) from one `kernel` elimination of the rows at x, without
+    `cuspidal.sol_family`: the reference of `check_ansatz`.  Its basis is
+    the residue-dual one exactly when the residue map is an isomorphism at
+    x."""
+    x = rat(x)
+    # A0 and A1 share no column within a row
+    rows = [{**r0, **{c: x * v for c, v in r1.items() if x}}
+            for r0, r1 in zip(*cuspidal._sol_rows(e, d))]
+    ncols = len(cuspidal._ved_coords(e, d))
+    return tuple(tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
+                 for vec, den in kernel(rows, ncols))
+
+
 def check_ansatz(e: int, d: int) -> tuple[bool, str]:
     table = cuspidal.r_ansatz(e, d)
     n, ok = e + d, True
     for x, y in ((Fraction(5, 7), Fraction(-3, 2)), (Fraction(-7, 3), Fraction(9, 4))):
-        ok &= cuspidal.sol_space(e, d, x) == cuspidal.point_sol_space(e, d, x)
+        ok &= cuspidal.sol_space(e, d, x) == point_sol_space(e, d, x)
         # the per-point formula (c + sum dual(B) (x) G_B(y))/(y - x)
         inv = ONE / (y - x)
         pairs = [(dual_terms(label, n).items(), eval_matrix_poly(G, y).items(), inv)
@@ -425,7 +452,7 @@ def _gram_transports(e: int, d: int) -> bool:
     flip_j(J(d,e)) = J(e,d); sigma = -antitranspose is an automorphism; and
     sigma maps the labels of p_d onto +- those of p_e (h_l to h_(n-l))."""
     n = e + d
-    if jmat.flip_j(jmat.build_j(d, e)) != jmat.build_j(e, d):
+    if flip_j(jmat.build_j(d, e)) != jmat.build_j(e, d):
         return False
     sigma = signed_permutation_map(n, lambda i, j: (n + 1 - j, n + 1 - i, -1))
     return _is_automorphism(sigma) and _maps_labels(
@@ -909,6 +936,12 @@ def check_truncation_stability() -> tuple[bool, str]:
         .norm()
     )
     return drift < 1e-12, "60 vs 120 terms drift %.2e" % drift
+
+
+def cybe_residual_difference(r_of, x, y):
+    """CYBE left-hand side in the one-variable (difference) form:
+    [r12(x), r13(x+y)] + [r13(x+y), r23(y)] + [r12(x), r23(y)]."""
+    return cybe_lhs(r_of(x), r_of(x + y), r_of(y))
 
 
 def check_zoo_rational() -> tuple[bool, str]:

@@ -13,17 +13,12 @@ import pytest
 from conftest import invoke
 
 from ybe_forge import __version__, verify
-from ybe_forge.cli import (
-    COMMANDS,
-    K_EXTRA_DIGITS_MAX,
-    K_FILE_BYTES_MAX,
-    N_MAX,
-    RAT_DIGITS_MAX,
-    SUITES,
-)
-from ybe_forge.document import document_from_json
+from ybe_forge.cli import COMMANDS, SUITES
+from ybe_forge.cmd_stolin import K_EXTRA_DIGITS_MAX, K_FILE_BYTES_MAX
 from ybe_forge.elliptic import THETA_TERMS_MAX
+from ybe_forge.formats import document_from_json
 from ybe_forge.lie import swap_tensor
+from ybe_forge.request import N_MAX, RAT_DIGITS_MAX
 from ybe_forge.verify import _tasks_for, run_suite
 
 GOLDENS = Path(__file__).parent / "goldens"
@@ -57,17 +52,16 @@ class TestRational:
         res = run("rational", "2", "1", "--x", "0", "--y", "1")
         assert res.exit_code == 0
         doc = document_from_json(json.loads(res.stdout))
-        from ybe_forge import lie
         from ybe_forge.cuspidal import r_ansatz
         from ybe_forge.exact import ONE
-        from ybe_forge.lie import casimir
+        from ybe_forge.table import POLE, TensorTable, casimir
 
         # the tail is the polynomial part of the certified table
         table = r_ansatz(1, 1)
-        polynomial = lie.TensorTable(2, table.monomials[:-1], table.den, {
+        polynomial = TensorTable(2, table.monomials[:-1], table.den, {
             key: nums[:-1] for key, nums in table.terms.items() if any(nums[:-1])})
         tail = doc.to_tensor().sub(casimir(2).scale(ONE / (F(1) - F(0))))
-        assert table.monomials[-1] == lie.POLE
+        assert table.monomials[-1] == POLE
         assert tail == polynomial.at(F(0), F(1))
 
     def test_round_trip(self):

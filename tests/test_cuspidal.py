@@ -6,7 +6,7 @@ import random
 import time
 from fractions import Fraction as F
 from math import gcd
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,6 @@ from test_exact import (
 )
 from test_lie import basis_matrix, nondegenerate
 from ybe_forge import cuspidal, exact, jmat, lie, stolin, verify
-from ybe_forge.cli import N_MAX
 from ybe_forge.cuspidal import (
     AnsatzError,
     SolDimensionError,
@@ -40,16 +39,16 @@ from ybe_forge.cuspidal import (
     sol_space,
 )
 from ybe_forge.exact import ONE, ZERO, eval_matrix_poly, poly_trim
-from ybe_forge.jmat import NonCoprimeError, build_j, flip_j, j_support_coloring, twist
+from ybe_forge.jmat import NonCoprimeError, build_j, j_support_coloring, twist
 from ybe_forge.lie import (
-    casimir,
     cybe_residual_two_variable,
-    dual_terms,
     is_unitary_pair,
     signed_permutation_map,
-    sl_basis,
     tensor_from_pairs,
 )
+from ybe_forge.request import N_MAX
+from ybe_forge.table import POLE, TensorTable, casimir, dual_terms, sl_basis
+from ybe_forge.verify import flip_j
 
 
 class TestBuildJ:
@@ -556,6 +555,38 @@ class TestResEv:
         assert eval_matrix_poly({(1, 2): (ONE,)}, F(5)) == {(1, 2): ONE}
 
 
+def _plain(mapping):
+    """A read-only mapping of mappings, read into dicts at every level."""
+    if isinstance(mapping, (dict, MappingProxyType)):
+        return {key: _plain(value) for key, value in mapping.items()}
+    return mapping
+
+
+@pytest.mark.parametrize("cached", [
+    lambda: g_elements(1, 1, F(1)),
+    lambda: stolin.solve_dec(2, 1, stolin.neg_j_matrix(2, 1)).parts,
+], ids=["g_elements", "solve_dec"])
+def test_cached_values_are_read_only(cached):
+    """`g_elements` and `solve_dec` hand every caller the one value their
+    cache holds, so no caller may change it: each attempt to clear, set or
+    delete an entry, at every level, raises or leaves the next answer
+    unchanged."""
+    value = cached()
+    want = _plain(value)
+    key = next(k for k, v in value.items() if v)
+    inner = value[key]
+    inner_key = next(iter(inner))
+    attempts = [lambda: value.clear(), lambda: value.__setitem__(key, {}),
+                lambda: value.__delitem__(key), lambda: inner.clear(),
+                lambda: inner.__setitem__(inner_key, {}), lambda: inner[inner_key].clear()]
+    for attempt in attempts:
+        try:
+            attempt()
+        except (AttributeError, TypeError):
+            pass
+        assert _plain(cached()) == want
+
+
 class TestGElements:
     def test_lower_left_unit_needs_no_correction(self):
         g = g_elements(1, 1, F(1))
@@ -623,7 +654,8 @@ class TestGElements:
     def test_corrections_match_sol_space_members(self, e, d, monkeypatch):
         """`g_elements` sums integer numerators off the family's coordinates
         without `sol_space`; the reference expands the residue-dual members
-        of `sol_space` in Fractions.  Both agree repr for repr."""
+        of `sol_space` in Fractions.  Both agree repr for repr, once the
+        read-only mappings of `g_elements` are read into dicts."""
         for x in (F(0), F(1), F(-3, 7), F(22, 9), F(5, 10**12 + 1)):
             members = [{c: v for c, v in enumerate(vec[:-(e + d) ** 2]) if v}
                        for vec in sol_space(e, d, x)]
@@ -633,7 +665,7 @@ class TestGElements:
             with monkeypatch.context() as m:
                 m.setattr(cuspidal, "sol_space", None)
                 got = g_elements(e, d, x)
-            assert repr(got) == repr(want)
+            assert repr({label: dict(terms) for label, terms in got.items()}) == repr(want)
         g_elements.cache_clear()
 
     @pytest.mark.parametrize("e,d,x,digest", [
@@ -655,8 +687,10 @@ def _assert_defining_conditions(e, d, x):
     assert sorted(g) == sorted(sl_basis(n))
     for label in sl_basis(n):
         terms = g[label]
-        # {(i, j): polynomial} in row-major order, no zero polynomial stored
-        assert type(terms) is dict and list(terms) == sorted(terms) and all(terms.values())
+        # {(i, j): polynomial} in row-major order, read-only, no zero
+        # polynomial stored
+        assert type(terms) is MappingProxyType
+        assert list(terms) == sorted(terms) and all(terms.values())
         assert eval_matrix_poly(terms, x) == {}
         G = matrix_poly_from_entries(n, terms)
         B = basis_matrix(label, n)
@@ -726,7 +760,7 @@ def bumped(table, rng):
     key = rng.choice(sorted(table.terms))
     nums = list(table.terms[key])
     nums[rng.randrange(len(nums))] += 1
-    return lie.TensorTable(table.n, table.monomials, table.den, {**table.terms, key: tuple(nums)})
+    return TensorTable(table.n, table.monomials, table.den, {**table.terms, key: tuple(nums)})
 
 
 def spy_tensor_products(monkeypatch) -> list:
@@ -782,7 +816,7 @@ class TestTable:
     def test_table_integer_only(self):
         table = sol_family(3, 4).table
         # c/(y - x) + A + x B + y C
-        assert set(table.monomials) == {lie.POLE, (0, 0, 0), (0, 1, 0), (0, 0, 1)}
+        assert set(table.monomials) == {POLE, (0, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert type(table.den) is int
         assert all(type(v) is int for nums in table.terms.values() for v in nums)
         assert all(any(nums) for nums in table.terms.values())
@@ -819,7 +853,8 @@ class TestFlipTransport:
     def test_bare_index_reversal_fails(self):
         # the undecorated reversal e_{i,j} -> e_{n+1-i,n+1-j} does not
         # transport the solutions; the sign-twisted antitranspose is needed
-        from ybe_forge.lie import apply_gauge, flip_map
+        from ybe_forge.lie import apply_gauge
+        from ybe_forge.verify import flip_map
 
         x, y = F(1, 3), F(2)
         psi = flip_map(3)
@@ -838,7 +873,7 @@ class TestAnsatz:
         """A table with a monomial outside c/(y-x) + A + xB + yC, here x^3,
         is reported as AnsatzError."""
         table = sol_family(1, 1).table
-        cubic = lie.TensorTable(table.n, table.monomials + ((0, 3, 0),), table.den,
+        cubic = TensorTable(table.n, table.monomials + ((0, 3, 0),), table.den,
                                 {key: nums + (1,) for key, nums in table.terms.items()})
         monkeypatch.setattr(cuspidal, "sol_family", lambda e, d: SimpleNamespace(table=cubic))
         with pytest.raises(AnsatzError, match="not those of"):
@@ -862,7 +897,7 @@ class TestAnsatz:
     )
     def test_certificate(self, e, d):
         table = r_ansatz(e, d)
-        assert lie.POLE in table.monomials
+        assert POLE in table.monomials
         assert verify.check_ansatz(e, d)[0]
         x, y = F(5, 7), F(-3, 2)
         assert table.at(x, y) == assemble_r(e, d, x, y)
@@ -873,8 +908,8 @@ class TestAnsatz:
         y = x."""
         for e, d in ((1, 1), (2, 3)):
             table = r_ansatz(e, d)
-            pole = table.monomials.index(lie.POLE)
-            assert [m for m in table.monomials if m[0]] == [lie.POLE]
+            pole = table.monomials.index(POLE)
+            assert [m for m in table.monomials if m[0]] == [POLE]
             got = {key: F(nums[pole], table.den)
                    for key, nums in table.terms.items() if nums[pole]}
             assert got == casimir(e + d).terms

@@ -11,18 +11,16 @@ import pytest
 from test_lie import count_fractions
 from ybe_forge import cuspidal, stolin
 from ybe_forge.document import (
-    DEN_DIGITS_MAX,
     SCHEMA,
     DocumentError,
     TensorDocument,
-    document_from_json,
     document_from_tensor,
     dumps,
     loads,
-    render_latex,
-    render_text,
 )
-from ybe_forge.lie import COMPLEX, GlTensor2, RATIONAL, casimir
+from ybe_forge.formats import DEN_DIGITS_MAX, document_from_json, render_latex, render_text
+from ybe_forge.lie import COMPLEX, GlTensor2, RATIONAL
+from ybe_forge.table import casimir
 
 GOLDENS = Path(__file__).parent / "goldens"
 

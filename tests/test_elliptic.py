@@ -25,17 +25,10 @@ from ybe_forge.elliptic import (
     theta1,
     v_sign_convention,
 )
-from ybe_forge.lie import (
-    COMPLEX,
-    GlTensor2,
-    casimir,
-    cybe_lhs,
-    cybe_residual_difference,
-    heisenberg,
-    swap_tensor,
-    tensor_from_pairs,
-)
+from ybe_forge.lie import COMPLEX, GlTensor2, cybe_lhs, heisenberg, swap_tensor, tensor_from_pairs
+from ybe_forge.table import casimir
 from ybe_forge.verify import (
+    cybe_residual_difference,
     jacobi_sn_cn_dn,
     theta3,
     theta_half_shift_identity_residual,

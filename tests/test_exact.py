@@ -29,6 +29,7 @@ from ybe_forge.exact import (
 )
 from ybe_forge.heis import cyclotomic_poly, root_complex, root_table
 from ybe_forge.jmat import build_j
+from ybe_forge.table import sl_basis
 from ybe_forge.verify import cyclo_rational
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -526,16 +527,16 @@ class TestBuilderRows:
     def test_sol_space_rows(self, x, monkeypatch):
         """The family's batched solve and the per-point reference
         elimination at x."""
-        from ybe_forge import cuspidal
+        from ybe_forge import cuspidal, verify
 
         solves, kernels = [], []
         self._recording(monkeypatch, cuspidal, "solve_multi", solves)
-        self._recording(monkeypatch, cuspidal, "kernel", kernels)
+        self._recording(monkeypatch, verify, "kernel", kernels)
         cuspidal.sol_family.cache_clear()
         try:
             for e, d in ((1, 1), (3, 2), (2, 5)):
                 cuspidal.sol_space(e, d, x)
-                cuspidal.point_sol_space(e, d, x)
+                verify.point_sol_space(e, d, x)
         finally:
             cuspidal.sol_family.cache_clear()
         assert len(solves) == 3 and len(kernels) == 3
@@ -572,7 +573,7 @@ class TestBuilderRows:
         nonzeros of K, and its elements from the nonzero split coordinates:
         the only dense matrix on its way is K, and every basis matrix it
         reads holds one or two entries."""
-        from ybe_forge import lie, stolin
+        from ybe_forge import stolin
 
         units = []
         monkeypatch.setattr(stolin, "basis_terms", lambda *a, _f=stolin.basis_terms:
@@ -590,7 +591,7 @@ class TestBuilderRows:
         assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
         # one element per target, 5 * 5 - 1 of them, but for the two zero
         # targets -[K^t, e_{j,i}] of region I
-        assert w.parts.keys() <= {(lbl, k) for lbl in lie.sl_basis(5) for k in (0, 1)}
+        assert w.parts.keys() <= {(lbl, k) for lbl in sl_basis(5) for k in (0, 1)}
         assert len(w.parts) == 5 * 5 - 3
 
     def test_series_rows_without_dense_grids(self, monkeypatch):

@@ -233,21 +233,16 @@ def test_benchmark_only_definitions():
 
 # The definitions of request modules that only `verify` reaches: every
 # request that loads their module compiles them and none runs them.
-# perfbench traces, clears or calls ten of them by name in their module, so
-# those stay until the benchmark reads spans instead; `point_sol_space`,
-# `flip_j`, `cybe_residual_difference` and `flip_map` are owed to the next
-# change that moves verify code.  A new entry needs a reason as strong.
+# perfbench traces, clears or calls each of them by name in its module, so
+# they stay until the benchmark reads spans instead.  A new entry needs a
+# reason as strong.
 VERIFY_ONLY = [
     "cuspidal:sol_space",
     "cuspidal:g_elements",
-    "cuspidal:point_sol_space",
     "cuspidal:psi_transport",
     "cuspidal:r_ansatz",
     "exact:eval_matrix_poly",
-    "jmat:flip_j",
-    "lie:cybe_residual_difference",
     "lie:is_unitary_pair",
-    "lie:flip_map",
     "stolin:frobenius_gram",
     "stolin:compare_pipelines",
     "stolin:build_order",
@@ -347,14 +342,23 @@ def test_moved_names_keep_their_identity():
     `verify` read is `lie.heisenberg`, the one perfbench clears; `heis`
     holds the closed form it caches and no cache of its own for the basis.
     `verify` reads the closed form of `heis` itself, and the even thetas
-    moved from `elliptic` to `verify`."""
-    from ybe_forge import cuspidal, elliptic, heis, jmat, lie, stolin, verify
+    moved from `elliptic` to `verify`.  The rational table layer is
+    `table`, whose Casimir cache `cuspidal`, `stolin` and `verify` share,
+    and the definitions that only `verify` read live there."""
+    from ybe_forge import cli, cuspidal, document, elliptic, heis, jmat, lie, stolin, table, verify
 
     assert cuspidal.build_j is jmat.build_j and stolin.build_j is jmat.build_j
     assert elliptic.heisenberg is lie.heisenberg and verify.heisenberg is lie.heisenberg
     assert not hasattr(heis, "heisenberg") and not hasattr(heis, "heisenberg_entries")
     assert verify.z_row is heis.z_row and verify.dual_exponent is heis.dual_exponent
     assert not any(hasattr(elliptic, name) for name in ("theta2", "theta3", "theta4"))
+    assert verify.casimir is table.casimir and verify.tensor_table is cuspidal.tensor_table
+    assert stolin.tensor_table is table.tensor_table
+    assert not any(hasattr(lie, name) for name in (
+        "sl_basis", "basis_terms", "dual_terms", "casimir", "TensorTable", "tensor_table",
+        "flip_map", "cybe_residual_difference"))
+    assert not hasattr(cuspidal, "point_sol_space") and not hasattr(jmat, "flip_j")
+    assert cli.dumps is document.dumps
 
 
 def test_benchmark_constructor_calls():
@@ -408,8 +412,8 @@ UNBOUNDED_CACHES = [
     "heis:root_table",
     "heis:_root_values",
     "jmat:build_j",
-    "lie:casimir",
     "lie:heisenberg",
+    "table:casimir",
 ]
 
 
@@ -486,28 +490,89 @@ print(json.dumps([sorted(m.split(".")[1] for m in sys.modules if m.startswith("y
 """ % (_HEAVY,)
 
 
+_JMATRIX = ("jmatrix", "3", "1")
+_RATIONAL = ("rational", "3", "1", "--x", "1/3", "--y", "2")
+_STOLIN = ("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2")
+_ELLIPTIC = ("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2")
+_VERIFY = ("verify", "--suite", "rational", "--n-max", "2")
+# The command bodies and every module that `verify` loads
+_VERIFY_MODULES = ["cli", "cmd_verify", "cuspidal", "cybe", "document", "elliptic", "exact",
+                   "heis", "jmat", "lie", "request", "stolin", "table", "verify"]
+
+
 @pytest.mark.parametrize("args, modules", [
-    ((), ["cli", "document"]),
-    (("jmatrix", "3", "1"), ["cli", "document", "jmat"]),
-    (("rational", "3", "1", "--x", "1/3", "--y", "2"),
-     ["cli", "cuspidal", "document", "exact", "jmat", "lie"]),
-    (("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2"),
-     ["cli", "document", "exact", "jmat", "lie", "stolin"]),
-    (("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"),
-     ["cli", "document", "elliptic", "heis", "lie"]),
-    (("verify", "--suite", "rational", "--n-max", "2"),
-     ["cli", "cuspidal", "cybe", "document", "elliptic", "exact", "heis", "jmat", "lie",
-      "stolin", "verify"]),
-], ids=["import", "jmatrix", "rational", "stolin", "elliptic", "verify"])
+    ((), ["cli", "document", "request"]),
+    (_JMATRIX, ["cli", "cmd_jmatrix", "document", "jmat", "request"]),
+    (_RATIONAL,
+     ["cli", "cmd_rational", "cuspidal", "document", "exact", "jmat", "lie", "request", "table"]),
+    (_RATIONAL + ("--format", "text"),
+     ["cli", "cmd_rational", "cuspidal", "document", "exact", "formats", "jmat", "lie",
+      "request", "table"]),
+    (_STOLIN,
+     ["cli", "cmd_stolin", "document", "exact", "jmat", "lie", "request", "stolin", "table"]),
+    (_ELLIPTIC, ["cli", "cmd_elliptic", "document", "elliptic", "heis", "lie", "request"]),
+    (_VERIFY, _VERIFY_MODULES),
+    (("jmatrix", "--help"), ["cli", "cmd_jmatrix", "document", "helppage", "request"]),
+    (("--help",), ["cli", "cmd_elliptic", "cmd_jmatrix", "cmd_rational", "cmd_stolin",
+                   "cmd_verify", "document", "helppage", "request"]),
+], ids=["import", "jmatrix", "rational", "rational-text", "stolin", "elliptic", "verify",
+        "command-help", "help"])
 def test_command_loads_only_its_modules(args, modules):
     """A CLI process imports the modules its command uses and no others:
-    where bytecode is not cached, it compiles each of them.  `cli` binds
-    `document.dumps` (perfbench checks the binding), so every process
-    loads `document`; `verify` loads every module, and leaves
+    where bytecode is not cached, it compiles each of them.  Each command's
+    body is its own module, which imports the modules the body uses when it
+    runs, so a help page loads the bodies for their docstrings alone; `cli`
+    binds `document.dumps` (perfbench checks the binding), so every process
+    loads `document` and none its reader, renderings (`formats`) or help
+    pages (`helppage`) unless it asks for them; `verify` loads every module of the pipelines, and leaves
     multiprocessing unloaded even with FORGE_THREADS=2, which it ignores."""
     loaded, pool, _ = json.loads(_python(_LOADED, *args, FORGE_THREADS="2"))
     assert loaded == modules
     assert not pool
+
+
+def test_elliptic_request_loads_no_fractions():
+    """An `elliptic` request computes in floats: it loads neither
+    `fractions` nor `decimal`, which `fractions` imports."""
+    code = _LOADED.replace("print(json.dumps([", "print(json.dumps([[m for m in ('fractions', "
+                           "'decimal') if m in sys.modules], ", 1)
+    assert json.loads(_python(code, *_ELLIPTIC))[0] == []
+
+
+# Most package source lines one request of each kind compiles where no
+# bytecode is cached, `cli.py` included.  `verify` has no budget: it loads
+# every pipeline module, and `test_command_loads_only_its_modules` pins
+# which.
+COMPILE_BUDGETS = {"jmatrix": 600, "elliptic": 1300, "rational": 1800, "stolin": 1900}
+# Runs the command as `python -m ybe_forge.cli` does, with `cli.py` as
+# `__main__`, then prints whether `ybe_forge.cli` was imported besides and
+# the source lines of the package modules loaded, `cli.py` counted once.
+_RUN_AS_MAIN = """import json, runpy, sys
+sys.argv[0] = "ybe-forge"
+try:
+    runpy.run_module("ybe_forge.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+files = {m.__file__ for name, m in list(sys.modules.items()) if name.startswith("ybe_forge.")}
+files.add(sys.modules["ybe_forge"].__file__.replace("__init__.py", "cli.py"))
+lines = 0
+for path in files:
+    with open(path, encoding="utf-8") as fh:
+        lines += sum(1 for _ in fh)
+print(json.dumps(["ybe_forge.cli" in sys.modules, lines]))
+"""
+
+
+@pytest.mark.parametrize("args", [_JMATRIX, _RATIONAL, _STOLIN, _ELLIPTIC, _VERIFY],
+                         ids=lambda args: args[0])
+def test_command_compiles_within_its_budget(args):
+    """Under `python -m ybe_forge.cli` each request compiles `cli.py` once,
+    as `__main__` (no module the request loads imports `ybe_forge.cli`),
+    and at most its budget of package source lines, counted as
+    `tools/time_cli.py` counts them."""
+    twice, lines = json.loads(_python(_RUN_AS_MAIN, *args))
+    assert not twice
+    assert lines <= COMPILE_BUDGETS.get(args[0], lines)
 
 
 # The modules that the interpreter and `site` load before the package (a
@@ -531,13 +596,8 @@ def test_cli_loads_only_the_standard_library():
     assert json.loads(_python(_FOREIGN)) == [0, []]
 
 
-@pytest.mark.parametrize("args", [
-    ("jmatrix", "3", "1"),
-    ("rational", "3", "1", "--x", "1/3", "--y", "2"),
-    ("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2"),
-    ("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2"),
-    ("verify", "--suite", "rational", "--n-max", "2"),
-], ids=["jmatrix", "rational", "stolin", "elliptic", "verify"])
+@pytest.mark.parametrize("args", [_JMATRIX, _RATIONAL, _STOLIN, _ELLIPTIC, _VERIFY],
+                         ids=lambda args: args[0])
 def test_command_loads_no_heavy_standard_modules(args):
     """A request loads none of `_HEAVY`.  The probe runs under -S, so that
     the modules `site` loads itself (a `.pth` file may load typing and re)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from test_exact import j_matrix_rat, mat_from_entries, mat_terms, mat_unit, rank
 from ybe_forge import cuspidal, cybe, lie, stolin, verify
-from ybe_forge.cli import N_MAX
 from ybe_forge.exact import ZERO
 from ybe_forge.heis import _root_values
 from ybe_forge.lie import (
@@ -22,20 +21,18 @@ from ybe_forge.lie import (
     GlTensor2,
     RATIONAL,
     apply_gauge,
-    basis_terms,
-    casimir,
     cybe_lhs,
     cybe_residual_two_variable,
-    dual_terms,
-    flip_map,
     heisenberg,
     is_unitary_pair,
     signed_permutation_map,
-    sl_basis,
     swap_tensor,
     tensor_from_pairs,
     transpose_negate_map,
 )
+from ybe_forge.request import N_MAX
+from ybe_forge.table import basis_terms, casimir, dual_terms, sl_basis
+from ybe_forge.verify import flip_map
 
 
 # reference forms of the trace pairing and of properties of a tensor, which
@@ -1065,7 +1062,7 @@ class TestGauges:
         def gauged(z):
             return apply_gauge(psi, psi, zoo_stolin_rat(z))
 
-        from ybe_forge.lie import cybe_residual_difference
+        from ybe_forge.verify import cybe_residual_difference
 
         assert cybe_residual_difference(gauged, F(1, 3), F(1, 5)).is_zero()
         assert is_unitary_pair(

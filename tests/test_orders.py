@@ -11,7 +11,6 @@ from test_stolin import w_of
 from ybe_forge import stolin
 from ybe_forge.exact import ONE, ZERO
 from ybe_forge.jmat import build_j
-from ybe_forge.lie import casimir, sl_basis
 from ybe_forge.stolin import (
     OrderBasis,
     TruncationError,
@@ -20,6 +19,7 @@ from ybe_forge.stolin import (
     series_r,
     solve_dec,
 )
+from ybe_forge.table import casimir, sl_basis
 from ybe_forge.verify import geometric_pole_partial, yang_order
 
 # A Laurent polynomial with gl(n) coefficients is {degree: {(i, j): entry}},

@@ -13,14 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_document import read_outcome, reference_document_from_json, reference_dumps
-from ybe_forge.document import (
-    DocumentError,
-    TensorDocument,
-    document_from_json,
-    document_from_tensor,
-    dumps,
-    loads,
-)
+from ybe_forge.document import DocumentError, TensorDocument, document_from_tensor, dumps, loads
+from ybe_forge.formats import document_from_json
 from ybe_forge.lie import RATIONAL, GlTensor2
 
 SETTINGS = settings(derandomize=True, max_examples=40, deadline=None)

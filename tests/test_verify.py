@@ -13,16 +13,14 @@ import pytest
 from ybe_forge import cuspidal, jmat, stolin, verify
 from ybe_forge.jmat import build_j
 from ybe_forge.lie import (
-    POLE,
     LinearMapGl,
-    TensorTable,
     apply_gauge,
     cybe_lhs,
-    flip_map,
     signed_permutation_map,
-    tensor_table,
     transpose_negate_map,
 )
+from ybe_forge.table import POLE, TensorTable, tensor_table
+from ybe_forge.verify import flip_map
 from ybe_forge.verify import _coprime_pairs, _points
 
 ROUTES = {

@@ -18,7 +18,12 @@ total source lines, `cli.py` included: without cached bytecode, the source
 a request compiles.  After them, an untimed round-trip probe per checkout
 reads every rational, stolin and elliptic document that checkout printed
 back through its own `document.loads`, writes it again with `dumps`, and
-prints how many rewrites differ from the printed text.
+prints how many rewrites differ from the printed text.  With DIR, a last
+untimed probe runs the help pages (`--help` and `COMMAND --help` for every
+command) and a few usage errors (an unknown option with its "Did you mean"
+hint, a missing option, a bad `--format`, a pair that is not coprime) on
+both checkouts, plainly and under `python -OO`, which drops the docstrings
+the help pages show, and prints how many of their outputs differ.
 """
 
 import argparse
@@ -109,6 +114,32 @@ def round_trip_differences(src, texts, env):
     return int(out)
 
 
+# The requests of the help and usage probe, each run with and without -OO.
+COMMANDS = ("elliptic", "jmatrix", "rational", "stolin", "verify")
+MESSAGES = [["--help"]] + [[name, "--help"] for name in COMMANDS] + [
+    ["rational", "3", "1", "--xx=1/3", "--y", "2"],
+    ["stolin", "3", "1", "--x", "1/3"],
+    ["rational", "3", "1", "--x", "1/3", "--y", "2", "--format", "pdf"],
+    ["jmatrix", "4", "2"],
+    ["rational", "6", "2", "--x", "0", "--y", "1"],
+]
+
+
+def message_differences(sources, env):
+    """(how many, of how many) help and usage outputs (exit code, stdout,
+    stderr) differ between the two checkouts of `sources`."""
+    differ = 0
+    for flags in ((), ("-OO",)):
+        for args in MESSAGES:
+            outputs = {
+                (run.returncode, run.stdout, run.stderr)
+                for run in (subprocess.run([sys.executable, *flags, "-m", "ybe_forge.cli", *args],
+                                           env=dict(env, PYTHONPATH=src), cwd=ROOT,
+                                           capture_output=True) for src in sources)}
+            differ += len(outputs) > 1
+    return differ, 2 * len(MESSAGES)
+
+
 def request(src, args, env):
     """(wall seconds, peak RSS in MB, (exit code, stdout, stderr)) of one
     request in a new interpreter on `src`."""
@@ -183,6 +214,9 @@ def main():
                 round_trip_differences(src, printed[src], env), len(printed[src])))
         if args.src:
             print("  outputs differ on %d of %d requests" % (len(differ), len(reqs)))
+    if args.src:
+        print("help and usage outputs (plain and -OO) differ on %d of %d" % (
+            message_differences(sources, env)))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ each N_MAX, so that a drift in machine speed falls on all of them alike.
 Each run prints the wall and CPU seconds of `verify.report_json(
 verify.run_suite("all", N_MAX))`, what `verify --suite all --n-max N_MAX
 --format json` runs, without interpreter start-up or imports; N_MAX is not
-held to the CLI's cap `cli.N_MAX`.  It also prints the run's peak RSS,
+held to the CLI's cap `request.N_MAX`.  It also prints the run's peak RSS,
 whether every check passed, and the summed `elapsed` of each check kind (the
 name before `-(` or `-n=`), read from the JSON report.  The peak RSS is the
 child's own `ru_maxrss`; on Linux a process started by fork and exec keeps
