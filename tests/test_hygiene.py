@@ -495,9 +495,6 @@ _RATIONAL = ("rational", "3", "1", "--x", "1/3", "--y", "2")
 _STOLIN = ("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2")
 _ELLIPTIC = ("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2")
 _VERIFY = ("verify", "--suite", "rational", "--n-max", "2")
-# The command bodies and every module that `verify` loads
-_VERIFY_MODULES = ["cli", "cmd_verify", "cuspidal", "cybe", "document", "elliptic", "exact",
-                   "heis", "jmat", "lie", "request", "stolin", "table", "verify"]
 
 
 @pytest.mark.parametrize("args, modules", [
@@ -511,7 +508,8 @@ _VERIFY_MODULES = ["cli", "cmd_verify", "cuspidal", "cybe", "document", "ellipti
     (_STOLIN,
      ["cli", "cmd_stolin", "document", "exact", "jmat", "lie", "request", "stolin", "table"]),
     (_ELLIPTIC, ["cli", "cmd_elliptic", "document", "elliptic", "heis", "lie", "request"]),
-    (_VERIFY, _VERIFY_MODULES),
+    (_VERIFY, ["cli", "cmd_verify", "cuspidal", "cybe", "document", "elliptic", "exact", "heis",
+               "jmat", "lie", "request", "stolin", "table", "verify"]),
     (("jmatrix", "--help"), ["cli", "cmd_jmatrix", "document", "helppage", "request"]),
     (("--help",), ["cli", "cmd_elliptic", "cmd_jmatrix", "cmd_rational", "cmd_stolin",
                    "cmd_verify", "document", "helppage", "request"]),
@@ -572,7 +570,8 @@ def test_command_compiles_within_its_budget(args):
     `tools/time_cli.py` counts them."""
     twice, lines = json.loads(_python(_RUN_AS_MAIN, *args))
     assert not twice
-    assert lines <= COMPILE_BUDGETS.get(args[0], lines)
+    if args[0] in COMPILE_BUDGETS:
+        assert lines <= COMPILE_BUDGETS[args[0]]
 
 
 # The modules that the interpreter and `site` load before the package (a
