@@ -26,7 +26,7 @@ from .exact import (
 )
 from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, j_support_coloring, twist
 from .lie import GlTensor2, apply_gauge, signed_permutation_map
-from .table import POLE, TensorTable, dual_terms, sl_basis, tensor_table
+from .table import POLE, ReadOnly, TensorTable, dual_terms, sl_basis, tensor_table
 
 
 class SolDimensionError(RuntimeError):
@@ -132,18 +132,17 @@ _PARTS = {(1, 0): ((1, (0, 0, 0)),), (1, 1): ((1, (0, 1, 0)),),
           (2, 0): ((1, (0, 0, 1)), (-1, (0, 1, 0))), (2, 1): ((1, (0, 1, 1)), (-1, (0, 2, 0)))}
 
 
-class SolFamily:
+class SolFamily(ReadOnly):
     """Sol((e,d), x) for every x: member m of the residue-dual basis has the
     coordinates v0[m]/den + x v1[m]/den^2, each a sparse {coordinate: int}
-    dict; `table` is r(x, y) read off them."""
+    mapping; `table` is r(x, y) read off them.  `sol_family` hands one
+    family to every caller, so it is read-only, its members included."""
 
     __slots__ = ("den", "v0", "v1", "table")
 
     def __init__(self, den: int, v0: tuple, v1: tuple, table: TensorTable):
-        self.den = den
-        self.v0 = v0
-        self.v1 = v1
-        self.table = table
+        self._freeze(den=den, v0=tuple(map(MappingProxyType, v0)),
+                     v1=tuple(map(MappingProxyType, v1)), table=table)
 
 
 # One family per coprime pair, kept for the life of the process: the CLI

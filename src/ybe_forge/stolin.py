@@ -32,7 +32,7 @@ from .exact import (
 )
 from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, twist
 from .lie import GlTensor2, apply_gauge, tensor_from_pairs, transpose_negate_map
-from .table import TensorTable, basis_terms, dual_terms, sl_basis, tensor_table
+from .table import ReadOnly, TensorTable, basis_terms, dual_terms, sl_basis, tensor_table
 
 
 class DegenerateFormError(RuntimeError):
@@ -188,19 +188,18 @@ def frobenius_splits(targets, K, e: int) -> list[tuple[dict, dict]]:
     return out
 
 
-class WElementSet:
+class WElementSet(ReadOnly):
     """The degree <= 1 current-algebra elements w_{(label; k)} of the dec
     solves, each as its parts {m: {(i, j): nonzero z^m coefficient}},
     1-based, with no empty part.  Only the nonzero elements are stored: the
     lower-left block labels vanish identically, and order 1 vanishes outside
-    the upper-right block."""
+    the upper-right block.  `solve_dec` hands the one cached set to every
+    caller, so no attribute can be rebound."""
 
     def __init__(self, n: int, parts: dict):
-        self.n = n
-        # (label, k) -> {m: {(i, j): coefficient}}, read-only at every level:
-        # `solve_dec` hands the one cached set to every caller
-        self.parts = MappingProxyType({key: MappingProxyType(
-            {m: MappingProxyType(terms) for m, terms in w.items()}) for key, w in parts.items()})
+        # (label, k) -> {m: {(i, j): coefficient}}, read-only at every level
+        self._freeze(n=n, parts=MappingProxyType({key: MappingProxyType(
+            {m: MappingProxyType(terms) for m, terms in w.items()}) for key, w in parts.items()}))
 
     @cached_property
     def table(self) -> TensorTable:

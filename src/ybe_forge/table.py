@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .lie import GlTensor2
 
@@ -69,7 +70,25 @@ def casimir(n: int) -> GlTensor2:
 POLE = (1, 0, 0)
 
 
-class TensorTable:
+class ReadOnly:
+    """A value that a cache hands to every caller: `_freeze` sets its
+    attributes once, and none can be rebound or deleted after that."""
+
+    __slots__ = ()
+
+    def _freeze(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s.%s is read-only (given a %s)"
+                             % (type(self).__name__, name, type(value).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("%s.%s is read-only" % (type(self).__name__, name))
+
+
+class TensorTable(ReadOnly):
     """r(x, y) = sum over the monomials m of m(x, y) T_m in integers:
     terms[(i, j, k, l)] holds the numerators of the coefficient of
     e_{i,j} (x) e_{k,l} in each T_m, in the order of `monomials`, over the
@@ -79,15 +98,18 @@ class TensorTable:
     lowest terms with the numerators, and no key and no monomial has only
     zero numerators.  `tensor_table` builds only canonical tables, so for
     the monomials it is given (1/(y - x) and x^a y^b, which are linearly
-    independent) two tables are the same r(x, y) iff they are ==."""
+    independent) two tables are the same r(x, y) iff they are ==.
 
-    __slots__ = ("n", "monomials", "den", "terms")
+    The caches of both pipelines hand one table to every caller, so a table
+    is read-only: `terms` is a mapping proxy made once, by the constructor,
+    and no attribute can be rebound.  `tops` holds the top exponents of p,
+    a and b over the monomials, which `at` needs on every call."""
+
+    __slots__ = ("n", "monomials", "den", "terms", "tops")
 
     def __init__(self, n: int, monomials: tuple, den: int, terms: dict):
-        self.n = n
-        self.monomials = monomials
-        self.den = den
-        self.terms = terms
+        self._freeze(n=n, monomials=monomials, den=den, terms=MappingProxyType(terms),
+                     tops=tuple(max(m[k] for m in monomials) for k in range(3)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -106,7 +128,7 @@ class TensorTable:
             raise ValueError("need x != y")
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
         s = yn * xd - xn * yd  # (y - x) xd yd
-        p_max, a_max, b_max = (max(m[k] for m in self.monomials) for k in range(3))
+        p_max, a_max, b_max = self.tops
         values = [
             xn**a * xd ** (a_max - a + p) * yn**b * yd ** (b_max - b + p) * s ** (p_max - p)
             for p, a, b in self.monomials

@@ -562,29 +562,61 @@ def _plain(mapping):
     return mapping
 
 
+def _dec_2_1():
+    return stolin.solve_dec(2, 1, stolin.neg_j_matrix(2, 1))
+
+
 @pytest.mark.parametrize("cached", [
     lambda: g_elements(1, 1, F(1)),
-    lambda: stolin.solve_dec(2, 1, stolin.neg_j_matrix(2, 1)).parts,
-], ids=["g_elements", "solve_dec"])
+    lambda: _dec_2_1().parts,
+    lambda: sol_family(1, 1).table.terms,
+    lambda: _dec_2_1().table.terms,
+    lambda: dict(enumerate(sol_family(1, 2).v0)),
+    lambda: dict(enumerate(sol_family(1, 2).v1)),
+], ids=["g_elements", "solve_dec", "sol_family_table", "solve_dec_table", "sol_family_v0",
+        "sol_family_v1"])
 def test_cached_values_are_read_only(cached):
-    """`g_elements` and `solve_dec` hand every caller the one value their
-    cache holds, so no caller may change it: each attempt to clear, set or
-    delete an entry, at every level, raises or leaves the next answer
-    unchanged."""
+    """`g_elements`, `solve_dec` and `sol_family` hand every caller the one
+    value their cache holds, so no caller may change it: each attempt to
+    clear, set or delete an entry, at every level that is a mapping,
+    raises or leaves the next answer unchanged."""
     value = cached()
     want = _plain(value)
     key = next(k for k, v in value.items() if v)
-    inner = value[key]
-    inner_key = next(iter(inner))
     attempts = [lambda: value.clear(), lambda: value.__setitem__(key, {}),
-                lambda: value.__delitem__(key), lambda: inner.clear(),
-                lambda: inner.__setitem__(inner_key, {}), lambda: inner[inner_key].clear()]
+                lambda: value.__delitem__(key)]
+    inner = value[key]
+    if isinstance(inner, MappingProxyType):
+        inner_key = next(iter(inner))
+        attempts += [lambda: inner.clear(), lambda: inner.__setitem__(inner_key, {})]
+        if isinstance(inner[inner_key], MappingProxyType):
+            attempts.append(lambda: inner[inner_key].clear())
     for attempt in attempts:
         try:
             attempt()
         except (AttributeError, TypeError):
             pass
         assert _plain(cached()) == want
+    assert len(assemble_r(1, 1, 0, 1).terms) == 8
+
+
+@pytest.mark.parametrize("cached,names", [
+    (lambda: sol_family(1, 2), ("den", "v0", "v1", "table")),
+    (lambda: sol_family(1, 2).table, ("n", "monomials", "den", "terms", "tops")),
+    (_dec_2_1, ("n", "parts")),
+    (lambda: _dec_2_1().table, ("n", "monomials", "den", "terms", "tops")),
+], ids=["sol_family", "sol_family_table", "solve_dec", "solve_dec_table"])
+def test_cached_objects_refuse_rebinding(cached, names):
+    """The objects those caches hold refuse to rebind or delete any
+    attribute, so every later caller reads the same fields."""
+    value = cached()
+    for name in names:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, ())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(cached(), name) is before
 
 
 class TestGElements:

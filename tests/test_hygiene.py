@@ -409,6 +409,7 @@ def unbounded_caches(package: Path = PACKAGE) -> list[str]:
 UNBOUNDED_CACHES = [
     "cuspidal:_ved_coords",
     "cuspidal:sol_family",
+    "cybe:_layout",
     "heis:root_table",
     "heis:_root_values",
     "jmat:build_j",

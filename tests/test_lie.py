@@ -618,6 +618,30 @@ class TestCybe:
         assert cybe_lhs(*tensors).is_zero()
         assert count[0] == 56_294
 
+    def test_setup_per_call_at_n3(self, monkeypatch):
+        """Deterministic set-up guard: a call at the cuspidal (2,1) solution
+        at (0, 1, 2) groups each side of each of its six joins once, 12
+        groupings (6 of them split by rows), and joins once per row holding
+        terms, 3 rows x 6 joins.  With r23 = 0 the four joins that take r23
+        have an empty side and are skipped: 6 joins."""
+        calls = {"_join": 0, "_by_slot": 0, "_rows_by_slot": 0}
+        for name in calls:
+            def spy(*args, name=name, inner=getattr(cybe, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(cybe, name, spy)
+
+        def r(a, b):
+            return cuspidal.assemble_r(2, 1, F(a), F(b))
+
+        r12, r13, r23 = r(0, 1), r(0, 2), r(1, 2)
+        assert cybe_lhs(r12, r13, r23).is_zero()
+        assert calls == {"_join": 18, "_by_slot": 6, "_rows_by_slot": 6}
+        calls.update(dict.fromkeys(calls, 0))
+        zero = GlTensor2(3, RATIONAL, {})
+        assert cybe_lhs(r12, r13, zero).terms == _naive_cybe(r12, r13, zero)
+        assert calls == {"_join": 6, "_by_slot": 6, "_rows_by_slot": 6}
+
     def test_zero_inputs(self):
         z = GlTensor2(2, RATIONAL, {})
         assert cybe_lhs(z, z, z).is_zero()
