@@ -1,7 +1,7 @@
 """The CYBE kernel: the sum of [r12, r13] + [r13, r23] + [r12, r23] over
 triples of tensors, in gl(n)^(x3), in the slot conventions of
-`lie.cybe_lhs`.  Only `verify` and `lie.cybe_lhs` load it; no CLI request
-that builds a solution runs it.
+`lie.cybe_lhs`.  Only `lie.cybe_lhs` and the exact route of `verify`
+(`proofs`) load it; no CLI request that builds a solution runs it.
 
 One sparse pass per commutator; rational inputs are summed as integer
 numerators over their common denominator D and divided by D^2 once.  Each
@@ -48,9 +48,6 @@ class GlTensor3:
         self.n = n
         self.ring = ring
         self.terms = {} if terms is None else terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def norm(self) -> float:
         return max((abs(v) for v in self.terms.values()), default=0.0)

@@ -7,7 +7,7 @@ The torus r-matrix weights the entries of the clock-and-shift basis
 the elliptic kernel is normative; tests/test_elliptic.py cross-checks it
 against the double-series form where that converges.  The even theta
 functions, the classical (2,1) solution zoo and the residual checks of the
-elliptic solution live in `verify`, their only reader.
+elliptic solution live in `residuals`, the elliptic route of `verify`.
 """
 
 from __future__ import annotations

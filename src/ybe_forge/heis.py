@@ -6,8 +6,8 @@ whose row i holds 1 in column i + 1, the basis is Z_(k,l) = Y^k X^(-l) for
 eps^(-l(i+k)) in column i + k (`z_row`), and its trace dual is
 Zdual_(k,l) = eps^(k l) Z_(-k,-l) / n (`dual_exponent`).  These two
 functions are the one statement of the basis: `basis` lists its entries as
-the complex numbers that `elliptic.belavin_r` weights, and `verify` reads
-the products and the exact duality sum off them.  Tier-1 compares them with
+the complex numbers that `elliptic.belavin_r` weights, and `residuals`
+reads the products and the exact duality sum off them.  Tier-1 compares them with
 dense products of X and Y.  Of the CLI requests only `elliptic` loads this
 module, through `lie.heisenberg`, which caches the basis.
 """

@@ -12,6 +12,7 @@ only when first used.  The sl(n) basis, the Casimir element and the
 rational tables of the exact pipelines are `table`: an `elliptic` request
 loads this module alone, and no `fractions`, since a Fraction is built
 only where one is handed out (`GlTensor2.terms` of a rational tensor).
+The classes hold what requests call; `verify` scales a tensor itself.
 """
 
 from __future__ import annotations
@@ -116,17 +117,6 @@ class GlTensor2:
             return GlTensor2.over(self.n, out, den)
         return GlTensor2._held(self.n, COMPLEX, out, den)
 
-    def sub(self, other: "GlTensor2") -> "GlTensor2":
-        return self.add(other.scale(-1))
-
-    def scale(self, c) -> "GlTensor2":
-        if c == 0:
-            return GlTensor2(self.n, self.ring, {})
-        if self.ring == COMPLEX:
-            return GlTensor2._held(self.n, COMPLEX, {k: c * v for k, v in self._coeffs.items()}, 1)
-        p, q = c.numerator, c.denominator
-        return GlTensor2.over(self.n, _scaled(self._coeffs, p), q * self._den)
-
     def _check_compatible(self, other):
         if self.n != other.n:
             raise ValueError("tensor size mismatch: %d vs %d" % (self.n, other.n))
@@ -215,21 +205,6 @@ class LinearMapGl:
     def __init__(self, n: int, images: dict):
         self.n = n
         self.images = images
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.images) == (other.n, other.images)
-
-    def compose(self, other: "LinearMapGl") -> "LinearMapGl":
-        """self after other."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        images = {}
-        for key, (a, b, s) in other.images.items():
-            p, q, t = self.images[(a, b)]
-            images[key] = (p, q, s * t)
-        return LinearMapGl(self.n, images)
 
 
 def signed_permutation_map(n: int, image) -> LinearMapGl:

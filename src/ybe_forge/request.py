@@ -17,11 +17,11 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts, and largest `verify
 # --n-max`; larger requests exit 3 before any work.  The exact pipelines
-# cost about n^6: on one CPU of a 2-core Intel Xeon, `rational 12 1` takes
-# 0.22 s and `elliptic 12 1` 0.21 s.  `verify` proves the CYBE and
-# unitarity once per unordered pair and transports the rest:
-# `python tools/time_verify.py 8 12` (in-process) reads 0.7-0.8 s at 8 and
-# 3.1-3.3 s at 12 on the same machine.
+# cost about n^6: on one CPU of a 2-core Intel Xeon, a fresh `rational 12 1`
+# takes 70 ms and `elliptic 12 1` 66 ms, compiling the package (medians of
+# 3).  `verify` proves the CYBE and unitarity once per unordered pair and
+# transports the rest: `python tools/time_verify.py --runs 3 8 12`
+# (in-process) reads medians of 0.28 s at 8 and 1.30 s at 12.
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and

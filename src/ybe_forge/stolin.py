@@ -6,7 +6,7 @@ the other realizes the same solution through a Lagrangian subalgebra of the
 loop algebra and its dual basis series.  The two routes are verified against
 each other and against the geometric pipeline.  A `stolin` request needs
 only J (`jmat`), not the geometric pipeline.  The closed formula for d = 1
-and the Yang order, which only `verify` compares with, live in `verify`.
+and the Yang order, which only `verify` compares with, live in `proofs`.
 
 A cocycle matrix K is n row tuples of ints or Fractions, used as given: +J
 is `jmat.build_j(e, d)` and -J `neg_j_matrix`, in J's integers, and a K

@@ -4,41 +4,22 @@ numerics, and the classical fixtures.
 Every check returns a pass/fail verdict with the measured residual (or the
 relevant determinant/dimension) and its tolerance; a report is the
 conjunction.  A suite runs its checks in order in one process, so that each
-CYBE proof, once made, serves every later check that transports it.  What
-only these checks read lives here, not in a module that CLI requests load:
-the J flip (`flip_j`), the antidiagonal gauge (`flip_map`), the per-point
-reference of Sol (`point_sol_space`) and the one-variable residual
-(`cybe_residual_difference`), with the even thetas and the fixtures.
+CYBE proof, once made, serves every later check that transports it.  Each
+check imports its route when it runs, so a suite compiles only its own:
+`proofs` for the exact suites, `residuals` for `elliptic` and `zoo`.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 from math import gcd
 
-from . import __version__, cuspidal, elliptic, jmat, stolin
-from .cybe import cybe_lhs_sum
-from .exact import ONE, ZERO, eval_matrix_poly, kernel, rat
-from .heis import dual_exponent, root_table, z_row
-from .lie import (
-    COMPLEX,
-    RATIONAL,
-    GlTensor2,
-    LinearMapGl,
-    cybe_lhs,
-    heisenberg,
-    is_unitary_pair,
-    signed_permutation_map,
-    tensor_from_pairs,
-    transpose_negate_map,
-)
-from .table import POLE, TensorTable, basis_terms, casimir, dual_terms, sl_basis, tensor_table
+from . import COMPLEX, __version__
+from .lie import GlTensor2, cybe_lhs, tensor_from_pairs, transpose_negate_map
 
 # seed of the points every suite draws; a report is reproducible run to run
 SUITE_SEED = 2008
@@ -118,209 +99,22 @@ def _points(rng: random.Random, count: int):
     return out
 
 
-# --- exact identities on the tables r = c/(y-x) + sum x^a y^b T_ab ---------
-#
-# `table.tensor_table` holds each T_ab as integer numerators over one
-# denominator; the monomial (0, a, b) is x^a y^b and `table.POLE` is 1/(y-x).
-# Its tables are canonical, and `_gauge_table` keeps them so: two tables
-# are the same r(x, y) iff they are ==.
-
-# the polynomial monomials a table may hold, as T00, T10, T01, T11
-_TAIL = ((0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1))
-# the position in _TAIL of each monomial's swap x^b y^a
-_SWAP = (0, 2, 1, 3)
-# the cuspidal ansatz c/(y-x) + A + xB + yC has no x y part
-_CUSPIDAL_TAIL = _TAIL[:3]
+def scale(t: GlTensor2, c) -> GlTensor2:
+    """c t, for c a Fraction or an int when t is rational, any number when
+    it is complex."""
+    nums, den = t.numerators()
+    if t.ring == COMPLEX:
+        return GlTensor2(t.n, COMPLEX, {k: c * v for k, v in nums.items() if c})
+    p, q = c.numerator, c.denominator
+    return GlTensor2.over(t.n, {k: p * v for k, v in nums.items() if p}, q * den)
 
 
-def _columns(table: TensorTable) -> dict:
-    """monomial -> {key: nonzero numerator} over `table.den`."""
-    out: dict = {m: {} for m in table.monomials}
-    for key, nums in table.terms.items():
-        for m, v in zip(table.monomials, nums):
-            if v:
-                out[m][key] = v
-    return out
+def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:
+    """The first k_max + 1 terms of the geometric expansion of c/(y-x), at
+    Fractions x and y."""
+    from .table import casimir
 
-
-def _gauge_table(phi: LinearMapGl, table: TensorTable) -> TensorTable:
-    """The table of (phi (x) phi) r(x, y): a signed permutation of the keys,
-    so a canonical table stays canonical."""
-    terms = {}
-    for (i, j, k, l), nums in table.terms.items():
-        a, b, s = phi.images[i, j]
-        p, q, t = phi.images[k, l]
-        terms[a, b, p, q] = nums if s == t else tuple(-v for v in nums)
-    return TensorTable(table.n, table.monomials, table.den, terms)
-
-
-def _broken_premise(table: TensorTable, tail) -> str | None:
-    """The first premise of `cybe_polynomial` that the table breaks, or
-    None: its pole part is casimir(n), its other monomials are in `tail`,
-    and T_ab = -swap(T_ba), which is unitarity r(y, x) = -swap(r(x, y))
-    at every x and y."""
-    extra = set(table.monomials) - {POLE, *tail}
-    if extra:
-        return "monomials %s outside the ansatz" % sorted(extra)
-    cols = _columns(table)
-    if cols.get(POLE) != {k: v * table.den for k, v in casimir(table.n).terms.items()}:
-        return "pole part is not the Casimir"
-    parts = [cols.get(m, {}) for m in _TAIL]
-    for q, part in enumerate(parts):
-        swapped = parts[_SWAP[q]]
-        if len(part) != len(swapped) or any(
-            swapped.get((k, l, i, j)) != -v for (i, j, k, l), v in part.items()
-        ):
-            return "T_ab != -swap(T_ba)"
-    return None
-
-
-def cybe_polynomial(table: TensorTable, x1, x2, x3) -> dict:
-    """den^2 Q(x1, x2, x3) as {six indices: nonzero value}, summed in one
-    `cybe_lhs_sum` (the last bracket as -[(T01 + x1 T11)_12, c23]), where
-
-        Q = CYBE(p) + [c12, (T10 + x3 T11)_23] + [c13, (T01 + x2 T11)_23]
-            + [c23, (T01 + x1 T11)_12]
-
-    for the table's polynomial part p = sum x^a y^b T_ab and its pole part
-    c, in the conventions of `lie.cybe_lhs` (r12 = r(x1, x2), ...).
-
-    Lemma: if c = casimir(n), a, b <= 1 and T_ab = -swap(T_ba), then
-    CYBE(r) = Q at every triple of distinct points.  The c c terms cancel
-    as for c/(y-x) alone.  Each c p term uses [c12, X_1 + X_2] = 0 for X in
-    gl(n) (c is invariant) to move p's factor out of the pole's slots, and
-    then its pole divides a difference of p: u12 [c12, p13 + p23] is
-    [c12, (p(x2, x3) - p(x1, x3))_23] / (x2 - x1); u13 [p12, c13] +
-    u13 [c13, p23] is [c13, (p(x2, x3) - p(x2, x1))_23] / (x3 - x1) once
-    unitarity turns swap(p(x1, x2)) into -p(x2, x1); and u23 [p12 + p13,
-    c23] is [c23, (p(x1, x3) - p(x1, x2))_12] / (x3 - x2).
-
-    So the CYBE holds for all x, y iff Q = 0 as a polynomial.  Q has
-    degree <= 2 in each variable.  Each bracket of two tensors adds at most
-    2 |u| |w| to the sum of the absolute values of the integer coefficients
-    of den^2 Q, |.| being that sum for its arguments' numerators; with S
-    the sum of the table's |numerators|, S_c its pole part's and S_p its
-    polynomial part's, CYBE(p) adds at most 6 S_p^2 and the three c terms
-    at most 2 S_c (3 S_p), so every coefficient is at most 6 S^2."""
-    n = table.n
-    cols = _columns(table)
-    t00, t10, t01, t11 = (cols.get(m, {}) for m in _TAIL)
-
-    def tensor(*weighted) -> GlTensor2:
-        acc: dict = {}
-        for w, part in weighted:
-            if w:
-                for key, v in part.items():
-                    acc[key] = acc.get(key, 0) + w * v
-        return GlTensor2(n, RATIONAL, {key: v for key, v in acc.items() if v})
-
-    def p(x, y) -> GlTensor2:
-        return tensor((1, t00), (x, t10), (y, t01), (x * y, t11))
-
-    c, zero = tensor((1, cols.get(POLE, {}))), GlTensor2(n, RATIONAL, {})
-    return cybe_lhs_sum([
-        (p(x1, x2), p(x1, x3), p(x2, x3)),
-        (c, zero, tensor((1, t10), (x3, t11))),
-        (zero, c, tensor((1, t01), (x2, t11))),
-        (tensor((-1, t01), (-x1, t11)), zero, c),
-    ]).terms
-
-
-def _is_automorphism(g: LinearMapGl) -> bool:
-    """Whether the signed permutation g of the units is, for a permutation
-    p and signs t, either e_ij |-> t_i t_j e_p(i)p(j), conjugation by a
-    signed permutation matrix, or e_ij |-> -t_i t_j e_p(j)p(i), that map
-    after X |-> -X^t.  Both are Lie algebra automorphisms of gl(n).  The
-    diagonal gives p and the form (its images are +-e_p(i)p(i)), the first
-    row gives t up to one overall sign, and every image is compared: O(n^2)
-    against n^4 brackets."""
-    n, images = g.n, g.images
-    idx = range(1, n + 1)
-    form = images[1, 1][2]
-    p = [0] + [images[i, i][0] for i in idx]
-    if sorted(p) != list(range(n + 1)):
-        return False
-    t = [0] + [images[1, j][2] * form for j in idx]
-    return images == {
-        (i, j): ((p[i], p[j]) if form > 0 else (p[j], p[i])) + (form * t[i] * t[j],)
-        for i in idx for j in idx}
-
-
-def _transports(g: LinearMapGl, src: TensorTable, table: TensorTable) -> bool:
-    """g is an automorphism and (g (x) g) carries `src` to `table`.
-
-    Lemma: for an automorphism g, CYBE((g (x) g) r) = (g (x) g (x) g)
-    CYBE(r) term by term ([g a, g b] = g [a, b] in each slot), and g (x) g
-    commutes with the slot swap.  So the CYBE and unitarity of r for all
-    x, y carry over to (g (x) g) r."""
-    return _is_automorphism(g) and _gauge_table(g, src) == table
-
-
-# proofs of `_proof`, {(route, e, d): (table, failed, via)}: one entry per
-# route and pair, a finite set like the keys of the integer-keyed caches
-_PROOFS: dict = {}
-
-
-def _proof(route: str, e: int, d: int) -> tuple[TensorTable, str | None, str]:
-    """(table, failed, via) for the (e, d) table of `route`, "cuspidal" or
-    "stolin" (the +J table): `failed` is None when the CYBE and unitarity of
-    r(x, y) hold for every x and y, else the first premise of
-    `cybe_polynomial` that the table breaks or "Q(B, B^3, B^9) != 0"; `via`
-    names the chain of transports down to the table proved on its own.
-
-    The premises run on the table itself.  Its one source edge: the +J
-    table of (e, d) is the flip_map image of the cuspidal (d, e) table, and
-    for e > d the cuspidal (e, d) table is the flip_transpose_gauge(d, e)
-    image of it.  When the automorphism carries the source table to this
-    one and the source is proved, the proof carries over.  Otherwise, and
-    whenever the source fails, the table gets its own Kronecker proof:
-    given the premises, den^2 Q has integer coefficients of size at most
-    M = 6 S^2 in front of the monomials x1^i x2^j x3^k, i, j, k <= 2.  At
-    the Kronecker point (B, B^3, B^9), B = 2^(bits(M) + 1) > 2 M, they
-    become the digits of den^2 Q in base B at the distinct exponents
-    i + 3j + 9k; a lowest nonzero digit, at B^k, would leave a remainder
-    of size below B^(k+1), so the value is 0 iff every coefficient is (von
-    zur Gathen and Gerhard, Modern Computer Algebra, section 8.4).  Memoised
-    per table object: an entry is read only for the very object it was
-    computed for."""
-    cusp = route == "cuspidal"
-    table = (cuspidal.sol_family(e, d) if cusp
-             else stolin.solve_dec(e, d, jmat.build_j(e, d))).table
-    hit = _PROOFS.get((route, e, d))
-    if hit is not None and hit[0] is table:
-        return hit
-    failed, via = _broken_premise(table, _CUSPIDAL_TAIL if cusp else _TAIL), ""
-    if failed is None:
-        if not cusp or e > d:
-            g, name = ((cuspidal.flip_transpose_gauge(d, e), "flip_transpose_gauge") if cusp
-                       else (flip_map(e + d), "flip_map"))
-            if _transports(g, cuspidal.sol_family(d, e).table, table):
-                _, src_failed, src_via = _proof("cuspidal", d, e)
-                if src_failed is None:
-                    via = " = %s image of cuspidal (%d,%d)%s" % (name, d, e, src_via)
-        if not via:
-            s = sum(abs(v) for nums in table.terms.values() for v in nums)
-            b = 1 << (6 * s * s).bit_length() + 1
-            if cybe_polynomial(table, b, b**3, b**9):
-                failed = "Q(B, B^3, B^9) != 0"
-    _PROOFS[route, e, d] = table, failed, via
-    return table, failed, via
-
-
-def _cybe_verdict(route: str, e: int, d: int, pair, tail: str) -> tuple[bool, str]:
-    """The verdict of a CYBE check: the proof's failure, or the one pair
-    evaluated end to end through `TensorTable.at`, or the proof with its
-    tail and, when the table was transported, the chain of images `via`
-    down to the table that has Q(B, B^3, B^9) = 0."""
-    table, failed, via = _proof(route, e, d)
-    if failed:
-        return False, failed
-    x, y = pair
-    if not is_unitary_pair(table.at(x, y), table.at(y, x)):
-        return False, "not unitary at (%s, %s)" % (x, y)
-    q = "table%s, Q(B, B^3, B^9) = 0 there" % via if via else "Q(B, B^3, B^9) = 0"
-    return True, ("CYBE and unitarity for all x, y: pole c, tail %s, T_ab = -swap(T_ba), "
-                  "%s; unitary at 1 pair" % (tail, q))
+    return scale(casimir(n), sum(x**k * y ** (-k - 1) for k in range(k_max + 1)))
 
 
 # --- individual checks -------------------------------------------------------
@@ -329,6 +123,8 @@ def _cybe_verdict(route: str, e: int, d: int, pair, tail: str) -> tuple[bool, st
 # a point pair must have distinct entries.
 
 def check_j_goldens() -> tuple[bool, str]:
+    from . import jmat
+
     goldens = [
         ((1, 1), ((0, 1), (0, 0))),
         ((1, 2), ((0, 1, 0), (0, 0, 1), (0, 0, 0))),
@@ -351,19 +147,24 @@ def check_j_goldens() -> tuple[bool, str]:
 
 
 def check_cuspidal_cybe(e: int, d: int, pair) -> tuple[bool, str]:
-    return _cybe_verdict("cuspidal", e, d, pair, "A + xB + yC")
+    from . import proofs
+
+    return proofs._cybe_verdict("cuspidal", e, d, pair, "A + xB + yC")
 
 
 def check_stolin_cybe(e: int, d: int, pair) -> tuple[bool, str]:
     """The +J table of (e, d) is the flip_map image of the cuspidal (d, e)
     table, which places it in the geometric family; when that identity
     holds and the cuspidal table is proved, the proof carries over."""
-    return _cybe_verdict("stolin", e, d, pair, "A + xB + yC + xyD")
+    from . import proofs
+
+    return proofs._cybe_verdict("stolin", e, d, pair, "A + xB + yC + xyD")
 
 
 def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
-    phi = transpose_negate_map(e + d)
-    lhs = _gauge_table(phi, cuspidal.sol_family(e, d).table)
+    from . import cuspidal, jmat, proofs, stolin
+
+    lhs = proofs._gauge_table(transpose_negate_map(e + d), cuspidal.sol_family(e, d).table)
     ok = lhs == stolin.solve_dec(e, d, stolin.neg_j_matrix(e, d)).table
     # negative control: the wrong cocycle sign (+J) must not match
     ok &= lhs != stolin.solve_dec(e, d, jmat.build_j(e, d)).table
@@ -371,124 +172,44 @@ def check_comparison(e: int, d: int, pair) -> tuple[bool, str]:
     return ok, "gauged table == -J table for all x, y; +J table differs; exact at 1 pair"
 
 
-def flip_j(J: tuple) -> tuple:
-    """Index-reversal of J in the form it enters the pairing tr(J^t [a,b]):
-    the transpose along the antidiagonal, position (i,j) -> (n+1-j, n+1-i).
-    This is the map under which J_(e,d) goes to J_(d,e); reversing both
-    indices without the transpose does not (already false for (1,1))."""
-    n = len(J)
-    return tuple(
-        tuple(J[n - 1 - c][n - 1 - r] for c in range(n)) for r in range(n)
-    )
-
-
-def flip_map(n: int) -> LinearMapGl:
-    """e_{i,j} |-> e_{n+1-i, n+1-j}, conjugation by the antidiagonal."""
-    return signed_permutation_map(n, lambda i, j: (n + 1 - i, n + 1 - j, 1))
-
-
 def check_flip_symmetry(e: int, d: int, pair) -> tuple[bool, str]:
-    ok = flip_j(jmat.build_j(e, d)) == jmat.build_j(d, e)
-    ok &= flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d)
-    g = cuspidal.flip_transpose_gauge(e, d)
+    from . import cuspidal, jmat, proofs
+
+    ok = proofs.flip_j(jmat.build_j(e, d)) == jmat.build_j(d, e)
+    ok &= proofs.flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d)
     src, dst = cuspidal.sol_family(e, d).table, cuspidal.sol_family(d, e).table
-    ok &= _gauge_table(g, src) == dst
+    ok &= proofs._gauge_table(cuspidal.flip_transpose_gauge(e, d), src) == dst
     # negative control: the bare two-sided index reversal, without the
     # sign-twisted antitranspose, does not transport the solution
-    ok &= _gauge_table(flip_map(e + d), dst) != src
+    ok &= proofs._gauge_table(proofs.flip_map(e + d), dst) != src
     x, y = pair
     ok &= cuspidal.psi_transport(e, d, x, y) == cuspidal.assemble_r(d, e, x, y)
     return ok, "J index-reversal; gauged table == (d,e) table for all x, y; " \
                "bare reversal differs; exact at 1 pair"
 
 
-def point_sol_space(e: int, d: int, x) -> tuple:
-    """Sol((e,d), x) from one `kernel` elimination of the rows at x, without
-    `cuspidal.sol_family`: the reference of `check_ansatz`.  Its basis is
-    the residue-dual one exactly when the residue map is an isomorphism at
-    x."""
-    x = rat(x)
-    # A0 and A1 share no column within a row
-    rows = [{**r0, **{c: x * v for c, v in r1.items() if x}}
-            for r0, r1 in zip(*cuspidal._sol_rows(e, d))]
-    ncols = len(cuspidal._ved_coords(e, d))
-    return tuple(tuple(Fraction(vec.get(c, 0), den) for c in range(ncols))
-                 for vec, den in kernel(rows, ncols))
-
-
 def check_ansatz(e: int, d: int) -> tuple[bool, str]:
+    from . import cuspidal, exact, proofs, table as tables
+
     table = cuspidal.r_ansatz(e, d)
     n, ok = e + d, True
     for x, y in ((Fraction(5, 7), Fraction(-3, 2)), (Fraction(-7, 3), Fraction(9, 4))):
-        ok &= cuspidal.sol_space(e, d, x) == point_sol_space(e, d, x)
+        ok &= cuspidal.sol_space(e, d, x) == proofs.point_sol_space(e, d, x)
         # the per-point formula (c + sum dual(B) (x) G_B(y))/(y - x)
-        inv = ONE / (y - x)
-        pairs = [(dual_terms(label, n).items(), eval_matrix_poly(G, y).items(), inv)
+        inv = 1 / (y - x)
+        pairs = [(tables.dual_terms(label, n).items(), exact.eval_matrix_poly(G, y).items(), inv)
                  for label, G in cuspidal.g_elements(e, d, x).items()]
-        ok &= table.at(x, y) == casimir(n).scale(inv).add(tensor_from_pairs(n, pairs))
+        ok &= table.at(x, y) == scale(tables.casimir(n), inv).add(tensor_from_pairs(n, pairs))
     return ok, "c/(y-x) + A + xB + yC; Sol and table match a fresh elimination at 2 points"
 
 
-def _label_image(g: LinearMapGl, lbl):
-    """The basis label that g sends `lbl` to up to sign, or None: e_ij goes
-    to +-e_ab, and h_l = e_ll - e_(l+1)(l+1) to s e_aa - t e_bb, which is
-    +-h_min(a,b) when |a - b| = 1 and s = t."""
-    if lbl[0] == "unit":
-        a, b, _ = g.images[lbl[1:]]
-        return ("unit", a, b) if a != b else None
-    l = lbl[1]
-    (a, a2, s), (b, b2, t) = g.images[l, l], g.images[l + 1, l + 1]
-    return ("cartan", min(a, b)) if a == a2 and b == b2 and abs(a - b) == 1 and s == t else None
-
-
-def _maps_labels(g: LinearMapGl, src: tuple, dst: tuple) -> bool:
-    """g sends the basis labels `src` one to one onto +- the labels `dst`."""
-    return len(src) == len(dst) and {_label_image(g, lbl) for lbl in src} == set(dst)
-
-
-def _gram_transports(e: int, d: int) -> bool:
-    """The three facts that carry det Gram(d, e) to det Gram(e, d), Gram(e, d)
-    the Gram matrix of omega_J(e,d)(a, b) = tr(J(e,d)^t [a, b]) on p_e:
-    flip_j(J(d,e)) = J(e,d); sigma = -antitranspose is an automorphism; and
-    sigma maps the labels of p_d onto +- those of p_e (h_l to h_(n-l))."""
-    n = e + d
-    if flip_j(jmat.build_j(d, e)) != jmat.build_j(e, d):
-        return False
-    sigma = signed_permutation_map(n, lambda i, j: (n + 1 - j, n + 1 - i, -1))
-    return _is_automorphism(sigma) and _maps_labels(
-        sigma, stolin.parabolic_labels(d, n), stolin.parabolic_labels(e, n))
-
-
-def _gram_determinants(first) -> dict:
-    """{(e, d): (det Gram(e, d), eliminated)} for the coprime pairs with
-    e + d <= 12; `first` is the form of (1, 1).
-
-    The Gram matrix is eliminated for e <= d.  For e > d, when
-    `_gram_transports(e, d)` holds, with tau the antitranspose,
-    tr(A^t tau B) = tr((tau A)^t B) and sigma = -tau an automorphism give
-    omega_J(e,d)(sigma a, sigma b) = -tr(J(e,d)^t tau [a, b])
-    = -omega_J(d,e)(a, b), so det Gram(e, d) = (-1)^N det Gram(d, e),
-    N = dim p_d.  Otherwise it is eliminated too."""
-    out = {(1, 1): (first.determinant, True)}
-    # e <= d first, so that each transport finds its source
-    for e, d in sorted(_coprime_pairs(12), key=lambda pair: pair[0] > pair[1]):
-        if (e, d) in out:
-            continue
-        n = e + d
-        if e > d and _gram_transports(e, d):
-            sign = (-1) ** len(stolin.parabolic_labels(d, n))
-            out[e, d] = (sign * out[d, e][0], False)
-        else:
-            # J's 0/1 integers give integer Gram rows, cheaper to eliminate than Fractions
-            out[e, d] = (stolin.frobenius_gram(jmat.build_j(e, d), e).determinant, True)
-    return out
-
-
 def check_frobenius_goldens() -> tuple[bool, str]:
+    from . import jmat, proofs, stolin
+
     form = stolin.frobenius_gram(jmat.build_j(1, 1), 1)
     ok = form.labels == (("cartan", 1), ("unit", 1, 2))
     ok &= form.rows == ({1: 2}, {0: -2})
-    dets = _gram_determinants(form)
+    dets = proofs._gram_determinants(form, _coprime_pairs(12))
     ok &= len(dets) == len(_coprime_pairs(12))
     ok &= all(det == (e + d) ** 2 for (e, d), (det, _) in dets.items())
     eliminated = sum(flag for _, flag in dets.values())
@@ -496,98 +217,25 @@ def check_frobenius_goldens() -> tuple[bool, str]:
                "%d transported by -antitranspose" % (len(dets), eliminated, len(dets) - eliminated)
 
 
-# --- fixtures of the stolin checks --------------------------------------------
-
-def closed_form_d1(n: int) -> TensorTable:
-    """Direct transcription of the closed formula for the pair (n-1, 1), as
-    the table of r(x, y).
-
-    A frequently quoted short n=2 variant ends in h (x) e_{2,1}; that reading
-    is not unitary and matches neither construction route, so the last factor
-    here is h (x) e_{1,2} as the general-n form dictates.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    X, Y, C = (0, 1, 0), (0, 0, 1), (0, 0, 0)
-    pairs = []  # (first, second, monomial), each factor {(i, j): entry}
-
-    def unit(i, j, v=ONE):
-        return {(i, j): v}
-
-    def hdual(l):
-        return dual_terms(("cartan", l), n)
-
-    def chain(j):
-        # sum over k of e_{j+k-1, k+1}, the shifted lower chains
-        return {(j + k - 1, k + 1): ONE for k in range(1, n - j + 2)}
-
-    def chain2(j):
-        # sum over k of e_{j+k, k+1}
-        return {(j + k, k + 1): ONE for k in range(1, n - j + 1)}
-
-    # x [ e_{1,2} (x) h1-dual - sum_{j>=3} e_{1,j} (x) chain(j) ]
-    pairs.append((unit(1, 2), hdual(1), X))
-    for j in range(3, n + 1):
-        pairs.append((unit(1, j, -ONE), chain(j), X))
-    # -y [ h1-dual (x) e_{1,2} - sum_{j>=3} chain(j) (x) e_{1,j} ]
-    pairs.append((hdual(1), unit(1, 2, -ONE), Y))
-    for j in range(3, n + 1):
-        pairs.append((chain(j), unit(1, j), Y))
-    # constant blocks
-    for j in range(2, n):
-        pairs.append((unit(1, j), chain2(j), C))
-    for i in range(2, n):
-        pairs.append((unit(i, i + 1), hdual(i), C))
-    for j in range(2, n):
-        pairs.append((chain2(j), unit(1, j, -ONE), C))
-    for i in range(2, n):
-        pairs.append((hdual(i), unit(i, i + 1, -ONE), C))
-    for i in range(2, n - 1):
-        for k in range(2, n - i + 1):
-            m = {(i + k + l - 1, l + i): ONE for l in range(1, n - i - k + 2)}
-            pairs.append((m, unit(i, i + k), C))
-            pairs.append((unit(i, i + k), {ij: -v for ij, v in m.items()}, C))
-    return tensor_table(n, pairs)
-
-
-def yang_order(n: int, k_max: int) -> stolin.OrderBasis:
-    """The order z^{-1} g[[z^{-1}]] truncated to the window of k_max, as
-    `stolin.build_order` truncates: the fixture whose series reproduces the
-    pure Casimir pole."""
-    elements = [{-m_deg: basis_terms(lbl, n)}
-                for m_deg in range(1, k_max + 4) for lbl in sl_basis(n)]
-    return stolin.OrderBasis(n, k_max, tuple(elements))
-
-
-def geometric_pole_partial(n: int, k_max: int, x, y) -> GlTensor2:
-    """The first k_max + 1 terms of the geometric expansion of c/(y-x)."""
-    x, y = rat(x), rat(y)
-    coeff = sum((x**k * y ** (-k - 1) for k in range(k_max + 1)), ZERO)
-    return casimir(n).scale(coeff)
-
-
-def _closed_form_n2() -> TensorTable:
-    """The reference short formula for n = 2, c/(y-x) + (x/2) e12 (x) h
-    - (y/2) h (x) e12; its last factor must be e_{1,2} (the e_{2,1} variant
-    breaks unitarity and both construction routes)."""
-    h, e12 = {(1, 1): ONE, (2, 2): -ONE}, {(1, 2): ONE / 2}
-    return tensor_table(2, [(e12, h, (0, 1, 0)), (h, {(1, 2): -ONE / 2}, (0, 0, 1))])
-
-
 def check_closed_form_d1(n: int) -> tuple[bool, str]:
-    want = closed_form_d1(n)
+    from . import cuspidal, jmat, proofs, stolin
+
+    want = proofs.closed_form_d1(n)
     ok = stolin.solve_dec(1, n - 1, jmat.build_j(1, n - 1)).table == want
     if n == 2:
-        ok &= want == _closed_form_n2()
-    # the (n-1,1)-split table is the flip-gauge image of the same solution
-    phi = transpose_negate_map(n)
-    gamma = phi.compose(cuspidal.flip_transpose_gauge(n - 1, 1)).compose(phi)
-    lhs = _gauge_table(gamma, stolin.solve_dec(n - 1, 1, stolin.neg_j_matrix(n - 1, 1)).table)
+        ok &= want == proofs._closed_form_n2()
+    # the (n-1,1)-split table is the flip-gauge image of the same solution:
+    # its gauge phi g phi, applied one map at a time
+    phi, g = transpose_negate_map(n), cuspidal.flip_transpose_gauge(n - 1, 1)
+    lhs = stolin.solve_dec(n - 1, 1, stolin.neg_j_matrix(n - 1, 1)).table
+    lhs = proofs._gauge_table(phi, proofs._gauge_table(g, proofs._gauge_table(phi, lhs)))
     ok &= lhs == stolin.solve_dec(1, n - 1, stolin.neg_j_matrix(1, n - 1)).table
     return ok, "reference formula == (1,n-1) table for all x, y; (n-1,1) gauge exact"
 
 
 def check_series(e: int, d: int) -> tuple[bool, str]:
+    from . import jmat, proofs, stolin, table
+
     n, k_max = e + d, SERIES_K_MAX
     K = jmat.build_j(e, d)
     x, y = Fraction(1, 3), Fraction(2)
@@ -595,304 +243,38 @@ def check_series(e: int, d: int) -> tuple[bool, str]:
     ws = stolin.solve_dec(e, d, K)
     # parts store no zeros, so equal parts are equal polynomials
     ok = all(sr.parts[lbl, k] == (ws.parts.get((lbl, k), {}) if k <= 1 else {})
-             for lbl in sl_basis(n) for k in range(k_max + 1))
+             for lbl in table.sl_basis(n) for k in range(k_max + 1))
     expected = (
         stolin.assemble_stolin_r(e, d, K, x, y)
-        .sub(casimir(n).scale(ONE / (y - x)))
+        .add(scale(table.casimir(n), -1 / (y - x)))
         .add(geometric_pole_partial(n, k_max, x, y))
     )
     ok &= sr.tensor == expected
-    yang = stolin.series_r(yang_order(n, k_max), x, y)
+    yang = stolin.series_r(proofs.yang_order(n, k_max), x, y)
     ok &= yang.tensor == geometric_pole_partial(n, k_max, x, y)
     return ok, "dual-basis series == dec assembly; Yang pole pure"
 
 
-# --- fixtures of the elliptic and zoo checks ---------------------------------
-
-def theta2(z: complex, ctx: elliptic.ThetaContext) -> complex:
-    q = ctx.q
-    acc = 0j
-    for n in range(ctx.terms):
-        acc += q ** (n * (n + 1)) * cmath.cos((2 * n + 1) * math.pi * z)
-    return 2 * q ** Fraction(1, 4) * acc
-
-
-def theta3(z: complex, ctx: elliptic.ThetaContext) -> complex:
-    """Even Jacobi theta: 1 + 2 sum q^{n^2} cos(2 pi n z)."""
-    q = ctx.q
-    acc = 1 + 0j
-    for n in range(1, ctx.terms + 1):
-        acc += 2 * q ** (n * n) * cmath.cos(2 * math.pi * n * z)
-    return acc
-
-
-def theta4(z: complex, ctx: elliptic.ThetaContext) -> complex:
-    q = ctx.q
-    acc = 1 + 0j
-    for n in range(1, ctx.terms + 1):
-        acc += 2 * (-1) ** n * q ** (n * n) * cmath.cos(2 * math.pi * n * z)
-    return acc
-
-
-def theta_half_shift_identity_residual(z: complex, ctx: elliptic.ThetaContext) -> float:
-    """|theta3(z + (1+tau)/2) - i exp(-pi i (z + tau/4)) theta1(z)|: the
-    half-period relation tying the even and odd theta functions."""
-    lhs = theta3(z + (1 + ctx.tau) / 2, ctx)
-    rhs = 1j * cmath.exp(-1j * math.pi * (z + ctx.tau / 4)) * elliptic.theta1(z, ctx)
-    return abs(lhs - rhs)
-
-
-# --- the classical (2,1) solutions: elliptic, trigonometric, rational ------
-
-# h, e and f of sl(2) as their ((i, j), entry) pairs, with integer entries,
-# so that they serve the exact and the complex solutions alike
-_SL2 = tuple(tuple(basis_terms(label, 2).items())
-             for label in (("cartan", 1), ("unit", 1, 2), ("unit", 2, 1)))
-
-
-def jacobi_sn_cn_dn(z: complex, ctx: elliptic.ThetaContext) -> tuple[complex, complex, complex]:
-    """Jacobi elliptic triple from theta quotients at the context modulus.
-
-    Arguments are taken in theta convention (no rescaling by theta3(0)^2);
-    the induced relation between the classical modulus and tau is a property
-    of the fixture, not a claim.  All algebraic identities among sn, cn, dn
-    are scaling-invariant, which is what the residual checks consume.
-    """
-    t2z, t3z, t4z = theta2(z, ctx), theta3(z, ctx), theta4(z, ctx)
-    t1z = elliptic.theta1(z, ctx)
-    t20, t30, t40 = theta2(0, ctx), theta3(0, ctx), theta4(0, ctx)
-    if abs(t4z) < elliptic.POLE_GUARD:
-        raise elliptic.PoleProximityError("theta4 zero: sn/cn/dn pole")
-    sn = t30 * t1z / (t20 * t4z)
-    cn = t40 * t2z / (t20 * t4z)
-    dn = t40 * t3z / (t30 * t4z)
-    return sn, cn, dn
-
-
-def zoo_baxter(z: complex, ctx: elliptic.ThetaContext) -> GlTensor2:
-    """The elliptic (2,1) solution:
-    (cn/sn) h(x)h + ((1+dn)/sn)(e(x)f + f(x)e) + ((1-dn)/sn)(e(x)e + f(x)f)."""
-    sn, cn, dn = jacobi_sn_cn_dn(z, ctx)
-    if abs(sn) < elliptic.POLE_GUARD:
-        raise elliptic.PoleProximityError("sn zero: solution pole")
-    h, e, f = _SL2
-    pairs = [
-        (h, h, cn / sn),
-        (e, f, (1 + dn) / sn),
-        (f, e, (1 + dn) / sn),
-        (e, e, (1 - dn) / sn),
-        (f, f, (1 - dn) / sn),
-    ]
-    return tensor_from_pairs(2, pairs, ring=COMPLEX)
-
-
-def zoo_cherednik(z: complex) -> GlTensor2:
-    """The trigonometric (2,1) solution:
-    (1/2) cot(z) h(x)h + (1/sin z)(e(x)f + f(x)e) + sin(z) e(x)e."""
-    s = cmath.sin(z)
-    if abs(s) < elliptic.POLE_GUARD:
-        raise elliptic.PoleProximityError("sin zero: solution pole")
-    h, e, f = _SL2
-    pairs = [
-        (h, h, 0.5 * cmath.cos(z) / s),
-        (e, f, 1 / s),
-        (f, e, 1 / s),
-        (e, e, s),
-    ]
-    return tensor_from_pairs(2, pairs, ring=COMPLEX)
-
-
-def zoo_stolin_rat(z) -> GlTensor2:
-    """The rational (2,1) solution, exact in one variable:
-    (1/z)(h(x)h/2 + e(x)f + f(x)e) + z (f(x)h + h(x)f) - z^3 f(x)f."""
-    z = rat(z)
-    if z == 0:
-        raise ZeroDivisionError("solution pole at z = 0")
-    h, e, f = _SL2
-    pairs = [
-        (h, h, Fraction(1, 2) / z),
-        (e, f, ONE / z),
-        (f, e, ONE / z),
-        (f, h, z),
-        (h, f, z),
-        (f, f, -(z**3)),
-    ]
-    return tensor_from_pairs(2, pairs)
-
-
 def check_theta_relation(seed: int) -> tuple[bool, str]:
+    from . import elliptic, residuals
+
     rng = random.Random(seed)
     worst = 0.0
     for tau in (1j, 0.3 + 1j):
         ctx = elliptic.ThetaContext(tau=tau)
         for _ in range(10):
             z = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
-            worst = max(worst, theta_half_shift_identity_residual(z, ctx))
+            worst = max(worst, residuals.theta_half_shift_identity_residual(z, ctx))
     return worst < 1e-12, "max residual %.2e" % worst
-
-
-# --- the elliptic solution in Heisenberg coordinates ---------------------------
-#
-# With eps = exp(2 pi i d / n) and a = (k_a, l_a) in the index set of
-# `heisenberg(n, d)`, the closed form of `heis` (`z_row`, `dual_exponent`)
-# gives the basis exactly: Z_a Z_b = eps^(l_a k_b) Z_(a+b), which
-# `product_exponent` reads off row 0 of the three matrices, and the trace
-# duals Zdual_a = eps^(k_a l_a) Z_(-a) / n, indices mod n (tier-1 compares
-# both with dense products of the clock and the shift).  So
-# r = sum_a c_a Zdual_a (x) Z_a = sum_a w_a Z_(-a) (x) Z_a with
-# w_a = c_a eps^(k_a l_a) / n, and [Z_a, Z_b] = [a, b] Z_(a+b) with
-# [a, b] = eps^(l_a k_b) - eps^(l_b k_a).  The coordinate of Z_P (x) Z_Q (x) Z_S
-# in CYBE(r), P + Q + S = 0, is then exactly three products:
-#   w_Q(v12) w_S(v13) [-Q, -S] + w_-P(v12) w_S(v23) [-P, -S]
-#     + w_-P(v13) w_-Q(v23) [-P, -Q],
-# from [r12, r13], [r12, r23] and [r13, r23] (Belavin 1980; in these
-# coordinates the CYBE is the Fay trisecant identity of sigma).  That the
-# duals are the trace duals of the Z_a is the exact identity
-# sum_a Zdual_a (x) Z_a = casimir(n), which `_dual_sum` sums in Q(eps).
-
-# the points of `check_belavin`: the CYBE triple, a unitarity pair and the
-# residue radius; all real and less than 1/2 apart, so no period is reduced
-BELAVIN_TRIPLE = (0.11, 0.27, 0.40)
-BELAVIN_PAIR = (0.13, 0.29)
-RESIDUE_RADIUS = 1e-4  # the regular part of rho c_a(rho) cancels to second order in it
-RESIDUE_TOL = 1e-5
-# the moduli of `check_belavin`, made once: a context's theta tables are
-# cached by value, and the very key object is found without an __eq__ call
-BELAVIN_CONTEXTS = (elliptic.ThetaContext(tau=1j), elliptic.ThetaContext(tau=0.3 + 1j))
-
-
-def product_exponent(a, b, n: int) -> int:
-    """The exponent of eps in Z_a Z_b = eps^(l_a k_b) Z_(a+b): row 0 of Z_a
-    holds eps^x in column c, row c of Z_b eps^y, and row 0 of Z_(a+b)
-    eps^z, so the exponent is x + y - z."""
-    c, x = z_row(a, 0, n)
-    return (x + z_row(b, c, n)[1] - z_row((a[0] + b[0], a[1] + b[1]), 0, n)[1]) % n
-
-
-def cyclo_rational(counts, m: int) -> int | None:
-    """The value of sum(counts[e] * zeta_m**e) if it is rational, else None.
-
-    The sum is reduced through `heis.root_table`; it is rational exactly
-    when the reduction is constant, and then it is an integer."""
-    table = root_table(m)
-    acc = [0] * len(table[0])
-    for e, c in enumerate(counts):
-        if c:
-            for j, t in enumerate(table[e]):
-                acc[j] += c * t
-    return acc[0] if not any(acc[1:]) else None
-
-
-def _dual_sum(n: int, d: int) -> GlTensor2 | None:
-    """Sum of Zdual_a (x) Z_a over the index set of `heisenberg(n, d)`, read
-    off the closed form in Q(eps), eps = zeta_n^d: an exact rational tensor
-    over the denominator n, or None if a coefficient is not rational.
-
-    Contracted with x in gl(n) through the first slot, the sum is
-    sum tr(Zdual_a x) Z_a, and casimir(n) is the projection of x to sl(n).
-    So the sum is casimir(n) exactly when the n^2 - 1 matrices Z_a are a
-    basis of sl(n) and tr(Zdual_a Z_b) = delta_ab: the full duality table."""
-    counts: dict = {}
-    for a, _, _ in heisenberg(n, d):
-        e = dual_exponent(a, n)
-        for i in range(n):
-            c, x = z_row((-a[0], -a[1]), i, n)
-            for p in range(n):
-                q, y = z_row(a, p, n)
-                counts.setdefault((i + 1, c + 1, p + 1, q + 1), [0] * n)[d * (x + e + y) % n] += 1
-    terms = {key: cyclo_rational(c, n) for key, c in counts.items()}
-    if None in terms.values():
-        return None
-    return GlTensor2.over(n, {key: v for key, v in terms.items() if v}, n)
-
-
-def heisenberg_coordinates(n: int, d: int) -> tuple:
-    """(weights, negatives, coordinates) in the order of the index set of
-    `heisenberg(n, d)`: w_a = c_a * weights[a]; negatives[a] is the position
-    of -a; each coordinate Z_P (x) Z_Q (x) Z_S with P, Q, S != 0 and a
-    nonzero bracket is (Q, S, -P, -Q, [-Q, -S], [-P, -S], [-P, -Q]), its
-    indices as positions."""
-    index = [a for a, _, _ in heisenberg(n, d)]
-    position = {a: i for i, a in enumerate(index)}
-    negatives = [position[(-k % n, -l % n)] for k, l in index]
-    eps = [cmath.exp(2j * math.pi * (d * e % n) / n) for e in range(n)]
-    bracket = [[eps[product_exponent(a, b, n)] - eps[product_exponent(b, a, n)] for b in index]
-               for a in index]
-    coordinates = []
-    for p, (kp, lp) in enumerate(index):
-        mp = negatives[p]
-        for q, (kq, lq) in enumerate(index):
-            s = position.get((-(kp + kq) % n, -(lp + lq) % n))  # None where S = 0
-            if s is not None:
-                mq, ms = negatives[q], negatives[s]
-                terms = (bracket[mq][ms], bracket[mp][ms], bracket[mp][mq])
-                if any(terms):
-                    coordinates.append((q, s, mp, mq, *terms))
-    weights = [eps[dual_exponent(a, n)] / n for a in index]
-    return weights, negatives, coordinates
-
-
-def coordinate_cybe_residual(coordinates, w12, w13, w23) -> float:
-    """max |sum| / sum |terms| over the coordinates of CYBE(r) whose terms
-    are not all zero, for the weights w_a at v12, v13 and v23; infinite if
-    there is no such coordinate."""
-    worst = -1.0
-    for q, s, mp, mq, b1, b2, b3 in coordinates:
-        t1, t2, t3 = w12[q] * w13[s] * b1, w12[mp] * w23[s] * b2, w13[mp] * w23[mq] * b3
-        size = abs(t1) + abs(t2) + abs(t3)
-        if size:
-            worst = max(worst, abs(t1 + t2 + t3) / size)
-    return worst if worst >= 0 else math.inf
-
-
-def coordinate_unitarity_residual(negatives, forward, back) -> float:
-    """max over a of |c_a(-v) + c_(-a)(v)| / (|c_a(-v)| + |c_(-a)(v)|), for
-    the coefficient lists `forward` at v and `back` at -v."""
-    return max(abs(back[a] + forward[b]) / (abs(back[a]) + abs(forward[b]))
-               for a, b in enumerate(negatives))
-
-
-def _theta_floor(n: int, d: int, ctx: elliptic.ThetaContext, lists: dict) -> float:
-    """The smallest |theta| / |2 q^(1/4)| among the theta values behind the
-    coefficient lists {(x, y): coefficients}: theta1'(0), theta1(u) at the
-    lattice, theta1(v) and theta1(u + v).  For real v the factor
-    exp(-2 pi i r v / n) has modulus 1, so |theta1(u + v)| is read off each
-    coefficient as |c theta1(u) theta1(v) / theta1'(0)|."""
-    prefactor, _, deriv = elliptic._theta_table(ctx)
-    lattice = [abs(t[-1]) for t in elliptic._lattice_thetas(n, d, ctx)]
-    low = min(abs(deriv), *lattice)
-    for (x, y), coeffs in lists.items():
-        tv = abs(elliptic.theta1(complex(y - x), ctx))
-        low = min(low, tv, *(abs(c) * tu * tv / abs(deriv) for c, tu in zip(coeffs, lattice)))
-    return low / abs(prefactor)
-
-
-def belavin_tolerance(theta_floor: float) -> float:
-    """The relative tolerance of the CYBE coordinates and of unitarity.
-
-    Every theta value a coefficient uses, theta1'(0), theta1(u), theta1(v)
-    and theta1(u + v), is within THETA_TOL |2 q^(1/4)| of its exact value:
-    `ThetaContext` keeps the dropped series below a tenth of that, and the
-    float sum of the kept terms rounds far below the rest.  With t the
-    smallest of them in units of |2 q^(1/4)|, each of the four factors of
-    c_a is within THETA_TOL / t relative, so c_a is within
-    4 THETA_TOL / t plus rounding.  A coordinate term is a product of two
-    coefficients (twice that), of their weights eps^(k l) / n and of a
-    bracket of float roots of unity; the exact coordinate is 0, so the
-    computed sum is at most (8 THETA_TOL / t + 64 eps) times the sum of
-    the terms' sizes, 64 eps bounding the float operations of a term and
-    of the sum (the exponentials, products and quotient in c_a, the weight,
-    the bracket and two additions, each a few eps).  Unitarity compares two
-    coefficients, within half of that."""
-    return 8 * elliptic.THETA_TOL / theta_floor + 64 * sys.float_info.epsilon
 
 
 def check_belavin(n: int, d: int) -> tuple[bool, str, str]:
     """CYBE, unitarity and the residue of `elliptic.belavin_r` on its
-    coefficients, at tau = i and 0.3 + i, with no tensor built:
+    coefficients, at tau = i and 0.3 + i, with no tensor built, in the
+    coordinates of `residuals`:
 
-    - each coordinate of CYBE(r) at `BELAVIN_TRIPLE` (the three products
-      above) has |sum| <= tol * sum |terms|;
+    - each coordinate of CYBE(r) at `BELAVIN_TRIPLE` (three products there)
+      has |sum| <= tol * sum |terms|;
     - unitarity, r(y, x) = -swap(r(x, y)), is c_a(-v) = -c_(-a)(v) for every
       a, since swap(Zdual_a (x) Z_a) = Zdual_(-a) (x) Z_(-a); at
       `BELAVIN_PAIR`, |c_a(-v) + c_(-a)(v)| <= tol * (|c_a(-v)| + |c_(-a)(v)|);
@@ -904,61 +286,59 @@ def check_belavin(n: int, d: int) -> tuple[bool, str, str]:
     tolerance.  That the trace duals sum to casimir(n) is checked exactly,
     by `_dual_sum`: the detail ends "dual family exact" when it holds, "dual
     family not exact" and a FAIL when it does not."""
-    exact = _dual_sum(n, d) == casimir(n)
-    weights, negatives, coordinates = heisenberg_coordinates(n, d)
-    (x1, x2, x3), (x, y), rho = BELAVIN_TRIPLE, BELAVIN_PAIR, RESIDUE_RADIUS
+    from . import elliptic, residuals as res, table
+
+    exact = res._dual_sum(n, d) == table.casimir(n)
+    weights, negatives, coordinates = res.heisenberg_coordinates(n, d)
+    (x1, x2, x3), (x, y), rho = res.BELAVIN_TRIPLE, res.BELAVIN_PAIR, res.RESIDUE_RADIUS
     cybe = uni = fit = 0.0
     floor = math.inf
-    for ctx in BELAVIN_CONTEXTS:
+    for ctx in res.BELAVIN_CONTEXTS:
         lists = {p: elliptic.belavin_coefficients(n, d, ctx, *p)
                  for p in ((x1, x2), (x1, x3), (x2, x3), (x, y), (y, x))}
-        floor = min(floor, _theta_floor(n, d, ctx, lists))
+        floor = min(floor, res._theta_floor(n, d, ctx, lists))
         w12, w13, w23 = ([c * w for c, w in zip(lists[p], weights)]
                          for p in ((x1, x2), (x1, x3), (x2, x3)))
-        cybe = max(cybe, coordinate_cybe_residual(coordinates, w12, w13, w23))
-        uni = max(uni, coordinate_unitarity_residual(negatives, lists[(x, y)], lists[(y, x)]))
+        cybe = max(cybe, res.coordinate_cybe_residual(coordinates, w12, w13, w23))
+        uni = max(uni, res.coordinate_unitarity_residual(negatives, lists[(x, y)], lists[(y, x)]))
         plus = elliptic.belavin_coefficients(n, d, ctx, 0.0, rho)
         minus = elliptic.belavin_coefficients(n, d, ctx, 0.0, -rho)
         fit = max(fit, *(abs(rho * (p - m) / 2 - 1) for p, m in zip(plus, minus)))
-    tol = belavin_tolerance(floor)
-    ok = cybe <= tol and uni <= tol and fit < RESIDUE_TOL and exact
+    tol = res.belavin_tolerance(floor)
+    ok = cybe <= tol and uni <= tol and fit < res.RESIDUE_TOL and exact
     detail = "relative cybe %.1e uni %.1e, residue %.1e; dual family %s" % (
         cybe, uni, fit, "exact" if exact else "not exact")
     return ok, detail, "%.1e/1e-5" % tol
 
 
 def check_truncation_stability() -> tuple[bool, str]:
-    c60 = elliptic.ThetaContext(tau=0.3 + 1j, terms=60)
-    c120 = elliptic.ThetaContext(tau=0.3 + 1j, terms=120)
-    drift = (
-        elliptic.belavin_r(2, 1, c60, 0.1, 0.2)
-        .sub(elliptic.belavin_r(2, 1, c120, 0.1, 0.2))
-        .norm()
-    )
+    from . import elliptic
+
+    r60, r120 = (elliptic.belavin_r(2, 1, elliptic.ThetaContext(tau=0.3 + 1j, terms=t), 0.1, 0.2)
+                 for t in (60, 120))
+    drift = r60.add(scale(r120, -1)).norm()
     return drift < 1e-12, "60 vs 120 terms drift %.2e" % drift
 
 
-def cybe_residual_difference(r_of, x, y):
-    """CYBE left-hand side in the one-variable (difference) form:
-    [r12(x), r13(x+y)] + [r13(x+y), r23(y)] + [r12(x), r23(y)]."""
-    return cybe_lhs(r_of(x), r_of(x + y), r_of(y))
-
-
 def check_zoo_rational() -> tuple[bool, str]:
-    res = cybe_residual_difference(
-        zoo_stolin_rat, Fraction(1, 3), Fraction(1, 5)
-    )
-    return res.is_zero(), "one-variable residual exactly zero"
+    from .residuals import zoo_stolin_rat as r
+
+    x, y = Fraction(1, 3), Fraction(1, 5)
+    return not cybe_lhs(r(x), r(x + y), r(y)).terms, "one-variable residual exactly zero"
 
 
 def check_zoo_cherednik() -> tuple[bool, str]:
-    res = cybe_residual_difference(zoo_cherednik, 0.2, 0.3).norm()
+    from .residuals import zoo_cherednik as r
+
+    res = cybe_lhs(r(0.2), r(0.2 + 0.3), r(0.3)).norm()
     return res < 1e-9, "residual %.2e" % res
 
 
 def check_zoo_baxter() -> tuple[bool, str]:
-    ctx = elliptic.ThetaContext(tau=1.1j)
-    res = cybe_residual_difference(lambda z: zoo_baxter(z, ctx), 0.217, 0.391).norm()
+    from . import elliptic, residuals
+
+    ctx, x, y = elliptic.ThetaContext(tau=1.1j), 0.217, 0.391
+    res = cybe_lhs(*(residuals.zoo_baxter(z, ctx) for z in (x, x + y, y))).norm()
     return res < 1e-8, "residual %.2e" % res
 
 

@@ -19,9 +19,17 @@ from ybe_forge.elliptic import THETA_TERMS_MAX
 from ybe_forge.formats import document_from_json
 from ybe_forge.lie import swap_tensor
 from ybe_forge.request import N_MAX, RAT_DIGITS_MAX
-from ybe_forge.verify import _tasks_for, run_suite
+from ybe_forge.verify import _tasks_for, run_suite, scale
 
 GOLDENS = Path(__file__).parent / "goldens"
+# [name, status, detail, tolerance] of every check of `verify --suite all
+# --n-max 4`, in report order
+REPORT_GOLDEN = json.loads((GOLDENS / "verify_all_n4.json").read_text())
+
+
+def outcomes(checks) -> list:
+    """The pinned fields of a JSON report's checks; `elapsed` is not."""
+    return [[c["name"], c["status"], c["detail"], c["tolerance"]] for c in checks]
 
 
 def run(*args):
@@ -60,7 +68,7 @@ class TestRational:
         table = r_ansatz(1, 1)
         polynomial = TensorTable(2, table.monomials[:-1], table.den, {
             key: nums[:-1] for key, nums in table.terms.items() if any(nums[:-1])})
-        tail = doc.to_tensor().sub(casimir(2).scale(ONE / (F(1) - F(0))))
+        tail = doc.to_tensor().add(scale(casimir(2), -ONE / (F(1) - F(0))))
         assert table.monomials[-1] == POLE
         assert tail == polynomial.at(F(0), F(1))
 
@@ -287,7 +295,7 @@ class TestElliptic:
                    "--terms", "120")
         t60 = document_from_json(json.loads(r60.stdout)).to_tensor()
         t120 = document_from_json(json.loads(r120.stdout)).to_tensor()
-        assert t60.sub(t120).norm() < 1e-12
+        assert t60.add(scale(t120, -1)).norm() < 1e-12
 
     def test_nonpositive_terms_exit_3(self):
         res = run("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.3",
@@ -325,7 +333,7 @@ class TestElliptic:
         want, got = (document_from_json(json.loads(r.stdout)) for r in (near, far))
         assert got.provenance["tolerance"] == 1e-12
         t_want = want.to_tensor()
-        assert got.to_tensor().sub(t_want).norm() <= 1e-12 * t_want.norm()
+        assert got.to_tensor().add(scale(t_want, -1)).norm() <= 1e-12 * t_want.norm()
 
     def test_far_imaginary_point_exit_3(self):
         res = run("elliptic", "2", "1", "--tau", "1i", "--x=0.1+3000i", "--y=0.3")
@@ -646,6 +654,26 @@ class TestVerify:
                 del check["elapsed"]
             reports.append(payload)
         assert reports[0] == reports[1]
+
+    def test_report_matches_golden(self):
+        """`run_suite("all", 4)` reports the pinned name, status, detail and
+        tolerance of every check, in order."""
+        assert outcomes(run_suite("all", 4).to_json()["checks"]) == REPORT_GOLDEN
+
+    @pytest.mark.parametrize("suite", [s for s in SUITES if s != "all"])
+    def test_single_suite_matches_golden_slice(self, suite):
+        """Each single suite, run in a fresh interpreter, reports its slice
+        of the pinned `all` report: a process that runs one suite imports
+        only that suite's route, so a name its checks miss fails here."""
+        names = {t[0] for t in _tasks_for(suite, 4, verify.SUITE_SEED)}
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(Path(verify.__file__).parent.parent), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ybe_forge.cli", "verify", "--suite", suite, "--n-max", "4",
+             "--format", "json"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert outcomes(json.loads(proc.stdout)["checks"]) == [
+            row for row in REPORT_GOLDEN if row[0] in names]
 
     def test_json_format(self):
         res = run("verify", "--suite", "zoo", "--format", "json")

@@ -30,7 +30,7 @@ from ybe_forge.exact import (
 from ybe_forge.heis import cyclotomic_poly, root_complex, root_table
 from ybe_forge.jmat import build_j
 from ybe_forge.table import sl_basis
-from ybe_forge.verify import cyclo_rational
+from ybe_forge.residuals import cyclo_rational
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 
@@ -527,16 +527,16 @@ class TestBuilderRows:
     def test_sol_space_rows(self, x, monkeypatch):
         """The family's batched solve and the per-point reference
         elimination at x."""
-        from ybe_forge import cuspidal, verify
+        from ybe_forge import cuspidal, proofs
 
         solves, kernels = [], []
         self._recording(monkeypatch, cuspidal, "solve_multi", solves)
-        self._recording(monkeypatch, verify, "kernel", kernels)
+        self._recording(monkeypatch, proofs, "kernel", kernels)
         cuspidal.sol_family.cache_clear()
         try:
             for e, d in ((1, 1), (3, 2), (2, 5)):
                 cuspidal.sol_space(e, d, x)
-                verify.point_sol_space(e, d, x)
+                proofs.point_sol_space(e, d, x)
         finally:
             cuspidal.sol_family.cache_clear()
         assert len(solves) == 3 and len(kernels) == 3

@@ -1,9 +1,10 @@
 """Static hygiene of the package: no dead definitions, no write-only fields,
 no unused imports or parameters, no function that the benchmark traces by
 name missing, the definitions that only the benchmark reaches listed, the
-definitions of request modules that only `verify` reaches listed, no
-cache that never evicts unless its keys are small integers, no numpy in the
-package, and each CLI command loading only the modules it uses.
+definitions of request modules that only `verify` reaches listed and no
+such method, no module past the parser's token array, no cache that never
+evicts unless its keys are small integers, no numpy in the package, and
+each CLI command and `verify` suite loading only the modules it uses.
 
 A definition counts as used when its name occurs anywhere in src/ or
 perfbench/ as an identifier, an attribute, an imported name or a string
@@ -20,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -28,6 +30,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ybe_forge"
 TREES = ("src", "perfbench")  # the trees whose uses count
+# `verify` and the route modules that only its checks import
+VERIFY_MODULES = ("verify", "proofs", "residuals")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -101,18 +105,21 @@ def benchmark_only_definitions(root: Path = ROOT) -> list[str]:
 
 
 def verify_only_definitions(root: Path = ROOT) -> list[str]:
-    """module:name of every top-level definition of a request module (any
-    module of the package but `verify`) whose name `verify` uses and no
+    """module:name of every definition of a request module (any module of
+    the package but `VERIFY_MODULES`) whose name those modules use and no
     other module of the package does: code that only `verify` runs, which
-    every request that loads its module compiles.  A use in perfbench/ does
-    not count, since perfbench traces functions by name wherever they are."""
+    every request that loads its module compiles.  For a top-level
+    definition a use in perfbench/ does not count, since perfbench traces
+    functions by name wherever they are; a method that perfbench calls is
+    not listed."""
     package = root / "src" / "ybe_forge"
     uses = {path.stem: _uses(_parse(path)) for path in sorted(package.glob("*.py"))}
-    verify = uses.pop("verify")
+    verify = sum((uses.pop(stem, Counter()) for stem in VERIFY_MODULES), Counter())
     others = sum(uses.values(), Counter())
+    bench = _tree_uses(root, "perfbench")
     return [qualname for qualname, name in _package_definitions(root)
-            if qualname.split(":")[0] != "verify" and "." not in qualname
-            and verify[name] and not others[name]]
+            if qualname.split(":")[0] not in VERIFY_MODULES and verify[name] and not others[name]
+            and ("." not in qualname or not bench[name])]
 
 
 def unused_imports(package: Path = PACKAGE) -> list[str]:
@@ -255,10 +262,9 @@ def test_verify_only_definitions():
 
 
 def test_scan_sees_a_verify_only_definition(tmp_path):
-    """Negative control: a request-module function that only `verify`
-    calls is listed, also when perfbench names it; one that another module
-    calls, one that its own module calls and a method that only `verify`
-    calls are not."""
+    """Negative control: a request-module function that only `verify` or
+    a route module of it calls is listed, also when perfbench names it; one
+    that another module calls and one that its own module calls are not."""
     pkg = tmp_path / "src" / "ybe_forge"
     pkg.mkdir(parents=True)
     (tmp_path / "perfbench").mkdir()
@@ -267,15 +273,38 @@ def test_scan_sees_a_verify_only_definition(tmp_path):
         "def traced():\n    return 2\n\n"
         "def shared():\n    return 3\n\n"
         "def helper():\n    return 4\n\n"
-        "def run():\n    return helper()\n\n"
-        "class Box:\n    def probe(self):\n        return 5\n"
+        "def routed():\n    return 5\n\n"
+        "def run():\n    return helper()\n"
     )
-    (pkg / "cli.py").write_text("from .mod import Box, run, shared\nrun() + shared()\nBox()\n")
+    (pkg / "cli.py").write_text("from .mod import run, shared\nrun() + shared()\n")
     (pkg / "verify.py").write_text(
-        "from .mod import Box, fixture, helper, shared, traced\n"
-        "fixture() + traced() + shared() + helper() + Box().probe()\n")
+        "from .mod import fixture, helper, shared, traced\n"
+        "fixture() + traced() + shared() + helper()\n")
+    (pkg / "proofs.py").write_text("from .mod import routed\nrouted()\n")
     (tmp_path / "perfbench" / "bench.py").write_text("LAYERS = [('mod', 'traced')]\n")
-    assert verify_only_definitions(tmp_path) == ["mod:fixture", "mod:traced"]
+    assert verify_only_definitions(tmp_path) == ["mod:fixture", "mod:traced", "mod:routed"]
+
+
+def test_scan_sees_a_verify_only_method(tmp_path):
+    """Negative control of the method scan: a method of a request-module
+    class that only `verify` or a route module calls is listed; one that a
+    request module calls and one that perfbench calls are not."""
+    pkg = tmp_path / "src" / "ybe_forge"
+    pkg.mkdir(parents=True)
+    (tmp_path / "perfbench").mkdir()
+    (pkg / "mod.py").write_text(
+        "class Box:\n"
+        "    def probe(self):\n        return 1\n\n"
+        "    def gauge(self):\n        return 2\n\n"
+        "    def used(self):\n        return 3\n\n"
+        "    def timed(self):\n        return 4\n"
+    )
+    (pkg / "cli.py").write_text("from .mod import Box\nBox().used()\n")
+    (pkg / "verify.py").write_text("from .mod import Box\nBox().probe() + Box().used()\n")
+    (pkg / "residuals.py").write_text("from .mod import Box\nBox().gauge() + Box().timed()\n")
+    (tmp_path / "perfbench" / "bench.py").write_text(
+        "from ybe_forge.mod import Box\nBox().timed()\n")
+    assert verify_only_definitions(tmp_path) == ["mod:Box.probe", "mod:Box.gauge"]
 
 
 def test_no_unused_imports():
@@ -339,25 +368,30 @@ def test_moved_names_keep_their_identity():
     """perfbench wraps a traced function in every module namespace that
     binds the same object, and clears the caches it names: `cuspidal`
     binds `jmat.build_j` itself, and the basis cache that `elliptic` and
-    `verify` read is `lie.heisenberg`, the one perfbench clears; `heis`
+    `residuals` read is `lie.heisenberg`, the one perfbench clears; `heis`
     holds the closed form it caches and no cache of its own for the basis.
-    `verify` reads the closed form of `heis` itself, and the even thetas
-    moved from `elliptic` to `verify`.  The rational table layer is
-    `table`, whose Casimir cache `cuspidal`, `stolin` and `verify` share,
-    and the definitions that only `verify` read live there."""
-    from ybe_forge import cli, cuspidal, document, elliptic, heis, jmat, lie, stolin, table, verify
+    `residuals`, the elliptic route of `verify`, reads the closed form of
+    `heis` itself and holds the even thetas, which moved from `elliptic`.
+    The rational table layer is `table`, whose Casimir cache `cuspidal`,
+    `stolin` and `proofs`, the exact route of `verify`, share; the
+    definitions that only `verify` reads live in the two route modules."""
+    from ybe_forge import (cli, cuspidal, document, elliptic, heis, jmat, lie, proofs, residuals,
+                           stolin, table, verify)
 
     assert cuspidal.build_j is jmat.build_j and stolin.build_j is jmat.build_j
-    assert elliptic.heisenberg is lie.heisenberg and verify.heisenberg is lie.heisenberg
+    assert elliptic.heisenberg is lie.heisenberg and residuals.heisenberg is lie.heisenberg
     assert not hasattr(heis, "heisenberg") and not hasattr(heis, "heisenberg_entries")
-    assert verify.z_row is heis.z_row and verify.dual_exponent is heis.dual_exponent
+    assert residuals.z_row is heis.z_row and residuals.dual_exponent is heis.dual_exponent
     assert not any(hasattr(elliptic, name) for name in ("theta2", "theta3", "theta4"))
-    assert verify.casimir is table.casimir and verify.tensor_table is cuspidal.tensor_table
+    assert proofs.casimir is table.casimir and proofs.tensor_table is cuspidal.tensor_table
     assert stolin.tensor_table is table.tensor_table
     assert not any(hasattr(lie, name) for name in (
         "sl_basis", "basis_terms", "dual_terms", "casimir", "TensorTable", "tensor_table",
         "flip_map", "cybe_residual_difference"))
     assert not hasattr(cuspidal, "point_sol_space") and not hasattr(jmat, "flip_j")
+    assert not any(hasattr(verify, name) for name in (
+        "flip_j", "flip_map", "point_sol_space", "closed_form_d1", "yang_order", "theta2",
+        "even_theta", "zoo_baxter", "heisenberg_coordinates", "belavin_tolerance"))
     assert cli.dumps is document.dumps
 
 
@@ -447,6 +481,38 @@ def _python(code: str, *args: str, flags: tuple = (), **env_extra: str) -> str:
     return out.stdout.strip().splitlines()[-1]
 
 
+# CPython's parser holds a module's tokens in an array that it doubles past
+# this many; the doubling costs the compile peak of every process that
+# imports the module.
+PARSER_TOKENS_MAX = 8192
+
+
+def oversized_modules(package: Path = PACKAGE) -> dict:
+    """{module: tokens} for each module of `package` whose parser tokens,
+    every token but COMMENT, NL and ENCODING, reach `PARSER_TOKENS_MAX`."""
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        with path.open("rb") as fh:
+            count = sum(1 for tok in tokenize.tokenize(fh.readline) if tok.type not in skip)
+        if count >= PARSER_TOKENS_MAX:
+            out[path.stem] = count
+    return out
+
+
+def test_modules_stay_under_the_parser_token_array():
+    assert oversized_modules() == {}
+
+
+def test_token_count_sees_a_large_module(tmp_path):
+    """Negative control: 2048 lines of four tokens each, with the end
+    marker, reach the limit; one line fewer does not, nor do comments and
+    blank lines, which the parser never sees."""
+    (tmp_path / "large.py").write_text("x = 1\n" * 2048)
+    (tmp_path / "small.py").write_text("x = 1\n" * 2047 + "# note\n\n" * 5000)
+    assert oversized_modules(tmp_path) == {"large": 8193}
+
+
 def test_no_module_imports_numpy():
     """numpy is a test dependency only: no module of the package imports
     it, at the top or inside a function."""
@@ -496,6 +562,8 @@ _RATIONAL = ("rational", "3", "1", "--x", "1/3", "--y", "2")
 _STOLIN = ("stolin", "3", "1", "--k-matrix", "neg-j", "--x", "1/3", "--y", "2")
 _ELLIPTIC = ("elliptic", "2", "1", "--tau", "1i", "--x", "0.1", "--y", "0.2")
 _VERIFY = ("verify", "--suite", "rational", "--n-max", "2")
+_VERIFY_ELLIPTIC = ("verify", "--suite", "elliptic", "--n-max", "4")
+_VERIFY_ZOO = ("verify", "--suite", "zoo", "--n-max", "4")
 
 
 @pytest.mark.parametrize("args, modules", [
@@ -509,8 +577,8 @@ _VERIFY = ("verify", "--suite", "rational", "--n-max", "2")
     (_STOLIN,
      ["cli", "cmd_stolin", "document", "exact", "jmat", "lie", "request", "stolin", "table"]),
     (_ELLIPTIC, ["cli", "cmd_elliptic", "document", "elliptic", "heis", "lie", "request"]),
-    (_VERIFY, ["cli", "cmd_verify", "cuspidal", "cybe", "document", "elliptic", "exact", "heis",
-               "jmat", "lie", "request", "stolin", "table", "verify"]),
+    (_VERIFY, ["cli", "cmd_verify", "cuspidal", "cybe", "document", "exact", "jmat", "lie",
+               "proofs", "request", "stolin", "table", "verify"]),
     (("jmatrix", "--help"), ["cli", "cmd_jmatrix", "document", "helppage", "request"]),
     (("--help",), ["cli", "cmd_elliptic", "cmd_jmatrix", "cmd_rational", "cmd_stolin",
                    "cmd_verify", "document", "helppage", "request"]),
@@ -523,7 +591,8 @@ def test_command_loads_only_its_modules(args, modules):
     runs, so a help page loads the bodies for their docstrings alone; `cli`
     binds `document.dumps` (perfbench checks the binding), so every process
     loads `document` and none its reader, renderings (`formats`) or help
-    pages (`helppage`) unless it asks for them; `verify` loads every module of the pipelines, and leaves
+    pages (`helppage`) unless it asks for them; `verify --suite rational`
+    loads the exact pipelines and their proofs, not `elliptic`, and leaves
     multiprocessing unloaded even with FORGE_THREADS=2, which it ignores."""
     loaded, pool, _ = json.loads(_python(_LOADED, *args, FORGE_THREADS="2"))
     assert loaded == modules
@@ -538,11 +607,23 @@ def test_elliptic_request_loads_no_fractions():
     assert json.loads(_python(code, *_ELLIPTIC))[0] == []
 
 
+@pytest.mark.parametrize("args", [_VERIFY_ELLIPTIC, _VERIFY_ZOO], ids=lambda args: args[2])
+def test_elliptic_suites_load_no_exact_pipeline(args):
+    """The `elliptic` and `zoo` suites of `verify` import their route,
+    `residuals`, and none of the exact pipelines or their proofs."""
+    loaded = json.loads(_python(_LOADED, *args))[0]
+    assert "residuals" in loaded
+    assert [m for m in ("cuspidal", "exact", "jmat", "stolin", "proofs") if m in loaded] == []
+
+
 # Most package source lines one request of each kind compiles where no
-# bytecode is cached, `cli.py` included.  `verify` has no budget: it loads
-# every pipeline module, and `test_command_loads_only_its_modules` pins
-# which.
-COMPILE_BUDGETS = {"jmatrix": 600, "elliptic": 1300, "rational": 1800, "stolin": 1900}
+# bytecode is cached, `cli.py` included, keyed by the command and, for
+# `verify`, its suite.  A `verify` suite compiles its own route: the
+# figures are the counts measured when the routes split, so a check that
+# grows a route raises its figure on purpose.
+COMPILE_BUDGETS = {"jmatrix": 600, "elliptic": 1300, "rational": 1800, "stolin": 1900,
+                   "verify --suite rational": 3110, "verify --suite elliptic": 1946,
+                   "verify --suite zoo": 1973}
 # Runs the command as `python -m ybe_forge.cli` does, with `cli.py` as
 # `__main__`, then prints whether `ybe_forge.cli` was imported besides and
 # the source lines of the package modules loaded, `cli.py` counted once.
@@ -562,8 +643,10 @@ print(json.dumps(["ybe_forge.cli" in sys.modules, lines]))
 """
 
 
-@pytest.mark.parametrize("args", [_JMATRIX, _RATIONAL, _STOLIN, _ELLIPTIC, _VERIFY],
-                         ids=lambda args: args[0])
+@pytest.mark.parametrize("args", [_JMATRIX, _RATIONAL, _STOLIN, _ELLIPTIC, _VERIFY,
+                                  _VERIFY_ELLIPTIC, _VERIFY_ZOO],
+                         ids=["jmatrix", "rational", "stolin", "elliptic", "verify",
+                              "verify-elliptic", "verify-zoo"])
 def test_command_compiles_within_its_budget(args):
     """Under `python -m ybe_forge.cli` each request compiles `cli.py` once,
     as `__main__` (no module the request loads imports `ybe_forge.cli`),
@@ -571,8 +654,7 @@ def test_command_compiles_within_its_budget(args):
     `tools/time_cli.py` counts them."""
     twice, lines = json.loads(_python(_RUN_AS_MAIN, *args))
     assert not twice
-    if args[0] in COMPILE_BUDGETS:
-        assert lines <= COMPILE_BUDGETS[args[0]]
+    assert lines <= COMPILE_BUDGETS[" ".join(args[:3]) if args[0] == "verify" else args[0]]
 
 
 # The modules that the interpreter and `site` load before the package (a

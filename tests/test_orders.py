@@ -20,7 +20,8 @@ from ybe_forge.stolin import (
     solve_dec,
 )
 from ybe_forge.table import casimir, sl_basis
-from ybe_forge.verify import geometric_pole_partial, yang_order
+from ybe_forge.proofs import yang_order
+from ybe_forge.verify import geometric_pole_partial, scale
 
 # A Laurent polynomial with gl(n) coefficients is {degree: {(i, j): entry}},
 # the form of `OrderBasis.elements`.
@@ -154,7 +155,7 @@ class TestSeries:
                     assert got == {}
         expected = (
             assemble_stolin_r(e, d, K, x, y)
-            .sub(casimir(n).scale(ONE / (y - x)))
+            .add(scale(casimir(n), -ONE / (y - x)))
             .add(geometric_pole_partial(n, k_max, x, y))
         )
         assert sr.tensor == expected

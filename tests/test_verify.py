@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ybe_forge import cuspidal, jmat, stolin, verify
+from ybe_forge import cuspidal, jmat, proofs, stolin, verify
 from ybe_forge.jmat import build_j
 from ybe_forge.lie import (
     LinearMapGl,
@@ -20,12 +20,12 @@ from ybe_forge.lie import (
     transpose_negate_map,
 )
 from ybe_forge.table import POLE, TensorTable, tensor_table
-from ybe_forge.verify import flip_map
+from ybe_forge.proofs import flip_map
 from ybe_forge.verify import _coprime_pairs, _points
 
 ROUTES = {
-    "cuspidal": (verify._CUSPIDAL_TAIL, verify.check_cuspidal_cybe),
-    "stolin": (verify._TAIL, verify.check_stolin_cybe),
+    "cuspidal": (proofs._CUSPIDAL_TAIL, verify.check_cuspidal_cybe),
+    "stolin": (proofs._TAIL, verify.check_stolin_cybe),
 }
 PAIR = (F(1, 3), F(-5, 2))
 
@@ -34,7 +34,7 @@ PAIR = (F(1, 3), F(-5, 2))
 def fresh_verdicts(monkeypatch):
     """Each test starts from an empty proof memo, so that a check it runs
     proves its tables in the test, not in an earlier one."""
-    monkeypatch.setattr(verify, "_PROOFS", {})
+    monkeypatch.setattr(proofs, "_PROOFS", {})
 
 
 def route_table(route, e, d) -> TensorTable:
@@ -117,7 +117,7 @@ def coefficients(table) -> dict:
     for g1 in range(3):
         for g2 in range(3):
             for g3 in range(3):
-                for key, v in verify.cybe_polynomial(table, g1, g2, g3).items():
+                for key, v in proofs.cybe_polynomial(table, g1, g2, g3).items():
                     for i in range(3):
                         for j in range(3):
                             for k in range(3):
@@ -137,11 +137,11 @@ class TestLemma:
         table = route_table(route, e, d)
         for _ in range(2):
             bumped = random_bump(random_bump(table, tail, rng), tail, rng)
-            assert verify._broken_premise(bumped, tail) is None
+            assert proofs._broken_premise(bumped, tail) is None
             pts = _points(rng, 3)
             want = residual(bumped, pts)
             assert want  # the perturbation breaks the CYBE
-            assert verify.cybe_polynomial(bumped, *pts) == want
+            assert proofs.cybe_polynomial(bumped, *pts) == want
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
@@ -159,7 +159,7 @@ class TestLemma:
             value: dict = {}
             for (key, (i, j, k)), v in coeffs.items():
                 value[key] = value.get(key, 0) + v * b ** (i + 3 * j + 9 * k)
-            assert verify.cybe_polynomial(candidate, b, b**3, b**9) == {
+            assert proofs.cybe_polynomial(candidate, b, b**3, b**9) == {
                 key: v for key, v in value.items() if v}
             assert (candidate is table) == (not coeffs)
 
@@ -170,8 +170,8 @@ class TestLemma:
         check = ROUTES[route][1]
         table = route_table(route, 2, 3)
         seen = []
-        polynomial = verify.cybe_polynomial
-        monkeypatch.setattr(verify, "cybe_polynomial",
+        polynomial = proofs.cybe_polynomial
+        monkeypatch.setattr(proofs, "cybe_polynomial",
                             lambda t, *pt: seen.append(pt) or polynomial(t, *pt))
         assert check(2, 3, PAIR)[0]
         [(b, b3, b9)] = seen
@@ -184,7 +184,7 @@ class TestProof:
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2), (2, 3), (1, 6), (3, 4)])
     def test_every_table_proved(self, route, e, d):
         tail, check = ROUTES[route]
-        assert verify._broken_premise(route_table(route, e, d), tail) is None
+        assert proofs._broken_premise(route_table(route, e, d), tail) is None
         ok, detail = check(e, d, PAIR)
         assert ok and detail.startswith("CYBE and unitarity for all x, y")
 
@@ -219,7 +219,7 @@ class TestProof:
         _, m, key = max((abs(nums[col[m]]), m, key) for key, nums in table.terms.items()
                         for m in tail if m in col and (m, key) != ((0, m[2], m[1]), swap(key)))
         bumped = unitary_bump(table, m, key, delta)
-        assert verify._broken_premise(bumped, tail) is None
+        assert proofs._broken_premise(bumped, tail) is None
         use_table(monkeypatch, route, bumped)
         assert check(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
 
@@ -294,7 +294,7 @@ class TestTableIdentities:
         """The rule `TensorTable` states, on the tables of both routes and
         their gauge images."""
         cusp = cuspidal.sol_family(e, d).table
-        tables = [cusp, verify._gauge_table(cuspidal.flip_transpose_gauge(e, d), cusp)]
+        tables = [cusp, proofs._gauge_table(cuspidal.flip_transpose_gauge(e, d), cusp)]
         tables += [stolin.solve_dec(e, d, K).table
                    for K in (build_j(e, d), stolin.neg_j_matrix(e, d))]
         for table in tables:
@@ -310,7 +310,7 @@ class TestTableIdentities:
         table = cuspidal.sol_family(e, d).table
         for phi in (flip_map(e + d), cuspidal.flip_transpose_gauge(e, d)):
             for x, y in (PAIR, (F(2), F(0))):
-                assert verify._gauge_table(phi, table).at(x, y) == apply_gauge(
+                assert proofs._gauge_table(phi, table).at(x, y) == apply_gauge(
                     phi, phi, table.at(x, y))
 
     @pytest.mark.parametrize("e,d", [(1, 1), (1, 2), (2, 3)])
@@ -341,30 +341,30 @@ class TestTableIdentities:
 
     def test_flip_control_is_live(self, monkeypatch):
         """If the bare reversal were the gauge, the control would fail."""
-        monkeypatch.setattr(verify, "flip_map", lambda n: cuspidal.flip_transpose_gauge(2, 3))
+        monkeypatch.setattr(proofs, "flip_map", lambda n: cuspidal.flip_transpose_gauge(2, 3))
         assert not verify.check_flip_symmetry(3, 2, PAIR)[0]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_closed_form_rejects_a_changed_table(self, n, monkeypatch):
-        table = verify.closed_form_d1(n)
-        monkeypatch.setattr(verify, "closed_form_d1", lambda _: changed(
+        table = proofs.closed_form_d1(n)
+        monkeypatch.setattr(proofs, "closed_form_d1", lambda _: changed(
             table, {((0, 1, 0), (1, 2, 1, 2)): 1}))
         assert not verify.check_closed_form_d1(n)[0]
 
     def test_closed_form_n2_reference(self):
-        assert verify.closed_form_d1(2) == verify._closed_form_n2()
+        assert proofs.closed_form_d1(2) == proofs._closed_form_n2()
         # the variant ending in h (x) e_{2,1} is another table
         h = {(1, 1): F(1), (2, 2): F(-1)}
         e21 = tensor_table(2, [({(1, 2): F(1, 2)}, h, (0, 1, 0)), (h, {(2, 1): F(-1, 2)}, (0, 0, 1))])
-        assert verify.closed_form_d1(2) != e21
+        assert proofs.closed_form_d1(2) != e21
 
 
 def direct_proof(table, tail) -> bool:
     """The Kronecker proof of the table itself, without the memo."""
-    if verify._broken_premise(table, tail) is not None:
+    if proofs._broken_premise(table, tail) is not None:
         return False
     b = 1 << kronecker_bound(table).bit_length() + 1
-    return not verify.cybe_polynomial(table, b, b**3, b**9)
+    return not proofs.cybe_polynomial(table, b, b**3, b**9)
 
 
 def unit_bracket(a, b) -> dict:
@@ -431,20 +431,20 @@ class TestTransport:
         maps = [flip_map(n), transpose_negate_map(n), sigma(n)]
         maps += [cuspidal.flip_transpose_gauge(n - d, d) for d in range(1, n) if gcd(n, d) == 1]
         for g in maps:
-            assert verify._is_automorphism(g) and brackets_kept(g)
+            assert proofs._is_automorphism(g) and brackets_kept(g)
             for key in g.images:
                 bad = sign_flipped(g, key)
-                assert not verify._is_automorphism(bad) and not brackets_kept(bad)
+                assert not proofs._is_automorphism(bad) and not brackets_kept(bad)
 
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 1), (2, 3), (5, 7)])
     def test_criterion_rejects_a_flipped_sign_and_the_transpose(self, e, d):
         n, g = e + d, cuspidal.flip_transpose_gauge(e, d)
-        assert verify._is_automorphism(g)
-        assert not verify._is_automorphism(sign_flipped(g, (1, n)))
-        assert not verify._is_automorphism(sign_flipped(g, (n, n)))
+        assert proofs._is_automorphism(g)
+        assert not proofs._is_automorphism(sign_flipped(g, (1, n)))
+        assert not proofs._is_automorphism(sign_flipped(g, (n, n)))
         # the bare transpose is an anti-automorphism
         transpose = signed_permutation_map(n, lambda i, j: (j, i, 1))
-        assert not verify._is_automorphism(transpose)
+        assert not proofs._is_automorphism(transpose)
         assert not brackets_kept(transpose)
 
     def test_plus_j_check_reads_its_source_proof(self, monkeypatch):
@@ -455,8 +455,8 @@ class TestTransport:
         assert verify.check_cuspidal_cybe(2, 1, PAIR)[0]
         calls = {"_transports": 0, "_broken_premise": 0, "cybe_polynomial": 0}
         for name in calls:
-            real = getattr(verify, name)
-            monkeypatch.setattr(verify, name, lambda *a, _f=real, _n=name: calls.update(
+            real = getattr(proofs, name)
+            monkeypatch.setattr(proofs, name, lambda *a, _f=real, _n=name: calls.update(
                 {_n: calls[_n] + 1}) or _f(*a))
         ok, detail = verify.check_stolin_cybe(1, 2, PAIR)
         assert ok and "flip_map image of cuspidal (2,1) = flip_transpose_gauge" in detail
@@ -472,11 +472,11 @@ class TestTransport:
         Kronecker proof runs, and fails."""
         table = route_table("stolin", e, d)
         bumped = unitary_bump(table, (0, 1, 0), off_diagonal_keys(e + d)[0], 1)
-        assert not verify._transports(flip_map(e + d), cuspidal.sol_family(d, e).table, bumped)
+        assert not proofs._transports(flip_map(e + d), cuspidal.sol_family(d, e).table, bumped)
         use_table(monkeypatch, "stolin", bumped)
         seen = []
-        polynomial = verify.cybe_polynomial
-        monkeypatch.setattr(verify, "cybe_polynomial",
+        polynomial = proofs.cybe_polynomial
+        monkeypatch.setattr(proofs, "cybe_polynomial",
                             lambda t, *pt: seen.append(t) or polynomial(t, *pt))
         assert verify.check_stolin_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
         assert seen == [bumped]
@@ -489,7 +489,7 @@ class TestTransport:
         assert verify.check_cuspidal_cybe(2, 1, PAIR)[0]
         broken = unitary_bump(route_table("cuspidal", 1, 2), (0, 0, 0), (1, 2, 2, 3), 1)
         tables = {(1, 2): broken,
-                  (2, 1): verify._gauge_table(cuspidal.flip_transpose_gauge(1, 2), broken)}
+                  (2, 1): proofs._gauge_table(cuspidal.flip_transpose_gauge(1, 2), broken)}
         monkeypatch.setattr(cuspidal, "sol_family", lambda e, d: SimpleNamespace(table=tables[e, d]))
         for e, d in ((1, 2), (2, 1)):
             assert verify.check_cuspidal_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
@@ -502,7 +502,7 @@ class TestTransport:
         """A +J table that is the flip_map image of a broken cuspidal (d,e)
         table takes no proof from it: its own proof runs, and fails."""
         broken = unitary_bump(route_table("cuspidal", d, e), (0, 0, 0), (1, 2, 2, 3), 1)
-        image = verify._gauge_table(flip_map(e + d), broken)
+        image = proofs._gauge_table(flip_map(e + d), broken)
         real = cuspidal.sol_family
         monkeypatch.setattr(cuspidal, "sol_family", lambda a, b: SimpleNamespace(
             table=broken) if (a, b) == (d, e) else real(a, b))
@@ -511,7 +511,7 @@ class TestTransport:
 
     def test_gram_determinants_match_elimination(self):
         form = stolin.frobenius_gram(build_j(1, 1), 1)
-        dets = verify._gram_determinants(form)
+        dets = proofs._gram_determinants(form, _coprime_pairs(12))
         assert sorted(dets) == sorted(_coprime_pairs(12))
         for (e, d), (det, eliminated) in dets.items():
             assert det == stolin.frobenius_gram(build_j(e, d), e).determinant
@@ -539,9 +539,9 @@ class TestTransport:
     def test_maps_labels_needs_the_other_parabolic(self):
         n = 5
         labels = {e: stolin.parabolic_labels(e, n) for e in (2, 3)}
-        assert verify._maps_labels(sigma(n), labels[2], labels[3])
-        assert not verify._maps_labels(sigma(n), labels[2], labels[2])
-        assert not verify._maps_labels(flip_map(n), labels[2], labels[3])
+        assert proofs._maps_labels(sigma(n), labels[2], labels[3])
+        assert not proofs._maps_labels(sigma(n), labels[2], labels[2])
+        assert not proofs._maps_labels(flip_map(n), labels[2], labels[3])
 
     def test_moved_j_entry_falls_back_to_elimination(self, monkeypatch):
         """J(3,2) with one unit moved breaks flip_j(J(2,3)) = J(3,2), so its
@@ -551,9 +551,9 @@ class TestTransport:
         rows[i][j], rows[i][(j + 1) % 5] = 0, 1
         moved = tuple(map(tuple, rows))
         monkeypatch.setattr(jmat, "build_j", lambda e, d: moved if (e, d) == (3, 2) else build_j(e, d))
-        assert not verify._gram_transports(3, 2)
+        assert not proofs._gram_transports(3, 2)
         form = stolin.frobenius_gram(build_j(1, 1), 1)
-        det, eliminated = verify._gram_determinants(form)[3, 2]
+        det, eliminated = proofs._gram_determinants(form, _coprime_pairs(12))[3, 2]
         assert eliminated and det == stolin.frobenius_gram(moved, 3).determinant
         assert "24 eliminated, 21 transported" in verify.check_frobenius_goldens()[1]
 
