@@ -87,14 +87,16 @@ def _integer_rows(rows: Sequence[dict], ncols: int) -> tuple[list[dict[int, int]
     """Clear denominators row by row, over the stored entries only; row
     scaling preserves kernels and solution sets of homogeneous/augmented
     systems.  Returns the rows as {column: nonzero integer} dicts, stored
-    zeros dropped, and the multiplier of each row."""
+    zeros dropped, and the multiplier of each row: 1 for a row of ints,
+    which is passed on as it is, with no lcm and no per-entry division."""
     _check_columns(rows, ncols)
-    out = []
-    dens = []
+    out, dens = [], []
     for row in rows:
-        nonzero = [(c, x) for c, x in row.items() if x]
-        den = math.lcm(*(x.denominator for _, x in nonzero))
-        out.append({c: x.numerator * (den // x.denominator) for c, x in nonzero})
+        nonzero = {c: x for c, x in row.items() if x}
+        ints = all(type(x) is int for x in nonzero.values())
+        den = 1 if ints else math.lcm(*(x.denominator for x in nonzero.values()))
+        out.append(nonzero if ints else {c: x.numerator * (den // x.denominator)
+                                         for c, x in nonzero.items()})
         dens.append(den)
     return out, dens
 
@@ -142,11 +144,12 @@ def _bareiss_echelon(m: list[dict[int, int]], ncols: int) -> tuple[list[dict[int
         k = len(echelon)
         prev = pivots[k]
         for i in touched:
-            if stage[i] != k:
-                num, den = prev, pivots[stage[i]]
-                m[i] = {j: _exact_div(a * num, den) for j, a in m[i].items()}
-                stage[i] = k
-        best = min(touched, key=lambda i: (abs(m[i][c]), len(m[i]), i))
+            den = pivots[stage[i]]
+            if den != prev:  # rescaling by prev / prev would be the identity
+                m[i] = {j: _exact_div(a * prev, den) for j, a in m[i].items()}
+            stage[i] = k
+        best = (min(touched, key=lambda i: (abs(m[i][c]), len(m[i]), i)) if len(touched) > 1
+                else next(iter(touched)))
         touched.discard(best)
         prow = m[best]
         piv = prow[c]
@@ -383,9 +386,7 @@ def interpolate(samples: Sequence[tuple[Fraction, Fraction]], degree_bound: int)
         raise ValueError("interpolation points must be distinct")
     need = degree_bound + 2
     if len(samples) < need:
-        raise ValueError(
-            "need at least %d samples for degree bound %d" % (need, degree_bound)
-        )
+        raise ValueError("need at least %d samples for degree bound %d" % (need, degree_bound))
     base = samples[: degree_bound + 1]
     # Newton divided differences, expanded to the monomial basis
     n = len(base)
@@ -401,9 +402,7 @@ def interpolate(samples: Sequence[tuple[Fraction, Fraction]], degree_bound: int)
         basis = poly_mul(basis, (-pts[i], ONE))
     for x, y in samples[degree_bound + 1:]:
         if poly_eval(poly, x) != y:
-            raise InterpolationError(
-                "samples are not polynomial of degree <= %d" % degree_bound
-            )
+            raise InterpolationError("samples are not polynomial of degree <= %d" % degree_bound)
     return poly
 
 

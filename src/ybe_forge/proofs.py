@@ -32,10 +32,9 @@ _CUSPIDAL_TAIL = _TAIL[:3]
 def _columns(table: TensorTable) -> dict:
     """monomial -> {key: nonzero numerator} over `table.den`."""
     out: dict = {m: {} for m in table.monomials}
-    for key, nums in table.terms.items():
-        for m, v in zip(table.monomials, nums):
-            if v:
-                out[m][key] = v
+    for key, row in table.terms.items():
+        for c, v in row:
+            out[table.monomials[c]][key] = v
     return out
 
 
@@ -43,10 +42,10 @@ def _gauge_table(phi: LinearMapGl, table: TensorTable) -> TensorTable:
     """The table of (phi (x) phi) r(x, y): a signed permutation of the keys,
     so a canonical table stays canonical."""
     terms = {}
-    for (i, j, k, l), nums in table.terms.items():
+    for (i, j, k, l), row in table.terms.items():
         a, b, s = phi.images[i, j]
         p, q, t = phi.images[k, l]
-        terms[a, b, p, q] = nums if s == t else tuple(-v for v in nums)
+        terms[a, b, p, q] = row if s == t else tuple((c, -v) for c, v in row)
     return TensorTable(table.n, table.monomials, table.den, terms)
 
 
@@ -195,7 +194,7 @@ def _proof(route: str, e: int, d: int) -> tuple[TensorTable, str | None, str]:
                 if src_failed is None:
                     via = " = %s image of cuspidal (%d,%d)%s" % (name, d, e, src_via)
         if not via:
-            s = sum(abs(v) for nums in table.terms.values() for v in nums)
+            s = sum(abs(v) for row in table.terms.values() for _, v in row)
             b = 1 << (6 * s * s).bit_length() + 1
             if cybe_polynomial(table, b, b**3, b**9):
                 failed = "Q(B, B^3, B^9) != 0"

@@ -17,17 +17,15 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts, and largest `verify
 # --n-max`; larger requests exit 3 before any work.  The exact pipelines
-# cost about n^6: on one CPU of a 2-core Intel Xeon, a fresh `rational 12 1`
-# takes 70 ms and `elliptic 12 1` 66 ms, compiling the package (medians of
-# 3).  `verify` proves the CYBE and unitarity once per unordered pair and
-# transports the rest: `python tools/time_verify.py --runs 3 8 12`
-# (in-process) reads medians of 0.28 s at 8 and 1.30 s at 12.
+# cost about n^6; on one CPU of a 2-core Intel Xeon a fresh `rational 12 1`
+# or `elliptic 12 1` takes 63-64 ms and `tools/time_verify.py --runs 3 8 12`
+# reads medians of 0.27 s at 8 and 1.21 s at 12 (in-process, after imports).
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and
-# y enter only a table evaluation: on one CPU of a 2-core Intel Xeon,
-# `rational 12 d` for d = 1, 5, 7 and 11 takes 0.19-0.23 s at x = 1/3 and
-# 0.18-0.20 s at a 30-digit x; a warm (5, 7) evaluation 4 ms at 60 digits.
+# y enter only a table evaluation: on that CPU a fresh `rational 12 d`, d = 1,
+# 5, 7, 11, takes 63-72 ms at x = 1/3 and at a 30-digit x, a warm (5, 7)
+# evaluation 0.36 ms at 30 digits and 0.54 ms at 60 (medians of 3; best of 5).
 RAT_DIGITS_MAX = 30
 
 

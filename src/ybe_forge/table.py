@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul
 from types import MappingProxyType
 
 from .lie import GlTensor2
@@ -89,15 +88,15 @@ class ReadOnly:
 
 
 class TensorTable(ReadOnly):
-    """r(x, y) = sum over the monomials m of m(x, y) T_m in integers:
-    terms[(i, j, k, l)] holds the numerators of the coefficient of
-    e_{i,j} (x) e_{k,l} in each T_m, in the order of `monomials`, over the
-    common denominator `den`.
+    """r(x, y) = sum over the monomials m of m(x, y) T_m in integers: the
+    row terms[(i, j, k, l)] holds the coefficient of e_{i,j} (x) e_{k,l}
+    sparsely, as the pairs (c, v), c ascending, of each monomial
+    `monomials[c]` where it is nonzero and its numerator v over `den`.
 
     A table is canonical: `monomials` is sorted, `den` is positive and in
-    lowest terms with the numerators, and no key and no monomial has only
-    zero numerators.  `tensor_table` builds only canonical tables, so for
-    the monomials it is given (1/(y - x) and x^a y^b, which are linearly
+    lowest terms with the numerators, no row is empty or holds a zero, and
+    every monomial is in some row.  `tensor_table` builds only canonical
+    tables, so for its monomials (1/(y - x) and x^a y^b, linearly
     independent) two tables are the same r(x, y) iff they are ==.
 
     The caches of both pipelines hand one table to every caller, so a table
@@ -120,60 +119,63 @@ class TensorTable(ReadOnly):
     def at(self, x: Fraction, y: Fraction) -> GlTensor2:
         """r(x, y) for y != x, put in lowest terms over one positive
         denominator by `GlTensor2.over`.  Every monomial is an integer over
-        one common denominator, so each term costs one integer combination
-        and no Fraction; terms that vanish at (x, y) are dropped.  The
-        numerators are a new dict on every call: no evaluation shares a
-        value with the table or with another evaluation."""
+        one common denominator, so each pair of a row costs one integer
+        product and no Fraction; terms that vanish at (x, y) are dropped,
+        the rest kept in key order.  The numerators are a new dict on every
+        call: no evaluation shares a value with the table or another."""
         if x == y:
             raise ValueError("need x != y")
         xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
         s = yn * xd - xn * yd  # (y - x) xd yd
         p_max, a_max, b_max = self.tops
-        values = [
-            xn**a * xd ** (a_max - a + p) * yn**b * yd ** (b_max - b + p) * s ** (p_max - p)
-            for p, a, b in self.monomials
-        ]
+        values = [xn**a * xd ** (a_max - a + p) * yn**b * yd ** (b_max - b + p) * s ** (p_max - p)
+                  for p, a, b in self.monomials]
         den = self.den * xd**a_max * yd**b_max * s**p_max
         # den < 0 where y < x: a negative g makes den // g positive, so that
         # `over` divides no numerator when they are in lowest terms
         g = gcd(den, *values) if den > 0 else -gcd(den, *values)
         values = [v // g for v in values]
-        nums = {key: v for key, row in self.terms.items() if (v := sum(map(mul, row, values)))}
+        nums = {key: v for key, row in self.terms.items() if (v := values[row[0][0]] * row[0][1]
+                if len(row) == 1 else sum(values[c] * u for c, u in row))}
         return GlTensor2.over(self.n, nums, den // g)
 
 
 def tensor_table(n: int, pairs) -> TensorTable:
     """The table of c/(y - x) + sum of m(x, y) A (x) B over the list of
     triples (A, B, m) `pairs`, c the Casimir.  A and B are {(i, j): entry}
-    dicts, 1-based, of rationals.  Built in integers: the entries of each
-    slot are scaled to the lcm of that slot's denominators, and keys and
-    monomials whose numerators all cancel are dropped: the table is
-    canonical."""
+    dicts, 1-based, of rationals.  Built in integers and sparse rows: the
+    entries of each slot are scaled to the lcm of that slot's
+    denominators, and numerators that cancel, keys left with none and
+    monomials that no row holds are dropped: the table is canonical."""
     monomials = tuple(sorted({POLE}.union(m for _, _, m in pairs)))
     col = {m: c for c, m in enumerate(monomials)}
     den_a = lcm(*(v.denominator for a, _, _ in pairs for v in a.values()))
     den_b = lcm(n, *(v.denominator for _, b, _ in pairs for v in b.values()))
     den = den_a * den_b
-    acc: dict = {}
-    width = len(monomials)
     c_nums, c_den = casimir(n).numerators()
-    for key, v in c_nums.items():
-        acc.setdefault(key, [0] * width)[col[POLE]] = v * (den // c_den)
+    acc = {key: {col[POLE]: v * (den // c_den)} for key, v in c_nums.items()}
     for a, b, m in pairs:
         c = col[m]
         b_terms = [(k, l, v.numerator * (den_b // v.denominator)) for (k, l), v in b.items()]
         for (i, j), v in a.items():
             va = v.numerator * (den_a // v.denominator)
             for k, l, vb in b_terms:
-                key = (i, j, k, l)
-                nums = acc.get(key)
-                if nums is None:
-                    nums = acc[key] = [0] * width
-                nums[c] += va * vb
-    live = [c for c in range(width) if any(nums[c] for nums in acc.values())]
-    if len(live) < width:
-        monomials = tuple(monomials[c] for c in live)
-        acc = {key: [nums[c] for c in live] for key, nums in acc.items()}
-    g = gcd(den, *(v for nums in acc.values() for v in nums))
-    terms = {key: tuple(v // g for v in nums) for key, nums in acc.items() if any(nums)}
-    return TensorTable(n, monomials, den // g, terms)
+                row = acc.get((i, j, k, l))
+                if row is None:
+                    acc[i, j, k, l] = {c: va * vb}
+                else:
+                    row[c] = row.get(c, 0) + va * vb
+    g = gcd(den, *(v for row in acc.values() for v in row.values()))
+    live = sorted({c for row in acc.values() for c, v in row.items() if v})
+    new = {c: k for k, c in enumerate(live)}
+    # a pipeline table has a few dozen distinct rows: equal rows share one tuple
+    terms, shared = {}, {}
+    for key, row in acc.items():
+        if len(row) == 1:  # the rule in both pipelines' tables: no sort, no list
+            ((c, v),) = row.items()
+            row = ((new[c], v // g),) if v else ()
+        else:
+            row = tuple([(new[c], v // g) for c, v in sorted(row.items()) if v])
+        if row:
+            terms[key] = shared.setdefault(row, row)
+    return TensorTable(n, tuple(monomials[c] for c in live), den // g, terms)

@@ -790,11 +790,14 @@ def table_mismatches(table, reference, xs):
 
 
 def bumped(table, rng):
-    """A copy of `table` with one numerator of one entry raised by 1."""
+    """A copy of `table` with one numerator of one entry raised by 1; a
+    numerator raised to 0 leaves its row, so the row stays sparse."""
     key = rng.choice(sorted(table.terms))
-    nums = list(table.terms[key])
-    nums[rng.randrange(len(nums))] += 1
-    return TensorTable(table.n, table.monomials, table.den, {**table.terms, key: tuple(nums)})
+    row = list(table.terms[key])
+    k = rng.randrange(len(row))
+    row[k] = (row[k][0], row[k][1] + 1)
+    return TensorTable(table.n, table.monomials, table.den,
+                       {**table.terms, key: tuple(p for p in row if p[1])})
 
 
 def spy_tensor_products(monkeypatch) -> list:
@@ -852,8 +855,8 @@ class TestTable:
         # c/(y - x) + A + x B + y C
         assert set(table.monomials) == {POLE, (0, 0, 0), (0, 1, 0), (0, 0, 1)}
         assert type(table.den) is int
-        assert all(type(v) is int for nums in table.terms.values() for v in nums)
-        assert all(any(nums) for nums in table.terms.values())
+        assert all(type(v) is int and v for row in table.terms.values() for _, v in row)
+        assert all(table.terms.values())
 
     def test_warm_assembly_forms_no_tensor_product(self, monkeypatch):
         """After the first assembly, another (x, y), at a new x too,
@@ -908,7 +911,8 @@ class TestAnsatz:
         is reported as AnsatzError."""
         table = sol_family(1, 1).table
         cubic = TensorTable(table.n, table.monomials + ((0, 3, 0),), table.den,
-                                {key: nums + (1,) for key, nums in table.terms.items()})
+                            {key: row + ((len(table.monomials), 1),)
+                             for key, row in table.terms.items()})
         monkeypatch.setattr(cuspidal, "sol_family", lambda e, d: SimpleNamespace(table=cubic))
         with pytest.raises(AnsatzError, match="not those of"):
             r_ansatz(1, 1)
@@ -944,8 +948,8 @@ class TestAnsatz:
             table = r_ansatz(e, d)
             pole = table.monomials.index(POLE)
             assert [m for m in table.monomials if m[0]] == [POLE]
-            got = {key: F(nums[pole], table.den)
-                   for key, nums in table.terms.items() if nums[pole]}
+            got = {key: F(v, table.den)
+                   for key, row in table.terms.items() for c, v in row if c == pole}
             assert got == casimir(e + d).terms
 
     def test_bumped_table_fails_the_check(self, monkeypatch):

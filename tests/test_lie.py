@@ -31,7 +31,7 @@ from ybe_forge.lie import (
     transpose_negate_map,
 )
 from ybe_forge.request import N_MAX
-from ybe_forge.table import basis_terms, casimir, dual_terms, sl_basis
+from ybe_forge.table import POLE, TensorTable, basis_terms, casimir, dual_terms, sl_basis
 from ybe_forge.proofs import flip_map
 from ybe_forge.verify import scale
 
@@ -752,11 +752,11 @@ class TestUnitary:
 
 def table_reference(table, x, y) -> dict:
     """{key: Fraction} of r(x, y) from the table's definition: each key's
-    numerators times the values x^a y^b / (y - x)^p of its monomials, over
-    the table's denominator, zeros dropped."""
+    numerators times the values x^a y^b / (y - x)^p of their monomials,
+    over the table's denominator, zeros dropped."""
     values = [x**a * y**b / (y - x) ** p for p, a, b in table.monomials]
-    out = {key: sum(v * m for v, m in zip(nums, values)) / table.den
-           for key, nums in table.terms.items()}
+    out = {key: sum(v * values[c] for c, v in row) / table.den
+           for key, row in table.terms.items()}
     return {key: v for key, v in out.items() if v}
 
 
@@ -812,6 +812,29 @@ class TestIntegerForm:
             nums, den = t.numerators()
             assert den > 0 and all(type(v) is int and v for v in nums.values())
             assert t.terms == table_reference(table, x, y)
+
+    def test_at_sums_rows_of_several_pairs(self):
+        """No pipeline table has a row of two pairs; `at` sums them all.
+        The key (1, 1, 2, 2) is y - 2x, which cancels at (3/5, 6/5), and a
+        point with x = 0 or y = 0 zeroes every monomial with a positive
+        exponent there.  Negative control: an evaluation that reads only
+        the first pair of each row differs from the reference."""
+        monomials = ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 1), POLE, (2, 0, 0))
+        assert list(monomials) == sorted(monomials)
+        rows = {(1, 2, 2, 1): ((0, 3), (5, 2)), (2, 1, 1, 2): ((1, -1), (2, 5), (3, 7)),
+                (1, 1, 2, 2): ((1, 1), (2, -2)), (2, 2, 1, 1): ((4, 4), (6, -3)),
+                (1, 2, 1, 2): ((2, 1), (4, -1), (5, 6)), (2, 1, 2, 1): ((6, 5),)}
+        table = TensorTable(2, monomials, 6, rows)
+        first_only = TensorTable(2, monomials, 6, {key: row[:1] for key, row in rows.items()})
+        points = [(F(3, 5), F(6, 5)), (F(0), F(2)), (F(3, 2), F(0)), (F(0), F(-1, 4)),
+                  (F(-1, 3), F(4, 7)), (F(5), F(-2))]
+        for x, y in points:
+            want = table_reference(table, x, y)
+            got = table.at(x, y)
+            assert got.terms == want
+            assert list(got.numerators()[0]) == [key for key in rows if key in want]
+            assert first_only.at(x, y).terms != want
+        assert (1, 1, 2, 2) not in table.at(F(3, 5), F(6, 5)).terms
 
     def test_at_refuses_equal_points(self):
         x = F(1, 3)

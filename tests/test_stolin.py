@@ -652,8 +652,8 @@ class TestTable:
         assert POLE in table.monomials
         assert set(table.monomials) <= {(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), POLE}
         assert type(table.den) is int
-        assert all(type(v) is int for nums in table.terms.values() for v in nums)
-        assert all(any(nums) for nums in table.terms.values())
+        assert all(type(v) is int and v for row in table.terms.values() for _, v in row)
+        assert all(table.terms.values())
 
     def test_warm_assembly_forms_no_tensor_product(self, monkeypatch):
         """After the first assembly, another (x, y) evaluates the cached

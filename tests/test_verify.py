@@ -54,18 +54,16 @@ def use_table(monkeypatch, route, table):
 
 def changed(table, changes) -> TensorTable:
     """`table` with the numerator of each (monomial, key) moved by its delta;
-    a monomial the table lacks gets a column."""
+    a monomial the table lacks gets an index, a numerator moved to 0 leaves
+    its row and a key whose row empties leaves the table."""
     monomials = tuple(sorted(set(table.monomials) | {m for m, _ in changes}))
     col = {m: c for c, m in enumerate(monomials)}
-    acc: dict = {}
-    for key, nums in table.terms.items():
-        row = acc.setdefault(key, [0] * len(monomials))
-        for m, v in zip(table.monomials, nums):
-            row[col[m]] = v
+    acc = {key: {col[table.monomials[c]]: v for c, v in row} for key, row in table.terms.items()}
     for (m, key), delta in changes.items():
-        acc.setdefault(key, [0] * len(monomials))[col[m]] += delta
-    return TensorTable(table.n, monomials, table.den,
-                       {key: tuple(v) for key, v in acc.items() if any(v)})
+        row = acc.setdefault(key, {})
+        row[col[m]] = row.get(col[m], 0) + delta
+    rows = {key: tuple((c, v) for c, v in sorted(row.items()) if v) for key, row in acc.items()}
+    return TensorTable(table.n, monomials, table.den, {key: row for key, row in rows.items() if row})
 
 
 def swap(key):
@@ -100,8 +98,30 @@ def residual(table, pts):
     return {key: v * table.den**2 for key, v in lhs.terms.items()}
 
 
+def canonical_rule_broken(table) -> str | None:
+    """The first part of the rule `TensorTable` states that the table
+    breaks, or None: each row is its (monomial index, nonzero numerator)
+    pairs, indices ascending, no row is empty, every monomial is in some
+    row, the denominator is positive and in lowest terms with the
+    numerators, and the monomials are sorted."""
+    rows = list(table.terms.values())
+    if any(v == 0 for row in rows for _, v in row):
+        return "a zero numerator"
+    if not all(rows):
+        return "an empty row"
+    if any([c for c, _ in row] != sorted({c for c, _ in row}) for row in rows):
+        return "a row out of order"
+    if {c for row in rows for c, _ in row} != set(range(len(table.monomials))):
+        return "a monomial in no row"
+    if table.den <= 0 or gcd(table.den, *(v for row in rows for _, v in row)) != 1:
+        return "a denominator not in lowest terms"
+    if list(table.monomials) != sorted(set(table.monomials)):
+        return "monomials out of order"
+    return None
+
+
 def kronecker_bound(table) -> int:
-    return 6 * sum(abs(v) for nums in table.terms.values() for v in nums) ** 2
+    return 6 * sum(abs(v) for row in table.terms.values() for _, v in row) ** 2
 
 
 # the Lagrange basis on the nodes 0, 1, 2 as coefficients of 1, x, x^2
@@ -215,9 +235,9 @@ class TestProof:
         with its unitary partner, is rejected."""
         tail, check = ROUTES[route]
         table = route_table(route, e, d)
-        col = {m: c for c, m in enumerate(table.monomials)}
-        _, m, key = max((abs(nums[col[m]]), m, key) for key, nums in table.terms.items()
-                        for m in tail if m in col and (m, key) != ((0, m[2], m[1]), swap(key)))
+        _, m, key = max((abs(v), m, key) for key, row in table.terms.items() for c, v in row
+                        if (m := table.monomials[c]) in tail
+                        and (m, key) != ((0, m[2], m[1]), swap(key)))
         bumped = unitary_bump(table, m, key, delta)
         assert proofs._broken_premise(bumped, tail) is None
         use_table(monkeypatch, route, bumped)
@@ -298,12 +318,28 @@ class TestTableIdentities:
         tables += [stolin.solve_dec(e, d, K).table
                    for K in (build_j(e, d), stolin.neg_j_matrix(e, d))]
         for table in tables:
-            assert list(table.monomials) == sorted(set(table.monomials))
-            assert table.den > 0 and gcd(table.den, *(v for nums in table.terms.values()
-                                                     for v in nums)) == 1
-            assert all(any(nums) for nums in table.terms.values())
-            assert all(any(nums[c] for nums in table.terms.values())
-                       for c in range(len(table.monomials)))
+            assert canonical_rule_broken(table) is None
+
+    @pytest.mark.parametrize("fault, broken", [
+        ("a zero numerator", lambda rows, key, pole: {**rows, key: rows[key] + ((pole, 0),)}),
+        ("an empty row", lambda rows, key, pole: {**rows, key: ()}),
+        ("a row out of order", lambda rows, key, pole: {**rows, key: ((pole, 1),) + rows[key]}),
+        ("a monomial in no row", lambda rows, key, pole: {k: r for k, r in rows.items()
+                                                          if all(c != pole for c, _ in r)}),
+    ])
+    def test_canonical_rule_fails_a_broken_table(self, fault, broken):
+        """Negative controls: the rule rejects a table that stores a zero,
+        an empty row, pairs out of index order, a monomial that no row
+        holds, and a denominator not in lowest terms."""
+        table = cuspidal.sol_family(2, 1).table
+        pole = table.monomials.index(POLE)
+        assert pole == len(table.monomials) - 1 and canonical_rule_broken(table) is None
+        key = next(k for k, row in table.terms.items() if row[-1][0] < pole)
+        bad = TensorTable(table.n, table.monomials, table.den, broken(dict(table.terms), key, pole))
+        assert canonical_rule_broken(bad) == fault
+        doubled = {k: tuple((c, 2 * v) for c, v in row) for k, row in table.terms.items()}
+        assert canonical_rule_broken(TensorTable(
+            table.n, table.monomials, 2 * table.den, doubled)) == "a denominator not in lowest terms"
 
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 3), (3, 1)])
     def test_gauge_table_is_apply_gauge(self, e, d):

@@ -9,16 +9,19 @@ each N_MAX, so that a drift in machine speed falls on all of them alike.
 Each run prints the wall and CPU seconds of `verify.report_json(
 verify.run_suite("all", N_MAX))`, what `verify --suite all --n-max N_MAX
 --format json` runs, without interpreter start-up or imports; N_MAX is not
-held to the CLI's cap `request.N_MAX`.  It also prints the run's peak RSS,
-whether every check passed, and the summed `elapsed` of each check kind (the
-name before `-(` or `-n=`), read from the JSON report.  The peak RSS is the
-child's own `ru_maxrss`; on Linux a process started by fork and exec keeps
-the high-water mark of the process that started it, so this tool's own RSS
-(about 15 MB) is a floor on the reading.  After each N_MAX come, per
-checkout, the median wall time and the median over its runs of each check
-kind's summed `elapsed`, and, for each further checkout, the checks whose
-name, status, detail or tolerance differ, in any of its runs, from the first
-run of the first checkout (`elapsed` is not compared): their count, then
+held to the CLI's cap `request.N_MAX`.  The checks import their route modules
+(`proofs`, `residuals` and what they load) when they first run, so the child
+imports both before its timer starts: each check's `elapsed` and the wall time
+then measure the checks, not the first check's compiles.  It also prints the
+run's peak RSS, whether every check passed, and the summed `elapsed` of each
+check kind (the name before `-(` or `-n=`), read from the JSON report.  The
+peak RSS is the child's own `ru_maxrss`; on Linux a process started by fork
+and exec keeps the high-water mark of the process that started it, so this
+tool's own RSS (about 15 MB) is a floor on the reading.  After each N_MAX
+come, per checkout, the median wall time and the median over its runs of each
+check kind's summed `elapsed`, and, for each further checkout, the checks
+whose name, status, detail or tolerance differ, in any of its runs, from the
+first run of the first checkout (`elapsed` is not compared): their count, then
 each check's name with the fields that differ.
 """
 
@@ -33,7 +36,7 @@ import sys
 
 CHILD = """import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
-from ybe_forge import verify
+from ybe_forge import proofs, residuals, verify
 wall, cpu = time.perf_counter(), time.process_time()
 out = verify.report_json(verify.run_suite("all", int(sys.argv[2])))
 wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
