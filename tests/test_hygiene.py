@@ -624,23 +624,13 @@ def test_elliptic_suites_load_no_exact_pipeline(args):
 COMPILE_BUDGETS = {"jmatrix": 600, "elliptic": 1300, "rational": 1800, "stolin": 1900,
                    "verify --suite rational": 3110, "verify --suite elliptic": 1946,
                    "verify --suite zoo": 1973}
-# Runs the command as `python -m ybe_forge.cli` does, with `cli.py` as
-# `__main__`, then prints whether `ybe_forge.cli` was imported besides and
-# the source lines of the package modules loaded, `cli.py` counted once.
-_RUN_AS_MAIN = """import json, runpy, sys
-sys.argv[0] = "ybe-forge"
-try:
-    runpy.run_module("ybe_forge.cli", run_name="__main__")
-except SystemExit as exc:
-    assert exc.code == 0, exc.code
-files = {m.__file__ for name, m in list(sys.modules.items()) if name.startswith("ybe_forge.")}
-files.add(sys.modules["ybe_forge"].__file__.replace("__init__.py", "cli.py"))
-lines = 0
-for path in files:
-    with open(path, encoding="utf-8") as fh:
-        lines += sum(1 for _ in fh)
-print(json.dumps(["ybe_forge.cli" in sys.modules, lines]))
-"""
+# The probe that `tools/bench.py` counts compiled source lines with: it runs
+# the command as `python -m ybe_forge.cli` does, with `cli.py` as `__main__`,
+# then prints whether `ybe_forge.cli` was imported besides and the source
+# lines of the package modules loaded, `cli.py` counted once.
+_BENCH_SPEC = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
+_BENCH = importlib.util.module_from_spec(_BENCH_SPEC)
+_BENCH_SPEC.loader.exec_module(_BENCH)
 
 
 @pytest.mark.parametrize("args", [_JMATRIX, _RATIONAL, _STOLIN, _ELLIPTIC, _VERIFY,
@@ -650,9 +640,9 @@ print(json.dumps(["ybe_forge.cli" in sys.modules, lines]))
 def test_command_compiles_within_its_budget(args):
     """Under `python -m ybe_forge.cli` each request compiles `cli.py` once,
     as `__main__` (no module the request loads imports `ybe_forge.cli`),
-    and at most its budget of package source lines, counted as
-    `tools/time_cli.py` counts them."""
-    twice, lines = json.loads(_python(_RUN_AS_MAIN, *args))
+    and at most its budget of package source lines, counted by the probe
+    of `tools/bench.py`."""
+    twice, lines = json.loads(_python(_BENCH.COMPILED, *args))
     assert not twice
     assert lines <= COMPILE_BUDGETS[" ".join(args[:3]) if args[0] == "verify" else args[0]]
 
