@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 from .request import EXIT_BADINPUT, EXIT_FAIL, check_size, echo, fail
@@ -16,7 +17,7 @@ def run(suite, n_max, fmt):
     check_size(n_max, "--n-max")
     report = verify.run_suite(suite, n_max=n_max)
     if fmt == "json":
-        echo(verify.report_json(report))
+        echo(json.dumps(report.to_json(), indent=2))
     else:
         echo(report.render_text())
     if not report.passed:

@@ -3,7 +3,8 @@
 J drives both exact pipelines: the geometric one (`cuspidal`) pairs with
 it in the constraint of Sol((e,d), x), the parabolic one (`stolin`) takes
 +-J as its cocycle matrix.  `jmatrix` loads it beside `cli` and `document`.
-J is handed out as its n row tuples.  The split is one integer per entry,
+J is handed out as its n row tuples; the 2-colouring of its support, which
+only the flip gauge reads, is `cuspidal.j_support_coloring`.  The split is one integer per entry,
 `twist`: the z-degree of eta^-1 e_ij eta, from which `cuspidal` reads the
 degree caps of V_{e,d} and `stolin` the parabolic p_e, the nilpotent block
 and the twist of the order.
@@ -66,37 +67,6 @@ def build_j(e: int, d: int) -> tuple:
                 new[a + i][size + i] = 1
         mat = new
     return tuple(tuple(row) for row in mat)
-
-
-def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
-    """Signs s_1..s_n with s_i s_j = -1 on every unit entry (i,j) of J_(e,d).
-
-    The support of J is a forest (each recursion step attaches a matching to
-    fresh indices), so the 2-coloring always exists; components start at +1.
-    """
-    n = e + d
-    J = build_j(e, d)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for jj in range(n):
-            if J[i][jj]:
-                adj[i].append(jj)
-                adj[jj].append(i)
-    s = [0] * n
-    for v in range(n):
-        if s[v]:
-            continue
-        s[v] = 1
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if s[w] == 0:
-                    s[w] = -s[u]
-                    stack.append(w)
-                elif s[w] != -s[u]:
-                    raise RuntimeError("J support graph is not 2-colorable")
-    return tuple(s)
 
 
 def twist(i: int, j: int, e: int) -> int:

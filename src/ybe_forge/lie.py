@@ -6,13 +6,14 @@ vanish) is a property the tests check, not a storage constraint.  A tensor
 is read-only, and a rational one holds integer numerators in lowest terms
 over one positive denominator, so equal values have equal forms.  The CYBE
 embedding conventions (which slot carries the bracket) are fixed here once,
-by `cybe_lhs`, and nowhere else.  The CYBE kernel (`cybe`, which also holds
-`GlTensor3`) and the closed form of the Heisenberg basis (`heis`) load
-only when first used.  The sl(n) basis, the Casimir element and the
-rational tables of the exact pipelines are `table`: an `elliptic` request
-loads this module alone, and no `fractions`, since a Fraction is built
-only where one is handed out (`GlTensor2.terms` of a rational tensor).
-The classes hold what requests call; `verify` scales a tensor itself.
+by `cybe_lhs`.  The CYBE kernel (`cybe`, which also holds `GlTensor3`) and
+the closed form of the Heisenberg basis (`heis`) load when first used.  The
+sl(n) basis, the Casimir element and the rational tables of the exact
+pipelines are `table`: an `elliptic` request loads this module alone, and no
+`fractions`, since a Fraction is built only where one is handed out
+(`GlTensor2.terms` of a rational tensor).  The tensor class holds what
+requests call (`verify` scales a tensor itself); a gauge is a plain dict
+{(i, j): (a, b, s)} of images.
 """
 
 from __future__ import annotations
@@ -195,42 +196,32 @@ def is_unitary_pair(r_xy: GlTensor2, r_yx: GlTensor2) -> bool:
 # constant gauge transformations
 # ---------------------------------------------------------------------------
 
-class LinearMapGl:
-    """A signed permutation of the unit basis of gl(n): images[(i, j)] =
-    (a, b, s) means e_{i,j} |-> s e_{a,b} with s = +1 or -1.  Every gauge
-    relating the pipelines has this form."""
-
-    __slots__ = ("n", "images")
-
-    def __init__(self, n: int, images: dict):
-        self.n = n
-        self.images = images
-
-
-def signed_permutation_map(n: int, image) -> LinearMapGl:
-    """The gauge e_{i,j} |-> s e_{a,b} for image(i, j) = (a, b, s), 1-based."""
+def signed_permutation_map(n: int, image) -> dict:
+    """The gauge e_{i,j} |-> s e_{a,b} for image(i, j) = (a, b, s), 1-based,
+    as its images {(i, j): (a, b, s)}, s = +1 or -1: every gauge relating
+    the pipelines is such a signed permutation of the unit basis of gl(n)."""
     idx = range(1, n + 1)
-    return LinearMapGl(n, {(i, j): image(i, j) for i in idx for j in idx})
+    return {(i, j): image(i, j) for i in idx for j in idx}
 
 
-def transpose_negate_map(n: int) -> LinearMapGl:
+def transpose_negate_map(n: int) -> dict:
     """A |-> -A^t, the involutive automorphism relating the two rational
     pipelines."""
     return signed_permutation_map(n, lambda i, j: (j, i, -1))
 
 
-def apply_gauge(phi: LinearMapGl, psi: LinearMapGl, r: GlTensor2) -> GlTensor2:
-    """(phi (x) psi) applied coefficient-wise, zero terms dropped.
-    Distinct unit pairs have distinct images, so no two terms combine: the
-    held coefficients are mapped over the same denominator."""
-    if phi.n != r.n or psi.n != r.n:
+def apply_gauge(phi: dict, psi: dict, r: GlTensor2) -> GlTensor2:
+    """(phi (x) psi) applied coefficient-wise for gauges of r's n, zero terms
+    dropped.  Distinct unit pairs have distinct images, so no two terms
+    combine: the held coefficients are mapped over the same denominator."""
+    if len(phi) != r.n * r.n or len(psi) != r.n * r.n:
         raise ValueError("gauge size mismatch")
     out: dict = {}
     for (i, j, k, l), c in r._coeffs.items():
         if c == 0:
             continue
-        a, b, s = phi.images[(i, j)]
-        p, q, t = psi.images[(k, l)]
+        a, b, s = phi[i, j]
+        p, q, t = psi[k, l]
         out[(a, b, p, q)] = c * (s * t)
     return GlTensor2._held(r.n, r.ring, out, r._den)
 

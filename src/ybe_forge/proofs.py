@@ -11,7 +11,7 @@ from fractions import Fraction
 from . import cuspidal, jmat, stolin
 from .cybe import cybe_lhs_sum
 from .exact import ONE, kernel
-from .lie import RATIONAL, GlTensor2, LinearMapGl, is_unitary_pair, signed_permutation_map
+from .lie import RATIONAL, GlTensor2, is_unitary_pair, signed_permutation_map
 from .table import POLE, TensorTable, basis_terms, casimir, dual_terms, sl_basis, tensor_table
 
 # --- exact identities on the tables r = c/(y-x) + sum x^a y^b T_ab ---------
@@ -38,13 +38,14 @@ def _columns(table: TensorTable) -> dict:
     return out
 
 
-def _gauge_table(phi: LinearMapGl, table: TensorTable) -> TensorTable:
-    """The table of (phi (x) phi) r(x, y): a signed permutation of the keys,
-    so a canonical table stays canonical."""
+def _gauge_table(phi: dict, table: TensorTable) -> TensorTable:
+    """The table of (phi (x) phi) r(x, y) for a gauge phi of the table's n:
+    a signed permutation of the keys, so a canonical table stays
+    canonical."""
     terms = {}
     for (i, j, k, l), row in table.terms.items():
-        a, b, s = phi.images[i, j]
-        p, q, t = phi.images[k, l]
+        a, b, s = phi[i, j]
+        p, q, t = phi[k, l]
         terms[a, b, p, q] = row if s == t else tuple((c, -v) for c, v in row)
     return TensorTable(table.n, table.monomials, table.den, terms)
 
@@ -121,27 +122,27 @@ def cybe_polynomial(table: TensorTable, x1, x2, x3) -> dict:
     ]).terms
 
 
-def _is_automorphism(g: LinearMapGl) -> bool:
+def _is_automorphism(g: dict) -> bool:
     """Whether the signed permutation g of the units is, for a permutation
     p and signs t, either e_ij |-> t_i t_j e_p(i)p(j), conjugation by a
     signed permutation matrix, or e_ij |-> -t_i t_j e_p(j)p(i), that map
     after X |-> -X^t.  Both are Lie algebra automorphisms of gl(n).  The
     diagonal gives p and the form (its images are +-e_p(i)p(i)), the first
     row gives t up to one overall sign, and every image is compared: O(n^2)
-    against n^4 brackets."""
-    n, images = g.n, g.images
+    against n^4 brackets.  n is read off g's n^2 keys."""
+    n = max(i for i, _ in g)
     idx = range(1, n + 1)
-    form = images[1, 1][2]
-    p = [0] + [images[i, i][0] for i in idx]
+    form = g[1, 1][2]
+    p = [0] + [g[i, i][0] for i in idx]
     if sorted(p) != list(range(n + 1)):
         return False
-    t = [0] + [images[1, j][2] * form for j in idx]
-    return images == {
+    t = [0] + [g[1, j][2] * form for j in idx]
+    return g == {
         (i, j): ((p[i], p[j]) if form > 0 else (p[j], p[i])) + (form * t[i] * t[j],)
         for i in idx for j in idx}
 
 
-def _transports(g: LinearMapGl, src: TensorTable, table: TensorTable) -> bool:
+def _transports(g: dict, src: TensorTable, table: TensorTable) -> bool:
     """g is an automorphism and (g (x) g) carries `src` to `table`.
 
     Lemma: for an automorphism g, CYBE((g (x) g) r) = (g (x) g (x) g)
@@ -229,7 +230,7 @@ def flip_j(J: tuple) -> tuple:
     )
 
 
-def flip_map(n: int) -> LinearMapGl:
+def flip_map(n: int) -> dict:
     """e_{i,j} |-> e_{n+1-i, n+1-j}, conjugation by the antidiagonal."""
     return signed_permutation_map(n, lambda i, j: (n + 1 - i, n + 1 - j, 1))
 
@@ -247,19 +248,19 @@ def point_sol_space(e: int, d: int, x) -> tuple:
                  for vec, den in kernel(rows, ncols))
 
 
-def _label_image(g: LinearMapGl, lbl):
+def _label_image(g: dict, lbl):
     """The basis label that g sends `lbl` to up to sign, or None: e_ij goes
     to +-e_ab, and h_l = e_ll - e_(l+1)(l+1) to s e_aa - t e_bb, which is
     +-h_min(a,b) when |a - b| = 1 and s = t."""
     if lbl[0] == "unit":
-        a, b, _ = g.images[lbl[1:]]
+        a, b, _ = g[lbl[1:]]
         return ("unit", a, b) if a != b else None
     l = lbl[1]
-    (a, a2, s), (b, b2, t) = g.images[l, l], g.images[l + 1, l + 1]
+    (a, a2, s), (b, b2, t) = g[l, l], g[l + 1, l + 1]
     return ("cartan", min(a, b)) if a == a2 and b == b2 and abs(a - b) == 1 and s == t else None
 
 
-def _maps_labels(g: LinearMapGl, src: tuple, dst: tuple) -> bool:
+def _maps_labels(g: dict, src: tuple, dst: tuple) -> bool:
     """g sends the basis labels `src` one to one onto +- the labels `dst`."""
     return len(src) == len(dst) and {_label_image(g, lbl) for lbl in src} == set(dst)
 
@@ -279,7 +280,7 @@ def _gram_transports(e: int, d: int) -> bool:
 
 def _gram_determinants(first, pairs) -> dict:
     """{(e, d): (det Gram(e, d), eliminated)} for the coprime `pairs`, which
-    hold (1, 1) and, with each pair, its flip; `first` is the form of (1, 1).
+    hold (1, 1) and, with each pair, its flip; `first` is det Gram(1, 1).
 
     The Gram matrix is eliminated for e <= d.  For e > d, when
     `_gram_transports(e, d)` holds, with tau the antitranspose,
@@ -287,7 +288,7 @@ def _gram_determinants(first, pairs) -> dict:
     omega_J(e,d)(sigma a, sigma b) = -tr(J(e,d)^t tau [a, b])
     = -omega_J(d,e)(a, b), so det Gram(e, d) = (-1)^N det Gram(d, e),
     N = dim p_d.  Otherwise it is eliminated too."""
-    out = {(1, 1): (first.determinant, True)}
+    out = {(1, 1): (first, True)}
     # e <= d first, so that each transport finds its source
     for e, d in sorted(pairs, key=lambda pair: pair[0] > pair[1]):
         if (e, d) in out:
@@ -298,7 +299,7 @@ def _gram_determinants(first, pairs) -> dict:
             out[e, d] = (sign * out[d, e][0], False)
         else:
             # J's 0/1 integers give integer Gram rows, cheaper to eliminate than Fractions
-            out[e, d] = (stolin.frobenius_gram(jmat.build_j(e, d), e).determinant, True)
+            out[e, d] = (stolin.frobenius_gram(jmat.build_j(e, d), e)[1], True)
     return out
 
 

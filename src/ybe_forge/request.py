@@ -18,8 +18,8 @@ EXIT_BADINPUT = 3
 # Largest n (e + d for `jmatrix`) any command accepts, and largest `verify
 # --n-max`; larger requests exit 3 before any work.  The exact pipelines
 # cost about n^6; on one CPU of a 2-core Intel Xeon a fresh `rational 12 1`
-# or `elliptic 12 1` takes 63-64 ms and `tools/time_verify.py --runs 3 8 12`
-# reads medians of 0.27 s at 8 and 1.21 s at 12 (in-process, after imports).
+# or `elliptic 12 1` takes 63-64 ms, and `tools/bench.py` (BENCH_44.json)
+# reads `verify` medians of 0.28 s at 8 and 1.33 s at 12, after imports.
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and

@@ -54,17 +54,6 @@ def parabolic_labels(e: int, n: int) -> tuple:
     )
 
 
-class FrobeniusForm:
-    """Gram matrix of omega_K on the parabolic p_e, with its determinant."""
-
-    __slots__ = ("labels", "rows", "determinant")
-
-    def __init__(self, labels: tuple, rows: tuple, determinant: Fraction):
-        self.labels = labels
-        self.rows = rows  # the Gram rows as {column: nonzero entry} dicts
-        self.determinant = determinant
-
-
 def _k_nonzeros(K) -> tuple:
     """The nonzero entries of K as (rows, columns): rows[i - 1] lists the
     (j, entry) of row i and columns[j - 1] the (i, entry) of column j,
@@ -98,9 +87,10 @@ def _bracket_kt_terms(kn, lbl) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-def frobenius_gram(K, e: int) -> FrobeniusForm:
-    """Gram matrix of (a, b) |-> tr(K^t [a, b]) on the parabolic basis of
-    sl(n), n = len(K).
+def frobenius_gram(K, e: int) -> tuple:
+    """(rows, determinant): the Gram matrix of (a, b) |-> tr(K^t [a, b]) on
+    the basis `parabolic_labels(e, n)` of p_e, n = len(K), as its rows of
+    {column: nonzero entry} dicts, and its determinant.
 
     Uses tr(K^t [a, b]) = tr([K^t, a] b): entry (r, c) of [K^t, a] pairs
     with e_{c,r}, and a diagonal entry (l, l) with h_l (+) and h_(l-1) (-),
@@ -129,7 +119,7 @@ def frobenius_gram(K, e: int) -> FrobeniusForm:
                 row[p] = row.get(p, 0) - v
         rows.append({p: v for p, v in row.items() if v})
     rows = tuple(rows)
-    return FrobeniusForm(labels, rows, det(rows, len(labels)))
+    return rows, det(rows, len(labels))
 
 
 def neg_j_matrix(e: int, d: int) -> tuple:
@@ -339,19 +329,10 @@ def build_order(K, e: int, k_max: int) -> OrderBasis:
     return OrderBasis(n, k_max, tuple(elements))
 
 
-class SeriesResult:
-    """Truncated dual-basis series of an order: the evaluated partial sum and
-    the polynomial parts of the dual elements."""
-
-    __slots__ = ("tensor", "parts")
-
-    def __init__(self, tensor: GlTensor2, parts: dict):
-        self.tensor = tensor
-        self.parts = parts  # (label, k) -> {m: {(i, j): coefficient}}, as `WElementSet`
-
-
-def series_r(order: OrderBasis, x, y) -> SeriesResult:
-    """Partial sum over k <= order.k_max of x^k sum_l alpha_l (x) beta_{l,k}(y).
+def series_r(order: OrderBasis, x, y) -> tuple:
+    """(tensor, parts): the partial sum over k <= order.k_max of x^k sum_l
+    alpha_l (x) beta_{l,k}(y), and the polynomial parts of the dual elements,
+    (label, k) -> {m: {(i, j): coefficient}} as in `WElementSet`.
 
     The dual element beta_{l,k} is found inside the truncated span as the
     unique combination equal to z^{-k-1} alpha_l-dual plus a polynomial; the
@@ -419,4 +400,4 @@ def series_r(order: OrderBasis, x, y) -> SeriesResult:
                 for ij, v in coeffs.items():
                     value[ij] = value.get(ij, ZERO) + v * y**m
             terms.append((first.items(), value.items(), xk))
-    return SeriesResult(tensor_from_pairs(n, terms), parts)
+    return tensor_from_pairs(n, terms), parts

@@ -16,18 +16,15 @@ from types import MappingProxyType
 
 from .lie import GlTensor2
 
-# basis labels: ("unit", i, j) for e_{i,j} with i != j, ("cartan", l) for h_l
-BasisIndex = tuple
 
-
-def sl_basis(n: int) -> tuple[BasisIndex, ...]:
-    """Ordered basis of sl(n): h_1..h_{n-1} then the off-diagonal units."""
+def sl_basis(n: int) -> tuple:
+    """Basis labels of sl(n): ("cartan", l) for h_1..h_{n-1}, then ("unit", i, j) for i != j."""
     labels = [("cartan", l) for l in range(1, n)]
     labels += [("unit", i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
     return tuple(labels)
 
 
-def basis_terms(label: BasisIndex, n: int) -> dict:
+def basis_terms(label: tuple, n: int) -> dict:
     """The matrix of a basis label as {(i, j): nonzero entry}, 1-based:
     e_{i,j}, or h_l = e_{l,l} - e_{l+1,l+1}, with integer entries."""
     if label[0] == "unit":
@@ -38,7 +35,7 @@ def basis_terms(label: BasisIndex, n: int) -> dict:
     return {(l, l): 1, (l + 1, l + 1): -1}
 
 
-def dual_terms(label: BasisIndex, n: int) -> dict:
+def dual_terms(label: tuple, n: int) -> dict:
     """The trace-form dual of a basis label as {(i, j): nonzero entry},
     1-based: e_{i,j} -> e_{j,i}, and h_l -> the unique Cartan element with
     tr(dual h_m) = delta_{l m}, the fundamental coweight, diagonal with

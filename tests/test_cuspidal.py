@@ -34,13 +34,14 @@ from ybe_forge.cuspidal import (
     assemble_r,
     flip_transpose_gauge,
     g_elements,
+    j_support_coloring,
     psi_transport,
     r_ansatz,
     sol_family,
     sol_space,
 )
 from ybe_forge.exact import ONE, ZERO, eval_matrix_poly, poly_trim
-from ybe_forge.jmat import NonCoprimeError, build_j, j_support_coloring, twist
+from ybe_forge.jmat import NonCoprimeError, build_j, twist
 from ybe_forge.lie import (
     cybe_residual_two_variable,
     is_unitary_pair,
@@ -902,7 +903,7 @@ class TestFlipTransport:
         for (e, d) in [(2, 1), (3, 2)]:
             g_ed = flip_transpose_gauge(e, d)
             g_de = flip_transpose_gauge(d, e)
-            assert composed(g_de, g_ed) == signed_permutation_map(e + d, lambda i, j: (i, j, 1)).images
+            assert composed(g_de, g_ed) == signed_permutation_map(e + d, lambda i, j: (i, j, 1))
 
 
 class TestAnsatz:

@@ -1025,8 +1025,7 @@ def test_complex_constructor_copies_its_terms():
 
 def composed(f, g) -> dict:
     """The images of the signed unit permutation f after g."""
-    return {key: f.images[a, b][:2] + (s * f.images[a, b][2],)
-            for key, (a, b, s) in g.images.items()}
+    return {key: f[a, b][:2] + (s * f[a, b][2],) for key, (a, b, s) in g.items()}
 
 
 class TestGauges:
@@ -1053,7 +1052,7 @@ class TestGauges:
         for n in (2, 3, 4):
             p = transpose_negate_map(n)
             q = flip_map(n)
-            identity = signed_permutation_map(n, lambda i, j: (i, j, 1)).images
+            identity = signed_permutation_map(n, lambda i, j: (i, j, 1))
             assert composed(p, p) == identity
             assert composed(q, q) == identity
 
@@ -1066,9 +1065,9 @@ class TestGauges:
                       transpose_negate_map(n), flip_map(n)]
             gauges += [flip_transpose_gauge(e, n - e) for e in range(1, n) if gcd(e, n) == 1]
             for g in gauges:
-                assert set(g.images) == units
-                assert {(a, b) for a, b, _ in g.images.values()} == units
-                assert {s for _, _, s in g.images.values()} <= {1, -1}
+                assert set(g) == units
+                assert {(a, b) for a, b, _ in g.values()} == units
+                assert {s for _, _, s in g.values()} <= {1, -1}
 
     def test_gauges_are_automorphisms(self):
         """g([A, B]) = [g(A), g(B)] on all pairs of matrix units."""
@@ -1088,13 +1087,35 @@ class TestGauges:
             gauges = [transpose_negate_map(n), flip_map(n)]
             gauges += [flip_transpose_gauge(e, n - e) for e in range(1, n) if gcd(e, n) == 1]
             for g in gauges:
-                for a in g.images:
-                    for b in g.images:
-                        (pa, qa, sa), (pb, qb, sb) = g.images[a], g.images[b]
-                        lhs = {g.images[u][:2]: c * g.images[u][2]
+                for a in g:
+                    for b in g:
+                        (pa, qa, sa), (pb, qb, sb) = g[a], g[b]
+                        lhs = {g[u][:2]: c * g[u][2]
                                for u, c in bracket(a, b).items()}
                         rhs = {u: c * sa * sb for u, c in bracket((pa, qa), (pb, qb)).items()}
                         assert lhs == rhs
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_gauge_of_another_n_is_refused(self, slot):
+        """A gauge of n = 2 or 4 in either slot of an n = 3 tensor raises;
+        the control, both gauges of n = 3, maps the tensor."""
+        c, own = casimir(3), transpose_negate_map(3)
+        assert apply_gauge(own, own, c) == c
+        for other in (transpose_negate_map(2), transpose_negate_map(4)):
+            gauges = [own, own]
+            gauges[slot] = other
+            with pytest.raises(ValueError, match="^gauge size mismatch$"):
+                apply_gauge(*gauges, c)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_automorphism_criterion_reads_n_off_the_gauge(self, n):
+        """`_is_automorphism` takes n from the gauge's keys: it accepts
+        transpose-negation and rejects the bare transpose, an
+        anti-automorphism, at n = 2 and n = 5."""
+        from ybe_forge.proofs import _is_automorphism
+
+        assert _is_automorphism(transpose_negate_map(n))
+        assert not _is_automorphism(signed_permutation_map(n, lambda i, j: (j, i, 1)))
 
     def test_gauge_preserves_solution_property(self):
         # constant invertible gauge keeps CYBE residual zero and unitarity

@@ -23,17 +23,25 @@ loads, whatever bytecode the checkout holds.  The measurements:
   elliptic document a checkout printed is read back by its own
   `document.loads` and written by its `dumps`: a rewrite that differs from
   the printed text counts in `round_trips_differ`.
-- verify: `verify.report_json(verify.run_suite("all", N))` for each N of
+- verify: `json.dumps(verify.run_suite("all", N).to_json(), indent=2)`,
+  the JSON that `verify --format json` prints, for each N of
   `N_MAX`, timed in-process after the route modules are imported (N is not
   held to the CLI's cap): wall time, peak RSS, and the summed `elapsed` of
   each check kind (the check name before `-(` or `-n=`).
 - tier-1: the wall time of `python -m pytest -q
   --continue-on-collection-errors` in the checkout's root.
+- src_lines: the lines of each `ybe_forge` module, as `wc -l` counts them,
+  and their total.
 
-perfbench's `calibration_sample` runs before and after all of it, so that a
-drift in machine speed shows.  The file holds `environment` (perfbench's
-`run.environment()`), `calibration_s`, and the figures of this checkout
-(`this`); with DIR also those of the parent (`parent`), `ratios` (this /
+perfbench's `calibration_sample` runs before and after all of it, and
+beside every run, just before and just after it: each wall time is
+reported raw (`wall_s`) and scaled by the mean of its run's two samples
+(`scaled_wall_s`, seconds on a machine where the loop takes perfbench's
+`CAL_REF_S`), as perfbench's `SpeedLog` scales its latencies, so that a
+drift in machine speed during the run shows and can be told apart.  The
+file holds `environment` (perfbench's `run.environment()`),
+`calibration_s`, and the figures of this checkout (`this`); with DIR also
+those of the parent (`parent`), `ratios` (this /
 parent, for every number of the figures) and `differ`: the requests (exit
 code, stdout, stderr), help and usage outputs (`MESSAGES`, plainly and
 under -OO) and verify checks (name, status, detail, tolerance; `elapsed` is
@@ -95,10 +103,10 @@ print(json.dumps(["ybe_forge.cli" in sys.modules, lines]))
 # Prints the wall seconds of `verify --suite all --n-max argv[1] --format
 # json` without start-up or imports (the checks import their route modules
 # when they first run, so those are imported first), then the report.
-VERIFY = """import sys, time
+VERIFY = """import json, sys, time
 from ybe_forge import proofs, residuals, verify
 t0 = time.perf_counter()
-report = verify.report_json(verify.run_suite("all", int(sys.argv[1])))
+report = json.dumps(verify.run_suite("all", int(sys.argv[1])).to_json(), indent=2)
 print(time.perf_counter() - t0)
 print(report)
 """
@@ -142,13 +150,18 @@ def launch(env, src, args, cwd=ROOT) -> dict:
                     "stdout": fh_out.read(), "stderr": fh_err.read()}
 
 
-def alternate(sources, items, measure) -> dict:
+def alternate(sources, items, measure, calibrate) -> dict:
     """{src: [measure(src, item) for each item]}: each item is measured on
-    every checkout in turn, in reversed order at every other item."""
+    every checkout in turn, in reversed order at every other item.  Each
+    run, a dict, gets `calibration_s`, the mean of the loop times that
+    `calibrate()` reads just before and just after it."""
     out = {src: [] for src in sources}
     for k, item in enumerate(items):
         for src in sources[::-1] if k % 2 else sources:
-            out[src].append(measure(src, item))
+            before = calibrate()
+            run = measure(src, item)
+            run["calibration_s"] = (before + calibrate()) / 2
+            out[src].append(run)
     return out
 
 
@@ -170,6 +183,28 @@ def quartiles(xs) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(xs)}
 
 
+def walls(runs, ref) -> dict:
+    """The quartiles of the runs' wall seconds, raw (`wall_s`) and scaled by
+    each run's calibration to a machine where the loop takes `ref` seconds
+    (`scaled_wall_s`)."""
+    return {"wall_s": quartiles([run["wall_s"] for run in runs]),
+            "scaled_wall_s": quartiles([run["wall_s"] * ref / run["calibration_s"]
+                                        for run in runs])}
+
+
+def src_lines(src) -> dict:
+    """{module: lines} of the `ybe_forge` modules in `src`, with their
+    `total`: the newlines of each file, as `wc -l` counts them."""
+    out = {}
+    package = os.path.join(src, "ybe_forge")
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                out[name[:-3]] = fh.read().count("\n")
+    out["total"] = sum(out.values())
+    return out
+
+
 def run_ok(env, src, args) -> dict:
     """`launch` of a run that must exit 0."""
     run = launch(env, src, args)
@@ -179,7 +214,7 @@ def run_ok(env, src, args) -> dict:
     return run
 
 
-def cold_cli(env, src, mix, runs) -> dict:
+def cold_cli(env, src, mix, runs, ref) -> dict:
     """The cold-cli figures of one checkout from its `runs` of the mix."""
     pairs = list(zip(itertools.cycle(mix), runs))
     kinds: dict = {}
@@ -194,9 +229,8 @@ def cold_cli(env, src, mix, runs) -> dict:
         json.dump(texts, fh)
         fh.flush()
         round_trips = int(run_ok(env, src, ["-c", ROUND_TRIP, fh.name])["stdout"])
-    return {"wall_s": quartiles([run["wall_s"] for run in runs]),
-            "peak_rss_mb": max(run["rss_mb"] for run in runs),
-            "kinds": {kind: {"wall_s": quartiles([run["wall_s"] for run in kind_runs]),
+    return {**walls(runs, ref), "peak_rss_mb": max(run["rss_mb"] for run in runs),
+            "kinds": {kind: {**walls(kind_runs, ref),
                              "peak_rss_mb": max(run["rss_mb"] for run in kind_runs),
                              "compiled_lines": compiled_lines(env, src, first[kind])}
                       for kind, kind_runs in sorted(kinds.items())},
@@ -215,7 +249,7 @@ def run_verify(env, src, n_max) -> dict:
     return dict(json.loads(report), wall_s=float(wall), rss_mb=run["rss_mb"])
 
 
-def verify_figures(runs) -> dict:
+def verify_figures(runs, ref) -> dict:
     """The verify figures of one checkout at one N from its runs."""
     kinds: dict = {}
     for run in runs:
@@ -225,8 +259,7 @@ def verify_figures(runs) -> dict:
             totals[kind] = totals.get(kind, 0.0) + check["elapsed"]
         for kind, total in totals.items():
             kinds.setdefault(kind, []).append(total)
-    return {"wall_s": quartiles([run["wall_s"] for run in runs]),
-            "peak_rss_mb": max(run["rss_mb"] for run in runs),
+    return {**walls(runs, ref), "peak_rss_mb": max(run["rss_mb"] for run in runs),
             "checks": len(runs[0]["checks"]), "passed": all(run["passed"] for run in runs),
             "kinds_s": {kind: round(statistics.median(totals), 4)
                         for kind, totals in kinds.items()}}
@@ -254,29 +287,37 @@ def main():
     sources = [os.path.join(ROOT, "src")] + ([os.path.abspath(args.src)] if args.src else [])
     mix = bench.cold_cli_mix(SEED)[0]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **bench.PINNED_ENV)
-    before = bench.calibration_sample()[1]
+    ref = bench.CAL_REF_S
+
+    def calibrate():
+        return bench.calibration_sample()[1]
+
+    before = calibrate()
     with tempfile.TemporaryDirectory() as tmp:
         copy = {src: shutil.copytree(src, os.path.join(tmp, str(i)),
                                      ignore=shutil.ignore_patterns("__pycache__"))
                 for i, src in enumerate(sources)}
         cli = alternate(sources, mix * args.runs, lambda src, req: launch(
-            env, copy[src], ["-m", "ybe_forge.cli", *req["args"]]))
+            env, copy[src], ["-m", "ybe_forge.cli", *req["args"]]), calibrate)
         verify = alternate(sources, [n for _ in range(args.runs) for n in N_MAX],
-                           lambda src, n: run_verify(env, copy[src], n))
+                           lambda src, n: run_verify(env, copy[src], n), calibrate)
         tier1 = alternate(sources, range(args.runs),
-                          lambda src, _: launch(env, src, TIER1, cwd=os.path.dirname(src)))
+                          lambda src, _: launch(env, src, TIER1, cwd=os.path.dirname(src)),
+                          calibrate)
         messages = alternate(sources, [(flags, m) for flags in ((), ("-OO",)) for m in MESSAGES],
                              lambda src, fm: launch(env, copy[src], [*fm[0], "-m",
-                                                                     "ybe_forge.cli", *fm[1]]))
+                                                                     "ybe_forge.cli", *fm[1]]),
+                             calibrate)
         figures = {src: {
-            "cold_cli": cold_cli(env, copy[src], mix, cli[src]),
-            "verify": {str(n): verify_figures(verify[src][i::len(N_MAX)])
+            "src_lines": src_lines(src),
+            "cold_cli": cold_cli(env, copy[src], mix, cli[src], ref),
+            "verify": {str(n): verify_figures(verify[src][i::len(N_MAX)], ref)
                        for i, n in enumerate(N_MAX)},
-            "tier1": {"wall_s": quartiles([run["wall_s"] for run in tier1[src]]),
+            "tier1": {**walls(tier1[src], ref),
                       "exit": max(run["exit"] for run in tier1[src]),
                       "summary": (tier1[src][-1]["stdout"].strip().splitlines() or [""])[-1]},
         } for src in sources}
-    after = bench.calibration_sample()[1]
+    after = calibrate()
     out = {"environment": bench.environment(), "seed": SEED, "runs": args.runs,
            "calibration_s": {"before": before, "after": after}, "this": figures[sources[0]]}
     if args.src:
@@ -298,18 +339,24 @@ def main():
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
-    print("calibration loop %.3f ms before, %.3f ms after" % (1000 * before, 1000 * after))
+    print("calibration loop %.3f ms before, %.3f ms after; medians raw (scaled)"
+          % (1000 * before, 1000 * after))
     for side, src in zip(("this", "parent"), sources):
         fig = figures[src]
-        print(side)
+        print("%s: %d src lines" % (side, fig["src_lines"]["total"]))
         print("  cold-cli " + ", ".join(
-            "%s %.1f ms (%d lines)" % (kind, 1000 * k["wall_s"]["median"], k["compiled_lines"])
+            "%s %.1f (%.1f) ms, %d lines" % (kind, 1000 * k["wall_s"]["median"],
+                                             1000 * k["scaled_wall_s"]["median"],
+                                             k["compiled_lines"])
             for kind, k in fig["cold_cli"]["kinds"].items()))
         print("  round trips: %(round_trips_differ)d of %(documents)d documents differ"
               % fig["cold_cli"])
-        print("  verify " + ", ".join("--n-max %s %.3f s" % (n, v["wall_s"]["median"])
-                                      for n, v in fig["verify"].items()))
-        print("  tier-1 %.1f s: %s" % (fig["tier1"]["wall_s"]["median"], fig["tier1"]["summary"]))
+        print("  verify " + ", ".join("--n-max %s %.3f (%.3f) s" % (
+            n, v["wall_s"]["median"], v["scaled_wall_s"]["median"])
+            for n, v in fig["verify"].items()))
+        print("  tier-1 %.1f (%.1f) s: %s" % (fig["tier1"]["wall_s"]["median"],
+                                              fig["tier1"]["scaled_wall_s"]["median"],
+                                              fig["tier1"]["summary"]))
     if args.src:
         print("differ: %(requests)d of %(of_requests)d requests, %(messages)d of %(of_messages)d "
               "help and usage outputs, checks %(checks)s" % out["differ"])
