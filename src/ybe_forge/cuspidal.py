@@ -8,7 +8,6 @@ the tensor, whose pole part is always the Casimir element.  A `rational`
 request runs only `assemble_r` on the cached `sol_family`.  The degree cap
 of entry (i, j) of V_{e,d} is 1 - `jmat.twist(i, j, e)`.  `sol_space` hands
 out its tuple of members and `g_elements` its read-only corrections.
-The gauge (e,d) -> (d,e) is twisted by J's colouring, `j_support_coloring`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .exact import (
     solve_multi,
 )
 from .jmat import G_ELEMENTS_CACHE_MAX, _check_coprime, build_j, twist
-from .lie import GlTensor2, apply_gauge, signed_permutation_map
+from .lie import GlTensor2, apply_gauge
 from .table import POLE, ReadOnly, TensorTable, dual_terms, sl_basis, tensor_table
 
 
@@ -284,59 +283,11 @@ def assemble_r(e: int, d: int, x, y) -> GlTensor2:
     return sol_family(e, d).table.at(rat(x), rat(y))
 
 
-def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
-    """Signs s_1..s_n with s_i s_j = -1 on every unit entry (i,j) of J_(e,d).
-
-    The support of J is a forest (each recursion step attaches a matching to
-    fresh indices), so the 2-coloring always exists; components start at +1.
-    """
-    n = e + d
-    J = build_j(e, d)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i in range(n):
-        for jj in range(n):
-            if J[i][jj]:
-                adj[i].append(jj)
-                adj[jj].append(i)
-    s = [0] * n
-    for v in range(n):
-        if s[v]:
-            continue
-        s[v] = 1
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if s[w] == 0:
-                    s[w] = -s[u]
-                    stack.append(w)
-                elif s[w] != -s[u]:
-                    raise RuntimeError("J support graph is not 2-colorable")
-    return tuple(s)
-
-
-def flip_transpose_gauge(e: int, d: int) -> dict:
-    """The involutive automorphism realizing r_(e,d) ~ r_(d,e):
-    A |-> -D (antitranspose of A) D, with D the sign diagonal from the
-    2-coloring of the support of J_(d,e).
-
-    The antitranspose alone is an anti-automorphism that carries the shaped
-    space of (e,d) onto that of (d,e) and J_(e,d) to J_(d,e); the overall
-    minus makes it an automorphism and the sign twist absorbs the bracket
-    sign against J.  The bare index-reversal e_{i,j} -> e_{n+1-i,n+1-j} does
-    NOT transport the solutions (it does not even preserve the shape space).
-    """
-    n = e + d
-    s = j_support_coloring(d, e)
-    # antitranspose sends e_{i,j} to e_{n+1-j, n+1-i}
-    return signed_permutation_map(
-        n, lambda i, j: (n + 1 - j, n + 1 - i, -s[n - j] * s[n - i])
-    )
-
-
 def psi_transport(e: int, d: int, x, y) -> GlTensor2:
     """Image of the assembled tensor under the flip-transpose gauge in both
     slots; equals assemble_r(d, e, x, y) exactly."""
+    from .proofs import flip_transpose_gauge
+
     g = flip_transpose_gauge(e, d)
     return apply_gauge(g, g, assemble_r(e, d, x, y))
 

@@ -1,5 +1,6 @@
 """Exact rational linear algebra: fraction-free elimination, polynomials
-in the loop variable z, and interpolation.  `elliptic` never loads it.
+in the loop variable z, and interpolation, which is one `solve_multi` call
+on Vandermonde rows.  `elliptic` never loads it.
 
 All arithmetic in this module is exact.  Scalars are `fractions.Fraction`,
 or ints where a matrix is integral.  An n x n matrix of the package is a
@@ -327,42 +328,11 @@ def det(rows: Sequence[dict], ncols: int) -> Fraction:
 # univariate polynomials over the rationals, ascending coefficients
 # ---------------------------------------------------------------------------
 
-POLY_ZERO: tuple = ()
-
-
 def poly_trim(coeffs: Iterable[Fraction]) -> tuple:
     c = list(coeffs)
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def poly_add(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_scale(c, p):
-    c = rat(c)
-    if c == 0:
-        return POLY_ZERO
-    return tuple(c * a for a in p)
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return POLY_ZERO
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly_trim(out)
 
 
 def poly_eval(p, x: Fraction) -> Fraction:
@@ -378,8 +348,9 @@ def poly_eval(p, x: Fraction) -> Fraction:
 def interpolate(samples: Sequence[tuple[Fraction, Fraction]], degree_bound: int) -> tuple:
     """Unique polynomial of degree <= degree_bound through the samples.
 
-    Requires at least degree_bound + 2 distinct points; the points beyond the
-    first degree_bound + 1 act as consistency checks and must re-validate.
+    Requires at least degree_bound + 2 distinct points, whose Vandermonde
+    rows {k: x^k} go into one `solve_multi` with the values as the right-hand
+    side: InterpolationError if no polynomial of the bound fits them all.
     """
     xs = [s[0] for s in samples]
     if len(set(xs)) != len(xs):
@@ -387,23 +358,13 @@ def interpolate(samples: Sequence[tuple[Fraction, Fraction]], degree_bound: int)
     need = degree_bound + 2
     if len(samples) < need:
         raise ValueError("need at least %d samples for degree bound %d" % (need, degree_bound))
-    base = samples[: degree_bound + 1]
-    # Newton divided differences, expanded to the monomial basis
-    n = len(base)
-    coef = [y for _, y in base]
-    pts = [x for x, _ in base]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (pts[i] - pts[i - j])
-    poly = POLY_ZERO
-    basis = (ONE,)
-    for i in range(n):
-        poly = poly_add(poly, poly_scale(coef[i], basis))
-        basis = poly_mul(basis, (-pts[i], ONE))
-    for x, y in samples[degree_bound + 1:]:
-        if poly_eval(poly, x) != y:
-            raise InterpolationError("samples are not polynomial of degree <= %d" % degree_bound)
-    return poly
+    try:
+        [(num, den)] = solve_multi([{k: x ** k for k in range(degree_bound + 1)} for x in xs],
+                                   [{i: y for i, (_, y) in enumerate(samples)}], degree_bound + 1)
+    except InconsistentSystemError as exc:
+        raise InterpolationError("samples are not polynomial of degree <= %d"
+                                 % degree_bound) from exc
+    return poly_trim(Fraction(num.get(k, 0), den) for k in range(degree_bound + 1))
 
 
 # ---------------------------------------------------------------------------

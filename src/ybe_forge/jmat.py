@@ -4,7 +4,7 @@ J drives both exact pipelines: the geometric one (`cuspidal`) pairs with
 it in the constraint of Sol((e,d), x), the parabolic one (`stolin`) takes
 +-J as its cocycle matrix.  `jmatrix` loads it beside `cli` and `document`.
 J is handed out as its n row tuples; the 2-colouring of its support, which
-only the flip gauge reads, is `cuspidal.j_support_coloring`.  The split is one integer per entry,
+only the flip gauge reads, is `proofs.j_support_coloring`.  The split is one integer per entry,
 `twist`: the z-degree of eta^-1 e_ij eta, from which `cuspidal` reads the
 degree caps of V_{e,d} and `stolin` the parabolic p_e, the nilpotent block
 and the twist of the order.

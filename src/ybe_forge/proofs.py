@@ -1,7 +1,8 @@
 """The exact route of `verify`, which its `rational` and `stolin` suites
 load and no CLI request does: the CYBE and unitarity proof of a table
-(`_proof`), the gauges and transports that it and the Gram determinants
-use, and the fixtures of the exact checks.
+(`_proof`), the gauges and transports that it, `psi_transport` and the Gram
+determinants use (`flip_transpose_gauge` is twisted by J's support
+colouring, `j_support_coloring`), and the fixtures of the exact checks.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ def _proof(route: str, e: int, d: int) -> tuple[TensorTable, str | None, str]:
     failed, via = _broken_premise(table, _CUSPIDAL_TAIL if cusp else _TAIL), ""
     if failed is None:
         if not cusp or e > d:
-            g, name = ((cuspidal.flip_transpose_gauge(d, e), "flip_transpose_gauge") if cusp
+            g, name = ((flip_transpose_gauge(d, e), "flip_transpose_gauge") if cusp
                        else (flip_map(e + d), "flip_map"))
             if _transports(g, cuspidal.sol_family(d, e).table, table):
                 _, src_failed, src_via = _proof("cuspidal", d, e)
@@ -233,6 +234,56 @@ def flip_j(J: tuple) -> tuple:
 def flip_map(n: int) -> dict:
     """e_{i,j} |-> e_{n+1-i, n+1-j}, conjugation by the antidiagonal."""
     return signed_permutation_map(n, lambda i, j: (n + 1 - i, n + 1 - j, 1))
+
+
+def j_support_coloring(e: int, d: int) -> tuple[int, ...]:
+    """Signs s_1..s_n with s_i s_j = -1 on every unit entry (i,j) of J_(e,d).
+
+    The support of J is a forest (each recursion step attaches a matching to
+    fresh indices), so the 2-coloring always exists; components start at +1.
+    """
+    n = e + d
+    J = jmat.build_j(e, d)
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for i in range(n):
+        for jj in range(n):
+            if J[i][jj]:
+                adj[i].append(jj)
+                adj[jj].append(i)
+    s = [0] * n
+    for v in range(n):
+        if s[v]:
+            continue
+        s[v] = 1
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if s[w] == 0:
+                    s[w] = -s[u]
+                    stack.append(w)
+                elif s[w] != -s[u]:
+                    raise RuntimeError("J support graph is not 2-colorable")
+    return tuple(s)
+
+
+def flip_transpose_gauge(e: int, d: int) -> dict:
+    """The involutive automorphism realizing r_(e,d) ~ r_(d,e):
+    A |-> -D (antitranspose of A) D, with D the sign diagonal from the
+    2-coloring of the support of J_(d,e).
+
+    The antitranspose alone is an anti-automorphism that carries the shaped
+    space of (e,d) onto that of (d,e) and J_(e,d) to J_(d,e); the overall
+    minus makes it an automorphism and the sign twist absorbs the bracket
+    sign against J.  The bare index-reversal e_{i,j} -> e_{n+1-i,n+1-j} does
+    NOT transport the solutions (it does not even preserve the shape space).
+    """
+    n = e + d
+    s = j_support_coloring(d, e)
+    # antitranspose sends e_{i,j} to e_{n+1-j, n+1-i}
+    return signed_permutation_map(
+        n, lambda i, j: (n + 1 - j, n + 1 - i, -s[n - j] * s[n - i])
+    )
 
 
 def point_sol_space(e: int, d: int, x) -> tuple:

@@ -17,9 +17,9 @@ EXIT_BADINPUT = 3
 
 # Largest n (e + d for `jmatrix`) any command accepts, and largest `verify
 # --n-max`; larger requests exit 3 before any work.  The exact pipelines
-# cost about n^6; on one CPU of a 2-core Intel Xeon a fresh `rational 12 1`
-# or `elliptic 12 1` takes 63-64 ms, and `tools/bench.py` (BENCH_44.json)
-# reads `verify` medians of 0.28 s at 8 and 1.33 s at 12, after imports.
+# cost about n^6; on one CPU of a 2-core Intel Xeon, `tools/bench.py`
+# (BENCH_46.json) reads `verify` medians of 0.39 s at 8 and 2.38 s at 12
+# after imports (0.32 s and 1.51 s scaled to perfbench's reference speed).
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and

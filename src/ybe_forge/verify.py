@@ -177,7 +177,7 @@ def check_flip_symmetry(e: int, d: int, pair) -> tuple[bool, str]:
     ok = proofs.flip_j(jmat.build_j(e, d)) == jmat.build_j(d, e)
     ok &= proofs.flip_j(jmat.build_j(d, e)) == jmat.build_j(e, d)
     src, dst = cuspidal.sol_family(e, d).table, cuspidal.sol_family(d, e).table
-    ok &= proofs._gauge_table(cuspidal.flip_transpose_gauge(e, d), src) == dst
+    ok &= proofs._gauge_table(proofs.flip_transpose_gauge(e, d), src) == dst
     # negative control: the bare two-sided index reversal, without the
     # sign-twisted antitranspose, does not transport the solution
     ok &= proofs._gauge_table(proofs.flip_map(e + d), dst) != src
@@ -217,7 +217,7 @@ def check_frobenius_goldens() -> tuple[bool, str]:
 
 
 def check_closed_form_d1(n: int) -> tuple[bool, str]:
-    from . import cuspidal, jmat, proofs, stolin
+    from . import jmat, proofs, stolin
 
     want = proofs.closed_form_d1(n)
     ok = stolin.solve_dec(1, n - 1, jmat.build_j(1, n - 1)).table == want
@@ -225,7 +225,7 @@ def check_closed_form_d1(n: int) -> tuple[bool, str]:
         ok &= want == proofs._closed_form_n2()
     # the (n-1,1)-split table is the flip-gauge image of the same solution:
     # its gauge phi g phi, applied one map at a time
-    phi, g = transpose_negate_map(n), cuspidal.flip_transpose_gauge(n - 1, 1)
+    phi, g = transpose_negate_map(n), proofs.flip_transpose_gauge(n - 1, 1)
     lhs = stolin.solve_dec(n - 1, 1, stolin.neg_j_matrix(n - 1, 1)).table
     lhs = proofs._gauge_table(phi, proofs._gauge_table(g, proofs._gauge_table(phi, lhs)))
     ok &= lhs == stolin.solve_dec(1, n - 1, stolin.neg_j_matrix(1, n - 1)).table

@@ -32,9 +32,7 @@ from ybe_forge.cuspidal import (
     AnsatzError,
     SolDimensionError,
     assemble_r,
-    flip_transpose_gauge,
     g_elements,
-    j_support_coloring,
     psi_transport,
     r_ansatz,
     sol_family,
@@ -50,7 +48,7 @@ from ybe_forge.lie import (
 )
 from ybe_forge.request import N_MAX
 from ybe_forge.table import POLE, TensorTable, casimir, dual_terms, sl_basis
-from ybe_forge.proofs import flip_j
+from ybe_forge.proofs import flip_j, flip_transpose_gauge, j_support_coloring
 from ybe_forge.verify import scale
 
 

@@ -20,9 +20,7 @@ from ybe_forge.exact import (
     eval_matrix_poly,
     interpolate,
     kernel,
-    poly_add,
     poly_eval,
-    poly_mul,
     poly_trim,
     rat,
     solve_multi,
@@ -778,17 +776,6 @@ class TestSeededOracle:
 
 
 class TestPoly:
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(rationals, max_size=5), st.lists(rationals, max_size=5),
-           st.lists(rationals, max_size=5))
-    def test_ring_laws(self, a, b, c):
-        a, b, c = (tuple(x) for x in (a, b, c))
-        from ybe_forge.exact import poly_trim
-
-        a, b, c = poly_trim(a), poly_trim(b), poly_trim(c)
-        assert poly_mul(a, poly_mul(b, c)) == poly_mul(poly_mul(a, b), c)
-        assert poly_mul(a, poly_add(b, c)) == poly_add(poly_mul(a, b), poly_mul(a, c))
-
     def test_eval(self):
         p = (F(1), F(0), F(2))  # 1 + 2 z^2
         assert poly_eval(p, F(3)) == 19
@@ -806,6 +793,44 @@ class TestInterpolate:
     def test_spare_point_rejects(self):
         pts = [(F(0), F(0)), (F(1), F(1)), (F(2), F(4)), (F(3), F(10))]
         with pytest.raises(InterpolationError):
+            interpolate(pts, 2)
+
+    def test_rejection_chains_the_solver_error(self):
+        """A spare sample off the polynomial makes the Vandermonde system
+        inconsistent; the solver's error is the cause."""
+        pts = [(F(k), F(2 * k + 1)) for k in range(3)] + [(F(5), F(0))]
+        with pytest.raises(InterpolationError, match="degree <= 1") as info:
+            interpolate(pts, 1)
+        assert isinstance(info.value.__cause__, InconsistentSystemError)
+
+    def test_sample_at_zero(self):
+        """x = 0 gives the row {0: 1}: 0^0 is 1, and the higher powers are
+        stored zeros that the solver drops."""
+        p = (F(3), F(-2), F(1, 2))
+        pts = [(x, poly_eval(p, x)) for x in (F(0), F(1), F(-1), F(2))]
+        assert interpolate(pts, 2) == p
+
+    def test_fraction_points(self):
+        p = (F(-1, 3), F(5, 7), F(0), F(2, 11))
+        xs = (F(1, 3), F(-5, 2), F(7, 4), F(2, 9), F(-13, 6))
+        assert interpolate([(x, poly_eval(p, x)) for x in xs], 3) == p
+
+    def test_bound_above_degree_trims(self):
+        """The coefficients above the data's degree solve to zero and are
+        trimmed."""
+        p = (F(1), F(2))
+        pts = [(F(k), poly_eval(p, F(k))) for k in range(-2, 4)]
+        assert interpolate(pts, 4) == p
+        assert interpolate([(F(k), F(0)) for k in range(4)], 2) == ()
+
+    def test_duplicate_points_refused(self):
+        pts = [(F(0), F(1)), (F(1), F(2)), (F(0), F(1))]
+        with pytest.raises(ValueError, match="interpolation points must be distinct"):
+            interpolate(pts, 1)
+
+    def test_too_few_samples_refused(self):
+        pts = [(F(k), F(k)) for k in range(3)]
+        with pytest.raises(ValueError, match="need at least 4 samples for degree bound 2"):
             interpolate(pts, 2)
 
     @settings(max_examples=30, deadline=None)

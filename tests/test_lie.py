@@ -1057,7 +1057,7 @@ class TestGauges:
             assert composed(q, q) == identity
 
     def test_gauges_are_signed_unit_permutations(self):
-        from ybe_forge.cuspidal import flip_transpose_gauge
+        from ybe_forge.proofs import flip_transpose_gauge
 
         for n in range(2, 8):
             units = {(i, j) for i in range(1, n + 1) for j in range(1, n + 1)}
@@ -1071,7 +1071,7 @@ class TestGauges:
 
     def test_gauges_are_automorphisms(self):
         """g([A, B]) = [g(A), g(B)] on all pairs of matrix units."""
-        from ybe_forge.cuspidal import flip_transpose_gauge
+        from ybe_forge.proofs import flip_transpose_gauge
 
         def bracket(a, b):
             # [e_ij, e_kl] = delta_jk e_il - delta_li e_kj, as {unit: coeff}

@@ -35,7 +35,7 @@ from test_exact import (
 )
 from test_lie import basis_matrix, cartan_dual, dense_tensor_from_pairs
 from ybe_forge import stolin
-from ybe_forge.cuspidal import assemble_r, flip_transpose_gauge
+from ybe_forge.cuspidal import assemble_r
 from ybe_forge.exact import ONE, ZERO
 from ybe_forge.jmat import G_ELEMENTS_CACHE_MAX, build_j
 from ybe_forge.lie import (
@@ -56,7 +56,7 @@ from ybe_forge.stolin import (
     solve_dec,
 )
 from ybe_forge.table import POLE, casimir, dual_terms, sl_basis, tensor_table
-from ybe_forge.proofs import closed_form_d1
+from ybe_forge.proofs import closed_form_d1, flip_transpose_gauge
 from ybe_forge.verify import _coprime_pairs, scale
 
 

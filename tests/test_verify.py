@@ -15,6 +15,7 @@ from ybe_forge.jmat import build_j
 from ybe_forge.lie import apply_gauge, cybe_lhs, signed_permutation_map, transpose_negate_map
 from ybe_forge.table import POLE, TensorTable, tensor_table
 from ybe_forge.proofs import flip_map
+from ybe_forge.request import N_MAX
 from ybe_forge.verify import _coprime_pairs, _points
 
 ROUTES = {
@@ -308,7 +309,7 @@ class TestTableIdentities:
         """The rule `TensorTable` states, on the tables of both routes and
         their gauge images."""
         cusp = cuspidal.sol_family(e, d).table
-        tables = [cusp, proofs._gauge_table(cuspidal.flip_transpose_gauge(e, d), cusp)]
+        tables = [cusp, proofs._gauge_table(proofs.flip_transpose_gauge(e, d), cusp)]
         tables += [stolin.solve_dec(e, d, K).table
                    for K in (build_j(e, d), stolin.neg_j_matrix(e, d))]
         for table in tables:
@@ -338,7 +339,7 @@ class TestTableIdentities:
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 3), (3, 1)])
     def test_gauge_table_is_apply_gauge(self, e, d):
         table = cuspidal.sol_family(e, d).table
-        for phi in (flip_map(e + d), cuspidal.flip_transpose_gauge(e, d)):
+        for phi in (flip_map(e + d), proofs.flip_transpose_gauge(e, d)):
             for x, y in (PAIR, (F(2), F(0))):
                 assert proofs._gauge_table(phi, table).at(x, y) == apply_gauge(
                     phi, phi, table.at(x, y))
@@ -371,7 +372,7 @@ class TestTableIdentities:
 
     def test_flip_control_is_live(self, monkeypatch):
         """If the bare reversal were the gauge, the control would fail."""
-        monkeypatch.setattr(proofs, "flip_map", lambda n: cuspidal.flip_transpose_gauge(2, 3))
+        monkeypatch.setattr(proofs, "flip_map", lambda n: proofs.flip_transpose_gauge(2, 3))
         assert not verify.check_flip_symmetry(3, 2, PAIR)[0]
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -457,7 +458,7 @@ class TestTransport:
         gauges and minus the antitranspose, and rejects each of them with any
         one image sign flipped."""
         maps = [flip_map(n), transpose_negate_map(n), sigma(n)]
-        maps += [cuspidal.flip_transpose_gauge(n - d, d) for d in range(1, n) if gcd(n, d) == 1]
+        maps += [proofs.flip_transpose_gauge(n - d, d) for d in range(1, n) if gcd(n, d) == 1]
         for g in maps:
             assert proofs._is_automorphism(g) and brackets_kept(g)
             for key in g:
@@ -466,7 +467,7 @@ class TestTransport:
 
     @pytest.mark.parametrize("e,d", [(1, 2), (2, 1), (2, 3), (5, 7)])
     def test_criterion_rejects_a_flipped_sign_and_the_transpose(self, e, d):
-        n, g = e + d, cuspidal.flip_transpose_gauge(e, d)
+        n, g = e + d, proofs.flip_transpose_gauge(e, d)
         assert proofs._is_automorphism(g)
         assert not proofs._is_automorphism(sign_flipped(g, (1, n)))
         assert not proofs._is_automorphism(sign_flipped(g, (n, n)))
@@ -517,7 +518,7 @@ class TestTransport:
         assert verify.check_cuspidal_cybe(2, 1, PAIR)[0]
         broken = unitary_bump(route_table("cuspidal", 1, 2), (0, 0, 0), (1, 2, 2, 3), 1)
         tables = {(1, 2): broken,
-                  (2, 1): proofs._gauge_table(cuspidal.flip_transpose_gauge(1, 2), broken)}
+                  (2, 1): proofs._gauge_table(proofs.flip_transpose_gauge(1, 2), broken)}
         monkeypatch.setattr(cuspidal, "sol_family", lambda e, d: SimpleNamespace(table=tables[e, d]))
         for e, d in ((1, 2), (2, 1)):
             assert verify.check_cuspidal_cybe(e, d, PAIR) == (False, "Q(B, B^3, B^9) != 0")
@@ -586,3 +587,35 @@ class TestTransport:
         assert eliminated and det == stolin.frobenius_gram(moved, 3)[1]
         assert "24 eliminated, 21 transported" in verify.check_frobenius_goldens()[1]
 
+
+
+class TestSupportColouring:
+    """`proofs.j_support_coloring`, the sign twist of the flip gauge."""
+
+    @pytest.mark.parametrize("e,d", _coprime_pairs(N_MAX))
+    def test_support_is_a_tree(self, e, d):
+        """The premise of the colouring: J's support is a tree on the n
+        indices, n - 1 unit entries that connect them all, so the colouring
+        exists and is unique once index 1 has +1; it alternates on every
+        edge."""
+        n, J = e + d, build_j(e, d)
+        edges = [(i, j) for i in range(n) for j in range(n) if J[i][j]]
+        assert {J[i][j] for i, j in edges} == {1} and len(edges) == n - 1
+        reached, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for i, j in edges:
+                for a, b in ((i, j), (j, i)):
+                    if a == u and b not in reached:
+                        reached.add(b)
+                        stack.append(b)
+        assert reached == set(range(n))
+        s = proofs.j_support_coloring(e, d)
+        assert s[0] == 1 and all(s[i] * s[j] == -1 for i, j in edges)
+
+    def test_odd_cycle_is_refused(self, monkeypatch):
+        """Negative control: a support with a triangle has no 2-colouring."""
+        triangle = ((0, 1, 1), (0, 0, 1), (0, 0, 0))
+        monkeypatch.setattr(jmat, "build_j", lambda e, d: triangle)
+        with pytest.raises(RuntimeError, match="J support graph is not 2-colorable"):
+            proofs.j_support_coloring(1, 2)

@@ -28,6 +28,9 @@ loads, whatever bytecode the checkout holds.  The measurements:
   `N_MAX`, timed in-process after the route modules are imported (N is not
   held to the CLI's cap): wall time, peak RSS, and the summed `elapsed` of
   each check kind (the check name before `-(` or `-n=`).
+- compiled_lines: the package source lines that each `verify` suite of
+  `VERIFY_SUITES` compiles, by the same probe, keyed as
+  `tests/test_hygiene.py` keys its budgets.
 - tier-1: the wall time of `python -m pytest -q
   --continue-on-collection-errors` in the checkout's root.
 - src_lines: the lines of each `ybe_forge` module, as `wc -l` counts them,
@@ -67,6 +70,11 @@ TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 DOCUMENT_KINDS = ("rational", "stolin", "elliptic")
 OUTPUT_FIELDS = ("exit", "stdout", "stderr")
 CHECK_FIELDS = ("name", "status", "detail", "tolerance")
+# The `verify` commands whose compiled lines `tests/test_hygiene.py` holds to
+# its budgets, which reads them here.
+VERIFY_SUITES = (("verify", "--suite", "rational", "--n-max", "2"),
+                 ("verify", "--suite", "elliptic", "--n-max", "4"),
+                 ("verify", "--suite", "zoo", "--n-max", "4"))
 
 # Runs `python ARGS` with its stdout and stderr sent to the files argv[1] and
 # argv[2], and prints its wall seconds, peak RSS in kB and exit code.  A
@@ -313,6 +321,8 @@ def main():
             "cold_cli": cold_cli(env, copy[src], mix, cli[src], ref),
             "verify": {str(n): verify_figures(verify[src][i::len(N_MAX)], ref)
                        for i, n in enumerate(N_MAX)},
+            "compiled_lines": {" ".join(suite[:3]): compiled_lines(env, copy[src], suite)
+                               for suite in VERIFY_SUITES},
             "tier1": {**walls(tier1[src], ref),
                       "exit": max(run["exit"] for run in tier1[src]),
                       "summary": (tier1[src][-1]["stdout"].strip().splitlines() or [""])[-1]},
@@ -351,6 +361,7 @@ def main():
             for kind, k in fig["cold_cli"]["kinds"].items()))
         print("  round trips: %(round_trips_differ)d of %(documents)d documents differ"
               % fig["cold_cli"])
+        print("  compiled " + ", ".join("%s %d lines" % kv for kv in fig["compiled_lines"].items()))
         print("  verify " + ", ".join("--n-max %s %.3f (%.3f) s" % (
             n, v["wall_s"]["median"], v["scaled_wall_s"]["median"])
             for n, v in fig["verify"].items()))
