@@ -408,13 +408,13 @@ def closed_form_d1(n: int) -> TensorTable:
     return tensor_table(n, pairs)
 
 
-def yang_order(n: int, k_max: int) -> stolin.OrderBasis:
+def yang_order(n: int, k_max: int) -> tuple:
     """The order z^{-1} g[[z^{-1}]] truncated to the window of k_max, as
     `stolin.build_order` truncates: the fixture whose series reproduces the
     pure Casimir pole."""
     elements = [{-m_deg: basis_terms(lbl, n)}
                 for m_deg in range(1, k_max + 4) for lbl in sl_basis(n)]
-    return stolin.OrderBasis(n, k_max, tuple(elements))
+    return n, k_max, tuple(elements)
 
 
 def _closed_form_n2() -> TensorTable:

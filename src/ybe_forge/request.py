@@ -23,9 +23,9 @@ EXIT_BADINPUT = 3
 N_MAX = 12
 # Most decimal digits in the numerator or the denominator of an exact input
 # (--x, --y, K-matrix entries); larger inputs exit 3 before any work.  x and
-# y enter only a table evaluation: on that CPU a fresh `rational 12 d`, d = 1,
-# 5, 7, 11, takes 63-72 ms at x = 1/3 and at a 30-digit x, a warm (5, 7)
-# evaluation 0.36 ms at 30 digits and 0.54 ms at 60 (medians of 3; best of 5).
+# y enter only a table evaluation, not the exact solves, which depend on K
+# alone: on that CPU a warm (5, 7) evaluation takes 0.36 ms at 30 digits and
+# 0.54 ms at 60 (best of 5).
 RAT_DIGITS_MAX = 30
 
 

@@ -14,7 +14,7 @@ file gives Fractions; n is len(K).  Equal values hash alike: one
 `solve_dec` entry.  The split e + d enters as `jmat.twist`, the z-degree of
 eta^-1 e_ij eta: p_e is spanned by the labels of twist >= 0, the nilpotent
 block is twist 1, and the order is twisted by eta = diag(1_e, z 1_d).  An
-order for k_max + 1 series terms spans the degrees -(k_max + 3) .. 1.
+order, the tuple (n, k_max, elements), spans the degrees -(k_max + 3) .. 1.
 """
 
 from __future__ import annotations
@@ -289,22 +289,10 @@ def _eta_shift(e: int, parts) -> dict:
     return {k: m for k, m in out.items() if m}
 
 
-class OrderBasis:
-    """Truncated basis of a Lagrangian subalgebra complementary to g[z]:
-    `elements` are exact Laurent polynomials of degrees -(k_max + 3) .. 1,
-    each as {degree: {(i, j): nonzero z^degree coefficient}}, 1-based."""
-
-    __slots__ = ("n", "k_max", "elements")
-
-    def __init__(self, n: int, k_max: int, elements: tuple):
-        self.n = n
-        self.k_max = k_max
-        self.elements = elements
-
-
-def build_order(K, e: int, k_max: int) -> OrderBasis:
-    """Basis of the eta-conjugated subalgebra W of sl(n), n = len(K), within
-    the window [-(k_max + 3), 1].
+def build_order(K, e: int, k_max: int) -> tuple:
+    """(n, k_max, elements): a basis of the eta-conjugated subalgebra W of
+    sl(n), n = len(K), within the window [-(k_max + 3), 1], each element
+    {degree: {(i, j): nonzero z^degree coefficient}}, 1-based.
 
     Spanning set: the twisted span of alpha + z^{-1}[K^t, alpha] over the
     sl(n) basis, plus the twisted deep-tail z^{-m} monomials whose
@@ -326,11 +314,12 @@ def build_order(K, e: int, k_max: int) -> OrderBasis:
             w = _eta_shift(e, [(alpha, -m_deg)])
             if min(w) >= lo:
                 elements.append(w)
-    return OrderBasis(n, k_max, tuple(elements))
+    return n, k_max, tuple(elements)
 
 
-def series_r(order: OrderBasis, x, y) -> tuple:
-    """(tensor, parts): the partial sum over k <= order.k_max of x^k sum_l
+def series_r(order: tuple, x, y) -> tuple:
+    """(tensor, parts): for the order (n, k_max, elements) that
+    `build_order` returns, the partial sum over k <= k_max of x^k sum_l
     alpha_l (x) beta_{l,k}(y), and the polynomial parts of the dual elements,
     (label, k) -> {m: {(i, j): coefficient}} as in `WElementSet`.
 
@@ -342,7 +331,7 @@ def series_r(order: OrderBasis, x, y) -> tuple:
     x, y = rat(x), rat(y)
     if y == 0:
         raise ValueError("need y != 0 for the pole part")
-    n, k_max = order.n, order.k_max
+    n, k_max, elements = order
     lo = -(k_max + 3)  # the dual of z^k needs tail depth k + 2 inside the window
     labels = sl_basis(n)
     pairs = {}  # label -> (first-slot element, its trace dual)
@@ -354,7 +343,7 @@ def series_r(order: OrderBasis, x, y) -> tuple:
     # window, row (deg - lo) n^2 + (i - 1) n + j - 1; column p is element p
     rows: list = [{} for _ in range(-lo * n * n)]
     poly_terms = []  # per element, its (degree, (i, j), entry) in degrees 0, 1
-    for p, w in enumerate(order.elements):
+    for p, w in enumerate(elements):
         own = []
         for deg, m in w.items():
             for (i, j), v in m.items():
@@ -371,7 +360,7 @@ def series_r(order: OrderBasis, x, y) -> tuple:
             rhs_cols.append({base + (i - 1) * n + j - 1: v for (i, j), v in pairs[lbl][1].items()})
             wanted.append((lbl, k))
     try:
-        sols = solve_multi(rows, rhs_cols, len(order.elements))
+        sols = solve_multi(rows, rhs_cols, len(elements))
     except LinearAlgebraError as exc:
         raise TruncationError("dual element not solvable in window") from exc
 

@@ -2,11 +2,13 @@
 numerics, and the classical fixtures.
 
 Every check returns a pass/fail verdict with the measured residual (or the
-relevant determinant/dimension) and its tolerance; a report is the
-conjunction.  A suite runs its checks in order in one process, so that each
-CYBE proof, once made, serves every later check that transports it.  Each
-check imports its route when it runs, so a suite compiles only its own:
-`proofs` for the exact suites, `residuals` for `elliptic` and `zoo`.
+relevant determinant/dimension) and its tolerance.  A report is the dict
+that `verify --format json` prints, each check's record in "checks" and
+their conjunction in "passed".  A suite runs its checks in order in one
+process, so that each CYBE proof, once made, serves every later check that
+transports it.  Each check imports its route when it runs, so a suite
+compiles only its own: `proofs` for the exact suites, `residuals` for
+`elliptic` and `zoo`.
 """
 
 from __future__ import annotations
@@ -24,58 +26,6 @@ from .lie import GlTensor2, cybe_lhs, tensor_from_pairs, transpose_negate_map
 SUITE_SEED = 2008
 # highest power of x in the dual-basis series that `check_series` compares
 SERIES_K_MAX = 6
-
-
-class CheckResult:
-    __slots__ = ("name", "passed", "detail", "tolerance", "elapsed")
-
-    def __init__(self, name: str, passed: bool, detail: str, tolerance: str, elapsed: float):
-        self.name = name
-        self.passed = passed
-        self.detail = detail
-        self.tolerance = tolerance
-        self.elapsed = elapsed
-
-
-class VerifyReport:
-    __slots__ = ("suite", "checks")
-
-    def __init__(self, suite: str, checks: tuple):
-        self.suite = suite
-        self.checks = checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "version": __version__,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": "pass" if c.passed else "FAIL",
-                    "detail": c.detail,
-                    "tolerance": c.tolerance,
-                    "elapsed": round(c.elapsed, 4),
-                }
-                for c in self.checks
-            ],
-        }
-
-    def render_text(self) -> str:
-        lines = []
-        for c in self.checks:
-            lines.append(
-                "[%s] %-42s %s (tol %s, %.2fs)"
-                % ("pass" if c.passed else "FAIL", c.name, c.detail, c.tolerance, c.elapsed)
-            )
-        lines.append(
-            "suite %s: %s" % (self.suite, "all checks passed" if self.passed else "FAILURES")
-        )
-        return "\n".join(lines)
 
 
 def _coprime_pairs(n_max: int):
@@ -350,7 +300,8 @@ def _run(task):
         tol = derived[0] if derived else tol
     except Exception as exc:  # a crash is a failed check, not a crashed report
         passed, detail = False, "error: %s" % exc
-    return CheckResult(name, passed, detail, tol, time.perf_counter() - t0)
+    return {"name": name, "status": "pass" if passed else "FAIL", "detail": detail,
+            "tolerance": tol, "elapsed": round(time.perf_counter() - t0, 4)}
 
 
 def _tasks_for(suite: str, n_max: int, seed: int):
@@ -403,8 +354,12 @@ def _tasks_for(suite: str, n_max: int, seed: int):
     return tasks
 
 
-def run_suite(suite: str, n_max: int) -> VerifyReport:
+def run_suite(suite: str, n_max: int) -> dict:
+    """The report that `verify --format json` prints: the suite, the package
+    version, whether every check passed, and each check's record."""
     tasks = _tasks_for(suite, n_max, SUITE_SEED)
     if not tasks:
         raise ValueError("unknown suite %r" % suite)
-    return VerifyReport(suite, tuple(_run(t) for t in tasks))
+    checks = [_run(t) for t in tasks]
+    return {"suite": suite, "version": __version__,
+            "passed": all(c["status"] == "pass" for c in checks), "checks": checks}

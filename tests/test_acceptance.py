@@ -125,7 +125,8 @@ def test_shared_checks_are_live(monkeypatch):
     """Breaking a shared check fails both `verify` and the criterion."""
     monkeypatch.setattr(stolin, "compare_pipelines", lambda e, d, x, y: False)
     report = verify.run_suite("stolin", n_max=2)
-    assert [c.name for c in report.checks if not c.passed] == ["pipeline-comparison-(1,1)"]
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == [
+        "pipeline-comparison-(1,1)"]
     verdicts = []
     test_criterion_05_pipeline_comparison(lambda num, ok, detail: verdicts.append(ok))
     assert verdicts == [False]

@@ -47,18 +47,54 @@ def test_missing_check_differs_in_every_field(side):
         1: list(bench.CHECK_FIELDS)}
 
 
-def test_alternate_reverses_the_order_at_every_other_item():
+class _Clock:
+    """A stand-in for `time` in `tools/bench.py`: each `perf_counter` call
+    reads the next whole second, and `sleep` takes no time."""
+
+    def __init__(self):
+        self.now = -1.0
+
+    def perf_counter(self):
+        self.now += 1.0
+        return self.now
+
+    def sleep(self, seconds):
+        pass
+
+
+def _speed_log(samples):
+    """perfbench's `SpeedLog` holding the (time, loop seconds) `samples`,
+    with no thread started."""
+    speed = object.__new__(bench.perfbench.SpeedLog)
+    speed.samples = samples
+    return speed
+
+
+def test_alternate_reverses_the_order_at_every_other_item(monkeypatch):
     """Each item runs on every checkout, the first checkout first at even
-    items and last at odd ones, and each run gets the mean of the two
-    calibration samples taken just before and just after it."""
-    order, samples = [], iter(range(100))
+    items and last at odd ones, and each run gets the loop time of the
+    speed log over its own interval."""
+    monkeypatch.setattr(bench, "time", _Clock())  # run i spans [2i, 2i + 1]
+    speed = _speed_log([(2 * i + 0.5, i + 1.0) for i in range(6)])
+    order = []
     out = bench.alternate(["a", "b"], range(3), lambda src, item: order.append(src) or {
-        "item": item}, lambda: next(samples))
+        "item": item}, speed)
     assert order == ["a", "b", "b", "a", "a", "b"]
-    assert out == {"a": [{"item": 0, "calibration_s": 0.5}, {"item": 1, "calibration_s": 6.5},
-                         {"item": 2, "calibration_s": 8.5}],
-                   "b": [{"item": 0, "calibration_s": 2.5}, {"item": 1, "calibration_s": 4.5},
-                         {"item": 2, "calibration_s": 10.5}]}
+    assert out == {"a": [{"item": 0, "calibration_s": 1.0}, {"item": 1, "calibration_s": 4.0},
+                         {"item": 2, "calibration_s": 5.0}],
+                   "b": [{"item": 0, "calibration_s": 2.0}, {"item": 1, "calibration_s": 3.0},
+                         {"item": 2, "calibration_s": 6.0}]}
+
+
+def test_scaled_wall_follows_the_samples_inside_its_run(monkeypatch):
+    """A run during which the loop ran twice as slow as at its two ends is
+    scaled by the samples inside it, not by the mean of those at its ends
+    (which would leave its wall time as it is)."""
+    monkeypatch.setattr(bench, "time", _Clock())  # the run spans [0, 1]
+    speed = _speed_log([(-0.5, 0.001), (0.25, 0.002), (0.75, 0.002), (1.5, 0.001)])
+    [run] = bench.alternate(["a"], [0], lambda src, item: {"wall_s": 1.0}, speed)["a"]
+    assert run["calibration_s"] == 0.002
+    assert bench.walls([run], 0.001)["scaled_wall_s"]["median"] == 0.5
 
 
 def test_walls_scale_each_run_by_its_own_calibration():

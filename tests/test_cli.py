@@ -441,7 +441,8 @@ class TestSizeCap:
         """--n-max N_MAX passes argument checking and reaches the suite."""
         calls = []
         monkeypatch.setattr(verify, "run_suite", lambda suite, n_max: calls.append(
-            (suite, n_max)) or verify.VerifyReport(suite, ()))
+            (suite, n_max)) or {"suite": suite, "version": __version__, "passed": True,
+                                "checks": []})
         res = run("verify", "--n-max", str(N_MAX))
         assert res.exit_code == 0
         assert calls == [("all", N_MAX)]
@@ -644,6 +645,27 @@ class TestVerify:
         assert res.exit_code == 2
         assert "[FAIL] zoo-rational" in res.stdout
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_made_up_failure_is_printed_and_exits_2(self, monkeypatch, fmt):
+        """A report is the plain dict that `run_suite` returns: a made-up
+        one with a FAIL record prints that record and the suite's FAILURES
+        verdict as text, and itself as JSON, and exits 2 either way."""
+        report = {"suite": "zoo", "version": __version__, "passed": False, "checks": [
+            {"name": "zoo-rational", "status": "pass", "detail": "exact", "tolerance": "exact",
+             "elapsed": 0.0012},
+            {"name": "made-up", "status": "FAIL", "detail": "residual 1.0e+00",
+             "tolerance": "1e-9", "elapsed": 0.5}]}
+        monkeypatch.setattr(verify, "run_suite", lambda suite, n_max: report)
+        res = run("verify", "--suite", "zoo", "--format", fmt)
+        assert res.exit_code == 2
+        if fmt == "json":
+            assert res.stdout == json.dumps(report, indent=2) + "\n"
+        else:
+            assert res.stdout.splitlines() == [
+                "[pass] %-42s exact (tol exact, 0.00s)" % "zoo-rational",
+                "[FAIL] %-42s residual 1.0e+00 (tol 1e-9, 0.50s)" % "made-up",
+                "suite zoo: FAILURES"]
+
     def test_json_report_is_reproducible(self):
         """Two runs of the same suite report the same checks, verdicts and
         details; only the timings differ."""
@@ -660,7 +682,7 @@ class TestVerify:
     def test_report_matches_golden(self):
         """`run_suite("all", 4)` reports the pinned name, status, detail and
         tolerance of every check, in order."""
-        assert outcomes(run_suite("all", 4).to_json()["checks"]) == REPORT_GOLDEN
+        assert outcomes(run_suite("all", 4)["checks"]) == REPORT_GOLDEN
 
     @pytest.mark.parametrize("suite", [s for s in SUITES if s != "all"])
     def test_single_suite_matches_golden_slice(self, suite):

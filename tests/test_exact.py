@@ -599,16 +599,17 @@ class TestBuilderRows:
         from ybe_forge import stolin
 
         order = stolin.build_order(j_matrix_rat(2, 1), 2, 1)  # degrees -4 .. 1
+        _, _, elements = order
         assert all(w and all(m and all(m.values()) for m in w.values())
-                   for w in order.elements)
+                   for w in elements)
         solves = []
         self._recording(monkeypatch, stolin, "solve_multi", solves)
         stolin.series_r(order, F(1, 3), F(2))
         [(rows, rhs_cols, ncols)] = solves
-        assert ncols == len(order.elements)
+        assert ncols == len(elements)
         assert _sparse_and_clean(rows) and _sparse_and_clean(rhs_cols)
         assert sum(map(len, rows)) == sum(
-            len(m) for w in order.elements for deg, m in w.items() if deg < 0)
+            len(m) for w in elements for deg, m in w.items() if deg < 0)
 
 
 def _entry(rng):

@@ -12,7 +12,6 @@ from ybe_forge import stolin
 from ybe_forge.exact import ONE, ZERO
 from ybe_forge.jmat import build_j
 from ybe_forge.stolin import (
-    OrderBasis,
     TruncationError,
     assemble_stolin_r,
     build_order,
@@ -24,7 +23,7 @@ from ybe_forge.proofs import yang_order
 from ybe_forge.verify import geometric_pole_partial, scale
 
 # A Laurent polynomial with gl(n) coefficients is {degree: {(i, j): entry}},
-# the form of `OrderBasis.elements`.
+# the form of the elements of an order (n, k_max, elements).
 
 
 def kac_pairing(a, b, n):
@@ -67,9 +66,10 @@ class TestKacPairing:
 
 
 def _window_span_rank(ob, n):
-    lo, hi = -(ob.k_max + 3), 1
+    _, k_max, elements = ob
+    lo, hi = -(k_max + 3), 1
     rows = []
-    for w in ob.elements:
+    for w in elements:
         rows.append(
             [w.get(k, {}).get((i, j), ZERO)
              for k in range(lo, hi + 1) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -95,14 +95,15 @@ class TestBuildOrder:
     def test_size_comes_from_k(self):
         """A 3 x 3 K builds the order of sl(3), with no n given beside it."""
         ob = build_order(build_j(1, 2), 1, 0)
-        assert (ob.n, ob.k_max, len(ob.elements)) == (3, 0, 24)
+        n, k_max, elements = ob
+        assert (n, k_max, len(elements)) == (3, 0, 24)
         assert _window_span_rank(ob, 3) == (40, 40)  # 5 degrees of sl(3)
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_sandwich(self, e, d):
         n = e + d
-        ob = build_order(j_matrix_rat(e, d), e, 1)
-        for w in ob.elements:
+        _, _, elements = build_order(j_matrix_rat(e, d), e, 1)
+        for w in elements:
             assert w and all(m and all(m.values()) for m in w.values())
             for deg, m in w.items():
                 assert -4 <= deg <= 1
@@ -114,9 +115,9 @@ class TestBuildOrder:
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
     def test_isotropy(self, e, d):
         n = e + d
-        ob = build_order(j_matrix_rat(e, d), e, 1)
-        for u in ob.elements:
-            for v in ob.elements:
+        _, _, elements = build_order(j_matrix_rat(e, d), e, 1)
+        for u in elements:
+            for v in elements:
                 assert kac_pairing(u, v, n) == 0
 
     @pytest.mark.parametrize("e,d", [(1, 1), (2, 1), (1, 2)])
@@ -163,9 +164,9 @@ class TestSeries:
     def test_unsolvable_dual_is_a_truncation_error(self):
         """An order missing an element leaves a dual element without a
         solution: the solver's failure is reported as TruncationError."""
-        ob = yang_order(2, 1)
+        n, k_max, elements = yang_order(2, 1)
         with pytest.raises(TruncationError, match="not solvable"):
-            series_r(OrderBasis(ob.n, ob.k_max, ob.elements[1:]), F(1, 3), F(2))
+            series_r((n, k_max, elements[1:]), F(1, 3), F(2))
 
     def test_other_errors_propagate(self, monkeypatch):
         """Only a solver failure becomes TruncationError; any other error

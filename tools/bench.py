@@ -23,8 +23,8 @@ loads, whatever bytecode the checkout holds.  The measurements:
   elliptic document a checkout printed is read back by its own
   `document.loads` and written by its `dumps`: a rewrite that differs from
   the printed text counts in `round_trips_differ`.
-- verify: `json.dumps(verify.run_suite("all", N).to_json(), indent=2)`,
-  the JSON that `verify --format json` prints, for each N of
+- verify: `json.dumps(verify.run_suite("all", N), indent=2)`, the JSON
+  that `verify --format json` prints, for each N of
   `N_MAX`, timed in-process after the route modules are imported (N is not
   held to the CLI's cap): wall time, peak RSS, and the summed `elapsed` of
   each check kind (the check name before `-(` or `-n=`).
@@ -36,11 +36,11 @@ loads, whatever bytecode the checkout holds.  The measurements:
 - src_lines: the lines of each `ybe_forge` module, as `wc -l` counts them,
   and their total.
 
-perfbench's `calibration_sample` runs before and after all of it, and
-beside every run, just before and just after it: each wall time is
-reported raw (`wall_s`) and scaled by the mean of its run's two samples
-(`scaled_wall_s`, seconds on a machine where the loop takes perfbench's
-`CAL_REF_S`), as perfbench's `SpeedLog` scales its latencies, so that a
+perfbench's `calibration_sample` runs before and after all of it, and its
+`SpeedLog` samples the same loop on a thread throughout: each wall time is
+reported raw (`wall_s`) and scaled by `SpeedLog.loop_time` over the run's
+own interval (`scaled_wall_s`, seconds on a machine where the loop takes
+perfbench's `CAL_REF_S`), as perfbench scales its latencies, so that a
 drift in machine speed during the run shows and can be told apart.  The
 file holds `environment` (perfbench's `run.environment()`),
 `calibration_s`, and the figures of this checkout (`this`); with DIR also
@@ -62,8 +62,15 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 
 ROOT = os.path.normpath(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir))
+# perfbench's runner: its cold-cli mix, pinned environment and calibration
+# loop, and the `SpeedLog` that samples the loop on a thread
+_SPEC = importlib.util.spec_from_file_location("perfbench_run",
+                                               os.path.join(ROOT, "perfbench", "run.py"))
+perfbench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(perfbench)
 SEED = 1  # of the cold-cli mix
 N_MAX = (8, 12, 16)
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -110,11 +117,14 @@ print(json.dumps(["ybe_forge.cli" in sys.modules, lines]))
 
 # Prints the wall seconds of `verify --suite all --n-max argv[1] --format
 # json` without start-up or imports (the checks import their route modules
-# when they first run, so those are imported first), then the report.
+# when they first run, so those are imported first), then the report.  A
+# parent checkout from before reports were plain dicts returns an object
+# whose `to_json()` gives the dict.
 VERIFY = """import json, sys, time
 from ybe_forge import proofs, residuals, verify
 t0 = time.perf_counter()
-report = json.dumps(verify.run_suite("all", int(sys.argv[1])).to_json(), indent=2)
+report = verify.run_suite("all", int(sys.argv[1]))
+report = json.dumps(getattr(report, "to_json", lambda: report)(), indent=2)
 print(time.perf_counter() - t0)
 print(report)
 """
@@ -158,18 +168,23 @@ def launch(env, src, args, cwd=ROOT) -> dict:
                     "stdout": fh_out.read(), "stderr": fh_err.read()}
 
 
-def alternate(sources, items, measure, calibrate) -> dict:
+def alternate(sources, items, measure, speed) -> dict:
     """{src: [measure(src, item) for each item]}: each item is measured on
     every checkout in turn, in reversed order at every other item.  Each
-    run, a dict, gets `calibration_s`, the mean of the loop times that
-    `calibrate()` reads just before and just after it."""
+    run, a dict, gets `calibration_s`, the loop time that the `SpeedLog`
+    `speed` read over the run's own interval, once a sample after the last
+    run is taken."""
     out = {src: [] for src in sources}
+    spans = []
     for k, item in enumerate(items):
         for src in sources[::-1] if k % 2 else sources:
-            before = calibrate()
+            t0 = time.perf_counter()
             run = measure(src, item)
-            run["calibration_s"] = (before + calibrate()) / 2
+            spans.append((run, t0, time.perf_counter()))
             out[src].append(run)
+    time.sleep(perfbench.CAL_EVERY_S)
+    for run, t0, t1 in spans:
+        run["calibration_s"] = speed.loop_time(t0, t1)
     return out
 
 
@@ -288,34 +303,26 @@ def main():
     parser.add_argument("--runs", type=int, default=3, help="runs per checkout (default 3)")
     parser.add_argument("--out", default="BENCH.json", help="the JSON file to write")
     args = parser.parse_args()
-    spec = importlib.util.spec_from_file_location("perfbench_run",
-                                                  os.path.join(ROOT, "perfbench", "run.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
     sources = [os.path.join(ROOT, "src")] + ([os.path.abspath(args.src)] if args.src else [])
-    mix = bench.cold_cli_mix(SEED)[0]
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **bench.PINNED_ENV)
-    ref = bench.CAL_REF_S
-
-    def calibrate():
-        return bench.calibration_sample()[1]
-
-    before = calibrate()
-    with tempfile.TemporaryDirectory() as tmp:
+    mix = perfbench.cold_cli_mix(SEED)[0]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", **perfbench.PINNED_ENV)
+    ref = perfbench.CAL_REF_S
+    before = perfbench.calibration_sample()[1]
+    with tempfile.TemporaryDirectory() as tmp, perfbench.SpeedLog() as speed:
         copy = {src: shutil.copytree(src, os.path.join(tmp, str(i)),
                                      ignore=shutil.ignore_patterns("__pycache__"))
                 for i, src in enumerate(sources)}
         cli = alternate(sources, mix * args.runs, lambda src, req: launch(
-            env, copy[src], ["-m", "ybe_forge.cli", *req["args"]]), calibrate)
+            env, copy[src], ["-m", "ybe_forge.cli", *req["args"]]), speed)
         verify = alternate(sources, [n for _ in range(args.runs) for n in N_MAX],
-                           lambda src, n: run_verify(env, copy[src], n), calibrate)
+                           lambda src, n: run_verify(env, copy[src], n), speed)
         tier1 = alternate(sources, range(args.runs),
                           lambda src, _: launch(env, src, TIER1, cwd=os.path.dirname(src)),
-                          calibrate)
+                          speed)
         messages = alternate(sources, [(flags, m) for flags in ((), ("-OO",)) for m in MESSAGES],
                              lambda src, fm: launch(env, copy[src], [*fm[0], "-m",
                                                                      "ybe_forge.cli", *fm[1]]),
-                             calibrate)
+                             speed)
         figures = {src: {
             "src_lines": src_lines(src),
             "cold_cli": cold_cli(env, copy[src], mix, cli[src], ref),
@@ -327,8 +334,8 @@ def main():
                       "exit": max(run["exit"] for run in tier1[src]),
                       "summary": (tier1[src][-1]["stdout"].strip().splitlines() or [""])[-1]},
         } for src in sources}
-    after = calibrate()
-    out = {"environment": bench.environment(), "seed": SEED, "runs": args.runs,
+    after = perfbench.calibration_sample()[1]
+    out = {"environment": perfbench.environment(), "seed": SEED, "runs": args.runs,
            "calibration_s": {"before": before, "after": after}, "this": figures[sources[0]]}
     if args.src:
         ours, theirs = (figures[src] for src in sources)
